@@ -1,6 +1,11 @@
-"""Exact-arithmetic verification library for the Frobenius fixed-point
-structure of ordinary genus-2 curves in characteristic 2, together with
-Frobenius-periodic module machinery over truncated power-series rings.
+"""Exact-arithmetic verifier for the genus-2 family
+
+    y^2 + (x^2 + x) y = (T^2 + T)(x^5 + x) + T^2 x^3
+
+in characteristic 2.  It checks ordinarity, the Z/2 x S3 automorphism
+group, Jacobian orders and torsion, and the Frobenius pullback of divisor
+classes, with binary fields, polynomials, point counts, a Riemann-Roch
+interpolation oracle and Cantor arithmetic as its layers.
 
 The public surface is re-exported here; see the module docstrings for the
 mathematical conventions each layer pins down.

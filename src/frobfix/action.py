@@ -14,7 +14,7 @@ minimal field extension that admits one.
 
 from .errors import FieldMismatchError, InconsistencyError, SearchExhaustedError
 from .gf2 import default_field, embed, solve_gf2_linear
-from .jacobian import FormalDivisor, JacobianClass, class_of
+from .jacobian import FormalDivisor, class_of
 from .poly import Poly, RationalFunction
 
 

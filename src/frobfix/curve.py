@@ -20,7 +20,7 @@ from .errors import (
     InconsistencyError,
     NotOnCurveError,
 )
-from .gf2 import DEGREE_CAP, artin_schreier_root_in_field, default_field, embed, identity_embedding
+from .gf2 import artin_schreier_root_in_field, default_field, embed
 from .poly import Poly
 
 

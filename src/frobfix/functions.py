@@ -11,9 +11,9 @@ divisor claims are verified exactly through the norm
 N(a + b y) = a^2 + a b h + b^2 f together with pointwise vanishing orders.
 """
 
+from .curve import _y_solutions
 from .errors import InconsistencyError, VerificationError
-from .gf2 import join_fields
-from .linalg import Matrix, nullspace
+from .linalg import nullspace
 from .poly import Poly, solve_linear, solve_quadratic
 from .series import TruncatedSeriesRing
 
@@ -50,11 +50,6 @@ class PolyFunction:
     def evaluate(self, p):
         return self.a.evaluate(p.x) + self.b.evaluate(p.x) * p.y
 
-    def involution_conjugate(self):
-        """The composite with the hyperelliptic involution: a + b(y + h)."""
-        h, _ = self.curve.equation_polys(self.field)
-        return PolyFunction(self.curve, self.field, self.a + self.b * h, self.b)
-
     def series_at(self, point, prec):
         xs, ys = local_coordinates(self.curve, point, prec)
         return _evaluate_pair(self.a, self.b, xs, ys)
@@ -75,9 +70,6 @@ class PolyFunction:
                     return i
             prec *= 2
         raise InconsistencyError("nonzero function vanishing beyond its norm degree")
-
-    def scale(self, elem):
-        return PolyFunction(self.curve, self.field, self.a.scale(elem), self.b.scale(elem))
 
     def __repr__(self):
         return f"PolyFunction(({self.a!r}) + ({self.b!r})*y)"
@@ -173,7 +165,7 @@ def interpolate_vanishing(curve, field, m, constraints):
         for k in range(mult):
             rows.append([coeffs[k] for coeffs in per_basis])
     if rows:
-        vecs = nullspace(Matrix(field, rows))
+        vecs = nullspace(field, rows)
     else:
         vecs = [[field.one()] + [field.zero()] * (len(basis) - 1)]
     if not vecs:
@@ -233,16 +225,8 @@ def verify_polyfunction_divisor(fn, expected):
     norm = fn.norm()
     rest = norm
     for x0, pts in by_x.items():
-        weier = pts[0][0].is_weierstrass()
-        if weier:
-            e0 = sum(m for _, m in pts)
-        else:
-            e0 = 0
-            for p, m in pts:
-                e0 += m
-                partner = p.hyperelliptic_involution()
-                if partner not in exp_ord:
-                    e0 += 0  # partner must have order zero; checked below
+        # a partner absent from `expected` must have order zero; checked below
+        e0 = sum(m for _, m in pts)
         lin = Poly(field, (x0, field.one()))
         for _ in range(e0):
             q, r = divmod(rest, lin)
@@ -424,18 +408,13 @@ def _extract_residual_points(curve, field, psi, rest, new_entries):
 
 
 def _all_y_at(curve, field, x0):
+    # the residual x0 comes from a norm factor, so the y-values exist over
+    # this field
     h, f = curve.equation_polys(field)
-    hx, fx = h.evaluate(x0), f.evaluate(x0)
-    if hx.mask == 0:
-        return [fx.sqrt()]
-    # y = hx * z with z^2 + z = fx / hx^2; the residual x0 comes from a norm
-    # factor, so the y-values exist over this field
-    from .gf2 import artin_schreier_root_in_field
-
-    z = artin_schreier_root_in_field(field, 2, fx / (hx * hx))
-    if z is None:
+    ys = _y_solutions(field, h.evaluate(x0), f.evaluate(x0))
+    if not ys:
         raise InconsistencyError("residual point not defined over the working field")
-    return sorted([hx * z, hx * (z + field.one())], key=lambda e: e.mask)
+    return sorted(ys, key=lambda e: e.mask)
 
 
 def _mumford_from_points(curve, field, entries):

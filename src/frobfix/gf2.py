@@ -70,10 +70,6 @@ def find_factor(m):
     return None
 
 
-def is_irreducible(m):
-    return mask_degree(m) >= 1 and find_factor(m) is None
-
-
 @lru_cache(maxsize=1)
 def default_modulus_table():
     """Shipped degree -> modulus table, re-verified entry by entry at load."""
@@ -175,9 +171,6 @@ class BinaryField:
 
     def random(self, rng):
         return FieldElement(self, rng.randrange(self.order))
-
-    def random_nonzero(self, rng):
-        return FieldElement(self, rng.randrange(1, self.order))
 
     # -- raw mask arithmetic -------------------------------------------------
     def _mul_raw(self, a, b):
@@ -419,10 +412,6 @@ def _roots_of_gf2_poly(modulus, target):
     return out
 
 
-def _prime_divisors(n):
-    return _prime_factors(n)
-
-
 def _default_tower_embedding(a, b):
     """The canonical coherent embedding default(a) -> default(b).
 
@@ -436,7 +425,7 @@ def _default_tower_embedding(a, b):
     if a == b:
         return FieldEmbedding(src, tgt, tgt.gen())
     constraints = []
-    for p in _prime_divisors(a):
+    for p in _prime_factors(a):
         sub = a // p
         lower = embed(default_field(sub), src)
         upper = embed(default_field(sub), tgt)

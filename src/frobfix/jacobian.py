@@ -14,6 +14,8 @@ interpolation oracle in `functions.reduce_points_oracle` guards every
 piece of this arithmetic in the tests.
 """
 
+import random
+
 from .curve import jacobian_order_from_lpoly, lpolynomial
 from .errors import (
     DegreeCapError,
@@ -22,7 +24,7 @@ from .errors import (
     SearchExhaustedError,
 )
 from .functions import principal_witness_core, reduce_points_oracle
-from .gf2 import embed, join_fields, solve_gf2_linear
+from .gf2 import default_field, embed, join_fields, solve_gf2_linear
 from .poly import Poly, solve_quadratic
 
 
@@ -207,7 +209,8 @@ class JacobianClass:
         return self.equals(other)
 
     def __hash__(self):
-        return hash((self.curve.field, self.curve.effective_t, self.field, self.key()))
+        # equality lifts across fields, so hash only what a lift preserves
+        return hash((self.curve.field, self.curve.effective_t, self.u.degree))
 
     def retag(self, curve):
         if not self.curve.same_model(curve):
@@ -365,6 +368,16 @@ def _v_solution_space(curve, field, u):
     return combo_to_masks(part), [combo_to_masks(k) for k in kernel]
 
 
+def _all_v(field, part, kernel):
+    """Every v in part + span(kernel), in combo-bit order."""
+    for combo in range(1 << len(kernel)):
+        masks = list(part)
+        for i, k in enumerate(kernel):
+            if combo >> i & 1:
+                masks = [m ^ km for m, km in zip(masks, k)]
+        yield Poly.from_masks(field, masks)
+
+
 def count_classes(curve, field):
     """Exhaustive count of reduced Mumford pairs over `field`."""
     total = 1  # the identity (u, v) = (1, 0)
@@ -399,13 +412,7 @@ def enumerate_classes(curve, field):
             sol = _v_solution_space(curve, field, u)
             if sol is None:
                 continue
-            part, kernel = sol
-            for combo in range(1 << len(kernel)):
-                masks = list(part)
-                for i, k in enumerate(kernel):
-                    if combo >> i & 1:
-                        masks = [m ^ km for m, km in zip(masks, k)]
-                v = Poly.from_masks(field, masks)
+            for v in _all_v(field, *sol):
                 out.append(JacobianClass(curve, field, u, v))
     return out
 
@@ -447,13 +454,8 @@ def two_torsion(curve, field):
         sol = _v_solution_space(curve, field, u)
         if sol is None:
             continue
-        part, kernel = sol
-        for combo in range(1 << len(kernel)):
-            masks = list(part)
-            for i, k in enumerate(kernel):
-                if combo >> i & 1:
-                    masks = [m ^ km for m, km in zip(masks, k)]
-            c = JacobianClass(curve, field, u, Poly.from_masks(field, masks))
+        for v in _all_v(field, *sol):
+            c = JacobianClass(curve, field, u, v)
             if c.neg().key() == c.key():
                 out.append(c)
     for c in out:
@@ -521,10 +523,6 @@ def torsion_subgroup(curve, r, k, seed=0):
         raise ValueError("torsion search supports r in {2, 3}")
     if k > 6:
         raise ValueError("torsion search bound capped at k <= 6")
-    import random as _random
-
-    from .gf2 import default_field
-
     bound = 4 if r == 2 else 81
     counts = []
     best = None
@@ -536,7 +534,7 @@ def torsion_subgroup(curve, r, k, seed=0):
         if r == 2:
             classes = two_torsion(curve, field)
         else:
-            rng = _random.Random(seed * 1009 + j)
+            rng = random.Random(seed * 1009 + j)
             syl = sylow_subgroup(curve, field, r, rng)
             classes = [c for c in syl if c.mul_int(r).is_identity()]
         if len(classes) > r ** 4:

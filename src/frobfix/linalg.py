@@ -1,209 +1,16 @@
-"""Small exact matrices over the package's rings.
+"""Reduced row echelon form and nullspaces over a field.
 
-Works over any ring object exposing zero()/one() whose elements support
-+, -, *, is_unit() and inverse().  Determinants use cofactor expansion
-(every matrix here is tiny); inverses use Gauss-Jordan with unit pivots,
-which is complete over the local series rings as well as over fields.
+Matrices are plain lists of rows of FieldElement entries; a nonzero entry
+is a unit, so every pivot is invertible.  The interpolation oracle in
+`functions.interpolate_vanishing` is the only consumer.
 """
 
-from .errors import FieldMismatchError
 
-
-class Matrix:
-    __slots__ = ("ring", "rows")
-
-    def __init__(self, ring, rows):
-        rows = tuple(tuple(r) for r in rows)
-        if rows:
-            w = len(rows[0])
-            if any(len(r) != w for r in rows):
-                raise ValueError("ragged matrix")
-        self.ring = ring
-        self.rows = rows
-
-    # -- constructors --------------------------------------------------------
-    @classmethod
-    def identity(cls, ring, n):
-        z, o = ring.zero(), ring.one()
-        return cls(ring, [[o if i == j else z for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zeros(cls, ring, r, c):
-        z = ring.zero()
-        return cls(ring, [[z] * c for _ in range(r)])
-
-    @classmethod
-    def diagonal(cls, ring, entries):
-        z = ring.zero()
-        n = len(entries)
-        return cls(ring, [[entries[i] if i == j else z for j in range(n)] for i in range(n)])
-
-    # -- shape ----------------------------------------------------------------
-    @property
-    def nrows(self):
-        return len(self.rows)
-
-    @property
-    def ncols(self):
-        return len(self.rows[0]) if self.rows else 0
-
-    def is_square(self):
-        return self.nrows == self.ncols
-
-    def __getitem__(self, ij):
-        return self.rows[ij[0]][ij[1]]
-
-    def entries(self):
-        for row in self.rows:
-            yield from row
-
-    # -- arithmetic ------------------------------------------------------------
-    def _check(self, other):
-        if self.ring != other.ring:
-            raise FieldMismatchError("matrices over different rings")
-
-    def __add__(self, other):
-        self._check(other)
-        return Matrix(
-            self.ring,
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
-        )
-
-    def __sub__(self, other):
-        self._check(other)
-        return Matrix(
-            self.ring,
-            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
-        )
-
-    def __mul__(self, other):
-        if isinstance(other, Matrix):
-            self._check(other)
-            if self.ncols != other.nrows:
-                raise ValueError("shape mismatch in matrix product")
-            cols = list(zip(*other.rows))
-            out = []
-            for r in self.rows:
-                out.append([_dot(r, c, self.ring) for c in cols])
-            return Matrix(self.ring, out)
-        return self.scale(other)
-
-    def scale(self, elem):
-        return Matrix(self.ring, [[a * elem for a in r] for r in self.rows])
-
-    def __pow__(self, e):
-        if not self.is_square():
-            raise ValueError("power of a non-square matrix")
-        if e < 0:
-            return self.inverse() ** (-e)
-        acc = Matrix.identity(self.ring, self.nrows)
-        base = self
-        while e:
-            if e & 1:
-                acc = acc * base
-            base = base * base
-            e >>= 1
-        return acc
-
-    def transpose(self):
-        return Matrix(self.ring, list(zip(*self.rows)))
-
-    def apply(self, vec):
-        """Matrix times a column vector (a list of entries)."""
-        return [_dot(r, vec, self.ring) for r in self.rows]
-
-    def map_entries(self, fn, ring=None):
-        return Matrix(ring or self.ring, [[fn(a) for a in r] for r in self.rows])
-
-    # -- determinant / inverse --------------------------------------------------
-    def det(self):
-        if not self.is_square():
-            raise ValueError("determinant of a non-square matrix")
-        n = self.nrows
-        if n == 0:
-            return self.ring.one()
-        if n == 1:
-            return self.rows[0][0]
-        if n == 2:
-            (a, b), (c, d) = self.rows
-            return a * d - b * c
-        acc = None
-        for j in range(n):
-            a = self.rows[0][j]
-            minor = Matrix(
-                self.ring, [r[:j] + r[j + 1 :] for r in self.rows[1:]]
-            )
-            term = a * minor.det()
-            if acc is None:
-                acc = term if j % 2 == 0 else -term
-            else:
-                acc = acc + term if j % 2 == 0 else acc - term
-        return acc
-
-    def is_invertible(self):
-        return self.is_square() and self.det().is_unit()
-
-    def inverse(self):
-        if not self.is_square():
-            raise ValueError("inverse of a non-square matrix")
-        n = self.nrows
-        z = self.ring.zero()
-        aug = [list(self.rows[i]) + [self.ring.one() if j == i else z for j in range(n)]
-               for i in range(n)]
-        for col in range(n):
-            piv = None
-            for r in range(col, n):
-                if aug[r][col].is_unit():
-                    piv = r
-                    break
-            if piv is None:
-                raise ZeroDivisionError("matrix is not invertible over its ring")
-            aug[col], aug[piv] = aug[piv], aug[col]
-            inv = aug[col][col].inverse()
-            aug[col] = [a * inv for a in aug[col]]
-            for r in range(n):
-                if r != col:
-                    factor = aug[r][col]
-                    if factor.is_unit() or not _is_zeroish(factor):
-                        aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-        return Matrix(self.ring, [row[n:] for row in aug])
-
-    # -- comparisons --------------------------------------------------------------
-    def __eq__(self, other):
-        return (
-            isinstance(other, Matrix)
-            and self.ring == other.ring
-            and self.rows == other.rows
-        )
-
-    def __hash__(self):
-        return hash((self.ring, self.rows))
-
-    def __repr__(self):
-        return "Matrix(" + "; ".join(", ".join(repr(a) for a in r) for r in self.rows) + ")"
-
-
-def _dot(row, col, ring):
-    acc = None
-    for a, b in zip(row, col):
-        t = a * b
-        acc = t if acc is None else acc + t
-    return acc if acc is not None else ring.zero()
-
-
-def _is_zeroish(elem):
-    z = getattr(elem, "is_zero", None)
-    if z is not None:
-        return elem.is_zero()
-    return not bool(elem)
-
-
-# -- linear algebra over fields (is_unit == nonzero) ----------------------------
-
-def rref(matrix):
-    """Reduced row echelon form over a field; returns (rref_rows, pivot_cols)."""
-    rows = [list(r) for r in matrix.rows]
-    nr, nc = matrix.nrows, matrix.ncols
+def rref(rows):
+    """Reduced row echelon form of a nonempty matrix over a field; returns
+    (rref_rows, pivot_cols)."""
+    rows = [list(r) for r in rows]
+    nr, nc = len(rows), len(rows[0])
     pivots = []
     r = 0
     for c in range(nc):
@@ -228,14 +35,13 @@ def rref(matrix):
     return rows, pivots
 
 
-def nullspace(matrix):
-    """Basis of the right nullspace of a matrix over a field."""
-    ring = matrix.ring
-    rows, pivots = rref(matrix)
-    nc = matrix.ncols
+def nullspace(field, rows):
+    """Basis of the right nullspace of a nonempty matrix over `field`."""
+    nc = len(rows[0])
+    rows, pivots = rref(rows)
     free = [c for c in range(nc) if c not in pivots]
     basis = []
-    z, o = ring.zero(), ring.one()
+    z, o = field.zero(), field.one()
     for fc in free:
         vec = [z] * nc
         vec[fc] = o
@@ -243,17 +49,3 @@ def nullspace(matrix):
             vec[pc] = -rows[r][fc]
         basis.append(vec)
     return basis
-
-
-def solve(matrix, rhs):
-    """One solution of matrix * x = rhs over a field, or None."""
-    ring = matrix.ring
-    aug = Matrix(ring, [list(r) + [b] for r, b in zip(matrix.rows, rhs)])
-    rows, pivots = rref(aug)
-    nc = matrix.ncols
-    if nc in pivots:
-        return None
-    x = [ring.zero()] * nc
-    for r, pc in enumerate(pivots):
-        x[pc] = rows[r][nc]
-    return x

@@ -1,5 +1,4 @@
-"""Dense univariate polynomials, rational functions, and homogeneous
-binary quadratics over a BinaryField.
+"""Dense univariate polynomials and rational functions over a BinaryField.
 
 Polynomials are normalized (no trailing zero coefficients); gcds are
 monic.  Quadratics in characteristic 2 are solved through the additive
@@ -7,7 +6,7 @@ Artin-Schreier substitution rather than any discriminant formula.
 """
 
 from .errors import FieldMismatchError
-from .gf2 import artin_schreier_solve, default_field, embed, identity_embedding
+from .gf2 import artin_schreier_solve, embed, identity_embedding
 
 
 class Poly:
@@ -116,12 +115,6 @@ class Poly:
     def scale(self, elem):
         return Poly(self.field, (c * elem for c in self.coeffs))
 
-    def shift(self, k):
-        """Multiply by x^k."""
-        if self.is_zero():
-            return self
-        return Poly(self.field, (self.field.zero(),) * k + self.coeffs)
-
     def __pow__(self, e):
         r = Poly.one(self.field)
         b = self
@@ -214,24 +207,11 @@ class Poly:
         """Coefficient-wise squaring (x stays x)."""
         return Poly(self.field, (c * c for c in self.coeffs))
 
-    def root_multiplicity(self, r):
-        if self.is_zero():
-            raise ValueError("zero polynomial")
-        lin = Poly(self.field, (r, self.field.one()))  # x + r
-        m = 0
-        p = self
-        while not p.is_zero():
-            q, rem = divmod(p, lin)
-            if not rem.is_zero():
-                break
-            m += 1
-            p = q
-        return m
-
 
 def solve_linear(p):
     """The root of a degree-1 polynomial."""
-    assert p.degree == 1
+    if p.degree != 1:
+        raise ValueError(f"solve_linear needs degree 1, got {p.degree}")
     return p[0] / p[1]
 
 
@@ -243,7 +223,8 @@ def solve_quadratic(p, allow_extension=True):
     trace obstructs) and emb maps the input field there.  The roots list
     carries multiplicity (a double root appears twice).
     """
-    assert p.degree == 2
+    if p.degree != 2:
+        raise ValueError(f"solve_quadratic needs degree 2, got {p.degree}")
     f = p.field
     a, b, c = p[2], p[1], p[0]
     ident = identity_embedding(f)
@@ -263,28 +244,6 @@ def solve_quadratic(p, allow_extension=True):
     scale = emb(b / a)
     one = ext.one()
     return sorted([scale * z, scale * (z + one)], key=lambda e: e.mask), ext, emb
-
-
-def roots_in_field(p):
-    """Roots of p that lie in its own coefficient field, with multiplicity."""
-    out = []
-    if p.is_zero():
-        raise ValueError("zero polynomial")
-    if p.degree >= 1:
-        if p.degree == 1:
-            out.append((solve_linear(p), 1))
-        elif p.degree == 2:
-            roots, fld, _ = solve_quadratic(p, allow_extension=False)
-            if fld == p.field:
-                seen = {}
-                for r in roots:
-                    seen[r.mask] = seen.get(r.mask, 0) + 1
-                out = [(p.field.element(m), k) for m, k in sorted(seen.items())]
-        else:
-            for elem in p.field.elements():
-                if p.evaluate(elem).mask == 0:
-                    out.append((elem, p.root_multiplicity(elem)))
-    return out
 
 
 class RationalFunction:
@@ -323,9 +282,6 @@ class RationalFunction:
 
     def is_zero(self):
         return self.num.is_zero()
-
-    def is_polynomial(self):
-        return self.den.degree == 0
 
     def __eq__(self, other):
         return (
@@ -377,17 +333,6 @@ class RationalFunction:
             return None
         return self.num.evaluate(x) / d
 
-    def value_at_infinity(self):
-        """Value at x = infinity; None when there is a pole there."""
-        dn, dd = self.num.degree, self.den.degree
-        if self.num.is_zero():
-            return self.field.zero()
-        if dn > dd:
-            return None
-        if dn < dd:
-            return self.field.zero()
-        return self.num.leading() / self.den.leading()
-
     def substitute(self, other):
         """Composition self(other(x)) as a rational function."""
         other = self._coerce(other)
@@ -418,171 +363,3 @@ def _compose_with_fraction(p, num, den):
     for i in range(d - 1, -1, -1):
         acc = acc * num + Poly.constant(p.coeffs[i]) * den ** (d - i)
     return acc
-
-
-class LinearForm:
-    """A nonzero linear form p*X + q*Y, normalized so the first nonzero
-    coefficient is 1 (projective normalization)."""
-
-    __slots__ = ("p", "q")
-
-    def __init__(self, p, q, normalize=True):
-        if p.mask == 0 and q.mask == 0:
-            raise ValueError("zero linear form")
-        if normalize:
-            lead = p if p.mask else q
-            inv = lead.inverse()
-            p, q = p * inv, q * inv
-        self.p = p
-        self.q = q
-
-    @property
-    def field(self):
-        return self.p.field
-
-    def evaluate(self, x, y):
-        return self.p * x + self.q * y
-
-    def zero_point(self):
-        """The projective zero [X : Y] = [q : p] (characteristic 2)."""
-        return (self.q, self.p)
-
-    def proportional(self, other):
-        return (self.p * other.q + self.q * other.p).mask == 0
-
-    def map(self, emb):
-        return LinearForm(emb(self.p), emb(self.q), normalize=False)
-
-    def __eq__(self, other):
-        return isinstance(other, LinearForm) and self.p == other.p and self.q == other.q
-
-    def __hash__(self):
-        return hash((self.p, self.q))
-
-    def __repr__(self):
-        return f"LinearForm({self.p!r}*X + {self.q!r}*Y)"
-
-
-class QuadraticForm:
-    """A homogeneous binary quadratic a*X^2 + b*XY + c*Y^2."""
-
-    __slots__ = ("a", "b", "c")
-
-    def __init__(self, a, b, c):
-        if not (a.field == b.field == c.field):
-            raise FieldMismatchError("quadratic form coefficients over different fields")
-        self.a, self.b, self.c = a, b, c
-
-    @property
-    def field(self):
-        return self.a.field
-
-    def is_zero(self):
-        return not (self.a.mask or self.b.mask or self.c.mask)
-
-    def evaluate(self, x, y):
-        return self.a * x * x + self.b * x * y + self.c * y * y
-
-    def map(self, emb):
-        return QuadraticForm(emb(self.a), emb(self.b), emb(self.c))
-
-    def proportional(self, other):
-        ab = self.a * other.b + other.a * self.b
-        ac = self.a * other.c + other.a * self.c
-        bc = self.b * other.c + other.b * self.c
-        return not (ab.mask or ac.mask or bc.mask)
-
-    def resultant(self, other):
-        """Resultant of the two quadratics (characteristic-2 form).
-
-        Zero exactly when the forms share a projective zero over the
-        algebraic closure.
-        """
-        a1, b1, c1 = self.a, self.b, self.c
-        a2, b2, c2 = other.a, other.b, other.c
-        ac = a1 * c2 + a2 * c1
-        return ac * ac + (a1 * b2 + a2 * b1) * (b1 * c2 + b2 * c1)
-
-    def linear_factors(self):
-        """Split into two linear forms over the field or its quadratic
-        extension: returns (factors, field, emb) with the product matching
-        self up to the returned unit scale: self = scale * L1 * L2.
-        """
-        f = self.field
-        if self.is_zero():
-            raise ValueError("zero quadratic form")
-        if self.a.mask == 0:
-            ident = identity_embedding(f)
-            if self.b.mask == 0:
-                # c*Y^2
-                return (
-                    (LinearForm(f.zero(), f.one(), normalize=False),) * 2,
-                    f,
-                    ident,
-                    self.c,
-                )
-            # Y * (b*X + c*Y)
-            l1 = LinearForm(f.zero(), f.one(), normalize=False)
-            l2 = LinearForm(f.one(), self.c / self.b, normalize=False)
-            return (l1, l2), f, ident, self.b
-        dehom = Poly(f, (self.c, self.b, self.a))
-        roots, fld, emb = solve_quadratic(dehom)
-        l1 = LinearForm(fld.one(), roots[0], normalize=False)
-        l2 = LinearForm(fld.one(), roots[1], normalize=False)
-        return (l1, l2), fld, emb, self.a
-
-    def divide_by_linear(self, lf):
-        """Residual linear form l with self = lf * l, or None if lf does not
-        divide self exactly."""
-        f = self.field
-        p, q = lf.p, lf.q
-        if p.mask:
-            u = self.a / p
-            v = (self.b + q * u) / p
-            if q * v == self.c:
-                return LinearForm(u, v, normalize=False)
-            return None
-        if self.a.mask:
-            return None
-        u = self.b / q
-        v = self.c / q
-        return LinearForm(u, v, normalize=False)
-
-
-def common_linear_factor(h1, h2):
-    """Common linear factor of two binary quadratics that share a projective zero.
-
-    Returns (L, l1, l2, field, emb) with h1 = L*l1 and h2 = L*l2 exactly,
-    where the forms live over `field` (the input field or its quadratic
-    extension) and emb maps the input field there.  L is normalized so its
-    first nonzero coefficient is 1.
-
-    Raises ValueError when the forms are proportional (every factor is
-    common, so "the" factor is ill-defined) or share no projective zero
-    (detected by the resultant).
-    """
-    if h1.field != h2.field:
-        raise FieldMismatchError("quadratics over different fields")
-    if h1.is_zero() or h2.is_zero():
-        raise ValueError("zero quadratic form")
-    if h1.proportional(h2):
-        raise ValueError("proportional quadratics: common factor is not unique")
-    if h1.resultant(h2).mask != 0:
-        raise ValueError("no common factor: the quadratics share no projective zero")
-    factors, fld, emb, scale = h1.linear_factors()
-    h2e = h2.map(emb) if fld != h1.field else h2
-    h1e = h1.map(emb) if fld != h1.field else h1
-    seen = []
-    for cand in factors:
-        cn = LinearForm(cand.p, cand.q)  # normalized
-        if any(cn == s for s in seen):
-            continue
-        seen.append(cn)
-        res2 = h2e.divide_by_linear(cn)
-        if res2 is None:
-            continue
-        res1 = h1e.divide_by_linear(cn)
-        if res1 is None:
-            continue
-        return cn, res1, res2, fld, emb
-    raise ValueError("no common factor found despite vanishing resultant")

@@ -1,12 +1,10 @@
-"""Truncated power-series rings k'[s]/(s^n).
+"""Truncated power-series rings k'[s]/(s^n) for local expansions.
 
-The ring carries the convention that matters for everything downstream:
-the Frobenius twist a -> a^(q) raises coefficients in k' to the q-th
-power and FIXES s.  `SeriesElement.twist` implements exactly that; it is
-round-trip tested, never assumed.
+`functions.local_coordinates` expands x and y in a local uniformizer s at
+an affine point of the curve; vanishing orders are then read off the
+expanded coefficients.  The ring needs only addition, multiplication and
+inverses of units (elements with a nonzero constant term).
 """
-
-from itertools import product
 
 from .errors import FieldMismatchError
 
@@ -41,9 +39,6 @@ class TruncatedSeriesRing:
             cs.append(self.field.zero())
         return SeriesElement(self, tuple(cs))
 
-    def from_masks(self, masks):
-        return self.element([self.field.element(m) for m in masks])
-
     def constant(self, elem):
         if elem.field != self.field:
             raise FieldMismatchError("constant from a different coefficient field")
@@ -54,32 +49,6 @@ class TruncatedSeriesRing:
 
     def one(self):
         return self.element([self.field.one()])
-
-    def s(self):
-        return self.element([self.field.zero(), self.field.one()])
-
-    def random(self, rng):
-        return self.element([self.field.random(rng) for _ in range(self.n)])
-
-    def random_unit(self, rng):
-        c = [self.field.random(rng) for _ in range(self.n)]
-        c[0] = self.field.random_nonzero(rng)
-        return self.element(c)
-
-    def elements(self):
-        """All #k'^n elements; only for small enumerations."""
-        masks = range(self.field.order)
-        for combo in product(masks, repeat=self.n):
-            yield self.from_masks(combo)
-
-    def units(self):
-        for e in self.elements():
-            if e.is_unit():
-                yield e
-
-    def truncate_to(self, m):
-        """The ring with the same coefficients truncated at s^m."""
-        return TruncatedSeriesRing(self.field, m)
 
 
 class SeriesElement:
@@ -97,9 +66,6 @@ class SeriesElement:
         if self.ring != other.ring:
             raise FieldMismatchError("series elements from different rings")
 
-    def constant_term(self):
-        return self.coeffs[0]
-
     def is_unit(self):
         return self.coeffs[0].mask != 0
 
@@ -111,11 +77,6 @@ class SeriesElement:
         return SeriesElement(
             self.ring, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
         )
-
-    __sub__ = __add__
-
-    def __neg__(self):
-        return self
 
     def __mul__(self, other):
         self._check(other)
@@ -131,16 +92,6 @@ class SeriesElement:
                     out[i + j] = out[i + j] + a * b
         return SeriesElement(self.ring, tuple(out))
 
-    def __pow__(self, e):
-        r = self.ring.one()
-        b = self
-        while e:
-            if e & 1:
-                r = r * b
-            b = b * b
-            e >>= 1
-        return r
-
     def inverse(self):
         if not self.is_unit():
             raise ZeroDivisionError("series element with zero constant term")
@@ -153,18 +104,6 @@ class SeriesElement:
                 acc = acc + self.coeffs[i] * out[k - i]
             out[k] = acc * inv0  # char 2: -acc = acc
         return SeriesElement(self.ring, tuple(out))
-
-    def twist(self, q):
-        """The Frobenius twist: coefficients to the q-th power, s fixed."""
-        return SeriesElement(self.ring, tuple(c ** q for c in self.coeffs))
-
-    def map_field(self, emb):
-        target = TruncatedSeriesRing(emb.target, self.ring.n)
-        return SeriesElement(target, tuple(emb(c) for c in self.coeffs))
-
-    def truncate(self, m):
-        ring = self.ring.truncate_to(m)
-        return SeriesElement(ring, self.coeffs[:m])
 
     def masks(self):
         return tuple(c.mask for c in self.coeffs)

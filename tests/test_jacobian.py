@@ -91,6 +91,15 @@ def test_cantor_vs_oracle_random_gf16():
         assert (a + b).equals(oracle_class_of(a.to_divisor() + b.to_divisor()))
 
 
+def test_hash_agrees_with_cross_field_equality():
+    c = laszlo_curve()
+    classes = enumerate_classes(c, c.field)
+    lifted = [cl.lift(default_field(4)) for cl in classes]
+    for cl, up in zip(classes, lifted):
+        assert cl == up and hash(cl) == hash(up)
+    assert len(set(classes) | set(lifted)) == len(classes) == 16
+
+
 def test_associativity_commutativity_random():
     c = laszlo_curve()
     f16 = default_field(4)
