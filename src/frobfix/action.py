@@ -13,9 +13,9 @@ minimal field extension that admits one.
 """
 
 from .errors import FieldMismatchError, InconsistencyError, SearchExhaustedError
-from .gf2 import default_field, embed, solve_gf2_linear
+from .gf2 import default_field, embed
 from .jacobian import FormalDivisor, class_of
-from .poly import Poly, RationalFunction
+from .poly import Poly, RationalFunction, affine_span, solve_additive
 
 
 class MobiusMap:
@@ -23,22 +23,17 @@ class MobiusMap:
 
     __slots__ = ("a", "b", "c", "d")
 
-    def __init__(self, a, b, c, d, normalize=True):
+    def __init__(self, a, b, c, d):
         if (a * d + b * c).mask == 0:  # char 2: determinant ad - bc
             raise ValueError("singular Mobius matrix")
-        if normalize:
-            lead = next(z for z in (a, b, c, d) if z.mask)
-            inv = lead.inverse()
-            a, b, c, d = a * inv, b * inv, c * inv, d * inv
+        lead = next(z for z in (a, b, c, d) if z.mask)
+        inv = lead.inverse()
+        a, b, c, d = a * inv, b * inv, c * inv, d * inv
         self.a, self.b, self.c, self.d = a, b, c, d
 
     @property
     def field(self):
         return self.a.field
-
-    @classmethod
-    def from_masks(cls, field, masks):
-        return cls(*(field.element(m) for m in masks))
 
     def numerator_poly(self):
         return Poly(self.field, (self.b, self.a))
@@ -139,14 +134,13 @@ class CurveAutomorphism:
 
     __slots__ = ("curve", "mobius", "p", "q", "_eval_cache")
 
-    def __init__(self, curve, mobius, p, q, check=True):
+    def __init__(self, curve, mobius, p, q):
         self.curve = curve
         self.mobius = mobius
         self.p = p
         self.q = q
         self._eval_cache = {}
-        if check:
-            self._validate()
+        self._validate()
 
     def _validate(self):
         h, f = self.curve.equation_polys(self.mobius.field)
@@ -201,9 +195,9 @@ class CurveAutomorphism:
             and self.q == RationalFunction(Poly.one(f))
         )
 
-    def order(self, cap=12):
+    def order(self):
         acc = self
-        for k in range(1, cap + 1):
+        for k in range(1, 13):  # an element's order divides #Aut(X) = 12
             if acc.is_identity():
                 return k
             acc = acc.compose(self)
@@ -276,17 +270,32 @@ class CurveAutomorphism:
         return CurveAutomorphism(target, m2, p2, q2)
 
 
-def lift_mobius(curve, mobius, _allow_extension=True):
+def lift_mobius(curve, mobius):
     """Both lifts of a branch-permuting Mobius map to curve automorphisms.
 
-    Returned in deterministic order (smallest coefficient key first).
-    Raises SearchExhaustedError naming the minimal extension when no lift
-    exists over the base field (then retried over the quadratic extension
-    when `_allow_extension`).
+    Returned in deterministic order (smallest coefficient key first), over
+    the base field when they exist there, else over its quadratic
+    extension; raises SearchExhaustedError when neither field has them.
     """
     field = mobius.field
     if not mobius.permutes_branch_points():
         raise ValueError("Mobius map does not permute the branch points")
+    lifts = _lifts_over_own_field(curve, mobius)
+    if lifts is None:
+        emb = embed(field, default_field(2 * field.degree))
+        lifted = MobiusMap(emb(mobius.a), emb(mobius.b), emb(mobius.c), emb(mobius.d))
+        lifts = _lifts_over_own_field(curve, lifted)
+    if lifts is None:
+        raise SearchExhaustedError(
+            f"lift requires a field extension beyond degree {2 * field.degree}"
+        )
+    return lifts
+
+
+def _lifts_over_own_field(curve, mobius):
+    """The sorted lifts of `mobius` over its own field, or None when the
+    equation for p has no solution there."""
+    field = mobius.field
     h, f = curve.equation_polys(field)
     hr, fr = RationalFunction(h), RationalFunction(f)
     m = mobius.as_rational()
@@ -298,51 +307,14 @@ def lift_mobius(curve, mobius, _allow_extension=True):
     lin_coeff = (hm * RationalFunction(mult)).as_poly()
     g = fr.substitute(m) + q * q * fr
     rhs = (g * RationalFunction(mult * mult)).as_poly()
-    deg_bound = 7
-    dbits = field.degree
-    nvars = (deg_bound + 1) * dbits
-
-    def poly_to_bits(p_):
-        acc = 0
-        for i, cf in enumerate(p_.coeffs):
-            acc |= cf.mask << (i * dbits)
-        return acc
-
-    def bits_to_poly(bits):
-        masks = [bits >> (i * dbits) & ((1 << dbits) - 1) for i in range(deg_bound + 1)]
-        return Poly.from_masks(field, masks)
-
-    cols = []
-    for var in range(nvars):
-        ci, bit = divmod(var, dbits)
-        masks = [0] * (deg_bound + 1)
-        masks[ci] = 1 << bit
-        basis = Poly.from_masks(field, masks)
-        cols.append(poly_to_bits(basis * basis + lin_coeff * basis))
-    part, kernel = solve_gf2_linear(cols, poly_to_bits(rhs))
-    if part is None:
-        if not _allow_extension:
-            raise SearchExhaustedError(f"no lift over GF(2^{field.degree})")
-        ext = default_field(2 * field.degree)
-        emb = embed(field, ext)
-        lifted = MobiusMap(emb(mobius.a), emb(mobius.b), emb(mobius.c), emb(mobius.d))
-        try:
-            return lift_mobius(curve, lifted, _allow_extension=False)
-        except SearchExhaustedError:
-            raise SearchExhaustedError(
-                f"lift requires a field extension beyond degree {2 * field.degree}"
-            ) from None
-    if len(kernel) > 4:
+    sol = solve_additive(field, 8, lambda b: b * b + lin_coeff * b, rhs)  # deg B <= 7
+    if sol is None:
+        return None
+    if len(sol[1]) > 4:
         raise InconsistencyError("lift solution space is unexpectedly large")
     lifts = []
-    for combo in range(1 << len(kernel)):
-        bits = part
-        for i, k in enumerate(kernel):
-            if combo >> i & 1:
-                bits ^= k
-        # a combination mask indexes the coefficient bits directly
-        p = RationalFunction(bits_to_poly(bits), mult)
-        cand = CurveAutomorphism(curve, mobius, p, q)
+    for b in affine_span(*sol):
+        cand = CurveAutomorphism(curve, mobius, RationalFunction(b, mult), q)
         if cand not in lifts:
             lifts.append(cand)
     if len(lifts) != 2:

@@ -54,14 +54,13 @@ class PolyFunction:
         xs, ys = local_coordinates(self.curve, point, prec)
         return _evaluate_pair(self.a, self.b, xs, ys)
 
-    def ord_at(self, point, cap=None):
+    def ord_at(self, point):
         """Vanishing order at an affine point (0 when the value is nonzero)."""
         if self.is_zero():
             raise ValueError("zero function")
         if self.evaluate(point).mask != 0:
             return 0
-        if cap is None:
-            cap = max(2 * self.norm().degree + 2, 8)
+        cap = max(2 * self.norm().degree + 2, 8)
         prec = 4
         while prec <= cap:
             coeffs = self.series_at(point, prec)

@@ -14,8 +14,6 @@ interpolation oracle in `functions.reduce_points_oracle` guards every
 piece of this arithmetic in the tests.
 """
 
-import random
-
 from .curve import jacobian_order_from_lpoly, lpolynomial
 from .errors import (
     DegreeCapError,
@@ -23,9 +21,9 @@ from .errors import (
     InconsistencyError,
     SearchExhaustedError,
 )
-from .functions import principal_witness_core, reduce_points_oracle
-from .gf2 import default_field, embed, join_fields, solve_gf2_linear
-from .poly import Poly, solve_quadratic
+from .functions import _merge_points, principal_witness_core, reduce_points_oracle
+from .gf2 import default_field, embed, join_fields
+from .poly import Poly, affine_span, solve_additive, solve_quadratic
 
 
 class FormalDivisor:
@@ -38,18 +36,12 @@ class FormalDivisor:
     __slots__ = ("curve", "entries")
 
     def __init__(self, curve, entries):
-        merged = {}
-        order = []
-        for p, m in entries:
+        entries = list(entries)
+        for p, _ in entries:
             if not curve.same_model(p.curve):
                 raise FieldMismatchError("divisor point on a different curve model")
-            if p in merged:
-                merged[p] += m
-            else:
-                merged[p] = m
-                order.append(p)
         self.curve = curve
-        self.entries = tuple((p, merged[p]) for p in order if merged[p])
+        self.entries = tuple(_merge_points(entries))
 
     def degree(self):
         return sum(m for _, m in self.entries)
@@ -325,71 +317,37 @@ def group_order(curve, field):
 
 
 def _v_solution_space(curve, field, u):
-    """Solutions v (deg v < deg u) of u | v^2 + v h + f, as mask vectors.
-
-    Returns None when unsolvable, else (particular, kernel) where each
-    element is a tuple of deg(u) coefficient masks (low degree first).
-    """
+    """Solutions v (deg v < deg u) of u | v^2 + v h + f: None when
+    unsolvable, else (particular, kernel) as Polys (see `solve_additive`)."""
     h, f = curve.equation_polys(field)
-    du = u.degree
-    dbits = field.degree
-    nvars = du * dbits
-    target_poly = f % u
-
-    def op(vpoly):
-        return (vpoly * vpoly + vpoly * h) % u
-
-    cols = []
-    for var in range(nvars):
-        coeff_idx, bit = divmod(var, dbits)
-        masks = [0] * du
-        masks[coeff_idx] = 1 << bit
-        img = op(Poly.from_masks(field, masks))
-        acc = 0
-        for i in range(du):
-            acc |= img[i].mask << (i * dbits)
-        cols.append(acc)
-    rhs = 0
-    for i in range(du):
-        acc_mask = target_poly[i].mask
-        rhs |= acc_mask << (i * dbits)
-    part, kernel = solve_gf2_linear(cols, rhs)
-    if part is None:
-        return None
-
-    def combo_to_masks(combo):
-        masks = [0] * du
-        for var in range(nvars):
-            if combo >> var & 1:
-                coeff_idx, bit = divmod(var, dbits)
-                masks[coeff_idx] |= 1 << bit
-        return tuple(masks)
-
-    return combo_to_masks(part), [combo_to_masks(k) for k in kernel]
+    return solve_additive(field, u.degree, lambda v: (v * v + v * h) % u, f % u)
 
 
-def _all_v(field, part, kernel):
-    """Every v in part + span(kernel), in combo-bit order."""
-    for combo in range(1 << len(kernel)):
-        masks = list(part)
-        for i, k in enumerate(kernel):
-            if combo >> i & 1:
-                masks = [m ^ km for m, km in zip(masks, k)]
-        yield Poly.from_masks(field, masks)
-
-
-def count_classes(curve, field):
-    """Exhaustive count of reduced Mumford pairs over `field`."""
-    total = 1  # the identity (u, v) = (1, 0)
-    total += curve.count_points(field) - 1  # degree-1 classes <-> affine points
+def _solvable_quadratics(curve, field):
+    """(u, particular, kernel) for every monic quadratic u, in mask order of
+    (u1, u0), for which some v has u | v^2 + v h + f over `field`."""
     one = field.one()
     for u1m in range(field.order):
         for u0m in range(field.order):
             u = Poly(field, (field.element(u0m), field.element(u1m), one))
             sol = _v_solution_space(curve, field, u)
             if sol is not None:
-                total += 1 << len(sol[1])
-    return total
+                yield u, *sol
+
+
+def _degree_two_classes(curve, field):
+    """Every class with deg u = 2 over `field`: u in the order of
+    `_solvable_quadratics`, then v in the combo-bit order of `affine_span`."""
+    for u, part, kernel in _solvable_quadratics(curve, field):
+        for v in affine_span(part, kernel):
+            yield JacobianClass(curve, field, u, v)
+
+
+def count_classes(curve, field):
+    """Exhaustive count of reduced Mumford pairs over `field`."""
+    total = 1  # the identity (u, v) = (1, 0)
+    total += curve.count_points(field) - 1  # degree-1 classes <-> affine points
+    return total + sum(1 << len(kernel) for _, _, kernel in _solvable_quadratics(curve, field))
 
 
 def enumerate_classes(curve, field):
@@ -406,32 +364,26 @@ def enumerate_classes(curve, field):
             b = field.element(bm)
             if (b * b + h.evaluate(a) * b + f.evaluate(a)).mask == 0:
                 out.append(JacobianClass(curve, field, u, Poly.constant(b)))
-    for u1m in range(field.order):
-        for u0m in range(field.order):
-            u = Poly(field, (field.element(u0m), field.element(u1m), one))
-            sol = _v_solution_space(curve, field, u)
-            if sol is None:
-                continue
-            for v in _all_v(field, *sol):
-                out.append(JacobianClass(curve, field, u, v))
+    out.extend(_degree_two_classes(curve, field))
     return out
 
 
 def random_class(curve, field, rng):
-    """A random class with deg u = 2, sampled through the linearized
-    Mumford solver (every monic u is reachable, split or not)."""
+    """A random class with deg u = 2: u is drawn until its Mumford equation
+    for v is solvable (every monic u is reachable, split or not), then v is
+    the particular solution plus each kernel vector for which one
+    rng.randrange(2), drawn in kernel order, is 1."""
     one = field.one()
     while True:
         u = Poly(field, (field.random(rng), field.random(rng), one))
         sol = _v_solution_space(curve, field, u)
         if sol is None:
             continue
-        part, kernel = sol
-        masks = list(part)
+        v, kernel = sol
         for k in kernel:
             if rng.randrange(2):
-                masks = [m ^ km for m, km in zip(masks, k)]
-        return JacobianClass(curve, field, u, Poly.from_masks(field, masks))
+                v = v + k
+        return JacobianClass(curve, field, u, v)
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +406,7 @@ def two_torsion(curve, field):
         sol = _v_solution_space(curve, field, u)
         if sol is None:
             continue
-        for v in _all_v(field, *sol):
+        for v in affine_span(*sol):
             c = JacobianClass(curve, field, u, v)
             if c.neg().key() == c.key():
                 out.append(c)
@@ -479,9 +431,13 @@ def _subgroup_closure(elements, new):
     return out
 
 
-def sylow_subgroup(curve, field, r, rng, budget=64):
+def sylow_subgroup(curve, field, r):
     """The full Sylow-r subgroup of J(field), with a completeness proof:
-    generation stops only when the subgroup order reaches r^v_r(#J)."""
+    generation stops only when the subgroup order reaches r^v_r(#J).
+
+    The generators are the cofactor multiples of the degree-2 classes, taken
+    in the order `enumerate_classes` lists them, so the result does not
+    depend on any seed; a walk that runs out first raises."""
     n = group_order(curve, field)
     e = 0
     m = n
@@ -494,25 +450,28 @@ def sylow_subgroup(curve, field, r, rng, budget=64):
     ident = JacobianClass.identity(curve, field)
     group = {ident.key(): ident}
     cofactor = n // target
-    for _ in range(budget):
-        if len(group) == target:
-            break
-        c = random_class(curve, field, rng)
+    walk = _degree_two_classes(curve, field)
+    while len(group) < target:
+        c = next(walk, None)
+        if c is None:
+            raise SearchExhaustedError(
+                f"Sylow-{r} generation incomplete: {len(group)} of {target}"
+            )
         x = c.mul_int(cofactor)
         if x.key() in group:
             continue
         group = _subgroup_closure(group, x)
         if len(group) > target:
             raise InconsistencyError("Sylow subgroup exceeded its order bound")
-    if len(group) != target:
-        raise SearchExhaustedError(
-            f"Sylow-{r} generation incomplete: {len(group)} of {target}"
-        )
     return list(group.values())
 
 
-def torsion_subgroup(curve, r, k, seed=0):
+def torsion_subgroup(curve, r, k):
     """All r-torsion classes over GF(q^j) for increasing j <= k.
+
+    Deterministic: for r = 3 each field's Sylow subgroup comes from the
+    walk of `sylow_subgroup`, so two calls return the same classes in the
+    same order.
 
     Returns (classes, stabilized_j, counts): `classes` are the r-torsion
     classes over the stabilization field (or the last searched field),
@@ -534,8 +493,7 @@ def torsion_subgroup(curve, r, k, seed=0):
         if r == 2:
             classes = two_torsion(curve, field)
         else:
-            rng = random.Random(seed * 1009 + j)
-            syl = sylow_subgroup(curve, field, r, rng)
+            syl = sylow_subgroup(curve, field, r)
             classes = [c for c in syl if c.mul_int(r).is_identity()]
         if len(classes) > r ** 4:
             raise InconsistencyError("torsion count exceeds r^(2g)")

@@ -6,7 +6,7 @@ Artin-Schreier substitution rather than any discriminant formula.
 """
 
 from .errors import FieldMismatchError
-from .gf2 import artin_schreier_solve, embed, identity_embedding
+from .gf2 import artin_schreier_solve, embed, identity_embedding, solve_gf2_linear
 
 
 class Poly:
@@ -215,7 +215,7 @@ def solve_linear(p):
     return p[0] / p[1]
 
 
-def solve_quadratic(p, allow_extension=True):
+def solve_quadratic(p):
     """Roots of a degree-2 polynomial over a binary field.
 
     Returns (roots, field, emb) where roots live in `field` (the input
@@ -237,13 +237,52 @@ def solve_quadratic(p, allow_extension=True):
     if mult == 1:
         scale = b / a
         return sorted([scale * z, scale * (z + f.one())], key=lambda e: e.mask), f, ident
-    if not allow_extension:
-        return [], f, ident
     ext = z.field
     emb = embed(f, ext)
     scale = emb(b / a)
     one = ext.one()
     return sorted([scale * z, scale * (z + one)], key=lambda e: e.mask), ext, emb
+
+
+def solve_additive(field, n, op, rhs):
+    """Solutions z (deg z < n) over `field` of op(z) = rhs, for an additive op.
+
+    Additive maps are GF(2)-linear, so the equation is linearized over
+    GF(2): bit b of coefficient i of z is unknown i*d + b (d =
+    field.degree), and every coefficient of op's images and of rhs is
+    packed the same way.  Returns None when unsolvable, else (particular,
+    kernel) as Polys, the kernel in the order `solve_gf2_linear` gives.
+    """
+    d = field.degree
+
+    def pack(p):
+        bits = 0
+        for i, c in enumerate(p.coeffs):
+            bits |= c.mask << (i * d)
+        return bits
+
+    def unpack(bits):
+        return Poly.from_masks(field, [bits >> (i * d) & ((1 << d) - 1) for i in range(n)])
+
+    cols = []
+    for var in range(n * d):
+        i, b = divmod(var, d)
+        cols.append(pack(op(Poly.from_masks(field, [0] * i + [1 << b]))))
+    part, kernel = solve_gf2_linear(cols, pack(rhs))
+    if part is None:
+        return None
+    return unpack(part), [unpack(k) for k in kernel]
+
+
+def affine_span(part, kernel):
+    """Every part + span(kernel), in combo-bit order: bit i of the combo
+    selects kernel[i]."""
+    for combo in range(1 << len(kernel)):
+        z = part
+        for i, k in enumerate(kernel):
+            if combo >> i & 1:
+                z = z + k
+        yield z
 
 
 class RationalFunction:

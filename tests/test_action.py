@@ -2,10 +2,7 @@
 
 import random
 
-import pytest
-
 from frobfix.action import (
-    CurveAutomorphism,
     MobiusMap,
     automorphism_group,
     fixed_points,

@@ -13,7 +13,7 @@ from frobfix.curve import (
     weil_interval_ok_jacobian,
 )
 from frobfix.errors import CurveParameterError, NotOnCurveError
-from frobfix.gf2 import default_field, embed
+from frobfix.gf2 import default_field
 
 
 def laszlo_curve():

@@ -1,7 +1,5 @@
 """Function-field tests: expansions, Riemann-Roch spaces, witnesses."""
 
-import random
-
 import pytest
 
 from frobfix.curve import Curve

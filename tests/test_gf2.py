@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from frobfix.errors import EmbeddingError, FieldConstructionError, FieldMismatchError
 from frobfix.gf2 import (
-    BinaryField,
     artin_schreier_solve,
     build_field,
     default_field,

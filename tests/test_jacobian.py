@@ -10,6 +10,7 @@ from frobfix.gf2 import default_field, embed
 from frobfix.jacobian import (
     FormalDivisor,
     JacobianClass,
+    _v_solution_space,
     class_of,
     count_classes,
     enumerate_classes,
@@ -19,9 +20,11 @@ from frobfix.jacobian import (
     ordinarity_check,
     principal_witness,
     random_class,
+    sylow_subgroup,
     torsion_subgroup,
     two_torsion,
 )
+from frobfix.poly import Poly, affine_span
 
 
 def laszlo_curve():
@@ -79,6 +82,36 @@ def test_group_order_weil_interval():
 def test_count_classes_matches_zeta_gf16():
     c = laszlo_curve()
     assert count_classes(c, default_field(4)) == 576
+
+
+def test_v_solution_space_matches_brute_force_gf4():
+    c = laszlo_curve()
+    f4 = c.field
+    h, f = c.equation_polys(f4)
+    every_v = [Poly.from_masks(f4, (v0, v1)) for v1 in range(4) for v0 in range(4)]
+    for u1 in range(4):
+        for u0 in range(4):
+            u = Poly.from_masks(f4, (u0, u1, 1))
+            expected = {v.masks() for v in every_v if ((v * v + v * h + f) % u).is_zero()}
+            sol = _v_solution_space(c, f4, u)
+            if sol is None:
+                assert not expected
+                continue
+            span = [v.masks() for v in affine_span(*sol)]
+            assert len(set(span)) == len(span) == 1 << len(sol[1])  # kernel independent
+            assert set(span) == expected
+
+
+def test_random_class_stream_is_pinned():
+    # pinned from the former mask-packing solver; bench/frozen.json's gate_digest
+    # depends on this stream
+    c = laszlo_curve()
+    rng = random.Random(0)
+    assert [random_class(c, default_field(4), rng).key() for _ in range(3)] == [
+        ((12, 13, 1), (1, 7)),
+        ((12, 9, 1), (15, 14)),
+        ((6, 4, 1), (12, 4)),
+    ]
 
 
 def test_cantor_vs_oracle_random_gf16():
@@ -216,6 +249,16 @@ def test_two_torsion_is_rank_two():
             assert t2.mul_int(2).is_identity()
 
 
+def test_sylow_subgroup_is_brute_force_three_part_gf16():
+    c = laszlo_curve()
+    f16 = default_field(4)
+    syl = sylow_subgroup(c, f16, 3)
+    expected = {x.key() for x in enumerate_classes(c, f16) if x.mul_int(9).is_identity()}
+    assert len(expected) == 9
+    assert {x.key() for x in syl} == expected
+    assert [x.key() for x in sylow_subgroup(c, f16, 3)] == [x.key() for x in syl]
+
+
 def test_torsion_subgroup_two():
     c = laszlo_curve()
     classes, j, counts = torsion_subgroup(c, 2, 3)
@@ -225,7 +268,7 @@ def test_torsion_subgroup_two():
 @pytest.mark.slow
 def test_torsion_subgroup_three_reaches_81():
     c = laszlo_curve()
-    classes, j, counts = torsion_subgroup(c, 3, 6, seed=7)
+    classes, j, counts = torsion_subgroup(c, 3, 6)
     assert j == 6
     assert len(classes) == 81
     assert counts == [1, 9, 1, 9, 1, 81]

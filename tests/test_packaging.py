@@ -1,5 +1,7 @@
-"""The package as declared in pyproject.toml: scripts, package data, modules."""
+"""The package as declared in pyproject.toml: scripts, package data,
+modules; and no module imports a name it never reads."""
 
+import ast
 import importlib
 import pkgutil
 from pathlib import Path
@@ -38,3 +40,36 @@ def test_every_module_imports():
     assert names
     for name in names:
         importlib.import_module(name)
+
+
+def _unused_imports(path):
+    """Names a module binds by import but never reads."""
+    tree = ast.parse(path.read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return sorted((line, name) for name, line in imported.items() if name not in read)
+
+
+def test_no_unused_imports():
+    # __init__.py modules import names to re-export them
+    paths = [
+        p
+        for p in sorted(PACKAGE_DIR.rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
+        if p.name != "__init__.py"
+    ]
+    assert paths
+    unused = [
+        f"{p.relative_to(ROOT)}:{line}: {name}" for p in paths for line, name in _unused_imports(p)
+    ]
+    assert not unused, "imported but never read:\n" + "\n".join(unused)

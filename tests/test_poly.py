@@ -72,9 +72,6 @@ def test_solve_quadratic_in_field_and_extension():
     assert fld2.degree == 4
     for r in roots2:
         assert r * r + r + emb2(w) == fld2.zero()
-    # no-extension mode reports empty
-    roots3, fld3, _ = solve_quadratic(p2, allow_extension=False)
-    assert roots3 == [] and fld3 == f
 
 
 def test_solve_quadratic_double_root():
