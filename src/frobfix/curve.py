@@ -20,7 +20,7 @@ from .errors import (
     InconsistencyError,
     NotOnCurveError,
 )
-from .gf2 import artin_schreier_root_in_field, default_field, embed
+from .gf2 import FieldElement, artin_schreier_root_mask, default_field, embed
 from .poly import Poly
 
 
@@ -107,25 +107,34 @@ class Curve:
         h, f = self.equation_polys(p.x.field)
         return p.y * p.y + h.evaluate(p.x) * p.y == f.evaluate(p.x)
 
+    def _affine_point_masks(self, field):
+        """The affine points over `field` as (x, y) masks, x ascending: Horner
+        on the coefficient masks of h and f, then the y that `_y_masks` gives."""
+        h, f = self.equation_polys(field)
+        hc, fc = h.masks()[::-1], f.masks()[::-1]
+        mul = field.mul_masks
+        for x in range(field.order):
+            hx = fx = 0
+            for c in hc:
+                hx = mul(hx, x) ^ c
+            for c in fc:
+                fx = mul(fx, x) ^ c
+            for y in _y_masks(field, hx, fx):
+                yield x, y
+
     def points_over(self, field):
-        """All points of the curve over `field`, including infinity."""
+        """All points of the curve over `field`: infinity first, then the
+        affine points in the order `_affine_point_masks` walks them."""
         if field.degree > 12:
             raise DegreeCapError("point enumeration capped at extension degree 12")
-        h, f = self.equation_polys(field)
-        pts = [self.infinity()]
-        for x in field.elements():
-            hx, fx = h.evaluate(x), f.evaluate(x)
-            for y in _y_solutions(field, hx, fx):
-                pts.append(CurvePoint(self, x, y))
-        return pts
+        return [self.infinity()] + [
+            CurvePoint(self, FieldElement(field, x), FieldElement(field, y))
+            for x, y in self._affine_point_masks(field)
+        ]
 
     def count_points(self, field):
-        h, f = self.equation_polys(field)
-        total = 1
-        for x in field.elements():
-            hx, fx = h.evaluate(x), f.evaluate(x)
-            total += len(_y_solutions(field, hx, fx))
-        return total
+        """#C(field), infinity included: `points_over`'s walk, nothing boxed."""
+        return 1 + sum(1 for _ in self._affine_point_masks(field))
 
     def branch_points(self):
         """x-coordinates of the branch locus in P^1: roots of h plus infinity
@@ -151,15 +160,21 @@ class Curve:
         return out
 
 
-def _y_solutions(field, hx, fx):
-    """Solutions y in `field` of y^2 + hx*y = fx."""
-    if hx.mask == 0:
-        return [fx.sqrt()]
-    d = fx / (hx * hx)
-    z = artin_schreier_root_in_field(field, 2, d)
+def _y_masks(field, hx, fx):
+    """Masks y in `field` with y^2 + hx*y = fx (hx, fx masks): sqrt(fx) if hx = 0,
+    else hx*z, then hx*(z + 1), for the smallest root z of z^2 + z = fx/hx^2."""
+    if hx == 0:
+        return [field._pow_raw(fx, field.order >> 1)]
+    inv = field.inv_mask(hx)
+    z = artin_schreier_root_mask(field, 2, field.mul_masks(fx, field.mul_masks(inv, inv)))
     if z is None:
         return []
-    return [hx * z, hx * (z + field.one())]
+    return [field.mul_masks(hx, z), field.mul_masks(hx, z ^ 1)]
+
+
+def _y_solutions(field, hx, fx):
+    """Solutions y in `field` of y^2 + hx*y = fx (hx, fx elements)."""
+    return [FieldElement(field, y) for y in _y_masks(field, hx.mask, fx.mask)]
 
 
 class CurvePoint:

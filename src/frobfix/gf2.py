@@ -11,6 +11,11 @@ fields in arithmetic raises FieldMismatchError instead of coercing.
 
 The deterministic element ordering used for all "smallest root" style
 choices is the integer order of the bit-mask.
+
+Nothing is rebuilt per call: a default embedding is found among the 2^a
+elements of the target's order-2^a subfield, and x -> x^q + x gets one
+cached solving map per (field, q) that solves Artin-Schreier equations
+on masks.
 """
 
 import math
@@ -396,20 +401,21 @@ _embed_cache = {}
 
 
 def _roots_of_gf2_poly(modulus, target):
-    """Ascending masks of the roots of a GF(2)-coefficient polynomial in target."""
+    """Ascending masks of the roots in `target` of `modulus`, a GF(2)
+    polynomial that must be irreducible of degree a dividing b = target.degree:
+    its roots lie in the subfield {0} u <g^((2^b-1)/(2^a-1))> (g the exp
+    table's generator), whose 2^a elements are tried by Horner evaluation."""
+    a = mask_degree(modulus)
+    target._ensure_tables()
+    step = (target.order - 1) // ((1 << a) - 1)
     out = []
-    for z in range(target.order):
+    for z in [0] + target._exp[0:target.order - 1:step]:
         acc = 0
-        m = modulus
-        i = 0
-        while m:
-            if m & 1:
-                acc ^= target._pow_raw(z, i)
-            m >>= 1
-            i += 1
+        for i in range(a, -1, -1):
+            acc = target.mul_masks(acc, z) ^ (modulus >> i & 1)
         if acc == 0:
             out.append(z)
-    return out
+    return sorted(out)
 
 
 def _default_tower_embedding(a, b):
@@ -527,27 +533,12 @@ def build_field(d, modulus="default"):
 # ---------------------------------------------------------------------------
 # Artin-Schreier equations x^q - x = d (char 2: x^q + x = d).
 
-def _as_operator_columns(field, q):
-    """Images of the mask basis under x -> x^q + x, as GF(2)-linear columns."""
-    cols = []
-    for i in range(field.degree):
-        b = 1 << i
-        cols.append(field._pow_raw(b, q) ^ b)
-    return cols
-
-
-def solve_gf2_linear(cols, rhs):
-    """Solve sum_i x_i * cols[i] = rhs over GF(2) (columns are bit-masks).
-
-    Returns (particular, kernel_basis) where both are combination masks over
-    the column indices, or (None, kernel_basis) if unsolvable.
-    """
-    rows = []
-    work = list(cols)
-    combos = [1 << i for i in range(len(cols))]
+def _echelon_gf2(cols):
+    """(pivots, kernel_basis): leading bit -> (column, combination mask)."""
+    kernel = []
     pivots = {}
-    for i in range(len(work)):
-        v, c = work[i], combos[i]
+    for i, v in enumerate(cols):
+        c = 1 << i
         while v:
             top = v.bit_length() - 1
             if top in pivots:
@@ -558,46 +549,73 @@ def solve_gf2_linear(cols, rhs):
                 pivots[top] = (v, c)
                 break
         if v == 0:
-            rows.append(c)  # kernel combo
-    # reduce rhs
+            kernel.append(c)
+    return pivots, kernel
+
+
+def _reduce_gf2(pivots, rhs):
+    """A combination mask hitting rhs, or None outside the column span."""
     v, c = rhs, 0
     while v:
         top = v.bit_length() - 1
         if top not in pivots:
-            return None, rows
+            return None
         pv, pc = pivots[top]
         v ^= pv
         c ^= pc
-    return c, rows
+    return c
 
 
-def _minimize_over_span(value, basis):
-    """Smallest integer in value + span_GF(2)(basis), by greedy echelon reduction."""
-    ech = []
-    for b in basis:
-        for e in ech:
-            if b.bit_length() == e.bit_length():
-                b ^= e
-        if b:
-            ech.append(b)
-            ech.sort(key=lambda z: -z.bit_length())
-    for e in sorted(ech, key=lambda z: -z.bit_length()):
-        if value >> (e.bit_length() - 1) & 1:
-            value ^= e
-    return value
+def solve_gf2_linear(cols, rhs):
+    """Solve sum_i x_i * cols[i] = rhs over GF(2) (columns are bit-masks):
+    (particular, kernel_basis) as combination masks over the column indices,
+    with particular None if unsolvable."""
+    pivots, kernel = _echelon_gf2(cols)
+    return _reduce_gf2(pivots, rhs), kernel
 
 
-def artin_schreier_root_in_field(field, q, d_elem):
-    """Smallest root of x^q + x = d inside `field`, or None when the
-    GF(q)-trace obstructs."""
+_as_cache = {}
+
+
+def _as_solving_map(field, q):
+    """Build and cache, under (degree, modulus, q), the solving map of
+    x -> x^q + x on `field`: the operator's echelon (its columns are the
+    images of the mask basis, so a combination mask is a preimage) and the
+    reduced echelon of its kernel GF(q)."""
     k = q.bit_length() - 1
     if q != 1 << k or k < 1 or field.degree % k:
         raise ValueError(f"q={q} is not a power of 2 dividing the field order")
-    cols = _as_operator_columns(field, q)
-    part, kernel = solve_gf2_linear(cols, d_elem.mask)
-    if part is None:
-        return None
-    return FieldElement(field, _minimize_over_span(part, kernel))
+    bits = [1 << i for i in range(field.degree)]
+    pivots, kernel = _echelon_gf2([field._pow_raw(b, q) ^ b for b in bits])
+    ech = []
+    for v in kernel:
+        for e in ech:
+            v = min(v, v ^ e)
+        ech = [min(e, e ^ v) for e in ech] + [v]
+    _as_cache[field.degree, field.modulus, q] = pivots, ech
+    return pivots, ech
+
+
+def artin_schreier_root_mask(field, q, rhs):
+    """Mask of the smallest root of x^q + x = rhs (a mask) in `field`, or
+    None when the GF(q)-trace of rhs obstructs.  Each kernel vector's
+    leading bit is set in no other, so clearing them all gives the minimum."""
+    pivots, kernel = _as_cache.get((field.degree, field.modulus, q)) or _as_solving_map(field, q)
+    z = _reduce_gf2(pivots, rhs)
+    if z is not None:
+        for e in kernel:
+            z = min(z, z ^ e)
+    return z
+
+
+def artin_schreier_root_in_field(field, q, d_elem):
+    """Smallest root of x^q + x = d inside `field` (d an element of it),
+    or None when the GF(q)-trace obstructs: `artin_schreier_root_mask` on
+    d's mask, through the map for (field, q) built on the first call."""
+    if d_elem.field != field:
+        raise FieldMismatchError("d must be an element of the given field")
+    z = artin_schreier_root_mask(field, q, d_elem.mask)
+    return None if z is None else FieldElement(field, z)
 
 
 def artin_schreier_solve(field, q, d_elem):
@@ -608,11 +626,6 @@ def artin_schreier_solve(field, q, d_elem):
     the default quadratic extension.  The root is the smallest solution
     in mask order; the full solution set is root + GF(q).
     """
-    k = q.bit_length() - 1
-    if q != 1 << k or k < 1 or field.degree % k:
-        raise ValueError(f"q={q} is not a power of 2 dividing the field order")
-    if d_elem.field != field:
-        raise FieldMismatchError("d must be an element of the given field")
     root = artin_schreier_root_in_field(field, q, d_elem)
     if root is not None:
         return root, 1

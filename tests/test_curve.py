@@ -13,7 +13,7 @@ from frobfix.curve import (
     weil_interval_ok_jacobian,
 )
 from frobfix.errors import CurveParameterError, NotOnCurveError
-from frobfix.gf2 import default_field
+from frobfix.gf2 import default_field, embed
 
 
 def laszlo_curve():
@@ -45,6 +45,32 @@ def test_point_count_gf4_frozen():
     c = laszlo_curve()
     assert c.count_points(c.field) == 3
     assert len(c.points_over(c.field)) == 3
+
+
+def brute_force_points(c, field):
+    """Affine (x, y) masks with y^2 + (x^2+x)y = (T^2+T)(x^5+x) + T^2 x^3,
+    by substituting every pair, plus None for infinity."""
+    te = embed(c.field, field)(c.effective_t)
+    pts = {None}
+    for x in field.elements():
+        rhs = (te * te + te) * (x ** 5 + x) + te * te * x ** 3
+        for y in field.elements():
+            if y * y + (x * x + x) * y == rhs:
+                pts.add((x.mask, y.mask))
+    return pts
+
+
+@pytest.mark.parametrize("t_degree,tm,degree", [(4, tm, 4) for tm in range(2, 16)] + [(2, 2, 6)])
+def test_point_count_matches_brute_force(t_degree, tm, degree):
+    base, field = default_field(t_degree), default_field(degree)
+    c = Curve(base, base.element(tm))
+    pts = c.points_over(field)
+    expected = brute_force_points(c, field)
+    assert c.count_points(field) == len(pts) == len(expected)
+    assert pts[0].is_infinity()
+    assert {None if p.is_infinity() else (p.x.mask, p.y.mask) for p in pts} == expected
+    xs = [p.x.mask for p in pts[1:]]
+    assert xs == sorted(xs)
 
 
 def test_counts_satisfy_weil():

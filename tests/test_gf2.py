@@ -6,8 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frobfix.errors import EmbeddingError, FieldConstructionError, FieldMismatchError
+from frobfix.errors import (
+    DegreeCapError,
+    EmbeddingError,
+    FieldConstructionError,
+    FieldMismatchError,
+)
 from frobfix.gf2 import (
+    DEGREE_CAP,
+    artin_schreier_root_in_field,
     artin_schreier_solve,
     build_field,
     default_field,
@@ -145,6 +152,28 @@ def test_embedding_gf4_to_gf16_smallest_root():
     assert e(f4.gen()) == min(roots, key=lambda z: z.mask)
 
 
+# image_of_generator masks of the default embeddings for a | b <= 16 other
+# than a = 1 (mask 1) and a = b (mask 2), measured with the full-field root scan
+DEFAULT_EMBEDDING_IMAGES = {
+    (2, 4): 6, (2, 6): 58, (3, 6): 14, (2, 8): 214, (4, 8): 152, (3, 9): 252,
+    (2, 10): 236, (5, 10): 314, (2, 12): 72, (3, 12): 1186, (4, 12): 8,
+    (6, 12): 3329, (2, 14): 5106, (7, 14): 3374, (3, 15): 892, (5, 15): 316,
+    (2, 16): 31362, (4, 16): 10154, (8, 16): 11682,
+}
+
+
+def test_every_default_embedding_is_pinned():
+    seen = 0
+    for b in range(1, 17):
+        for a in range(1, b + 1):
+            if b % a:
+                continue
+            expected = 1 if a == 1 else 2 if a == b else DEFAULT_EMBEDDING_IMAGES[a, b]
+            assert embed(default_field(a), default_field(b)).image_of_generator.mask == expected
+            seen += 1
+    assert seen == 50
+
+
 def test_embedding_identity():
     f4 = default_field(2)
     e = embed(f4, f4)
@@ -216,15 +245,27 @@ def test_artin_schreier_gf4_trace_obstruction():
     assert root == min(sols, key=lambda z: z.mask)
 
 
-@pytest.mark.parametrize("d,q", [(4, 2), (4, 4), (6, 2), (8, 2), (8, 4)])
+@pytest.mark.parametrize(
+    "d,q", [(4, 2), (4, 4), (6, 2), (6, 8), (8, 2), (8, 4), (12, 2), (12, 64)]
+)
 def test_artin_schreier_trace_criterion_random(d, q):
     f = default_field(d)
     k = q.bit_length() - 1
+    # brute force: the smallest preimage of each value of z -> z^q + z
+    smallest = {}
+    for z in f.elements():
+        smallest.setdefault((z ** q + z).mask, z)
     rng = random.Random(97 + d * 10 + q)
     for _ in range(250):
         delem = f.random(rng)
+        if delem.mask not in smallest and 2 * d > DEGREE_CAP:
+            with pytest.raises(DegreeCapError):
+                artin_schreier_solve(f, q, delem)
+            delem = delem ** q + delem  # the image of delem has a root in f
         root, mult = artin_schreier_solve(f, q, delem)
+        assert (mult == 2) == (delem.mask not in smallest)
         if mult == 1:
+            assert root == smallest[delem.mask]
             assert root.field == f
             assert root ** q + root == delem
             assert delem.trace(k).mask == 0
@@ -237,6 +278,11 @@ def test_artin_schreier_trace_criterion_random(d, q):
         other = root + shift
         rhs = delem if mult == 1 else embed(f, root.field)(delem)
         assert other ** q + other == rhs
+
+
+def test_artin_schreier_root_rejects_element_of_another_field():
+    with pytest.raises(FieldMismatchError):
+        artin_schreier_root_in_field(default_field(6), 2, default_field(4).element(5))
 
 
 def test_artin_schreier_bad_q():
