@@ -63,9 +63,8 @@ class PolyFunction:
         cap = max(2 * self.norm().degree + 2, 8)
         prec = 4
         while prec <= cap:
-            coeffs = self.series_at(point, prec)
-            for i, c in enumerate(coeffs):
-                if c.mask:
+            for i, c in enumerate(self.series_at(point, prec)):
+                if c:
                     return i
             prec *= 2
         raise InconsistencyError("nonzero function vanishing beyond its norm degree")
@@ -117,13 +116,14 @@ def local_coordinates(curve, point, prec):
 def _eval_poly_series(p, xs):
     ring = xs.ring
     acc = ring.zero()
-    for c in reversed(p.coeffs):
-        acc = acc * xs + ring.constant(c)
+    for i in range(p.degree, -1, -1):
+        acc = acc * xs + ring.constant(p[i])
     return acc
 
 
 def _evaluate_pair(a, b, xs, ys):
-    return (_eval_poly_series(a, xs) + _eval_poly_series(b, xs) * ys).coeffs
+    """The coefficient masks of the series a(xs) + b(xs) ys."""
+    return (_eval_poly_series(a, xs) + _eval_poly_series(b, xs) * ys).masks()
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +162,7 @@ def interpolate_vanishing(curve, field, m, constraints):
         xs, ys = local_coordinates(curve, point, mult)
         per_basis = [_evaluate_pair(fn.a, fn.b, xs, ys) for fn in basis]
         for k in range(mult):
-            rows.append([coeffs[k] for coeffs in per_basis])
+            rows.append([field.element(masks[k]) for masks in per_basis])
     if rows:
         vecs = nullspace(field, rows)
     else:

@@ -213,6 +213,13 @@ class BinaryField:
             exp[i] = exp[i - n]
         self._exp, self._log = exp, log
 
+    def tables(self):
+        """(exp, log): exp[i] = g^i for 0 <= i < 2(order - 1), so the sum of
+        two logs indexes it directly; log[m] is the log of a nonzero m."""
+        if self._exp is None:
+            self._ensure_tables()
+        return self._exp, self._log
+
     def mul_masks(self, a, b):
         if a == 0 or b == 0:
             return 0
@@ -358,7 +365,10 @@ class FieldEmbedding:
     def __call__(self, elem):
         if elem.field != self.source:
             raise FieldMismatchError(f"embedding expects elements of {self.source!r}")
-        m = elem.mask
+        return FieldElement(self.target, self.image_mask(elem.mask))
+
+    def image_mask(self, m):
+        """The image of the source element with mask m, as a target mask."""
         out = 0
         i = 0
         while m:
@@ -366,7 +376,7 @@ class FieldEmbedding:
                 out ^= self._basis_images[i]
             m >>= 1
             i += 1
-        return FieldElement(self.target, out)
+        return out
 
     def then(self, other):
         """Composition: self followed by other (target of self = source of other)."""
@@ -406,10 +416,10 @@ def _roots_of_gf2_poly(modulus, target):
     its roots lie in the subfield {0} u <g^((2^b-1)/(2^a-1))> (g the exp
     table's generator), whose 2^a elements are tried by Horner evaluation."""
     a = mask_degree(modulus)
-    target._ensure_tables()
+    exp, _ = target.tables()
     step = (target.order - 1) // ((1 << a) - 1)
     out = []
-    for z in [0] + target._exp[0:target.order - 1:step]:
+    for z in [0] + exp[0:target.order - 1:step]:
         acc = 0
         for i in range(a, -1, -1):
             acc = target.mul_masks(acc, z) ^ (modulus >> i & 1)

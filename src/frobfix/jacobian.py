@@ -180,7 +180,7 @@ class JacobianClass:
         emb = embed(field, self.field)
         down = []
         for poly in (self.u, self.v):
-            coeffs = [emb.preimage(c) for c in poly.coeffs]
+            coeffs = [emb.preimage(self.field.element(m)) for m in poly.masks()]
             if any(c is None for c in coeffs):
                 raise FieldMismatchError("class is not rational over the subfield")
             down.append(Poly(field, coeffs))

@@ -1,41 +1,58 @@
 """Dense univariate polynomials and rational functions over a BinaryField.
 
-Polynomials are normalized (no trailing zero coefficients); gcds are
-monic.  Quadratics in characteristic 2 are solved through the additive
-Artin-Schreier substitution rather than any discriminant formula.
+A Poly stores its coefficients as a tuple of int masks, normalized (no
+trailing zeros) and bound to one field, whose exp/log tables the
+arithmetic indexes directly: each operation checks the field once, adds
+by XOR and multiplies by table lookups.  FieldElement is the type at the
+boundary: `Poly(field, coeffs)` takes FieldElements and checks each one's
+field, and `p[i]`, `leading()` and `evaluate` return FieldElements.
+gcds are monic.  Quadratics in characteristic 2 are solved through the
+additive Artin-Schreier substitution rather than any discriminant formula.
 """
 
 from .errors import FieldMismatchError
-from .gf2 import artin_schreier_solve, embed, identity_embedding, solve_gf2_linear
+from .gf2 import FieldElement, artin_schreier_solve, embed, identity_embedding, solve_gf2_linear
+
+
+def _wrap(field, masks):
+    """The Poly over `field` with coefficient masks `masks` (a list, which
+    this trims), built without the per-coefficient checks of __init__."""
+    while masks and not masks[-1]:
+        masks.pop()
+    p = object.__new__(Poly)
+    p.field = field
+    p._m = tuple(masks)
+    return p
 
 
 class Poly:
-    """A univariate polynomial with FieldElement coefficients (dense)."""
+    """A univariate polynomial over a BinaryField (dense, coefficient masks)."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "_m")
 
     def __init__(self, field, coeffs=()):
-        cs = list(coeffs)
-        while cs and cs[-1].mask == 0:
-            cs.pop()
-        for c in cs:
-            if c.field != field:
+        masks = []
+        for c in coeffs:
+            if c.field is not field and c.field != field:
                 raise FieldMismatchError("coefficient from a different field")
+            masks.append(c.mask)
+        while masks and not masks[-1]:
+            masks.pop()
         self.field = field
-        self.coeffs = tuple(cs)
+        self._m = tuple(masks)
 
     # -- constructors --------------------------------------------------------
     @classmethod
     def zero(cls, field):
-        return cls(field, ())
+        return _wrap(field, [])
 
     @classmethod
     def one(cls, field):
-        return cls(field, (field.one(),))
+        return _wrap(field, [1])
 
     @classmethod
     def x(cls, field):
-        return cls(field, (field.zero(), field.one()))
+        return _wrap(field, [0, 1])
 
     @classmethod
     def constant(cls, elem):
@@ -43,54 +60,62 @@ class Poly:
 
     @classmethod
     def from_masks(cls, field, masks):
-        return cls(field, tuple(field.element(m) for m in masks))
+        masks = list(masks)
+        if not all(0 <= m < field.order for m in masks):
+            raise ValueError(f"coefficient mask out of range for {field!r}")
+        return _wrap(field, masks)
 
     # -- basic structure -----------------------------------------------------
     @property
     def degree(self):
-        return len(self.coeffs) - 1
+        return len(self._m) - 1
 
     def is_zero(self):
-        return not self.coeffs
+        return not self._m
 
     def __getitem__(self, i):
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return self.field.zero()
+        m = self._m[i] if 0 <= i < len(self._m) else 0
+        return FieldElement(self.field, m)
 
     def leading(self):
-        if not self.coeffs:
+        if not self._m:
             raise ZeroDivisionError("leading coefficient of zero polynomial")
-        return self.coeffs[-1]
+        return FieldElement(self.field, self._m[-1])
 
     def masks(self):
-        return tuple(c.mask for c in self.coeffs)
+        return self._m
 
     def __eq__(self, other):
         return (
             isinstance(other, Poly)
+            and self._m == other._m
             and self.field == other.field
-            and self.masks() == other.masks()
         )
 
     def __hash__(self):
-        return hash((self.field.degree, self.field.modulus, self.masks()))
+        return hash((self.field.degree, self.field.modulus, self._m))
 
     def __repr__(self):
         if self.is_zero():
             return "Poly(0)"
-        terms = [f"{hex(c.mask)}*x^{i}" for i, c in enumerate(self.coeffs) if c.mask]
+        terms = [f"{hex(c)}*x^{i}" for i, c in enumerate(self._m) if c]
         return "Poly(" + " + ".join(terms) + ")"
 
     # -- arithmetic ----------------------------------------------------------
     def _check(self, other):
-        if self.field != other.field:
-            raise FieldMismatchError("polynomials over different fields")
+        """`other`, a Poly or a FieldElement, must be over this field."""
+        if self.field is not other.field and self.field != other.field:
+            raise FieldMismatchError("operands over different fields")
 
     def __add__(self, other):
         self._check(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(self.field, (self[i] + other[i] for i in range(n)))
+        a, b = self._m, other._m
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] ^= c
+        return _wrap(self.field, out)
 
     __sub__ = __add__
 
@@ -98,24 +123,33 @@ class Poly:
         return self
 
     def __mul__(self, other):
-        if isinstance(other, Poly):
-            self._check(other)
-            if self.is_zero() or other.is_zero():
-                return Poly.zero(self.field)
-            out = [self.field.zero()] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if not a.mask:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    if b.mask:
-                        out[i + j] = out[i + j] + a * b
-            return Poly(self.field, out)
-        return self.scale(other)
+        if not isinstance(other, Poly):
+            return self.scale(other)
+        self._check(other)
+        a, b = self._m, other._m
+        if not a or not b:
+            return _wrap(self.field, [])
+        exp, log = self.field.tables()
+        logs_b = [(j, log[c]) for j, c in enumerate(b) if c]
+        out = [0] * (len(a) + len(b) - 1)
+        for i, c in enumerate(a):
+            if c:
+                lc = log[c]
+                for j, lb in logs_b:
+                    out[i + j] ^= exp[lc + lb]
+        return _wrap(self.field, out)
 
     def scale(self, elem):
-        return Poly(self.field, (c * elem for c in self.coeffs))
+        self._check(elem)
+        if not elem.mask:
+            return _wrap(self.field, [])
+        exp, log = self.field.tables()
+        le = log[elem.mask]
+        return _wrap(self.field, [exp[log[c] + le] if c else 0 for c in self._m])
 
     def __pow__(self, e):
+        if e < 0:
+            raise ValueError("negative power of a polynomial")
         r = Poly.one(self.field)
         b = self
         while e:
@@ -127,21 +161,29 @@ class Poly:
 
     def __divmod__(self, other):
         self._check(other)
-        if other.is_zero():
+        b = other._m
+        if not b:
             raise ZeroDivisionError("polynomial division by zero")
-        inv_lead = other.leading().inverse()
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
+        field = self.field
+        db = len(b) - 1
+        dq = len(self._m) - len(b)
         if dq < 0:
-            return Poly.zero(self.field), self
-        quo = [self.field.zero()] * (dq + 1)
+            return _wrap(field, []), self
+        exp, log = field.tables()
+        log_inv_lead = log[field.inv_mask(b[-1])]
+        logs_b = [(j, log[c]) for j, c in enumerate(b[:-1]) if c]
+        rem = list(self._m)
+        quo = [0] * (dq + 1)
         for k in range(dq, -1, -1):
-            c = rem[k + other.degree] * inv_lead
-            if c.mask:
-                quo[k] = c
-                for j, b in enumerate(other.coeffs):
-                    rem[k + j] = rem[k + j] + c * b
-        return Poly(self.field, quo), Poly(self.field, rem[: other.degree])
+            r = rem[k + db]
+            if r:
+                # a sum of three logs can overrun exp: take the quotient's mask first
+                q = exp[log[r] + log_inv_lead]
+                quo[k] = q
+                lq = log[q]
+                for j, lb in logs_b:
+                    rem[k + j] ^= exp[lq + lb]
+        return _wrap(field, quo), _wrap(field, rem[:db])
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -183,29 +225,29 @@ class Poly:
         return a.scale(inv), sa.scale(inv), ta.scale(inv)
 
     def evaluate(self, x):
-        if x.field != self.field:
-            raise FieldMismatchError("evaluation point from a different field")
-        acc = self.field.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        self._check(x)
+        if not x.mask:
+            return self[0]
+        exp, log = self.field.tables()
+        lx = log[x.mask]
+        acc = 0
+        for c in reversed(self._m):
+            acc = (exp[log[acc] + lx] if acc else 0) ^ c
+        return FieldElement(self.field, acc)
 
     def derivative(self):
         # formal derivative; in char 2 the even-degree terms vanish
-        out = []
-        for i in range(1, len(self.coeffs)):
-            c = self.coeffs[i]
-            out.append(c if i % 2 else self.field.zero())
-        return Poly(self.field, out)
+        return _wrap(self.field, [c if i & 1 else 0 for i, c in enumerate(self._m)][1:])
 
     def map(self, emb):
         if emb.source != self.field:
             raise FieldMismatchError("embedding source does not match polynomial field")
-        return Poly(emb.target, (emb(c) for c in self.coeffs))
+        return _wrap(emb.target, [emb.image_mask(c) for c in self._m])
 
     def frobenius_coeffs(self):
         """Coefficient-wise squaring (x stays x)."""
-        return Poly(self.field, (c * c for c in self.coeffs))
+        mul = self.field.mul_masks
+        return _wrap(self.field, [mul(c, c) for c in self._m])
 
 
 def solve_linear(p):
@@ -257,8 +299,8 @@ def solve_additive(field, n, op, rhs):
 
     def pack(p):
         bits = 0
-        for i, c in enumerate(p.coeffs):
-            bits |= c.mask << (i * d)
+        for i, c in enumerate(p.masks()):
+            bits |= c << (i * d)
         return bits
 
     def unpack(bits):
@@ -398,7 +440,7 @@ def _compose_with_fraction(p, num, den):
     if p.is_zero():
         return Poly.zero(f)
     d = p.degree
-    acc = Poly.constant(p.coeffs[-1])
+    acc = Poly.constant(p[d])
     for i in range(d - 1, -1, -1):
-        acc = acc * num + Poly.constant(p.coeffs[i]) * den ** (d - i)
+        acc = acc * num + Poly.constant(p[i]) * den ** (d - i)
     return acc

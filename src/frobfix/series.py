@@ -4,6 +4,12 @@
 an affine point of the curve; vanishing orders are then read off the
 expanded coefficients.  The ring needs only addition, multiplication and
 inverses of units (elements with a nonzero constant term).
+
+A SeriesElement stores its n coefficients as a tuple of int masks bound
+to the ring's field, whose exp/log tables the arithmetic indexes
+directly: each operation checks the ring once.  FieldElement is the type
+at the boundary: `element` and `constant` take FieldElements and check
+each one's field.
 """
 
 from .errors import FieldMismatchError
@@ -32,91 +38,99 @@ class TruncatedSeriesRing:
         return f"{self.field!r}[s]/(s^{self.n})"
 
     def element(self, coeffs):
-        cs = list(coeffs)
-        if len(cs) > self.n:
-            cs = cs[: self.n]
-        while len(cs) < self.n:
-            cs.append(self.field.zero())
-        return SeriesElement(self, tuple(cs))
+        masks = []
+        for c in coeffs:
+            if c.field is not self.field and c.field != self.field:
+                raise FieldMismatchError("coefficient from a different field")
+            masks.append(c.mask)
+        masks = masks[: self.n]
+        return SeriesElement(self, tuple(masks) + (0,) * (self.n - len(masks)))
 
     def constant(self, elem):
-        if elem.field != self.field:
-            raise FieldMismatchError("constant from a different coefficient field")
         return self.element([elem])
 
     def zero(self):
-        return self.element([])
+        return SeriesElement(self, (0,) * self.n)
 
     def one(self):
-        return self.element([self.field.one()])
+        return SeriesElement(self, (1,) + (0,) * (self.n - 1))
 
 
 class SeriesElement:
-    """An element of k'[s]/(s^n).  Immutable."""
+    """An element of k'[s]/(s^n).  Immutable.
 
-    __slots__ = ("ring", "coeffs")
+    `masks` is a tuple of n coefficient masks of the ring's field; the
+    ring's constructors build it."""
 
-    def __init__(self, ring, coeffs):
+    __slots__ = ("ring", "_m")
+
+    def __init__(self, ring, masks):
         self.ring = ring
-        self.coeffs = coeffs
+        self._m = masks
 
     def _check(self, other):
         if not isinstance(other, SeriesElement):
             raise TypeError(f"cannot combine SeriesElement with {type(other).__name__}")
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise FieldMismatchError("series elements from different rings")
 
     def is_unit(self):
-        return self.coeffs[0].mask != 0
+        return self._m[0] != 0
 
     def is_zero(self):
-        return all(c.mask == 0 for c in self.coeffs)
+        return not any(self._m)
 
     def __add__(self, other):
         self._check(other)
-        return SeriesElement(
-            self.ring, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
+        return SeriesElement(self.ring, tuple(a ^ b for a, b in zip(self._m, other._m)))
 
     def __mul__(self, other):
         self._check(other)
         n = self.ring.n
-        zero = self.ring.field.zero()
-        out = [zero] * n
-        for i, a in enumerate(self.coeffs):
-            if not a.mask:
-                continue
-            for j in range(n - i):
-                b = other.coeffs[j]
-                if b.mask:
-                    out[i + j] = out[i + j] + a * b
+        exp, log = self.ring.field.tables()
+        logs_b = [(j, log[c]) for j, c in enumerate(other._m) if c]
+        out = [0] * n
+        for i, c in enumerate(self._m):
+            if c:
+                lc = log[c]
+                for j, lb in logs_b:
+                    if i + j >= n:
+                        break
+                    out[i + j] ^= exp[lc + lb]
         return SeriesElement(self.ring, tuple(out))
 
     def inverse(self):
         if not self.is_unit():
             raise ZeroDivisionError("series element with zero constant term")
-        n = self.ring.n
-        inv0 = self.coeffs[0].inverse()
-        out = [inv0] + [self.ring.field.zero()] * (n - 1)
-        for k in range(1, n):
-            acc = self.ring.field.zero()
-            for i in range(1, k + 1):
-                acc = acc + self.coeffs[i] * out[k - i]
-            out[k] = acc * inv0  # char 2: -acc = acc
+        field = self.ring.field
+        exp, log = field.tables()
+        a = self._m
+        logs_a = [(i, log[c]) for i, c in enumerate(a) if c and i]
+        inv0 = field.inv_mask(a[0])
+        log_inv0 = log[inv0]
+        out = [inv0]
+        for k in range(1, self.ring.n):
+            acc = 0
+            for i, la in logs_a:
+                if i > k:
+                    break
+                if out[k - i]:
+                    acc ^= exp[la + log[out[k - i]]]
+            out.append(exp[log[acc] + log_inv0] if acc else 0)  # char 2: -acc = acc
         return SeriesElement(self.ring, tuple(out))
 
     def masks(self):
-        return tuple(c.mask for c in self.coeffs)
+        return self._m
 
     def __eq__(self, other):
         return (
             isinstance(other, SeriesElement)
+            and self._m == other._m
             and self.ring == other.ring
-            and self.masks() == other.masks()
         )
 
     def __hash__(self):
-        return hash((self.ring, self.masks()))
+        return hash((self.ring, self._m))
 
     def __repr__(self):
-        return "Series" + repr(list(self.masks()))
+        return "Series" + repr(list(self._m))

@@ -124,6 +124,28 @@ def test_cantor_vs_oracle_random_gf16():
         assert (a + b).equals(oracle_class_of(a.to_divisor() + b.to_divisor()))
 
 
+# (degree of the curve's base field, mask of t, degree of the class field,
+# pairs): the reference curve t = w over GF(2^6) and GF(2^8), and every t in
+# GF(16) minus {0, 1} over GF(16)
+ORACLE_CASES = [(2, 2, 6, 30), (2, 2, 8, 30)] + [(4, tm, 4, 5) for tm in range(2, 16)]
+
+
+@pytest.mark.parametrize(
+    "base_degree, t_mask, degree, pairs",
+    ORACLE_CASES,
+    ids=[f"t{tm}-gf{1 << b}-over-gf{1 << d}" for b, tm, d, _ in ORACLE_CASES],
+)
+def test_cantor_vs_oracle_beyond_gf16(base_degree, t_mask, degree, pairs):
+    base = default_field(base_degree)
+    c = Curve(base, base.element(t_mask))
+    field = default_field(degree)
+    rng = random.Random(16 * degree + t_mask)
+    for _ in range(pairs):
+        a = random_class(c, field, rng)
+        b = random_class(c, field, rng)
+        assert (a + b).equals(oracle_class_of(a.to_divisor() + b.to_divisor()))
+
+
 def test_hash_agrees_with_cross_field_equality():
     c = laszlo_curve()
     classes = enumerate_classes(c, c.field)

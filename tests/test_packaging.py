@@ -73,3 +73,14 @@ def test_no_unused_imports():
         f"{p.relative_to(ROOT)}:{line}: {name}" for p in paths for line, name in _unused_imports(p)
     ]
     assert not unused, "imported but never read:\n" + "\n".join(unused)
+
+
+def test_no_assert_in_package():
+    # python -O strips assert statements; argument errors are typed exceptions
+    found = [
+        f"{p.relative_to(ROOT)}:{node.lineno}"
+        for p in sorted(PACKAGE_DIR.rglob("*.py"))
+        for node in ast.walk(ast.parse(p.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert not found, "assert statements in the package:\n" + "\n".join(found)

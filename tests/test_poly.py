@@ -4,50 +4,106 @@ import random
 
 import pytest
 
+from frobfix.errors import FieldMismatchError
 from frobfix.gf2 import default_field
 from frobfix.poly import Poly, RationalFunction, solve_linear, solve_quadratic
+from frobfix.series import TruncatedSeriesRing
 
 
 def _random_poly(field, rng, max_deg):
     return Poly(field, [field.random(rng) for _ in range(rng.randrange(max_deg + 2))])
 
 
+# GF(2) (a one-element unit group) and GF(2^16) (the largest tables) are
+# where indexing the exp/log tables can go wrong; each test also keeps the
+# field it was written for, with the same inputs (the rng is reseeded per
+# field).
+EDGE_DEGREES = (1, 16)
+
+
+def _schoolbook_product(a, b):
+    """Coefficient masks of a * b by the convolution on FieldElements."""
+    f = a.field
+    out = [f.zero()] * (a.degree + b.degree + 1)
+    for i in range(a.degree + 1):
+        for j in range(b.degree + 1):
+            out[i + j] = out[i + j] + a[i] * b[j]
+    return tuple(c.mask for c in out)
+
+
 def test_degree_of_product():
-    f = default_field(4)
-    rng = random.Random(1)
-    for _ in range(300):
-        a, b = _random_poly(f, rng, 5), _random_poly(f, rng, 5)
-        if a.is_zero() or b.is_zero():
-            continue
-        assert (a * b).degree == a.degree + b.degree
+    for degree in (4,) + EDGE_DEGREES:
+        f = default_field(degree)
+        rng = random.Random(1)
+        for _ in range(300):
+            a, b = _random_poly(f, rng, 5), _random_poly(f, rng, 5)
+            if a.is_zero() or b.is_zero():
+                continue
+            assert (a * b).degree == a.degree + b.degree
+            assert (a * b).masks() == _schoolbook_product(a, b)
 
 
 def test_divmod_roundtrip():
-    f = default_field(3)
-    rng = random.Random(2)
-    for _ in range(300):
-        a, b = _random_poly(f, rng, 6), _random_poly(f, rng, 4)
-        if b.is_zero():
-            continue
-        q, r = divmod(a, b)
-        assert q * b + r == a
-        assert r.is_zero() or r.degree < b.degree
+    for degree in (3,) + EDGE_DEGREES:
+        f = default_field(degree)
+        rng = random.Random(2)
+        for _ in range(300):
+            a, b = _random_poly(f, rng, 6), _random_poly(f, rng, 4)
+            if b.is_zero():
+                continue
+            q, r = divmod(a, b)
+            assert q * b + r == a
+            assert r.is_zero() or r.degree < b.degree
 
 
 def test_gcd_is_monic_and_divides():
-    f = default_field(2)
-    rng = random.Random(3)
-    for _ in range(200):
-        a, b = _random_poly(f, rng, 5), _random_poly(f, rng, 5)
-        g = a.gcd(b)
-        if g.is_zero():
-            assert a.is_zero() and b.is_zero()
-            continue
-        assert g.leading().mask == 1
-        assert (a % g).is_zero() and (b % g).is_zero()
-        gg, s, t = a.xgcd(b)
-        assert gg == g
-        assert s * a + t * b == g
+    for degree in (2,) + EDGE_DEGREES:
+        f = default_field(degree)
+        rng = random.Random(3)
+        for _ in range(200):
+            a, b = _random_poly(f, rng, 5), _random_poly(f, rng, 5)
+            g = a.gcd(b)
+            if g.is_zero():
+                assert a.is_zero() and b.is_zero()
+                continue
+            assert g.leading().mask == 1
+            assert (a % g).is_zero() and (b % g).is_zero()
+            gg, s, t = a.xgcd(b)
+            assert gg == g
+            assert s * a + t * b == g
+
+
+def test_pow_rejects_negative_exponent():
+    x = Poly.x(default_field(4))
+    assert x ** 0 == Poly.one(x.field)
+    with pytest.raises(ValueError):
+        x ** -1
+
+
+def test_field_checks_survive_masks():
+    f16, f4 = default_field(4), default_field(2)
+    e4 = f4.gen()
+    p16, p4 = Poly(f16, (f16.gen(), f16.one())), Poly(f4, (e4, f4.one()))
+    ring16, ring4 = TruncatedSeriesRing(f16, 3), TruncatedSeriesRing(f4, 3)
+    s16, s4 = ring16.element([f16.one(), f16.gen()]), ring4.element([f4.one(), e4])
+    mixed = [
+        lambda: Poly(f16, [e4]),
+        lambda: p16 + p4,
+        lambda: p16 * p4,
+        lambda: divmod(p16, p4),
+        lambda: p16.xgcd(p4),
+        lambda: p16.scale(e4),
+        lambda: p16.evaluate(e4),
+        lambda: ring16.element([e4]),
+        lambda: ring16.constant(e4),
+        lambda: s16 + s4,
+        lambda: s16 * s4,
+    ]
+    for call in mixed:
+        with pytest.raises(FieldMismatchError):
+            call()
+    with pytest.raises(ValueError):
+        Poly.from_masks(f16, [f16.order])
 
 
 def test_evaluate_and_roots():
@@ -141,4 +197,4 @@ def test_frobenius_coeffs():
     w = f.gen()
     p = Poly(f, (w, f.one()))
     q = p.frobenius_coeffs()
-    assert q.coeffs[0] == w * w and q.coeffs[1] == f.one()
+    assert q[0] == w * w and q[1] == f.one() and q.degree == 1
