@@ -234,8 +234,7 @@ class CurveAutomorphism:
             xstar = self.mobius.apply_projective(None)
             if xstar is None:
                 return point
-            _, f = curve.equation_polys(self.mobius.field)
-            w = curve.point(xstar, f.evaluate(xstar).sqrt())
+            (w,) = curve.points_at(xstar)  # xstar is 0 or 1, a root of h
             return w if point.field == w.field else w.lift(point.field)
         xim = self.mobius.apply_x(point.x)
         if xim is None:
@@ -307,7 +306,7 @@ def _lifts_over_own_field(curve, mobius):
     lin_coeff = (hm * RationalFunction(mult)).as_poly()
     g = fr.substitute(m) + q * q * fr
     rhs = (g * RationalFunction(mult * mult)).as_poly()
-    sol = solve_additive(field, 8, lambda b: b * b + lin_coeff * b, rhs)  # deg B <= 7
+    sol = solve_additive(8, lin_coeff, rhs)  # deg B <= 7
     if sol is None:
         return None
     if len(sol[1]) > 4:

@@ -150,14 +150,17 @@ class Curve:
         """
         return len(self.branch_points()) == 3
 
+    def points_at(self, x):
+        """The affine points above x (in any field containing the base field),
+        y ascending: one above a root of h, else two or none.  Each point is
+        checked against the equation by `point`."""
+        h, f = self.equation_polys(x.field)
+        ys = sorted(_y_masks(x.field, h.evaluate(x).mask, f.evaluate(x).mask))
+        return [self.point(x, FieldElement(x.field, y)) for y in ys]
+
     def weierstrass_points(self):
         """The affine ramification points (one above each finite branch x)."""
-        h, f = self.equation_polys()
-        out = []
-        for x in (self.field.zero(), self.field.one()):
-            y = f.evaluate(x).sqrt()
-            out.append(CurvePoint(self, x, y))
-        return out
+        return self.points_at(self.field.zero()) + self.points_at(self.field.one())
 
 
 def _y_masks(field, hx, fx):
@@ -170,11 +173,6 @@ def _y_masks(field, hx, fx):
     if z is None:
         return []
     return [field.mul_masks(hx, z), field.mul_masks(hx, z ^ 1)]
-
-
-def _y_solutions(field, hx, fx):
-    """Solutions y in `field` of y^2 + hx*y = fx (hx, fx elements)."""
-    return [FieldElement(field, y) for y in _y_masks(field, hx.mask, fx.mask)]
 
 
 class CurvePoint:

@@ -11,7 +11,6 @@ divisor claims are verified exactly through the norm
 N(a + b y) = a^2 + a b h + b^2 f together with pointwise vanishing orders.
 """
 
-from .curve import _y_solutions
 from .errors import InconsistencyError, VerificationError
 from .linalg import nullspace
 from .poly import Poly, solve_linear, solve_quadratic
@@ -181,7 +180,7 @@ def interpolate_vanishing(curve, field, m, constraints):
     out = PolyFunction(curve, field, a, b)
     if out.is_zero():
         raise InconsistencyError("nullspace produced the zero function")
-    return out, vec
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -248,17 +247,14 @@ def verify_polyfunction_divisor(fn, expected):
 
 
 class CurveFunction:
-    """A function psi / chi with psi = a + b y and chi a polynomial in x.
+    """A function psi / chi with psi = a + b y and chi a polynomial in x;
+    `rr_pole_bound` is the N of the space L(N*infinity) psi was found in."""
 
-    `rr_coordinates` records psi in the Riemann-Roch basis used to find it.
-    """
+    __slots__ = ("num", "chi", "rr_pole_bound")
 
-    __slots__ = ("num", "chi", "rr_coordinates", "rr_pole_bound")
-
-    def __init__(self, num, chi, rr_coordinates=None, rr_pole_bound=None):
+    def __init__(self, num, chi, rr_pole_bound=None):
         self.num = num
         self.chi = chi
-        self.rr_coordinates = rr_coordinates
         self.rr_pole_bound = rr_pole_bound
 
     def evaluate(self, point):
@@ -290,21 +286,20 @@ def principal_witness_core(curve, field, affine_entries, inf_mult):
     n_total = deg_pos + deg_neg
     if n_total == 0:
         one = PolyFunction(curve, field, Poly.one(field), Poly.zero(field))
-        return CurveFunction(one, Poly.one(field), None, 0)
+        return CurveFunction(one, Poly.one(field), 0)
     chi = Poly.one(field)
     for p, m in neg:
         chi = chi * Poly(field, (p.x, field.one())) ** m
     constraints = _merge_points(
         pos + [(p.hyperelliptic_involution(), m) for p, m in neg]
     )
-    found = interpolate_vanishing(curve, field, n_total, constraints)
-    if found is None:
+    psi = interpolate_vanishing(curve, field, n_total, constraints)
+    if psi is None:
         return None
-    psi, coords = found
     verify_polyfunction_divisor(psi, constraints)
     if psi.pole_order_at_infinity() != n_total:
         raise VerificationError("witness pole order mismatch")
-    return CurveFunction(psi, chi, coords, n_total)
+    return CurveFunction(psi, chi, n_total)
 
 
 # ---------------------------------------------------------------------------
@@ -328,10 +323,9 @@ def reduce_points_oracle(curve, field, entries):
 
 def _oracle_step(curve, field, entries):
     k = sum(m for _, m in entries)
-    found = interpolate_vanishing(curve, field, k + 2, entries)
-    if found is None:
+    psi = interpolate_vanishing(curve, field, k + 2, entries)
+    if psi is None:
         raise InconsistencyError("interpolation space unexpectedly empty")
-    psi, _ = found
     norm = psi.norm()
     exp_ord = dict(entries)
     # actual orders at constraint points and their partners
@@ -385,35 +379,25 @@ def _extract_residual_points(curve, field, psi, rest, new_entries):
         new_entries = [(p.lift(target_field), m) for p, m in new_entries]
         psi = PolyFunction(curve, target_field, psi.a.map(emb), psi.b.map(emb))
         field = target_field
-    h, f = curve.equation_polys(field)
     for x0, mu in roots:
-        hx = h.evaluate(x0)
-        if hx.mask == 0:
-            p = curve.point(x0, f.evaluate(x0).sqrt())
-            new_entries.append((p.hyperelliptic_involution(), mu))
+        # x0 is a root of the norm, so the points above it lie over this field
+        above = curve.points_at(x0)
+        if not above:
+            raise InconsistencyError("residual point not defined over the working field")
+        p1 = above[0]
+        if len(above) == 1:  # a Weierstrass point, its own involution partner
+            new_entries.append((p1, mu))
             continue
-        ys = _all_y_at(curve, field, x0)
-        p1 = curve.point(x0, ys[0])
         o1 = min(psi.ord_at(p1), mu)
         o2 = mu - o1
         if o1:
             new_entries.append((p1.hyperelliptic_involution(), o1))
         if o2:
-            p2 = curve.point(x0, ys[1])
+            p2 = above[1]
             if psi.ord_at(p2) < o2:
                 raise InconsistencyError("residual order split failed")
             new_entries.append((p2.hyperelliptic_involution(), o2))
     return _merge_points(new_entries), field
-
-
-def _all_y_at(curve, field, x0):
-    # the residual x0 comes from a norm factor, so the y-values exist over
-    # this field
-    h, f = curve.equation_polys(field)
-    ys = _y_solutions(field, h.evaluate(x0), f.evaluate(x0))
-    if not ys:
-        raise InconsistencyError("residual point not defined over the working field")
-    return sorted(ys, key=lambda e: e.mask)
 
 
 def _mumford_from_points(curve, field, entries):

@@ -320,16 +320,15 @@ def _v_solution_space(curve, field, u):
     """Solutions v (deg v < deg u) of u | v^2 + v h + f: None when
     unsolvable, else (particular, kernel) as Polys (see `solve_additive`)."""
     h, f = curve.equation_polys(field)
-    return solve_additive(field, u.degree, lambda v: (v * v + v * h) % u, f % u)
+    return solve_additive(u.degree, h, f, u)
 
 
 def _solvable_quadratics(curve, field):
     """(u, particular, kernel) for every monic quadratic u, in mask order of
     (u1, u0), for which some v has u | v^2 + v h + f over `field`."""
-    one = field.one()
     for u1m in range(field.order):
         for u0m in range(field.order):
-            u = Poly(field, (field.element(u0m), field.element(u1m), one))
+            u = Poly.from_masks(field, (u0m, u1m, 1))
             sol = _v_solution_space(curve, field, u)
             if sol is not None:
                 yield u, *sol
@@ -355,15 +354,8 @@ def enumerate_classes(curve, field):
     if field.order > 64:
         raise DegreeCapError("class enumeration is for #field <= 64")
     out = [JacobianClass.identity(curve, field)]
-    h, f = curve.equation_polys(field)
-    one = field.one()
-    for am in range(field.order):
-        a = field.element(am)
-        u = Poly(field, (a, one))
-        for bm in range(field.order):
-            b = field.element(bm)
-            if (b * b + h.evaluate(a) * b + f.evaluate(a)).mask == 0:
-                out.append(JacobianClass(curve, field, u, Poly.constant(b)))
+    for xm in range(field.order):
+        out.extend(JacobianClass.from_point(p) for p in curve.points_at(field.element(xm)))
     out.extend(_degree_two_classes(curve, field))
     return out
 
@@ -394,15 +386,9 @@ def two_torsion(curve, field):
 
     Complete by uniqueness of the reduced form: c = -c iff u | h.
     """
-    h, f = curve.equation_polys(field)
     out = [JacobianClass.identity(curve, field)]
-    one = field.one()
-    divisors = [
-        Poly(field, (field.zero(), one)),          # x
-        Poly(field, (one, one)),                   # x + 1
-        Poly(field, (field.zero(), one, one)),     # x^2 + x = h
-    ]
-    for u in divisors:
+    for masks in ((0, 1), (1, 1), (0, 1, 1)):  # x, x + 1, x^2 + x = h
+        u = Poly.from_masks(field, masks)
         sol = _v_solution_space(curve, field, u)
         if sol is None:
             continue

@@ -7,7 +7,10 @@ by XOR and multiplies by table lookups.  FieldElement is the type at the
 boundary: `Poly(field, coeffs)` takes FieldElements and checks each one's
 field, and `p[i]`, `leading()` and `evaluate` return FieldElements.
 gcds are monic.  Quadratics in characteristic 2 are solved through the
-additive Artin-Schreier substitution rather than any discriminant formula.
+additive Artin-Schreier substitution rather than any discriminant formula,
+and the polynomial equation z^2 + g z = r (mod w), which gives Mumford's v
+(g = h, r = f, w = u) and the automorphism lifts (no modulus), as a
+GF(2)-linear system (`solve_additive`).
 """
 
 from .errors import FieldMismatchError
@@ -185,9 +188,6 @@ class Poly:
                     rem[k + j] ^= exp[lq + lb]
         return _wrap(field, quo), _wrap(field, rem[:db])
 
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
     def __mod__(self, other):
         return divmod(self, other)[1]
 
@@ -286,33 +286,45 @@ def solve_quadratic(p):
     return sorted([scale * z, scale * (z + one)], key=lambda e: e.mask), ext, emb
 
 
-def solve_additive(field, n, op, rhs):
-    """Solutions z (deg z < n) over `field` of op(z) = rhs, for an additive op.
+def solve_additive(n, g, rhs, w=None):
+    """Solutions z (deg z < n) over g's field of z^2 + g z = rhs, taken
+    mod w when w is given.
 
-    Additive maps are GF(2)-linear, so the equation is linearized over
-    GF(2): bit b of coefficient i of z is unknown i*d + b (d =
-    field.degree), and every coefficient of op's images and of rhs is
-    packed the same way.  Returns None when unsolvable, else (particular,
-    kernel) as Polys, the kernel in the order `solve_gf2_linear` gives.
+    z -> z^2 + g z is additive, so the equation is linearized over GF(2):
+    bit b of coefficient i of z is unknown i*d + b (d = field.degree), and
+    its column is the image of a x^i, a = 2^b, which is a^2 (x^(2i) mod w)
+    + a (x^i g mod w), packed the same way as rhs (mod w).  Returns None
+    when unsolvable, else (particular, kernel) as Polys, the kernel in the
+    order `solve_gf2_linear` gives.
     """
+    g._check(rhs)
+    field = g.field
     d = field.degree
+    mul = field.mul_masks
 
-    def pack(p):
+    def reduce(p):
+        return (p if w is None else p % w).masks()
+
+    def pack(masks, scalar=1):
         bits = 0
-        for i, c in enumerate(p.masks()):
-            bits |= c << (i * d)
+        for i, c in enumerate(masks):
+            bits |= mul(scalar, c) << (i * d)
         return bits
 
-    def unpack(bits):
-        return Poly.from_masks(field, [bits >> (i * d) & ((1 << d) - 1) for i in range(n)])
-
     cols = []
-    for var in range(n * d):
-        i, b = divmod(var, d)
-        cols.append(pack(op(Poly.from_masks(field, [0] * i + [1 << b]))))
-    part, kernel = solve_gf2_linear(cols, pack(rhs))
+    for i in range(n):
+        square = reduce(_wrap(field, [0] * (2 * i) + [1]))
+        linear = reduce(_wrap(field, [0] * i + list(g.masks())))
+        for b in range(d):
+            a = 1 << b
+            cols.append(pack(square, mul(a, a)) ^ pack(linear, a))
+    part, kernel = solve_gf2_linear(cols, pack(reduce(rhs)))
     if part is None:
         return None
+
+    def unpack(bits):
+        return _wrap(field, [bits >> (i * d) & ((1 << d) - 1) for i in range(n)])
+
     return unpack(part), [unpack(k) for k in kernel]
 
 
@@ -348,14 +360,6 @@ class RationalFunction:
             num, den = num.scale(inv), den.scale(inv)
         self.num = num
         self.den = den
-
-    @classmethod
-    def constant(cls, elem):
-        return cls(Poly.constant(elem))
-
-    @classmethod
-    def x(cls, field):
-        return cls(Poly.x(field))
 
     @property
     def field(self):

@@ -71,6 +71,15 @@ def test_point_count_matches_brute_force(t_degree, tm, degree):
     assert {None if p.is_infinity() else (p.x.mask, p.y.mask) for p in pts} == expected
     xs = [p.x.mask for p in pts[1:]]
     assert xs == sorted(xs)
+    above = [c.points_at(field.element(xm)) for xm in range(field.order)]
+    walked = [(p.x.mask, p.y.mask) for ps in above for p in ps]
+    assert len(walked) == len(expected) - 1
+    assert set(walked) == expected - {None}
+    for xm, ps in enumerate(above):
+        ys = [p.y.mask for p in ps]
+        assert ys == sorted(ys)
+        if xm in (0, 1):  # the roots of h: one (Weierstrass) point each
+            assert len(ps) == 1
 
 
 def test_counts_satisfy_weil():

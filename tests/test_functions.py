@@ -87,7 +87,7 @@ def test_interpolation_imposes_multiplicity():
     p = next(q for q in c.points_over(f16) if not q.is_infinity() and not q.is_weierstrass())
     found = interpolate_vanishing(c, f16, 6, [(p, 2)])
     assert found is not None
-    fn, _ = found
+    fn = found
     assert fn.ord_at(p) >= 2
 
 

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from frobfix.curve import Curve, weil_interval_ok_jacobian
+from frobfix.errors import InconsistencyError
 from frobfix.gf2 import default_field, embed
 from frobfix.jacobian import (
     FormalDivisor,
@@ -34,14 +35,10 @@ def laszlo_curve():
 
 def sigma_fixed_points(curve, field):
     """The four fixed points of the order-3 automorphism: x^2 + x + 1 = 0."""
-    from frobfix.curve import _y_solutions
-
-    h, f = curve.equation_polys(field)
     out = []
     for x in field.elements():
         if (x * x + x + field.one()).mask == 0:
-            for y in _y_solutions(field, h.evaluate(x), f.evaluate(x)):
-                out.append(curve.point(x, y))
+            out.extend(curve.points_at(x))
     return out
 
 
@@ -89,17 +86,19 @@ def test_v_solution_space_matches_brute_force_gf4():
     f4 = c.field
     h, f = c.equation_polys(f4)
     every_v = [Poly.from_masks(f4, (v0, v1)) for v1 in range(4) for v0 in range(4)]
-    for u1 in range(4):
-        for u0 in range(4):
-            u = Poly.from_masks(f4, (u0, u1, 1))
-            expected = {v.masks() for v in every_v if ((v * v + v * h + f) % u).is_zero()}
-            sol = _v_solution_space(c, f4, u)
-            if sol is None:
-                assert not expected
-                continue
-            span = [v.masks() for v in affine_span(*sol)]
-            assert len(set(span)) == len(span) == 1 << len(sol[1])  # kernel independent
-            assert set(span) == expected
+    # the linear u = x + a (two_torsion's shape), then every monic quadratic
+    every_u = [Poly.from_masks(f4, (u0, 1)) for u0 in range(4)]
+    every_u += [Poly.from_masks(f4, (u0, u1, 1)) for u1 in range(4) for u0 in range(4)]
+    for u in every_u:
+        candidates = [v for v in every_v if v.degree < u.degree]
+        expected = {v.masks() for v in candidates if ((v * v + v * h + f) % u).is_zero()}
+        sol = _v_solution_space(c, f4, u)
+        if sol is None:
+            assert not expected
+            continue
+        span = [v.masks() for v in affine_span(*sol)]
+        assert len(set(span)) == len(span) == 1 << len(sol[1])  # kernel independent
+        assert set(span) == expected
 
 
 def test_random_class_stream_is_pinned():
@@ -294,6 +293,40 @@ def test_torsion_subgroup_three_reaches_81():
     assert j == 6
     assert len(classes) == 81
     assert counts == [1, 9, 1, 9, 1, 81]
+
+
+def test_group_order_matches_enumeration_every_t_gf16():
+    # group_order raises when zeta and the enumerated count disagree
+    f16 = default_field(4)
+    for tm in range(2, 16):
+        c = Curve(f16, f16.element(tm))
+        assert weil_interval_ok_jacobian(group_order(c, f16), 16)
+
+
+def test_group_order_catches_a_dropped_kernel_vector(monkeypatch):
+    import frobfix.jacobian as jacobian_module
+
+    solve = jacobian_module.solve_additive
+
+    def drop_last(*args):
+        sol = solve(*args)
+        return sol if sol is None or not sol[1] else (sol[0], sol[1][:-1])
+
+    monkeypatch.setattr(jacobian_module, "solve_additive", drop_last)
+    with pytest.raises(InconsistencyError, match="disagrees with enumerated count"):
+        group_order(laszlo_curve(), default_field(4))
+
+
+def test_oracle_catches_a_residual_point_off_the_field(monkeypatch):
+    import frobfix.curve as curve_module
+
+    c = laszlo_curve()
+    rng = random.Random(101)
+    a, b = (random_class(c, default_field(4), rng) for _ in range(2))
+    divisor = a.to_divisor() + b.to_divisor()
+    monkeypatch.setattr(curve_module, "_y_masks", lambda field, hx, fx: [])
+    with pytest.raises(InconsistencyError, match="residual point not defined over the working field"):
+        oracle_class_of(divisor)
 
 
 def test_ordinarity_check_all_t_gf4():

@@ -6,7 +6,14 @@ import pytest
 
 from frobfix.errors import FieldMismatchError
 from frobfix.gf2 import default_field
-from frobfix.poly import Poly, RationalFunction, solve_linear, solve_quadratic
+from frobfix.poly import (
+    Poly,
+    RationalFunction,
+    affine_span,
+    solve_additive,
+    solve_linear,
+    solve_quadratic,
+)
 from frobfix.series import TruncatedSeriesRing
 
 
@@ -146,6 +153,35 @@ def test_solvers_reject_wrong_degree():
         solve_linear(cubic)
     with pytest.raises(ValueError):
         solve_quadratic(cubic)
+
+
+def test_solve_additive_without_modulus_matches_brute_force_gf4():
+    # z^2 + g z = rhs with deg z < 3 and no modulus: the automorphism-lift shape
+    f4 = default_field(2)
+    every_z = [Poly.from_masks(f4, (z0, z1, z2)) for z2 in range(4) for z1 in range(4) for z0 in range(4)]
+    for g in (Poly.zero(f4), Poly.one(f4), Poly.from_masks(f4, (2, 0, 1)), Poly.from_masks(f4, (1, 3, 0, 2))):
+        preimages = {}
+        for z in every_z:
+            preimages.setdefault((z * z + g * z).masks(), set()).add(z.masks())
+        # every image (solvable) and every rhs of degree < 3 (x alone has no
+        # preimage when g = 0), plus x^6 (degree above every image)
+        rhs_list = [Poly.from_masks(f4, m) for m in preimages]
+        rhs_list += [Poly.from_masks(f4, (r0, r1, r2)) for r2 in range(4) for r1 in range(4) for r0 in range(4)]
+        rhs_list.append(Poly.from_masks(f4, (0,) * 6 + (1,)))
+        unsolvable = 0
+        for rhs in rhs_list:
+            expected = preimages.get(rhs.masks(), set())
+            sol = solve_additive(3, g, rhs)
+            if sol is None:
+                assert not expected
+                unsolvable += 1
+                continue
+            span = [z.masks() for z in affine_span(*sol)]
+            assert len(set(span)) == len(span) == 1 << len(sol[1])  # kernel independent
+            assert set(span) == expected
+        assert unsolvable
+    with pytest.raises(FieldMismatchError):
+        solve_additive(3, Poly.one(f4), Poly.one(default_field(4)))
 
 
 def test_rational_function_normalization_and_arithmetic():
