@@ -9,6 +9,14 @@ composition and reduction for the char-2, h != 0 model:
              u = u1 u2 / d^2,  v = (s1 u1 v2 + s2 u2 v1 + s3 (v1 v2 + f)) / d mod u
     reduce:  u' = (f + v h + v^2) / u,  v' = (v + h) mod u'   until deg u <= 2
 
+Two kinds of input take closed forms on masks instead (`_closed_form_sum`,
+after Lange, AAECC 15 (2005), and Lange-Stevens, SAC 2004): a coprime
+addition (deg u1 = deg u2 = 2, u1 != u2, Res(u1, u2) != 0) and a doubling
+(equal inputs, deg u = 2, Res(u, h) != 0).  Every other input runs the
+general composition: the identity or deg u = 1, u1 and u2 with a common
+root (u1 = u2 with v1 != v2 included), and a doubling whose u shares a root
+with h.  The Mumford check of `_validate` runs on every sum, on either path.
+
 Negation is v -> (v + h) mod u.  The independent Riemann-Roch
 interpolation oracle in `functions.reduce_points_oracle` guards every
 piece of this arithmetic in the tests.
@@ -23,7 +31,7 @@ from .errors import (
 )
 from .functions import _merge_points, principal_witness_core, reduce_points_oracle
 from .gf2 import default_field, embed, join_fields
-from .poly import Poly, affine_span, solve_additive, solve_quadratic
+from .poly import Poly, affine_span, divmod_masks, solve_additive, solve_quadratic
 
 
 class FormalDivisor:
@@ -85,17 +93,18 @@ class JacobianClass:
         if check:
             self._validate()
 
-    def _validate(self):
+    def _validate(self, eq=None):
+        # eq: the (h, f) of equation_polys(self.field), when the caller has it
         u, v = self.u, self.v
         if u.is_zero() or u.leading().mask != 1:
             raise ValueError("u must be monic")
         if u.degree > 2:
             raise ValueError("not reduced: deg u > 2")
-        if not v.is_zero() and v.degree >= max(u.degree, 1):
+        if not v.is_zero() and v.degree >= u.degree:
             raise ValueError("v must have degree < deg u")
         if self.field.degree % self.curve.field.degree:
             raise FieldMismatchError("class field does not contain the curve base field")
-        h, f = self.curve.equation_polys(self.field)
+        h, f = eq or self.curve.equation_polys(self.field)
         if not ((v * v + v * h + f) % u).is_zero():
             raise ValueError("Mumford condition u | v^2 + v h + f fails")
 
@@ -125,20 +134,27 @@ class JacobianClass:
             # mixed-field addition lifts to the compositum
             fld, _, _ = join_fields(self.field, other.field)
             return self.lift(fld) + other.lift(fld)
-        h, f = self.curve.equation_polys(self.field)
+        eq = h, f = self.curve.equation_polys(self.field)
         u1, v1, u2, v2 = self.u, self.v, other.u, other.v
-        d1, e1, e2 = u1.xgcd(u2)
-        d, c1, c2 = d1.xgcd(v1 + v2 + h)
-        s1, s2, s3 = c1 * e1, c1 * e2, c2
-        u = (u1 * u2).divexact(d * d)
-        v = (s1 * u1 * v2 + s2 * u2 * v1 + s3 * (v1 * v2 + f)).divexact(d) % u
-        while u.degree > 2:
-            u_next = (f + v * h + v * v).divexact(u)
-            v = (v + h) % u_next
-            u = u_next
-        u = u.monic()
-        v = v % u if u.degree > 0 else Poly.zero(self.field)
-        return JacobianClass(self.curve, self.field, u, v)
+        closed = _closed_form_sum(self.field, h.masks(), f.masks(), u1.masks(),
+                                  v1.masks(), u2.masks(), v2.masks())
+        if closed is not None:
+            u, v = (Poly.from_masks(self.field, m) for m in closed)
+        else:
+            d1, e1, e2 = u1.xgcd(u2)
+            d, c1, c2 = d1.xgcd(v1 + v2 + h)
+            s1, s2, s3 = c1 * e1, c1 * e2, c2
+            u = (u1 * u2).divexact(d * d)
+            v = (s1 * u1 * v2 + s2 * u2 * v1 + s3 * (v1 * v2 + f)).divexact(d) % u
+            while u.degree > 2:
+                u_next = (f + v * h + v * v).divexact(u)
+                v = (v + h) % u_next
+                u = u_next
+            u = u.monic()
+            v = v % u if u.degree > 0 else Poly.zero(self.field)
+        out = JacobianClass(self.curve, self.field, u, v, check=False)
+        out._validate(eq)
+        return out
 
     def neg(self):
         h, _ = self.curve.equation_polys(self.field)
@@ -152,14 +168,14 @@ class JacobianClass:
     def mul_int(self, k):
         if k < 0:
             return self.neg().mul_int(-k)
-        acc = JacobianClass.identity(self.curve, self.field)
-        base = self
+        acc, base = None, self
         while k:
             if k & 1:
-                acc = acc + base
-            base = base + base
+                acc = base if acc is None else acc + base
             k >>= 1
-        return acc
+            if k:
+                base = base + base
+        return JacobianClass.identity(self.curve, self.field) if acc is None else acc
 
     # -- comparisons / transport -------------------------------------------------
     def key(self):
@@ -238,6 +254,73 @@ class JacobianClass:
         if deg:
             entries.append((self.curve.infinity(), -deg))
         return FormalDivisor(self.curve, entries)
+
+
+def _closed_form_sum(field, h, f, u1, v1, u2, v2):
+    """The reduced sum of (u1, v1) and (u2, v2), all coefficient-mask tuples
+    like h and f, as mask lists (u, v): for a coprime addition or a doubling
+    with Res(u, h) != 0, else None.  Modulo w = x^2 + b1 x + b0, a linear
+    r = r1 x + r0 has the inverse (r1 x + r0 + r1 b1) / rho, where
+    rho = r0^2 + r0 r1 b1 + r1^2 b0 is zero exactly when r and w share a root.
+        add:    s = (v1 + v2) (u1 mod u2)^-1 mod u2,  V = v1 + s u1,  U = u1 u2
+        double: s = ((v^2 + v h + f) / u) (h mod u)^-1 mod u,  V = v + s u,  U = u^2
+    then one reduction: u' = (V^2 + V h + f) / U made monic, v' = (V + h) mod u'."""
+    if len(u1) != 3 or len(u2) != 3:
+        return None
+    exp, log = field.tables()
+    h_logs = [(j, log[e]) for j, e in enumerate(h) if e]
+
+    def mul(x, y):
+        return exp[log[x] + log[y]] if x and y else 0
+
+    def exact(num, den):  # num / den, raising as Poly.divexact does
+        quo, rem = divmod_masks(field, num, den)
+        if any(rem):
+            raise ValueError("division is not exact")
+        return quo
+
+    def mumford(v):  # v^2 + v h + f
+        out = list(f) + [0] * (max(2 * len(v), len(v) + len(h)) - 1 - len(f))
+        for i, c in enumerate(v):
+            if c:
+                lc = log[c]
+                out[2 * i] ^= exp[2 * lc]
+                for j, le in h_logs:
+                    out[i + j] ^= exp[lc + le]
+        return out
+
+    # s = k r^-1 mod w = x^2 + b1 x + b0, with w = u2 to add and w = u to double
+    (a0, a1, _), (c0, c1) = u1, (v1 + (0, 0))[:2]
+    if u1 != u2:
+        b0, b1, _ = u2
+        d0, d1 = (v2 + (0, 0))[:2]
+        k, r = (c0 ^ d0, c1 ^ d1), (a0 ^ b0, a1 ^ b1)
+        big_u = [mul(a0, b0), mul(a0, b1) ^ mul(a1, b0), a0 ^ b0 ^ mul(a1, b1), a1 ^ b1, 1]
+    elif v1 == v2:
+        b0, b1 = a0, a1
+        k = divmod_masks(field, exact(mumford(v1), u1), u1)[1]
+        r = (h[0] ^ mul(h[2], a0), h[1] ^ mul(h[2], a1))  # h mod u, as deg h = 2 here
+        big_u = [mul(a0, a0), 0, mul(a1, a1), 0, 1]
+    else:
+        return None
+    (r0, r1), (k0, k1) = r, k
+    e = r0 ^ mul(r1, b1)
+    rho = mul(r0, e) ^ mul(mul(r1, r1), b0)
+    if not rho:
+        return None
+    i = field.inv_mask(rho)
+    i0, i1 = mul(e, i), mul(r1, i)
+    t = mul(k1, i1)
+    s0, s1 = mul(k0, i0) ^ mul(t, b0), mul(k0, i1) ^ mul(k1, i0) ^ mul(t, b1)
+    big_v = [c0 ^ mul(s0, a0), c1 ^ mul(s1, a0) ^ mul(s0, a1), s0 ^ mul(s1, a1), s1]
+    u = exact(mumford(big_v), big_u)
+    while u and not u[-1]:
+        u.pop()
+    i = field.inv_mask(u[-1])
+    u = [mul(c, i) for c in u]
+    for j, c in enumerate(h):
+        big_v[j] ^= c
+    return u, divmod_masks(field, big_v, u)[1]
 
 
 # ---------------------------------------------------------------------------

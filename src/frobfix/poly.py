@@ -28,6 +28,28 @@ def _wrap(field, masks):
     return p
 
 
+def divmod_masks(field, a, b):
+    """(quotient, remainder) of the coefficient masks a / b as lists, for
+    deg a >= deg b and b without a trailing zero; the remainder has deg b
+    entries, untrimmed."""
+    db = len(b) - 1
+    exp, log = field.tables()
+    log_inv_lead = log[field.inv_mask(b[-1])]
+    logs_b = [(j, log[c]) for j, c in enumerate(b[:-1]) if c]
+    rem = list(a)
+    quo = [0] * (len(a) - db)
+    for k in range(len(quo) - 1, -1, -1):
+        r = rem[k + db]
+        if r:
+            # a sum of three logs can overrun exp: take the quotient's mask first
+            q = exp[log[r] + log_inv_lead]
+            quo[k] = q
+            lq = log[q]
+            for j, lb in logs_b:
+                rem[k + j] ^= exp[lq + lb]
+    return quo, rem[:db]
+
+
 class Poly:
     """A univariate polynomial over a BinaryField (dense, coefficient masks)."""
 
@@ -164,29 +186,12 @@ class Poly:
 
     def __divmod__(self, other):
         self._check(other)
-        b = other._m
-        if not b:
+        if not other._m:
             raise ZeroDivisionError("polynomial division by zero")
-        field = self.field
-        db = len(b) - 1
-        dq = len(self._m) - len(b)
-        if dq < 0:
-            return _wrap(field, []), self
-        exp, log = field.tables()
-        log_inv_lead = log[field.inv_mask(b[-1])]
-        logs_b = [(j, log[c]) for j, c in enumerate(b[:-1]) if c]
-        rem = list(self._m)
-        quo = [0] * (dq + 1)
-        for k in range(dq, -1, -1):
-            r = rem[k + db]
-            if r:
-                # a sum of three logs can overrun exp: take the quotient's mask first
-                q = exp[log[r] + log_inv_lead]
-                quo[k] = q
-                lq = log[q]
-                for j, lb in logs_b:
-                    rem[k + j] ^= exp[lq + lb]
-        return _wrap(field, quo), _wrap(field, rem[:db])
+        if len(self._m) < len(other._m):
+            return _wrap(self.field, []), self
+        quo, rem = divmod_masks(self.field, self._m, other._m)
+        return _wrap(self.field, quo), _wrap(self.field, rem)
 
     def __mod__(self, other):
         return divmod(self, other)[1]

@@ -1,6 +1,7 @@
 """Jacobian tests: Cantor vs the interpolation oracle, orders, torsion,
 principality, and Frobenius pullback."""
 
+import hashlib
 import random
 
 import pytest
@@ -121,6 +122,74 @@ def test_cantor_vs_oracle_random_gf16():
         a = random_class(c, f16, rng)
         b = random_class(c, f16, rng)
         assert (a + b).equals(oracle_class_of(a.to_divisor() + b.to_divisor()))
+
+
+@pytest.mark.parametrize("t_mask", [2, 3])
+def test_cantor_vs_oracle_every_pair_gf4(t_mask):
+    # every ordered pair, so the general composition's inputs (the identity,
+    # degree 1, shared roots, a + (-a), roots of h) are all covered
+    f4 = default_field(2)
+    c = Curve(f4, f4.element(t_mask))
+    classes = enumerate_classes(c, f4)
+    for a in classes:
+        for b in classes:
+            assert (a + b).equals(oracle_class_of(a.to_divisor() + b.to_divisor()))
+
+
+def test_degenerate_sums_gf16_are_pinned():
+    # pinned from the general Cantor composition, before the closed forms
+    c = laszlo_curve()
+    classes = enumerate_classes(c, default_field(4))
+    digest = hashlib.sha256()
+    for a in classes:
+        digest.update(repr(((a + a).key(), (a + a.neg()).key())).encode())
+    low = [a for a in classes if a.u.degree <= 1]
+    for a in low:
+        for b in low:
+            digest.update(repr((a + b).key()).encode())
+    assert digest.hexdigest() == "15e2b199e772f5d3c3b212ac17f87903a03418d19d7734cca3ebbe85dc7c1d28"
+
+
+def test_mul_int_matches_repeated_addition():
+    c = laszlo_curve()
+    f16 = default_field(4)
+    classes = enumerate_classes(c, f16)
+    degree_one = next(a for a in classes if a.u.degree == 1 and not a.mul_int(2).is_identity())
+    root_of_h = next(a for a in classes if a.u.degree == 2 and a.u[0].mask == 0)
+    picked = [classes[0], degree_one, root_of_h, random_class(c, f16, random.Random(7))]
+    picked += two_torsion(c, f16)[1:]  # u | h
+    ks = list(range(-5, 41)) + [(1 << m) + e for m in (6, 7, 8) for e in (-1, 0, 1)]
+    for a in picked:
+        multiples = {0: JacobianClass.identity(c, f16)}
+        for sign, step in ((1, a), (-1, a.neg())):
+            acc = multiples[0]
+            for j in range(1, max(ks) + 1):
+                acc = acc + step
+                multiples[sign * j] = acc
+        for k in ks:
+            assert a.mul_int(k).key() == multiples[k].key(), k
+
+
+def test_mul_int_makes_no_wasted_sum(monkeypatch):
+    # no sum with the identity at the first set bit, no doubling after the top bit
+    c = laszlo_curve()
+    a = random_class(c, default_field(4), random.Random(7))
+    add = JacobianClass.__add__
+    sums = []
+    monkeypatch.setattr(JacobianClass, "__add__", lambda x, y: sums.append(1) or add(x, y))
+    for k in (0, 1, 2, 3, 5, 12, 23104, -3):
+        sums.clear()
+        a.mul_int(k)
+        n = abs(k)
+        assert len(sums) == (n.bit_length() + bin(n).count("1") - 2 if n else 0), k
+
+
+def test_identity_with_a_nonzero_v_is_rejected():
+    c = laszlo_curve()
+    with pytest.raises(ValueError) as exc:
+        JacobianClass(c, c.field, Poly.one(c.field), Poly.constant(c.field.one()))
+    assert exc.type is ValueError
+    assert str(exc.value) == "v must have degree < deg u"
 
 
 # (degree of the curve's base field, mask of t, degree of the class field,
@@ -333,3 +402,50 @@ def test_ordinarity_check_all_t_gf4():
     f4 = default_field(2)
     for tm in (2, 3):
         assert ordinarity_check(Curve(f4, f4.element(tm)))
+
+
+def test_mumford_check_catches_a_flipped_bit_in_the_closed_form(monkeypatch):
+    import frobfix.jacobian as jacobian_module
+
+    closed = jacobian_module._closed_form_sum
+    flipped = []
+
+    def flip_v(*args):
+        out = closed(*args)
+        if out is None or len(out[0]) < 3:
+            return out
+        u, v = out
+        v = (v + [0, 0])[:2]
+        v[1] ^= 1  # adds x^2 + x h = x^3 to v^2 + v h + f
+        flipped.append(v)
+        return u, v
+
+    c = laszlo_curve()
+    rng = random.Random(101)
+    a, b = (random_class(c, default_field(4), rng) for _ in range(2))
+    monkeypatch.setattr(jacobian_module, "_closed_form_sum", flip_v)
+    with pytest.raises(ValueError) as exc:
+        a + b
+    assert flipped
+    assert exc.type is ValueError
+    assert str(exc.value) == "Mumford condition u | v^2 + v h + f fails"
+
+
+def test_two_torsion_catches_a_doubling_that_returns_its_input(monkeypatch):
+    add = JacobianClass.__add__
+    monkeypatch.setattr(JacobianClass, "__add__", lambda a, b: a if a.key() == b.key() else add(a, b))
+    with pytest.raises(InconsistencyError) as exc:
+        two_torsion(laszlo_curve(), default_field(4))
+    assert exc.type is InconsistencyError
+    assert str(exc.value) == "2-torsion filter produced a non-torsion class"
+
+
+def test_torsion_subgroup_catches_a_count_above_the_bound(monkeypatch):
+    import frobfix.jacobian as jacobian_module
+
+    sylow = jacobian_module.sylow_subgroup
+    monkeypatch.setattr(jacobian_module, "sylow_subgroup", lambda *args: sylow(*args) * 10)
+    with pytest.raises(InconsistencyError) as exc:
+        torsion_subgroup(laszlo_curve(), 3, 2)
+    assert exc.type is InconsistencyError
+    assert str(exc.value) == "torsion count exceeds r^(2g)"
