@@ -7,8 +7,15 @@ point.  Relative Frobenius maps the twist-n curve to the twist-(n+1)
 curve by squaring both coordinates; its inverse takes coordinate square
 roots, which exist uniquely in characteristic 2.
 
-L-polynomial bookkeeping (exact, integer arithmetic) also lives here;
-the Jacobian layer cross-checks it against exhaustive enumeration.
+Points are found on masks: one walk of the field's exp/log tables gives
+h(x) and f(x) for every x.  `count_points` counts by the trace criterion
+(y^2 + h y = f has two roots when h(x) != 0 and Tr(f/h^2) = 0, none when
+the trace is 1, one when h(x) = 0) and solves for no y; `points_over` and
+`points_at` solve for the roots.
+
+L-polynomial bookkeeping (exact, integer arithmetic) also lives here; it
+reads `count_points`, and the Jacobian layer cross-checks it against an
+exhaustive enumeration whose degree-1 classes come from the root walk.
 """
 
 from fractions import Fraction
@@ -20,7 +27,7 @@ from .errors import (
     InconsistencyError,
     NotOnCurveError,
 )
-from .gf2 import FieldElement, artin_schreier_root_mask, default_field, embed
+from .gf2 import FieldElement, artin_schreier_root_mask, default_field, embed, trace_mask
 from .poly import Poly
 
 
@@ -107,20 +114,24 @@ class Curve:
         h, f = self.equation_polys(p.x.field)
         return p.y * p.y + h.evaluate(p.x) * p.y == f.evaluate(p.x)
 
+    def _h_f_blocks(self, field):
+        """(x0, [h(x)], [f(x)]) as masks for x = x0, x0 + 1, ..., in blocks
+        that cover the field in ascending order; x = 0, which has no log, is
+        a block of its own.  Blocks bound the walk's memory, not its speed."""
+        exp, log = field.tables()
+        hc, fc = (p.masks() or (0,) for p in self.equation_polys(field))
+        yield 0, [hc[0]], [fc[0]]
+        for x0 in range(1, field.order, _X_BLOCK):
+            logs = log[x0:x0 + _X_BLOCK]
+            yield x0, _horner_block(hc, logs, exp, log), _horner_block(fc, logs, exp, log)
+
     def _affine_point_masks(self, field):
-        """The affine points over `field` as (x, y) masks, x ascending: Horner
-        on the coefficient masks of h and f, then the y that `_y_masks` gives."""
-        h, f = self.equation_polys(field)
-        hc, fc = h.masks()[::-1], f.masks()[::-1]
-        mul = field.mul_masks
-        for x in range(field.order):
-            hx = fx = 0
-            for c in hc:
-                hx = mul(hx, x) ^ c
-            for c in fc:
-                fx = mul(fx, x) ^ c
-            for y in _y_masks(field, hx, fx):
-                yield x, y
+        """The affine points over `field` as (x, y) masks, x ascending: the
+        roots y that `_y_masks` finds above each x."""
+        for x0, hv, fv in self._h_f_blocks(field):
+            for x, (hx, fx) in enumerate(zip(hv, fv), x0):
+                for y in _y_masks(field, hx, fx):
+                    yield x, y
 
     def points_over(self, field):
         """All points of the curve over `field`: infinity first, then the
@@ -133,8 +144,21 @@ class Curve:
         ]
 
     def count_points(self, field):
-        """#C(field), infinity included: `points_over`'s walk, nothing boxed."""
-        return 1 + sum(1 for _ in self._affine_point_masks(field))
+        """#C(field), infinity included, by the trace criterion with no root
+        solved for: one point above each root of h; above any other x, two
+        points when Tr(f(x)/h(x)^2) = 0 and none otherwise, the quotient
+        taken by logs (f(x) = 0 gives 0, of trace 0)."""
+        exp, log = field.tables()
+        n, tm = field.order - 1, trace_mask(field)
+        roots = split = 0
+        for _, hv, fv in self._h_f_blocks(field):
+            roots += hv.count(0)
+            split += sum(
+                1
+                for hx, fx in zip(hv, fv)
+                if hx and (not fx or not (exp[(log[fx] - 2 * log[hx]) % n] & tm).bit_count() & 1)
+            )
+        return 1 + roots + 2 * split
 
     def branch_points(self):
         """x-coordinates of the branch locus in P^1: roots of h plus infinity
@@ -161,6 +185,18 @@ class Curve:
     def weierstrass_points(self):
         """The affine ramification points (one above each finite branch x)."""
         return self.points_at(self.field.zero()) + self.points_at(self.field.one())
+
+
+_X_BLOCK = 512
+
+
+def _horner_block(cs, logs, exp, log):
+    """[p(x)] as masks for the nonzero x whose logs are `logs`, p given by its
+    ascending coefficient masks cs: Horner with one pass per coefficient."""
+    vals = [cs[-1]] * len(logs)
+    for c in cs[-2::-1]:
+        vals = [(exp[log[v] + lx] if v else 0) ^ c for v, lx in zip(vals, logs)]
+    return vals
 
 
 def _y_masks(field, hx, fx):
@@ -267,8 +303,10 @@ class CurvePoint:
 # L-polynomial bookkeeping (genus 2).
 
 def lpolynomial(curve):
-    """(s1, s2) for L(T) = 1 - s1 T + s2 T^2 - q s1 T^3 + q^2 T^4, from exact
-    point counts over the base field and its quadratic extension."""
+    """(s1, s2) for L(T) = 1 - s1 T + s2 T^2 - q s1 T^3 + q^2 T^4, from the
+    trace-criterion counts of `count_points` over the base field and its
+    quadratic extension.  s1^2 - (q^2 + 1 - N2) must be even, or the counts
+    fit no genus-2 L-polynomial and InconsistencyError is raised."""
     q = curve.field.order
     n1 = curve.count_points(curve.field)
     ext = default_field(2 * curve.field.degree)

@@ -15,7 +15,9 @@ choices is the integer order of the bit-mask.
 Nothing is rebuilt per call: a default embedding is found among the 2^a
 elements of the target's order-2^a subfield, and x -> x^q + x gets one
 cached solving map per (field, q) that solves Artin-Schreier equations
-on masks.
+on masks.  `trace_mask` caches the absolute trace as one bit-mask per
+field, so z^2 + z = r is decided solvable by the parity of r & mask,
+with no root found.
 """
 
 import math
@@ -191,26 +193,30 @@ class BinaryField:
         return r
 
     def _ensure_tables(self):
+        """Walk the powers of the smallest primitive element g.  g is small
+        (3 for d = 16), so each step is a few shifted XORs by g's set bits
+        and a reduction of the few bits above degree d - 1."""
         if self._exp is not None:
             return
-        n = self.order - 1
+        n, top, modulus = self.order - 1, self.order, self.modulus
         primes = _prime_factors(n) if n > 1 else []
-        g = None
-        for cand in range(2, self.order):
-            if all(self._pow_raw(cand, n // p) != 1 for p in primes):
-                g = cand
-                break
-        if g is None:  # GF(2): trivial unit group
-            g = 1
-        exp = [0] * (2 * n if n else 1)
-        log = [0] * self.order
+        g = next(
+            (c for c in range(2, top) if all(self._pow_raw(c, n // p) != 1 for p in primes)),
+            1,  # GF(2): trivial unit group
+        )
+        shifts = [s for s in range(g.bit_length()) if g >> s & 1]
+        exp = [0] * (2 * n)
+        log = [0] * top
         v = 1
         for i in range(n):
-            exp[i] = v
+            exp[i] = exp[i + n] = v
             log[v] = i
-            v = self._mul_raw(v, g)
-        for i in range(n, 2 * n):
-            exp[i] = exp[i - n]
+            r = 0
+            for s in shifts:
+                r ^= v << s
+            while r >= top:
+                r ^= modulus << (r.bit_length() - 1 - self.degree)
+            v = r
         self._exp, self._log = exp, log
 
     def tables(self):
@@ -616,6 +622,27 @@ def artin_schreier_root_mask(field, q, rhs):
         for e in kernel:
             z = min(z, z ^ e)
     return z
+
+
+_trace_cache = {}
+
+
+def trace_mask(field):
+    """The absolute trace GF(2^d) -> GF(2) as a bit-mask: bit i is Tr(x^i),
+    so by linearity Tr(r) is the parity of r & trace_mask(field).  Cached
+    per (degree, modulus), as `_as_cache` caches the solving maps."""
+    key = field.degree, field.modulus
+    tm = _trace_cache.get(key)
+    if tm is None:
+        tm = 0
+        for i in range(field.degree):
+            acc = term = 1 << i
+            for _ in range(field.degree - 1):
+                term = field._mul_raw(term, term)
+                acc ^= term
+            tm |= acc << i  # acc = Tr(x^i) is 0 or 1
+        _trace_cache[key] = tm
+    return tm
 
 
 def artin_schreier_root_in_field(field, q, d_elem):

@@ -426,9 +426,11 @@ def _degree_two_classes(curve, field):
 
 
 def count_classes(curve, field):
-    """Exhaustive count of reduced Mumford pairs over `field`."""
+    """Exhaustive count of reduced Mumford pairs over `field`.  Degree-1
+    classes are the affine points found by solving for y, not by the trace
+    criterion of `count_points`, which feeds the zeta side of `group_order`."""
     total = 1  # the identity (u, v) = (1, 0)
-    total += curve.count_points(field) - 1  # degree-1 classes <-> affine points
+    total += sum(1 for _ in curve._affine_point_masks(field))  # degree-1 classes
     return total + sum(1 << len(kernel) for _, _, kernel in _solvable_quadratics(curve, field))
 
 

@@ -12,7 +12,7 @@ from frobfix.curve import (
     weil_interval_ok_curve,
     weil_interval_ok_jacobian,
 )
-from frobfix.errors import CurveParameterError, NotOnCurveError
+from frobfix.errors import CurveParameterError, InconsistencyError, NotOnCurveError
 from frobfix.gf2 import default_field, embed
 
 
@@ -60,13 +60,18 @@ def brute_force_points(c, field):
     return pts
 
 
+def root_walk_count(c, field):
+    """#C(field) from the y that `_y_masks` solves for, infinity included."""
+    return 1 + sum(1 for _ in c._affine_point_masks(field))
+
+
 @pytest.mark.parametrize("t_degree,tm,degree", [(4, tm, 4) for tm in range(2, 16)] + [(2, 2, 6)])
 def test_point_count_matches_brute_force(t_degree, tm, degree):
     base, field = default_field(t_degree), default_field(degree)
     c = Curve(base, base.element(tm))
     pts = c.points_over(field)
     expected = brute_force_points(c, field)
-    assert c.count_points(field) == len(pts) == len(expected)
+    assert c.count_points(field) == len(pts) == len(expected) == root_walk_count(c, field)
     assert pts[0].is_infinity()
     assert {None if p.is_infinity() else (p.x.mask, p.y.mask) for p in pts} == expected
     xs = [p.x.mask for p in pts[1:]]
@@ -229,3 +234,28 @@ def test_random_extension_points_on_curve():
     assert weil_interval_ok_curve(n, 256)
     for p in rng.sample(pts, 20):
         assert c.contains(p)
+
+
+@pytest.mark.parametrize(
+    "t_degree,tm,degree",
+    [(4, tm, 8) for tm in range(2, 16)] + [(2, 2, degree) for degree in range(2, 13, 2)],
+)
+def test_trace_count_matches_the_root_walk(t_degree, tm, degree):
+    # over GF(16) for every t, test_point_count_matches_brute_force checks the same
+    base, field = default_field(t_degree), default_field(degree)
+    c = Curve(base, base.element(tm))
+    assert c.count_points(field) == len(c.points_over(field)) == root_walk_count(c, field)
+
+
+def test_lpolynomial_catches_a_count_incompatible_with_genus_2(monkeypatch):
+    c = laszlo_curve()
+    count = Curve.count_points
+
+    def one_extra_above_the_base(self, field):
+        return count(self, field) + (field != self.field)
+
+    monkeypatch.setattr(Curve, "count_points", one_extra_above_the_base)
+    with pytest.raises(InconsistencyError) as exc:
+        lpolynomial(c)
+    assert exc.type is InconsistencyError
+    assert str(exc.value) == "point counts are incompatible with a genus-2 L-polynomial"

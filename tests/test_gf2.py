@@ -14,7 +14,10 @@ from frobfix.errors import (
 )
 from frobfix.gf2 import (
     DEGREE_CAP,
+    FieldElement,
+    _prime_factors,
     artin_schreier_root_in_field,
+    artin_schreier_root_mask,
     artin_schreier_solve,
     build_field,
     default_field,
@@ -22,6 +25,7 @@ from frobfix.gf2 import (
     embed,
     find_factor,
     join_fields,
+    trace_mask,
 )
 
 
@@ -307,3 +311,32 @@ def test_trace_to_subfield():
     image = {e(a).mask for a in f4.elements()}
     for a in f.elements():
         assert a.trace(2).mask in image
+
+
+@pytest.mark.parametrize("d", range(1, 17))
+def test_tables_equal_a_reference_walk(d):
+    # reference: the smallest primitive element by `_pow_raw`, then its
+    # powers by `_mul_raw`
+    f = build_field(d)
+    n = f.order - 1
+    primes = _prime_factors(n) if n > 1 else []
+    g = next((c for c in range(2, f.order) if all(f._pow_raw(c, n // p) != 1 for p in primes)), 1)
+    exp, log = [], [0] * f.order
+    v = 1
+    for i in range(n):
+        exp.append(v)
+        log[v] = i
+        v = f._mul_raw(v, g)
+    assert v == 1
+    assert f.tables() == (exp + exp, log)
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+def test_trace_mask_parity_is_the_trace(d):
+    f = default_field(d)
+    tm = trace_mask(f)
+    assert tm < f.order
+    for r in range(f.order):
+        odd = (r & tm).bit_count() & 1
+        assert odd == (artin_schreier_root_mask(f, 2, r) is None)
+        assert odd == FieldElement(f, r).trace().mask
