@@ -85,11 +85,10 @@ class Curve:
         else:
             emb = embed(self.field, field)
             fld, te = field, emb(self.effective_t)
-        one, zero = fld.one(), fld.zero()
-        h = Poly(fld, (zero, one, one))  # x^2 + x
+        zero = fld.zero()
         c5 = te * te + te
         f = Poly(fld, (zero, c5, zero, te * te, zero, c5))  # (T^2+T)(x^5+x) + T^2 x^3
-        return h, f
+        return Poly.from_masks(fld, _H), f
 
     # -- points ----------------------------------------------------------------
     def infinity(self):
@@ -187,7 +186,18 @@ class Curve:
         return self.points_at(self.field.zero()) + self.points_at(self.field.one())
 
 
+# h = x^2 + x as ascending coefficient masks: the same for every member of
+# the family and every field
+_H = (0, 1, 1)
 _X_BLOCK = 512
+
+
+def _h_mask(field, x):
+    """h(x) as a mask, for a mask x: Horner on _H."""
+    acc = 0
+    for c in reversed(_H):
+        acc = field.mul_masks(acc, x) ^ c
+    return acc
 
 
 def _horner_block(cs, logs, exp, log):
@@ -235,15 +245,14 @@ class CurvePoint:
     def is_weierstrass(self):
         if self.is_infinity():
             return True
-        h, _ = self.curve.equation_polys(self.field)
-        return h.evaluate(self.x).mask == 0
+        return _h_mask(self.x.field, self.x.mask) == 0
 
     def hyperelliptic_involution(self):
         """(x, y) -> (x, y + h(x)); infinity is fixed."""
         if self.is_infinity():
             return self
-        h, _ = self.curve.equation_polys(self.field)
-        return CurvePoint(self.curve, self.x, self.y + h.evaluate(self.x))
+        y = self.y.mask ^ _h_mask(self.x.field, self.x.mask)
+        return CurvePoint(self.curve, self.x, FieldElement(self.y.field, y))
 
     def lift(self, field):
         if self.is_infinity():
@@ -289,9 +298,10 @@ class CurvePoint:
         return self.x == other.x and self.y == other.y
 
     def __hash__(self):
+        # equal points have equal coordinate masks (or are both infinity)
         if self.is_infinity():
-            return hash((self.curve.field, self.curve.effective_t, "inf"))
-        return hash((self.curve.field, self.curve.effective_t, self.x, self.y))
+            return hash(None)
+        return hash((self.x.mask, self.y.mask))
 
     def __repr__(self):
         if self.is_infinity():

@@ -4,17 +4,21 @@ A polynomial function on the curve is a(x) + b(x) y; it has poles only at
 infinity, where ord(x) = -2 and ord(y) = -5 (so the two pole orders never
 collide mod 2 and the pole order of a + b y is exact, no cancellation).
 
-Local expansions use the truncated series ring: at a non-Weierstrass point
-the uniformizer is x - x0 and y is lifted by Newton iteration; at an
-affine Weierstrass point the uniformizer is y - y0 and x is lifted.  All
-divisor claims are verified exactly through the norm
-N(a + b y) = a^2 + a b h + b^2 f together with pointwise vanishing orders.
+Local expansions live in the truncated series ring: at a non-Weierstrass
+point the uniformizer is x - x0 and y is lifted by Newton iteration; at an
+affine Weierstrass point the uniformizer is y - y0 and x is lifted.  The
+lifts, the expansions of a + b y and the interpolation rows run on
+coefficient masks with the `series` kernels and the field's exp/log
+tables, as does the nullspace (`linalg`); SeriesElement and Poly are the
+types at the boundary.  All divisor claims are verified exactly through
+the norm N(a + b y) = a^2 + a b h + b^2 f together with pointwise vanishing
+orders.
 """
 
-from .errors import InconsistencyError, VerificationError
+from .errors import FieldMismatchError, InconsistencyError, VerificationError
 from .linalg import nullspace
 from .poly import Poly, solve_linear, solve_quadratic
-from .series import TruncatedSeriesRing
+from .series import SeriesElement, TruncatedSeriesRing, inverse_masks, mul_masks
 
 
 class PolyFunction:
@@ -50,8 +54,13 @@ class PolyFunction:
         return self.a.evaluate(p.x) + self.b.evaluate(p.x) * p.y
 
     def series_at(self, point, prec):
+        """The coefficient masks of the expansion at `point` through s^(prec-1)."""
+        if point.field != self.field:
+            raise FieldMismatchError("point and function over different fields")
         xs, ys = local_coordinates(self.curve, point, prec)
-        return _evaluate_pair(self.a, self.b, xs, ys)
+        field, xs = self.field, xs.masks()
+        bs = mul_masks(field, _horner(field, self.b.masks(), xs), ys.masks())
+        return _add(_horner(field, self.a.masks(), xs), bs)
 
     def ord_at(self, point):
         """Vanishing order at an affine point (0 when the value is nonzero)."""
@@ -59,21 +68,28 @@ class PolyFunction:
             raise ValueError("zero function")
         if self.evaluate(point).mask != 0:
             return 0
-        cap = max(2 * self.norm().degree + 2, 8)
         prec = 4
-        while prec <= cap:
+        while True:
             for i, c in enumerate(self.series_at(point, prec)):
                 if c:
                     return i
             prec *= 2
-        raise InconsistencyError("nonzero function vanishing beyond its norm degree")
+            # the order is at most deg N, so precision max(2 deg N + 2, 8)
+            # finds it; that cap is at least 8, so the norm is needed only
+            # beyond precision 8
+            if prec > 8 and prec > max(2 * self.norm().degree + 2, 8):
+                raise InconsistencyError("nonzero function vanishing beyond its norm degree")
 
     def __repr__(self):
         return f"PolyFunction(({self.a!r}) + ({self.b!r})*y)"
 
 
 def local_coordinates(curve, point, prec):
-    """(x, y) as truncated series in the local uniformizer at an affine point."""
+    """(x, y) as truncated series in the local uniformizer at an affine point.
+
+    The Newton lifts run on coefficient masks: h, f and their derivatives
+    are evaluated at a series by Horner with the `series` kernels, and only
+    the two results are boxed as SeriesElements."""
     field = point.field
     ring = TruncatedSeriesRing(field, prec)
     h, f = curve.equation_polys(field)
@@ -81,48 +97,66 @@ def local_coordinates(curve, point, prec):
         if point.is_infinity():
             raise ValueError("expansions at infinity are handled by pole orders")
         # uniformizer u = y - y0; solve for x by Newton (dF/dx is a unit here)
-        ys = ring.element([point.y, field.one()])
-        xs = ring.constant(point.x)
-        fprime = f.derivative()
-        hprime = h.derivative()
+        ys = _linear(point.y.mask, prec)
+        xs = _linear(point.x.mask, prec, 0)
+        fprime, hprime = f.derivative().masks(), h.derivative().masks()
+        h, f = h.masks(), f.masks()
         for _ in range(max(1, prec).bit_length() + 1):
-            res = ys * ys + _eval_poly_series(h, xs) * ys + _eval_poly_series(f, xs)
-            if res.is_zero():
+            res = _residual(field, _horner(field, h, xs), _horner(field, f, xs), ys)
+            if not any(res):
                 break
-            dfdx = _eval_poly_series(fprime, xs) + _eval_poly_series(hprime, xs) * ys
-            xs = xs + res * dfdx.inverse()
-        res = ys * ys + _eval_poly_series(h, xs) * ys + _eval_poly_series(f, xs)
-        if not res.is_zero():
+            hpys = mul_masks(field, _horner(field, hprime, xs), ys)
+            dfdx = _add(_horner(field, fprime, xs), hpys)
+            xs = _add(xs, mul_masks(field, res, inverse_masks(field, dfdx)))
+        if any(_residual(field, _horner(field, h, xs), _horner(field, f, xs), ys)):
             raise InconsistencyError("Newton lift for x failed at a Weierstrass point")
-        return xs, ys
+        return SeriesElement(ring, xs), SeriesElement(ring, ys)
     # uniformizer t = x - x0; solve for y by Newton (h(x0) is a unit)
-    xs = ring.element([point.x, field.one()])
-    hs = _eval_poly_series(h, xs)
-    fs = _eval_poly_series(f, xs)
-    ys = ring.constant(point.y)
-    hinv = hs.inverse()
+    xs = _linear(point.x.mask, prec)
+    hs = _horner(field, h.masks(), xs)
+    fs = _horner(field, f.masks(), xs)
+    ys = _linear(point.y.mask, prec, 0)
+    hinv = inverse_masks(field, hs)
     for _ in range(max(1, prec).bit_length() + 1):
-        res = ys * ys + hs * ys + fs
-        if res.is_zero():
+        res = _residual(field, hs, fs, ys)
+        if not any(res):
             break
-        ys = ys + res * hinv
-    res = ys * ys + hs * ys + fs
-    if not res.is_zero():
+        ys = _add(ys, mul_masks(field, res, hinv))
+    if any(_residual(field, hs, fs, ys)):
         raise InconsistencyError("Newton lift for y failed")
-    return xs, ys
+    return SeriesElement(ring, xs), SeriesElement(ring, ys)
 
 
-def _eval_poly_series(p, xs):
-    ring = xs.ring
-    acc = ring.zero()
-    for i in range(p.degree, -1, -1):
-        acc = acc * xs + ring.constant(p[i])
+def _linear(c, prec, slope=1):
+    """The masks of c + slope * s mod s^prec."""
+    return ((c, slope) + (0,) * prec)[:prec]
+
+
+def _add(a, b):
+    return tuple(x ^ y for x, y in zip(a, b))
+
+
+def _residual(field, hs, fs, ys):
+    """The masks of ys^2 + hs ys + fs = (ys + hs) ys + fs."""
+    return _add(mul_masks(field, _add(ys, hs), ys), fs)
+
+
+def _horner(field, cs, xs):
+    """The masks of p(xs), for p given by its ascending coefficient masks cs
+    and xs a series of the same truncation."""
+    acc = ((cs[-1] if cs else 0),) + (0,) * (len(xs) - 1)
+    for c in cs[-2::-1]:
+        acc = mul_masks(field, acc, xs)
+        acc = (acc[0] ^ c,) + acc[1:]
     return acc
 
 
-def _evaluate_pair(a, b, xs, ys):
-    """The coefficient masks of the series a(xs) + b(xs) ys."""
-    return (_eval_poly_series(a, xs) + _eval_poly_series(b, xs) * ys).masks()
+def _times_powers(field, start, xs, count):
+    """[start * xs^k for k < count], one product per term."""
+    out = [start] if count else []
+    while len(out) < count:
+        out.append(mul_masks(field, out[-1], xs))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -152,35 +186,39 @@ def interpolate_vanishing(curve, field, m, constraints):
     prescribed order at each constraint point, or None.
 
     constraints: list of (affine CurvePoint over `field`, multiplicity).
-    The choice is deterministic: first reduced-echelon nullspace vector,
-    normalized so its first nonzero coordinate is 1.
+    A point of multiplicity k gives k rows: the coefficients of s^0..s^(k-1)
+    in the expansion of each basis function there, taken from the running
+    powers xs^i, then xs^j ys, one product per basis function.  The choice
+    is deterministic: first reduced-echelon nullspace vector, normalized so
+    its first nonzero coordinate is 1.
     """
     basis = riemann_roch_basis(curve, m, field)
+    n_x = sum(1 for fn in basis if fn.b.is_zero())  # x^i first, then x^j y
     rows = []
     for point, mult in constraints:
+        if point.field != field:
+            raise FieldMismatchError("constraint point over a different field")
         xs, ys = local_coordinates(curve, point, mult)
-        per_basis = [_evaluate_pair(fn.a, fn.b, xs, ys) for fn in basis]
-        for k in range(mult):
-            rows.append([field.element(masks[k]) for masks in per_basis])
+        xs = xs.masks()
+        one = _linear(1, mult, 0)
+        cols = _times_powers(field, one, xs, n_x)
+        cols += _times_powers(field, ys.masks(), xs, len(basis) - n_x)
+        rows.extend(zip(*cols))
     if rows:
         vecs = nullspace(field, rows)
     else:
-        vecs = [[field.one()] + [field.zero()] * (len(basis) - 1)]
+        vecs = [[1] + [0] * (len(basis) - 1)]
     if not vecs:
         return None
     vec = vecs[0]
-    lead = next(c for c in vec if c.mask)
-    inv = lead.inverse()
-    vec = [c * inv for c in vec]
-    a = Poly.zero(field)
-    b = Poly.zero(field)
-    for c, fn in zip(vec, basis):
-        a = a + fn.a.scale(c)
-        b = b + fn.b.scale(c)
-    out = PolyFunction(curve, field, a, b)
-    if out.is_zero():
+    if not any(vec):
         raise InconsistencyError("nullspace produced the zero function")
-    return out
+    exp, log = field.tables()
+    l_inv = log[field.inv_mask(next(c for c in vec if c))]
+    vec = [exp[log[c] + l_inv] if c else 0 for c in vec]
+    return PolyFunction(
+        curve, field, Poly.from_masks(field, vec[:n_x]), Poly.from_masks(field, vec[n_x:])
+    )
 
 
 # ---------------------------------------------------------------------------

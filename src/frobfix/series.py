@@ -5,14 +5,53 @@ an affine point of the curve; vanishing orders are then read off the
 expanded coefficients.  The ring needs only addition, multiplication and
 inverses of units (elements with a nonzero constant term).
 
-A SeriesElement stores its n coefficients as a tuple of int masks bound
-to the ring's field, whose exp/log tables the arithmetic indexes
-directly: each operation checks the ring once.  FieldElement is the type
-at the boundary: `element` and `constant` take FieldElements and check
-each one's field.
+The arithmetic lives in two module-level kernels on coefficient masks,
+`mul_masks` (the truncated product) and `inverse_masks`, which index the
+field's exp/log tables directly; `local_coordinates` runs its Newton lifts
+on them without building a SeriesElement per step.  SeriesElement is the
+boundary type: it stores its n coefficients as a tuple of int masks bound
+to the ring's field, checks the ring once per operation and calls the
+kernels.  `element` and `constant` take FieldElements and check each
+one's field.
 """
 
 from .errors import FieldMismatchError
+
+
+def mul_masks(field, a, b):
+    """The coefficient masks of a * b mod s^n, for mask tuples a and b of
+    the same length n."""
+    n = len(a)
+    exp, log = field.tables()
+    logs_b = [(j, log[c]) for j, c in enumerate(b) if c]
+    out = [0] * n
+    for i, c in enumerate(a):
+        if c:
+            lc = log[c]
+            for j, lb in logs_b:
+                if i + j >= n:
+                    break
+                out[i + j] ^= exp[lc + lb]
+    return tuple(out)
+
+
+def inverse_masks(field, a):
+    """The coefficient masks of 1 / a mod s^n for a mask tuple a of length
+    n with a nonzero constant term."""
+    exp, log = field.tables()
+    logs_a = [(i, log[c]) for i, c in enumerate(a) if c and i]
+    inv0 = field.inv_mask(a[0])
+    log_inv0 = log[inv0]
+    out = [inv0]
+    for k in range(1, len(a)):
+        acc = 0
+        for i, la in logs_a:
+            if i > k:
+                break
+            if out[k - i]:
+                acc ^= exp[la + log[out[k - i]]]
+        out.append(exp[log[acc] + log_inv0] if acc else 0)  # char 2: -acc = acc
+    return tuple(out)
 
 
 class TruncatedSeriesRing:
@@ -60,7 +99,7 @@ class SeriesElement:
     """An element of k'[s]/(s^n).  Immutable.
 
     `masks` is a tuple of n coefficient masks of the ring's field; the
-    ring's constructors build it."""
+    ring's constructors and `local_coordinates` build it."""
 
     __slots__ = ("ring", "_m")
 
@@ -86,38 +125,12 @@ class SeriesElement:
 
     def __mul__(self, other):
         self._check(other)
-        n = self.ring.n
-        exp, log = self.ring.field.tables()
-        logs_b = [(j, log[c]) for j, c in enumerate(other._m) if c]
-        out = [0] * n
-        for i, c in enumerate(self._m):
-            if c:
-                lc = log[c]
-                for j, lb in logs_b:
-                    if i + j >= n:
-                        break
-                    out[i + j] ^= exp[lc + lb]
-        return SeriesElement(self.ring, tuple(out))
+        return SeriesElement(self.ring, mul_masks(self.ring.field, self._m, other._m))
 
     def inverse(self):
         if not self.is_unit():
             raise ZeroDivisionError("series element with zero constant term")
-        field = self.ring.field
-        exp, log = field.tables()
-        a = self._m
-        logs_a = [(i, log[c]) for i, c in enumerate(a) if c and i]
-        inv0 = field.inv_mask(a[0])
-        log_inv0 = log[inv0]
-        out = [inv0]
-        for k in range(1, self.ring.n):
-            acc = 0
-            for i, la in logs_a:
-                if i > k:
-                    break
-                if out[k - i]:
-                    acc ^= exp[la + log[out[k - i]]]
-            out.append(exp[log[acc] + log_inv0] if acc else 0)  # char 2: -acc = acc
-        return SeriesElement(self.ring, tuple(out))
+        return SeriesElement(self.ring, inverse_masks(self.ring.field, self._m))
 
     def masks(self):
         return self._m

@@ -225,6 +225,18 @@ def test_lift_and_retag():
     assert r.curve.n == 2
 
 
+def test_point_hash_agrees_with_equality_across_retag():
+    c = laszlo_curve()
+    pts = c.points_over(default_field(4))
+    same = c.twist(c.field.degree)  # X(d) = X(0)
+    for p in pts:
+        r = p.retag(same)
+        assert r.curve != c and r == p and hash(r) == hash(p)
+        if not p.is_weierstrass():
+            assert p.hyperelliptic_involution() != p
+    assert len(set(pts) | {p.retag(same) for p in pts}) == len(pts)
+
+
 def test_random_extension_points_on_curve():
     c = laszlo_curve()
     rng = random.Random(21)

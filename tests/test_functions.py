@@ -1,9 +1,12 @@
 """Function-field tests: expansions, Riemann-Roch spaces, witnesses."""
 
+import random
+
 import pytest
 
+import frobfix.functions as functions_module
 from frobfix.curve import Curve
-from frobfix.errors import VerificationError
+from frobfix.errors import FieldMismatchError, InconsistencyError, VerificationError
 from frobfix.functions import (
     PolyFunction,
     interpolate_vanishing,
@@ -13,6 +16,7 @@ from frobfix.functions import (
     verify_polyfunction_divisor,
 )
 from frobfix.gf2 import default_field
+from frobfix.jacobian import oracle_class_of, random_class
 from frobfix.poly import Poly
 
 
@@ -60,6 +64,118 @@ def test_local_coordinates_satisfy_equation():
             assert xs.masks()[1] == 1 and ys.masks()[0] == p.y.mask
 
 
+def _ref_mul(a, b):
+    """Schoolbook product of two FieldElement series of the same length."""
+    out = [a[0].field.zero()] * len(a)
+    for i, ai in enumerate(a):
+        if ai.mask:
+            for j in range(len(a) - i):
+                out[i + j] = out[i + j] + ai * b[j]
+    return out
+
+
+def _ref_add(a, b):
+    return [x + y for x, y in zip(a, b)]
+
+
+def _ref_inverse(a):
+    """b with a b = 1, coefficient by coefficient."""
+    inv0 = a[0].inverse()
+    out = [inv0]
+    for k in range(1, len(a)):
+        acc = a[0].field.zero()
+        for i in range(1, k + 1):
+            acc = acc + a[i] * out[k - i]
+        out.append(acc * inv0)
+    return out
+
+
+def _ref_horner(p, xs):
+    zero = xs[0].field.zero()
+    acc = [zero] * len(xs)
+    for i in range(p.degree, -1, -1):
+        acc = _ref_mul(acc, xs)
+        acc[0] = acc[0] + p[i]
+    return acc
+
+
+def _reference_local_coordinates(curve, point, prec):
+    """(x, y) expanded at an affine point by Newton on boxed FieldElement
+    series: uniformizer y - y0 at a Weierstrass point, x - x0 elsewhere."""
+    field = point.field
+    h, f = curve.equation_polys(field)
+    zeros = [field.zero()] * (prec - 1)
+    lin = [field.one()] + zeros[1:]
+
+    def residual(hs, fs, ys):
+        return _ref_add(_ref_add(_ref_mul(ys, ys), _ref_mul(hs, ys)), fs)
+
+    if point.is_weierstrass():
+        ys, xs = [point.y] + lin, [point.x] + zeros
+        for _ in range(prec.bit_length() + 1):
+            dfdx = _ref_add(
+                _ref_horner(f.derivative(), xs), _ref_mul(_ref_horner(h.derivative(), xs), ys)
+            )
+            res = residual(_ref_horner(h, xs), _ref_horner(f, xs), ys)
+            xs = _ref_add(xs, _ref_mul(res, _ref_inverse(dfdx)))
+    else:
+        xs, ys = [point.x] + lin, [point.y] + zeros
+        hs, fs = _ref_horner(h, xs), _ref_horner(f, xs)
+        hinv = _ref_inverse(hs)
+        for _ in range(prec.bit_length() + 1):
+            ys = _ref_add(ys, _ref_mul(residual(hs, fs, ys), hinv))
+    if any(c.mask for c in residual(_ref_horner(h, xs), _ref_horner(f, xs), ys)):
+        raise AssertionError("reference Newton lift did not converge")
+    return [c.mask for c in xs], [c.mask for c in ys]
+
+
+def test_local_coordinates_match_a_boxed_reference_every_t_gf16():
+    # the expansion mod s^prec is unique, so each precision's output is the
+    # truncation of the reference computed once at precision 10
+    f16 = default_field(4)
+    for tm in range(2, 16):
+        c = Curve(f16, f16.element(tm))
+        for p in c.points_over(f16)[1:]:
+            ref_x, ref_y = _reference_local_coordinates(c, p, 10)
+            for prec in range(1, 11):
+                xs, ys = local_coordinates(c, p, prec)
+                assert xs.masks() == tuple(ref_x[:prec]), (tm, p, prec)
+                assert ys.masks() == tuple(ref_y[:prec]), (tm, p, prec)
+
+
+def _scaled_inverse(monkeypatch):
+    """Plant a wrong Newton correction: every series inverse the lifts use
+    comes out multiplied by the field's generator."""
+    inverse = functions_module.inverse_masks
+    monkeypatch.setattr(
+        functions_module,
+        "inverse_masks",
+        lambda field, a: tuple(field.mul_masks(2, m) for m in inverse(field, a)),
+    )
+
+
+def test_newton_lift_for_y_catches_a_wrong_correction(monkeypatch):
+    c = laszlo_curve()
+    f16 = default_field(4)
+    p = next(q for q in c.points_over(f16)[1:] if not q.is_weierstrass())
+    _scaled_inverse(monkeypatch)
+    with pytest.raises(InconsistencyError) as exc:
+        local_coordinates(c, p, 6)
+    assert exc.type is InconsistencyError
+    assert str(exc.value) == "Newton lift for y failed"
+
+
+def test_newton_lift_for_x_catches_a_wrong_correction(monkeypatch):
+    c = laszlo_curve()
+    f16 = default_field(4)
+    p = next(q for q in c.points_over(f16)[1:] if q.is_weierstrass())
+    _scaled_inverse(monkeypatch)
+    with pytest.raises(InconsistencyError) as exc:
+        local_coordinates(c, p, 6)
+    assert exc.type is InconsistencyError
+    assert str(exc.value) == "Newton lift for x failed at a Weierstrass point"
+
+
 def test_ord_at_vertical_function():
     c = laszlo_curve()
     f16 = default_field(4)
@@ -91,6 +207,18 @@ def test_interpolation_imposes_multiplicity():
     assert fn.ord_at(p) >= 2
 
 
+def test_expansions_reject_a_point_over_another_field():
+    # the rows and series are masks, so the field is checked at the boundary
+    c = laszlo_curve()
+    f16 = default_field(4)
+    p4 = c.point(c.field.zero(), c.field.zero())
+    vert = PolyFunction(c, f16, Poly(f16, (f16.zero(), f16.one())), Poly.zero(f16))
+    with pytest.raises(FieldMismatchError):
+        vert.series_at(p4, 4)
+    with pytest.raises(FieldMismatchError):
+        interpolate_vanishing(c, f16, 6, [(p4, 1)])
+
+
 def test_principal_witness_zero_divisor():
     c = laszlo_curve()
     w = principal_witness_core(c, c.field, [], 0)
@@ -102,3 +230,57 @@ def test_principal_witness_core_not_principal():
     f16 = default_field(4)
     p = next(q for q in c.points_over(f16) if not q.is_infinity())
     assert principal_witness_core(c, f16, [(p, 1)], -1) is None
+
+
+def test_ord_at_norm_cap_ends_the_loop_on_a_flat_expansion(monkeypatch):
+    c = laszlo_curve()
+    f16 = default_field(4)
+    p = next(q for q in c.points_over(f16)[1:] if not q.is_weierstrass())
+    vert = PolyFunction(c, f16, Poly(f16, (p.x, f16.one())), Poly.zero(f16))
+    norms = []
+    norm = PolyFunction.norm
+    monkeypatch.setattr(PolyFunction, "norm", lambda fn: norms.append(1) or norm(fn))
+    assert vert.ord_at(p) == 1 and not norms  # found at precision 4: no norm
+    expand = functions_module.local_coordinates
+    precs = []
+
+    def flat(curve, point, prec):
+        # planted fault: expansions that lose every term beyond the constant
+        precs.append(prec)
+        xs, ys = expand(curve, point, prec)
+        return xs.ring.constant(point.x), ys.ring.constant(point.y)
+
+    monkeypatch.setattr(functions_module, "local_coordinates", flat)
+    with pytest.raises(InconsistencyError) as exc:
+        vert.ord_at(p)
+    assert exc.type is InconsistencyError
+    assert str(exc.value) == "nonzero function vanishing beyond its norm degree"
+    # deg N = 2 gives the cap 8: one norm, and no expansion beyond precision 8
+    assert len(norms) == 1 and precs == [4, 8]
+
+
+def test_interpolation_catches_a_zero_nullspace_vector(monkeypatch):
+    c = laszlo_curve()
+    f16 = default_field(4)
+    p = next(q for q in c.points_over(f16)[1:] if not q.is_weierstrass())
+    monkeypatch.setattr(functions_module, "nullspace", lambda field, rows: [[0] * len(rows[0])])
+    with pytest.raises(InconsistencyError) as exc:
+        interpolate_vanishing(c, f16, 6, [(p, 2)])
+    assert exc.type is InconsistencyError
+    assert str(exc.value) == "nullspace produced the zero function"
+
+
+def test_oracle_catches_orders_read_at_the_involution_partner(monkeypatch):
+    c = laszlo_curve()
+    f16 = default_field(4)
+    rng = random.Random(101)
+    a, b = (random_class(c, f16, rng) for _ in range(2))
+    divisor = a.to_divisor() + b.to_divisor()
+    ord_at = PolyFunction.ord_at
+    monkeypatch.setattr(
+        PolyFunction, "ord_at", lambda fn, p: ord_at(fn, p.hyperelliptic_involution())
+    )
+    with pytest.raises(InconsistencyError) as exc:
+        oracle_class_of(divisor)
+    assert exc.type is InconsistencyError
+    assert str(exc.value) == "imposed vanishing not attained"

@@ -194,8 +194,12 @@ def test_identity_with_a_nonzero_v_is_rejected():
 
 # (degree of the curve's base field, mask of t, degree of the class field,
 # pairs): the reference curve t = w over GF(2^6) and GF(2^8), and every t in
-# GF(16) minus {0, 1} over GF(16)
-ORACLE_CASES = [(2, 2, 6, 30), (2, 2, 8, 30)] + [(4, tm, 4, 5) for tm in range(2, 16)]
+# GF(16) minus {0, 1} over GF(16) and over GF(2^8)
+ORACLE_CASES = (
+    [(2, 2, 6, 30), (2, 2, 8, 30)]
+    + [(4, tm, 4, 5) for tm in range(2, 16)]
+    + [(4, tm, 8, 3) for tm in range(2, 16)]
+)
 
 
 @pytest.mark.parametrize(
