@@ -8,12 +8,12 @@ by the y-coefficient of the transformed equation, and p solves
 
 Squaring is additive in characteristic 2, so after clearing denominators
 this is a GF(2)-linear system in the coefficients of p; the solver finds
-both lifts (they differ by the hyperelliptic involution) or reports the
-minimal field extension that admits one.
+both lifts (they differ by the hyperelliptic involution) over the base
+field, where both exist for every t over GF(2^d), d <= 9.
 """
 
 from .errors import FieldMismatchError, InconsistencyError, SearchExhaustedError
-from .gf2 import default_field, embed
+from .gf2 import embed
 from .jacobian import FormalDivisor, class_of
 from .poly import Poly, RationalFunction, affine_span, solve_additive
 
@@ -270,30 +270,16 @@ class CurveAutomorphism:
 
 
 def lift_mobius(curve, mobius):
-    """Both lifts of a branch-permuting Mobius map to curve automorphisms.
+    """Both lifts of a branch-permuting Mobius map to curve automorphisms,
+    over the Mobius map's own field, in deterministic order (smallest
+    coefficient key first).
 
-    Returned in deterministic order (smallest coefficient key first), over
-    the base field when they exist there, else over its quadratic
-    extension; raises SearchExhaustedError when neither field has them.
+    Both lifts exist over the base field for all six maps and every
+    t != 0, 1 in GF(2^d), d = 2..9; SearchExhaustedError is raised when the
+    equation for p has no solution there.
     """
-    field = mobius.field
     if not mobius.permutes_branch_points():
         raise ValueError("Mobius map does not permute the branch points")
-    lifts = _lifts_over_own_field(curve, mobius)
-    if lifts is None:
-        emb = embed(field, default_field(2 * field.degree))
-        lifted = MobiusMap(emb(mobius.a), emb(mobius.b), emb(mobius.c), emb(mobius.d))
-        lifts = _lifts_over_own_field(curve, lifted)
-    if lifts is None:
-        raise SearchExhaustedError(
-            f"lift requires a field extension beyond degree {2 * field.degree}"
-        )
-    return lifts
-
-
-def _lifts_over_own_field(curve, mobius):
-    """The sorted lifts of `mobius` over its own field, or None when the
-    equation for p has no solution there."""
     field = mobius.field
     h, f = curve.equation_polys(field)
     hr, fr = RationalFunction(h), RationalFunction(f)
@@ -308,7 +294,7 @@ def _lifts_over_own_field(curve, mobius):
     rhs = (g * RationalFunction(mult * mult)).as_poly()
     sol = solve_additive(8, lin_coeff, rhs)  # deg B <= 7
     if sol is None:
-        return None
+        raise SearchExhaustedError(f"no lift of {mobius!r} over {field!r}")
     if len(sol[1]) > 4:
         raise InconsistencyError("lift solution space is unexpectedly large")
     lifts = []
@@ -380,9 +366,10 @@ def automorphism_group(curve):
 def verify_group_structure(curve):
     """Exact checks that the 12 lifts realize Z/2 x S3.
 
-    Returns a dict of named boolean checks (closure under composition,
+    Returns the dict of named checks (closure under composition,
     centrality and order of iota, the S3 presentation relations, and the
-    element-order profile 1^1 2^7 3^2 6^2).
+    element-order profile 1^1 2^7 3^2 6^2), every one True; a failed
+    check raises InconsistencyError naming it.
     """
     elements, by_name = automorphism_group(curve)
     keys = {g.coefficient_key(): g for g in elements}
@@ -404,6 +391,9 @@ def verify_group_structure(curve):
     checks["braid_relation"] = tau.compose(sigma).compose(tau) == sigma.compose(sigma)
     orders = sorted(g.order() for g in elements)
     checks["order_profile"] = orders == [1] + [2] * 7 + [3] * 2 + [6] * 2
+    failed = [name for name, ok in checks.items() if not ok]
+    if failed:
+        raise InconsistencyError(f"Z/2 x S3 relation fails: {', '.join(failed)}")
     return checks
 
 

@@ -11,7 +11,9 @@ Points are found on masks: one walk of the field's exp/log tables gives
 h(x) and f(x) for every x.  `count_points` counts by the trace criterion
 (y^2 + h y = f has two roots when h(x) != 0 and Tr(f/h^2) = 0, none when
 the trace is 1, one when h(x) = 0) and solves for no y; `points_over` and
-`points_at` solve for the roots.
+`points_at` solve for the roots with the field layer's one root kernel,
+`gf2.quadratic_root_masks`, so this module has no field arithmetic of its
+own beyond table lookups.
 
 L-polynomial bookkeeping (exact, integer arithmetic) also lives here; it
 reads `count_points`, and the Jacobian layer cross-checks it against an
@@ -27,7 +29,7 @@ from .errors import (
     InconsistencyError,
     NotOnCurveError,
 )
-from .gf2 import FieldElement, artin_schreier_root_mask, default_field, embed, trace_mask
+from .gf2 import FieldElement, default_field, embed, quadratic_root_masks, trace_mask
 from .poly import Poly
 
 
@@ -126,10 +128,10 @@ class Curve:
 
     def _affine_point_masks(self, field):
         """The affine points over `field` as (x, y) masks, x ascending: the
-        roots y that `_y_masks` finds above each x."""
+        roots y that `quadratic_root_masks` finds above each x, in its order."""
         for x0, hv, fv in self._h_f_blocks(field):
             for x, (hx, fx) in enumerate(zip(hv, fv), x0):
-                for y in _y_masks(field, hx, fx):
+                for y in quadratic_root_masks(field, hx, fx):
                     yield x, y
 
     def points_over(self, field):
@@ -178,7 +180,7 @@ class Curve:
         y ascending: one above a root of h, else two or none.  Each point is
         checked against the equation by `point`."""
         h, f = self.equation_polys(x.field)
-        ys = sorted(_y_masks(x.field, h.evaluate(x).mask, f.evaluate(x).mask))
+        ys = sorted(quadratic_root_masks(x.field, h.evaluate(x).mask, f.evaluate(x).mask))
         return [self.point(x, FieldElement(x.field, y)) for y in ys]
 
     def weierstrass_points(self):
@@ -207,18 +209,6 @@ def _horner_block(cs, logs, exp, log):
     for c in cs[-2::-1]:
         vals = [(exp[log[v] + lx] if v else 0) ^ c for v, lx in zip(vals, logs)]
     return vals
-
-
-def _y_masks(field, hx, fx):
-    """Masks y in `field` with y^2 + hx*y = fx (hx, fx masks): sqrt(fx) if hx = 0,
-    else hx*z, then hx*(z + 1), for the smallest root z of z^2 + z = fx/hx^2."""
-    if hx == 0:
-        return [field._pow_raw(fx, field.order >> 1)]
-    inv = field.inv_mask(hx)
-    z = artin_schreier_root_mask(field, 2, field.mul_masks(fx, field.mul_masks(inv, inv)))
-    if z is None:
-        return []
-    return [field.mul_masks(hx, z), field.mul_masks(hx, z ^ 1)]
 
 
 class CurvePoint:

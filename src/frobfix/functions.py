@@ -51,7 +51,8 @@ class PolyFunction:
         return max(orders)
 
     def evaluate(self, p):
-        return self.a.evaluate(p.x) + self.b.evaluate(p.x) * p.y
+        x = _affine(p).x
+        return self.a.evaluate(x) + self.b.evaluate(x) * p.y
 
     def series_at(self, point, prec):
         """The coefficient masks of the expansion at `point` through s^(prec-1)."""
@@ -90,12 +91,10 @@ def local_coordinates(curve, point, prec):
     The Newton lifts run on coefficient masks: h, f and their derivatives
     are evaluated at a series by Horner with the `series` kernels, and only
     the two results are boxed as SeriesElements."""
-    field = point.field
+    field = _affine(point).field
     ring = TruncatedSeriesRing(field, prec)
     h, f = curve.equation_polys(field)
     if point.is_weierstrass():
-        if point.is_infinity():
-            raise ValueError("expansions at infinity are handled by pole orders")
         # uniformizer u = y - y0; solve for x by Newton (dF/dx is a unit here)
         ys = _linear(point.y.mask, prec)
         xs = _linear(point.x.mask, prec, 0)
@@ -125,6 +124,14 @@ def local_coordinates(curve, point, prec):
     if any(_residual(field, hs, fs, ys)):
         raise InconsistencyError("Newton lift for y failed")
     return SeriesElement(ring, xs), SeriesElement(ring, ys)
+
+
+def _affine(point):
+    """`point`, which must be affine: at infinity a function is described by
+    its pole order, not by a value or an expansion."""
+    if point.is_infinity():
+        raise ValueError("values and expansions at infinity are handled by pole orders")
+    return point
 
 
 def _linear(c, prec, slope=1):
@@ -244,9 +251,9 @@ def verify_polyfunction_divisor(fn, expected):
     (ii) the norm factors exactly as forced by the expected orders, and
     (iii) the expected order at each non-Weierstrass point is attained
     (separating a point from its involution partner).  Raises
-    VerificationError on any mismatch.
+    VerificationError on any mismatch, ValueError on an entry at infinity.
     """
-    expected = _merge_points(expected)
+    expected = [(_affine(p), m) for p, m in _merge_points(expected)]
     total = sum(m for _, m in expected)
     if fn.is_zero():
         raise VerificationError("zero function has no divisor")
@@ -296,7 +303,7 @@ class CurveFunction:
         self.rr_pole_bound = rr_pole_bound
 
     def evaluate(self, point):
-        d = self.chi.evaluate(point.x)
+        d = self.chi.evaluate(_affine(point).x)
         if d.mask == 0:
             return None
         return self.num.evaluate(point) / d
@@ -403,16 +410,13 @@ def _oracle_step(curve, field, entries):
 
 
 def _extract_residual_points(curve, field, psi, rest, new_entries):
-    roots = []
     if rest.degree == 1:
         roots = [(solve_linear(rest.monic()), 1)]
         target_field, emb = field, None
     else:
         rts, target_field, emb = solve_quadratic(rest.monic())
-        grouped = {}
-        for r in rts:
-            grouped[r] = grouped.get(r, 0) + 1
-        roots = sorted(grouped.items(), key=lambda kv: kv[0].mask)
+        # solve_quadratic returns its roots ascending, with multiplicity
+        roots = [(rts[0], 2)] if rts[0] == rts[1] else [(r, 1) for r in rts]
     if target_field != field:
         new_entries = [(p.lift(target_field), m) for p, m in new_entries]
         psi = PolyFunction(curve, target_field, psi.a.map(emb), psi.b.map(emb))

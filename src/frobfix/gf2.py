@@ -12,12 +12,19 @@ fields in arithmetic raises FieldMismatchError instead of coercing.
 The deterministic element ordering used for all "smallest root" style
 choices is the integer order of the bit-mask.
 
+One arithmetic: every product, inverse, power, square root, trace and
+multiplicative order reads the field's exp/log tables (`mul_masks`,
+`inv_mask`, `pow_mask`).  The carry-less `_mul_raw`/`_pow_raw` serve only
+the primitive-element search that builds those tables.
+
 Nothing is rebuilt per call: a default embedding is found among the 2^a
 elements of the target's order-2^a subfield, and x -> x^q + x gets one
 cached solving map per (field, q) that solves Artin-Schreier equations
 on masks.  `trace_mask` caches the absolute trace as one bit-mask per
 field, so z^2 + z = r is decided solvable by the parity of r & mask,
-with no root found.
+with no root found.  `quadratic_root_masks` is the one root kernel for
+y^2 + b y = c: curve points, Mumford supports and the oracle's residual
+points all come from it.
 """
 
 import math
@@ -179,7 +186,7 @@ class BinaryField:
     def random(self, rng):
         return FieldElement(self, rng.randrange(self.order))
 
-    # -- raw mask arithmetic -------------------------------------------------
+    # -- raw mask arithmetic, for the primitive-element search only ----------
     def _mul_raw(self, a, b):
         return mask_mod(mask_mul(a, b), self.modulus)
 
@@ -244,6 +251,16 @@ class BinaryField:
         self._ensure_tables()
         return self._exp[self.order - 1 - self._log[a]]
 
+    def pow_mask(self, a, e):
+        """a^e for a mask a and any integer e (negative e inverts): the log
+        of a times e, reduced mod order - 1."""
+        if a == 0:
+            if e < 0:
+                raise ZeroDivisionError("negative power of zero")
+            return 0 if e else 1
+        self._ensure_tables()
+        return self._exp[self._log[a] * e % (self.order - 1)]
+
 
 class FieldElement:
     """An element of a BinaryField, stored as a bit-mask.  Immutable."""
@@ -282,13 +299,7 @@ class FieldElement:
         )
 
     def __pow__(self, e):
-        n = self.field.order - 1
-        if self.mask == 0:
-            if e < 0:
-                raise ZeroDivisionError("negative power of zero")
-            return self if e else self.field.one()
-        e %= n or 1
-        return FieldElement(self.field, self.field._pow_raw(self.mask, e))
+        return FieldElement(self.field, self.field.pow_mask(self.mask, e))
 
     def inverse(self):
         return FieldElement(self.field, self.field.inv_mask(self.mask))
@@ -310,12 +321,11 @@ class FieldElement:
         if d % subdegree:
             raise ValueError(f"subdegree {subdegree} does not divide {d}")
         q = 1 << subdegree
-        acc = self
-        term = self
+        acc = term = self.mask
         for _ in range(d // subdegree - 1):
-            term = term ** q
-            acc = acc + term
-        return acc
+            term = self.field.pow_mask(term, q)
+            acc ^= term
+        return FieldElement(self.field, acc)
 
     def multiplicative_order(self):
         if self.mask == 0:
@@ -323,7 +333,7 @@ class FieldElement:
         n = self.field.order - 1
         order = n
         for p in _prime_factors(n):
-            while order % p == 0 and self.field._pow_raw(self.mask, order // p) == 1:
+            while order % p == 0 and self.field.pow_mask(self.mask, order // p) == 1:
                 order //= p
         return order
 
@@ -474,13 +484,9 @@ def _iso_to_default(field):
 
 
 def _invert_iso(emb):
-    """Inverse of a same-degree embedding (a field isomorphism)."""
-    src, tgt = emb.source, emb.target
-    cols = list(emb._basis_images)
-    gen_pre_combo, _ = solve_gf2_linear(cols, tgt.gen().mask)
-    if gen_pre_combo is None:
-        raise EmbeddingError("embedding is not invertible")
-    return FieldEmbedding(tgt, src, FieldElement(src, gen_pre_combo))
+    """Inverse of a same-degree embedding (a field isomorphism): it sends
+    the target generator to that generator's preimage."""
+    return FieldEmbedding(emb.target, emb.source, emb.preimage(emb.target.gen()))
 
 
 def embed(source, target):
@@ -539,6 +545,13 @@ def join_fields(f1, f2):
         raise DegreeCapError(f"compositum degree {lcm} exceeds cap {DEGREE_CAP}")
     e = default_field(lcm)
     return e, embed(f1, e), embed(f2, e)
+
+
+def quadratic_extension(field):
+    """The embedding of `field` into the default field of twice its degree."""
+    if 2 * field.degree > DEGREE_CAP:
+        raise DegreeCapError(f"quadratic extension of degree {2 * field.degree} exceeds cap")
+    return embed(field, default_field(2 * field.degree))
 
 
 def build_field(d, modulus="default"):
@@ -602,7 +615,7 @@ def _as_solving_map(field, q):
     if q != 1 << k or k < 1 or field.degree % k:
         raise ValueError(f"q={q} is not a power of 2 dividing the field order")
     bits = [1 << i for i in range(field.degree)]
-    pivots, kernel = _echelon_gf2([field._pow_raw(b, q) ^ b for b in bits])
+    pivots, kernel = _echelon_gf2([field.pow_mask(b, q) ^ b for b in bits])
     ech = []
     for v in kernel:
         for e in ech:
@@ -624,6 +637,19 @@ def artin_schreier_root_mask(field, q, rhs):
     return z
 
 
+def quadratic_root_masks(field, b, c):
+    """Masks y in `field` with y^2 + b y = c (b, c masks): the square root
+    of c when b = 0, else b z, then b (z + 1), for the smallest root z of
+    z^2 + z = c / b^2; [] when that equation has no root in `field`."""
+    if b == 0:
+        return [field.pow_mask(c, field.order >> 1)]
+    inv = field.inv_mask(b)
+    z = artin_schreier_root_mask(field, 2, field.mul_masks(c, field.mul_masks(inv, inv)))
+    if z is None:
+        return []
+    return [field.mul_masks(b, z), field.mul_masks(b, z ^ 1)]
+
+
 _trace_cache = {}
 
 
@@ -634,13 +660,7 @@ def trace_mask(field):
     key = field.degree, field.modulus
     tm = _trace_cache.get(key)
     if tm is None:
-        tm = 0
-        for i in range(field.degree):
-            acc = term = 1 << i
-            for _ in range(field.degree - 1):
-                term = field._mul_raw(term, term)
-                acc ^= term
-            tm |= acc << i  # acc = Tr(x^i) is 0 or 1
+        tm = sum(FieldElement(field, 1 << i).trace().mask << i for i in range(field.degree))
         _trace_cache[key] = tm
     return tm
 
@@ -666,13 +686,8 @@ def artin_schreier_solve(field, q, d_elem):
     root = artin_schreier_root_in_field(field, q, d_elem)
     if root is not None:
         return root, 1
-    if 2 * field.degree > DEGREE_CAP:
-        raise DegreeCapError(
-            f"Artin-Schreier solution needs degree {2 * field.degree} > cap"
-        )
-    ext = default_field(2 * field.degree)
-    emb = embed(field, ext)
-    root = artin_schreier_root_in_field(ext, q, emb(d_elem))
+    emb = quadratic_extension(field)
+    root = artin_schreier_root_in_field(emb.target, q, emb(d_elem))
     if root is None:
         raise SearchExhaustedError("Artin-Schreier equation unsolvable in quadratic extension")
     return root, 2

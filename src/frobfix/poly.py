@@ -6,15 +6,16 @@ arithmetic indexes directly: each operation checks the field once, adds
 by XOR and multiplies by table lookups.  FieldElement is the type at the
 boundary: `Poly(field, coeffs)` takes FieldElements and checks each one's
 field, and `p[i]`, `leading()` and `evaluate` return FieldElements.
-gcds are monic.  Quadratics in characteristic 2 are solved through the
-additive Artin-Schreier substitution rather than any discriminant formula,
-and the polynomial equation z^2 + g z = r (mod w), which gives Mumford's v
-(g = h, r = f, w = u) and the automorphism lifts (no modulus), as a
-GF(2)-linear system (`solve_additive`).
+gcds are monic.  Quadratics in characteristic 2 are solved by the field
+layer's one root kernel, `gf2.quadratic_root_masks` (the Artin-Schreier
+substitution, not any discriminant formula), and the polynomial equation
+z^2 + g z = r (mod w), which gives Mumford's v (g = h, r = f, w = u) and
+the automorphism lifts (no modulus), as a GF(2)-linear system
+(`solve_additive`).
 """
 
-from .errors import FieldMismatchError
-from .gf2 import FieldElement, artin_schreier_solve, embed, identity_embedding, solve_gf2_linear
+from .errors import FieldMismatchError, SearchExhaustedError
+from .gf2 import FieldElement, embed, quadratic_extension, quadratic_root_masks, solve_gf2_linear
 
 
 def _wrap(field, masks):
@@ -267,28 +268,27 @@ def solve_quadratic(p):
 
     Returns (roots, field, emb) where roots live in `field` (the input
     field, or its default quadratic extension when the Artin-Schreier
-    trace obstructs) and emb maps the input field there.  The roots list
-    carries multiplicity (a double root appears twice).
+    trace obstructs) and emb maps the input field there.  The roots are
+    ascending in mask order and carry multiplicity (a double root appears
+    twice).
     """
     if p.degree != 2:
         raise ValueError(f"solve_quadratic needs degree 2, got {p.degree}")
-    f = p.field
-    a, b, c = p[2], p[1], p[0]
-    ident = identity_embedding(f)
-    if b.mask == 0:
-        r = (c / a).sqrt()
-        return [r, r], f, ident
-    # x = (b/a) z turns the equation into z^2 + z = ac/b^2
-    d = a * c / (b * b)
-    z, mult = artin_schreier_solve(f, 2, d)
-    if mult == 1:
-        scale = b / a
-        return sorted([scale * z, scale * (z + f.one())], key=lambda e: e.mask), f, ident
-    ext = z.field
-    emb = embed(f, ext)
-    scale = emb(b / a)
-    one = ext.one()
-    return sorted([scale * z, scale * (z + one)], key=lambda e: e.mask), ext, emb
+    field = p.field
+    c, b, a = p._m
+    inv = field.inv_mask(a)
+    b, c = field.mul_masks(b, inv), field.mul_masks(c, inv)
+    emb = embed(field, field)
+    ys = quadratic_root_masks(field, b, c)
+    if not ys:
+        emb = quadratic_extension(field)
+        field = emb.target
+        ys = quadratic_root_masks(field, emb.image_mask(b), emb.image_mask(c))
+        if not ys:
+            raise SearchExhaustedError("quadratic has no root in the quadratic extension")
+    if len(ys) == 1:  # b = 0: the double root sqrt(c)
+        ys *= 2
+    return [FieldElement(field, y) for y in sorted(ys)], field, emb
 
 
 def solve_additive(n, g, rhs, w=None):

@@ -2,7 +2,11 @@
 
 import random
 
+import pytest
+
+import frobfix.action as action_module
 from frobfix.action import (
+    CurveAutomorphism,
     MobiusMap,
     automorphism_group,
     fixed_points,
@@ -11,6 +15,7 @@ from frobfix.action import (
     verify_group_structure,
 )
 from frobfix.curve import Curve
+from frobfix.errors import InconsistencyError, SearchExhaustedError
 from frobfix.gf2 import default_field
 from frobfix.jacobian import enumerate_classes, random_class
 
@@ -67,6 +72,22 @@ def test_group_structure_other_t_gf16():
     f16 = default_field(4)
     checks = verify_group_structure(Curve(f16, f16.element(2)))
     assert all(checks.values()), checks
+
+
+def test_group_structure_raises_on_a_failed_relation(monkeypatch):
+    # every automorphism reports order 1, so only the order profile fails
+    monkeypatch.setattr(CurveAutomorphism, "order", lambda self: 1)
+    with pytest.raises(InconsistencyError, match=r"^Z/2 x S3 relation fails: order_profile$"):
+        verify_group_structure(laszlo_curve())
+
+
+def test_lift_mobius_raises_when_no_lift_exists(monkeypatch):
+    monkeypatch.setattr(action_module, "solve_additive", lambda n, g, rhs, w=None: None)
+    c = laszlo_curve()
+    tau_map = s3_mobius_maps(c.field)[1]
+    with pytest.raises(SearchExhaustedError) as exc:
+        lift_mobius(c, tau_map)
+    assert str(exc.value) == "no lift of Mobius(0x1x+0x1)/(0x0x+0x1) over GF(2^2; 0x7)"
 
 
 def test_sigma_fixed_points():

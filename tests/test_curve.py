@@ -61,7 +61,7 @@ def brute_force_points(c, field):
 
 
 def root_walk_count(c, field):
-    """#C(field) from the y that `_y_masks` solves for, infinity included."""
+    """#C(field) from the y that `quadratic_root_masks` solves for, infinity included."""
     return 1 + sum(1 for _ in c._affine_point_masks(field))
 
 
@@ -76,6 +76,11 @@ def test_point_count_matches_brute_force(t_degree, tm, degree):
     assert {None if p.is_infinity() else (p.x.mask, p.y.mask) for p in pts} == expected
     xs = [p.x.mask for p in pts[1:]]
     assert xs == sorted(xs)
+    # above each x, y = h(x) z for the smaller root z comes first
+    h, _ = c.equation_polys(field)
+    for p, q in zip(pts[1:], pts[2:]):
+        if p.x == q.x:
+            assert (p.y / h.evaluate(p.x)).mask < (q.y / h.evaluate(p.x)).mask
     above = [c.points_at(field.element(xm)) for xm in range(field.order)]
     walked = [(p.x.mask, p.y.mask) for ps in above for p in ps]
     assert len(walked) == len(expected) - 1

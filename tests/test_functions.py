@@ -8,6 +8,7 @@ import frobfix.functions as functions_module
 from frobfix.curve import Curve
 from frobfix.errors import FieldMismatchError, InconsistencyError, VerificationError
 from frobfix.functions import (
+    CurveFunction,
     PolyFunction,
     interpolate_vanishing,
     local_coordinates,
@@ -38,6 +39,25 @@ def test_riemann_roch_dimensions():
     basis5 = riemann_roch_basis(c, 5)
     orders = sorted(fn.pole_order_at_infinity() for fn in basis5 if not fn.is_zero())
     assert orders == [0, 2, 4, 5]
+
+
+@pytest.mark.parametrize("call", ["evaluate", "ord_at", "quotient", "divisor", "local_coordinates"])
+def test_point_at_infinity_raises_a_value_error(call):
+    # a function at infinity is described by its pole order; each of these
+    # used to reach for the missing x and raise AttributeError
+    c = laszlo_curve()
+    f = c.field
+    fn = PolyFunction(c, f, Poly.x(f), Poly.zero(f))
+    inf = c.infinity()
+    calls = {
+        "evaluate": lambda: fn.evaluate(inf),
+        "ord_at": lambda: fn.ord_at(inf),
+        "quotient": lambda: CurveFunction(fn, Poly.one(f)).evaluate(inf),
+        "divisor": lambda: verify_polyfunction_divisor(fn, [(inf, 2)]),
+        "local_coordinates": lambda: local_coordinates(c, inf, 4),
+    }
+    with pytest.raises(ValueError, match="at infinity are handled by pole orders"):
+        calls[call]()
 
 
 def test_local_coordinates_satisfy_equation():

@@ -331,6 +331,27 @@ def test_tables_equal_a_reference_walk(d):
     assert f.tables() == (exp + exp, log)
 
 
+@pytest.mark.parametrize("d", range(1, 17))
+def test_table_powers_match_the_carry_less_reference(d):
+    # reference: square-and-multiply by `_pow_raw` on unreduced exponents
+    f = default_field(d)
+    n = f.order - 1
+    divisors = [k for k in range(1, n + 1) if n % k == 0]
+    rng = random.Random(d)
+    for m in [1, f.order - 1] + [rng.randrange(1, f.order) for _ in range(12)]:
+        a = f.element(m)
+        for e in (0, 1, 2, 3, n, n + 1, 2 * n + 5, 10**9 + 7, 1 << 70, rng.randrange(1 << 40)):
+            assert (a ** e).mask == f._pow_raw(m, e)
+            assert f._mul_raw((a ** -e).mask, f._pow_raw(m, e)) == 1
+        s = a.sqrt().mask
+        assert s == f._pow_raw(m, f.order >> 1) and f._mul_raw(s, s) == m
+        assert a.multiplicative_order() == next(k for k in divisors if f._pow_raw(m, k) == 1)
+    zero = f.zero()
+    assert zero ** 0 == f.one() and zero ** 5 == zero and zero.sqrt() == zero
+    with pytest.raises(ZeroDivisionError):
+        zero ** -1
+
+
 @pytest.mark.parametrize("d", range(1, 13))
 def test_trace_mask_parity_is_the_trace(d):
     f = default_field(d)

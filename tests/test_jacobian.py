@@ -412,7 +412,7 @@ def test_oracle_catches_a_residual_point_off_the_field(monkeypatch):
     rng = random.Random(101)
     a, b = (random_class(c, default_field(4), rng) for _ in range(2))
     divisor = a.to_divisor() + b.to_divisor()
-    monkeypatch.setattr(curve_module, "_y_masks", lambda field, hx, fx: [])
+    monkeypatch.setattr(curve_module, "quadratic_root_masks", lambda field, b, c: [])
     with pytest.raises(InconsistencyError, match="residual point not defined over the working field"):
         oracle_class_of(divisor)
 

@@ -84,3 +84,37 @@ def test_no_assert_in_package():
         if isinstance(node, ast.Assert)
     ]
     assert not found, "assert statements in the package:\n" + "\n".join(found)
+
+
+def _raw_arithmetic_callers(path):
+    """Qualified names of the functions in `path` that call `_mul_raw` or
+    `_pow_raw`."""
+    callers = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in ("_mul_raw", "_pow_raw"):
+                    callers.add(".".join(scope) or "<module>")
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text()), ())
+    return callers
+
+
+def test_raw_arithmetic_only_bootstraps_the_tables():
+    # every power, root and trace reads the exp/log tables; the carry-less
+    # products serve only the primitive-element search that builds them
+    allowed = {"gf2.py": {"BinaryField._pow_raw", "BinaryField._ensure_tables"}}
+    found = {
+        p.name: _raw_arithmetic_callers(p) for p in sorted(PACKAGE_DIR.rglob("*.py"))
+    }
+    extra = [f"{name}: {caller}" for name, callers in found.items()
+             for caller in sorted(callers - allowed.get(name, set()))]
+    assert not extra, "raw field arithmetic outside the table bootstrap:\n" + "\n".join(extra)
+    assert found["gf2.py"] == allowed["gf2.py"]

@@ -4,8 +4,9 @@ import random
 
 import pytest
 
-from frobfix.errors import FieldMismatchError
-from frobfix.gf2 import default_field
+import frobfix.poly as poly_module
+from frobfix.errors import DegreeCapError, FieldMismatchError, SearchExhaustedError
+from frobfix.gf2 import default_field, embed, trace_mask
 from frobfix.poly import (
     Poly,
     RationalFunction,
@@ -123,18 +124,39 @@ def test_evaluate_and_roots():
 
 
 def test_solve_quadratic_in_field_and_extension():
-    f = default_field(2)
-    w = f.gen()
-    # z^2 + z + 1 = 0 has roots w, w+1 in GF(4)
-    p = Poly(f, (f.one(), f.one(), f.one()))
-    roots, fld, emb = solve_quadratic(p)
-    assert fld == f and sorted(r.mask for r in roots) == [2, 3]
-    # z^2 + z + w = 0 needs GF(16) (trace of w is 1)
-    p2 = Poly(f, (w, f.one(), f.one()))
-    roots2, fld2, emb2 = solve_quadratic(p2)
-    assert fld2.degree == 4
-    for r in roots2:
-        assert r * r + r + emb2(w) == fld2.zero()
+    # every quadratic over GF(4) and every monic one over GF(16), against
+    # the roots found by trying each element of the field, then of its
+    # default quadratic extension: ascending, a double root twice
+    for d, leads in ((2, (1, 2, 3)), (4, (1,))):
+        f, ext = default_field(d), default_field(2 * d)
+        up = embed(f, ext)
+        for a in leads:
+            for b in range(f.order):
+                for c in range(f.order):
+                    p = Poly.from_masks(f, [c, b, a])
+                    roots, fld, emb = solve_quadratic(p)
+                    brute = [x for x in range(f.order) if not p.evaluate(f.element(x))]
+                    if brute:
+                        assert fld == f and emb is embed(f, f)
+                    else:
+                        pe = p.map(up)
+                        brute = [x for x in range(ext.order) if not pe.evaluate(ext.element(x))]
+                        assert fld == ext and emb is up
+                    if len(brute) == 1:
+                        brute *= 2
+                    assert [r.mask for r in roots] == brute
+                    assert all(r.field == fld for r in roots)
+
+
+def test_solve_quadratic_caps_the_extension_and_checks_its_roots(monkeypatch):
+    f = default_field(16)
+    c = next(m for m in range(f.order) if (m & trace_mask(f)).bit_count() & 1)
+    with pytest.raises(DegreeCapError):
+        solve_quadratic(Poly.from_masks(f, [c, 1, 1]))
+    # a root kernel that finds no root even in the extension
+    monkeypatch.setattr(poly_module, "quadratic_root_masks", lambda field, b, c: [])
+    with pytest.raises(SearchExhaustedError, match="^quadratic has no root in the quadratic extension$"):
+        solve_quadratic(Poly.from_masks(default_field(2), [1, 1, 1]))
 
 
 def test_solve_quadratic_double_root():
