@@ -30,7 +30,7 @@ from .errors import (
     SearchExhaustedError,
 )
 from .functions import _merge_points, principal_witness_core, reduce_points_oracle
-from .gf2 import default_field, embed, join_fields
+from .gf2 import default_field, embed, join_fields, quadratic_root_masks, trace_mask
 from .poly import Poly, affine_span, divmod_masks, solve_additive, solve_quadratic
 
 
@@ -85,16 +85,16 @@ class JacobianClass:
 
     __slots__ = ("curve", "field", "u", "v")
 
-    def __init__(self, curve, field, u, v, check=True):
+    def __init__(self, curve, field, u, v, check=True, eq=None):
+        # eq: the (h, f) of equation_polys(field), when the caller has it
         self.curve = curve
         self.field = field
         self.u = u
         self.v = v
         if check:
-            self._validate()
+            self._validate(eq)
 
     def _validate(self, eq=None):
-        # eq: the (h, f) of equation_polys(self.field), when the caller has it
         u, v = self.u, self.v
         if u.is_zero() or u.leading().mask != 1:
             raise ValueError("u must be monic")
@@ -152,9 +152,7 @@ class JacobianClass:
                 u = u_next
             u = u.monic()
             v = v % u if u.degree > 0 else Poly.zero(self.field)
-        out = JacobianClass(self.curve, self.field, u, v, check=False)
-        out._validate(eq)
-        return out
+        return JacobianClass(self.curve, self.field, u, v, eq=eq)
 
     def neg(self):
         h, _ = self.curve.equation_polys(self.field)
@@ -259,9 +257,8 @@ class JacobianClass:
 def _closed_form_sum(field, h, f, u1, v1, u2, v2):
     """The reduced sum of (u1, v1) and (u2, v2), all coefficient-mask tuples
     like h and f, as mask lists (u, v): for a coprime addition or a doubling
-    with Res(u, h) != 0, else None.  Modulo w = x^2 + b1 x + b0, a linear
-    r = r1 x + r0 has the inverse (r1 x + r0 + r1 b1) / rho, where
-    rho = r0^2 + r0 r1 b1 + r1^2 b0 is zero exactly when r and w share a root.
+    with Res(u, h) != 0, else None.  Each s is k r^-1 mod w, from
+    `_quotient_mod_quadratic`:
         add:    s = (v1 + v2) (u1 mod u2)^-1 mod u2,  V = v1 + s u1,  U = u1 u2
         double: s = ((v^2 + v h + f) / u) (h mod u)^-1 mod u,  V = v + s u,  U = u^2
     then one reduction: u' = (V^2 + V h + f) / U made monic, v' = (V + h) mod u'."""
@@ -303,15 +300,10 @@ def _closed_form_sum(field, h, f, u1, v1, u2, v2):
         big_u = [mul(a0, a0), 0, mul(a1, a1), 0, 1]
     else:
         return None
-    (r0, r1), (k0, k1) = r, k
-    e = r0 ^ mul(r1, b1)
-    rho = mul(r0, e) ^ mul(mul(r1, r1), b0)
-    if not rho:
+    s = _quotient_mod_quadratic(field, mul, k, r, b0, b1)
+    if s is None:
         return None
-    i = field.inv_mask(rho)
-    i0, i1 = mul(e, i), mul(r1, i)
-    t = mul(k1, i1)
-    s0, s1 = mul(k0, i0) ^ mul(t, b0), mul(k0, i1) ^ mul(k1, i0) ^ mul(t, b1)
+    s0, s1 = s
     big_v = [c0 ^ mul(s0, a0), c1 ^ mul(s1, a0) ^ mul(s0, a1), s0 ^ mul(s1, a1), s1]
     u = exact(mumford(big_v), big_u)
     while u and not u[-1]:
@@ -321,6 +313,23 @@ def _closed_form_sum(field, h, f, u1, v1, u2, v2):
     for j, c in enumerate(h):
         big_v[j] ^= c
     return u, divmod_masks(field, big_v, u)[1]
+
+
+def _quotient_mod_quadratic(field, mul, k, r, b0, b1):
+    """k / r mod w = x^2 + b1 x + b0, for linear k and r given as mask pairs
+    (k0, k1) and (r0, r1), as a mask pair; None when r and w share a root.
+    `mul` is the caller's table product.  Modulo w, r = r1 x + r0 has the
+    inverse (r1 x + r0 + r1 b1) / rho, where rho = r0^2 + r0 r1 b1 + r1^2 b0
+    is zero exactly when r and w share a root."""
+    (r0, r1), (k0, k1) = r, k
+    e = r0 ^ mul(r1, b1)
+    rho = mul(r0, e) ^ mul(mul(r1, r1), b0)
+    if not rho:
+        return None
+    i = field.inv_mask(rho)
+    i0, i1 = mul(e, i), mul(r1, i)
+    t = mul(k1, i1)
+    return mul(k0, i0) ^ mul(t, b0), mul(k0, i1) ^ mul(k1, i0) ^ mul(t, b1)
 
 
 # ---------------------------------------------------------------------------
@@ -373,6 +382,7 @@ def principal_witness(divisor):
 # Group orders: zeta bookkeeping cross-checked by enumeration.
 
 _lpoly_cache = {}
+_order_cache = {}
 
 
 def curve_lpolynomial(curve):
@@ -384,10 +394,15 @@ def curve_lpolynomial(curve):
 
 def group_order(curve, field):
     """#J(field), from the L-polynomial; for #field <= 64 the value is
-    cross-checked against exhaustive Mumford enumeration."""
+    cross-checked against exhaustive Mumford enumeration.  The checked
+    value is memoised per (curve model, field) in `_order_cache`, beside
+    `_lpoly_cache`, so each enumeration runs once per process."""
     d = curve.field.degree
     if field.degree % d:
         raise FieldMismatchError("field is not an extension of the curve base field")
+    key = (curve.field, curve.effective_t, field)
+    if key in _order_cache:
+        return _order_cache[key]
     s1, s2 = curve_lpolynomial(curve)
     n = jacobian_order_from_lpoly(s1, s2, curve.field.order, field.degree // d)
     if field.order <= 64:
@@ -396,23 +411,25 @@ def group_order(curve, field):
             raise InconsistencyError(
                 f"zeta order {n} disagrees with enumerated count {counted}"
             )
+    _order_cache[key] = n
     return n
 
 
-def _v_solution_space(curve, field, u):
+def _v_solution_space(curve, field, u, eq=None):
     """Solutions v (deg v < deg u) of u | v^2 + v h + f: None when
-    unsolvable, else (particular, kernel) as Polys (see `solve_additive`)."""
-    h, f = curve.equation_polys(field)
+    unsolvable, else (particular, kernel) as Polys (see `solve_additive`).
+    eq: the (h, f) of equation_polys(field), when the caller has it."""
+    h, f = eq or curve.equation_polys(field)
     return solve_additive(u.degree, h, f, u)
 
 
-def _solvable_quadratics(curve, field):
+def _solvable_quadratics(curve, field, eq):
     """(u, particular, kernel) for every monic quadratic u, in mask order of
     (u1, u0), for which some v has u | v^2 + v h + f over `field`."""
     for u1m in range(field.order):
         for u0m in range(field.order):
             u = Poly.from_masks(field, (u0m, u1m, 1))
-            sol = _v_solution_space(curve, field, u)
+            sol = _v_solution_space(curve, field, u, eq)
             if sol is not None:
                 yield u, *sol
 
@@ -420,18 +437,22 @@ def _solvable_quadratics(curve, field):
 def _degree_two_classes(curve, field):
     """Every class with deg u = 2 over `field`: u in the order of
     `_solvable_quadratics`, then v in the combo-bit order of `affine_span`."""
-    for u, part, kernel in _solvable_quadratics(curve, field):
+    eq = curve.equation_polys(field)
+    for u, part, kernel in _solvable_quadratics(curve, field, eq):
         for v in affine_span(part, kernel):
-            yield JacobianClass(curve, field, u, v)
+            yield JacobianClass(curve, field, u, v, eq=eq)
 
 
 def count_classes(curve, field):
     """Exhaustive count of reduced Mumford pairs over `field`.  Degree-1
     classes are the affine points found by solving for y, not by the trace
-    criterion of `count_points`, which feeds the zeta side of `group_order`."""
+    criterion of `count_points`, which feeds the zeta side of `group_order`;
+    degree-2 classes come from the full Mumford solve of every u, never
+    from `_solvable_by_trace`."""
     total = 1  # the identity (u, v) = (1, 0)
     total += sum(1 for _ in curve._affine_point_masks(field))  # degree-1 classes
-    return total + sum(1 << len(kernel) for _, _, kernel in _solvable_quadratics(curve, field))
+    quadratics = _solvable_quadratics(curve, field, curve.equation_polys(field))
+    return total + sum(1 << len(kernel) for _, _, kernel in quadratics)
 
 
 def enumerate_classes(curve, field):
@@ -445,22 +466,69 @@ def enumerate_classes(curve, field):
     return out
 
 
+def _solvable_by_trace(field, h, f, u0, u1):
+    """Whether v^2 + v h = f has a solution v mod u = x^2 + u1 x + u0 (h, f
+    coefficient masks, deg h = 2), by the trace criterion; None when h is
+    not a unit mod u, which for h = x^2 + x means u0 = 0 or u(1) = 0.
+
+    With v = h z the equation is z^2 + z = c, c = f h^-2 mod u = c1 x + c0,
+    in F[x]/(u).  If u1 = 0, u = (x + s)^2 with s = sqrt(u0), and that is
+    solvable iff Tr(c0 + c1 s) = 0.  Else u has roots r, r + u1 and c(r) +
+    c(r + u1) = c1 u1: irreducible u (Tr(u0 / u1^2) = 1) needs only
+    Tr(c1 u1) = 0, and split u also Tr(c(r)) = 0 at a root r (either root,
+    once Tr(c1 u1) = 0).
+    Only `random_class` may call this: the enumeration behind `group_order`
+    checks the zeta side, which rests on the same trace criterion."""
+    mul, tm = field.mul_masks, trace_mask(field)
+
+    def tr(x):
+        return (x & tm).bit_count() & 1
+
+    p0, p1 = h[0] ^ mul(h[2], u0), h[1] ^ mul(h[2], u1)  # h mod u
+    sq = mul(p1, p1)  # h^2 = p1^2 (u1 x + u0) + p0^2 mod u
+    c = _quotient_mod_quadratic(field, mul, divmod_masks(field, f, (u0, u1, 1))[1],
+                                (mul(sq, u0) ^ mul(p0, p0), mul(sq, u1)), u0, u1)
+    if c is None:
+        return None
+    c0, c1 = c
+    if not u1:
+        return not tr(c0 ^ mul(c1, field.pow_mask(u0, field.order >> 1)))
+    if tr(mul(c1, u1)):
+        return False
+    inv = field.inv_mask(u1)
+    if tr(mul(u0, mul(inv, inv))):  # u irreducible
+        return True
+    return not tr(c0 ^ mul(c1, quadratic_root_masks(field, u1, u0)[0]))
+
+
 def random_class(curve, field, rng):
-    """A random class with deg u = 2: u is drawn until its Mumford equation
-    for v is solvable (every monic u is reachable, split or not), then v is
-    the particular solution plus each kernel vector for which one
-    rng.randrange(2), drawn in kernel order, is 1."""
-    one = field.one()
+    """A random class with deg u = 2: u = x^2 + u1 x + u0 is drawn, u0 then
+    u1 by two field.random(rng) calls, until its Mumford equation for v is
+    solvable (every monic u is reachable, split or not), then v is the
+    particular solution plus each kernel vector for which one
+    rng.randrange(2), drawn in kernel order, is 1.  No other rng value is
+    drawn.  The trace criterion (`_solvable_by_trace`) rejects most
+    unsolvable u before the solve; an accepted u still runs the full solve,
+    and a u it accepts that has no solution raises InconsistencyError."""
+    eq = curve.equation_polys(field)
+    h, f = (p.masks() for p in eq)
     while True:
-        u = Poly(field, (field.random(rng), field.random(rng), one))
-        sol = _v_solution_space(curve, field, u)
+        u0, u1 = field.random(rng).mask, field.random(rng).mask
+        by_trace = _solvable_by_trace(field, h, f, u0, u1)
+        if by_trace is False:
+            continue
+        u = Poly.from_masks(field, (u0, u1, 1))
+        sol = _v_solution_space(curve, field, u, eq)
         if sol is None:
+            if by_trace:
+                raise InconsistencyError(
+                    "trace criterion accepted u, but v^2 + v h = f has no solution mod u")
             continue
         v, kernel = sol
         for k in kernel:
             if rng.randrange(2):
                 v = v + k
-        return JacobianClass(curve, field, u, v)
+        return JacobianClass(curve, field, u, v, eq=eq)
 
 
 # ---------------------------------------------------------------------------
@@ -471,14 +539,15 @@ def two_torsion(curve, field):
 
     Complete by uniqueness of the reduced form: c = -c iff u | h.
     """
+    eq = curve.equation_polys(field)
     out = [JacobianClass.identity(curve, field)]
     for masks in ((0, 1), (1, 1), (0, 1, 1)):  # x, x + 1, x^2 + x = h
         u = Poly.from_masks(field, masks)
-        sol = _v_solution_space(curve, field, u)
+        sol = _v_solution_space(curve, field, u, eq)
         if sol is None:
             continue
         for v in affine_span(*sol):
-            c = JacobianClass(curve, field, u, v)
+            c = JacobianClass(curve, field, u, v, eq=eq)
             if c.neg().key() == c.key():
                 out.append(c)
     for c in out:

@@ -11,7 +11,8 @@ layer's one root kernel, `gf2.quadratic_root_masks` (the Artin-Schreier
 substitution, not any discriminant formula), and the polynomial equation
 z^2 + g z = r (mod w), which gives Mumford's v (g = h, r = f, w = u) and
 the automorphism lifts (no modulus), as a GF(2)-linear system
-(`solve_additive`).
+(`solve_additive`), whose columns are built on coefficient masks: powers
+of x by the recurrence x^(k+1) = x x^k mod w, products by table logs.
 """
 
 from .errors import FieldMismatchError, SearchExhaustedError
@@ -291,39 +292,51 @@ def solve_quadratic(p):
     return [FieldElement(field, y) for y in sorted(ys)], field, emb
 
 
+_basis_cache = {}
+
+
+def _basis_logs(field):
+    """Build and cache, under (degree, modulus), the logs of a and a^2 for
+    each a = 2^b of the mask basis."""
+    log = field.tables()[1]
+    logs = [(log[1 << b], log[field.mul_masks(1 << b, 1 << b)]) for b in range(field.degree)]
+    _basis_cache[field.degree, field.modulus] = logs
+    return logs
+
+
 def solve_additive(n, g, rhs, w=None):
-    """Solutions z (deg z < n) over g's field of z^2 + g z = rhs, taken
-    mod w when w is given.
+    """Solutions z (deg z < n) over g's field of z^2 + g z = rhs (mod w).
 
     z -> z^2 + g z is additive, so the equation is linearized over GF(2):
     bit b of coefficient i of z is unknown i*d + b (d = field.degree), and
-    its column is the image of a x^i, a = 2^b, which is a^2 (x^(2i) mod w)
-    + a (x^i g mod w), packed the same way as rhs (mod w).  Returns None
-    when unsolvable, else (particular, kernel) as Polys, the kernel in the
-    order `solve_gf2_linear` gives.
+    its column is the image of a x^i, a = 2^b: a^2 (x^(2i) mod w) + a (x^i g
+    mod w), packed as rhs (mod w) is.  On coefficient masks, x^(2i) and x^i g
+    step by x^(k+1) = x x^k mod w (unreduced when w is None), and a product
+    by a or a^2 adds its log (`_basis_logs`).  Returns None when unsolvable,
+    else (particular, kernel) as Polys, the kernel in the order
+    `solve_gf2_linear` gives.
     """
     g._check(rhs)
-    field = g.field
-    d = field.degree
-    mul = field.mul_masks
+    field, d = g.field, g.field.degree
+    exp, log = field.tables()
+    a_logs = _basis_cache.get((d, field.modulus)) or _basis_logs(field)
+    r = (rhs if w is None else rhs % w).masks()  # checks w's field, and w != 0
 
-    def reduce(p):
-        return (p if w is None else p % w).masks()
+    def reduce(p):  # coefficient masks p mod w, as a list
+        return list(p) if w is None or len(p) < len(w._m) else divmod_masks(field, p, w._m)[1]
 
-    def pack(masks, scalar=1):
-        bits = 0
-        for i, c in enumerate(masks):
-            bits |= mul(scalar, c) << (i * d)
-        return bits
-
-    cols = []
-    for i in range(n):
-        square = reduce(_wrap(field, [0] * (2 * i) + [1]))
-        linear = reduce(_wrap(field, [0] * i + list(g.masks())))
-        for b in range(d):
-            a = 1 << b
-            cols.append(pack(square, mul(a, a)) ^ pack(linear, a))
-    part, kernel = solve_gf2_linear(cols, pack(reduce(rhs)))
+    square, linear, cols = [1], g.masks(), []
+    for _ in range(n):
+        square, linear = reduce(square), reduce(linear)
+        terms = [(j * d, log[c], 1) for j, c in enumerate(square) if c]
+        terms += [(j * d, log[c], 0) for j, c in enumerate(linear) if c]
+        for la in a_logs:  # (log a, log a^2)
+            col = 0
+            for shift, lc, k in terms:
+                col ^= exp[lc + la[k]] << shift
+            cols.append(col)
+        square, linear = [0, 0] + square, [0] + linear
+    part, kernel = solve_gf2_linear(cols, sum(c << j * d for j, c in enumerate(r)))
     if part is None:
         return None
 

@@ -12,6 +12,7 @@ from frobfix.gf2 import default_field, embed
 from frobfix.jacobian import (
     FormalDivisor,
     JacobianClass,
+    _solvable_by_trace,
     _v_solution_space,
     class_of,
     count_classes,
@@ -100,6 +101,78 @@ def test_v_solution_space_matches_brute_force_gf4():
         span = [v.masks() for v in affine_span(*sol)]
         assert len(set(span)) == len(span) == 1 << len(sol[1])  # kernel independent
         assert set(span) == expected
+
+
+@pytest.mark.parametrize(
+    "base_degree, t_mask, degree",
+    [(4, tm, 4) for tm in range(2, 16)] + [(2, 2, 6)],
+    ids=[f"t{tm}-gf16" for tm in range(2, 16)] + ["t2-gf4-over-gf64"],
+)
+def test_trace_pretest_agrees_with_the_solve(base_degree, t_mask, degree):
+    # every monic quadratic; h = x^2 + x is a unit mod u unless u0 = 0 or u(1) = 0,
+    # and those u are left undecided for the solve
+    base = default_field(base_degree)
+    c = Curve(base, base.element(t_mask))
+    field = default_field(degree)
+    eq = h, f = c.equation_polys(field)
+    undecided = 0
+    for u1 in range(field.order):
+        for u0 in range(field.order):
+            by_trace = _solvable_by_trace(field, h.masks(), f.masks(), u0, u1)
+            if u0 == 0 or u0 ^ u1 == 1:
+                assert by_trace is None
+                undecided += 1
+                continue
+            sol = _v_solution_space(c, field, Poly.from_masks(field, (u0, u1, 1)), eq)
+            assert by_trace is (sol is not None), (u0, u1)
+    assert undecided == 2 * field.order - 1
+
+
+class ScriptedRng:
+    """Returns the given values in turn from randrange, checking each bound."""
+
+    def __init__(self, draws):
+        self.draws = list(draws)
+
+    def randrange(self, n):
+        value = self.draws.pop(0)
+        assert 0 <= value < n
+        return value
+
+
+def test_random_class_solves_every_u_the_trace_does_not_reject(monkeypatch):
+    # two draws per u and one per kernel vector; a rejected u never reaches
+    # the solve, an undecided or accepted one does
+    import frobfix.jacobian as jacobian_module
+
+    c = laszlo_curve()
+    f16 = default_field(4)
+    h, f = (p.masks() for p in c.equation_polys(f16))
+    verdicts = {(u0, u1): _solvable_by_trace(f16, h, f, u0, u1) for u1 in range(16) for u0 in range(16)}
+    assert set(verdicts.values()) == {None, True, False}
+    good = next(u for u, by_trace in verdicts.items() if by_trace)
+    solve = jacobian_module._v_solution_space
+    solved = []
+    monkeypatch.setattr(jacobian_module, "_v_solution_space",
+                        lambda *args: solved.append(args[2].masks()[:2]) or solve(*args))
+    for u, by_trace in verdicts.items():
+        solved.clear()
+        kept = solve(c, f16, Poly.from_masks(f16, (*u, 1))) is not None
+        rng = ScriptedRng([*u] + ([] if kept else [*good]) + [1] * 4)
+        cls = random_class(c, f16, rng)
+        assert cls.u.masks()[:2] == (u if kept else good)
+        assert solved == ([] if by_trace is False else [u]) + ([] if kept else [good])
+        assert len(rng.draws) == 4 - len(solve(c, f16, cls.u)[1])
+
+
+def test_random_class_catches_a_u_the_trace_accepts_without_a_solution(monkeypatch):
+    import frobfix.jacobian as jacobian_module
+
+    monkeypatch.setattr(jacobian_module, "_v_solution_space", lambda *args: None)
+    with pytest.raises(InconsistencyError) as exc:
+        random_class(laszlo_curve(), default_field(4), random.Random(0))
+    assert exc.type is InconsistencyError
+    assert str(exc.value) == "trace criterion accepted u, but v^2 + v h = f has no solution mod u"
 
 
 def test_random_class_stream_is_pinned():
@@ -385,6 +458,7 @@ def test_group_order_catches_a_dropped_kernel_vector(monkeypatch):
         sol = solve(*args)
         return sol if sol is None or not sol[1] else (sol[0], sol[1][:-1])
 
+    monkeypatch.setattr(jacobian_module, "_order_cache", {})
     monkeypatch.setattr(jacobian_module, "solve_additive", drop_last)
     with pytest.raises(InconsistencyError, match="disagrees with enumerated count"):
         group_order(laszlo_curve(), default_field(4))
@@ -398,6 +472,7 @@ def test_group_order_catches_a_flipped_trace_mask_bit(monkeypatch):
     import frobfix.jacobian as jacobian_module
 
     monkeypatch.setattr(jacobian_module, "_lpoly_cache", {})
+    monkeypatch.setattr(jacobian_module, "_order_cache", {})
     monkeypatch.setattr(curve_module, "trace_mask", lambda field: gf2_module.trace_mask(field) ^ 1)
     with pytest.raises(InconsistencyError) as exc:
         group_order(laszlo_curve(), default_field(4))
@@ -468,3 +543,42 @@ def test_torsion_subgroup_catches_a_count_above_the_bound(monkeypatch):
         torsion_subgroup(laszlo_curve(), 3, 2)
     assert exc.type is InconsistencyError
     assert str(exc.value) == "torsion count exceeds r^(2g)"
+
+
+def test_group_order_memo_enumerates_gf64_once(monkeypatch):
+    import frobfix.jacobian as jacobian_module
+
+    count = jacobian_module.count_classes
+    calls = []
+    monkeypatch.setattr(jacobian_module, "_order_cache", {})
+    monkeypatch.setattr(jacobian_module, "count_classes", lambda *args: calls.append(args) or count(*args))
+    c, f64 = laszlo_curve(), default_field(6)
+    n = group_order(c, f64)
+    assert len(sylow_subgroup(c, f64, 3)) == 1
+    assert group_order(c, f64) == n
+    assert len(calls) == 1
+
+
+def test_sylow_subgroup_catches_a_closure_above_its_order(monkeypatch):
+    import frobfix.jacobian as jacobian_module
+
+    closure = jacobian_module._subgroup_closure
+
+    def one_spurious_key(elements, new):
+        out = closure(elements, new)
+        out["spurious"] = new
+        return out
+
+    monkeypatch.setattr(jacobian_module, "_subgroup_closure", one_spurious_key)
+    with pytest.raises(InconsistencyError) as exc:
+        sylow_subgroup(laszlo_curve(), default_field(4), 3)
+    assert exc.type is InconsistencyError
+    assert str(exc.value) == "Sylow subgroup exceeded its order bound"
+
+
+def test_ordinarity_check_catches_criteria_that_disagree(monkeypatch):
+    monkeypatch.setattr(Curve, "is_ordinary", lambda self: False)
+    with pytest.raises(InconsistencyError) as exc:
+        ordinarity_check(laszlo_curve())
+    assert exc.type is InconsistencyError
+    assert str(exc.value) == "branch-point and 2-torsion ordinarity criteria disagree"

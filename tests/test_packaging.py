@@ -86,9 +86,8 @@ def test_no_assert_in_package():
     assert not found, "assert statements in the package:\n" + "\n".join(found)
 
 
-def _raw_arithmetic_callers(path):
-    """Qualified names of the functions in `path` that call `_mul_raw` or
-    `_pow_raw`."""
+def _callers(path, names):
+    """Qualified names of the functions in `path` that call any of `names`."""
     callers = set()
 
     def visit(node, scope):
@@ -99,7 +98,7 @@ def _raw_arithmetic_callers(path):
             if isinstance(child, ast.Call):
                 func = child.func
                 name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-                if name in ("_mul_raw", "_pow_raw"):
+                if name in names:
                     callers.add(".".join(scope) or "<module>")
             visit(child, scope)
 
@@ -112,9 +111,16 @@ def test_raw_arithmetic_only_bootstraps_the_tables():
     # products serve only the primitive-element search that builds them
     allowed = {"gf2.py": {"BinaryField._pow_raw", "BinaryField._ensure_tables"}}
     found = {
-        p.name: _raw_arithmetic_callers(p) for p in sorted(PACKAGE_DIR.rglob("*.py"))
+        p.name: _callers(p, {"_mul_raw", "_pow_raw"}) for p in sorted(PACKAGE_DIR.rglob("*.py"))
     }
     extra = [f"{name}: {caller}" for name, callers in found.items()
              for caller in sorted(callers - allowed.get(name, set()))]
     assert not extra, "raw field arithmetic outside the table bootstrap:\n" + "\n".join(extra)
     assert found["gf2.py"] == allowed["gf2.py"]
+
+
+def test_only_random_class_decides_by_the_trace_criterion():
+    # the enumeration behind group_order cross-checks the zeta side, which
+    # counts by the trace criterion; it must keep the full Mumford solve
+    found = {p.name: _callers(p, {"_solvable_by_trace"}) for p in sorted(PACKAGE_DIR.rglob("*.py"))}
+    assert {name: callers for name, callers in found.items() if callers} == {"jacobian.py": {"random_class"}}

@@ -5,8 +5,9 @@ import random
 import pytest
 
 import frobfix.poly as poly_module
+from frobfix.curve import Curve
 from frobfix.errors import DegreeCapError, FieldMismatchError, SearchExhaustedError
-from frobfix.gf2 import default_field, embed, trace_mask
+from frobfix.gf2 import default_field, embed, solve_gf2_linear, trace_mask
 from frobfix.poly import (
     Poly,
     RationalFunction,
@@ -204,6 +205,62 @@ def test_solve_additive_without_modulus_matches_brute_force_gf4():
         assert unsolvable
     with pytest.raises(FieldMismatchError):
         solve_additive(3, Poly.one(f4), Poly.one(default_field(4)))
+
+
+def _poly_column_solve(n, g, rhs, w=None):
+    """solve_additive's GF(2) system built on Polys: the column of bit b of
+    coefficient i is a^2 (x^(2i) mod w) + a (x^i g mod w), a = 2^b, packed
+    with coefficient j at bit j*d, as rhs (mod w) is."""
+    field, d = g.field, g.field.degree
+
+    def reduce(p):
+        return p if w is None else p % w
+
+    def pack(p):
+        return sum(c << j * d for j, c in enumerate(p.masks()))
+
+    cols = []
+    for i in range(n):
+        square, linear = reduce(Poly.x(field) ** (2 * i)), reduce(Poly.x(field) ** i * g)
+        for b in range(d):
+            a = field.element(1 << b)
+            cols.append(pack(square.scale(a * a) + linear.scale(a)))
+    part, kernel = solve_gf2_linear(cols, pack(reduce(rhs)))
+    if part is None:
+        return None
+    return [[bits >> i * d & ((1 << d) - 1) for i in range(n)] for bits in [part] + kernel]
+
+
+def _padded(sol, n):
+    """solve_additive's (particular, kernel) as coefficient lists of length n."""
+    if sol is None:
+        return None
+    part, kernel = sol
+    return [list(z.masks()) + [0] * (n - len(z.masks())) for z in [part] + kernel]
+
+
+def test_solve_additive_matches_the_poly_column_solve():
+    # the Mumford shape: every monic u of degree 1 and 2 over GF(16), for
+    # t = w and w + 1; and the automorphism-lift shape, n = 8 with no modulus
+    f4, f16 = default_field(2), default_field(4)
+    seen = set()
+    for t in (f4.gen(), f4.gen() + f4.one()):
+        h, f = Curve(f4, t).equation_polys(f16)
+        every_u = [Poly.from_masks(f16, (u0, 1)) for u0 in range(16)]
+        every_u += [Poly.from_masks(f16, (u0, u1, 1)) for u1 in range(16) for u0 in range(16)]
+        for u in every_u:
+            expected = _poly_column_solve(u.degree, h, f, u)
+            assert _padded(solve_additive(u.degree, h, f, u), u.degree) == expected, u
+            seen.add(expected is None)
+    rng = random.Random(8)
+    for _ in range(200):
+        g = _random_poly(f16, rng, 8)
+        z = Poly.from_masks(f16, [rng.randrange(16) for _ in range(8)])
+        rhs = z * z + g * z if rng.randrange(2) else _random_poly(f16, rng, 16)
+        expected = _poly_column_solve(8, g, rhs)
+        assert _padded(solve_additive(8, g, rhs), 8) == expected
+        seen.add(expected is None)
+    assert seen == {True, False}
 
 
 def test_rational_function_normalization_and_arithmetic():
