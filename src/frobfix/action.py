@@ -1,21 +1,32 @@
 """The automorphism group Z/2 x S3 of the curve family.
 
-Every automorphism is (x, y) -> (m(x), p(x) + q(x) y) where m is a Mobius
-map permuting the branch x-coordinates {0, 1, inf}, q = h(m)/h is forced
-by the y-coefficient of the transformed equation, and p solves
+Every automorphism is (x, y) -> (m(x), (a(x) y + b(x)) / c(x)) where
+m = N/D is a Mobius map permuting the branch x-coordinates {0, 1, inf}
+and (a, b, c) are polynomials with gcd 1 and c monic, so the triple is
+unique.  Everything is computed on cleared denominators: for a polynomial
+p and k >= deg p, p(N/D) D^k is a polynomial (`_homogenize`).  With
+H = h(m) D^2 and F = f(m) D^6 the curve identity is the pair of polynomial
+identities
 
-    p^2 + h(m(x)) p = f(m(x)) + q^2 f(x).
+    a h D^2 = H c,    (a^2 f + b^2) D^6 + H D^4 b c = F c^2,
 
-Squaring is additive in characteristic 2, so after clearing denominators
-this is a GF(2)-linear system in the coefficients of p; the solver finds
-both lifts (they differ by the hyperelliptic involution) over the base
-field, where both exist for every t over GF(2^d), d <= 9.
+checked on every automorphism built.  A lift of m is
+y -> (H D y + B) / (D^3 h) where B solves
+
+    B^2 + (H D h) B = F h^2 + H^2 D^2 f.
+
+Squaring is additive in characteristic 2, so this is a GF(2)-linear
+system in the coefficients of B; the solver finds both lifts (they differ
+by the hyperelliptic involution) over the base field, where both exist
+for every t over GF(2^d), d <= 9.  The group checks compose each pair of
+the twelve lifts once, into one Cayley table, and read the relations and
+the element orders from it.
 """
 
 from .errors import FieldMismatchError, InconsistencyError, SearchExhaustedError
 from .gf2 import embed
 from .jacobian import FormalDivisor, class_of
-from .poly import Poly, RationalFunction, affine_span, solve_additive
+from .poly import Poly, affine_span, solve_additive
 
 
 class MobiusMap:
@@ -40,9 +51,6 @@ class MobiusMap:
 
     def denominator_poly(self):
         return Poly(self.field, (self.d, self.c))
-
-    def as_rational(self):
-        return RationalFunction(self.numerator_poly(), self.denominator_poly())
 
     def apply_x(self, x):
         """Image of a finite x; None encodes the point at infinity."""
@@ -112,6 +120,30 @@ class MobiusMap:
         return f"Mobius({hex(k[0])}x+{hex(k[1])})/({hex(k[2])}x+{hex(k[3])})"
 
 
+def _homogenize(mobius, polys, k):
+    """[p(N/D) D^k for p in polys] for the map N/D, each deg p <= k: the
+    sums of p_i N^i D^(k-i), from one table of the products N^i D^(k-i)."""
+    field = mobius.field
+    num, den = mobius.numerator_poly(), mobius.denominator_poly()
+    npow, dpow = [Poly.one(field)], [Poly.one(field)]
+    for _ in range(k):
+        npow.append(npow[-1] * num)
+        dpow.append(dpow[-1] * den)
+    basis = [(npow[i] * dpow[k - i]).masks() for i in range(k + 1)]
+    mul = field.mul_masks
+    out = []
+    for p in polys:
+        if p.degree > k:
+            raise ValueError(f"degree {p.degree} exceeds the homogenizing degree {k}")
+        acc = [0] * (k + 1)
+        for c, row in zip(p.masks(), basis):
+            if c:
+                for j, r in enumerate(row):
+                    acc[j] ^= mul(c, r)
+        out.append(Poly.from_masks(field, acc))
+    return out
+
+
 def s3_mobius_maps(field):
     """The six Mobius maps permuting {0, 1, inf} (entries in GF(2))."""
     o, z = field.one(), field.zero()
@@ -130,122 +162,107 @@ def s3_mobius_maps(field):
 
 
 class CurveAutomorphism:
-    """(x, y) -> (m(x), p(x) + q(x) y), validated exactly at construction."""
+    """(x, y) -> (m(x), (a(x) y + b(x)) / c(x)), normalized to gcd(a, b, c)
+    = 1 with c monic, and validated exactly at construction."""
 
-    __slots__ = ("curve", "mobius", "p", "q", "_eval_cache")
+    __slots__ = ("curve", "mobius", "a", "b", "c", "_eval_cache")
 
-    def __init__(self, curve, mobius, p, q):
+    def __init__(self, curve, mobius, a, b, c):
+        g = a.gcd(b).gcd(c)
+        if g.degree > 0:
+            a, b, c = a.divexact(g), b.divexact(g), c.divexact(g)
+        inv = c.leading().inverse()
         self.curve = curve
         self.mobius = mobius
-        self.p = p
-        self.q = q
+        self.a, self.b, self.c = a.scale(inv), b.scale(inv), c.scale(inv)
         self._eval_cache = {}
         self._validate()
 
     def _validate(self):
         h, f = self.curve.equation_polys(self.mobius.field)
-        hr, fr = RationalFunction(h), RationalFunction(f)
-        m = self.mobius.as_rational()
-        hm, fm = hr.substitute(m), fr.substitute(m)
-        # y-coefficient: q^2 h + h(m) q = 0, constant: p^2 + h(m) p + q^2 f + f(m) = 0
-        ycoef = self.q * self.q * hr + hm * self.q
-        const = self.p * self.p + hm * self.p + self.q * self.q * fr + fm
-        if not (ycoef.is_zero() and const.is_zero()):
+        (hm,) = _homogenize(self.mobius, (h,), 2)
+        (fm,) = _homogenize(self.mobius, (f,), 6)
+        d2 = self.mobius.denominator_poly() ** 2
+        d4 = d2 * d2
+        a, b, c = self.a, self.b, self.c
+        # y-coefficient and constant term of the transformed equation
+        if not (
+            a * h * d2 == hm * c
+            and (a * a * f + b * b) * d4 * d2 + hm * d4 * b * c == fm * c * c
+        ):
             raise InconsistencyError("automorphism data fails the curve identity")
 
     # -- serialization view ---------------------------------------------------
     def abc(self):
         """(a, b, c) with y -> (a(x) y + b(x)) / c(x)."""
-        c = (self.p.den * self.q.den).divexact(self.p.den.gcd(self.q.den))
-        a = self.q.num * c.divexact(self.q.den)
-        b = self.p.num * c.divexact(self.p.den)
-        return a, b, c
+        return self.a, self.b, self.c
 
     def coefficient_key(self):
-        a, b, c = self.abc()
-        return (self.mobius.key(), a.masks(), b.masks(), c.masks())
+        return (self.mobius.key(), self.a.masks(), self.b.masks(), self.c.masks())
 
     # -- group structure --------------------------------------------------------
     def compose(self, other):
         """self after other."""
         if not self.curve.same_model(other.curve):
             raise FieldMismatchError("automorphisms of different curves")
-        m2 = other.mobius.as_rational()
-        p1m = self.p.substitute(m2)
-        q1m = self.q.substitute(m2)
+        k = max(p.degree for p in self.abc())
+        a1, b1, c1 = _homogenize(other.mobius, self.abc(), k)
         return CurveAutomorphism(
             self.curve,
             self.mobius.compose(other.mobius),
-            p1m + q1m * other.p,
-            q1m * other.q,
+            a1 * other.a,
+            a1 * other.b + b1 * other.c,
+            c1 * other.c,
         )
 
     def inverse(self):
+        # y' c = a y + b, so y = (c y' + b) / a at x = m^-1(x')
         minv = self.mobius.inverse()
-        mr = minv.as_rational()
-        pim = self.p.substitute(mr)
-        qim = self.q.substitute(mr)
-        return CurveAutomorphism(self.curve, minv, pim / qim, qim ** (-1))
+        k = max(p.degree for p in self.abc())
+        return CurveAutomorphism(self.curve, minv, *_homogenize(minv, (self.c, self.b, self.a), k))
 
     def is_identity(self):
-        f = self.mobius.field
-        return (
-            self.mobius == MobiusMap(f.one(), f.zero(), f.zero(), f.one())
-            and self.p.is_zero()
-            and self.q == RationalFunction(Poly.one(f))
-        )
-
-    def order(self):
-        acc = self
-        for k in range(1, 13):  # an element's order divides #Aut(X) = 12
-            if acc.is_identity():
-                return k
-            acc = acc.compose(self)
-        raise InconsistencyError("automorphism order exceeds the group bound")
+        return self.coefficient_key() == ((1, 0, 0, 1), (1,), (), (1,))
 
     def __eq__(self, other):
         return (
             isinstance(other, CurveAutomorphism)
             and self.curve.same_model(other.curve)
-            and self.mobius == other.mobius
-            and self.p == other.p
-            and self.q == other.q
+            and self.coefficient_key() == other.coefficient_key()
         )
 
     def __hash__(self):
-        return hash((self.mobius, self.p, self.q))
+        return hash(self.coefficient_key())
 
     def __repr__(self):
-        return f"Aut({self.mobius!r}; p={self.p!r}, q={self.q!r})"
+        return f"Aut({self.mobius!r}; a={self.a!r}, b={self.b!r}, c={self.c!r})"
 
     # -- action -------------------------------------------------------------------
     def _mapped(self, field):
         got = self._eval_cache.get(field)
         if got is None:
             emb = embed(self.mobius.field, field)
-            got = (self.p.map(emb), self.q.map(emb))
+            got = tuple(p.map(emb) for p in self.abc())
             self._eval_cache[field] = got
         return got
 
     def apply(self, point):
-        """Image of a curve point (any coordinate field over the base)."""
+        """Image of a curve point (any coordinate field over the base).  The
+        image of the point at infinity is over the base field."""
         curve = self.curve
         if point.is_infinity():
             xstar = self.mobius.apply_projective(None)
             if xstar is None:
                 return point
             (w,) = curve.points_at(xstar)  # xstar is 0 or 1, a root of h
-            return w if point.field == w.field else w.lift(point.field)
+            return w
         xim = self.mobius.apply_x(point.x)
         if xim is None:
-            inf = curve.infinity()
-            return inf if point.field == curve.field else type(point)(curve, None, None)
-        pf, qf = self._mapped(point.field)
-        pv = pf.evaluate(point.x)
-        qv = qf.evaluate(point.x)
-        if pv is None or qv is None:
+            return curve.infinity()
+        a, b, c = (p.evaluate(point.x) for p in self._mapped(point.field))
+        if c.mask == 0:
             raise InconsistencyError("finite image point hit a pole of the y-transform")
-        return curve.point(xim, pv + qv * point.y)
+        return curve.point(xim, (a * point.y + b) / c)
 
     def act_on_divisor(self, divisor):
         return FormalDivisor(
@@ -261,45 +278,41 @@ class CurveAutomorphism:
     def frobenius_twist(self):
         """The corresponding automorphism of the next twist (coefficients
         squared); satisfies F o g = g' o F."""
-        target = self.curve.next_twist()
         m = self.mobius
         m2 = MobiusMap(m.a * m.a, m.b * m.b, m.c * m.c, m.d * m.d)
-        p2 = RationalFunction(self.p.num.frobenius_coeffs(), self.p.den.frobenius_coeffs())
-        q2 = RationalFunction(self.q.num.frobenius_coeffs(), self.q.den.frobenius_coeffs())
-        return CurveAutomorphism(target, m2, p2, q2)
+        return CurveAutomorphism(
+            self.curve.next_twist(), m2, *(p.frobenius_coeffs() for p in self.abc())
+        )
 
 
 def lift_mobius(curve, mobius):
-    """Both lifts of a branch-permuting Mobius map to curve automorphisms,
-    over the Mobius map's own field, in deterministic order (smallest
-    coefficient key first).
+    """Both lifts of a branch-permuting Mobius map m = N/D to curve
+    automorphisms, over the Mobius map's own field, in deterministic order
+    (smallest coefficient key first).
 
-    Both lifts exist over the base field for all six maps and every
-    t != 0, 1 in GF(2^d), d = 2..9; SearchExhaustedError is raised when the
-    equation for p has no solution there.
+    A lift is y -> (H D y + B) / (D^3 h) with H = h(m) D^2, F = f(m) D^6
+    and B (deg B <= 7) a solution of B^2 + (H D h) B = F h^2 + H^2 D^2 f,
+    the curve equation times (D^3 h)^2.  Both lifts exist over the base
+    field for all six maps and every t != 0, 1 in GF(2^d), d = 2..9;
+    SearchExhaustedError is raised when the equation for B has no solution
+    there.
     """
     if not mobius.permutes_branch_points():
         raise ValueError("Mobius map does not permute the branch points")
     field = mobius.field
     h, f = curve.equation_polys(field)
-    hr, fr = RationalFunction(h), RationalFunction(f)
-    m = mobius.as_rational()
-    hm = hr.substitute(m)
-    q = hm / hr
     n = mobius.denominator_poly()
-    # p = B / (n^3 h); clearing denominators makes the defect GF(2)-linear in B
-    mult = n ** 3 * h
-    lin_coeff = (hm * RationalFunction(mult)).as_poly()
-    g = fr.substitute(m) + q * q * fr
-    rhs = (g * RationalFunction(mult * mult)).as_poly()
-    sol = solve_additive(8, lin_coeff, rhs)  # deg B <= 7
+    (hm,) = _homogenize(mobius, (h,), 2)
+    (fm,) = _homogenize(mobius, (f,), 6)
+    hn = hm * n
+    sol = solve_additive(8, hn * h, fm * h * h + hn * hn * f)
     if sol is None:
         raise SearchExhaustedError(f"no lift of {mobius!r} over {field!r}")
     if len(sol[1]) > 4:
         raise InconsistencyError("lift solution space is unexpectedly large")
     lifts = []
     for b in affine_span(*sol):
-        cand = CurveAutomorphism(curve, mobius, RationalFunction(b, mult), q)
+        cand = CurveAutomorphism(curve, mobius, hn, b, n ** 3 * h)
         if cand not in lifts:
             lifts.append(cand)
     if len(lifts) != 2:
@@ -328,14 +341,13 @@ def automorphism_group(curve):
     maps = s3_mobius_maps(field)
     by_name = {}
     elements = []
-    iota = None
     principal = {}
     for name, m in zip(MOBIUS_NAMES, maps):
         lifts = lift_mobius(curve, m)
         if name == "identity":
-            ident = next(g for g in lifts if g.is_identity())
-            iota = next(g for g in lifts if not g.is_identity())
-            principal[name] = ident
+            if not any(g.is_identity() for g in lifts):
+                raise InconsistencyError("no lift of the identity map is the identity")
+            principal[name], iota = sorted(lifts, key=lambda g: not g.is_identity())
         elif name in ("sigma", "sigma2"):
             cubes_to_id = [g for g in lifts if g.compose(g).compose(g).is_identity()]
             if not cubes_to_id:
@@ -363,34 +375,48 @@ def automorphism_group(curve):
     return elements, by_name
 
 
+def _orders(table, e):
+    """The order of each element, by walking its powers in the Cayley table
+    (indices, e the identity); an order divides #Aut(X) = 12."""
+    orders = []
+    for i in range(len(table)):
+        acc, k = i, 1
+        while acc != e:
+            if k == 12:
+                raise InconsistencyError("automorphism order exceeds the group bound")
+            acc, k = table[acc][i], k + 1
+        orders.append(k)
+    return orders
+
+
 def verify_group_structure(curve):
     """Exact checks that the 12 lifts realize Z/2 x S3.
 
-    Returns the dict of named checks (closure under composition,
-    centrality and order of iota, the S3 presentation relations, and the
-    element-order profile 1^1 2^7 3^2 6^2), every one True; a failed
-    check raises InconsistencyError naming it.
+    Each of the 144 products is composed once, and validated against the
+    curve as every automorphism is.  Closure holds when every product's
+    key is one of the twelve; the other checks (centrality and order of
+    iota, the S3 presentation relations, and the element-order profile
+    1^1 2^7 3^2 6^2) are read from the Cayley table of indices.  Returns
+    the dict of named checks, every one True; a failed check raises
+    InconsistencyError naming it.
     """
     elements, by_name = automorphism_group(curve)
-    keys = {g.coefficient_key(): g for g in elements}
-    checks = {}
-    closure = True
-    for g in elements:
-        for k in elements:
-            if g.compose(k).coefficient_key() not in keys:
-                closure = False
-    checks["closure"] = closure
-    iota = by_name["iota"]
-    checks["iota_order_2"] = iota.compose(iota).is_identity() and not iota.is_identity()
-    checks["iota_central"] = all(
-        g.compose(iota) == iota.compose(g) for g in elements
-    )
-    sigma, tau = by_name["sigma"], by_name["tau01"]
-    checks["sigma_order_3"] = sigma.compose(sigma).compose(sigma).is_identity()
-    checks["tau_order_2"] = tau.compose(tau).is_identity()
-    checks["braid_relation"] = tau.compose(sigma).compose(tau) == sigma.compose(sigma)
-    orders = sorted(g.order() for g in elements)
-    checks["order_profile"] = orders == [1] + [2] * 7 + [3] * 2 + [6] * 2
+    index = {g.coefficient_key(): i for i, g in enumerate(elements)}
+    table = [[index.get(g.compose(k).coefficient_key()) for k in elements] for g in elements]
+    checks = {"closure": all(i is not None for row in table for i in row)}
+    if checks["closure"]:
+        e, iota, sigma, tau = (
+            index[by_name[name].coefficient_key()]
+            for name in ("identity", "iota", "sigma", "tau01")
+        )
+        sigma2 = table[sigma][sigma]
+        checks["iota_order_2"] = table[iota][iota] == e and iota != e
+        checks["iota_central"] = all(row[iota] == table[iota][g] for g, row in enumerate(table))
+        checks["sigma_order_3"] = table[sigma2][sigma] == e
+        checks["tau_order_2"] = table[tau][tau] == e
+        checks["braid_relation"] = table[table[tau][sigma]][tau] == sigma2
+        orders = sorted(_orders(table, e))
+        checks["order_profile"] = orders == [1] + [2] * 7 + [3] * 2 + [6] * 2
     failed = [name for name, ok in checks.items() if not ok]
     if failed:
         raise InconsistencyError(f"Z/2 x S3 relation fails: {', '.join(failed)}")

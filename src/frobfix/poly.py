@@ -1,4 +1,4 @@
-"""Dense univariate polynomials and rational functions over a BinaryField.
+"""Dense univariate polynomials over a BinaryField.
 
 A Poly stores its coefficients as a tuple of int masks, normalized (no
 trailing zeros) and bound to one field, whose exp/log tables the
@@ -356,113 +356,3 @@ def affine_span(part, kernel):
                 z = z + k
         yield z
 
-
-class RationalFunction:
-    """A quotient of polynomials, kept in lowest terms with monic denominator."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=None):
-        if den is None:
-            den = Poly.one(num.field)
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        if num.field != den.field:
-            raise FieldMismatchError("numerator and denominator fields differ")
-        g = num.gcd(den)
-        if not g.is_zero() and g.degree > 0:
-            num, den = num.divexact(g), den.divexact(g)
-        lead = den.leading()
-        if lead.mask != 1:
-            inv = lead.inverse()
-            num, den = num.scale(inv), den.scale(inv)
-        self.num = num
-        self.den = den
-
-    @property
-    def field(self):
-        return self.num.field
-
-    def is_zero(self):
-        return self.num.is_zero()
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RationalFunction)
-            and self.num == other.num
-            and self.den == other.den
-        )
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __repr__(self):
-        return f"({self.num!r})/({self.den!r})"
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        return RationalFunction(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
-
-    __sub__ = __add__
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        return RationalFunction(self.num * other.num, self.den * other.den)
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return RationalFunction(self.num * other.den, self.den * other.num)
-
-    def __pow__(self, e):
-        if e < 0:
-            return RationalFunction(self.den, self.num) ** (-e)
-        return RationalFunction(self.num ** e, self.den ** e)
-
-    def _coerce(self, other):
-        if isinstance(other, RationalFunction):
-            return other
-        if isinstance(other, Poly):
-            return RationalFunction(other)
-        raise TypeError(f"cannot combine RationalFunction with {type(other).__name__}")
-
-    def evaluate(self, x):
-        """Value at a point of the coefficient field; None at a pole."""
-        d = self.den.evaluate(x)
-        if d.mask == 0:
-            return None
-        return self.num.evaluate(x) / d
-
-    def substitute(self, other):
-        """Composition self(other(x)) as a rational function."""
-        other = self._coerce(other)
-        num_c = _compose_with_fraction(self.num, other.num, other.den)
-        den_c = _compose_with_fraction(self.den, other.num, other.den)
-        dn, dd = max(self.num.degree, 0), max(self.den.degree, 0)
-        if dn >= dd:
-            return RationalFunction(num_c, den_c * other.den ** (dn - dd))
-        return RationalFunction(num_c * other.den ** (dd - dn), den_c)
-
-    def map(self, emb):
-        return RationalFunction(self.num.map(emb), self.den.map(emb))
-
-    def as_poly(self):
-        """The numerator, when the reduced denominator is 1."""
-        if self.den.degree != 0 or self.den.leading().mask != 1:
-            raise ValueError("rational function is not a polynomial")
-        return self.num
-
-
-def _compose_with_fraction(p, num, den):
-    """Numerator of p(num/den) over den^deg(p)."""
-    f = p.field
-    if p.is_zero():
-        return Poly.zero(f)
-    d = p.degree
-    acc = Poly.constant(p[d])
-    for i in range(d - 1, -1, -1):
-        acc = acc * num + Poly.constant(p[i]) * den ** (d - i)
-    return acc

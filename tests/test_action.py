@@ -8,6 +8,7 @@ import frobfix.action as action_module
 from frobfix.action import (
     CurveAutomorphism,
     MobiusMap,
+    _homogenize,
     automorphism_group,
     fixed_points,
     lift_mobius,
@@ -18,6 +19,7 @@ from frobfix.curve import Curve
 from frobfix.errors import InconsistencyError, SearchExhaustedError
 from frobfix.gf2 import default_field
 from frobfix.jacobian import enumerate_classes, random_class
+from frobfix.poly import Poly
 
 
 def laszlo_curve():
@@ -47,7 +49,7 @@ def test_lift_identity_gives_id_and_iota():
     other = next(g for g in lifts if not g.is_identity())
     # the other lift is the hyperelliptic involution: y -> y + h(x)
     h, _ = c.equation_polys()
-    assert other.p.as_poly() == h
+    assert other.abc() == (Poly.one(f4), h, Poly.one(f4))
     f16 = default_field(4)
     for p in c.points_over(f16):
         assert other.apply(p) == p.hyperelliptic_involution()
@@ -75,8 +77,8 @@ def test_group_structure_other_t_gf16():
 
 
 def test_group_structure_raises_on_a_failed_relation(monkeypatch):
-    # every automorphism reports order 1, so only the order profile fails
-    monkeypatch.setattr(CurveAutomorphism, "order", lambda self: 1)
+    # the table reports order 1 for every element, so only the order profile fails
+    monkeypatch.setattr(action_module, "_orders", lambda table, e: [1] * len(table))
     with pytest.raises(InconsistencyError, match=r"^Z/2 x S3 relation fails: order_profile$"):
         verify_group_structure(laszlo_curve())
 
@@ -167,3 +169,213 @@ def test_inverse_automorphism():
     for g in elements:
         assert g.compose(g.inverse()).is_identity()
         assert g.inverse().compose(g).is_identity()
+
+
+def test_inverse_and_composition_agree_with_the_action_on_points():
+    c = laszlo_curve()
+    elements, _ = automorphism_group(c)
+    f16 = default_field(4)
+    pts = c.points_over(f16)
+    # the image of infinity is over the base field: compare over GF(16)
+    for g in elements:
+        g_inv = g.inverse()
+        for p in pts:
+            assert g_inv.apply(g.apply(p)).lift(f16) == p.lift(f16)
+        for k in elements:
+            gk = g.compose(k)
+            for p in pts:
+                assert gk.apply(p).lift(f16) == g.apply(k.apply(p)).lift(f16)
+
+
+def test_homogenize_matches_pointwise():
+    f16 = default_field(4)
+    rng = random.Random(6)
+    maps = s3_mobius_maps(f16)
+    while len(maps) < 30:
+        try:
+            maps.append(MobiusMap(*(f16.random(rng) for _ in range(4))))
+        except ValueError:  # singular matrix
+            continue
+    for m in maps:
+        k = rng.randrange(7)
+        polys = [
+            Poly(f16, [f16.random(rng) for _ in range(rng.randrange(k + 2))]) for _ in range(3)
+        ]
+        den = m.denominator_poly()
+        for p, got in zip(polys, _homogenize(m, polys, k)):
+            assert got.degree <= k
+            for xm in range(f16.order):
+                x = f16.element(xm)
+                dx = den.evaluate(x)
+                if dx.mask:
+                    assert got.evaluate(x) == p.evaluate(m.apply_x(x)) * dx ** k
+    with pytest.raises(ValueError):
+        _homogenize(maps[0], [Poly.x(f16) ** 3], 2)
+
+
+def test_reference_coefficient_keys_are_pinned():
+    # (Mobius key, a, b, c) for y -> (a y + b) / c, in automorphism_group order
+    elements, _ = automorphism_group(laszlo_curve())
+    assert [g.coefficient_key() for g in elements] == [
+        ((1, 0, 0, 1), (1,), (), (1,)),
+        ((1, 1, 0, 1), (1,), (2, 2, 2), (1,)),
+        ((0, 1, 1, 0), (1,), (), (0, 0, 0, 1)),
+        ((0, 1, 1, 1), (1,), (2, 2, 2), (1, 1, 1, 1)),
+        ((1, 0, 1, 1), (1,), (0, 2, 2, 2), (1, 1, 1, 1)),
+        ((1, 1, 1, 0), (1,), (0, 2, 2, 2), (0, 0, 0, 1)),
+        ((1, 1, 0, 1), (1,), (2, 3, 3), (1,)),
+        ((0, 1, 1, 0), (1,), (0, 1, 1), (0, 0, 0, 1)),
+        ((0, 1, 1, 1), (1,), (2, 3, 3), (1, 1, 1, 1)),
+        ((1, 0, 1, 1), (1,), (0, 3, 3, 2), (1, 1, 1, 1)),
+        ((1, 1, 1, 0), (1,), (0, 3, 3, 2), (0, 0, 0, 1)),
+        ((1, 0, 0, 1), (1,), (0, 1, 1), (1,)),
+    ]
+
+
+# -- planted faults: one case per InconsistencyError site in action.py ---------
+# Each plant installs one fault and returns the call that must raise.
+
+
+def _plant_solve(monkeypatch, change):
+    """solve_additive, as lift_mobius sees it, returns change(particular, kernel)."""
+    real = action_module.solve_additive
+    monkeypatch.setattr(
+        action_module, "solve_additive", lambda n, g, rhs, w=None: change(*real(n, g, rhs, w))
+    )
+
+
+def _plant_lifts(monkeypatch, curve, replace):
+    """lift_mobius, as automorphism_group sees it, returns replace(i, lifts_of)
+    for the i-th S3 map, where lifts_of(j) are the true lifts of the j-th."""
+    maps = s3_mobius_maps(curve.field)
+    monkeypatch.setattr(
+        action_module,
+        "lift_mobius",
+        lambda c, m: replace(maps.index(m), lambda j: lift_mobius(c, maps[j])),
+    )
+
+
+def _branch_table_wrong(monkeypatch, curve):
+    monkeypatch.setattr(MobiusMap, "permutes_branch_points", lambda self: False)
+    return lambda: automorphism_group(curve)
+
+
+def _particular_solution_off_by_one(monkeypatch, curve):
+    _plant_solve(monkeypatch, lambda part, kernel: (part + Poly.one(part.field), kernel))
+    return lambda: automorphism_group(curve)
+
+
+def _kernel_repeated_five_times(monkeypatch, curve):
+    _plant_solve(monkeypatch, lambda part, kernel: (part, kernel * 5))
+    return lambda: automorphism_group(curve)
+
+
+def _kernel_dropped(monkeypatch, curve):
+    _plant_solve(monkeypatch, lambda part, kernel: (part, []))
+    return lambda: automorphism_group(curve)
+
+
+def _identity_lifts_are_iota_twice(monkeypatch, curve):
+    _plant_lifts(
+        monkeypatch,
+        curve,
+        lambda i, lifts_of: [g for g in lifts_of(0) if not g.is_identity()] * 2
+        if i == 0 else lifts_of(i),
+    )
+    return lambda: automorphism_group(curve)
+
+
+def _sigma_lifts_both_of_order_6(monkeypatch, curve):
+    _plant_lifts(
+        monkeypatch,
+        curve,
+        lambda i, lifts_of: [g for g in lifts_of(3) if not g.compose(g).compose(g).is_identity()] * 2
+        if i == 3 else lifts_of(i),
+    )
+    return lambda: automorphism_group(curve)
+
+
+def _tau01_lifted_as_sigma(monkeypatch, curve):
+    _plant_lifts(monkeypatch, curve, lambda i, lifts_of: lifts_of(3 if i == 1 else i))
+    return lambda: automorphism_group(curve)
+
+
+def _tau0inf_lifted_as_tau01(monkeypatch, curve):
+    _plant_lifts(monkeypatch, curve, lambda i, lifts_of: lifts_of(1 if i == 2 else i))
+    return lambda: automorphism_group(curve)
+
+
+def _products_are_the_right_factor(monkeypatch, curve):
+    # the group is built first; only the Cayley table sees the fault
+    group = automorphism_group(curve)
+    monkeypatch.setattr(action_module, "automorphism_group", lambda c: group)
+    monkeypatch.setattr(CurveAutomorphism, "compose", lambda self, other: other)
+    return lambda: verify_group_structure(curve)
+
+
+def _sigma_named_as_its_order_6_lift(monkeypatch, curve):
+    elements, by_name = automorphism_group(curve)
+    swapped = dict(by_name, sigma=by_name["iota*sigma"])
+    monkeypatch.setattr(action_module, "automorphism_group", lambda c: (elements, swapped))
+    return lambda: verify_group_structure(curve)
+
+
+def _denominator_times_x(monkeypatch, curve):
+    _, by_name = automorphism_group(curve)
+    real = CurveAutomorphism._mapped
+
+    def planted(self, field):
+        a, b, c = real(self, field)
+        return a, b, c * Poly.x(field)
+
+    monkeypatch.setattr(CurveAutomorphism, "_mapped", planted)
+    (origin,) = curve.points_at(curve.field.zero())
+    return lambda: by_name["identity"].apply(origin)
+
+
+PLANTED_FAULTS = [
+    pytest.param("branch permutation table is wrong", _branch_table_wrong, id="branch-table"),
+    pytest.param(
+        "automorphism data fails the curve identity",
+        _particular_solution_off_by_one,
+        id="curve-identity",
+    ),
+    pytest.param(
+        "lift solution space is unexpectedly large", _kernel_repeated_five_times, id="space"
+    ),
+    pytest.param("expected exactly two lifts, found 1", _kernel_dropped, id="two-lifts"),
+    pytest.param(
+        "no lift of the identity map is the identity",
+        _identity_lifts_are_iota_twice,
+        id="identity-lift",
+    ),
+    pytest.param("no lift of sigma has order 3", _sigma_lifts_both_of_order_6, id="order-3"),
+    pytest.param("no lift of tau01 is an involution", _tau01_lifted_as_sigma, id="involution"),
+    pytest.param(
+        "the twelve lifted automorphisms are not distinct",
+        _tau0inf_lifted_as_tau01,
+        id="distinct",
+    ),
+    pytest.param(
+        "automorphism order exceeds the group bound",
+        _products_are_the_right_factor,
+        id="order-bound",
+    ),
+    pytest.param(
+        "Z/2 x S3 relation fails: sigma_order_3, braid_relation",
+        _sigma_named_as_its_order_6_lift,
+        id="relation",
+    ),
+    pytest.param(
+        "finite image point hit a pole of the y-transform", _denominator_times_x, id="pole"
+    ),
+]
+
+
+@pytest.mark.parametrize("message, plant", PLANTED_FAULTS)
+def test_every_cross_check_fires(monkeypatch, message, plant):
+    run = plant(monkeypatch, laszlo_curve())
+    with pytest.raises(InconsistencyError) as exc:
+        run()
+    assert type(exc.value) is InconsistencyError
+    assert str(exc.value) == message

@@ -4,6 +4,7 @@ modules; and no module imports a name it never reads."""
 import ast
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -124,3 +125,38 @@ def test_only_random_class_decides_by_the_trace_criterion():
     # counts by the trace criterion; it must keep the full Mumford solve
     found = {p.name: _callers(p, {"_solvable_by_trace"}) for p in sorted(PACKAGE_DIR.rglob("*.py"))}
     assert {name: callers for name, callers in found.items() if callers} == {"jacobian.py": {"random_class"}}
+
+
+def _site_pattern(node):
+    """The message of `raise InconsistencyError(<message>)` as a regex: an
+    f-string's replacement fields match any text."""
+    if isinstance(node, ast.Constant):
+        return re.escape(node.value)
+    assert isinstance(node, ast.JoinedStr), ast.dump(node)
+    return "".join(
+        re.escape(part.value) if isinstance(part, ast.Constant) else ".+" for part in node.values
+    )
+
+
+def test_every_action_cross_check_has_a_planted_fault():
+    sites = [
+        (node.lineno, _site_pattern(node.exc.args[0]))
+        for node in ast.walk(ast.parse((PACKAGE_DIR / "action.py").read_text()))
+        if isinstance(node, ast.Raise)
+        and isinstance(node.exc, ast.Call)
+        and getattr(node.exc.func, "id", None) == "InconsistencyError"
+    ]
+    assert sites
+    (table,) = [
+        node.value
+        for node in ast.walk(ast.parse((ROOT / "tests" / "test_action.py").read_text()))
+        if isinstance(node, ast.Assign)
+        and [getattr(t, "id", None) for t in node.targets] == ["PLANTED_FAULTS"]
+    ]
+    messages = [case.args[0].value for case in table.elts]
+    missing = [
+        f"action.py:{line}: {pattern}"
+        for line, pattern in sites
+        if not any(re.fullmatch(pattern, m) for m in messages)
+    ]
+    assert not missing, "InconsistencyError sites with no planted fault:\n" + "\n".join(missing)

@@ -1,4 +1,4 @@
-"""Polynomial-layer tests: ring axioms, gcd, quadratic solving, rational functions."""
+"""Polynomial-layer tests: ring axioms, gcd, quadratic solving."""
 
 import random
 
@@ -10,7 +10,6 @@ from frobfix.errors import DegreeCapError, FieldMismatchError, SearchExhaustedEr
 from frobfix.gf2 import default_field, embed, solve_gf2_linear, trace_mask
 from frobfix.poly import (
     Poly,
-    RationalFunction,
     affine_span,
     solve_additive,
     solve_linear,
@@ -261,50 +260,6 @@ def test_solve_additive_matches_the_poly_column_solve():
         assert _padded(solve_additive(8, g, rhs), 8) == expected
         seen.add(expected is None)
     assert seen == {True, False}
-
-
-def test_rational_function_normalization_and_arithmetic():
-    f = default_field(4)
-    x = Poly.x(f)
-    r = RationalFunction(x * x + x, x)  # cancels to x + 1... over char 2: (x^2+x)/x = x+1
-    assert r.num == x + Poly.one(f) and r.den == Poly.one(f)
-    rng = random.Random(5)
-    x3 = Poly.x(f) ** 3
-    for _ in range(100):
-        a = RationalFunction(_random_poly(f, rng, 3), _random_poly(f, rng, 2) + x3)
-        b = RationalFunction(_random_poly(f, rng, 3), _random_poly(f, rng, 2) + x3)
-        s = a + b
-        p = a * b
-        for em in range(f.order):
-            e = f.element(em)
-            va, vb = a.evaluate(e), b.evaluate(e)
-            if va is None or vb is None:
-                continue
-            vs, vp = s.evaluate(e), p.evaluate(e)
-            if vs is not None:
-                assert vs == va + vb
-            if vp is not None:
-                assert vp == va * vb
-
-
-def test_rational_substitute_matches_pointwise():
-    f = default_field(4)
-    rng = random.Random(6)
-    x = Poly.x(f)
-    m = RationalFunction(Poly.one(f), x + Poly.one(f))  # 1/(x+1)
-    x3 = x ** 3
-    for _ in range(50):
-        r = RationalFunction(_random_poly(f, rng, 3), _random_poly(f, rng, 2) + x3)
-        comp = r.substitute(m)
-        for em in range(f.order):
-            e = f.element(em)
-            inner = m.evaluate(e)
-            if inner is None:
-                continue
-            direct = r.evaluate(inner)
-            via = comp.evaluate(e)
-            if direct is not None and via is not None:
-                assert direct == via
 
 
 def test_frobenius_coeffs():
