@@ -4,14 +4,15 @@ Every automorphism is (x, y) -> (m(x), (a(x) y + b(x)) / c(x)) where
 m = N/D is a Mobius map permuting the branch x-coordinates {0, 1, inf}
 and (a, b, c) are polynomials with gcd 1 and c monic, so the triple is
 unique.  Everything is computed on cleared denominators: for a polynomial
-p and k >= deg p, p(N/D) D^k is a polynomial (`_homogenize`).  With
-H = h(m) D^2 and F = f(m) D^6 the curve identity is the pair of polynomial
-identities
+p and k >= deg p, p(N/D) D^k is a polynomial (`_homogenize`).  The map
+satisfies the curve equation when, after y^2 = h y + f and clearing
+c^2 D^6, the y-coefficient (over a) and the constant term vanish.  One
+table of degree 6 gives h(m) D^6, f(m) D^6 and D^6, and the pair
 
-    a h D^2 = H c,    (a^2 f + b^2) D^6 + H D^4 b c = F c^2,
+    a h D^6 = h(m) D^6 c,    (a^2 f + b^2) D^6 + h(m) D^6 b c = f(m) D^6 c^2
 
-checked on every automorphism built.  A lift of m is
-y -> (H D y + B) / (D^3 h) where B solves
+is checked on every automorphism built.  With H = h(m) D^2 and
+F = f(m) D^6, a lift of m is y -> (H D y + B) / (D^3 h) where B solves
 
     B^2 + (H D h) B = F h^2 + H^2 D^2 f.
 
@@ -179,16 +180,13 @@ class CurveAutomorphism:
         self._validate()
 
     def _validate(self):
-        h, f = self.curve.equation_polys(self.mobius.field)
-        (hm,) = _homogenize(self.mobius, (h,), 2)
-        (fm,) = _homogenize(self.mobius, (f,), 6)
-        d2 = self.mobius.denominator_poly() ** 2
-        d4 = d2 * d2
+        field = self.mobius.field
+        h, f = self.curve.equation_polys(field)
+        h6, f6, d6 = _homogenize(self.mobius, (h, f, Poly.one(field)), 6)
         a, b, c = self.a, self.b, self.c
-        # y-coefficient and constant term of the transformed equation
+        # y-coefficient (over a) and constant term of the transformed equation, times D^6
         if not (
-            a * h * d2 == hm * c
-            and (a * a * f + b * b) * d4 * d2 + hm * d4 * b * c == fm * c * c
+            a * h * d6 == h6 * c and (a * a * f + b * b) * d6 + h6 * b * c == f6 * c * c
         ):
             raise InconsistencyError("automorphism data fails the curve identity")
 

@@ -10,9 +10,11 @@ affine Weierstrass point the uniformizer is y - y0 and x is lifted.  The
 lifts, the expansions of a + b y and the interpolation rows run on
 coefficient masks with the `series` kernels and the field's exp/log
 tables, as does the nullspace (`linalg`); SeriesElement and Poly are the
-types at the boundary.  All divisor claims are verified exactly through
-the norm N(a + b y) = a^2 + a b h + b^2 f together with pointwise vanishing
-orders.
+types at the boundary.  Every divisor claim, in the oracle's steps and in
+a witness's re-verification, is checked by one routine, `_orders_and_rest`:
+it reads the vanishing order at each point and at its involution partner
+from the expansions, and divides the norm N(a + b y) = a^2 + a b h + b^2 f
+by exactly those orders, so the norm must account for every zero found.
 """
 
 from .errors import FieldMismatchError, InconsistencyError, VerificationError
@@ -243,52 +245,51 @@ def _merge_points(pairs):
     return [(p, merged[p]) for p in order if merged[p]]
 
 
+def _orders_and_rest(fn, points):
+    """(orders, rest): the vanishing order of fn at each affine point of
+    `points` and then at its involution partner, in that insertion order,
+    and N(fn) divided by (x - x0)^e for each x0, e the sum of the orders
+    above x0 (a Weierstrass point is its own partner, counted once).  A
+    division that is not exact, or an x0 still a root, raises
+    InconsistencyError."""
+    orders, by_x = {}, {}
+    for p in points:
+        for q in (p, p.hyperelliptic_involution()):
+            if q not in orders:
+                orders[q] = fn.ord_at(q)
+                by_x[q.x] = by_x.get(q.x, 0) + orders[q]
+    field, rest = fn.field, fn.norm()
+    for x0, e in by_x.items():
+        lin = Poly(field, (x0, field.one()))
+        for _ in range(e):
+            rest, r = divmod(rest, lin)
+            if not r.is_zero():
+                raise InconsistencyError("norm vanishes less than the orders found at its points")
+        if rest.evaluate(x0).mask == 0:
+            raise InconsistencyError("norm order bookkeeping failed")
+    return orders, rest
+
+
 def verify_polyfunction_divisor(fn, expected):
     """Check div(fn) = sum expected (affine) - N*infinity exactly.
 
     expected: list of (affine point over fn.field, positive multiplicity).
-    Verifies (i) the pole order at infinity is the total expected degree,
-    (ii) the norm factors exactly as forced by the expected orders, and
-    (iii) the expected order at each non-Weierstrass point is attained
-    (separating a point from its involution partner).  Raises
-    VerificationError on any mismatch, ValueError on an entry at infinity.
+    Verifies the pole order at infinity, the order at each expected point
+    and at its involution partner (0 where none is expected), and that the
+    norm has no zeros beyond them.  Raises VerificationError on a mismatch,
+    InconsistencyError when the norm and the orders disagree, and
+    ValueError on an entry at infinity.
     """
-    expected = [(_affine(p), m) for p, m in _merge_points(expected)]
-    total = sum(m for _, m in expected)
+    expected = {_affine(p): m for p, m in _merge_points(expected)}
     if fn.is_zero():
         raise VerificationError("zero function has no divisor")
-    if fn.pole_order_at_infinity() != total:
+    if fn.pole_order_at_infinity() != sum(expected.values()):
         raise VerificationError("pole order at infinity does not match expected degree")
-    field = fn.field
-    exp_ord = {p: m for p, m in expected}
-    # group expected norm multiplicities by x-coordinate
-    by_x = {}
-    for p, m in expected:
-        by_x.setdefault(p.x, []).append((p, m))
-    norm = fn.norm()
-    rest = norm
-    for x0, pts in by_x.items():
-        # a partner absent from `expected` must have order zero; checked below
-        e0 = sum(m for _, m in pts)
-        lin = Poly(field, (x0, field.one()))
-        for _ in range(e0):
-            q, r = divmod(rest, lin)
-            if not r.is_zero():
-                raise VerificationError("norm does not vanish to the expected order")
-            rest = q
-        if rest.evaluate(x0).mask == 0:
-            raise VerificationError("norm vanishes beyond the expected order")
+    orders, rest = _orders_and_rest(fn, expected)
+    if any(o != expected.get(p, 0) for p, o in orders.items()):
+        raise VerificationError("vanishing order mismatch at a point")
     if rest.degree > 0:
         raise VerificationError("norm has zeros outside the expected support")
-    # pointwise orders distinguish P from its involution partner
-    for p, m in expected:
-        if p.is_weierstrass():
-            continue
-        if fn.ord_at(p) != m:
-            raise VerificationError("vanishing order mismatch at a point")
-        partner = p.hyperelliptic_involution()
-        if partner not in exp_ord and fn.evaluate(partner).mask == 0:
-            raise VerificationError("unexpected vanishing at an involution partner")
 
 
 class CurveFunction:
@@ -342,8 +343,6 @@ def principal_witness_core(curve, field, affine_entries, inf_mult):
     if psi is None:
         return None
     verify_polyfunction_divisor(psi, constraints)
-    if psi.pole_order_at_infinity() != n_total:
-        raise VerificationError("witness pole order mismatch")
     return CurveFunction(psi, chi, n_total)
 
 
@@ -371,27 +370,8 @@ def _oracle_step(curve, field, entries):
     psi = interpolate_vanishing(curve, field, k + 2, entries)
     if psi is None:
         raise InconsistencyError("interpolation space unexpectedly empty")
-    norm = psi.norm()
     exp_ord = dict(entries)
-    # actual orders at constraint points and their partners
-    actual = {}
-    for p, _m in entries:
-        actual[p] = psi.ord_at(p)
-        partner = p.hyperelliptic_involution()
-        if partner not in actual:
-            actual[partner] = psi.ord_at(partner) if not p.is_weierstrass() else actual[p]
-    rest = norm
-    for x0 in {p.x for p, _ in entries}:
-        above = [p for p in actual if p.x == x0]
-        if above[0].is_weierstrass():
-            e0 = actual[above[0]]
-        else:
-            e0 = sum(actual[p] for p in above)
-        lin = Poly(field, (x0, field.one()))
-        for _ in range(e0):
-            rest = rest.divexact(lin)
-        if rest.evaluate(x0).mask == 0:
-            raise InconsistencyError("norm order bookkeeping failed")
+    actual, rest = _orders_and_rest(psi, exp_ord)
     if rest.degree > 2:
         raise InconsistencyError("oracle residual has degree > 2")
     # leftover vanishing at known points beyond the input multiplicities

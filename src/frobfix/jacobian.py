@@ -381,29 +381,21 @@ def principal_witness(divisor):
 # ---------------------------------------------------------------------------
 # Group orders: zeta bookkeeping cross-checked by enumeration.
 
-_lpoly_cache = {}
 _order_cache = {}
-
-
-def curve_lpolynomial(curve):
-    key = (curve.field, curve.effective_t)
-    if key not in _lpoly_cache:
-        _lpoly_cache[key] = lpolynomial(curve)
-    return _lpoly_cache[key]
 
 
 def group_order(curve, field):
     """#J(field), from the L-polynomial; for #field <= 64 the value is
     cross-checked against exhaustive Mumford enumeration.  The checked
-    value is memoised per (curve model, field) in `_order_cache`, beside
-    `_lpoly_cache`, so each enumeration runs once per process."""
+    value is memoised per (curve model, field) in `_order_cache`, so each
+    enumeration runs once per process."""
     d = curve.field.degree
     if field.degree % d:
         raise FieldMismatchError("field is not an extension of the curve base field")
     key = (curve.field, curve.effective_t, field)
     if key in _order_cache:
         return _order_cache[key]
-    s1, s2 = curve_lpolynomial(curve)
+    s1, s2 = lpolynomial(curve)
     n = jacobian_order_from_lpoly(s1, s2, curve.field.order, field.degree // d)
     if field.order <= 64:
         counted = count_classes(curve, field)

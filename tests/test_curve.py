@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import frobfix.curve as curve_module
 from frobfix.curve import (
     Curve,
     curve_count_from_lpoly,
@@ -276,3 +277,70 @@ def test_lpolynomial_catches_a_count_incompatible_with_genus_2(monkeypatch):
         lpolynomial(c)
     assert exc.type is InconsistencyError
     assert str(exc.value) == "point counts are incompatible with a genus-2 L-polynomial"
+
+
+# ---------------------------------------------------------------------------
+# One planted fault per cross-check of the Frobenius maps and the Jacobian
+# order; each plant returns the call that must raise.
+
+
+def _frobenius_image_off_the_curve(monkeypatch, curve):
+    p = curve.points_over(default_field(4))[1]
+    monkeypatch.setattr(Curve, "contains", lambda self, q: False)
+    return p.relative_frobenius
+
+
+def _frobenius_preimage_off_the_curve(monkeypatch, curve):
+    p = curve.next_twist().points_over(default_field(4))[1]
+    monkeypatch.setattr(Curve, "contains", lambda self, q: False)
+    return p.frobenius_preimage
+
+
+def _first_power_sum_off_by_one(monkeypatch, curve):
+    s1, s2 = lpolynomial(curve)
+    sums = curve_module.power_sums
+    monkeypatch.setattr(
+        curve_module,
+        "power_sums",
+        lambda *args: [p + (k == 1) for k, p in enumerate(sums(*args))],
+    )
+    return lambda: jacobian_order_from_lpoly(s1, s2, curve.field.order, 1)
+
+
+def _lpolynomial_vanishing_at_one(monkeypatch, curve):
+    # L(1) = 1 - s1 + s2 - q s1 + q^2 is 0 for s1 = 0, s2 = -(q^2 + 1)
+    q = curve.field.order
+    return lambda: jacobian_order_from_lpoly(0, -(q * q + 1), q, 1)
+
+
+PLANTED_FAULTS = [
+    pytest.param(
+        "relative Frobenius image left the twisted curve",
+        _frobenius_image_off_the_curve,
+        id="frobenius-image",
+    ),
+    pytest.param(
+        "Frobenius preimage left the source curve",
+        _frobenius_preimage_off_the_curve,
+        id="frobenius-preimage",
+    ),
+    pytest.param(
+        "non-integral Jacobian order from L-polynomial",
+        _first_power_sum_off_by_one,
+        id="non-integral",
+    ),
+    pytest.param(
+        "non-positive Jacobian order from L-polynomial",
+        _lpolynomial_vanishing_at_one,
+        id="non-positive",
+    ),
+]
+
+
+@pytest.mark.parametrize("message, plant", PLANTED_FAULTS)
+def test_every_cross_check_fires(monkeypatch, message, plant):
+    run = plant(monkeypatch, laszlo_curve())
+    with pytest.raises(InconsistencyError) as exc:
+        run()
+    assert type(exc.value) is InconsistencyError
+    assert str(exc.value) == message

@@ -213,8 +213,10 @@ def test_verify_polyfunction_divisor_vertical():
     p = next(q for q in c.points_over(f16) if not q.is_infinity() and not q.is_weierstrass())
     vert = PolyFunction(c, f16, Poly(f16, (p.x, f16.one())), Poly.zero(f16))
     verify_polyfunction_divisor(vert, [(p, 1), (p.hyperelliptic_involution(), 1)])
-    with pytest.raises(VerificationError):
+    with pytest.raises(VerificationError) as exc:
         verify_polyfunction_divisor(vert, [(p, 2)])
+    assert exc.type is VerificationError
+    assert str(exc.value) == "vanishing order mismatch at a point"
 
 
 def test_interpolation_imposes_multiplicity():
@@ -304,3 +306,155 @@ def test_oracle_catches_orders_read_at_the_involution_partner(monkeypatch):
         oracle_class_of(divisor)
     assert exc.type is InconsistencyError
     assert str(exc.value) == "imposed vanishing not attained"
+
+
+# ---------------------------------------------------------------------------
+# One planted fault per cross-check of the divisor verification and the
+# oracle.  Each plant returns the call that must raise.  The witness of
+# P + iota(P) - 2 infinity is the vertical line through P; the oracle sums
+# two random classes over GF(16), whose four points lie over GF(2^8).
+
+
+def _vertical_witness(curve):
+    f16 = default_field(4)
+    p = next(q for q in curve.points_over(f16)[1:] if not q.is_weierstrass())
+    entries = [(p, 1), (p.hyperelliptic_involution(), 1)]
+    return Poly(f16, (p.x, f16.one())), lambda: principal_witness_core(curve, f16, entries, -2)
+
+
+def _oracle_sum(curve):
+    """The x-coordinates of the support, in the field the oracle starts
+    over, and the oracle call on a + b."""
+    rng = random.Random(101)
+    a, b = (random_class(curve, default_field(4), rng) for _ in range(2))
+    divisor = a.to_divisor() + b.to_divisor()
+    known = {p.x for p, _ in divisor.lift_to_common_field()[1]}
+    return known, lambda: oracle_class_of(divisor)
+
+
+def _plant_norm(monkeypatch, change):
+    norm = PolyFunction.norm
+    monkeypatch.setattr(PolyFunction, "norm", lambda fn: change(norm(fn)))
+
+
+def _witness_is_zero(monkeypatch, curve):
+    _, run = _vertical_witness(curve)
+    monkeypatch.setattr(
+        functions_module,
+        "interpolate_vanishing",
+        lambda c, field, m, constraints: PolyFunction(c, field, Poly.zero(field), Poly.zero(field)),
+    )
+    return run
+
+
+def _witness_times_x(monkeypatch, curve):
+    _, run = _vertical_witness(curve)
+    interpolate = functions_module.interpolate_vanishing
+
+    def times_x(c, field, m, constraints):
+        psi = interpolate(c, field, m, constraints)
+        return PolyFunction(c, field, psi.a * Poly.x(field), psi.b * Poly.x(field))
+
+    monkeypatch.setattr(functions_module, "interpolate_vanishing", times_x)
+    return run
+
+
+def _norm_times_a_line_off_the_support(monkeypatch, curve):
+    line, run = _vertical_witness(curve)
+    _plant_norm(monkeypatch, lambda n: n * (line + Poly.one(line.field)))
+    return run
+
+
+def _norm_short_of_one_factor(monkeypatch, curve):
+    line, run = _vertical_witness(curve)
+    _plant_norm(monkeypatch, lambda n: n.divexact(line))
+    return run
+
+
+def _norm_with_one_factor_too_many(monkeypatch, curve):
+    known, run = _oracle_sum(curve)
+    x0 = min(known, key=lambda x: x.mask)
+    _plant_norm(monkeypatch, lambda n: n * Poly(n.field, (x0, n.field.one())))
+    return run
+
+
+def _norm_with_a_spurious_triple_root(monkeypatch, curve):
+    known, run = _oracle_sum(curve)
+    field = next(iter(known)).field
+    r = next(x for x in map(field.element, range(field.order)) if x not in known)
+    _plant_norm(monkeypatch, lambda n: n * Poly(field, (r, field.one())) ** 3)
+    return run
+
+
+def _empty_nullspace(monkeypatch, curve):
+    _, run = _oracle_sum(curve)
+    monkeypatch.setattr(functions_module, "nullspace", lambda field, rows: [])
+    return run
+
+
+def _orders_zero_off_the_support(monkeypatch, curve):
+    # the residual points' orders read 0, so the norm's new roots have no zeros above them
+    known, run = _oracle_sum(curve)
+    ord_at = PolyFunction.ord_at
+    monkeypatch.setattr(
+        PolyFunction, "ord_at", lambda fn, p: ord_at(fn, p) if p.x in known else 0
+    )
+    return run
+
+
+PLANTED_FAULTS = [
+    pytest.param(
+        VerificationError, "zero function has no divisor", _witness_is_zero, id="zero-function"
+    ),
+    pytest.param(
+        VerificationError,
+        "pole order at infinity does not match expected degree",
+        _witness_times_x,
+        id="pole-order",
+    ),
+    pytest.param(
+        VerificationError,
+        "norm has zeros outside the expected support",
+        _norm_times_a_line_off_the_support,
+        id="outside-support",
+    ),
+    pytest.param(
+        InconsistencyError,
+        "norm vanishes less than the orders found at its points",
+        _norm_short_of_one_factor,
+        id="norm-short",
+    ),
+    pytest.param(
+        InconsistencyError,
+        "norm order bookkeeping failed",
+        _norm_with_one_factor_too_many,
+        id="norm-bookkeeping",
+    ),
+    pytest.param(
+        InconsistencyError,
+        "interpolation space unexpectedly empty",
+        _empty_nullspace,
+        id="empty-space",
+    ),
+    pytest.param(
+        InconsistencyError,
+        "oracle residual has degree > 2",
+        _norm_with_a_spurious_triple_root,
+        id="residual-degree",
+    ),
+    pytest.param(
+        InconsistencyError,
+        "residual order split failed",
+        _orders_zero_off_the_support,
+        id="residual-split",
+    ),
+]
+
+
+@pytest.mark.parametrize("error, message, plant", PLANTED_FAULTS)
+def test_every_cross_check_fires(monkeypatch, error, message, plant):
+    run = plant(monkeypatch, laszlo_curve())
+    with pytest.raises(error) as exc:
+        run()
+    assert type(exc.value) is error
+    assert str(exc.value) == message

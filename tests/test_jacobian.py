@@ -471,7 +471,6 @@ def test_group_order_catches_a_flipped_trace_mask_bit(monkeypatch):
     import frobfix.gf2 as gf2_module
     import frobfix.jacobian as jacobian_module
 
-    monkeypatch.setattr(jacobian_module, "_lpoly_cache", {})
     monkeypatch.setattr(jacobian_module, "_order_cache", {})
     monkeypatch.setattr(curve_module, "trace_mask", lambda field: gf2_module.trace_mask(field) ^ 1)
     with pytest.raises(InconsistencyError) as exc:
@@ -488,8 +487,10 @@ def test_oracle_catches_a_residual_point_off_the_field(monkeypatch):
     a, b = (random_class(c, default_field(4), rng) for _ in range(2))
     divisor = a.to_divisor() + b.to_divisor()
     monkeypatch.setattr(curve_module, "quadratic_root_masks", lambda field, b, c: [])
-    with pytest.raises(InconsistencyError, match="residual point not defined over the working field"):
+    with pytest.raises(InconsistencyError) as exc:
         oracle_class_of(divisor)
+    assert exc.type is InconsistencyError
+    assert str(exc.value) == "residual point not defined over the working field"
 
 
 def test_ordinarity_check_all_t_gf4():

@@ -127,9 +127,13 @@ def test_only_random_class_decides_by_the_trace_criterion():
     assert {name: callers for name, callers in found.items() if callers} == {"jacobian.py": {"random_class"}}
 
 
+CROSS_CHECK_ERRORS = {"InconsistencyError", "VerificationError"}
+
+
 def _site_pattern(node):
-    """The message of `raise InconsistencyError(<message>)` as a regex: an
-    f-string's replacement fields match any text."""
+    """The message of `raise InconsistencyError(<message>)` (or of a
+    VerificationError) as a regex: an f-string's replacement fields match
+    any text."""
     if isinstance(node, ast.Constant):
         return re.escape(node.value)
     assert isinstance(node, ast.JoinedStr), ast.dump(node)
@@ -138,25 +142,46 @@ def _site_pattern(node):
     )
 
 
-def test_every_action_cross_check_has_a_planted_fault():
+def _planted_messages(tree):
+    """The messages a test module shows to fire: the first string of each
+    case in its PLANTED_FAULTS table, and each `str(...) == "<message>"`."""
+    messages = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and [
+            getattr(t, "id", None) for t in node.targets
+        ] == ["PLANTED_FAULTS"]:
+            for case in node.value.elts:
+                messages.append(
+                    next(a.value for a in case.args if isinstance(a, ast.Constant))
+                )
+        elif (
+            isinstance(node, ast.Compare)
+            and isinstance(node.left, ast.Call)
+            and getattr(node.left.func, "id", None) == "str"
+            and isinstance(node.ops[0], ast.Eq)
+            and isinstance(node.comparators[0], ast.Constant)
+        ):
+            messages.append(node.comparators[0].value)
+    return messages
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE_DIR.glob("*.py")))
+def test_every_cross_check_has_a_planted_fault(module):
     sites = [
         (node.lineno, _site_pattern(node.exc.args[0]))
-        for node in ast.walk(ast.parse((PACKAGE_DIR / "action.py").read_text()))
+        for node in ast.walk(ast.parse((PACKAGE_DIR / module).read_text()))
         if isinstance(node, ast.Raise)
         and isinstance(node.exc, ast.Call)
-        and getattr(node.exc.func, "id", None) == "InconsistencyError"
+        and getattr(node.exc.func, "id", None) in CROSS_CHECK_ERRORS
     ]
-    assert sites
-    (table,) = [
-        node.value
-        for node in ast.walk(ast.parse((ROOT / "tests" / "test_action.py").read_text()))
-        if isinstance(node, ast.Assign)
-        and [getattr(t, "id", None) for t in node.targets] == ["PLANTED_FAULTS"]
+    messages = [
+        m
+        for p in sorted((ROOT / "tests").glob("test_*.py"))
+        for m in _planted_messages(ast.parse(p.read_text()))
     ]
-    messages = [case.args[0].value for case in table.elts]
     missing = [
-        f"action.py:{line}: {pattern}"
+        f"{module}:{line}: {pattern}"
         for line, pattern in sites
         if not any(re.fullmatch(pattern, m) for m in messages)
     ]
-    assert not missing, "InconsistencyError sites with no planted fault:\n" + "\n".join(missing)
+    assert not missing, "cross-check sites with no planted fault:\n" + "\n".join(missing)
