@@ -171,23 +171,22 @@ def _times_powers(field, start, xs, count):
 # ---------------------------------------------------------------------------
 # Riemann-Roch spaces L(m * infinity).
 
-def riemann_roch_basis(curve, m, field=None):
-    """Basis of L(m*infinity): x^i with 2i <= m and x^j y with 2j + 5 <= m.
-
-    For m > 2 = 2g - 2 the dimension is m - g + 1 = m - 1 and this list
-    realizes it by pole-order bookkeeping at the single infinite point.
-    """
+def _basis_shape(m):
+    """(n_x, n_y): the basis of L(m*infinity) is x^i for i < n_x (2i <= m),
+    then x^j y for j < n_y (2j + 5 <= m).  For m > 2 = 2g - 2 that is
+    m - g + 1 = m - 1 functions, by pole-order bookkeeping at infinity."""
     if m < 0:
         raise ValueError("pole bound must be >= 0")
+    return m // 2 + 1, max(0, (m - 5) // 2 + 1)
+
+
+def riemann_roch_basis(curve, m, field=None):
+    """Basis of L(m*infinity) as PolyFunctions, in the order of `_basis_shape`."""
+    n_x, n_y = _basis_shape(m)
     fld = field or curve.field
-    one = Poly.one(fld)
-    zero = Poly.zero(fld)
-    out = []
-    for i in range(m // 2 + 1):
-        out.append(PolyFunction(curve, fld, Poly.x(fld) ** i if i else one, zero))
-    for j in range((m - 5) // 2 + 1):
-        out.append(PolyFunction(curve, fld, zero, Poly.x(fld) ** j if j else one))
-    return out
+    x, zero = Poly.x(fld), Poly.zero(fld)
+    return ([PolyFunction(curve, fld, x ** i, zero) for i in range(n_x)]
+            + [PolyFunction(curve, fld, zero, x ** j) for j in range(n_y)])
 
 
 def interpolate_vanishing(curve, field, m, constraints):
@@ -201,8 +200,7 @@ def interpolate_vanishing(curve, field, m, constraints):
     is deterministic: first reduced-echelon nullspace vector, normalized so
     its first nonzero coordinate is 1.
     """
-    basis = riemann_roch_basis(curve, m, field)
-    n_x = sum(1 for fn in basis if fn.b.is_zero())  # x^i first, then x^j y
+    n_x, n_y = _basis_shape(m)  # x^i first, then x^j y
     rows = []
     for point, mult in constraints:
         if point.field != field:
@@ -211,12 +209,9 @@ def interpolate_vanishing(curve, field, m, constraints):
         xs = xs.masks()
         one = _linear(1, mult, 0)
         cols = _times_powers(field, one, xs, n_x)
-        cols += _times_powers(field, ys.masks(), xs, len(basis) - n_x)
+        cols += _times_powers(field, ys.masks(), xs, n_y)
         rows.extend(zip(*cols))
-    if rows:
-        vecs = nullspace(field, rows)
-    else:
-        vecs = [[1] + [0] * (len(basis) - 1)]
+    vecs = nullspace(field, rows) if rows else [[1] + [0] * (n_x + n_y - 1)]
     if not vecs:
         return None
     vec = vecs[0]

@@ -1,26 +1,27 @@
 """Degree-0 divisor class arithmetic on the curve family.
 
-Classes are reduced Mumford pairs (u, v): u monic of degree <= 2,
-deg v < deg u, and u | v^2 + v h + f, all over an explicit coordinate
-field containing the curve base field.  The group law is Cantor
-composition and reduction for the char-2, h != 0 model:
+Classes are reduced Mumford pairs (u, v) of coefficient-mask tuples: u
+monic of degree <= 2, deg v < deg u, and u | v^2 + v h + f, over an
+explicit coordinate field containing the curve base field.  The group law
+is Cantor composition, then one reduction (`_reduce`), for the char-2,
+h != 0 model:
 
     compose: d = gcd(u1, u2, v1 + v2 + h) = s1 u1 + s2 u2 + s3 (v1+v2+h)
-             u = u1 u2 / d^2,  v = (s1 u1 v2 + s2 u2 v1 + s3 (v1 v2 + f)) / d mod u
-    reduce:  u' = (f + v h + v^2) / u,  v' = (v + h) mod u'   until deg u <= 2
+             U = u1 u2 / d^2,  V = (s1 u1 v2 + s2 u2 v1 + s3 (v1 v2 + f)) / d mod U
+    reduce:  U' = (V^2 + V h + f) / U,  V' = (V + h) mod U'  until deg U <= 2;
+             then U made monic, V mod U
 
-Two kinds of input take closed forms on masks instead (`_closed_form_sum`,
-after Lange, AAECC 15 (2005), and Lange-Stevens, SAC 2004): a coprime
-addition (deg u1 = deg u2 = 2, u1 != u2, Res(u1, u2) != 0) and a doubling
-(equal inputs, deg u = 2, Res(u, h) != 0).  Every other input runs the
-general composition: the identity or deg u = 1, u1 and u2 with a common
-root (u1 = u2 with v1 != v2 included), and a doubling whose u shares a root
-with h.  The Mumford check of `_validate` runs on every sum, on either path.
-
-Negation is v -> (v + h) mod u.  The independent Riemann-Roch
-interpolation oracle in `functions.reduce_points_oracle` guards every
-piece of this arithmetic in the tests.
+A coprime addition (deg u1 = deg u2 = 2, Res(u1, u2) != 0) and a doubling
+(deg u = 2, Res(u, h) != 0) compose by closed forms on masks
+(`_closed_form_compose`, after Lange, AAECC 15 (2005), and Lange-Stevens,
+SAC 2004); every other input composes on Polys.  v^2 + v h + f has one
+routine, `_mumford`, for the reduction, the doubling and the Mumford check
+of `_validate`, which runs on every sum.  Negation reduces (u, v + h).
+The independent Riemann-Roch interpolation oracle in
+`functions.reduce_points_oracle` guards all of this in the tests.
 """
+
+from itertools import zip_longest
 
 from .curve import jacobian_order_from_lpoly, lpolynomial
 from .errors import (
@@ -37,8 +38,8 @@ from .poly import Poly, affine_span, divmod_masks, solve_additive, solve_quadrat
 class FormalDivisor:
     """A formal sum of curve points with integer multiplicities.
 
-    Entries are merged by point; the point at infinity is allowed and kept
-    as an ordinary entry.  Degree bookkeeping is exact.
+    Entries are merged by point and dropped at multiplicity 0; the point at
+    infinity is kept as an ordinary entry.  Degree bookkeeping is exact.
     """
 
     __slots__ = ("curve", "entries")
@@ -81,7 +82,10 @@ class FormalDivisor:
 
 
 class JacobianClass:
-    """A reduced divisor class in Mumford form over an explicit field."""
+    """A reduced divisor class in Mumford form over an explicit field.
+
+    u and v are trimmed tuples of coefficient masks over `field`, lowest
+    degree first, as `Poly.masks` gives them."""
 
     __slots__ = ("curve", "field", "u", "v")
 
@@ -95,70 +99,58 @@ class JacobianClass:
             self._validate(eq)
 
     def _validate(self, eq=None):
-        u, v = self.u, self.v
-        if u.is_zero() or u.leading().mask != 1:
+        u, v, field = self.u, self.v, self.field
+        if not all(0 <= m < field.order for m in u + v):
+            raise ValueError(f"coefficient mask out of range for {field!r}")
+        if not u or u[-1] != 1:
             raise ValueError("u must be monic")
-        if u.degree > 2:
+        if len(u) > 3:
             raise ValueError("not reduced: deg u > 2")
-        if not v.is_zero() and v.degree >= u.degree:
+        if len(v) >= len(u):
             raise ValueError("v must have degree < deg u")
-        if self.field.degree % self.curve.field.degree:
+        if v and not v[-1]:
+            raise ValueError("v must be trimmed")
+        if field.degree % self.curve.field.degree:
             raise FieldMismatchError("class field does not contain the curve base field")
-        h, f = eq or self.curve.equation_polys(self.field)
-        if not ((v * v + v * h + f) % u).is_zero():
+        h, f = eq or self.curve.equation_polys(field)
+        if any(divmod_masks(field, _mumford(field, h.masks(), f.masks(), v), u)[1]):
             raise ValueError("Mumford condition u | v^2 + v h + f fails")
 
     # -- constructors ---------------------------------------------------------
     @classmethod
     def identity(cls, curve, field=None):
-        fld = field or curve.field
-        return cls(curve, fld, Poly.one(fld), Poly.zero(fld), check=False)
+        return cls(curve, field or curve.field, (1,), (), check=False)
 
     @classmethod
     def from_point(cls, p):
         """The class of P - infinity."""
         if p.is_infinity():
             return cls.identity(p.curve, p.curve.field)
-        fld = p.field
-        u = Poly(fld, (p.x, fld.one()))
-        return cls(p.curve, fld, u, Poly.constant(p.y))
+        return cls(p.curve, p.field, (p.x.mask, 1), (p.y.mask,) if p.y.mask else ())
 
     def is_identity(self):
-        return self.u.degree == 0
+        return len(self.u) == 1
 
     # -- group law -------------------------------------------------------------
     def __add__(self, other):
         if not self.curve.same_model(other.curve):
             raise FieldMismatchError("classes on different curve models")
-        if self.field != other.field:
+        field = self.field
+        if field != other.field:
             # mixed-field addition lifts to the compositum
-            fld, _, _ = join_fields(self.field, other.field)
+            fld, _, _ = join_fields(field, other.field)
             return self.lift(fld) + other.lift(fld)
-        eq = h, f = self.curve.equation_polys(self.field)
-        u1, v1, u2, v2 = self.u, self.v, other.u, other.v
-        closed = _closed_form_sum(self.field, h.masks(), f.masks(), u1.masks(),
-                                  v1.masks(), u2.masks(), v2.masks())
-        if closed is not None:
-            u, v = (Poly.from_masks(self.field, m) for m in closed)
-        else:
-            d1, e1, e2 = u1.xgcd(u2)
-            d, c1, c2 = d1.xgcd(v1 + v2 + h)
-            s1, s2, s3 = c1 * e1, c1 * e2, c2
-            u = (u1 * u2).divexact(d * d)
-            v = (s1 * u1 * v2 + s2 * u2 * v1 + s3 * (v1 * v2 + f)).divexact(d) % u
-            while u.degree > 2:
-                u_next = (f + v * h + v * v).divexact(u)
-                v = (v + h) % u_next
-                u = u_next
-            u = u.monic()
-            v = v % u if u.degree > 0 else Poly.zero(self.field)
-        return JacobianClass(self.curve, self.field, u, v, eq=eq)
+        eq = self.curve.equation_polys(field)
+        h, f = eq[0].masks(), eq[1].masks()
+        pairs = self.u, self.v, other.u, other.v
+        composed = _closed_form_compose(field, h, f, *pairs) or _cantor_compose(eq, *pairs)
+        return JacobianClass(self.curve, field, *_reduce(field, h, f, *composed), eq=eq)
 
     def neg(self):
-        h, _ = self.curve.equation_polys(self.field)
-        if self.is_identity():
-            return self
-        return JacobianClass(self.curve, self.field, self.u, (self.v + h) % self.u)
+        eq = self.curve.equation_polys(self.field)
+        h, f = eq[0].masks(), eq[1].masks()
+        u, v = _reduce(self.field, h, f, self.u, _xor(self.v, h))
+        return JacobianClass(self.curve, self.field, u, v, eq=eq)
 
     def __sub__(self, other):
         return self + other.neg()
@@ -177,13 +169,14 @@ class JacobianClass:
 
     # -- comparisons / transport -------------------------------------------------
     def key(self):
-        return (self.u.masks(), self.v.masks())
+        return (self.u, self.v)
 
     def lift(self, field):
         if field == self.field:
             return self
         emb = embed(self.field, field)
-        return JacobianClass(self.curve, field, self.u.map(emb), self.v.map(emb))
+        u, v = (tuple(emb.image_mask(m) for m in p) for p in (self.u, self.v))
+        return JacobianClass(self.curve, field, u, v)
 
     def descend_to(self, field):
         """The same class re-expressed over a subfield; the reduced Mumford
@@ -192,13 +185,10 @@ class JacobianClass:
         if field == self.field:
             return self
         emb = embed(field, self.field)
-        down = []
-        for poly in (self.u, self.v):
-            coeffs = [emb.preimage(self.field.element(m)) for m in poly.masks()]
-            if any(c is None for c in coeffs):
-                raise FieldMismatchError("class is not rational over the subfield")
-            down.append(Poly(field, coeffs))
-        return JacobianClass(self.curve, field, down[0], down[1])
+        down = [[emb.preimage(self.field.element(m)) for m in p] for p in (self.u, self.v)]
+        if None in down[0] + down[1]:
+            raise FieldMismatchError("class is not rational over the subfield")
+        return JacobianClass(self.curve, field, *(tuple(c.mask for c in p) for p in down))
 
     def equals(self, other):
         """Equality of classes, lifting to a common field as needed."""
@@ -216,7 +206,7 @@ class JacobianClass:
 
     def __hash__(self):
         # equality lifts across fields, so hash only what a lift preserves
-        return hash((self.curve.field, self.curve.effective_t, self.u.degree))
+        return hash((self.curve.field, self.curve.effective_t, len(self.u) - 1))
 
     def retag(self, curve):
         if not self.curve.same_model(curve):
@@ -231,14 +221,15 @@ class JacobianClass:
         """[(point, mult)] over this field or its quadratic extension,
         together with the field where the support splits."""
         curve, fld = self.curve, self.field
-        if self.u.degree == 0:
+        u, v = (Poly.from_masks(fld, m) for m in (self.u, self.v))
+        if u.degree == 0:
             return [], fld
-        if self.u.degree == 1:
-            x0 = self.u[0]
-            p = curve.point(x0, self.v.evaluate(x0))
+        if u.degree == 1:
+            x0 = u[0]
+            p = curve.point(x0, v.evaluate(x0))
             return [(p, 1)], fld
-        roots, fld2, emb = solve_quadratic(self.u)
-        v = self.v if fld2 == fld else self.v.map(emb)
+        roots, fld2, emb = solve_quadratic(u)
+        v = v if fld2 == fld else v.map(emb)
         if roots[0] == roots[1]:
             p = curve.point(roots[0], v.evaluate(roots[0]))
             return [(p, 2)], fld2
@@ -246,45 +237,81 @@ class JacobianClass:
         return out, fld2
 
     def to_divisor(self):
-        support, fld = self.support()
+        support, _ = self.support()
         deg = sum(m for _, m in support)
-        entries = list(support)
-        if deg:
-            entries.append((self.curve.infinity(), -deg))
-        return FormalDivisor(self.curve, entries)
+        return FormalDivisor(self.curve, support + [(self.curve.infinity(), -deg)])
 
 
-def _closed_form_sum(field, h, f, u1, v1, u2, v2):
-    """The reduced sum of (u1, v1) and (u2, v2), all coefficient-mask tuples
-    like h and f, as mask lists (u, v): for a coprime addition or a doubling
-    with Res(u, h) != 0, else None.  Each s is k r^-1 mod w, from
+def _mumford(field, h, f, v):
+    """v^2 + v h + f as a list of coefficient masks, for mask sequences h, f, v."""
+    exp, log = field.tables()
+    h_logs = [(j, log[e]) for j, e in enumerate(h) if e]
+    out = list(f) + [0] * (max(2 * len(v), len(v) + len(h)) - 1 - len(f))
+    for i, c in enumerate(v):
+        if c:
+            lc = log[c]
+            out[2 * i] ^= exp[2 * lc]
+            for j, le in h_logs:
+                out[i + j] ^= exp[lc + le]
+    return out
+
+
+def _xor(a, b):
+    """The sum of two coefficient-mask sequences, as a list."""
+    return [x ^ y for x, y in zip_longest(a, b, fillvalue=0)]
+
+
+def _trim(masks):
+    while masks and not masks[-1]:
+        masks.pop()
+    return tuple(masks)
+
+
+def _reduce(field, h, f, u, v):
+    """The reduced pair of a composition (U, V), coefficient-mask sequences
+    with U | V^2 + V h + f, as trimmed tuples: while deg U > 2,
+    U' = (V^2 + V h + f) / U and V' = (V + h) mod U'; then U is made monic
+    and V taken mod U."""
+    while len(u) > 3:
+        quo, rem = divmod_masks(field, _mumford(field, h, f, v), u)
+        if any(rem):
+            raise ValueError("division is not exact")
+        u = _trim(quo)
+        v = divmod_masks(field, _xor(v, h), u)[1]
+    if u[-1] != 1:
+        i = field.inv_mask(u[-1])
+        u = [field.mul_masks(c, i) for c in u]
+    if len(v) >= len(u):
+        v = divmod_masks(field, v, u)[1]
+    return tuple(u), _trim(list(v))
+
+
+def _cantor_compose(eq, u1, v1, u2, v2):
+    """The general composition (U, V) of two mask-tuple pairs, unreduced, as
+    mask tuples, on Polys over the field of eq = (h, f)."""
+    h, f = eq
+    u1, v1, u2, v2 = (Poly.from_masks(h.field, m) for m in (u1, v1, u2, v2))
+    d1, e1, e2 = u1.xgcd(u2)
+    d, c1, c2 = d1.xgcd(v1 + v2 + h)
+    s1, s2, s3 = c1 * e1, c1 * e2, c2
+    u = (u1 * u2).divexact(d * d)
+    v = (s1 * u1 * v2 + s2 * u2 * v1 + s3 * (v1 * v2 + f)).divexact(d) % u
+    return u.masks(), v.masks()
+
+
+def _closed_form_compose(field, h, f, u1, v1, u2, v2):
+    """The composition (U, V) of (u1, v1) and (u2, v2), all coefficient-mask
+    tuples like h and f, unreduced, as mask lists: for a coprime addition or
+    a doubling with Res(u, h) != 0, else None.  Each s is k r^-1 mod w, from
     `_quotient_mod_quadratic`:
         add:    s = (v1 + v2) (u1 mod u2)^-1 mod u2,  V = v1 + s u1,  U = u1 u2
-        double: s = ((v^2 + v h + f) / u) (h mod u)^-1 mod u,  V = v + s u,  U = u^2
-    then one reduction: u' = (V^2 + V h + f) / U made monic, v' = (V + h) mod u'."""
+        double: s = ((v^2 + v h + f) / u) (h mod u)^-1 mod u,  V = v + s u,  U = u^2"""
     if len(u1) != 3 or len(u2) != 3:
         return None
     exp, log = field.tables()
-    h_logs = [(j, log[e]) for j, e in enumerate(h) if e]
 
     def mul(x, y):
         return exp[log[x] + log[y]] if x and y else 0
-
-    def exact(num, den):  # num / den, raising as Poly.divexact does
-        quo, rem = divmod_masks(field, num, den)
-        if any(rem):
-            raise ValueError("division is not exact")
-        return quo
-
-    def mumford(v):  # v^2 + v h + f
-        out = list(f) + [0] * (max(2 * len(v), len(v) + len(h)) - 1 - len(f))
-        for i, c in enumerate(v):
-            if c:
-                lc = log[c]
-                out[2 * i] ^= exp[2 * lc]
-                for j, le in h_logs:
-                    out[i + j] ^= exp[lc + le]
-        return out
 
     # s = k r^-1 mod w = x^2 + b1 x + b0, with w = u2 to add and w = u to double
     (a0, a1, _), (c0, c1) = u1, (v1 + (0, 0))[:2]
@@ -295,7 +322,8 @@ def _closed_form_sum(field, h, f, u1, v1, u2, v2):
         big_u = [mul(a0, b0), mul(a0, b1) ^ mul(a1, b0), a0 ^ b0 ^ mul(a1, b1), a1 ^ b1, 1]
     elif v1 == v2:
         b0, b1 = a0, a1
-        k = divmod_masks(field, exact(mumford(v1), u1), u1)[1]
+        # u1 | v1^2 + v1 h + f holds for a valid class: only the quotient is used
+        k = divmod_masks(field, divmod_masks(field, _mumford(field, h, f, v1), u1)[0], u1)[1]
         r = (h[0] ^ mul(h[2], a0), h[1] ^ mul(h[2], a1))  # h mod u, as deg h = 2 here
         big_u = [mul(a0, a0), 0, mul(a1, a1), 0, 1]
     else:
@@ -304,15 +332,7 @@ def _closed_form_sum(field, h, f, u1, v1, u2, v2):
     if s is None:
         return None
     s0, s1 = s
-    big_v = [c0 ^ mul(s0, a0), c1 ^ mul(s1, a0) ^ mul(s0, a1), s0 ^ mul(s1, a1), s1]
-    u = exact(mumford(big_v), big_u)
-    while u and not u[-1]:
-        u.pop()
-    i = field.inv_mask(u[-1])
-    u = [mul(c, i) for c in u]
-    for j, c in enumerate(h):
-        big_v[j] ^= c
-    return u, divmod_masks(field, big_v, u)[1]
+    return big_u, [c0 ^ mul(s0, a0), c1 ^ mul(s1, a0) ^ mul(s0, a1), s0 ^ mul(s1, a1), s1]
 
 
 def _quotient_mod_quadratic(field, mul, k, r, b0, b1):
@@ -355,14 +375,9 @@ def oracle_class_of(divisor):
     if divisor.degree() != 0:
         raise ValueError("divisor must have degree 0")
     field, affine, _inf = divisor.lift_to_common_field()
-    effective = []
-    for p, m in affine:
-        if m >= 0:
-            effective.append((p, m))
-        else:
-            effective.append((p.hyperelliptic_involution(), -m))
+    effective = [(p, m) if m >= 0 else (p.hyperelliptic_involution(), -m) for p, m in affine]
     u, v, fld = reduce_points_oracle(divisor.curve, field, effective)
-    return JacobianClass(divisor.curve, fld, u, v)
+    return JacobianClass(divisor.curve, fld, u.masks(), v.masks())
 
 
 def principal_witness(divisor):
@@ -400,9 +415,7 @@ def group_order(curve, field):
     if field.order <= 64:
         counted = count_classes(curve, field)
         if counted != n:
-            raise InconsistencyError(
-                f"zeta order {n} disagrees with enumerated count {counted}"
-            )
+            raise InconsistencyError(f"zeta order {n} disagrees with enumerated count {counted}")
     _order_cache[key] = n
     return n
 
@@ -432,7 +445,7 @@ def _degree_two_classes(curve, field):
     eq = curve.equation_polys(field)
     for u, part, kernel in _solvable_quadratics(curve, field, eq):
         for v in affine_span(part, kernel):
-            yield JacobianClass(curve, field, u, v, eq=eq)
+            yield JacobianClass(curve, field, u.masks(), v.masks(), eq=eq)
 
 
 def count_classes(curve, field):
@@ -509,8 +522,8 @@ def random_class(curve, field, rng):
         by_trace = _solvable_by_trace(field, h, f, u0, u1)
         if by_trace is False:
             continue
-        u = Poly.from_masks(field, (u0, u1, 1))
-        sol = _v_solution_space(curve, field, u, eq)
+        u = (u0, u1, 1)
+        sol = _v_solution_space(curve, field, Poly.from_masks(field, u), eq)
         if sol is None:
             if by_trace:
                 raise InconsistencyError(
@@ -520,7 +533,7 @@ def random_class(curve, field, rng):
         for k in kernel:
             if rng.randrange(2):
                 v = v + k
-        return JacobianClass(curve, field, u, v, eq=eq)
+        return JacobianClass(curve, field, u, v.masks(), eq=eq)
 
 
 # ---------------------------------------------------------------------------
@@ -534,12 +547,11 @@ def two_torsion(curve, field):
     eq = curve.equation_polys(field)
     out = [JacobianClass.identity(curve, field)]
     for masks in ((0, 1), (1, 1), (0, 1, 1)):  # x, x + 1, x^2 + x = h
-        u = Poly.from_masks(field, masks)
-        sol = _v_solution_space(curve, field, u, eq)
+        sol = _v_solution_space(curve, field, Poly.from_masks(field, masks), eq)
         if sol is None:
             continue
         for v in affine_span(*sol):
-            c = JacobianClass(curve, field, u, v, eq=eq)
+            c = JacobianClass(curve, field, masks, v.masks(), eq=eq)
             if c.neg().key() == c.key():
                 out.append(c)
     for c in out:
@@ -571,12 +583,9 @@ def sylow_subgroup(curve, field, r):
     in the order `enumerate_classes` lists them, so the result does not
     depend on any seed; a walk that runs out first raises."""
     n = group_order(curve, field)
-    e = 0
-    m = n
-    while m % r == 0:
-        m //= r
-        e += 1
-    target = r ** e
+    target = 1
+    while n % (target * r) == 0:
+        target *= r
     if target > 3 ** 9:
         raise SearchExhaustedError(f"Sylow-{r} subgroup too large to enumerate ({target})")
     ident = JacobianClass.identity(curve, field)
@@ -586,9 +595,7 @@ def sylow_subgroup(curve, field, r):
     while len(group) < target:
         c = next(walk, None)
         if c is None:
-            raise SearchExhaustedError(
-                f"Sylow-{r} generation incomplete: {len(group)} of {target}"
-            )
+            raise SearchExhaustedError(f"Sylow-{r} generation incomplete: {len(group)} of {target}")
         x = c.mul_int(cofactor)
         if x.key() in group:
             continue
@@ -647,14 +654,9 @@ def frobenius_pullback(cls):
         raise ValueError("pullback target needs twist index >= 1; retag first")
     support, fld = cls.support()
     target = cls.curve.twist(cls.curve.n - 1)
-    entries = []
-    deg = 0
-    for p, m in support:
-        entries.append((p.frobenius_preimage(), 2 * m))
-        deg += 2 * m
-    if deg:
-        entries.append((target.infinity(), -deg))
-    return class_of(FormalDivisor(target, entries))
+    entries = [(p.frobenius_preimage(), 2 * m) for p, m in support]
+    deg = sum(m for _, m in entries)
+    return class_of(FormalDivisor(target, entries + [(target.infinity(), -deg)]))
 
 
 # ---------------------------------------------------------------------------

@@ -177,13 +177,13 @@ class Poly:
     def __pow__(self, e):
         if e < 0:
             raise ValueError("negative power of a polynomial")
-        r = Poly.one(self.field)
-        b = self
-        while e:
-            if e & 1:
-                r = r * b
-            b = b * b
-            e >>= 1
+        if not e:
+            return Poly.one(self.field)
+        r = self  # the top bit; then square, and multiply per set bit below it
+        for bit in bin(e)[3:]:
+            r = r * r
+            if bit == "1":
+                r = r * self
         return r
 
     def __divmod__(self, other):

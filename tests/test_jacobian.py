@@ -160,9 +160,9 @@ def test_random_class_solves_every_u_the_trace_does_not_reject(monkeypatch):
         kept = solve(c, f16, Poly.from_masks(f16, (*u, 1))) is not None
         rng = ScriptedRng([*u] + ([] if kept else [*good]) + [1] * 4)
         cls = random_class(c, f16, rng)
-        assert cls.u.masks()[:2] == (u if kept else good)
+        assert cls.u[:2] == (u if kept else good)
         assert solved == ([] if by_trace is False else [u]) + ([] if kept else [good])
-        assert len(rng.draws) == 4 - len(solve(c, f16, cls.u)[1])
+        assert len(rng.draws) == 4 - len(solve(c, f16, Poly.from_masks(f16, cls.u))[1])
 
 
 def test_random_class_catches_a_u_the_trace_accepts_without_a_solution(monkeypatch):
@@ -216,7 +216,7 @@ def test_degenerate_sums_gf16_are_pinned():
     digest = hashlib.sha256()
     for a in classes:
         digest.update(repr(((a + a).key(), (a + a.neg()).key())).encode())
-    low = [a for a in classes if a.u.degree <= 1]
+    low = [a for a in classes if len(a.u) <= 2]
     for a in low:
         for b in low:
             digest.update(repr((a + b).key()).encode())
@@ -227,8 +227,8 @@ def test_mul_int_matches_repeated_addition():
     c = laszlo_curve()
     f16 = default_field(4)
     classes = enumerate_classes(c, f16)
-    degree_one = next(a for a in classes if a.u.degree == 1 and not a.mul_int(2).is_identity())
-    root_of_h = next(a for a in classes if a.u.degree == 2 and a.u[0].mask == 0)
+    degree_one = next(a for a in classes if len(a.u) == 2 and not a.mul_int(2).is_identity())
+    root_of_h = next(a for a in classes if len(a.u) == 3 and a.u[0] == 0)
     picked = [classes[0], degree_one, root_of_h, random_class(c, f16, random.Random(7))]
     picked += two_torsion(c, f16)[1:]  # u | h
     ks = list(range(-5, 41)) + [(1 << m) + e for m in (6, 7, 8) for e in (-1, 0, 1)]
@@ -260,9 +260,27 @@ def test_mul_int_makes_no_wasted_sum(monkeypatch):
 def test_identity_with_a_nonzero_v_is_rejected():
     c = laszlo_curve()
     with pytest.raises(ValueError) as exc:
-        JacobianClass(c, c.field, Poly.one(c.field), Poly.constant(c.field.one()))
+        JacobianClass(c, c.field, (1,), (1,))
     assert exc.type is ValueError
     assert str(exc.value) == "v must have degree < deg u"
+
+
+@pytest.mark.parametrize("u, v, message", [
+    ((4, 1), (), "coefficient mask out of range for GF(2^2; 0x7)"),  # log[4] is past GF(4)'s table
+    ((0, 1), (9,), "coefficient mask out of range for GF(2^2; 0x7)"),
+    ((), (), "u must be monic"),
+    ((1, 2), (), "u must be monic"),
+    ((1, 0, 0, 1), (), "not reduced: deg u > 2"),
+    ((0, 1), (1, 1), "v must have degree < deg u"),
+    ((0, 0, 1), (1, 0), "v must be trimmed"),
+    ((0, 1), (1,), "Mumford condition u | v^2 + v h + f fails"),  # 1 + h(0) + f(0) = 1
+])
+def test_jacobian_class_rejects_a_malformed_pair(u, v, message):
+    c = laszlo_curve()
+    with pytest.raises(ValueError) as exc:
+        JacobianClass(c, c.field, u, v)
+    assert exc.type is ValueError
+    assert str(exc.value) == message
 
 
 # (degree of the curve's base field, mask of t, degree of the class field,
@@ -502,26 +520,29 @@ def test_ordinarity_check_all_t_gf4():
 def test_mumford_check_catches_a_flipped_bit_in_the_closed_form(monkeypatch):
     import frobfix.jacobian as jacobian_module
 
-    closed = jacobian_module._closed_form_sum
-    flipped = []
+    # the closed-form composition runs, and the reduction of its output is
+    # planted with one flipped bit
+    reduce, closed = jacobian_module._reduce, jacobian_module._closed_form_compose
+    composed, flipped = [], []
 
     def flip_v(*args):
-        out = closed(*args)
-        if out is None or len(out[0]) < 3:
-            return out
-        u, v = out
-        v = (v + [0, 0])[:2]
+        u, v = reduce(*args)
+        if len(u) < 3:
+            return u, v
+        v = list(v + (0, 0))[:2]
         v[1] ^= 1  # adds x^2 + x h = x^3 to v^2 + v h + f
         flipped.append(v)
-        return u, v
+        return u, tuple(v)
 
     c = laszlo_curve()
     rng = random.Random(101)
     a, b = (random_class(c, default_field(4), rng) for _ in range(2))
-    monkeypatch.setattr(jacobian_module, "_closed_form_sum", flip_v)
+    monkeypatch.setattr(jacobian_module, "_reduce", flip_v)
+    monkeypatch.setattr(jacobian_module, "_closed_form_compose",
+                        lambda *args: composed.append(closed(*args)) or composed[-1])
     with pytest.raises(ValueError) as exc:
         a + b
-    assert flipped
+    assert composed[-1] is not None and flipped
     assert exc.type is ValueError
     assert str(exc.value) == "Mumford condition u | v^2 + v h + f fails"
 

@@ -88,6 +88,23 @@ def test_pow_rejects_negative_exponent():
         x ** -1
 
 
+def test_pow_makes_no_wasted_product(monkeypatch):
+    # no product with one at the top bit, no squaring after the last bit
+    f16 = default_field(4)
+    p = Poly.from_masks(f16, (3, 7, 1))
+    mul = Poly.__mul__
+    products = []
+    monkeypatch.setattr(Poly, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+    for e in range(13):
+        products.clear()
+        power = p ** e
+        assert len(products) == (e.bit_length() + bin(e).count("1") - 2 if e else 0), e
+        expected = Poly.one(f16)
+        for _ in range(e):
+            expected = mul(expected, p)
+        assert power == expected, e
+
+
 def test_field_checks_survive_masks():
     f16, f4 = default_field(4), default_field(2)
     e4 = f4.gen()
