@@ -16,7 +16,6 @@ from .gf2 import (
     FieldElement,
     FieldEmbedding,
     artin_schreier_solve,
-    build_field,
     default_field,
     embed,
     identity_embedding,
@@ -28,7 +27,6 @@ __all__ = [
     "FieldElement",
     "FieldEmbedding",
     "artin_schreier_solve",
-    "build_field",
     "default_field",
     "embed",
     "identity_embedding",

@@ -1,9 +1,10 @@
 """Exact arithmetic in binary finite fields GF(2^d) for d <= 16.
 
 Elements are integer bit-masks: bit i is the coefficient of x^i in the
-polynomial-basis representation modulo an explicit irreducible modulus.
-The modulus is verified at construction by exhaustive factor search, so
-no shipped constant is taken on faith.
+polynomial-basis representation modulo the irreducible modulus of
+degree d in the shipped table.  There is one field per degree: the table
+is verified entry by entry (degree and exhaustive factor search) when it
+loads, so no shipped constant is taken on faith.
 
 Towers are explicit: an element belongs to exactly one field, and moving
 between fields requires a FieldEmbedding.  Mixing elements of different
@@ -124,28 +125,17 @@ def _prime_factors(n):
 # Fields and elements.
 
 class BinaryField:
-    """The field GF(2^degree) with an explicit irreducible modulus.
+    """The field GF(2^degree), modulo the table's modulus of that degree.
 
     Multiplication uses lazily built exp/log tables (the order is at most
     2^16, so full tables are always affordable).
     """
 
-    def __init__(self, degree, modulus="default"):
+    def __init__(self, degree):
         if not 1 <= degree <= DEGREE_CAP:
             raise FieldConstructionError(f"degree must be in 1..{DEGREE_CAP}, got {degree}")
-        if modulus == "default" or modulus is None:
-            modulus = default_modulus_table()[degree]
-        if mask_degree(modulus) != degree:
-            raise FieldConstructionError(
-                f"modulus {hex(modulus)} has degree {mask_degree(modulus)}, expected {degree}"
-            )
-        factor = find_factor(modulus)
-        if factor is not None:
-            raise FieldConstructionError(
-                f"modulus {hex(modulus)} is reducible: factor {hex(factor)}"
-            )
         self.degree = degree
-        self.modulus = modulus
+        self.modulus = default_modulus_table()[degree]
         self.order = 1 << degree
         self._exp = None
         self._log = None
@@ -394,12 +384,6 @@ class FieldEmbedding:
             i += 1
         return out
 
-    def then(self, other):
-        """Composition: self followed by other (target of self = source of other)."""
-        if self.target != other.source:
-            raise EmbeddingError("embeddings do not compose")
-        return FieldEmbedding(self.source, other.target, other(self.image_of_generator))
-
     def preimage(self, elem):
         """The source element mapping to elem, or None if elem is outside
         the image subfield."""
@@ -472,53 +456,21 @@ def _default_tower_embedding(a, b):
     )
 
 
-def _iso_to_default(field):
-    """The smallest-root isomorphism field -> default(field.degree)."""
-    tgt = default_field(field.degree)
-    if field == tgt:
-        return FieldEmbedding(field, tgt, tgt.gen())
-    roots = _roots_of_gf2_poly(field.modulus, tgt)
-    if not roots:
-        raise EmbeddingError("modulus has no root in the default field of equal degree")
-    return FieldEmbedding(field, tgt, FieldElement(tgt, roots[0]))
-
-
-def _invert_iso(emb):
-    """Inverse of a same-degree embedding (a field isomorphism): it sends
-    the target generator to that generator's preimage."""
-    return FieldEmbedding(emb.target, emb.source, emb.preimage(emb.target.gen()))
-
-
 def embed(source, target):
     """The canonical embedding GF(2^a) -> GF(2^b) for a | b.
 
-    Embeddings between default-table fields form a commuting system over
-    the divisibility lattice (each is the smallest root of the source
-    modulus compatible with all previously fixed subfield embeddings).
-    Fields with custom moduli are routed through the default skeleton via
-    their smallest-root isomorphism, so coherence extends to them too.
+    The embeddings form a commuting system over the divisibility lattice
+    (each is the smallest root of the source modulus compatible with all
+    previously fixed subfield embeddings).  Built once per pair and cached.
     """
     if target.degree % source.degree:
         raise EmbeddingError(
             f"no embedding: {source.degree} does not divide {target.degree}"
         )
     key = (source.degree, source.modulus, target.degree, target.modulus)
-    hit = _embed_cache.get(key)
-    if hit is not None:
-        return hit
-    src_default = default_field(source.degree)
-    tgt_default = default_field(target.degree)
-    if source == src_default and target == tgt_default:
-        emb = _default_tower_embedding(source.degree, target.degree)
-    else:
-        spine = embed(src_default, tgt_default)
-        pre = _iso_to_default(source)
-        if target == tgt_default:
-            emb = pre.then(spine)
-        else:
-            post = _invert_iso(_iso_to_default(target))
-            emb = pre.then(spine).then(post)
-    _embed_cache[key] = emb
+    emb = _embed_cache.get(key)
+    if emb is None:
+        emb = _embed_cache[key] = _default_tower_embedding(source.degree, target.degree)
     return emb
 
 
@@ -552,11 +504,6 @@ def quadratic_extension(field):
     if 2 * field.degree > DEGREE_CAP:
         raise DegreeCapError(f"quadratic extension of degree {2 * field.degree} exceeds cap")
     return embed(field, default_field(2 * field.degree))
-
-
-def build_field(d, modulus="default"):
-    """Construct GF(2^d) with the given (or default) verified modulus."""
-    return BinaryField(d, modulus)
 
 
 # ---------------------------------------------------------------------------

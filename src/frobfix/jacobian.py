@@ -31,7 +31,7 @@ from .errors import (
     SearchExhaustedError,
 )
 from .functions import _merge_points, principal_witness_core, reduce_points_oracle
-from .gf2 import default_field, embed, join_fields, quadratic_root_masks, trace_mask
+from .gf2 import _prime_factors, default_field, embed, join_fields, quadratic_root_masks, trace_mask
 from .poly import Poly, affine_span, divmod_masks, solve_additive, solve_quadratic
 
 
@@ -454,6 +454,8 @@ def count_classes(curve, field):
     criterion of `count_points`, which feeds the zeta side of `group_order`;
     degree-2 classes come from the full Mumford solve of every u, never
     from `_solvable_by_trace`."""
+    if field.order > 64:
+        raise DegreeCapError("class enumeration is for #field <= 64")
     total = 1  # the identity (u, v) = (1, 0)
     total += sum(1 for _ in curve._affine_point_masks(field))  # degree-1 classes
     quadratics = _solvable_quadratics(curve, field, curve.equation_polys(field))
@@ -461,14 +463,18 @@ def count_classes(curve, field):
 
 
 def enumerate_classes(curve, field):
-    """All classes over a small field (order <= 64), as JacobianClass values."""
+    """All classes over a small field (order <= 64), as JacobianClass values:
+    the identity, then the degree-1 classes P - infinity from the affine
+    points of `count_classes`'s walk, (x, y) ascending, then the degree-2
+    classes."""
     if field.order > 64:
         raise DegreeCapError("class enumeration is for #field <= 64")
-    out = [JacobianClass.identity(curve, field)]
-    for xm in range(field.order):
-        out.extend(JacobianClass.from_point(p) for p in curve.points_at(field.element(xm)))
-    out.extend(_degree_two_classes(curve, field))
-    return out
+    eq = curve.equation_polys(field)
+    degree_one = [
+        JacobianClass(curve, field, (x, 1), (y,) if y else (), eq=eq)
+        for x, y in sorted(curve._affine_point_masks(field))
+    ]
+    return [JacobianClass.identity(curve, field), *degree_one, *_degree_two_classes(curve, field)]
 
 
 def _solvable_by_trace(field, h, f, u0, u1):
@@ -582,6 +588,8 @@ def sylow_subgroup(curve, field, r):
     The generators are the cofactor multiples of the degree-2 classes, taken
     in the order `enumerate_classes` lists them, so the result does not
     depend on any seed; a walk that runs out first raises."""
+    if _prime_factors(r) != [r]:
+        raise ValueError(f"Sylow subgroup needs a prime r, got {r}")
     n = group_order(curve, field)
     target = 1
     while n % (target * r) == 0:
@@ -621,6 +629,8 @@ def torsion_subgroup(curve, r, k):
         raise ValueError("torsion search supports r in {2, 3}")
     if k > 6:
         raise ValueError("torsion search bound capped at k <= 6")
+    if k < 1:
+        raise ValueError(f"torsion search bound needs k >= 1, got {k}")
     bound = 4 if r == 2 else 81
     counts = []
     best = None

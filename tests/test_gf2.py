@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from frobfix import gf2
 from frobfix.errors import (
     DegreeCapError,
     EmbeddingError,
@@ -14,12 +15,12 @@ from frobfix.errors import (
 )
 from frobfix.gf2 import (
     DEGREE_CAP,
+    BinaryField,
     FieldElement,
     _prime_factors,
     artin_schreier_root_in_field,
     artin_schreier_root_mask,
     artin_schreier_solve,
-    build_field,
     default_field,
     default_modulus_table,
     embed,
@@ -38,12 +39,15 @@ def test_default_table_covers_1_to_16_and_is_irreducible():
 
 
 def test_build_field_examples():
-    f1 = build_field(1)
-    assert f1.order == 2
-    f2 = build_field(2, 0b111)
-    assert f2.order == 4
-    f4 = build_field(4, 0b10011)
-    assert f4.order == 16
+    # one field per degree: its modulus is the table's, whichever way it is built
+    table = default_modulus_table()
+    for d in range(1, 17):
+        f = BinaryField(d)
+        assert (f.order, f.modulus) == (1 << d, table[d])
+        assert f == default_field(d)
+    assert (table[2], table[4]) == (0b111, 0b10011)
+    with pytest.raises(FieldConstructionError, match=r"^degree must be in 1\.\.16, got 17$"):
+        BinaryField(17)
 
 
 def test_irreducibility_oracle_gf4():
@@ -52,11 +56,23 @@ def test_irreducibility_oracle_gf4():
         assert (x * x + x + 1) % 2 == 1
 
 
-def test_reducible_modulus_rejected_with_factor():
-    with pytest.raises(FieldConstructionError, match="factor"):
-        build_field(4, 0b10001)  # x^4 + 1 = (x+1)^4
-    with pytest.raises(FieldConstructionError):
-        build_field(2, 0b110)  # wrong degree encoding: x^2 + x = x(x+1)
+def test_reducible_modulus_rejected_with_factor(monkeypatch, tmp_path):
+    # the table is the only source of moduli, so its load-time check is the
+    # only guard: plant a bad entry in a copy of the table text
+    planted = [
+        ("4,7", "table entry for d=4 has degree 2"),  # x^2 + x + 1
+        ("4,11", "table modulus 0x11 for d=4 is reducible: factor 0x3"),  # (x + 1)^4
+    ]
+    monkeypatch.setattr(gf2.resources, "files", lambda _package: tmp_path)
+    try:
+        for entry, message in planted:
+            (tmp_path / "irreducibles.txt").write_text(f"# planted\n1,3\n{entry}\n")
+            default_modulus_table.cache_clear()
+            with pytest.raises(FieldConstructionError) as err:
+                default_modulus_table()
+            assert str(err.value) == message
+    finally:
+        default_modulus_table.cache_clear()
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
@@ -211,13 +227,15 @@ def test_join_fields():
 
 
 def test_embedding_composition():
-    f2, f4, f8 = default_field(2), default_field(4), default_field(8)
-    e24, e48 = embed(f2, f4), embed(f4, f8)
-    e28 = e24.then(e48)
-    for a in f2.elements():
-        assert e28(a) == e48(e24(a))
-        for b in f2.elements():
-            assert e28(a * b) == e28(a) * e28(b)
+    # the tower commutes: a | b | c gives embed(b, c) o embed(a, b) = embed(a, c)
+    chains = [
+        (a, b, c) for c in range(1, 17) for b in range(1, c + 1) for a in range(1, b + 1)
+        if c % b == 0 and b % a == 0
+    ]
+    assert len(chains) == 110
+    for a, b, c in chains:
+        fa, fb, fc = default_field(a), default_field(b), default_field(c)
+        assert embed(fb, fc)(embed(fa, fb)(fa.gen())) == embed(fa, fc)(fa.gen())
 
 
 def test_artin_schreier_zero_rhs():
@@ -317,7 +335,7 @@ def test_trace_to_subfield():
 def test_tables_equal_a_reference_walk(d):
     # reference: the smallest primitive element by `_pow_raw`, then its
     # powers by `_mul_raw`
-    f = build_field(d)
+    f = BinaryField(d)
     n = f.order - 1
     primes = _prime_factors(n) if n > 1 else []
     g = next((c for c in range(2, f.order) if all(f._pow_raw(c, n // p) != 1 for p in primes)), 1)

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from frobfix.curve import Curve, weil_interval_ok_jacobian
-from frobfix.errors import InconsistencyError
+from frobfix.errors import DegreeCapError, InconsistencyError
 from frobfix.gf2 import default_field, embed
 from frobfix.jacobian import (
     FormalDivisor,
@@ -442,6 +442,54 @@ def test_sylow_subgroup_is_brute_force_three_part_gf16():
     assert len(expected) == 9
     assert {x.key() for x in syl} == expected
     assert [x.key() for x in sylow_subgroup(c, f16, 3)] == [x.key() for x in syl]
+
+
+@pytest.mark.parametrize(
+    "search, arg, message",
+    [pytest.param("sylow", r, f"Sylow subgroup needs a prime r, got {r}", id=f"r={r}")
+     for r in (-3, 0, 1, 4, 6)]
+    + [pytest.param("torsion", k, f"torsion search bound needs k >= 1, got {k}", id=f"k={k}")
+       for k in (0, -1)],
+)
+def test_torsion_searches_reject_a_bad_argument(monkeypatch, search, arg, message):
+    # unchecked, r = 1 never reaches its target order, r = 0 divides by zero,
+    # r = 4 returns the 2-part and k < 1 searches no field at all; the check
+    # must come before any group order, so a missing one fails, not hangs
+    import frobfix.jacobian as jacobian_module
+
+    def no_order(*args):
+        raise AssertionError("group order computed before the argument check")
+
+    monkeypatch.setattr(jacobian_module, "group_order", no_order)
+    c = laszlo_curve()
+    with pytest.raises(ValueError) as exc:
+        if search == "sylow":
+            sylow_subgroup(c, default_field(4), arg)
+        else:
+            torsion_subgroup(c, 3, arg)
+    assert exc.type is ValueError
+    assert str(exc.value) == message
+
+
+def test_enumeration_lists_every_counted_class(monkeypatch):
+    import frobfix.jacobian as jacobian_module
+
+    f4, f16 = default_field(2), default_field(4)
+    cases = [(Curve(f4, f4.gen()), default_field(d)) for d in (2, 4, 6)]
+    cases += [(Curve(f16, f16.element(tm)), f16) for tm in range(2, 16)]
+    for c, fld in cases:
+        assert len(enumerate_classes(c, fld)) == count_classes(c, fld)
+
+    # over GF(2^12) the walk would make 2^24 Mumford solves: the cap must
+    # come first, so a missing one fails instead of running for hours
+    def no_walk(*args):
+        raise AssertionError("Mumford walk started over a field above the cap")
+
+    monkeypatch.setattr(jacobian_module, "_solvable_quadratics", no_walk)
+    for walk in (enumerate_classes, count_classes):
+        with pytest.raises(DegreeCapError) as exc:
+            walk(laszlo_curve(), default_field(12))
+        assert str(exc.value) == "class enumeration is for #field <= 64"
 
 
 def test_torsion_subgroup_two():

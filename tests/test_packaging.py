@@ -11,13 +11,13 @@ import pytest
 
 import frobfix
 
-tomllib = pytest.importorskip("tomllib")
-
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE_DIR = ROOT / "src" / "frobfix"
 
 
 def _project():
+    # tomllib is 3.11+: on 3.10 only the pyproject tests skip, not the AST guards
+    tomllib = pytest.importorskip("tomllib")
     with open(ROOT / "pyproject.toml", "rb") as f:
         return tomllib.load(f)
 
