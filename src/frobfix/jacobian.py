@@ -3,21 +3,32 @@
 Classes are reduced Mumford pairs (u, v) of coefficient-mask tuples: u
 monic of degree <= 2, deg v < deg u, and u | v^2 + v h + f, over an
 explicit coordinate field containing the curve base field.  The group law
-is Cantor composition, then one reduction (`_reduce`), for the char-2,
-h != 0 model:
+runs on masks; (h, f) comes from one memo per (curve model, field),
+`_equation_masks`.  A sum takes the first route that fits its inputs:
+
+    identity     one side has u = 1: the other side is returned
+    opposite     u1 = u2 and u | v1 + v2 + h: the identity
+    degree 1     u1 = x + x1, u2 = x + x2: the chord (x1 != x2) or the
+                 tangent (the same point, h(x1) != 0), already reduced
+                 (`_degree_one_compose`)
+    closed form  deg u1 = deg u2 = 2, a coprime addition (Res(u1, u2) != 0)
+                 or a doubling (Res(u, h) != 0), after Lange, AAECC 15
+                 (2005), and Lange-Stevens, SAC 2004 (`_closed_form_compose`)
+    Cantor       everything else, on Polys (`_cantor_compose`): degrees
+                 (1, 2) and (2, 1), a (2, 2) shared root, and a doubling
+                 with Res(u, h) = 0 that is not 2-torsion
 
     compose: d = gcd(u1, u2, v1 + v2 + h) = s1 u1 + s2 u2 + s3 (v1+v2+h)
              U = u1 u2 / d^2,  V = (s1 u1 v2 + s2 u2 v1 + s3 (v1 v2 + f)) / d mod U
-    reduce:  U' = (V^2 + V h + f) / U,  V' = (V + h) mod U'  until deg U <= 2;
-             then U made monic, V mod U
+    reduce:  U' = (V^2 + V h + f) / U made monic,  V' = (V + h) mod U'
 
-A coprime addition (deg u1 = deg u2 = 2, Res(u1, u2) != 0) and a doubling
-(deg u = 2, Res(u, h) != 0) compose by closed forms on masks
-(`_closed_form_compose`, after Lange, AAECC 15 (2005), and Lange-Stevens,
-SAC 2004); every other input composes on Polys.  v^2 + v h + f has one
-routine, `_mumford`, for the reduction, the doubling and the Mumford check
-of `_validate`, which runs on every sum.  Negation reduces (u, v + h).
-The independent Riemann-Roch interpolation oracle in
+A closed-form or Cantor U of degree 3 or 4 takes one reduction step
+(`_reduce`), an exact synthetic division that raises when it leaves a
+remainder.  v^2 + v h + f has one routine, `_mumford`, for the reduction,
+the doubling and the Mumford check of `_validate`, which runs on every
+class a composition builds; every division by a u of degree <= 2 is one
+explicit synthetic division (`_divmod_small`).  Negation is
+(u, (v + h) mod u).  The independent Riemann-Roch interpolation oracle in
 `functions.reduce_points_oracle` guards all of this in the tests.
 """
 
@@ -32,7 +43,15 @@ from .errors import (
 )
 from .functions import _merge_points, principal_witness_core, reduce_points_oracle
 from .gf2 import _prime_factors, default_field, embed, join_fields, quadratic_root_masks, trace_mask
-from .poly import Poly, affine_span, divmod_masks, solve_additive, solve_quadratic
+from .poly import (
+    Poly,
+    affine_span,
+    divmod_monic,
+    evaluate_masks,
+    monic_logs,
+    solve_additive,
+    solve_quadratic,
+)
 
 
 class FormalDivisor:
@@ -89,16 +108,15 @@ class JacobianClass:
 
     __slots__ = ("curve", "field", "u", "v")
 
-    def __init__(self, curve, field, u, v, check=True, eq=None):
-        # eq: the (h, f) of equation_polys(field), when the caller has it
+    def __init__(self, curve, field, u, v, check=True):
         self.curve = curve
         self.field = field
         self.u = u
         self.v = v
         if check:
-            self._validate(eq)
+            self._validate()
 
-    def _validate(self, eq=None):
+    def _validate(self):
         u, v, field = self.u, self.v, self.field
         if not all(0 <= m < field.order for m in u + v):
             raise ValueError(f"coefficient mask out of range for {field!r}")
@@ -112,8 +130,9 @@ class JacobianClass:
             raise ValueError("v must be trimmed")
         if field.degree % self.curve.field.degree:
             raise FieldMismatchError("class field does not contain the curve base field")
-        h, f = eq or self.curve.equation_polys(field)
-        if any(divmod_masks(field, _mumford(field, h.masks(), f.masks(), v), u)[1]):
+        h, f = _equation_masks(self.curve, field)
+        exp, log = field.tables()
+        if any(_divmod_small(exp, log, _mumford(exp, log, h, f, v), u)[1]):
             raise ValueError("Mumford condition u | v^2 + v h + f fails")
 
     # -- constructors ---------------------------------------------------------
@@ -133,24 +152,36 @@ class JacobianClass:
 
     # -- group law -------------------------------------------------------------
     def __add__(self, other):
-        if not self.curve.same_model(other.curve):
+        curve, field = self.curve, self.field
+        if other.curve is not curve and not curve.same_model(other.curve):
             raise FieldMismatchError("classes on different curve models")
-        field = self.field
-        if field != other.field:
+        if other.field is not field and other.field != field:
             # mixed-field addition lifts to the compositum
             fld, _, _ = join_fields(field, other.field)
             return self.lift(fld) + other.lift(fld)
-        eq = self.curve.equation_polys(field)
-        h, f = eq[0].masks(), eq[1].masks()
-        pairs = self.u, self.v, other.u, other.v
-        composed = _closed_form_compose(field, h, f, *pairs) or _cantor_compose(eq, *pairs)
-        return JacobianClass(self.curve, field, *_reduce(field, h, f, *composed), eq=eq)
+        u1, v1, u2, v2 = self.u, self.v, other.u, other.v
+        if len(u1) == 1:
+            return other if other.curve is curve else other.retag(curve)
+        if len(u2) == 1:
+            return self
+        h, f = _equation_masks(curve, field)
+        exp, log = field.tables()
+        if u1 == u2 and not any(_divmod_small(exp, log, _xor(_xor(v1, v2), h), u1)[1]):
+            return JacobianClass.identity(curve, field)  # other = -self
+        if len(u1) == len(u2) == 2:
+            u, v = _degree_one_compose(field, h, f, u1, v1, u2, v2)
+        else:
+            composed = (_closed_form_compose(field, h, f, u1, v1, u2, v2)
+                        or _cantor_compose(field, h, f, u1, v1, u2, v2))
+            u, v = _reduce(field, h, f, *composed)
+        return JacobianClass(curve, field, u, v)
 
     def neg(self):
-        eq = self.curve.equation_polys(self.field)
-        h, f = eq[0].masks(), eq[1].masks()
-        u, v = _reduce(self.field, h, f, self.u, _xor(self.v, h))
-        return JacobianClass(self.curve, self.field, u, v, eq=eq)
+        field, u = self.field, self.u
+        exp, log = field.tables()
+        h = _equation_masks(self.curve, field)[0]
+        v = _divmod_small(exp, log, _xor(self.v, h), u)[1]
+        return JacobianClass(self.curve, field, u, _trim(v))
 
     def __sub__(self, other):
         return self + other.neg()
@@ -242,17 +273,32 @@ class JacobianClass:
         return FormalDivisor(self.curve, support + [(self.curve.infinity(), -deg)])
 
 
-def _mumford(field, h, f, v):
-    """v^2 + v h + f as a list of coefficient masks, for mask sequences h, f, v."""
-    exp, log = field.tables()
-    h_logs = [(j, log[e]) for j, e in enumerate(h) if e]
+_equation_cache = {}
+
+
+def _equation_masks(curve, field):
+    """(h, f) of `curve.equation_polys(field)` as coefficient-mask tuples,
+    memoised per (curve model, field) in `_equation_cache`.  A degree names
+    one field (`default_field`), so the key is (base degree, mask of the
+    effective t, field degree)."""
+    key = (curve.field.degree, curve.effective_t.mask, field.degree)
+    eq = _equation_cache.get(key)
+    if eq is None:
+        eq = _equation_cache[key] = tuple(p.masks() for p in curve.equation_polys(field))
+    return eq
+
+
+def _mumford(exp, log, h, f, v):
+    """v^2 + v h + f as a list of coefficient masks, for mask sequences h, f, v
+    over the field with tables (exp, log)."""
     out = list(f) + [0] * (max(2 * len(v), len(v) + len(h)) - 1 - len(f))
     for i, c in enumerate(v):
         if c:
             lc = log[c]
             out[2 * i] ^= exp[2 * lc]
-            for j, le in h_logs:
-                out[i + j] ^= exp[lc + le]
+            for j, e in enumerate(h, i):
+                if e:
+                    out[j] ^= exp[lc + log[e]]
     return out
 
 
@@ -269,34 +315,76 @@ def _trim(masks):
 
 def _reduce(field, h, f, u, v):
     """The reduced pair of a composition (U, V), coefficient-mask sequences
-    with U | V^2 + V h + f, as trimmed tuples: while deg U > 2,
-    U' = (V^2 + V h + f) / U and V' = (V + h) mod U'; then U is made monic
-    and V taken mod U."""
-    while len(u) > 3:
-        quo, rem = divmod_masks(field, _mumford(field, h, f, v), u)
-        if any(rem):
-            raise ValueError("division is not exact")
-        u = _trim(quo)
-        v = divmod_masks(field, _xor(v, h), u)[1]
-    if u[-1] != 1:
-        i = field.inv_mask(u[-1])
-        u = [field.mul_masks(c, i) for c in u]
-    if len(v) >= len(u):
-        v = divmod_masks(field, v, u)[1]
-    return tuple(u), _trim(list(v))
+    with U monic of degree at most 4, deg V < deg U and U | V^2 + V h + f,
+    as trimmed tuples.  For deg U > 2 one step reduces it, as deg f <= 5
+    gives deg U' <= 2: U' = (V^2 + V h + f) / U by one exact synthetic
+    division, made monic, and V' = (V + h) mod U'."""
+    if len(u) <= 3:
+        return tuple(u), _trim(list(v))
+    exp, log = field.tables()
+    quo, rem = divmod_monic(exp, log, _mumford(exp, log, h, f, v), monic_logs(field, u), len(u) - 1)
+    if any(rem):
+        raise ValueError("division is not exact")
+    quo = _trim(quo)
+    li = log[field.inv_mask(quo[-1])]
+    u = tuple(exp[log[c] + li] if c else 0 for c in quo)
+    return u, _trim(_divmod_small(exp, log, _xor(v, h), u)[1])
 
 
-def _cantor_compose(eq, u1, v1, u2, v2):
+def _divmod_small(exp, log, n, u):
+    """(quotient, remainder) of the coefficient masks n by a monic u of
+    degree at most 2, as lists: synthetic division with u's two low
+    coefficients inline.  The remainder has deg u entries, untrimmed."""
+    d, r = len(u) - 1, list(n)
+    a0, a1 = u[0] if d else 0, u[1] if d == 2 else 0
+    l0, l1 = log[a0], log[a1]
+    for k in range(len(r) - 1, d - 1, -1):
+        c = r[k]
+        if c:
+            lc = log[c]
+            if a1:
+                r[k - 1] ^= exp[lc + l1]
+            if a0:
+                r[k - d] ^= exp[lc + l0]
+    return r[d:], r[:d]
+
+
+def _cantor_compose(field, h, f, u1, v1, u2, v2):
     """The general composition (U, V) of two mask-tuple pairs, unreduced, as
-    mask tuples, on Polys over the field of eq = (h, f)."""
-    h, f = eq
-    u1, v1, u2, v2 = (Poly.from_masks(h.field, m) for m in (u1, v1, u2, v2))
+    mask tuples (U monic), on Polys over `field`.  It takes the inputs no
+    closed form does: degrees (1, 2) and (2, 1), a (2, 2) shared root, and
+    a doubling with Res(u, h) = 0 that is not 2-torsion."""
+    h, f, u1, v1, u2, v2 = (Poly.from_masks(field, m) for m in (h, f, u1, v1, u2, v2))
     d1, e1, e2 = u1.xgcd(u2)
     d, c1, c2 = d1.xgcd(v1 + v2 + h)
     s1, s2, s3 = c1 * e1, c1 * e2, c2
     u = (u1 * u2).divexact(d * d)
     v = (s1 * u1 * v2 + s2 * u2 * v1 + s3 * (v1 * v2 + f)).divexact(d) % u
     return u.masks(), v.masks()
+
+
+def _degree_one_compose(field, h, f, u1, v1, u2, v2):
+    """P1 + P2 for u_i = x + x_i, v_i = y_i, as a reduced pair of mask
+    tuples, when P2 is not iota P1: v = y1 + s (x + x1) with
+        chord (x1 != x2):   u = (x + x1)(x + x2),  s = (y1 + y2) / (x1 + x2)
+        tangent (P1 = P2):  u = (x + x1)^2,        s = (f'(x1) + h'(x1) y1) / h(x1)
+    h(x1) != 0 for the tangent, else P1 = iota P1.  In characteristic 2 a
+    derivative keeps the odd terms: p'(x) = p1 + p3 x^2 + p5 x^4 + ..."""
+    exp, log = field.tables()
+    x1, x2 = u1[0], u2[0]
+    y1 = v1[0] if v1 else 0
+    if x1 != x2:
+        y2 = v2[0] if v2 else 0
+        num, den = y1 ^ y2, x1 ^ x2
+        u = (exp[log[x1] + log[x2]] if x1 and x2 else 0, den, 1)
+    else:
+        sq = exp[2 * log[x1]] if x1 else 0
+        dh, df = evaluate_masks(exp, log, h[1::2], sq), evaluate_masks(exp, log, f[1::2], sq)
+        num = df ^ (exp[log[dh] + log[y1]] if dh and y1 else 0)
+        den = evaluate_masks(exp, log, h, x1)
+        u = (sq, 0, 1)
+    s = exp[log[num] + field.order - 1 - log[den]] if num else 0
+    return u, _trim([y1 ^ (exp[log[s] + log[x1]] if s and x1 else 0), s])
 
 
 def _closed_form_compose(field, h, f, u1, v1, u2, v2):
@@ -323,7 +411,8 @@ def _closed_form_compose(field, h, f, u1, v1, u2, v2):
     elif v1 == v2:
         b0, b1 = a0, a1
         # u1 | v1^2 + v1 h + f holds for a valid class: only the quotient is used
-        k = divmod_masks(field, divmod_masks(field, _mumford(field, h, f, v1), u1)[0], u1)[1]
+        quo = _divmod_small(exp, log, _mumford(exp, log, h, f, v1), u1)[0]
+        k = _divmod_small(exp, log, quo, u1)[1]
         r = (h[0] ^ mul(h[2], a0), h[1] ^ mul(h[2], a1))  # h mod u, as deg h = 2 here
         big_u = [mul(a0, a0), 0, mul(a1, a1), 0, 1]
     else:
@@ -445,7 +534,7 @@ def _degree_two_classes(curve, field):
     eq = curve.equation_polys(field)
     for u, part, kernel in _solvable_quadratics(curve, field, eq):
         for v in affine_span(part, kernel):
-            yield JacobianClass(curve, field, u.masks(), v.masks(), eq=eq)
+            yield JacobianClass(curve, field, u.masks(), v.masks())
 
 
 def count_classes(curve, field):
@@ -469,9 +558,8 @@ def enumerate_classes(curve, field):
     classes."""
     if field.order > 64:
         raise DegreeCapError("class enumeration is for #field <= 64")
-    eq = curve.equation_polys(field)
     degree_one = [
-        JacobianClass(curve, field, (x, 1), (y,) if y else (), eq=eq)
+        JacobianClass(curve, field, (x, 1), (y,) if y else ())
         for x, y in sorted(curve._affine_point_masks(field))
     ]
     return [JacobianClass.identity(curve, field), *degree_one, *_degree_two_classes(curve, field)]
@@ -497,7 +585,8 @@ def _solvable_by_trace(field, h, f, u0, u1):
 
     p0, p1 = h[0] ^ mul(h[2], u0), h[1] ^ mul(h[2], u1)  # h mod u
     sq = mul(p1, p1)  # h^2 = p1^2 (u1 x + u0) + p0^2 mod u
-    c = _quotient_mod_quadratic(field, mul, divmod_masks(field, f, (u0, u1, 1))[1],
+    exp, log = field.tables()
+    c = _quotient_mod_quadratic(field, mul, _divmod_small(exp, log, f, (u0, u1, 1))[1],
                                 (mul(sq, u0) ^ mul(p0, p0), mul(sq, u1)), u0, u1)
     if c is None:
         return None
@@ -521,15 +610,14 @@ def random_class(curve, field, rng):
     drawn.  The trace criterion (`_solvable_by_trace`) rejects most
     unsolvable u before the solve; an accepted u still runs the full solve,
     and a u it accepts that has no solution raises InconsistencyError."""
-    eq = curve.equation_polys(field)
-    h, f = (p.masks() for p in eq)
+    h, f = _equation_masks(curve, field)
     while True:
         u0, u1 = field.random(rng).mask, field.random(rng).mask
         by_trace = _solvable_by_trace(field, h, f, u0, u1)
         if by_trace is False:
             continue
         u = (u0, u1, 1)
-        sol = _v_solution_space(curve, field, Poly.from_masks(field, u), eq)
+        sol = _v_solution_space(curve, field, Poly.from_masks(field, u))
         if sol is None:
             if by_trace:
                 raise InconsistencyError(
@@ -539,7 +627,7 @@ def random_class(curve, field, rng):
         for k in kernel:
             if rng.randrange(2):
                 v = v + k
-        return JacobianClass(curve, field, u, v.masks(), eq=eq)
+        return JacobianClass(curve, field, u, v.masks())
 
 
 # ---------------------------------------------------------------------------
@@ -550,14 +638,13 @@ def two_torsion(curve, field):
 
     Complete by uniqueness of the reduced form: c = -c iff u | h.
     """
-    eq = curve.equation_polys(field)
     out = [JacobianClass.identity(curve, field)]
     for masks in ((0, 1), (1, 1), (0, 1, 1)):  # x, x + 1, x^2 + x = h
-        sol = _v_solution_space(curve, field, Poly.from_masks(field, masks), eq)
+        sol = _v_solution_space(curve, field, Poly.from_masks(field, masks))
         if sol is None:
             continue
         for v in affine_span(*sol):
-            c = JacobianClass(curve, field, masks, v.masks(), eq=eq)
+            c = JacobianClass(curve, field, masks, v.masks())
             if c.neg().key() == c.key():
                 out.append(c)
     for c in out:

@@ -30,26 +30,53 @@ def _wrap(field, masks):
     return p
 
 
+def monic_logs(field, b):
+    """The divisor b, coefficient masks with a nonzero top, made monic, in
+    the form `divmod_monic` takes: (j, log c) for each nonzero coefficient
+    c of b / top(b) below the top."""
+    exp, log = field.tables()
+    top = b[-1]
+    if top == 1:
+        return [(j, log[c]) for j, c in enumerate(b[:-1]) if c]
+    li = log[field.inv_mask(top)]
+    return [(j, log[exp[log[c] + li]]) for j, c in enumerate(b[:-1]) if c]
+
+
+def divmod_monic(exp, log, a, logs, db):
+    """(quotient, remainder) of the coefficient masks a by the monic divisor
+    of degree db with lower coefficients `logs` (see `monic_logs`), as
+    lists, by synthetic division: no inverse is taken.  The remainder has
+    db entries (all of a when a is shorter), untrimmed."""
+    rem = list(a)
+    for k in range(len(rem) - 1, db - 1, -1):
+        c = rem[k]
+        if c:
+            lc = log[c]
+            for j, lb in logs:
+                rem[k - db + j] ^= exp[lc + lb]
+    return rem[db:], rem[:db]
+
+
+def evaluate_masks(exp, log, p, x):
+    """p(x) for coefficient masks p and a mask x, by Horner's rule."""
+    if not x:
+        return p[0] if p else 0
+    lx, acc = log[x], 0
+    for c in reversed(p):
+        acc = (exp[log[acc] + lx] if acc else 0) ^ c
+    return acc
+
+
 def divmod_masks(field, a, b):
     """(quotient, remainder) of the coefficient masks a / b as lists, for
     deg a >= deg b and b without a trailing zero; the remainder has deg b
     entries, untrimmed."""
-    db = len(b) - 1
     exp, log = field.tables()
-    log_inv_lead = log[field.inv_mask(b[-1])]
-    logs_b = [(j, log[c]) for j, c in enumerate(b[:-1]) if c]
-    rem = list(a)
-    quo = [0] * (len(a) - db)
-    for k in range(len(quo) - 1, -1, -1):
-        r = rem[k + db]
-        if r:
-            # a sum of three logs can overrun exp: take the quotient's mask first
-            q = exp[log[r] + log_inv_lead]
-            quo[k] = q
-            lq = log[q]
-            for j, lb in logs_b:
-                rem[k + j] ^= exp[lq + lb]
-    return quo, rem[:db]
+    quo, rem = divmod_monic(exp, log, a, monic_logs(field, b), len(b) - 1)
+    if b[-1] != 1:
+        li = log[field.inv_mask(b[-1])]
+        quo = [exp[log[c] + li] if c else 0 for c in quo]
+    return quo, rem
 
 
 class Poly:
@@ -233,14 +260,8 @@ class Poly:
 
     def evaluate(self, x):
         self._check(x)
-        if not x.mask:
-            return self[0]
         exp, log = self.field.tables()
-        lx = log[x.mask]
-        acc = 0
-        for c in reversed(self._m):
-            acc = (exp[log[acc] + lx] if acc else 0) ^ c
-        return FieldElement(self.field, acc)
+        return FieldElement(self.field, evaluate_masks(exp, log, self._m, x.mask))
 
     def derivative(self):
         # formal derivative; in char 2 the even-degree terms vanish
@@ -320,11 +341,19 @@ def solve_additive(n, g, rhs, w=None):
     field, d = g.field, g.field.degree
     exp, log = field.tables()
     a_logs = _basis_cache.get((d, field.modulus)) or _basis_logs(field)
-    r = (rhs if w is None else rhs % w).masks()  # checks w's field, and w != 0
+    if w is None:
+        def reduce(p):
+            return list(p)
+    else:
+        g._check(w)
+        if w.is_zero():
+            raise ZeroDivisionError("polynomial division by zero")
+        w_logs, dw = monic_logs(field, w._m), w.degree  # built once per solve
 
-    def reduce(p):  # coefficient masks p mod w, as a list
-        return list(p) if w is None or len(p) < len(w._m) else divmod_masks(field, p, w._m)[1]
+        def reduce(p):  # coefficient masks p mod w, as a list
+            return divmod_monic(exp, log, p, w_logs, dw)[1]
 
+    r = reduce(rhs.masks())
     square, linear, cols = [1], g.masks(), []
     for _ in range(n):
         square, linear = reduce(square), reduce(linear)

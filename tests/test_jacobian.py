@@ -223,6 +223,104 @@ def test_degenerate_sums_gf16_are_pinned():
     assert digest.hexdigest() == "15e2b199e772f5d3c3b212ac17f87903a03418d19d7734cca3ebbe85dc7c1d28"
 
 
+def _poly_route_sum(a, b):
+    """a + b by the textbook Cantor composition and reduction on Polys, as a
+    Mumford key: the reference that the mask routes must reproduce."""
+    field = a.field
+    h, f = a.curve.equation_polys(field)
+    u1, v1, u2, v2 = (Poly.from_masks(field, m) for m in (a.u, a.v, b.u, b.v))
+    d1, e1, e2 = u1.xgcd(u2)
+    d, c1, c2 = d1.xgcd(v1 + v2 + h)
+    u = (u1 * u2).divexact(d * d)
+    v = (c1 * e1 * u1 * v2 + c1 * e2 * u2 * v1 + c2 * (v1 * v2 + f)).divexact(d) % u
+    while u.degree > 2:
+        u = (v * v + v * h + f).divexact(u)
+        v = (v + h) % u
+    u = u.monic()
+    return u.masks(), (v % u).masks()
+
+
+GROUP_LAW_ROUTES = {"identity", "opposite", "chord", "tangent", "coprime 2+2", "doubling",
+                    "fused reduction", "general fallback"}
+
+
+def _spy_on_routes(monkeypatch):
+    """Wrap each group-law helper so that a sum leaves the names of the
+    helpers it reached, in call order, in the returned list."""
+    import frobfix.jacobian as jacobian_module
+
+    taken = []
+    for name in ("_degree_one_compose", "_closed_form_compose", "_cantor_compose", "_reduce"):
+        def spy(*args, _name=name, _real=getattr(jacobian_module, name)):
+            out = _real(*args)
+            taken.append((_name, args, out))
+            return out
+        monkeypatch.setattr(jacobian_module, name, spy)
+    return taken
+
+
+def _route_of(a, b, taken):
+    """The routes of `GROUP_LAW_ROUTES` that the sum a + b took."""
+    names = [name for name, _, _ in taken]
+    if not names:
+        return {"identity"} if a.is_identity() or b.is_identity() else {"opposite"}
+    if names == ["_degree_one_compose"]:
+        return {"chord" if a.u != b.u else "tangent"}
+    if names == ["_closed_form_compose", "_reduce"]:
+        assert len(taken[1][1][3]) == 5  # a degree-4 U, reduced in one step
+        return {"coprime 2+2" if a.u != b.u else "doubling", "fused reduction"}
+    assert names == ["_closed_form_compose", "_cantor_compose", "_reduce"], names
+    assert taken[0][2] is None
+    return {"general fallback"}
+
+
+def test_every_group_law_route_matches_the_poly_route(monkeypatch):
+    # every pair over GF(4) for both t, and a fixed slice of GF(16) pairs;
+    # an identity or opposite sum must reach no helper at all
+    f4, f16 = default_field(2), default_field(4)
+    cases = [enumerate_classes(Curve(f4, f4.element(tm)), f4) for tm in (2, 3)]
+    cases.append(enumerate_classes(laszlo_curve(), f16)[::16])
+    taken = _spy_on_routes(monkeypatch)
+    reached = {}
+    for classes in cases:
+        for i, a in enumerate(classes):
+            for j, b in enumerate(classes):
+                taken.clear()
+                s = a + b
+                for route in _route_of(a, b, taken):
+                    reached[route] = reached.get(route, 0) + 1
+                assert s.key() == _poly_route_sum(a, b), (a, b)
+                if not taken and not (a.is_identity() or b.is_identity()):
+                    assert a.u == b.u and s.is_identity()
+                if a.field == f16 and (i * len(classes) + j) % 50 == 0:
+                    assert s.equals(oracle_class_of(a.to_divisor() + b.to_divisor()))
+    assert set(reached) == GROUP_LAW_ROUTES, reached
+
+
+def test_group_law_outputs_are_pinned():
+    # sha256 pinned from the Poly-route group law before the mask routes:
+    # the keys of 200 torsion-style samples over GF(2^12) (a class and its
+    # cofactor multiple, as bench/units.py's Torsion unit draws them), and the
+    # action of all 12 automorphisms on every eighth class over GF(16)
+    from frobfix.action import automorphism_group
+
+    c, f4096, f16 = laszlo_curve(), default_field(12), default_field(4)
+    order = group_order(c, f4096)
+    rng = random.Random(2026)
+    digest = hashlib.sha256()
+    for _ in range(200):
+        a = random_class(c, f4096, rng)
+        digest.update(repr((a.key(), a.mul_int(order // 729).key())).encode())
+    assert digest.hexdigest() == "43864cc240a025552716feb8df1f0ab79aad21b98b3ef509b09f494fd21a7344"
+    elements, _ = automorphism_group(c)
+    digest = hashlib.sha256()
+    for cl in enumerate_classes(c, f16)[::8]:
+        for g in elements:
+            image = g.act_on_class(cl)
+            digest.update(repr((image.field.degree, image.key())).encode())
+    assert digest.hexdigest() == "ceace22ab5f211d62e105f60773e9b2b86a5807e9a36306233cf7de0e8c09692"
+
+
 def test_mul_int_matches_repeated_addition():
     c = laszlo_curve()
     f16 = default_field(4)
@@ -274,6 +372,7 @@ def test_identity_with_a_nonzero_v_is_rejected():
     ((0, 1), (1, 1), "v must have degree < deg u"),
     ((0, 0, 1), (1, 0), "v must be trimmed"),
     ((0, 1), (1,), "Mumford condition u | v^2 + v h + f fails"),  # 1 + h(0) + f(0) = 1
+    ((0, 0, 1), (1,), "Mumford condition u | v^2 + v h + f fails"),  # 1 + h + f = 1 + x mod x^2
 ])
 def test_jacobian_class_rejects_a_malformed_pair(u, v, message):
     c = laszlo_curve()
@@ -591,6 +690,62 @@ def test_mumford_check_catches_a_flipped_bit_in_the_closed_form(monkeypatch):
     with pytest.raises(ValueError) as exc:
         a + b
     assert composed[-1] is not None and flipped
+    assert exc.type is ValueError
+    assert str(exc.value) == "Mumford condition u | v^2 + v h + f fails"
+
+
+@pytest.mark.parametrize("double", [False, True], ids=["coprime", "doubling"])
+def test_reduction_catches_a_flipped_bit_in_the_closed_form(monkeypatch, double):
+    import frobfix.jacobian as jacobian_module
+
+    closed = jacobian_module._closed_form_compose
+    flipped = []
+
+    def flip_v(*args):
+        out = closed(*args)
+        if out is not None:
+            big_u, big_v = out
+            # adds 1 + h = x^2 + x + 1 to V^2 + V h + f, which U of degree 4 cannot divide
+            out = big_u, [big_v[0] ^ 1, *big_v[1:]]
+            flipped.append(out)
+        return out
+
+    c = laszlo_curve()
+    rng = random.Random(101)
+    a, b = (random_class(c, default_field(4), rng) for _ in range(2))
+    monkeypatch.setattr(jacobian_module, "_closed_form_compose", flip_v)
+    with pytest.raises(ValueError) as exc:
+        a + (a if double else b)
+    assert flipped
+    assert exc.type is ValueError
+    assert str(exc.value) == "division is not exact"
+
+
+@pytest.mark.parametrize("route", ["chord", "tangent"])
+def test_mumford_check_catches_a_flipped_bit_in_a_degree_one_closed_form(monkeypatch, route):
+    import frobfix.jacobian as jacobian_module
+
+    # x1 outside the roots {0, 1} of h, so P + P is a tangent and not the identity
+    points = [p for p in enumerate_classes(laszlo_curve(), default_field(4))
+              if len(p.u) == 2 and p.u[0] > 1]
+    a = points[0]
+    b = next(p for p in points if p.u != a.u) if route == "chord" else a
+    closed = jacobian_module._degree_one_compose
+    flipped = []
+
+    def flip_s(*args):
+        u, v = closed(*args)
+        v = [*v, 0, 0][:2]
+        v[1] ^= 1  # adds x^2 + x h = x^3, which u != x^2 cannot divide
+        flipped.append(v)
+        while v and not v[-1]:
+            v.pop()
+        return u, tuple(v)
+
+    monkeypatch.setattr(jacobian_module, "_degree_one_compose", flip_s)
+    with pytest.raises(ValueError) as exc:
+        a + b
+    assert flipped
     assert exc.type is ValueError
     assert str(exc.value) == "Mumford condition u | v^2 + v h + f fails"
 

@@ -127,6 +127,30 @@ def test_only_random_class_decides_by_the_trace_criterion():
     assert {name: callers for name, callers in found.items() if callers} == {"jacobian.py": {"random_class"}}
 
 
+def test_group_law_builds_no_poly():
+    # the group law runs on coefficient masks with the memoised (h, f); only
+    # _cantor_compose, the general fallback, may build Polys
+    guarded = {
+        "JacobianClass.__add__", "JacobianClass.neg", "JacobianClass._validate",
+        "_degree_one_compose", "_closed_form_compose", "_quotient_mod_quadratic",
+        "_reduce", "_divmod_small", "_mumford",
+    }
+    path = PACKAGE_DIR / "jacobian.py"
+    defined = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(".".join(scope + (child.name,)))
+                visit(child, scope + (child.name,))
+
+    visit(ast.parse(path.read_text()), ())
+    assert guarded <= defined, sorted(guarded - defined)
+    callers = _callers(path, {"equation_polys", "Poly", "from_masks"})
+    found = sorted(c for c in callers if c in guarded or c.rpartition(".")[0] in guarded)
+    assert not found, "the group law builds Polys or equation polynomials in:\n" + "\n".join(found)
+
+
 CROSS_CHECK_ERRORS = {"InconsistencyError", "VerificationError"}
 
 

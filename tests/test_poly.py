@@ -276,6 +276,14 @@ def test_solve_additive_matches_the_poly_column_solve():
         expected = _poly_column_solve(8, g, rhs)
         assert _padded(solve_additive(8, g, rhs), 8) == expected
         seen.add(expected is None)
+    # a modulus with a leading coefficient other than 1, which no Mumford u has
+    for _ in range(100):
+        w = Poly.from_masks(f16, [rng.randrange(16) for _ in range(rng.randrange(1, 4))]
+                            + [rng.randrange(2, 16)])
+        g, rhs = _random_poly(f16, rng, 4), _random_poly(f16, rng, 7)
+        expected = _poly_column_solve(w.degree, g, rhs, w)
+        assert _padded(solve_additive(w.degree, g, rhs, w), w.degree) == expected, w
+        seen.add(expected is None)
     assert seen == {True, False}
 
 
