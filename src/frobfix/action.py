@@ -181,7 +181,7 @@ class CurveAutomorphism:
 
     def _validate(self):
         field = self.mobius.field
-        h, f = self.curve.equation_polys(field)
+        h, f = (Poly.from_masks(field, m) for m in self.curve.equation_masks(field))
         h6, f6, d6 = _homogenize(self.mobius, (h, f, Poly.one(field)), 6)
         a, b, c = self.a, self.b, self.c
         # y-coefficient (over a) and constant term of the transformed equation, times D^6
@@ -298,7 +298,7 @@ def lift_mobius(curve, mobius):
     if not mobius.permutes_branch_points():
         raise ValueError("Mobius map does not permute the branch points")
     field = mobius.field
-    h, f = curve.equation_polys(field)
+    h, f = (Poly.from_masks(field, m) for m in curve.equation_masks(field))
     n = mobius.denominator_poly()
     (hm,) = _homogenize(mobius, (h,), 2)
     (fm,) = _homogenize(mobius, (f,), 6)

@@ -7,13 +7,14 @@ point.  Relative Frobenius maps the twist-n curve to the twist-(n+1)
 curve by squaring both coordinates; its inverse takes coordinate square
 roots, which exist uniquely in characteristic 2.
 
-Points are found on masks: one walk of the field's exp/log tables gives
-h(x) and f(x) for every x.  `count_points` counts by the trace criterion
-(y^2 + h y = f has two roots when h(x) != 0 and Tr(f/h^2) = 0, none when
-the trace is 1, one when h(x) = 0) and solves for no y; `points_over` and
-`points_at` solve for the roots with the field layer's one root kernel,
-`gf2.quadratic_root_masks`, so this module has no field arithmetic of its
-own beyond table lookups.
+(h, f) has one source, the memo `Curve.equation_masks`: membership, the
+involution and the root walk run on its masks with the field's exp/log
+tables, one walk giving h(x) and f(x) for every x.  `count_points` counts
+by the trace criterion (y^2 + h y = f has two roots when h(x) != 0 and
+Tr(f/h^2) = 0, none when the trace is 1, one when h(x) = 0) and solves for
+no y; `points_over` and `points_at` solve for the roots with the field
+layer's one root kernel, `gf2.quadratic_root_masks`, so this module has no
+field arithmetic of its own beyond table lookups.
 
 L-polynomial bookkeeping (exact, integer arithmetic) also lives here; it
 reads `count_points`, and the Jacobian layer cross-checks it against an
@@ -30,7 +31,7 @@ from .errors import (
     NotOnCurveError,
 )
 from .gf2 import FieldElement, default_field, embed, quadratic_root_masks, trace_mask
-from .poly import Poly
+from .poly import Poly, evaluate_masks
 
 
 class Curve:
@@ -92,6 +93,16 @@ class Curve:
         f = Poly(fld, (zero, c5, zero, te * te, zero, c5))  # (T^2+T)(x^5+x) + T^2 x^3
         return Poly.from_masks(fld, _H), f
 
+    def equation_masks(self, field):
+        """(h, f) of `equation_polys(field)` as coefficient-mask tuples,
+        memoised per (base degree, mask of the effective t, field degree): a
+        degree names one field, and X(d) shares its entry with X(0)."""
+        key = (self.field.degree, self._eff_t.mask, field.degree)
+        eq = _equation_cache.get(key)
+        if eq is None:
+            eq = _equation_cache[key] = tuple(p.masks() for p in self.equation_polys(field))
+        return eq
+
     # -- points ----------------------------------------------------------------
     def infinity(self):
         return CurvePoint(self, None, None)
@@ -112,15 +123,18 @@ class Curve:
             raise FieldMismatchError(
                 "coordinate field does not contain the curve base field"
             )
-        h, f = self.equation_polys(p.x.field)
-        return p.y * p.y + h.evaluate(p.x) * p.y == f.evaluate(p.x)
+        field, x, y = p.x.field, p.x.mask, p.y.mask
+        h, f = self.equation_masks(field)
+        exp, log = field.tables()
+        s = y ^ evaluate_masks(exp, log, h, x)  # (y + h(x)) y = f(x)
+        return (exp[log[s] + log[y]] if s and y else 0) == evaluate_masks(exp, log, f, x)
 
     def _h_f_blocks(self, field):
         """(x0, [h(x)], [f(x)]) as masks for x = x0, x0 + 1, ..., in blocks
         that cover the field in ascending order; x = 0, which has no log, is
         a block of its own.  Blocks bound the walk's memory, not its speed."""
         exp, log = field.tables()
-        hc, fc = (p.masks() or (0,) for p in self.equation_polys(field))
+        hc, fc = self.equation_masks(field)
         yield 0, [hc[0]], [fc[0]]
         for x0 in range(1, field.order, _X_BLOCK):
             logs = log[x0:x0 + _X_BLOCK]
@@ -179,9 +193,11 @@ class Curve:
         """The affine points above x (in any field containing the base field),
         y ascending: one above a root of h, else two or none.  Each point is
         checked against the equation by `point`."""
-        h, f = self.equation_polys(x.field)
-        ys = sorted(quadratic_root_masks(x.field, h.evaluate(x).mask, f.evaluate(x).mask))
-        return [self.point(x, FieldElement(x.field, y)) for y in ys]
+        field = x.field
+        exp, log = field.tables()
+        h, f = (evaluate_masks(exp, log, p, x.mask) for p in self.equation_masks(field))
+        ys = sorted(quadratic_root_masks(field, h, f))
+        return [self.point(x, FieldElement(field, y)) for y in ys]
 
     def weierstrass_points(self):
         """The affine ramification points (one above each finite branch x)."""
@@ -192,14 +208,7 @@ class Curve:
 # the family and every field
 _H = (0, 1, 1)
 _X_BLOCK = 512
-
-
-def _h_mask(field, x):
-    """h(x) as a mask, for a mask x: Horner on _H."""
-    acc = 0
-    for c in reversed(_H):
-        acc = field.mul_masks(acc, x) ^ c
-    return acc
+_equation_cache = {}
 
 
 def _horner_block(cs, logs, exp, log):
@@ -235,13 +244,13 @@ class CurvePoint:
     def is_weierstrass(self):
         if self.is_infinity():
             return True
-        return _h_mask(self.x.field, self.x.mask) == 0
+        return evaluate_masks(*self.x.field.tables(), _H, self.x.mask) == 0
 
     def hyperelliptic_involution(self):
         """(x, y) -> (x, y + h(x)); infinity is fixed."""
         if self.is_infinity():
             return self
-        y = self.y.mask ^ _h_mask(self.x.field, self.x.mask)
+        y = self.y.mask ^ evaluate_masks(*self.x.field.tables(), _H, self.x.mask)
         return CurvePoint(self.curve, self.x, FieldElement(self.y.field, y))
 
     def lift(self, field):

