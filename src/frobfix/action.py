@@ -3,8 +3,12 @@
 Every automorphism is (x, y) -> (m(x), (a(x) y + b(x)) / c(x)) where
 m = N/D is a Mobius map permuting the branch x-coordinates {0, 1, inf}
 and (a, b, c) are polynomials with gcd 1 and c monic, so the triple is
-unique.  Everything is computed on cleared denominators: for a polynomial
-p and k >= deg p, p(N/D) D^k is a polynomial (`_homogenize`).  The map
+unique.  The maps permuting {0, 1, inf} are the six 2x2 bit matrices of
+PGL(2, 2) = S3; a `MobiusMap` holds those four bits, carries no field,
+and acts on a point's x in the point's own field.
+
+Everything is computed on cleared denominators: for a polynomial p and
+k >= deg p, p(N/D) D^k is a polynomial (`_homogenize`).  The map
 satisfies the curve equation when, after y^2 = h y + f and clearing
 c^2 D^6, the y-coefficient (over a) and the constant term vanish.  One
 table of degree 6 gives h(m) D^6, f(m) D^6 and D^6, and the pair
@@ -25,107 +29,85 @@ the element orders from it.
 """
 
 from .errors import FieldMismatchError, InconsistencyError, SearchExhaustedError
-from .gf2 import embed
+from .gf2 import FieldElement, embed
 from .jacobian import FormalDivisor, class_of
 from .poly import Poly, affine_span, solve_additive
 
 
 class MobiusMap:
-    """x -> (a x + b) / (c x + d), an invertible matrix up to scalar."""
+    """x -> (a x + b) / (c x + d) for an invertible matrix of bits.
+
+    GF(2) has no scalar but 1, so these are the six elements of
+    PGL(2, 2) = GL(2, 2), isomorphic to S3, and each is the same map over
+    every field of characteristic 2: it carries no field of its own."""
 
     __slots__ = ("a", "b", "c", "d")
 
     def __init__(self, a, b, c, d):
-        if (a * d + b * c).mask == 0:  # char 2: determinant ad - bc
+        if not all(isinstance(z, int) and z in (0, 1) for z in (a, b, c, d)):
+            raise ValueError("Mobius matrix entries must be the bits 0 and 1")
+        if a & d ^ b & c == 0:
             raise ValueError("singular Mobius matrix")
-        lead = next(z for z in (a, b, c, d) if z.mask)
-        inv = lead.inverse()
-        a, b, c, d = a * inv, b * inv, c * inv, d * inv
         self.a, self.b, self.c, self.d = a, b, c, d
 
-    @property
-    def field(self):
-        return self.a.field
+    def numerator_poly(self, field):
+        return Poly.from_masks(field, (self.b, self.a))
 
-    def numerator_poly(self):
-        return Poly(self.field, (self.b, self.a))
-
-    def denominator_poly(self):
-        return Poly(self.field, (self.d, self.c))
+    def denominator_poly(self, field):
+        return Poly.from_masks(field, (self.d, self.c))
 
     def apply_x(self, x):
-        """Image of a finite x; None encodes the point at infinity."""
-        emb = embed(self.field, x.field) if x.field != self.field else None
-        a, b, c, d = (
-            (emb(z) if emb else z) for z in (self.a, self.b, self.c, self.d)
-        )
-        den = c * x + d
-        if den.mask == 0:
+        """Image of a finite x, in x's own field; None encodes the point at
+        infinity."""
+        den = (x.mask if self.c else 0) ^ self.d
+        if den == 0:
             return None
-        return (a * x + b) / den
+        field = x.field
+        num = (x.mask if self.a else 0) ^ self.b
+        return FieldElement(field, field.mul_masks(num, field.inv_mask(den)))
 
-    def apply_projective(self, x):
-        """Image of a point of P^1, with None as infinity."""
-        if x is None:
-            if self.c.mask == 0:
-                return None
-            return self.a / self.c
-        return self.apply_x(x)
+    def image_of_infinity(self):
+        """a / c as a bit, or None when c = 0 fixes infinity."""
+        return self.a if self.c else None
 
     def compose(self, other):
         """self after other (matrix product)."""
-        if self.field != other.field:
-            raise FieldMismatchError("Mobius maps over different fields")
         return MobiusMap(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
+            self.a & other.a ^ self.b & other.c,
+            self.a & other.b ^ self.b & other.d,
+            self.c & other.a ^ self.d & other.c,
+            self.c & other.b ^ self.d & other.d,
         )
 
     def inverse(self):
-        # adjugate; char 2 signs are trivial
+        # adjugate over GF(2): the determinant is 1 and signs are trivial
         return MobiusMap(self.d, self.b, self.c, self.a)
 
-    def branch_permutation(self):
-        """Images of (0, 1, inf), with None as infinity."""
-        f = self.field
-        return tuple(self.apply_projective(x) for x in (f.zero(), f.one(), None))
-
     def permutes_branch_points(self):
-        img = set()
-        for v in self.branch_permutation():
-            if v is None:
-                img.add("inf")
-            elif v.mask in (0, 1):
-                img.add(v.mask)
-            else:
-                return False
-        return len(img) == 3
+        """Whether the images (b : d), (a + b : c + d), (a : c) of 0, 1 and
+        inf are three distinct points of P^1(GF(2)) = {0, 1, inf}."""
+        images = {(self.b, self.d), (self.a ^ self.b, self.c ^ self.d), (self.a, self.c)}
+        return len(images) == 3 and (0, 0) not in images
 
     def key(self):
-        return (self.a.mask, self.b.mask, self.c.mask, self.d.mask)
+        return (self.a, self.b, self.c, self.d)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, MobiusMap)
-            and self.field == other.field
-            and self.key() == other.key()
-        )
+        return isinstance(other, MobiusMap) and self.key() == other.key()
 
     def __hash__(self):
-        return hash((self.field, self.key()))
+        return hash(self.key())
 
     def __repr__(self):
-        k = self.key()
-        return f"Mobius({hex(k[0])}x+{hex(k[1])})/({hex(k[2])}x+{hex(k[3])})"
+        return f"Mobius({hex(self.a)}x+{hex(self.b)})/({hex(self.c)}x+{hex(self.d)})"
 
 
 def _homogenize(mobius, polys, k):
     """[p(N/D) D^k for p in polys] for the map N/D, each deg p <= k: the
-    sums of p_i N^i D^(k-i), from one table of the products N^i D^(k-i)."""
-    field = mobius.field
-    num, den = mobius.numerator_poly(), mobius.denominator_poly()
+    sums of p_i N^i D^(k-i), from one table of the products N^i D^(k-i),
+    over the field of the polys."""
+    field = polys[0].field
+    num, den = mobius.numerator_poly(field), mobius.denominator_poly(field)
     npow, dpow = [Poly.one(field)], [Poly.one(field)]
     for _ in range(k):
         npow.append(npow[-1] * num)
@@ -145,16 +127,15 @@ def _homogenize(mobius, polys, k):
     return out
 
 
-def s3_mobius_maps(field):
-    """The six Mobius maps permuting {0, 1, inf} (entries in GF(2))."""
-    o, z = field.one(), field.zero()
+def s3_mobius_maps():
+    """The six Mobius maps permuting {0, 1, inf}: all of PGL(2, 2)."""
     maps = [
-        MobiusMap(o, z, z, o),  # x
-        MobiusMap(o, o, z, o),  # x + 1
-        MobiusMap(z, o, o, z),  # 1/x
-        MobiusMap(z, o, o, o),  # 1/(x+1)
-        MobiusMap(o, z, o, o),  # x/(x+1)
-        MobiusMap(o, o, o, z),  # (x+1)/x
+        MobiusMap(1, 0, 0, 1),  # x
+        MobiusMap(1, 1, 0, 1),  # x + 1
+        MobiusMap(0, 1, 1, 0),  # 1/x
+        MobiusMap(0, 1, 1, 1),  # 1/(x+1)
+        MobiusMap(1, 0, 1, 1),  # x/(x+1)
+        MobiusMap(1, 1, 1, 0),  # (x+1)/x
     ]
     for m in maps:
         if not m.permutes_branch_points():
@@ -180,7 +161,7 @@ class CurveAutomorphism:
         self._validate()
 
     def _validate(self):
-        field = self.mobius.field
+        field = self.curve.field
         h, f = (Poly.from_masks(field, m) for m in self.curve.equation_masks(field))
         h6, f6, d6 = _homogenize(self.mobius, (h, f, Poly.one(field)), 6)
         a, b, c = self.a, self.b, self.c
@@ -239,7 +220,7 @@ class CurveAutomorphism:
     def _mapped(self, field):
         got = self._eval_cache.get(field)
         if got is None:
-            emb = embed(self.mobius.field, field)
+            emb = embed(self.curve.field, field)
             got = tuple(p.map(emb) for p in self.abc())
             self._eval_cache[field] = got
         return got
@@ -248,11 +229,13 @@ class CurveAutomorphism:
         """Image of a curve point (any coordinate field over the base).  The
         image of the point at infinity is over the base field."""
         curve = self.curve
+        if not curve.same_model(point.curve):
+            raise FieldMismatchError("point lives on a different curve model")
         if point.is_infinity():
-            xstar = self.mobius.apply_projective(None)
+            xstar = self.mobius.image_of_infinity()
             if xstar is None:
                 return point
-            (w,) = curve.points_at(xstar)  # xstar is 0 or 1, a root of h
+            (w,) = curve.points_at(curve.field.element(xstar))  # 0 or 1, a root of h
             return w
         xim = self.mobius.apply_x(point.x)
         if xim is None:
@@ -275,17 +258,16 @@ class CurveAutomorphism:
 
     def frobenius_twist(self):
         """The corresponding automorphism of the next twist (coefficients
-        squared); satisfies F o g = g' o F."""
-        m = self.mobius
-        m2 = MobiusMap(m.a * m.a, m.b * m.b, m.c * m.c, m.d * m.d)
+        squared, the bits of the Mobius map their own squares); satisfies
+        F o g = g' o F."""
         return CurveAutomorphism(
-            self.curve.next_twist(), m2, *(p.frobenius_coeffs() for p in self.abc())
+            self.curve.next_twist(), self.mobius, *(p.frobenius_coeffs() for p in self.abc())
         )
 
 
 def lift_mobius(curve, mobius):
     """Both lifts of a branch-permuting Mobius map m = N/D to curve
-    automorphisms, over the Mobius map's own field, in deterministic order
+    automorphisms, over the curve's base field, in deterministic order
     (smallest coefficient key first).
 
     A lift is y -> (H D y + B) / (D^3 h) with H = h(m) D^2, F = f(m) D^6
@@ -295,11 +277,9 @@ def lift_mobius(curve, mobius):
     SearchExhaustedError is raised when the equation for B has no solution
     there.
     """
-    if not mobius.permutes_branch_points():
-        raise ValueError("Mobius map does not permute the branch points")
-    field = mobius.field
+    field = curve.field
     h, f = (Poly.from_masks(field, m) for m in curve.equation_masks(field))
-    n = mobius.denominator_poly()
+    n = mobius.denominator_poly(field)
     (hm,) = _homogenize(mobius, (h,), 2)
     (fm,) = _homogenize(mobius, (f,), 6)
     hn = hm * n
@@ -335,8 +315,7 @@ def automorphism_group(curve):
     by_name maps identity/iota/tau01/tau0inf/tau1inf/sigma/sigma2 and the
     iota-composites ("iota*tau01", ...).
     """
-    field = curve.field
-    maps = s3_mobius_maps(field)
+    maps = s3_mobius_maps()
     by_name = {}
     elements = []
     principal = {}

@@ -254,6 +254,8 @@ class CurvePoint:
         return CurvePoint(self.curve, self.x, FieldElement(self.y.field, y))
 
     def lift(self, field):
+        if field == self.field:
+            return self
         if self.is_infinity():
             return CurvePoint(self.curve, None, None)
         emb = embed(self.field, field)

@@ -705,6 +705,10 @@ def torsion_subgroup(curve, r, k):
         raise ValueError("torsion search bound capped at k <= 6")
     if k < 1:
         raise ValueError(f"torsion search bound needs k >= 1, got {k}")
+    if curve.field.degree > 12:
+        raise DegreeCapError(
+            f"torsion search over GF(2^{curve.field.degree}) exceeds the degree-12 cap"
+        )
     bound = 4 if r == 2 else 81
     counts = []
     best = None

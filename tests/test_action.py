@@ -1,5 +1,6 @@
 """Automorphism-group tests: lifts, relations, actions on points and classes."""
 
+import itertools
 import random
 
 import pytest
@@ -16,9 +17,9 @@ from frobfix.action import (
     verify_group_structure,
 )
 from frobfix.curve import Curve
-from frobfix.errors import InconsistencyError, SearchExhaustedError
-from frobfix.gf2 import default_field
-from frobfix.jacobian import enumerate_classes, random_class
+from frobfix.errors import FieldMismatchError, InconsistencyError, SearchExhaustedError
+from frobfix.gf2 import FieldEmbedding, default_field
+from frobfix.jacobian import FormalDivisor, enumerate_classes, random_class
 from frobfix.poly import Poly
 
 
@@ -28,8 +29,7 @@ def laszlo_curve():
 
 
 def test_six_mobius_maps_form_s3():
-    f4 = default_field(2)
-    maps = s3_mobius_maps(f4)
+    maps = s3_mobius_maps()
     assert len(set(maps)) == 6
     table = set()
     for m1 in maps:
@@ -43,7 +43,7 @@ def test_six_mobius_maps_form_s3():
 def test_lift_identity_gives_id_and_iota():
     c = laszlo_curve()
     f4 = c.field
-    ident_map = MobiusMap(f4.one(), f4.zero(), f4.zero(), f4.one())
+    ident_map = MobiusMap(1, 0, 0, 1)
     lifts = lift_mobius(c, ident_map)
     assert any(g.is_identity() for g in lifts)
     other = next(g for g in lifts if not g.is_identity())
@@ -57,11 +57,10 @@ def test_lift_identity_gives_id_and_iota():
 
 def test_lift_tau01_exists_over_base():
     c = laszlo_curve()
-    f4 = c.field
-    tau_map = MobiusMap(f4.one(), f4.one(), f4.zero(), f4.one())
+    tau_map = MobiusMap(1, 1, 0, 1)
     lifts = lift_mobius(c, tau_map)
     for g in lifts:
-        assert g.mobius.field == f4  # rational over the base, no extension
+        assert all(p.field == c.field for p in g.abc())  # rational over the base, no extension
         assert g.compose(g).is_identity()
 
 
@@ -86,7 +85,7 @@ def test_group_structure_raises_on_a_failed_relation(monkeypatch):
 def test_lift_mobius_raises_when_no_lift_exists(monkeypatch):
     monkeypatch.setattr(action_module, "solve_additive", lambda n, g, rhs, w=None: None)
     c = laszlo_curve()
-    tau_map = s3_mobius_maps(c.field)[1]
+    tau_map = s3_mobius_maps()[1]
     with pytest.raises(SearchExhaustedError) as exc:
         lift_mobius(c, tau_map)
     assert str(exc.value) == "no lift of Mobius(0x1x+0x1)/(0x0x+0x1) over GF(2^2; 0x7)"
@@ -188,29 +187,78 @@ def test_inverse_and_composition_agree_with_the_action_on_points():
 
 
 def test_homogenize_matches_pointwise():
-    f16 = default_field(4)
     rng = random.Random(6)
-    maps = s3_mobius_maps(f16)
-    while len(maps) < 30:
-        try:
-            maps.append(MobiusMap(*(f16.random(rng) for _ in range(4))))
-        except ValueError:  # singular matrix
-            continue
-    for m in maps:
-        k = rng.randrange(7)
-        polys = [
-            Poly(f16, [f16.random(rng) for _ in range(rng.randrange(k + 2))]) for _ in range(3)
-        ]
-        den = m.denominator_poly()
-        for p, got in zip(polys, _homogenize(m, polys, k)):
-            assert got.degree <= k
-            for xm in range(f16.order):
-                x = f16.element(xm)
-                dx = den.evaluate(x)
-                if dx.mask:
-                    assert got.evaluate(x) == p.evaluate(m.apply_x(x)) * dx ** k
-    with pytest.raises(ValueError):
-        _homogenize(maps[0], [Poly.x(f16) ** 3], 2)
+    for field in (default_field(4), default_field(8)):
+        for m in s3_mobius_maps():
+            for k in range(7):
+                polys = [
+                    Poly(field, [field.random(rng) for _ in range(rng.randrange(k + 2))])
+                    for _ in range(3)
+                ]
+                den = m.denominator_poly(field)
+                for p, got in zip(polys, _homogenize(m, polys, k)):
+                    assert got.degree <= k
+                    for x in field.elements():
+                        dx = den.evaluate(x)
+                        if dx.mask:
+                            assert got.evaluate(x) == p.evaluate(m.apply_x(x)) * dx ** k
+                        else:
+                            assert m.apply_x(x) is None
+        with pytest.raises(ValueError):
+            _homogenize(MobiusMap(1, 0, 0, 1), [Poly.x(field) ** 3], 2)
+
+
+def test_mobius_maps_are_the_invertible_bit_matrices():
+    invertible = []
+    for bits in itertools.product((0, 1), repeat=4):
+        a, b, c, d = bits
+        if a & d == b & c:
+            with pytest.raises(ValueError, match="singular"):
+                MobiusMap(*bits)
+        else:
+            invertible.append(MobiusMap(*bits))
+    assert len(invertible) == 6
+    assert set(invertible) == set(s3_mobius_maps())
+    f4 = default_field(2)
+    for m in invertible:
+        assert m.permutes_branch_points()
+        images = [m.apply_x(x) for x in (f4.zero(), f4.one())]
+        images = {None if y is None else y.mask for y in images} | {m.image_of_infinity()}
+        assert images == {0, 1, None}
+    for bad in ((2, 0, 0, 1), (1, 0, 0, f4.one()), (f4.gen(), 1, 1, 0)):
+        with pytest.raises(ValueError, match="bits"):
+            MobiusMap(*bad)
+
+
+def test_apply_rejects_a_point_on_another_model():
+    f16 = default_field(4)
+    elements, _ = automorphism_group(Curve(f16, f16.element(2)))
+    pts = Curve(f16, f16.element(3)).points_over(f16)
+    assert len(elements) * len(pts) == 84
+    for g in elements:
+        for p in pts:
+            with pytest.raises(FieldMismatchError, match="different curve model"):
+                g.apply(p)
+
+
+def test_action_embeds_nothing_over_the_common_field(monkeypatch):
+    c = laszlo_curve()
+    elements, _ = automorphism_group(c)
+    f16 = default_field(4)
+    pts = c.points_over(f16)
+    calls = []
+    real = FieldEmbedding.__call__
+    monkeypatch.setattr(
+        FieldEmbedding, "__call__", lambda self, elem: calls.append(elem) or real(self, elem)
+    )
+    assert all(p.lift(p.field) is p for p in pts)
+    for g in elements:
+        for p in pts:
+            if not p.is_infinity():
+                g.mobius.apply_x(p.x)
+    field, lifted, _ = FormalDivisor(c, [(p, 1) for p in pts]).lift_to_common_field()
+    assert field == f16 and len(lifted) == len(pts) - 1
+    assert calls == []
 
 
 def test_reference_coefficient_keys_are_pinned():
@@ -247,7 +295,7 @@ def _plant_solve(monkeypatch, change):
 def _plant_lifts(monkeypatch, curve, replace):
     """lift_mobius, as automorphism_group sees it, returns replace(i, lifts_of)
     for the i-th S3 map, where lifts_of(j) are the true lifts of the j-th."""
-    maps = s3_mobius_maps(curve.field)
+    maps = s3_mobius_maps()
     monkeypatch.setattr(
         action_module,
         "lift_mobius",

@@ -635,6 +635,16 @@ def test_torsion_subgroup_two():
     assert j == 1 and counts[0] == 4 and len(classes) == 4
 
 
+def test_torsion_search_above_the_cap_raises():
+    # no field of degree <= 12 contains GF(2^13): nothing can be searched
+    f = default_field(13)
+    c = Curve(f, f.element(2))
+    for search in (lambda: torsion_subgroup(c, 2, 1), lambda: ordinarity_check(c)):
+        with pytest.raises(DegreeCapError) as exc:
+            search()
+        assert str(exc.value) == "torsion search over GF(2^13) exceeds the degree-12 cap"
+
+
 @pytest.mark.slow
 def test_torsion_subgroup_three_reaches_81():
     c = laszlo_curve()
