@@ -9,18 +9,31 @@ roots, which exist uniquely in characteristic 2.
 
 (h, f) has one source, the memo `Curve.equation_masks`: membership, the
 involution and the root walk run on its masks with the field's exp/log
-tables, one walk giving h(x) and f(x) for every x.  `count_points` counts
-by the trace criterion (y^2 + h y = f has two roots when h(x) != 0 and
-Tr(f/h^2) = 0, none when the trace is 1, one when h(x) = 0) and solves for
-no y; `points_over` and `points_at` solve for the roots with the field
-layer's one root kernel, `gf2.quadratic_root_masks`, so this module has no
-field arithmetic of its own beyond table lookups.
+tables.  The root walk (`_h_f_blocks`) gives h(x) and f(x) for every x,
+and `points_over` and `points_at` solve for the y above each with the
+field layer's one root kernel, `gf2.quadratic_root_masks`, so this module
+has no field arithmetic of its own beyond table lookups.
+
+`count_points` neither walks (h, f) nor solves for y.  Above a root of
+h = x^2 + x there is one point; above any other x there are two when
+Tr(f/h^2) = 0 and none when it is 1.  For x outside {0, 1},
+x^5 + x = x (x + 1)^4 and Tr(a^2) = Tr(a) give, with c = T^2 + T,
+
+    Tr(f(x)/h(x)^2) = Tr(c g(x)),   g(x) = x + 1/x + 1/(x + 1),
+
+which is linear in c: the parity of g(x) & `gf2.trace_dual_mask(c)`.  g is
+invariant under rho: x -> 1/(x + 1), the order-3 Mobius map of S3, so one
+curve-independent table per field degree holds each value of g once, with
+the number of x that give it (3 on a rho-orbit, 1 on the two fixed points
+of rho when the degree is even).
 
 L-polynomial bookkeeping (exact, integer arithmetic) also lives here; it
-reads `count_points`, and the Jacobian layer cross-checks it against an
-exhaustive enumeration whose degree-1 classes come from the root walk.
+reads `count_points`, checks both counts against the Hasse-Weil interval,
+and the Jacobian layer cross-checks it against an exhaustive enumeration
+whose degree-1 classes come from the root walk.
 """
 
+from collections import Counter
 from fractions import Fraction
 
 from .errors import (
@@ -30,7 +43,7 @@ from .errors import (
     InconsistencyError,
     NotOnCurveError,
 )
-from .gf2 import FieldElement, default_field, embed, quadratic_root_masks, trace_mask
+from .gf2 import FieldElement, default_field, embed, quadratic_root_masks, trace_dual_mask
 from .poly import Poly, evaluate_masks
 
 
@@ -64,7 +77,9 @@ class Curve:
 
     def same_model(self, other):
         """Equality as a curve: same base field and same effective parameter."""
-        return self.field == other.field and self.effective_t == other.effective_t
+        return other is self or (
+            self.field == other.field and self.effective_t == other.effective_t
+        )
 
     def __eq__(self, other):
         return (
@@ -132,7 +147,8 @@ class Curve:
     def _h_f_blocks(self, field):
         """(x0, [h(x)], [f(x)]) as masks for x = x0, x0 + 1, ..., in blocks
         that cover the field in ascending order; x = 0, which has no log, is
-        a block of its own.  Blocks bound the walk's memory, not its speed."""
+        a block of its own.  Blocks bound the walk's memory, not its speed.
+        Only `_affine_point_masks` reads it: `count_points` walks no x."""
         exp, log = field.tables()
         hc, fc = self.equation_masks(field)
         yield 0, [hc[0]], [fc[0]]
@@ -160,20 +176,13 @@ class Curve:
 
     def count_points(self, field):
         """#C(field), infinity included, by the trace criterion with no root
-        solved for: one point above each root of h; above any other x, two
-        points when Tr(f(x)/h(x)^2) = 0 and none otherwise, the quotient
-        taken by logs (f(x) = 0 gives 0, of trace 0)."""
-        exp, log = field.tables()
-        n, tm = field.order - 1, trace_mask(field)
-        roots = split = 0
-        for _, hv, fv in self._h_f_blocks(field):
-            roots += hv.count(0)
-            split += sum(
-                1
-                for hx, fx in zip(hv, fv)
-                if hx and (not fx or not (exp[(log[fx] - 2 * log[hx]) % n] & tm).bit_count() & 1)
-            )
-        return 1 + roots + 2 * split
+        solved for and no (h, f) evaluated: infinity and one point above each
+        of x = 0, 1, the roots of h; above any other x, two points when
+        Tr(f(x)/h(x)^2) = Tr(c g(x)) is 0 and none when it is 1, with
+        c = T^2 + T (the x coefficient of f) and each value of g taken once
+        from `_g_table`, weighted by the number of x behind it."""
+        w = trace_dual_mask(field, self.equation_masks(field)[1][1])
+        return 3 + 2 * sum(m for g, m in _g_table(field) if not (g & w).bit_count() & 1)
 
     def branch_points(self):
         """x-coordinates of the branch locus in P^1: roots of h plus infinity
@@ -209,6 +218,23 @@ class Curve:
 _H = (0, 1, 1)
 _X_BLOCK = 512
 _equation_cache = {}
+_g_cache = {}
+
+
+def _g_table(field):
+    """The distinct values g of g(x) = x + 1/x + 1/(x + 1) over the x of
+    `field` outside {0, 1}, ascending, each paired with the number of x that
+    give it.  g is invariant under rho: x -> 1/(x + 1), and g(x) = v is a
+    cubic in x, so each value comes from one rho-orbit: 3 x on an orbit of
+    size 3, and 1 on each root of x^2 + x + 1 (in the field when its degree
+    is even).  The table depends on no curve: one entry per field degree."""
+    table = _g_cache.get(field.degree)
+    if table is None:
+        exp, log = field.tables()
+        n = field.order - 1
+        gs = Counter(x ^ exp[n - log[x]] ^ exp[n - log[x ^ 1]] for x in range(2, field.order))
+        table = _g_cache[field.degree] = sorted(gs.items())
+    return table
 
 
 def _horner_block(cs, logs, exp, log):
@@ -316,8 +342,9 @@ class CurvePoint:
 def lpolynomial(curve):
     """(s1, s2) for L(T) = 1 - s1 T + s2 T^2 - q s1 T^3 + q^2 T^4, from the
     trace-criterion counts of `count_points` over the base field and its
-    quadratic extension.  s1^2 - (q^2 + 1 - N2) must be even, or the counts
-    fit no genus-2 L-polynomial and InconsistencyError is raised."""
+    quadratic extension.  InconsistencyError is raised when the counts fit
+    no genus-2 L-polynomial: when s1^2 - (q^2 + 1 - N2) is odd, or when N1
+    or N2 lies outside its Hasse-Weil interval."""
     q = curve.field.order
     n1 = curve.count_points(curve.field)
     ext = default_field(2 * curve.field.degree)
@@ -326,6 +353,11 @@ def lpolynomial(curve):
     p2 = q * q + 1 - n2
     if (s1 * s1 - p2) % 2:
         raise InconsistencyError("point counts are incompatible with a genus-2 L-polynomial")
+    for field, n in ((curve.field, n1), (ext, n2)):
+        if not weil_interval_ok_curve(n, field.order):
+            raise InconsistencyError(
+                f"#C(GF(2^{field.degree})) = {n} lies outside the Hasse-Weil interval"
+            )
     s2 = (s1 * s1 - p2) // 2
     return s1, s2
 

@@ -23,9 +23,10 @@ elements of the target's order-2^a subfield, and x -> x^q + x gets one
 cached solving map per (field, q) that solves Artin-Schreier equations
 on masks.  `trace_mask` caches the absolute trace as one bit-mask per
 field, so z^2 + z = r is decided solvable by the parity of r & mask,
-with no root found.  `quadratic_root_masks` is the one root kernel for
-y^2 + b y = c: curve points, Mumford supports and the oracle's residual
-points all come from it.
+with no root found; `trace_dual_mask` gives a -> Tr(c a) the same way.
+`quadratic_root_masks` is the one root kernel for y^2 + b y = c: curve
+points, Mumford supports and the oracle's residual points all come from
+it.
 """
 
 import math
@@ -610,6 +611,16 @@ def trace_mask(field):
         tm = sum(FieldElement(field, 1 << i).trace().mask << i for i in range(field.degree))
         _trace_cache[key] = tm
     return tm
+
+
+def trace_dual_mask(field, c):
+    """The functional a -> Tr(c a) as a bit-mask, for a mask c: bit i is
+    Tr(c x^i), so by linearity Tr(c a) is the parity of a & the mask.  It
+    costs d table products; c = 1 gives `trace_mask(field)`."""
+    tm = trace_mask(field)
+    return sum(
+        ((field.mul_masks(c, 1 << i) & tm).bit_count() & 1) << i for i in range(field.degree)
+    )
 
 
 def artin_schreier_root_in_field(field, q, d_elem):

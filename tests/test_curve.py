@@ -1,6 +1,7 @@
 """Curve-layer tests: equation checks, counts vs Weil/zeta, Frobenius maps."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -16,6 +17,7 @@ from frobfix.curve import (
 )
 from frobfix.errors import (
     CurveParameterError,
+    EmbeddingError,
     FieldMismatchError,
     InconsistencyError,
     NotOnCurveError,
@@ -331,10 +333,66 @@ def test_equation_masks_memo(monkeypatch):
     [(4, tm, 8) for tm in range(2, 16)] + [(2, 2, degree) for degree in range(2, 13, 2)],
 )
 def test_trace_count_matches_the_root_walk(t_degree, tm, degree):
-    # over GF(16) for every t, test_point_count_matches_brute_force checks the same
+    # over GF(16) for every t, test_point_count_matches_brute_force checks the
+    # same at n = 0; n = 1, 2 count on the twisted models' memo entries
+    # (T = t^(2^n)), Frobenius conjugates whose counts equal those at n = 0
     base, field = default_field(t_degree), default_field(degree)
-    c = Curve(base, base.element(tm))
-    assert c.count_points(field) == len(c.points_over(field)) == root_walk_count(c, field)
+    for n in range(3):
+        c = Curve(base, base.element(tm), n)
+        assert c.count_points(field) == len(c.points_over(field)) == root_walk_count(c, field)
+
+
+def test_counts_of_the_benchmark_curves_match_the_root_walk():
+    # the 62 curves of the lpoly_gf64 benchmark, over both fields it counts on
+    base, ext = default_field(6), default_field(12)
+    for tm in range(2, base.order):
+        c = Curve(base, base.element(tm))
+        for field in (base, ext):
+            assert c.count_points(field) == root_walk_count(c, field) == len(c.points_over(field))
+
+
+def test_count_over_a_field_without_the_base_field_raises():
+    c = Curve(default_field(4), default_field(4).element(3))
+    for degree in (2, 6):
+        with pytest.raises(EmbeddingError):
+            c.count_points(default_field(degree))
+
+
+def _g(x):
+    return x + x.inverse() + (x + x.field.one()).inverse()
+
+
+@pytest.mark.parametrize("degree", range(2, 9))
+def test_trace_of_f_over_h_squared_is_the_trace_of_c_g(degree):
+    # the identity behind count_points, on boxed elements and
+    # FieldElement.trace, for every x outside {0, 1} and twists 0..2
+    field = default_field(degree)
+    curves = [Curve(field, field.element(m), n) for m in {2, 3, field.order - 1} for n in range(3)]
+    if degree % 2 == 0:
+        curves += [laszlo_curve().twist(n) for n in range(3)]
+    for c in curves:
+        h, f = c.equation_polys(field)
+        te = embed(c.field, field)(c.effective_t)
+        cf = te * te + te
+        for xm in range(2, field.order):
+            x = field.element(xm)
+            assert (f.evaluate(x) / h.evaluate(x) ** 2).trace() == (cf * _g(x)).trace()
+
+
+@pytest.mark.parametrize("degree", range(2, 13))
+def test_g_table_holds_each_rho_orbit_once(degree):
+    field = default_field(degree)
+    table = curve_module._g_table(field)
+    assert curve_module._g_table(field) is table
+    assert [g for g, _ in table] == sorted({g for g, _ in table})
+    # 3 x on each rho-orbit of size 3; the two roots of x^2 + x + 1 alone
+    fixed = 2 if degree % 2 == 0 else 0
+    ms = Counter(m for _, m in table)
+    assert sum(m * k for m, k in ms.items()) == field.order - 2
+    assert set(ms) <= {1, 3} and ms[1] == fixed and 3 * ms[3] == field.order - 2 - fixed
+    if degree <= 8:
+        gs = Counter(_g(field.element(xm)).mask for xm in range(2, field.order))
+        assert table == sorted(gs.items())
 
 
 def test_lpolynomial_catches_a_count_incompatible_with_genus_2(monkeypatch):
@@ -379,6 +437,18 @@ def _first_power_sum_off_by_one(monkeypatch, curve):
     return lambda: jacobian_order_from_lpoly(s1, s2, curve.field.order, 1)
 
 
+def _count_outside_the_weil_interval(monkeypatch, curve):
+    # an even shift of N1 keeps s1^2 - (q^2 + 1 - N2) even, so only the
+    # Hasse-Weil check can catch it: N1 = 3 + 2 q^2 = 35 over GF(4)
+    count = Curve.count_points
+    monkeypatch.setattr(
+        Curve,
+        "count_points",
+        lambda self, field: count(self, field) + 2 * field.order ** 2 * (field == self.field),
+    )
+    return lambda: lpolynomial(curve)
+
+
 def _lpolynomial_vanishing_at_one(monkeypatch, curve):
     # L(1) = 1 - s1 + s2 - q s1 + q^2 is 0 for s1 = 0, s2 = -(q^2 + 1)
     q = curve.field.order
@@ -395,6 +465,11 @@ PLANTED_FAULTS = [
         "Frobenius preimage left the source curve",
         _frobenius_preimage_off_the_curve,
         id="frobenius-preimage",
+    ),
+    pytest.param(
+        "#C(GF(2^2)) = 35 lies outside the Hasse-Weil interval",
+        _count_outside_the_weil_interval,
+        id="hasse-weil",
     ),
     pytest.param(
         "non-integral Jacobian order from L-polynomial",

@@ -26,6 +26,7 @@ from frobfix.gf2 import (
     embed,
     find_factor,
     join_fields,
+    trace_dual_mask,
     trace_mask,
 )
 
@@ -379,3 +380,21 @@ def test_trace_mask_parity_is_the_trace(d):
         odd = (r & tm).bit_count() & 1
         assert odd == (artin_schreier_root_mask(f, 2, r) is None)
         assert odd == FieldElement(f, r).trace().mask
+
+
+def _dual_parity_is_the_trace(f, c, a):
+    w = trace_dual_mask(f, c)
+    return w < f.order and (a & w).bit_count() & 1 == (f.element(c) * f.element(a)).trace().mask
+
+
+def test_trace_dual_mask_parity_is_the_trace_over_gf16():
+    f = default_field(4)
+    assert trace_dual_mask(f, 1) == trace_mask(f) and trace_dual_mask(f, 0) == 0
+    assert all(_dual_parity_is_the_trace(f, c, a) for c in range(16) for a in range(16))
+
+
+def test_trace_dual_mask_parity_is_the_trace_over_gf4096():
+    f, rng = default_field(12), random.Random(19)
+    assert trace_dual_mask(f, 1) == trace_mask(f)
+    for _ in range(300):
+        assert _dual_parity_is_the_trace(f, rng.randrange(f.order), rng.randrange(f.order))

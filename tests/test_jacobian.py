@@ -678,18 +678,21 @@ def test_group_order_catches_a_dropped_kernel_vector(monkeypatch):
 
 
 def test_group_order_catches_a_flipped_trace_mask_bit(monkeypatch):
-    # count_points (the zeta side) decides by the trace; the enumeration's
-    # degree-1 classes come from the root walk, so the two must disagree
+    # count_points (the zeta side) decides by the trace, through the dual
+    # mask of c; the enumeration's degree-1 classes come from the root walk,
+    # so the two must disagree
     import frobfix.curve as curve_module
     import frobfix.gf2 as gf2_module
     import frobfix.jacobian as jacobian_module
 
     monkeypatch.setattr(jacobian_module, "_order_cache", {})
-    monkeypatch.setattr(curve_module, "trace_mask", lambda field: gf2_module.trace_mask(field) ^ 1)
+    monkeypatch.setattr(
+        curve_module, "trace_dual_mask", lambda field, c: gf2_module.trace_dual_mask(field, c) ^ 1
+    )
     with pytest.raises(InconsistencyError) as exc:
         group_order(laszlo_curve(), default_field(4))
     assert exc.type is InconsistencyError
-    assert str(exc.value) == "zeta order 300 disagrees with enumerated count 576"
+    assert str(exc.value) == "zeta order 289 disagrees with enumerated count 576"
 
 
 def test_oracle_catches_a_residual_point_off_the_field(monkeypatch):

@@ -139,6 +139,15 @@ def test_only_the_memo_builds_the_curve_equation():
     }
 
 
+def test_only_the_root_walk_walks_h_and_f():
+    # count_points reads the g table through one trace-dual mask; the walk
+    # of (h, f) over every x serves the root walk alone
+    found = {p.name: _callers(p, {"_h_f_blocks"}) for p in sorted(PACKAGE_DIR.rglob("*.py"))}
+    assert {name: callers for name, callers in found.items() if callers} == {
+        "curve.py": {"Curve._affine_point_masks"}
+    }
+
+
 def test_group_law_builds_no_poly():
     # the group law runs on coefficient masks with the memoised (h, f); only
     # _cantor_compose, the general fallback, may build Polys
