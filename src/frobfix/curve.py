@@ -9,8 +9,8 @@ roots, which exist uniquely in characteristic 2.
 
 (h, f) has one source, the memo `Curve.equation_masks`: membership, the
 involution and the root walk run on its masks with the field's exp/log
-tables.  The root walk (`_h_f_blocks`) gives h(x) and f(x) for every x,
-and `points_over` and `points_at` solve for the y above each with the
+tables.  The root walk (`_affine_point_masks`) and `points_at` evaluate h
+and f at each x by Horner on masks and solve for the y above it with the
 field layer's one root kernel, `gf2.quadratic_root_masks`, so this module
 has no field arithmetic of its own beyond table lookups.
 
@@ -43,7 +43,14 @@ from .errors import (
     InconsistencyError,
     NotOnCurveError,
 )
-from .gf2 import FieldElement, default_field, embed, quadratic_root_masks, trace_dual_mask
+from .gf2 import (
+    DEGREE_CAP,
+    FieldElement,
+    default_field,
+    embed,
+    quadratic_root_masks,
+    trace_dual_mask,
+)
 from .poly import Poly, evaluate_masks
 
 
@@ -96,9 +103,9 @@ class Curve:
         return f"Curve(d={self.field.degree}, t={hex(self.t.mask)}, n={self.n})"
 
     # -- defining polynomials -------------------------------------------------
-    def equation_polys(self, field=None):
+    def equation_polys(self, field):
         """(h, f) with the model y^2 + h(x) y = f(x), over `field` (>= base)."""
-        if field is None or field == self.field:
+        if field == self.field:
             fld, te = self.field, self.effective_t
         else:
             emb = embed(self.field, field)
@@ -144,25 +151,15 @@ class Curve:
         s = y ^ evaluate_masks(exp, log, h, x)  # (y + h(x)) y = f(x)
         return (exp[log[s] + log[y]] if s and y else 0) == evaluate_masks(exp, log, f, x)
 
-    def _h_f_blocks(self, field):
-        """(x0, [h(x)], [f(x)]) as masks for x = x0, x0 + 1, ..., in blocks
-        that cover the field in ascending order; x = 0, which has no log, is
-        a block of its own.  Blocks bound the walk's memory, not its speed.
-        Only `_affine_point_masks` reads it: `count_points` walks no x."""
-        exp, log = field.tables()
-        hc, fc = self.equation_masks(field)
-        yield 0, [hc[0]], [fc[0]]
-        for x0 in range(1, field.order, _X_BLOCK):
-            logs = log[x0:x0 + _X_BLOCK]
-            yield x0, _horner_block(hc, logs, exp, log), _horner_block(fc, logs, exp, log)
-
     def _affine_point_masks(self, field):
         """The affine points over `field` as (x, y) masks, x ascending: the
         roots y that `quadratic_root_masks` finds above each x, in its order."""
-        for x0, hv, fv in self._h_f_blocks(field):
-            for x, (hx, fx) in enumerate(zip(hv, fv), x0):
-                for y in quadratic_root_masks(field, hx, fx):
-                    yield x, y
+        exp, log = field.tables()
+        h, f = self.equation_masks(field)
+        for x in range(field.order):
+            hx, fx = evaluate_masks(exp, log, h, x), evaluate_masks(exp, log, f, x)
+            for y in quadratic_root_masks(field, hx, fx):
+                yield x, y
 
     def points_over(self, field):
         """All points of the curve over `field`: infinity first, then the
@@ -208,15 +205,10 @@ class Curve:
         ys = sorted(quadratic_root_masks(field, h, f))
         return [self.point(x, FieldElement(field, y)) for y in ys]
 
-    def weierstrass_points(self):
-        """The affine ramification points (one above each finite branch x)."""
-        return self.points_at(self.field.zero()) + self.points_at(self.field.one())
-
 
 # h = x^2 + x as ascending coefficient masks: the same for every member of
 # the family and every field
 _H = (0, 1, 1)
-_X_BLOCK = 512
 _equation_cache = {}
 _g_cache = {}
 
@@ -235,15 +227,6 @@ def _g_table(field):
         gs = Counter(x ^ exp[n - log[x]] ^ exp[n - log[x ^ 1]] for x in range(2, field.order))
         table = _g_cache[field.degree] = sorted(gs.items())
     return table
-
-
-def _horner_block(cs, logs, exp, log):
-    """[p(x)] as masks for the nonzero x whose logs are `logs`, p given by its
-    ascending coefficient masks cs: Horner with one pass per coefficient."""
-    vals = [cs[-1]] * len(logs)
-    for c in cs[-2::-1]:
-        vals = [(exp[log[v] + lx] if v else 0) ^ c for v, lx in zip(vals, logs)]
-    return vals
 
 
 class CurvePoint:
@@ -344,7 +327,10 @@ def lpolynomial(curve):
     trace-criterion counts of `count_points` over the base field and its
     quadratic extension.  InconsistencyError is raised when the counts fit
     no genus-2 L-polynomial: when s1^2 - (q^2 + 1 - N2) is odd, or when N1
-    or N2 lies outside its Hasse-Weil interval."""
+    or N2 lies outside its Hasse-Weil interval, and DegreeCapError before
+    any count when the quadratic extension is past the field cap."""
+    if 2 * curve.field.degree > DEGREE_CAP:
+        raise DegreeCapError(f"quadratic extension of degree {2 * curve.field.degree} exceeds cap")
     q = curve.field.order
     n1 = curve.count_points(curve.field)
     ext = default_field(2 * curve.field.degree)
@@ -377,14 +363,10 @@ def power_sums(s1, s2, q, k_max):
     return p
 
 
-def curve_count_from_lpoly(s1, s2, q, j):
-    """#C(GF(q^j)) predicted by the L-polynomial."""
-    p = power_sums(s1, s2, q, j)
-    return q ** j + 1 - p[j]
-
-
 def jacobian_order_from_lpoly(s1, s2, q, j):
-    """#J(GF(q^j)) = prod (1 - alpha_i^j), exact integer."""
+    """#J(GF(q^j)) = prod (1 - alpha_i^j), exact integer, for j >= 1."""
+    if j < 1:
+        raise ValueError(f"Jacobian order needs j >= 1, got {j}")
     p = power_sums(s1, s2, q, 4 * j)
     big_p = [Fraction(p[i * j]) for i in range(5)]  # power sums of alpha_i^j
     e1 = big_p[1]

@@ -4,13 +4,13 @@ A polynomial function on the curve is a(x) + b(x) y; it has poles only at
 infinity, where ord(x) = -2 and ord(y) = -5 (so the two pole orders never
 collide mod 2 and the pole order of a + b y is exact, no cancellation).
 
-Local expansions live in the truncated series ring: at a non-Weierstrass
-point the uniformizer is x - x0 and y is lifted by Newton iteration; at an
-affine Weierstrass point the uniformizer is y - y0 and x is lifted.  The
-lifts, the expansions of a + b y and the interpolation rows run on
-coefficient masks, with the memoised (h, f) of `Curve.equation_masks`,
-the `series` kernels and the field's exp/log tables, as does the
-nullspace (`linalg`); SeriesElement and Poly are the types at the
+Local expansions are truncated series k'[s]/(s^n) held as tuples of
+coefficient masks: at a non-Weierstrass point the uniformizer is x - x0
+and y is lifted by Newton iteration; at an affine Weierstrass point the
+uniformizer is y - y0 and x is lifted.  The lifts, the expansions of
+a + b y and the interpolation rows run on those masks with the memoised
+(h, f) of `Curve.equation_masks`, the `series` kernels and the field's
+exp/log tables, as does the nullspace (`linalg`); Poly is the type at the
 boundary, and the norm and the Mumford pairs wrap (h, f) as Polys.
 Every divisor claim, in the oracle's steps and in a witness's
 re-verification, is checked by one routine, `_orders_and_rest`: it reads
@@ -22,7 +22,7 @@ exactly those orders, so the norm must account for every zero found.
 from .errors import FieldMismatchError, InconsistencyError, VerificationError
 from .linalg import nullspace
 from .poly import Poly, solve_linear, solve_quadratic
-from .series import SeriesElement, TruncatedSeriesRing, inverse_masks, mul_masks
+from .series import inverse_masks, mul_masks
 
 
 class PolyFunction:
@@ -62,9 +62,8 @@ class PolyFunction:
         """The coefficient masks of the expansion at `point` through s^(prec-1)."""
         if point.field != self.field:
             raise FieldMismatchError("point and function over different fields")
-        xs, ys = local_coordinates(self.curve, point, prec)
-        field, xs = self.field, xs.masks()
-        bs = mul_masks(field, _horner(field, self.b.masks(), xs), ys.masks())
+        field, (xs, ys) = self.field, local_coordinates(self.curve, point, prec)
+        bs = mul_masks(field, _horner(field, self.b.masks(), xs), ys)
         return _add(_horner(field, self.a.masks(), xs), bs)
 
     def ord_at(self, point):
@@ -90,15 +89,14 @@ class PolyFunction:
 
 
 def local_coordinates(curve, point, prec):
-    """(x, y) as truncated series in the local uniformizer at an affine point.
+    """(x, y) as truncated series in the local uniformizer at an affine
+    point: two tuples of `prec` coefficient masks, lowest order first.
 
     The Newton lifts run on the coefficient masks of the memoised (h, f):
     h, f and their derivatives are evaluated at a series by Horner with the
-    `series` kernels, and only the two results are boxed as SeriesElements.
-    In characteristic 2 a derivative keeps the odd terms, p'(x) = p1 + p3
+    `series` kernels.  In characteristic 2 a derivative keeps the odd terms, p'(x) = p1 + p3
     x^2 + ..., so p' is Horner on p[1::2] at the series x^2."""
     field = _affine(point).field
-    ring = TruncatedSeriesRing(field, prec)
     h, f = curve.equation_masks(field)
     if point.is_weierstrass():
         # uniformizer u = y - y0; solve for x by Newton (dF/dx is a unit here)
@@ -114,7 +112,7 @@ def local_coordinates(curve, point, prec):
             xs = _add(xs, mul_masks(field, res, inverse_masks(field, dfdx)))
         if any(_residual(field, _horner(field, h, xs), _horner(field, f, xs), ys)):
             raise InconsistencyError("Newton lift for x failed at a Weierstrass point")
-        return SeriesElement(ring, xs), SeriesElement(ring, ys)
+        return xs, ys
     # uniformizer t = x - x0; solve for y by Newton (h(x0) is a unit)
     xs = _linear(point.x.mask, prec)
     hs = _horner(field, h, xs)
@@ -128,7 +126,7 @@ def local_coordinates(curve, point, prec):
         ys = _add(ys, mul_masks(field, res, hinv))
     if any(_residual(field, hs, fs, ys)):
         raise InconsistencyError("Newton lift for y failed")
-    return SeriesElement(ring, xs), SeriesElement(ring, ys)
+    return xs, ys
 
 
 def _affine(point):
@@ -209,10 +207,9 @@ def interpolate_vanishing(curve, field, m, constraints):
         if point.field != field:
             raise FieldMismatchError("constraint point over a different field")
         xs, ys = local_coordinates(curve, point, mult)
-        xs = xs.masks()
         one = _linear(1, mult, 0)
         cols = _times_powers(field, one, xs, n_x)
-        cols += _times_powers(field, ys.masks(), xs, n_y)
+        cols += _times_powers(field, ys, xs, n_y)
         rows.extend(zip(*cols))
     vecs = nullspace(field, rows) if rows else [[1] + [0] * (n_x + n_y - 1)]
     if not vecs:
@@ -300,12 +297,6 @@ class CurveFunction:
         self.num = num
         self.chi = chi
         self.rr_pole_bound = rr_pole_bound
-
-    def evaluate(self, point):
-        d = self.chi.evaluate(_affine(point).x)
-        if d.mask == 0:
-            return None
-        return self.num.evaluate(point) / d
 
     def __repr__(self):
         return f"CurveFunction(({self.num.a!r} + ({self.num.b!r})y) / ({self.chi!r}))"

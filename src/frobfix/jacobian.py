@@ -74,26 +74,16 @@ class FormalDivisor:
     def degree(self):
         return sum(m for _, m in self.entries)
 
-    def scale(self, k):
-        return FormalDivisor(self.curve, [(p, k * m) for p, m in self.entries])
-
     def __add__(self, other):
         return FormalDivisor(self.curve, list(self.entries) + list(other.entries))
 
-    def __neg__(self):
-        return self.scale(-1)
-
-    def affine_and_infinity(self):
-        affine = [(p, m) for p, m in self.entries if not p.is_infinity()]
-        inf = sum(m for p, m in self.entries if p.is_infinity())
-        return affine, inf
-
     def lift_to_common_field(self):
         """(field, affine entries lifted, infinity multiplicity)."""
-        affine, inf = self.affine_and_infinity()
+        affine = [(p, m) for p, m in self.entries if not p.is_infinity()]
         field = self.curve.field
         for p, _ in affine:
             field, _, _ = join_fields(field, p.field)
+        inf = sum(m for p, m in self.entries if p.is_infinity())
         return field, [(p.lift(field), m) for p, m in affine], inf
 
     def __repr__(self):
@@ -208,18 +198,6 @@ class JacobianClass:
         emb = embed(self.field, field)
         u, v = (tuple(emb.image_mask(m) for m in p) for p in (self.u, self.v))
         return JacobianClass(self.curve, field, u, v)
-
-    def descend_to(self, field):
-        """The same class re-expressed over a subfield; the reduced Mumford
-        form is unique, so this succeeds exactly when the class is rational
-        over `field`."""
-        if field == self.field:
-            return self
-        emb = embed(field, self.field)
-        down = [[emb.preimage(self.field.element(m)) for m in p] for p in (self.u, self.v)]
-        if None in down[0] + down[1]:
-            raise FieldMismatchError("class is not rational over the subfield")
-        return JacobianClass(self.curve, field, *(tuple(c.mask for c in p) for p in down))
 
     def equals(self, other):
         """Equality of classes, lifting to a common field as needed."""

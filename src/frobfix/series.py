@@ -8,11 +8,10 @@ inverses of units (elements with a nonzero constant term).
 The arithmetic lives in two module-level kernels on coefficient masks,
 `mul_masks` (the truncated product) and `inverse_masks`, which index the
 field's exp/log tables directly; `local_coordinates` runs its Newton lifts
-on them without building a SeriesElement per step.  SeriesElement is the
-boundary type: it stores its n coefficients as a tuple of int masks bound
-to the ring's field, checks the ring once per operation and calls the
-kernels.  `element` and `constant` take FieldElements and check each
-one's field.
+on them and returns mask tuples.  SeriesElement, the boxed element over
+the same kernels, is no longer a type at the oracle's boundary: nothing in
+the package builds one, and it stays only as a target of the benchmark's
+layer spans until they move to the kernels.
 """
 
 from .errors import FieldMismatchError
@@ -99,7 +98,7 @@ class SeriesElement:
     """An element of k'[s]/(s^n).  Immutable.
 
     `masks` is a tuple of n coefficient masks of the ring's field; the
-    ring's constructors and `local_coordinates` build it."""
+    ring's constructors build it."""
 
     __slots__ = ("ring", "_m")
 

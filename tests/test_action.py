@@ -48,7 +48,7 @@ def test_lift_identity_gives_id_and_iota():
     assert any(g.is_identity() for g in lifts)
     other = next(g for g in lifts if not g.is_identity())
     # the other lift is the hyperelliptic involution: y -> y + h(x)
-    h, _ = c.equation_polys()
+    h, _ = c.equation_polys(f4)
     assert other.abc() == (Poly.one(f4), h, Poly.one(f4))
     f16 = default_field(4)
     for p in c.points_over(f16):
@@ -141,11 +141,13 @@ def test_action_permutes_j_gf4():
     c = laszlo_curve()
     _, by_name = automorphism_group(c)
     classes = enumerate_classes(c, c.field)
-    keys = {cl.key() for cl in classes}
+    assert len(set(classes)) == len(classes)
     for name in ("sigma", "tau01", "tau0inf"):
         g = by_name[name]
-        images = {g.act_on_class(cl).descend_to(c.field).key() for cl in classes}
-        assert images == keys
+        # equality lifts to a common field: each image is one of the classes
+        # over GF(4), and the images are all distinct
+        images = {g.act_on_class(cl) for cl in classes}
+        assert images == set(classes)
 
 
 def test_automorphisms_commute_with_relative_frobenius():

@@ -9,14 +9,15 @@ import frobfix.curve as curve_module
 from frobfix.curve import (
     Curve,
     CurvePoint,
-    curve_count_from_lpoly,
     jacobian_order_from_lpoly,
     lpolynomial,
+    power_sums,
     weil_interval_ok_curve,
     weil_interval_ok_jacobian,
 )
 from frobfix.errors import (
     CurveParameterError,
+    DegreeCapError,
     EmbeddingError,
     FieldMismatchError,
     InconsistencyError,
@@ -101,6 +102,32 @@ def test_point_count_matches_brute_force(t_degree, tm, degree):
             assert len(ps) == 1
 
 
+@pytest.mark.parametrize("call", ["lpolynomial", "group_order", "torsion_subgroup"])
+def test_lpolynomial_past_the_field_cap_raises_the_cap_error(call):
+    # the quadratic extension of GF(2^9) would be GF(2^18): the cap error
+    # comes before any field is built
+    from frobfix.jacobian import group_order, torsion_subgroup
+
+    f512 = default_field(9)
+    c = Curve(f512, f512.element(5))
+    calls = {
+        "lpolynomial": lambda: lpolynomial(c),
+        "group_order": lambda: group_order(c, c.field),
+        "torsion_subgroup": lambda: torsion_subgroup(c, 3, 1),
+    }
+    with pytest.raises(DegreeCapError) as exc:
+        calls[call]()
+    assert str(exc.value) == "quadratic extension of degree 18 exceeds cap"
+
+
+@pytest.mark.parametrize("j", [0, -1])
+def test_jacobian_order_needs_a_positive_degree(j):
+    with pytest.raises(ValueError) as exc:
+        jacobian_order_from_lpoly(1, 2, 4, j)
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == f"Jacobian order needs j >= 1, got {j}"
+
+
 def test_counts_satisfy_weil():
     c = laszlo_curve()
     for deg, q in ((2, 4), (4, 16), (6, 64)):
@@ -108,15 +135,21 @@ def test_counts_satisfy_weil():
         assert weil_interval_ok_curve(n, q)
 
 
+def count_from_lpoly(s1, s2, q, j):
+    """#C(GF(q^j)) = q^j + 1 - p_j that the L-polynomial predicts, p_j the
+    j-th power sum of its reciprocal roots."""
+    return q ** j + 1 - power_sums(s1, s2, q, j)[j]
+
+
 def test_lpolynomial_self_check():
     c = laszlo_curve()
     s1, s2 = lpolynomial(c)
     q = 4
     # the L-polynomial must reproduce the counts it was built from
-    assert curve_count_from_lpoly(s1, s2, q, 1) == c.count_points(default_field(2))
-    assert curve_count_from_lpoly(s1, s2, q, 2) == c.count_points(default_field(4))
+    assert count_from_lpoly(s1, s2, q, 1) == c.count_points(default_field(2))
+    assert count_from_lpoly(s1, s2, q, 2) == c.count_points(default_field(4))
     # functional-equation self-check: it must also predict the degree-3 count
-    assert curve_count_from_lpoly(s1, s2, q, 3) == c.count_points(default_field(6))
+    assert count_from_lpoly(s1, s2, q, 3) == c.count_points(default_field(6))
     # and jacobian orders stay in the Weil interval
     for j in (1, 2, 3):
         nj = jacobian_order_from_lpoly(s1, s2, q, j)
@@ -128,7 +161,7 @@ def test_lpolynomial_all_t_gf16():
     for tm in range(2, 16):
         c = Curve(f16, f16.element(tm))
         s1, s2 = lpolynomial(c)
-        assert curve_count_from_lpoly(s1, s2, 16, 3) == c.count_points(default_field(12))
+        assert count_from_lpoly(s1, s2, 16, 3) == c.count_points(default_field(12))
 
 
 def test_involution_examples():
@@ -218,8 +251,9 @@ def test_preimage_of_gf16_point_stays_gf16():
 
 
 def test_weierstrass_points():
+    # the affine ramification points: one above each finite branch x
     c = laszlo_curve()
-    wpts = c.weierstrass_points()
+    wpts = [p for x in c.branch_points() if x is not None for p in c.points_at(x)]
     assert len(wpts) == 2
     assert {p.x.mask for p in wpts} == {0, 1}
     for p in wpts:

@@ -8,7 +8,6 @@ import frobfix.functions as functions_module
 from frobfix.curve import Curve
 from frobfix.errors import FieldMismatchError, InconsistencyError, VerificationError
 from frobfix.functions import (
-    CurveFunction,
     PolyFunction,
     interpolate_vanishing,
     local_coordinates,
@@ -41,7 +40,7 @@ def test_riemann_roch_dimensions():
     assert orders == [0, 2, 4, 5]
 
 
-@pytest.mark.parametrize("call", ["evaluate", "ord_at", "quotient", "divisor", "local_coordinates"])
+@pytest.mark.parametrize("call", ["evaluate", "ord_at", "divisor", "local_coordinates"])
 def test_point_at_infinity_raises_a_value_error(call):
     # a function at infinity is described by its pole order; each of these
     # used to reach for the missing x and raise AttributeError
@@ -52,7 +51,6 @@ def test_point_at_infinity_raises_a_value_error(call):
     calls = {
         "evaluate": lambda: fn.evaluate(inf),
         "ord_at": lambda: fn.ord_at(inf),
-        "quotient": lambda: CurveFunction(fn, Poly.one(f)).evaluate(inf),
         "divisor": lambda: verify_polyfunction_divisor(fn, [(inf, 2)]),
         "local_coordinates": lambda: local_coordinates(c, inf, 4),
     }
@@ -68,20 +66,17 @@ def test_local_coordinates_satisfy_equation():
         if p.is_infinity():
             continue
         xs, ys = local_coordinates(c, p, 6)
-        # the expansions satisfy the curve equation through s^6
-        ring = xs.ring
-        acc_h = ring.zero()
-        for i in range(h.degree, -1, -1):
-            acc_h = acc_h * xs + ring.constant(h[i])
-        acc_f = ring.zero()
-        for i in range(f.degree, -1, -1):
-            acc_f = acc_f * xs + ring.constant(f[i])
-        assert (ys * ys + acc_h * ys + acc_f).is_zero()
+        assert len(xs) == len(ys) == 6
+        # the expansions satisfy the curve equation through s^5, on boxed
+        # FieldElement series
+        bx, by = ([f16.element(m) for m in ms] for ms in (xs, ys))
+        lhs = _ref_add(_ref_mul(by, by), _ref_mul(_ref_horner(h, bx), by))
+        assert _ref_add(lhs, _ref_horner(f, bx)) == [f16.zero()] * 6
         # the uniformizer has valuation exactly 1
         if p.is_weierstrass():
-            assert ys.masks()[1] == 1 and xs.masks()[0] == p.x.mask
+            assert ys[1] == 1 and xs[0] == p.x.mask
         else:
-            assert xs.masks()[1] == 1 and ys.masks()[0] == p.y.mask
+            assert xs[1] == 1 and ys[0] == p.y.mask
 
 
 def _ref_mul(a, b):
@@ -159,8 +154,8 @@ def test_local_coordinates_match_a_boxed_reference_every_t_gf16():
             ref_x, ref_y = _reference_local_coordinates(c, p, 10)
             for prec in range(1, 11):
                 xs, ys = local_coordinates(c, p, prec)
-                assert xs.masks() == tuple(ref_x[:prec]), (tm, p, prec)
-                assert ys.masks() == tuple(ref_y[:prec]), (tm, p, prec)
+                assert xs == tuple(ref_x[:prec]), (tm, p, prec)
+                assert ys == tuple(ref_y[:prec]), (tm, p, prec)
 
 
 def _scaled_inverse(monkeypatch):
@@ -273,7 +268,7 @@ def test_ord_at_norm_cap_ends_the_loop_on_a_flat_expansion(monkeypatch):
             raise AssertionError(f"ord_at asked for precision {prec}: its cap did not stop it")
         precs.append(prec)
         xs, ys = expand(curve, point, prec)
-        return xs.ring.constant(point.x), ys.ring.constant(point.y)
+        return (xs[0],) + (0,) * (prec - 1), (ys[0],) + (0,) * (prec - 1)
 
     monkeypatch.setattr(functions_module, "local_coordinates", flat)
     with pytest.raises(InconsistencyError) as exc:

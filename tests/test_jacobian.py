@@ -53,6 +53,31 @@ def tau01_image(curve, p):
     return curve.point(p.x + one, p.y + t * (p.x * p.x + p.x + one))
 
 
+def test_fixtures_agree_with_the_library_route():
+    # the fixtures are oracles for action.fixed_points and the tau01 lift:
+    # on X(0) directly, on X(1) through the Frobenius twist of X(0)'s lifts
+    from frobfix.action import automorphism_group, fixed_points
+
+    c, f16 = laszlo_curve(), default_field(4)
+    _, by_name = automorphism_group(c)
+    for curve, sigma, tau in (
+        (c, by_name["sigma"], by_name["tau01"]),
+        (c.twist(1), by_name["sigma"].frobenius_twist(), by_name["tau01"].frobenius_twist()),
+    ):
+        assert fixed_points(sigma, f16) == sigma_fixed_points(curve, f16)
+        for p in curve.points_over(f16)[1:]:
+            assert tau.apply(p) == tau01_image(curve, p)
+    # X(1)'s own principal lift of tau01, picked by coefficient key on its
+    # model, is the iota-partner of the twisted lift, not the twisted lift
+    c1 = c.twist(1)
+    _, by_name1 = automorphism_group(c1)
+    twisted = by_name["tau01"].frobenius_twist()
+    assert by_name1["tau01"] != twisted
+    assert by_name1["tau01"] == by_name1["iota"].compose(twisted)
+    for p in c1.points_over(f16)[1:]:
+        assert by_name1["tau01"].apply(p) == tau01_image(c1, p).hyperelliptic_involution()
+
+
 def test_identity_and_inverse_exhaustive_gf4():
     c = laszlo_curve()
     classes = enumerate_classes(c, c.field)
@@ -470,12 +495,11 @@ def test_principal_witness_iff_identity_class():
         is_prin = class_of(D).is_identity()
         assert (witness is not None) == is_prin
         if witness is not None:
-            # the witness evaluates consistently: zero exactly on the
-            # positive affine part (when defined)
-            for p, m in D.affine_and_infinity()[0]:
-                val = witness.evaluate(p.lift(f16))
-                if val is not None and m > 0:
-                    assert val.mask == 0
+            # the witness psi/chi vanishes on the positive affine part,
+            # wherever chi does not
+            for p, m in D.lift_to_common_field()[1]:
+                if m > 0 and witness.chi.evaluate(p.x).mask:
+                    assert witness.num.evaluate(p).mask == 0
 
 
 def test_principal_witness_for_triple_difference():

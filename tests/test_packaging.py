@@ -141,11 +141,15 @@ def test_only_the_memo_builds_the_curve_equation():
 
 def test_only_the_root_walk_walks_h_and_f():
     # count_points reads the g table through one trace-dual mask; the walk
-    # of (h, f) over every x serves the root walk alone
-    found = {p.name: _callers(p, {"_h_f_blocks"}) for p in sorted(PACKAGE_DIR.rglob("*.py"))}
+    # of (h, f) over every x serves the enumerations alone
+    found = {p.name: _callers(p, {"_affine_point_masks"}) for p in sorted(PACKAGE_DIR.rglob("*.py"))}
     assert {name: callers for name, callers in found.items() if callers} == {
-        "curve.py": {"Curve._affine_point_masks"}
+        "curve.py": {"Curve.points_over"},
+        "jacobian.py": {"count_classes", "enumerate_classes"},
     }
+    walks = {"_affine_point_masks", "points_over", "points_at", "evaluate_masks",
+             "quadratic_root_masks"}
+    assert "Curve.count_points" not in _callers(PACKAGE_DIR / "curve.py", walks)
 
 
 def test_group_law_builds_no_poly():
@@ -230,3 +234,90 @@ def test_every_cross_check_has_a_planted_fault(module):
         if not any(re.fullmatch(pattern, m) for m in messages)
     ]
     assert not missing, "cross-check sites with no planted fault:\n" + "\n".join(missing)
+
+
+# The paper-level checks that no export or workload reaches yet; one
+# pipeline function that runs them all will take this tuple's place.
+PIPELINE = (
+    "ordinarity_check", "verify_group_structure", "group_order", "torsion_subgroup",
+    "enumerate_classes", "act_on_class", "class_of", "oracle_class_of", "principal_witness",
+    "frobenius_pullback", "fixed_points", "frobenius_twist", "relative_frobenius",
+)
+# Independent routes the tests compare the pipeline against: the pullback
+# tests check `frobenius_pullback` by square-root points.
+REFERENCES = ("CurvePoint.frobenius_preimage",)
+# series.py keeps its boxed types while the benchmark's spans name them
+REACH_EXEMPT = {"series.py"}
+
+
+def _scopes(tree):
+    """(defs, top) of one module: defs maps each def's qualified name to
+    (the qualified name of its class, or None; the names its body reads as
+    a Name or an Attribute, nested defs apart), and top holds the names
+    that module-level code, class bodies included, reads."""
+    defs, top = {}, set()
+
+    def visit(node, scope, cls, reads):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = scope + (child.name,)
+                defs[".".join(name)] = (cls, own := set())
+                visit(child, name, None, own)
+                continue
+            if isinstance(child, ast.ClassDef):
+                visit(child, scope + (child.name,), ".".join(scope + (child.name,)), reads)
+                continue
+            if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
+                reads.add(child.id)
+            elif isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load):
+                reads.add(child.attr)
+            visit(child, scope, cls, reads)
+
+    visit(tree, (), None, top)
+    return defs, top
+
+
+def _bench_roots():
+    """Every name bench/units.py and bench/tracing.py read, and every part
+    of each attribute path that tracing.py's SPANS and COUNTS wrap."""
+    roots = set()
+    for name in ("units.py", "tracing.py"):
+        tree = ast.parse((ROOT / "bench" / name).read_text())
+        defs, top = _scopes(tree)
+        roots |= top.union(*(reads for _, reads in defs.values()))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and [
+                getattr(t, "id", None) for t in node.targets
+            ] in (["SPANS"], ["COUNTS"]):
+                roots |= {part for case in node.value.elts
+                          for part in case.elts[2].value.split(".")}
+    return roots
+
+
+def test_every_function_is_reached():
+    # a def is reached when a reached def, or module-level code, reads its
+    # name; the roots are the exports (every method of an exported class
+    # included), the benchmark, the paper-level checks and the test
+    # references; a reached class reaches its dunders
+    modules = {p.name: _scopes(ast.parse(p.read_text())) for p in sorted(PACKAGE_DIR.glob("*.py"))}
+    defs = {(m, q): v for m, (ds, _) in modules.items() for q, v in ds.items()}
+    for root in PIPELINE + REFERENCES:
+        assert any(q == root or q.endswith("." + root) for _, q in defs), f"no def {root}"
+    exported = {n for n in frobfix.__all__ if isinstance(getattr(frobfix, n), type)}
+    reads = set(frobfix.__all__) | _bench_roots() | {r.rpartition(".")[2] for r in PIPELINE + REFERENCES}
+    reads |= {name for _, top in modules.values() for name in top}
+    reads |= {q.rpartition(".")[2] for (_, q), (cls, _) in defs.items() if cls in exported}
+
+    def is_read(qualname, cls):
+        name = qualname.rpartition(".")[2]
+        dunder = name.startswith("__") and name.endswith("__")
+        return name in reads or (dunder and cls is not None and cls.rpartition(".")[2] in reads)
+
+    reached = set()
+    while new := {k for k, (cls, _) in defs.items() if k not in reached and is_read(k[1], cls)}:
+        reached |= new
+        reads |= {name for k in new for name in defs[k][1]}
+    unreached = [f"{m}:{q}" for m, q in sorted(defs) if (m, q) not in reached and m not in REACH_EXEMPT]
+    assert not unreached, "defs that no export, workload or paper-level check reaches:\n" + (
+        "\n".join(unreached)
+    )
