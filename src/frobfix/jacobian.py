@@ -12,29 +12,34 @@ A sum takes the first route that fits its inputs:
                  tangent (the same point, h(x1) != 0), already reduced
                  (`_degree_one_compose`)
     closed form  deg u1 = deg u2 = 2, a coprime addition (Res(u1, u2) != 0)
-                 or a doubling (Res(u, h) != 0), after Lange, AAECC 15
-                 (2005), and Lange-Stevens, SAC 2004 (`_closed_form_compose`)
-    Cantor       everything else, on Polys (`_cantor_compose`): degrees
-                 (1, 2) and (2, 1), a (2, 2) shared root, and a doubling
-                 with Res(u, h) = 0 that is not 2-torsion
+                 or a doubling (Res(u, h) != 0), composed and reduced in one
+                 step from the first class's cofactor, after Lange, AAECC 15
+                 (2005), and Lange-Stevens, SAC 2004 (`_closed_form_sum`)
+    Cantor       everything else, on Polys (`_cantor_compose`), then one
+                 reduction step (`_reduce`): degrees (1, 2) and (2, 1), a
+                 (2, 2) shared root, and a doubling with Res(u, h) = 0 that
+                 is not 2-torsion
 
     compose: d = gcd(u1, u2, v1 + v2 + h) = s1 u1 + s2 u2 + s3 (v1+v2+h)
              U = u1 u2 / d^2,  V = (s1 u1 v2 + s2 u2 v1 + s3 (v1 v2 + f)) / d mod U
     reduce:  U' = (V^2 + V h + f) / U made monic,  V' = (V + h) mod U'
 
-A closed-form or Cantor U of degree 3 or 4 takes one reduction step
-(`_reduce`), an exact synthetic division that raises when it leaves a
-remainder.  v^2 + v h + f has one routine, `_mumford`, for the reduction,
-the doubling and the Mumford check of `_validate`, which runs on every
-class a composition builds; every division by a u of degree <= 2 is one
-explicit synthetic division (`_divmod_small`).  Negation is
-(u, (v + h) mod u).  The independent Riemann-Roch interpolation oracle in
-`functions.reduce_points_oracle` guards all of this in the tests.
+The cofactor (v^2 + v h + f) / u of a class is the quotient that the
+Mumford check of `_validate` computes on every class a composition builds;
+the class keeps it, so the closed form's division by w = u2 (add) or
+w = u1 (double) needs no second v^2 + v h + f.  Both reductions, the
+closed form's and `_reduce`'s of a Cantor U of degree 3 or 4, are exact
+synthetic divisions that raise when they leave a remainder.
+v^2 + v h + f has one routine, `_mumford`; every division by a u of
+degree <= 2 is one explicit synthetic division (`_divmod_small`).
+Negation is (u, (v + h) mod u).  The independent Riemann-Roch
+interpolation oracle in `functions.reduce_points_oracle` guards all of
+this in the tests.
 """
 
 from itertools import zip_longest
 
-from .curve import jacobian_order_from_lpoly, lpolynomial
+from .curve import _check_square, _counted_lpolynomial, jacobian_order_from_lpoly
 from .errors import (
     DegreeCapError,
     FieldMismatchError,
@@ -94,19 +99,22 @@ class JacobianClass:
     """A reduced divisor class in Mumford form over an explicit field.
 
     u and v are trimmed tuples of coefficient masks over `field`, lowest
-    degree first, as `Poly.masks` gives them."""
+    degree first, as `Poly.masks` gives them.  `cofactor` is the list of
+    masks of (v^2 + v h + f) / u that `_validate` computes, or None for a
+    class built with check=False (`identity`, `retag`), whose sum computes
+    it; it is a cache and enters neither `key`, equality nor the hash."""
 
-    __slots__ = ("curve", "field", "u", "v")
+    __slots__ = ("curve", "field", "u", "v", "cofactor")
 
     def __init__(self, curve, field, u, v, check=True):
         self.curve = curve
         self.field = field
         self.u = u
         self.v = v
-        if check:
-            self._validate()
+        self.cofactor = self._validate() if check else None
 
     def _validate(self):
+        """Check the pair, and return its cofactor (v^2 + v h + f) / u."""
         u, v, field = self.u, self.v, self.field
         if not all(0 <= m < field.order for m in u + v):
             raise ValueError(f"coefficient mask out of range for {field!r}")
@@ -122,8 +130,10 @@ class JacobianClass:
             raise FieldMismatchError("class field does not contain the curve base field")
         h, f = self.curve.equation_masks(field)
         exp, log = field.tables()
-        if any(_divmod_small(exp, log, _mumford(exp, log, h, f, v), u)[1]):
+        quo, rem = _divmod_small(exp, log, _mumford(exp, log, h, f, v), u)
+        if any(rem):
             raise ValueError("Mumford condition u | v^2 + v h + f fails")
+        return quo
 
     # -- constructors ---------------------------------------------------------
     @classmethod
@@ -156,14 +166,18 @@ class JacobianClass:
             return self
         h, f = curve.equation_masks(field)
         exp, log = field.tables()
-        if u1 == u2 and not any(_divmod_small(exp, log, _xor(_xor(v1, v2), h), u1)[1]):
-            return JacobianClass.identity(curve, field)  # other = -self
+        if u1 == u2:
+            vvh = h if v1 == v2 else _xor(_xor(v1, v2), h)
+            if not any(_divmod_small(exp, log, vvh, u1)[1]):
+                return JacobianClass.identity(curve, field)  # other = -self
         if len(u1) == len(u2) == 2:
             u, v = _degree_one_compose(field, h, f, u1, v1, u2, v2)
         else:
-            composed = (_closed_form_compose(field, h, f, u1, v1, u2, v2)
-                        or _cantor_compose(field, h, f, u1, v1, u2, v2))
-            u, v = _reduce(field, h, f, *composed)
+            k = self.cofactor
+            if k is None:
+                k = _divmod_small(exp, log, _mumford(exp, log, h, f, v1), u1)[0]
+            u, v = (_closed_form_sum(field, h, k, u1, v1, u2, v2)
+                    or _reduce(field, h, f, *_cantor_compose(field, h, f, u1, v1, u2, v2)))
         return JacobianClass(curve, field, u, v)
 
     def neg(self):
@@ -277,21 +291,28 @@ def _trim(masks):
 
 
 def _reduce(field, h, f, u, v):
-    """The reduced pair of a composition (U, V), coefficient-mask sequences
-    with U monic of degree at most 4, deg V < deg U and U | V^2 + V h + f,
-    as trimmed tuples.  For deg U > 2 one step reduces it, as deg f <= 5
-    gives deg U' <= 2: U' = (V^2 + V h + f) / U by one exact synthetic
-    division, made monic, and V' = (V + h) mod U'."""
+    """The reduced pair of a Cantor composition (U, V), coefficient-mask
+    sequences with U monic of degree at most 4, deg V < deg U and
+    U | V^2 + V h + f, as trimmed tuples.  For deg U > 2 one step reduces
+    it, as deg f <= 5 gives deg U' <= 2: U' = (V^2 + V h + f) / U by one
+    exact synthetic division, made monic, and V' = (V + h) mod U'."""
     if len(u) <= 3:
         return tuple(u), _trim(list(v))
     exp, log = field.tables()
     quo, rem = divmod_monic(exp, log, _mumford(exp, log, h, f, v), monic_logs(field, u), len(u) - 1)
     if any(rem):
         raise ValueError("division is not exact")
+    return _monic_pair(field, quo, _xor(v, h))
+
+
+def _monic_pair(field, quo, vh):
+    """The reduced pair (U', V') of a reduction step's quotient, as trimmed
+    tuples: U' = quo made monic, V' = vh mod U' for vh = V + h."""
+    exp, log = field.tables()
     quo = _trim(quo)
     li = log[field.inv_mask(quo[-1])]
     u = tuple(exp[log[c] + li] if c else 0 for c in quo)
-    return u, _trim(_divmod_small(exp, log, _xor(v, h), u)[1])
+    return u, _trim(_divmod_small(exp, log, vh, u)[1])
 
 
 def _divmod_small(exp, log, n, u):
@@ -350,13 +371,20 @@ def _degree_one_compose(field, h, f, u1, v1, u2, v2):
     return u, _trim([y1 ^ (exp[log[s] + log[x1]] if s and x1 else 0), s])
 
 
-def _closed_form_compose(field, h, f, u1, v1, u2, v2):
-    """The composition (U, V) of (u1, v1) and (u2, v2), all coefficient-mask
-    tuples like h and f, unreduced, as mask lists: for a coprime addition or
-    a doubling with Res(u, h) != 0, else None.  Each s is k r^-1 mod w, from
+def _closed_form_sum(field, h, k, u1, v1, u2, v2):
+    """The reduced pair of (u1, v1) + (u2, v2), coefficient-mask tuples like
+    h, as trimmed tuples: for a coprime addition or a doubling with
+    Res(u, h) != 0, else None.  k = (v1^2 + v1 h + f) / u1 is the first
+    class's cofactor.  The composition is U = u1 w, V = v1 + s u1, with
+    w = u2 to add and w = u1 to double, and s = n r^-1 mod w from
     `_quotient_mod_quadratic`:
-        add:    s = (v1 + v2) (u1 mod u2)^-1 mod u2,  V = v1 + s u1,  U = u1 u2
-        double: s = ((v^2 + v h + f) / u) (h mod u)^-1 mod u,  V = v + s u,  U = u^2"""
+        add:    s = (v1 + v2) (u1 mod u2)^-1 mod u2
+        double: s = (k mod u) (h mod u)^-1 mod u
+    As V^2 + V h + f = u1 (k + s h + s^2 u1), one exact synthetic division
+    by w reduces it: U' = (k + s h + s^2 u1) / w made monic, V' = (V + h)
+    mod U'.  A remainder raises, as U | V^2 + V h + f fails.  A doubling
+    solves s from k, so its division is exact whatever k holds: there only
+    the Mumford check of the result can see a wrong cofactor."""
     if len(u1) != 3 or len(u2) != 3:
         return None
     exp, log = field.tables()
@@ -364,27 +392,33 @@ def _closed_form_compose(field, h, f, u1, v1, u2, v2):
     def mul(x, y):
         return exp[log[x] + log[y]] if x and y else 0
 
-    # s = k r^-1 mod w = x^2 + b1 x + b0, with w = u2 to add and w = u to double
     (a0, a1, _), (c0, c1) = u1, (v1 + (0, 0))[:2]
     if u1 != u2:
         b0, b1, _ = u2
         d0, d1 = (v2 + (0, 0))[:2]
-        k, r = (c0 ^ d0, c1 ^ d1), (a0 ^ b0, a1 ^ b1)
-        big_u = [mul(a0, b0), mul(a0, b1) ^ mul(a1, b0), a0 ^ b0 ^ mul(a1, b1), a1 ^ b1, 1]
+        n, r = (c0 ^ d0, c1 ^ d1), (a0 ^ b0, a1 ^ b1)
     elif v1 == v2:
         b0, b1 = a0, a1
-        # u1 | v1^2 + v1 h + f holds for a valid class: only the quotient is used
-        quo = _divmod_small(exp, log, _mumford(exp, log, h, f, v1), u1)[0]
-        k = _divmod_small(exp, log, quo, u1)[1]
+        n = _divmod_small(exp, log, k, u1)[1]
         r = (h[0] ^ mul(h[2], a0), h[1] ^ mul(h[2], a1))  # h mod u, as deg h = 2 here
-        big_u = [mul(a0, a0), 0, mul(a1, a1), 0, 1]
     else:
         return None
-    s = _quotient_mod_quadratic(field, mul, k, r, b0, b1)
+    s = _quotient_mod_quadratic(field, mul, n, r, b0, b1)
     if s is None:
         return None
-    s0, s1 = s
-    return big_u, [c0 ^ mul(s0, a0), c1 ^ mul(s1, a0) ^ mul(s0, a1), s0 ^ mul(s1, a1), s1]
+    (s0, s1), (h0, h1, h2) = s, h
+    q0, q1 = mul(s0, s0), mul(s1, s1)  # s^2 = q1 x^2 + q0
+    quo, rem = _divmod_small(exp, log, [
+        k[0] ^ mul(q0, a0) ^ mul(s0, h0),
+        k[1] ^ mul(q0, a1) ^ mul(s0, h1) ^ mul(s1, h0),
+        k[2] ^ q0 ^ mul(q1, a0) ^ mul(s0, h2) ^ mul(s1, h1),
+        k[3] ^ mul(q1, a1) ^ mul(s1, h2),
+        q1,
+    ], (b0, b1, 1))
+    if any(rem):
+        raise ValueError("division is not exact")
+    return _monic_pair(field, quo, [  # V + h, V = v1 + s u1
+        c0 ^ mul(s0, a0) ^ h0, c1 ^ mul(s1, a0) ^ mul(s0, a1) ^ h1, s0 ^ mul(s1, a1) ^ h2, s1])
 
 
 def _quotient_mod_quadratic(field, mul, k, r, b0, b1):
@@ -453,7 +487,9 @@ _order_cache = {}
 
 def group_order(curve, field):
     """#J(field), from the L-polynomial; for #field <= 64 the value is
-    cross-checked against exhaustive Mumford enumeration.  The checked
+    cross-checked against exhaustive Mumford enumeration, before the
+    L-polynomial's square check of `lpolynomial`, which a count fault would
+    otherwise reach first.  The checked
     value is memoised per (curve model, field) in `_order_cache`, so each
     enumeration runs once per process."""
     d = curve.field.degree
@@ -462,12 +498,13 @@ def group_order(curve, field):
     key = (curve.field, curve.effective_t, field)
     if key in _order_cache:
         return _order_cache[key]
-    s1, s2 = lpolynomial(curve)
+    s1, s2 = _counted_lpolynomial(curve)
     n = jacobian_order_from_lpoly(s1, s2, curve.field.order, field.degree // d)
     if field.order <= 64:
         counted = count_classes(curve, field)
         if counted != n:
             raise InconsistencyError(f"zeta order {n} disagrees with enumerated count {counted}")
+    _check_square(s1, s2, curve.field.order)
     _order_cache[key] = n
     return n
 

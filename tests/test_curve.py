@@ -483,6 +483,16 @@ def _count_outside_the_weil_interval(monkeypatch, curve):
     return lambda: lpolynomial(curve)
 
 
+def _lpolynomial_not_a_square(monkeypatch, curve):
+    # N1 + 2 moves s1 by 2: the parity of s1^2 - (q^2 + 1 - N2) holds, N1 stays
+    # in its Hasse-Weil interval, and s2 = a^2 + 2q fails
+    count = Curve.count_points
+    monkeypatch.setattr(
+        Curve, "count_points", lambda self, field: count(self, field) + 2 * (field == self.field)
+    )
+    return lambda: lpolynomial(curve)
+
+
 def _lpolynomial_vanishing_at_one(monkeypatch, curve):
     # L(1) = 1 - s1 + s2 - q s1 + q^2 is 0 for s1 = 0, s2 = -(q^2 + 1)
     q = curve.field.order
@@ -504,6 +514,11 @@ PLANTED_FAULTS = [
         "#C(GF(2^2)) = 35 lies outside the Hasse-Weil interval",
         _count_outside_the_weil_interval,
         id="hasse-weil",
+    ),
+    pytest.param(
+        "L-polynomial is not a square (1 - a T + q T^2)^2",
+        _lpolynomial_not_a_square,
+        id="not-a-square",
     ),
     pytest.param(
         "non-integral Jacobian order from L-polynomial",

@@ -12,6 +12,8 @@ from frobfix.gf2 import default_field, embed, quadratic_root_masks
 from frobfix.jacobian import (
     FormalDivisor,
     JacobianClass,
+    _divmod_small,
+    _mumford,
     _solvable_by_trace,
     _v_solution_space,
     class_of,
@@ -275,7 +277,7 @@ def _spy_on_routes(monkeypatch):
     import frobfix.jacobian as jacobian_module
 
     taken = []
-    for name in ("_degree_one_compose", "_closed_form_compose", "_cantor_compose", "_reduce"):
+    for name in ("_degree_one_compose", "_closed_form_sum", "_cantor_compose", "_reduce"):
         def spy(*args, _name=name, _real=getattr(jacobian_module, name)):
             out = _real(*args)
             taken.append((_name, args, out))
@@ -291,10 +293,9 @@ def _route_of(a, b, taken):
         return {"identity"} if a.is_identity() or b.is_identity() else {"opposite"}
     if names == ["_degree_one_compose"]:
         return {"chord" if a.u != b.u else "tangent"}
-    if names == ["_closed_form_compose", "_reduce"]:
-        assert len(taken[1][1][3]) == 5  # a degree-4 U, reduced in one step
+    if names == ["_closed_form_sum"]:  # composed and reduced in one step
         return {"coprime 2+2" if a.u != b.u else "doubling", "fused reduction"}
-    assert names == ["_closed_form_compose", "_cantor_compose", "_reduce"], names
+    assert names == ["_closed_form_sum", "_cantor_compose", "_reduce"], names
     assert taken[0][2] is None
     return {"general fallback"}
 
@@ -344,6 +345,50 @@ def test_group_law_outputs_are_pinned():
             image = g.act_on_class(cl)
             digest.update(repr((image.field.degree, image.key())).encode())
     assert digest.hexdigest() == "ceace22ab5f211d62e105f60773e9b2b86a5807e9a36306233cf7de0e8c09692"
+
+
+def test_group_law_sums_are_pinned_every_t_gf16():
+    # sha256 pinned from the two-stage closed form, which composed a degree-4
+    # U and then reduced it with `_reduce`, before the one-step closed form:
+    # every ordered pair of 20 random_class draws over GF(2^8), for every t
+    # in GF(16) minus {0, 1}
+    f16, f256 = default_field(4), default_field(8)
+    digest = hashlib.sha256()
+    for tm in range(2, 16):
+        c = Curve(f16, f16.element(tm))
+        rng = random.Random(tm)
+        classes = [random_class(c, f256, rng) for _ in range(20)]
+        for a in classes:
+            for b in classes:
+                digest.update(repr((a + b).key()).encode())
+    assert digest.hexdigest() == "35bfc67db0703f18800d6d5d814f3eceb439d2cae836df7af6e617115de93dc7"
+
+
+def test_the_cofactor_is_the_mumford_quotient_gf16():
+    # each validated class keeps (v^2 + v h + f) / u; the identity, built
+    # unchecked, keeps none
+    c, f16 = laszlo_curve(), default_field(4)
+    exp, log = f16.tables()
+    h, f = c.equation_masks(f16)
+    hp, fp = c.equation_polys(f16)
+    classes = enumerate_classes(c, f16)
+    assert classes[0].cofactor is None
+    for a in classes[1:]:
+        assert a.cofactor == _divmod_small(exp, log, _mumford(exp, log, h, f, a.v), a.u)[0], a
+        u, v, k = (Poly.from_masks(f16, m) for m in (a.u, a.v, a.cofactor))
+        assert u * k == v * v + v * hp + fp, a
+
+
+def test_a_class_without_its_cofactor_sums_like_its_validated_twin():
+    c, f16 = laszlo_curve(), default_field(4)
+    classes = enumerate_classes(c, f16)[1::7]
+    for a in classes:
+        for twin in (a.retag(laszlo_curve()), JacobianClass(c, f16, a.u, a.v, check=False)):
+            assert twin.cofactor is None
+            assert (twin + twin).key() == (a + a).key(), a
+            for b in classes:
+                assert (twin + b).key() == (a + b).key(), (a, b)
+                assert (b + twin).key() == (b + a).key(), (a, b)
 
 
 def test_mul_int_matches_repeated_addition():
@@ -719,6 +764,23 @@ def test_group_order_catches_a_flipped_trace_mask_bit(monkeypatch):
     assert str(exc.value) == "zeta order 289 disagrees with enumerated count 576"
 
 
+def test_group_order_past_the_enumeration_checks_the_square(monkeypatch):
+    # over GF(2^8) no enumeration runs, so the flipped trace-mask bit of
+    # test_group_order_catches_a_flipped_trace_mask_bit meets the square check
+    import frobfix.curve as curve_module
+    import frobfix.gf2 as gf2_module
+    import frobfix.jacobian as jacobian_module
+
+    monkeypatch.setattr(jacobian_module, "_order_cache", {})
+    monkeypatch.setattr(
+        curve_module, "trace_dual_mask", lambda field, c: gf2_module.trace_dual_mask(field, c) ^ 1
+    )
+    with pytest.raises(InconsistencyError) as exc:
+        group_order(laszlo_curve(), default_field(8))
+    assert exc.type is InconsistencyError
+    assert str(exc.value) == "L-polynomial is not a square (1 - a T + q T^2)^2"
+
+
 def test_oracle_catches_a_residual_point_off_the_field(monkeypatch):
     import frobfix.curve as curve_module
 
@@ -742,15 +804,16 @@ def test_ordinarity_check_all_t_gf4():
 def test_mumford_check_catches_a_flipped_bit_in_the_closed_form(monkeypatch):
     import frobfix.jacobian as jacobian_module
 
-    # the closed-form composition runs, and the reduction of its output is
-    # planted with one flipped bit
-    reduce, closed = jacobian_module._reduce, jacobian_module._closed_form_compose
-    composed, flipped = [], []
+    # the closed form runs, and its reduced output is planted with one
+    # flipped bit
+    closed = jacobian_module._closed_form_sum
+    flipped = []
 
     def flip_v(*args):
-        u, v = reduce(*args)
-        if len(u) < 3:
-            return u, v
+        out = closed(*args)
+        if out is None or len(out[0]) < 3:
+            return out
+        u, v = out
         v = list(v + (0, 0))[:2]
         v[1] ^= 1  # adds x^2 + x h = x^3 to v^2 + v h + f
         flipped.append(v)
@@ -759,12 +822,10 @@ def test_mumford_check_catches_a_flipped_bit_in_the_closed_form(monkeypatch):
     c = laszlo_curve()
     rng = random.Random(101)
     a, b = (random_class(c, default_field(4), rng) for _ in range(2))
-    monkeypatch.setattr(jacobian_module, "_reduce", flip_v)
-    monkeypatch.setattr(jacobian_module, "_closed_form_compose",
-                        lambda *args: composed.append(closed(*args)) or composed[-1])
+    monkeypatch.setattr(jacobian_module, "_closed_form_sum", flip_v)
     with pytest.raises(ValueError) as exc:
         a + b
-    assert composed[-1] is not None and flipped
+    assert flipped
     assert exc.type is ValueError
     assert str(exc.value) == "Mumford condition u | v^2 + v h + f fails"
 
@@ -773,25 +834,70 @@ def test_mumford_check_catches_a_flipped_bit_in_the_closed_form(monkeypatch):
 def test_reduction_catches_a_flipped_bit_in_the_closed_form(monkeypatch, double):
     import frobfix.jacobian as jacobian_module
 
-    closed = jacobian_module._closed_form_compose
+    solve = jacobian_module._quotient_mod_quadratic
     flipped = []
 
-    def flip_v(*args):
-        out = closed(*args)
-        if out is not None:
-            big_u, big_v = out
-            # adds 1 + h = x^2 + x + 1 to V^2 + V h + f, which U of degree 4 cannot divide
-            out = big_u, [big_v[0] ^ 1, *big_v[1:]]
-            flipped.append(out)
-        return out
+    def flip_s(*args):
+        s = solve(*args)
+        if s is not None:
+            # adds h + u1 to k + s h + s^2 u1: a nonzero remainder mod w, as
+            # deg(h + u1) < 2 and u1 != h (Res(u, h) != 0 when doubling)
+            s = (s[0] ^ 1, s[1])
+            flipped.append(s)
+        return s
 
     c = laszlo_curve()
     rng = random.Random(101)
     a, b = (random_class(c, default_field(4), rng) for _ in range(2))
-    monkeypatch.setattr(jacobian_module, "_closed_form_compose", flip_v)
+    monkeypatch.setattr(jacobian_module, "_quotient_mod_quadratic", flip_s)
     with pytest.raises(ValueError) as exc:
         a + (a if double else b)
     assert flipped
+    assert exc.type is ValueError
+    assert str(exc.value) == "division is not exact"
+
+
+@pytest.mark.parametrize("double, message", [
+    (False, "division is not exact"),
+    # a doubling solves s from the cofactor, so its division is exact
+    # whatever the cofactor: the Mumford check of the result catches it
+    (True, "Mumford condition u | v^2 + v h + f fails"),
+], ids=["coprime", "doubling"])
+def test_a_flipped_bit_in_the_cached_cofactor_is_caught(double, message):
+    c = laszlo_curve()
+    rng = random.Random(101)
+    a, b = (random_class(c, default_field(4), rng) for _ in range(2))
+    a.cofactor = [a.cofactor[0] ^ 1, *a.cofactor[1:]]
+    with pytest.raises(ValueError) as exc:
+        a + (a if double else b)
+    assert exc.type is ValueError
+    assert str(exc.value) == message
+
+
+def test_reduction_catches_a_flipped_bit_in_the_cantor_composition(monkeypatch):
+    import frobfix.jacobian as jacobian_module
+
+    # degrees (1, 2) take the general composition, whose U of degree 3 the
+    # reduction divides into V^2 + V h + f
+    cantor = jacobian_module._cantor_compose
+    flipped = []
+
+    def flip_v(*args):
+        big_u, big_v = cantor(*args)
+        big_v = list(big_v) or [0]
+        big_v[0] ^= 1  # adds 1 + h = x^2 + x + 1, which U of degree 3 cannot divide
+        flipped.append(big_u)
+        return big_u, tuple(big_v)
+
+    c, f16 = laszlo_curve(), default_field(4)
+    b = random_class(c, f16, random.Random(101))
+    u = Poly.from_masks(f16, b.u)
+    a = next(p for p in enumerate_classes(c, f16)
+             if len(p.u) == 2 and u.evaluate(f16.element(p.u[0])).mask)  # coprime to u
+    monkeypatch.setattr(jacobian_module, "_cantor_compose", flip_v)
+    with pytest.raises(ValueError) as exc:
+        a + b
+    assert [len(u) for u in flipped] == [4]
     assert exc.type is ValueError
     assert str(exc.value) == "division is not exact"
 

@@ -157,8 +157,8 @@ def test_group_law_builds_no_poly():
     # _cantor_compose, the general fallback, may build Polys
     guarded = {
         "JacobianClass.__add__", "JacobianClass.neg", "JacobianClass._validate",
-        "_degree_one_compose", "_closed_form_compose", "_quotient_mod_quadratic",
-        "_reduce", "_divmod_small", "_mumford",
+        "_degree_one_compose", "_closed_form_sum", "_quotient_mod_quadratic",
+        "_reduce", "_monic_pair", "_divmod_small", "_mumford",
     }
     path = PACKAGE_DIR / "jacobian.py"
     defined = set()
