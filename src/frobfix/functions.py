@@ -12,6 +12,12 @@ a + b y and the interpolation rows run on those masks with the memoised
 (h, f) of `Curve.equation_masks`, the `series` kernels and the field's
 exp/log tables, as does the nullspace (`linalg`); Poly is the type at the
 boundary, and the norm and the Mumford pairs wrap (h, f) as Polys.
+A polynomial at x = x0 + s, the x of every non-Weierstrass expansion, is
+a Taylor shift on masks with no series product (`_horner`).  A vanishing
+order is read at the lowest precision of the ladder 2, 4, 8, ... that
+shows it (`PolyFunction.ord_at`): precision 2 shows a simple zero, and
+the expansion mod s^2 is the truncation of the one mod s^4, so the order
+read does not depend on where the ladder starts.
 Every divisor claim, in the oracle's steps and in a witness's
 re-verification, is checked by one routine, `_orders_and_rest`: it reads
 the vanishing order at each point and at its involution partner from the
@@ -21,7 +27,7 @@ exactly those orders, so the norm must account for every zero found.
 
 from .errors import FieldMismatchError, InconsistencyError, VerificationError
 from .linalg import nullspace
-from .poly import Poly, solve_linear, solve_quadratic
+from .poly import Poly, evaluate_masks, solve_linear, solve_quadratic
 from .series import inverse_masks, mul_masks
 
 
@@ -55,8 +61,18 @@ class PolyFunction:
         return max(orders)
 
     def evaluate(self, p):
-        x = _affine(p).x
-        return self.a.evaluate(x) + self.b.evaluate(x) * p.y
+        return self.field.element(self._value_mask(p))
+
+    def _value_mask(self, point):
+        """The mask of a(x0) + b(x0) y0 at an affine point (x0, y0) over this
+        function's field."""
+        x0, y0 = _affine(point).x.mask, point.y.mask
+        if point.field != self.field:
+            raise FieldMismatchError("point and function over different fields")
+        exp, log = self.field.tables()
+        b = evaluate_masks(exp, log, self.b.masks(), x0)
+        by = exp[log[b] + log[y0]] if b and y0 else 0
+        return evaluate_masks(exp, log, self.a.masks(), x0) ^ by
 
     def series_at(self, point, prec):
         """The coefficient masks of the expansion at `point` through s^(prec-1)."""
@@ -67,12 +83,18 @@ class PolyFunction:
         return _add(_horner(field, self.a.masks(), xs), bs)
 
     def ord_at(self, point):
-        """Vanishing order at an affine point (0 when the value is nonzero)."""
+        """Vanishing order at an affine point (0 when the value is nonzero).
+
+        The expansion is read at precision 2, 4, 8, ... until a nonzero
+        coefficient shows: a simple zero, almost every zero the oracle
+        meets, needs only precision 2.  Each expansion is the truncation of
+        the next, so the first nonzero coefficient is the same at every
+        precision that reaches it."""
         if self.is_zero():
             raise ValueError("zero function")
-        if self.evaluate(point).mask != 0:
+        if self._value_mask(point):
             return 0
-        prec = 4
+        prec = 2
         while True:
             for i, c in enumerate(self.series_at(point, prec)):
                 if c:
@@ -93,9 +115,11 @@ def local_coordinates(curve, point, prec):
     point: two tuples of `prec` coefficient masks, lowest order first.
 
     The Newton lifts run on the coefficient masks of the memoised (h, f):
-    h, f and their derivatives are evaluated at a series by Horner with the
-    `series` kernels.  In characteristic 2 a derivative keeps the odd terms, p'(x) = p1 + p3
-    x^2 + ..., so p' is Horner on p[1::2] at the series x^2."""
+    h, f and their derivatives are evaluated at a series by `_horner`.  In
+    characteristic 2 a derivative keeps the odd terms, p'(x) = p1 + p3 x^2
+    + ..., so p' is Horner on p[1::2] at the series x^2.  A lift stops at
+    the first zero residual, since the loop has one more step than
+    quadratic convergence needs; a loop that runs out raises."""
     field = _affine(point).field
     h, f = curve.equation_masks(field)
     if point.is_weierstrass():
@@ -110,7 +134,7 @@ def local_coordinates(curve, point, prec):
             hpys = mul_masks(field, _horner(field, h[1::2], sq), ys)
             dfdx = _add(_horner(field, f[1::2], sq), hpys)
             xs = _add(xs, mul_masks(field, res, inverse_masks(field, dfdx)))
-        if any(_residual(field, _horner(field, h, xs), _horner(field, f, xs), ys)):
+        else:
             raise InconsistencyError("Newton lift for x failed at a Weierstrass point")
         return xs, ys
     # uniformizer t = x - x0; solve for y by Newton (h(x0) is a unit)
@@ -124,7 +148,7 @@ def local_coordinates(curve, point, prec):
         if not any(res):
             break
         ys = _add(ys, mul_masks(field, res, hinv))
-    if any(_residual(field, hs, fs, ys)):
+    else:
         raise InconsistencyError("Newton lift for y failed")
     return xs, ys
 
@@ -153,12 +177,45 @@ def _residual(field, hs, fs, ys):
 
 def _horner(field, cs, xs):
     """The masks of p(xs), for p given by its ascending coefficient masks cs
-    and xs a series of the same truncation."""
-    acc = ((cs[-1] if cs else 0),) + (0,) * (len(xs) - 1)
+    and xs a series of the same truncation.
+
+    For xs = x0 + s, the x of every non-Weierstrass expansion, p(x0 + s) is
+    a Taylor shift with no series product: coefficient k is the sum of
+    p_i x0^(i - k) over the i with i & k == k, as binomial(i, k) is odd
+    exactly then (Lucas).  At a Weierstrass point x is a Newton lift with
+    no s term, and the derivatives are taken at x^2, so those series take
+    Horner's rule with one truncated product per coefficient."""
+    n = len(xs)
+    if xs[1:] == _linear(1, n - 1, 0):  # xs = x0 + s
+        return _taylor_shift(field, cs, xs[0], n)
+    acc = ((cs[-1] if cs else 0),) + (0,) * (n - 1)
     for c in cs[-2::-1]:
         acc = mul_masks(field, acc, xs)
         acc = (acc[0] ^ c,) + acc[1:]
     return acc
+
+
+def _taylor_shift(field, cs, x0, n):
+    """The masks of p(x0 + s) mod s^n, for p given by its ascending
+    coefficient masks cs: see `_horner`."""
+    out = [0] * n
+    exp, log = field.tables()
+    if not x0:
+        out[:len(cs)] = cs[:n]
+        return tuple(out)
+    step, lx = field.order - 1, log[x0]
+    pows = [j * lx % step for j in range(len(cs))]  # logs of x0^j
+    low = (1 << (n - 1).bit_length()) - 1  # every k < n is a submask of low
+    for i, c in enumerate(cs):
+        if c:
+            lc, k = log[c], i & low
+            while True:  # k runs down the submasks of i & low
+                if k < n:
+                    out[k] ^= exp[lc + pows[i - k]]
+                if not k:
+                    break
+                k = (k - 1) & i
+    return tuple(out)
 
 
 def _times_powers(field, start, xs, count):

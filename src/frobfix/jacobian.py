@@ -166,9 +166,10 @@ class JacobianClass:
             return self
         h, f = curve.equation_masks(field)
         exp, log = field.tables()
+        r = None
         if u1 == u2:
-            vvh = h if v1 == v2 else _xor(_xor(v1, v2), h)
-            if not any(_divmod_small(exp, log, vvh, u1)[1]):
+            r = _divmod_small(exp, log, h if v1 == v2 else _xor(_xor(v1, v2), h), u1)[1]
+            if not any(r):
                 return JacobianClass.identity(curve, field)  # other = -self
         if len(u1) == len(u2) == 2:
             u, v = _degree_one_compose(field, h, f, u1, v1, u2, v2)
@@ -176,7 +177,7 @@ class JacobianClass:
             k = self.cofactor
             if k is None:
                 k = _divmod_small(exp, log, _mumford(exp, log, h, f, v1), u1)[0]
-            u, v = (_closed_form_sum(field, h, k, u1, v1, u2, v2)
+            u, v = (_closed_form_sum(field, h, f, k, r, u1, v1, u2, v2)
                     or _reduce(field, h, f, *_cantor_compose(field, h, f, u1, v1, u2, v2)))
         return JacobianClass(curve, field, u, v)
 
@@ -371,20 +372,24 @@ def _degree_one_compose(field, h, f, u1, v1, u2, v2):
     return u, _trim([y1 ^ (exp[log[s] + log[x1]] if s and x1 else 0), s])
 
 
-def _closed_form_sum(field, h, k, u1, v1, u2, v2):
+def _closed_form_sum(field, h, f, k, r, u1, v1, u2, v2):
     """The reduced pair of (u1, v1) + (u2, v2), coefficient-mask tuples like
-    h, as trimmed tuples: for a coprime addition or a doubling with
+    h and f, as trimmed tuples: for a coprime addition or a doubling with
     Res(u, h) != 0, else None.  k = (v1^2 + v1 h + f) / u1 is the first
-    class's cofactor.  The composition is U = u1 w, V = v1 + s u1, with
-    w = u2 to add and w = u1 to double, and s = n r^-1 mod w from
-    `_quotient_mod_quadratic`:
+    class's cofactor, and r = (v1 + v2 + h) mod u1 when u1 = u2 (the
+    caller's opposite test; h mod u for a doubling).  The composition is
+    U = u1 w, V = v1 + s u1, with w = u2 to add and w = u1 to double, and
+    s = n r^-1 mod w from `_quotient_mod_quadratic`:
         add:    s = (v1 + v2) (u1 mod u2)^-1 mod u2
         double: s = (k mod u) (h mod u)^-1 mod u
     As V^2 + V h + f = u1 (k + s h + s^2 u1), one exact synthetic division
     by w reduces it: U' = (k + s h + s^2 u1) / w made monic, V' = (V + h)
     mod U'.  A remainder raises, as U | V^2 + V h + f fails.  A doubling
-    solves s from k, so its division is exact whatever k holds: there only
-    the Mumford check of the result can see a wrong cofactor."""
+    solves s from k, so its division is exact whatever k holds.  As
+    deg(v1^2 + v1 h) <= 3, the top of u1 k is f's: k3 = f5 and
+    k2 = f4 + a1 f5 for u1 = x^2 + a1 x + a0, and a k that breaks this
+    raises before use; below them only the Mumford check of the result
+    sees a wrong k1 or k0 in a doubling."""
     if len(u1) != 3 or len(u2) != 3:
         return None
     exp, log = field.tables()
@@ -393,6 +398,8 @@ def _closed_form_sum(field, h, k, u1, v1, u2, v2):
         return exp[log[x] + log[y]] if x and y else 0
 
     (a0, a1, _), (c0, c1) = u1, (v1 + (0, 0))[:2]
+    if k[3] != f[5] or k[2] != f[4] ^ mul(a1, f[5]):
+        raise InconsistencyError("cofactor's top coefficients disagree with u and f")
     if u1 != u2:
         b0, b1, _ = u2
         d0, d1 = (v2 + (0, 0))[:2]
@@ -400,7 +407,6 @@ def _closed_form_sum(field, h, k, u1, v1, u2, v2):
     elif v1 == v2:
         b0, b1 = a0, a1
         n = _divmod_small(exp, log, k, u1)[1]
-        r = (h[0] ^ mul(h[2], a0), h[1] ^ mul(h[2], a1))  # h mod u, as deg h = 2 here
     else:
         return None
     s = _quotient_mod_quadratic(field, mul, n, r, b0, b1)

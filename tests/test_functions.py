@@ -1,5 +1,6 @@
 """Function-field tests: expansions, Riemann-Roch spaces, witnesses."""
 
+import hashlib
 import random
 
 import pytest
@@ -158,6 +159,61 @@ def test_local_coordinates_match_a_boxed_reference_every_t_gf16():
                 assert ys == tuple(ref_y[:prec]), (tm, p, prec)
 
 
+def test_horner_at_x0_plus_s_matches_the_boxed_series_horner():
+    # x0 + s takes the Taylor shift and any other series Horner's rule; the
+    # reference is Horner's rule on boxed series for both
+    f16 = default_field(4)
+    rng = random.Random(22)
+    polys = [p for tm in range(2, 16) for p in Curve(f16, f16.element(tm)).equation_polys(f16)]
+    polys += [Poly.from_masks(f16, [rng.randrange(16) for _ in range(rng.randint(0, 8))])
+              for _ in range(12)]
+    one, zero = f16.one(), f16.zero()
+    for x0 in f16.elements():
+        for prec in range(1, 9):
+            shift = ([x0, one] + [zero] * prec)[:prec]
+            other = ([x0, one, one] + [zero] * prec)[:prec]
+            for xs in (shift, other) if prec > 2 else (shift,):
+                masks = tuple(c.mask for c in xs)
+                for p in polys:
+                    got = functions_module._horner(f16, p.masks(), masks)
+                    assert got == tuple(c.mask for c in _ref_horner(p, xs)), (x0, prec, xs, p)
+
+
+def test_ord_at_matches_the_order_of_a_boxed_expansion_gf16():
+    # every affine point over GF(16), the Weierstrass points among them, and
+    # its involution partner, for functions vanishing there to order 1 to 3
+    c, f16 = laszlo_curve(), default_field(4)
+    points = c.points_over(f16)[1:]
+    assert any(p.is_weierstrass() for p in points)
+    for p in points:
+        for mult in (1, 2, 3):
+            fn = interpolate_vanishing(c, f16, mult + 2, [(p, mult)])
+            for q in (p, p.hyperelliptic_involution()):
+                xs, ys = ([f16.element(m) for m in ms]
+                          for ms in _reference_local_coordinates(c, q, 10))
+                series = _ref_add(_ref_horner(fn.a, xs), _ref_mul(_ref_horner(fn.b, xs), ys))
+                order = next(i for i, e in enumerate(series) if e.mask)
+                assert fn.ord_at(q) == order, (p, mult, q)
+                if q == p:
+                    assert order >= mult
+
+
+def test_oracle_keys_are_pinned_every_t_gf16():
+    # sha256 pinned from the oracle that read orders from precision 4 up and
+    # expanded x0 + s by series Horner: ten random pairs over GF(2^8) for
+    # every t in GF(16) minus {0, 1}, with the field the oracle ends over
+    f16, f256 = default_field(4), default_field(8)
+    digest = hashlib.sha256()
+    for tm in range(2, 16):
+        c = Curve(f16, f16.element(tm))
+        rng = random.Random(tm)
+        for _ in range(10):
+            a, b = random_class(c, f256, rng), random_class(c, f256, rng)
+            oracle = oracle_class_of(a.to_divisor() + b.to_divisor())
+            digest.update(repr((oracle.field.degree, oracle.key())).encode())
+    assert digest.hexdigest() == "19e9e310593083b00a780ca4d3ea0461f3c975c673b3fb5759d57e1ec10b9d21"
+
+
 def _scaled_inverse(monkeypatch):
     """Plant a wrong Newton correction: every series inverse the lifts use
     comes out multiplied by the field's generator."""
@@ -234,6 +290,9 @@ def test_expansions_reject_a_point_over_another_field():
         vert.series_at(p4, 4)
     with pytest.raises(FieldMismatchError):
         interpolate_vanishing(c, f16, 6, [(p4, 1)])
+    for q in c.points_over(c.field)[1:]:  # vert vanishes at p4, not at the other
+        with pytest.raises(FieldMismatchError):
+            vert.ord_at(q)
 
 
 def test_principal_witness_zero_divisor():
@@ -257,7 +316,7 @@ def test_ord_at_norm_cap_ends_the_loop_on_a_flat_expansion(monkeypatch):
     norms = []
     norm = PolyFunction.norm
     monkeypatch.setattr(PolyFunction, "norm", lambda fn: norms.append(1) or norm(fn))
-    assert vert.ord_at(p) == 1 and not norms  # found at precision 4: no norm
+    assert vert.ord_at(p) == 1 and not norms  # found at precision 2: no norm
     expand = functions_module.local_coordinates
     precs = []
 
@@ -276,7 +335,7 @@ def test_ord_at_norm_cap_ends_the_loop_on_a_flat_expansion(monkeypatch):
     assert exc.type is InconsistencyError
     assert str(exc.value) == "nonzero function vanishing beyond its norm degree"
     # deg N = 2 gives the cap 8: one norm, and no expansion beyond precision 8
-    assert len(norms) == 1 and precs == [4, 8]
+    assert len(norms) == 1 and precs == [2, 4, 8]
 
 
 def test_interpolation_catches_a_zero_nullspace_vector(monkeypatch):

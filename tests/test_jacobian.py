@@ -857,21 +857,32 @@ def test_reduction_catches_a_flipped_bit_in_the_closed_form(monkeypatch, double)
     assert str(exc.value) == "division is not exact"
 
 
-@pytest.mark.parametrize("double, message", [
-    (False, "division is not exact"),
+@pytest.mark.parametrize("double, pair, index, message", [
+    (False, None, 0, "division is not exact"),
     # a doubling solves s from the cofactor, so its division is exact
     # whatever the cofactor: the Mumford check of the result catches it
-    (True, "Mumford condition u | v^2 + v h + f fails"),
-], ids=["coprime", "doubling"])
-def test_a_flipped_bit_in_the_cached_cofactor_is_caught(double, message):
-    c = laszlo_curve()
+    (True, None, 0, "Mumford condition u | v^2 + v h + f fails"),
+    # with bit 0 of k3 or of k2 flipped, these doublings come out as a valid
+    # wrong class (the identity, and x - 0 with v = 0), which no Mumford
+    # check can see; k3 = f5 and k2 = f4 + a1 f5 follow from u and f
+    (True, ((2, 8, 1), (14, 2)), 3, None),
+    (True, ((1, 2, 1), (6, 11)), 2, None),
+], ids=["coprime", "doubling", "doubling-k3", "doubling-k2"])
+def test_a_flipped_bit_in_the_cached_cofactor_is_caught(double, pair, index, message):
+    c, f16 = laszlo_curve(), default_field(4)
     rng = random.Random(101)
-    a, b = (random_class(c, default_field(4), rng) for _ in range(2))
-    a.cofactor = [a.cofactor[0] ^ 1, *a.cofactor[1:]]
-    with pytest.raises(ValueError) as exc:
+    a, b = (random_class(c, f16, rng) for _ in range(2))
+    if pair is not None:
+        a = JacobianClass(c, f16, *pair)
+    a.cofactor = [*a.cofactor[:index], a.cofactor[index] ^ 1, *a.cofactor[index + 1:]]
+    with pytest.raises((ValueError, InconsistencyError)) as exc:
         a + (a if double else b)
-    assert exc.type is ValueError
-    assert str(exc.value) == message
+    if message is None:
+        assert exc.type is InconsistencyError
+        assert str(exc.value) == "cofactor's top coefficients disagree with u and f"
+    else:
+        assert exc.type is ValueError
+        assert str(exc.value) == message
 
 
 def test_reduction_catches_a_flipped_bit_in_the_cantor_composition(monkeypatch):
