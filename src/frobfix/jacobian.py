@@ -8,24 +8,22 @@ A sum takes the first route that fits its inputs:
 
     identity     one side has u = 1: the other side is returned
     opposite     u1 = u2 and u | v1 + v2 + h: the identity
-    degree 1     u1 = x + x1, u2 = x + x2: the chord (x1 != x2) or the
-                 tangent (the same point, h(x1) != 0), already reduced
-                 (`_degree_one_compose`)
-    closed form  deg u1 = deg u2 = 2, a coprime addition (Res(u1, u2) != 0)
-                 or a doubling (Res(u, h) != 0), composed and reduced in one
-                 step from the first class's cofactor, after Lange, AAECC 15
-                 (2005), and Lange-Stevens, SAC 2004 (`_closed_form_sum`)
+    closed form  a coprime addition (Res(u1, u2) != 0) or a doubling
+                 (Res(u, h) != 0), of any degrees: U = u1 w, V = v1 + s u1,
+                 already reduced when deg U = 2 (the chord and the tangent),
+                 else reduced in the same step from the quadratic class's
+                 cofactor, after Lange, AAECC 15 (2005), and Lange-Stevens,
+                 SAC 2004 (`_closed_form_sum`)
     Cantor       everything else, on Polys (`_cantor_compose`), then one
-                 reduction step (`_reduce`): degrees (1, 2) and (2, 1), a
-                 (2, 2) shared root, and a doubling with Res(u, h) = 0 that
-                 is not 2-torsion
+                 reduction step (`_reduce`): a shared root, and a doubling
+                 with Res(u, h) = 0 that is not 2-torsion
 
     compose: d = gcd(u1, u2, v1 + v2 + h) = s1 u1 + s2 u2 + s3 (v1+v2+h)
              U = u1 u2 / d^2,  V = (s1 u1 v2 + s2 u2 v1 + s3 (v1 v2 + f)) / d mod U
     reduce:  U' = (V^2 + V h + f) / U made monic,  V' = (V + h) mod U'
 
-The cofactor (v^2 + v h + f) / u of a class is the quotient that the
-Mumford check of `_validate` computes on every class a composition builds;
+The cofactor (v^2 + v h + f) / u of a class, f for the identity, is the
+quotient that the Mumford check of `_validate` computes on every class;
 the class keeps it, so the closed form's division by w = u2 (add) or
 w = u1 (double) needs no second v^2 + v h + f.  Both reductions, the
 closed form's and `_reduce`'s of a Cantor U of degree 3 or 4, are exact
@@ -100,18 +98,17 @@ class JacobianClass:
 
     u and v are trimmed tuples of coefficient masks over `field`, lowest
     degree first, as `Poly.masks` gives them.  `cofactor` is the list of
-    masks of (v^2 + v h + f) / u that `_validate` computes, or None for a
-    class built with check=False (`identity`, `retag`), whose sum computes
-    it; it is a cache and enters neither `key`, equality nor the hash."""
+    masks of (v^2 + v h + f) / u that `_validate` computes; it is a cache
+    and enters neither `key`, equality nor the hash."""
 
     __slots__ = ("curve", "field", "u", "v", "cofactor")
 
-    def __init__(self, curve, field, u, v, check=True):
+    def __init__(self, curve, field, u, v):
         self.curve = curve
         self.field = field
         self.u = u
         self.v = v
-        self.cofactor = self._validate() if check else None
+        self.cofactor = self._validate()
 
     def _validate(self):
         """Check the pair, and return its cofactor (v^2 + v h + f) / u."""
@@ -129,6 +126,8 @@ class JacobianClass:
         if field.degree % self.curve.field.degree:
             raise FieldMismatchError("class field does not contain the curve base field")
         h, f = self.curve.equation_masks(field)
+        if len(u) == 1:  # u = 1 divides v^2 + v h + f = f
+            return list(f)
         exp, log = field.tables()
         quo, rem = _divmod_small(exp, log, _mumford(exp, log, h, f, v), u)
         if any(rem):
@@ -137,8 +136,8 @@ class JacobianClass:
 
     # -- constructors ---------------------------------------------------------
     @classmethod
-    def identity(cls, curve, field=None):
-        return cls(curve, field or curve.field, (1,), (), check=False)
+    def identity(cls, curve, field):
+        return cls(curve, field, (1,), ())
 
     @classmethod
     def from_point(cls, p):
@@ -159,26 +158,22 @@ class JacobianClass:
             # mixed-field addition lifts to the compositum
             fld, _, _ = join_fields(field, other.field)
             return self.lift(fld) + other.lift(fld)
-        u1, v1, u2, v2 = self.u, self.v, other.u, other.v
+        u1, v1, u2, v2, k = self.u, self.v, other.u, other.v, self.cofactor
         if len(u1) == 1:
             return other if other.curve is curve else other.retag(curve)
         if len(u2) == 1:
             return self
+        if len(u1) < len(u2):  # the quadratic class first: a sum commutes
+            u1, v1, u2, v2, k = u2, v2, u1, v1, other.cofactor
         h, f = curve.equation_masks(field)
-        exp, log = field.tables()
         r = None
         if u1 == u2:
+            exp, log = field.tables()
             r = _divmod_small(exp, log, h if v1 == v2 else _xor(_xor(v1, v2), h), u1)[1]
             if not any(r):
                 return JacobianClass.identity(curve, field)  # other = -self
-        if len(u1) == len(u2) == 2:
-            u, v = _degree_one_compose(field, h, f, u1, v1, u2, v2)
-        else:
-            k = self.cofactor
-            if k is None:
-                k = _divmod_small(exp, log, _mumford(exp, log, h, f, v1), u1)[0]
-            u, v = (_closed_form_sum(field, h, f, k, r, u1, v1, u2, v2)
-                    or _reduce(field, h, f, *_cantor_compose(field, h, f, u1, v1, u2, v2)))
+        u, v = (_closed_form_sum(field, h, f, k, r, u1, v1, u2, v2)
+                or _reduce(field, h, f, *_cantor_compose(field, h, f, u1, v1, u2, v2)))
         return JacobianClass(curve, field, u, v)
 
     def neg(self):
@@ -235,7 +230,7 @@ class JacobianClass:
     def retag(self, curve):
         if not self.curve.same_model(curve):
             raise ValueError("retag requires an identical curve model")
-        return JacobianClass(curve, self.field, self.u, self.v, check=False)
+        return JacobianClass(curve, self.field, self.u, self.v)
 
     def __repr__(self):
         return f"Jac(u={self.u!r}, v={self.v!r})"
@@ -336,9 +331,9 @@ def _divmod_small(exp, log, n, u):
 
 def _cantor_compose(field, h, f, u1, v1, u2, v2):
     """The general composition (U, V) of two mask-tuple pairs, unreduced, as
-    mask tuples (U monic), on Polys over `field`.  It takes the inputs no
-    closed form does: degrees (1, 2) and (2, 1), a (2, 2) shared root, and
-    a doubling with Res(u, h) = 0 that is not 2-torsion."""
+    mask tuples (U monic), on Polys over `field`.  It takes the inputs the
+    closed form does not: a shared root, and a doubling with Res(u, h) = 0
+    that is not 2-torsion."""
     h, f, u1, v1, u2, v2 = (Poly.from_masks(field, m) for m in (h, f, u1, v1, u2, v2))
     d1, e1, e2 = u1.xgcd(u2)
     d, c1, c2 = d1.xgcd(v1 + v2 + h)
@@ -348,68 +343,63 @@ def _cantor_compose(field, h, f, u1, v1, u2, v2):
     return u.masks(), v.masks()
 
 
-def _degree_one_compose(field, h, f, u1, v1, u2, v2):
-    """P1 + P2 for u_i = x + x_i, v_i = y_i, as a reduced pair of mask
-    tuples, when P2 is not iota P1: v = y1 + s (x + x1) with
-        chord (x1 != x2):   u = (x + x1)(x + x2),  s = (y1 + y2) / (x1 + x2)
-        tangent (P1 = P2):  u = (x + x1)^2,        s = (f'(x1) + h'(x1) y1) / h(x1)
-    h(x1) != 0 for the tangent, else P1 = iota P1.  In characteristic 2 a
-    derivative keeps the odd terms: p'(x) = p1 + p3 x^2 + p5 x^4 + ..."""
-    exp, log = field.tables()
-    x1, x2 = u1[0], u2[0]
-    y1 = v1[0] if v1 else 0
-    if x1 != x2:
-        y2 = v2[0] if v2 else 0
-        num, den = y1 ^ y2, x1 ^ x2
-        u = (exp[log[x1] + log[x2]] if x1 and x2 else 0, den, 1)
-    else:
-        sq = exp[2 * log[x1]] if x1 else 0
-        dh, df = evaluate_masks(exp, log, h[1::2], sq), evaluate_masks(exp, log, f[1::2], sq)
-        num = df ^ (exp[log[dh] + log[y1]] if dh and y1 else 0)
-        den = evaluate_masks(exp, log, h, x1)
-        u = (sq, 0, 1)
-    s = exp[log[num] + field.order - 1 - log[den]] if num else 0
-    return u, _trim([y1 ^ (exp[log[s] + log[x1]] if s and x1 else 0), s])
-
-
 def _closed_form_sum(field, h, f, k, r, u1, v1, u2, v2):
     """The reduced pair of (u1, v1) + (u2, v2), coefficient-mask tuples like
-    h and f, as trimmed tuples: for a coprime addition or a doubling with
-    Res(u, h) != 0, else None.  k = (v1^2 + v1 h + f) / u1 is the first
-    class's cofactor, and r = (v1 + v2 + h) mod u1 when u1 = u2 (the
-    caller's opposite test; h mod u for a doubling).  The composition is
-    U = u1 w, V = v1 + s u1, with w = u2 to add and w = u1 to double, and
-    s = n r^-1 mod w from `_quotient_mod_quadratic`:
-        add:    s = (v1 + v2) (u1 mod u2)^-1 mod u2
+    h and f with deg u1 >= deg u2, as trimmed tuples: for a coprime addition
+    or a doubling with Res(u, h) != 0, else None.  k = (v1^2 + v1 h + f) / u1
+    is the first class's cofactor, and r = (v1 + v2 + h) mod u1 when u1 = u2
+    (the caller's opposite test; h mod u for a doubling).  The composition
+    is U = u1 w, V = v1 + s u1, with w = u2 to add and w = u1 to double, and
+    s = n r^-1 mod w:
+        add:    s = (v1 + v2) (u1 mod w)^-1 mod w
         double: s = (k mod u) (h mod u)^-1 mod u
-    As V^2 + V h + f = u1 (k + s h + s^2 u1), one exact synthetic division
-    by w reduces it: U' = (k + s h + s^2 u1) / w made monic, V' = (V + h)
-    mod U'.  A remainder raises, as U | V^2 + V h + f fails.  A doubling
-    solves s from k, so its division is exact whatever k holds.  As
-    deg(v1^2 + v1 h) <= 3, the top of u1 k is f's: k3 = f5 and
-    k2 = f4 + a1 f5 for u1 = x^2 + a1 x + a0, and a k that breaks this
-    raises before use; below them only the Mumford check of the result
-    sees a wrong k1 or k0 in a doubling."""
-    if len(u1) != 3 or len(u2) != 3:
-        return None
+    a scalar n(b0) / r(b0) for w = x + b0, else from `_quotient_mod_quadratic`.
+    When deg U = 2 the pair is already reduced: the chord, with slope
+    (y1 + y2) / (x1 + x2), and the tangent, with slope k(x1) / h(x1), as
+    k(x1) = f'(x1) + h'(x1) y1 is the derivative of v1^2 + v1 h + f at x1.
+    Else deg u1 = 2, and as V^2 + V h + f = u1 (k + s h + s^2 u1), one exact
+    synthetic division by w reduces it: U' = (k + s h + s^2 u1) / w made
+    monic, V' = (V + h) mod U'.  A remainder raises, as U | V^2 + V h + f
+    fails.  A doubling solves s from k, so its division is exact whatever k
+    holds.  As deg(v1^2 + v1 h) <= 3, the top of u1 k is f's: k[-1] = f5 and
+    k[-2] = f4 + a f5, for a the coefficient of u1 below its leading one, and
+    every sum but the chord reads k and raises first when k breaks this;
+    below them only the Mumford check of the result sees a wrong k in a
+    doubling."""
     exp, log = field.tables()
+    a0, b0, a = u1[0], u2[0], u1[-2]
+    if (len(u1) == 3 or u1 == u2) and (
+            k[-1] != f[5] or k[-2] != f[4] ^ (exp[log[a] + log[f[5]]] if a and f[5] else 0)):
+        raise InconsistencyError("cofactor's top coefficients disagree with u and f")
+    if len(u1) == 2:  # deg U = 2, the chord or the tangent: already reduced
+        # products inline: building and calling `mul` would slow these short sums
+        y1 = v1[0] if v1 else 0
+        if u1 != u2:  # n = y1 + y2, r = x1 + x2
+            n, r = y1 ^ (v2[0] if v2 else 0), a0 ^ b0
+        else:  # n = k(x1), r = h(x1)
+            n, r = evaluate_masks(exp, log, k, a0), r[0]
+        s = exp[log[n] + field.order - 1 - log[r]] if n else 0
+        return ((exp[log[a0] + log[b0]] if a0 and b0 else 0, a0 ^ b0, 1),
+                _trim([y1 ^ (exp[log[s] + log[a0]] if s and a0 else 0), s]))
 
     def mul(x, y):
         return exp[log[x] + log[y]] if x and y else 0
 
-    (a0, a1, _), (c0, c1) = u1, (v1 + (0, 0))[:2]
-    if k[3] != f[5] or k[2] != f[4] ^ mul(a1, f[5]):
-        raise InconsistencyError("cofactor's top coefficients disagree with u and f")
-    if u1 != u2:
-        b0, b1, _ = u2
-        d0, d1 = (v2 + (0, 0))[:2]
+    (c0, c1), a1 = (v1 + (0, 0))[:2], u1[1]
+    if len(u2) == 2:  # add with w = x + b0: s = n(b0) / r(b0) is a scalar
+        n, r = c0 ^ mul(c1, b0) ^ (v2[0] if v2 else 0), a0 ^ mul(b0, a1 ^ b0)
+        if not r:
+            return None
+        w, s = u2, (exp[log[n] + field.order - 1 - log[r]] if n else 0, 0)
+    elif u1 != u2:  # add: w = u2, n = (v1 + v2) mod w, r = u1 mod w
+        (d0, d1), b1 = (v2 + (0, 0))[:2], u2[1]
         n, r = (c0 ^ d0, c1 ^ d1), (a0 ^ b0, a1 ^ b1)
-    elif v1 == v2:
-        b0, b1 = a0, a1
+        w, s = u2, _quotient_mod_quadratic(field, mul, n, r, b0, b1)
+    elif v1 == v2:  # double: w = u1, n = k mod u, r = h mod u
         n = _divmod_small(exp, log, k, u1)[1]
+        w, s = u1, _quotient_mod_quadratic(field, mul, n, r, a0, a1)
     else:
         return None
-    s = _quotient_mod_quadratic(field, mul, n, r, b0, b1)
     if s is None:
         return None
     (s0, s1), (h0, h1, h2) = s, h
@@ -420,7 +410,7 @@ def _closed_form_sum(field, h, f, k, r, u1, v1, u2, v2):
         k[2] ^ q0 ^ mul(q1, a0) ^ mul(s0, h2) ^ mul(s1, h1),
         k[3] ^ mul(q1, a1) ^ mul(s1, h2),
         q1,
-    ], (b0, b1, 1))
+    ], w)
     if any(rem):
         raise ValueError("division is not exact")
     return _monic_pair(field, quo, [  # V + h, V = v1 + s u1
@@ -452,10 +442,13 @@ def class_of(divisor):
     if divisor.degree() != 0:
         raise ValueError("divisor must have degree 0")
     field, affine, _inf = divisor.lift_to_common_field()
-    acc = JacobianClass.identity(divisor.curve, field)
+    acc = None  # as in mul_int: no sum with the identity
     for p, m in affine:
-        acc = acc + JacobianClass.from_point(p).mul_int(m)
-    return acc
+        term = JacobianClass.from_point(p).mul_int(m)
+        acc = term if acc is None else acc + term
+    if acc is None:
+        return JacobianClass.identity(divisor.curve, field)
+    return acc if acc.curve is divisor.curve else acc.retag(divisor.curve)
 
 
 def oracle_class_of(divisor):

@@ -267,8 +267,8 @@ def _poly_route_sum(a, b):
     return u.masks(), (v % u).masks()
 
 
-GROUP_LAW_ROUTES = {"identity", "opposite", "chord", "tangent", "coprime 2+2", "doubling",
-                    "fused reduction", "general fallback"}
+GROUP_LAW_ROUTES = {"identity", "opposite", "chord", "tangent", "coprime 2+1", "coprime 2+2",
+                    "doubling", "fused reduction", "general fallback"}
 
 
 def _spy_on_routes(monkeypatch):
@@ -277,7 +277,7 @@ def _spy_on_routes(monkeypatch):
     import frobfix.jacobian as jacobian_module
 
     taken = []
-    for name in ("_degree_one_compose", "_closed_form_sum", "_cantor_compose", "_reduce"):
+    for name in ("_closed_form_sum", "_cantor_compose", "_reduce"):
         def spy(*args, _name=name, _real=getattr(jacobian_module, name)):
             out = _real(*args)
             taken.append((_name, args, out))
@@ -291,9 +291,11 @@ def _route_of(a, b, taken):
     names = [name for name, _, _ in taken]
     if not names:
         return {"identity"} if a.is_identity() or b.is_identity() else {"opposite"}
-    if names == ["_degree_one_compose"]:
+    if names == ["_closed_form_sum"] and len(a.u) == len(b.u) == 2:  # deg U = 2
         return {"chord" if a.u != b.u else "tangent"}
     if names == ["_closed_form_sum"]:  # composed and reduced in one step
+        if len(a.u) != len(b.u):
+            return {"coprime 2+1", "fused reduction"}
         return {"coprime 2+2" if a.u != b.u else "doubling", "fused reduction"}
     assert names == ["_closed_form_sum", "_cantor_compose", "_reduce"], names
     assert taken[0][2] is None
@@ -364,31 +366,51 @@ def test_group_law_sums_are_pinned_every_t_gf16():
     assert digest.hexdigest() == "35bfc67db0703f18800d6d5d814f3eceb439d2cae836df7af6e617115de93dc7"
 
 
+def test_sums_with_a_point_are_pinned_every_t_gf16():
+    # sha256 pinned from the chord and tangent route and the general Cantor
+    # composition, before one closed form took every coprime sum and every
+    # doubling off the roots of h: over GF(2^8), for every t in GF(16) minus
+    # {0, 1}, every sum of two of 20 points (the doublings included), and
+    # every sum of one of them with one of 20 random_class draws, both ways
+    f16, f256 = default_field(4), default_field(8)
+    digest = hashlib.sha256()
+    for tm in range(2, 16):
+        c = Curve(f16, f16.element(tm))
+        points = [JacobianClass.from_point(p) for p in c.points_over(f256)[1::9][:20]]
+        rng = random.Random(tm)
+        classes = [random_class(c, f256, rng) for _ in range(20)]
+        for a in points:
+            for b in points:
+                digest.update(repr((a + b).key()).encode())
+            for b in classes:
+                digest.update(repr(((a + b).key(), (b + a).key())).encode())
+    assert digest.hexdigest() == "b558914c09932ed4c04afe3321bee7781020237f5016dc64ede1de30b0192c93"
+
+
 def test_the_cofactor_is_the_mumford_quotient_gf16():
-    # each validated class keeps (v^2 + v h + f) / u; the identity, built
-    # unchecked, keeps none
+    # every class keeps (v^2 + v h + f) / u, which is f for the identity
     c, f16 = laszlo_curve(), default_field(4)
     exp, log = f16.tables()
     h, f = c.equation_masks(f16)
     hp, fp = c.equation_polys(f16)
     classes = enumerate_classes(c, f16)
-    assert classes[0].cofactor is None
-    for a in classes[1:]:
+    assert classes[0].cofactor == list(f)
+    for a in classes:
         assert a.cofactor == _divmod_small(exp, log, _mumford(exp, log, h, f, a.v), a.u)[0], a
         u, v, k = (Poly.from_masks(f16, m) for m in (a.u, a.v, a.cofactor))
         assert u * k == v * v + v * hp + fp, a
 
 
-def test_a_class_without_its_cofactor_sums_like_its_validated_twin():
+def test_a_retagged_class_sums_like_its_source():
     c, f16 = laszlo_curve(), default_field(4)
     classes = enumerate_classes(c, f16)[1::7]
     for a in classes:
-        for twin in (a.retag(laszlo_curve()), JacobianClass(c, f16, a.u, a.v, check=False)):
-            assert twin.cofactor is None
-            assert (twin + twin).key() == (a + a).key(), a
-            for b in classes:
-                assert (twin + b).key() == (a + b).key(), (a, b)
-                assert (b + twin).key() == (b + a).key(), (a, b)
+        twin = a.retag(laszlo_curve())
+        assert twin.curve is not a.curve and twin.cofactor == a.cofactor
+        assert (twin + twin).key() == (a + a).key(), a
+        for b in classes:
+            assert (twin + b).key() == (a + b).key(), (a, b)
+            assert (b + twin).key() == (b + a).key(), (a, b)
 
 
 def test_mul_int_matches_repeated_addition():
@@ -504,6 +526,14 @@ def test_class_of_examples():
     p = next(q for q in c.points_over(f16) if not q.is_infinity() and not q.is_weierstrass())
     D = FormalDivisor(c, [(p, 1), (p.hyperelliptic_involution(), 1), (c.infinity(), -2)])
     assert class_of(D).is_identity()
+    # X(2) is X(0)'s model over GF(4): a divisor on it of X(0)'s points
+    # gives X(0)'s class, tagged with X(2)
+    q = next(q for q in c.points_over(f16) if q.x != p.x and not q.is_weierstrass())
+    for entries in ([(p, 1)], [(p, 1), (q, 2)]):
+        entries.append((c.infinity(), -sum(m for _, m in entries)))
+        c2 = c.twist(2)
+        image = class_of(FormalDivisor(c2, entries))
+        assert image.curve is c2 and image.key() == class_of(FormalDivisor(c, entries)).key()
 
 
 def test_sigma_fixed_difference_has_order_three():
@@ -830,11 +860,12 @@ def test_mumford_check_catches_a_flipped_bit_in_the_closed_form(monkeypatch):
     assert str(exc.value) == "Mumford condition u | v^2 + v h + f fails"
 
 
-@pytest.mark.parametrize("double", [False, True], ids=["coprime", "doubling"])
-def test_reduction_catches_a_flipped_bit_in_the_closed_form(monkeypatch, double):
+@pytest.mark.parametrize("double, linear", [(False, False), (True, False), (False, True)],
+                         ids=["coprime", "doubling", "coprime-2+1"])
+def test_reduction_catches_a_flipped_bit_in_the_closed_form(monkeypatch, double, linear):
     import frobfix.jacobian as jacobian_module
 
-    solve = jacobian_module._quotient_mod_quadratic
+    solve, divide = jacobian_module._quotient_mod_quadratic, jacobian_module._divmod_small
     flipped = []
 
     def flip_s(*args):
@@ -846,12 +877,24 @@ def test_reduction_catches_a_flipped_bit_in_the_closed_form(monkeypatch, double)
             flipped.append(s)
         return s
 
-    c = laszlo_curve()
+    def flip_numerator(exp, log, n, u):
+        if len(u) == 2 and len(n) == 5:  # k + s h + s^2 u1, divided by w = x + b0
+            n = [n[0] ^ 1, *n[1:]]  # leaves the remainder 1
+            flipped.append(n)
+        return divide(exp, log, n, u)
+
+    c, f16 = laszlo_curve(), default_field(4)
     rng = random.Random(101)
-    a, b = (random_class(c, default_field(4), rng) for _ in range(2))
-    monkeypatch.setattr(jacobian_module, "_quotient_mod_quadratic", flip_s)
+    a, b = (random_class(c, f16, rng) for _ in range(2))
+    if linear:  # a point off the roots of a.u, added to the quadratic class
+        u = Poly.from_masks(f16, a.u)
+        b = next(p for p in enumerate_classes(c, f16)
+                 if len(p.u) == 2 and u.evaluate(f16.element(p.u[0])).mask)
+        monkeypatch.setattr(jacobian_module, "_divmod_small", flip_numerator)
+    else:
+        monkeypatch.setattr(jacobian_module, "_quotient_mod_quadratic", flip_s)
     with pytest.raises(ValueError) as exc:
-        a + (a if double else b)
+        b + a if linear else a + (a if double else b)
     assert flipped
     assert exc.type is ValueError
     assert str(exc.value) == "division is not exact"
@@ -867,7 +910,11 @@ def test_reduction_catches_a_flipped_bit_in_the_closed_form(monkeypatch, double)
     # check can see; k3 = f5 and k2 = f4 + a1 f5 follow from u and f
     (True, ((2, 8, 1), (14, 2)), 3, None),
     (True, ((1, 2, 1), (6, 11)), 2, None),
-], ids=["coprime", "doubling", "doubling-k3", "doubling-k2"])
+    # a tangent reads k(x1), so it checks the top k4 and k3 of a point's
+    # cofactor too: k4 = f5 and k3 = f4 + x1 f5
+    (True, ((2, 1), (8,)), 4, None),
+    (True, ((2, 1), (8,)), 3, None),
+], ids=["coprime", "doubling", "doubling-k3", "doubling-k2", "tangent-k4", "tangent-k3"])
 def test_a_flipped_bit_in_the_cached_cofactor_is_caught(double, pair, index, message):
     c, f16 = laszlo_curve(), default_field(4)
     rng = random.Random(101)
@@ -888,8 +935,9 @@ def test_a_flipped_bit_in_the_cached_cofactor_is_caught(double, pair, index, mes
 def test_reduction_catches_a_flipped_bit_in_the_cantor_composition(monkeypatch):
     import frobfix.jacobian as jacobian_module
 
-    # degrees (1, 2) take the general composition, whose U of degree 3 the
-    # reduction divides into V^2 + V h + f
+    # P + (P + Q) shares the root x(P) without cancelling, so it takes the
+    # general composition, whose U of degree 3 the reduction divides into
+    # V^2 + V h + f
     cantor = jacobian_module._cantor_compose
     flipped = []
 
@@ -900,11 +948,12 @@ def test_reduction_catches_a_flipped_bit_in_the_cantor_composition(monkeypatch):
         flipped.append(big_u)
         return big_u, tuple(big_v)
 
-    c, f16 = laszlo_curve(), default_field(4)
-    b = random_class(c, f16, random.Random(101))
-    u = Poly.from_masks(f16, b.u)
-    a = next(p for p in enumerate_classes(c, f16)
-             if len(p.u) == 2 and u.evaluate(f16.element(p.u[0])).mask)  # coprime to u
+    # x(P), x(Q) outside the roots {0, 1} of h, so h(x(P)) != 0 and
+    # gcd(u1, u2, v1 + v2 + h) = 1
+    points = [p for p in enumerate_classes(laszlo_curve(), default_field(4))
+              if len(p.u) == 2 and p.u[0] > 1]
+    a = points[0]
+    b = a + next(p for p in points if p.u != a.u)
     monkeypatch.setattr(jacobian_module, "_cantor_compose", flip_v)
     with pytest.raises(ValueError) as exc:
         a + b
@@ -922,19 +971,19 @@ def test_mumford_check_catches_a_flipped_bit_in_a_degree_one_closed_form(monkeyp
               if len(p.u) == 2 and p.u[0] > 1]
     a = points[0]
     b = next(p for p in points if p.u != a.u) if route == "chord" else a
-    closed = jacobian_module._degree_one_compose
+    closed = jacobian_module._closed_form_sum
     flipped = []
 
-    def flip_s(*args):
+    def flip_v(*args):
         u, v = closed(*args)
         v = [*v, 0, 0][:2]
-        v[1] ^= 1  # adds x^2 + x h = x^3, which u != x^2 cannot divide
+        v[1] ^= 1  # the slope; adds x^2 + x h = x^3, which u != x^2 cannot divide
         flipped.append(v)
         while v and not v[-1]:
             v.pop()
         return u, tuple(v)
 
-    monkeypatch.setattr(jacobian_module, "_degree_one_compose", flip_s)
+    monkeypatch.setattr(jacobian_module, "_closed_form_sum", flip_v)
     with pytest.raises(ValueError) as exc:
         a + b
     assert flipped
