@@ -30,7 +30,7 @@ the element orders from it.
 
 from .errors import FieldMismatchError, InconsistencyError, SearchExhaustedError
 from .gf2 import FieldElement, embed
-from .jacobian import FormalDivisor, class_of
+from .jacobian import FormalDivisor, JacobianClass, class_of
 from .poly import Poly, affine_span, solve_additive
 
 
@@ -245,16 +245,23 @@ class CurveAutomorphism:
             raise InconsistencyError("finite image point hit a pole of the y-transform")
         return curve.point(xim, (a * point.y + b) / c)
 
-    def act_on_divisor(self, divisor):
-        return FormalDivisor(
-            divisor.curve, [(self.apply(p), m) for p, m in divisor.entries]
-        )
-
     def act_on_class(self, cls):
-        """Image class under the induced Jacobian automorphism."""
+        """Image class under the induced Jacobian automorphism, over the
+        class's own field: `class_of` sums the mapped support over the field
+        of its points, and the sum is lifted back from a subfield or, where
+        the support splits, mapped back from the extension by preimage."""
         if not self.curve.same_model(cls.curve):
             raise FieldMismatchError("class lives on a different curve model")
-        return class_of(self.act_on_divisor(cls.to_divisor()))
+        support, _ = cls.support()
+        support.append((cls.curve.infinity(), -sum(m for _, m in support)))
+        img = class_of(FormalDivisor(cls.curve, [(self.apply(p), m) for p, m in support]))
+        if cls.field.degree % img.field.degree == 0:
+            return img.lift(cls.field)
+        pre = embed(cls.field, img.field).preimage
+        u, v = ([pre(FieldElement(img.field, m)) for m in p] for p in (img.u, img.v))
+        if None in u or None in v:
+            raise InconsistencyError("image class is not rational over the class's field")
+        return JacobianClass(img.curve, cls.field, *(tuple(c.mask for c in p) for p in (u, v)))
 
     def frobenius_twist(self):
         """The corresponding automorphism of the next twist (coefficients

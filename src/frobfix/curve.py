@@ -34,7 +34,6 @@ whose degree-1 classes come from the root walk.
 """
 
 from collections import Counter
-from fractions import Fraction
 
 from .errors import (
     CurveParameterError,
@@ -381,19 +380,18 @@ def power_sums(s1, s2, q, k_max):
 
 
 def jacobian_order_from_lpoly(s1, s2, q, j):
-    """#J(GF(q^j)) = prod (1 - alpha_i^j), exact integer, for j >= 1."""
+    """#J(GF(q^j)) = prod (1 - alpha_i^j), exact integer, for j >= 1.  The
+    reciprocal roots pair off as alpha and q/alpha, so with Q = q^j this is
+    (1 + Q - t)(1 + Q - t'), t and t' the sums b + Q/b over the two pairs
+    of b = alpha^j: in the power sums P1 = p_j and P2 = p_2j, it is
+    1 - P1 + (P1^2 - P2)/2 - Q P1 + Q^2."""
     if j < 1:
         raise ValueError(f"Jacobian order needs j >= 1, got {j}")
-    p = power_sums(s1, s2, q, 4 * j)
-    big_p = [Fraction(p[i * j]) for i in range(5)]  # power sums of alpha_i^j
-    e1 = big_p[1]
-    e2 = (e1 * big_p[1] - big_p[2]) / 2
-    e3 = (e2 * big_p[1] - e1 * big_p[2] + big_p[3]) / 3
-    e4 = (e3 * big_p[1] - e2 * big_p[2] + e1 * big_p[3] - big_p[4]) / 4
-    val = 1 - e1 + e2 - e3 + e4
-    if val.denominator != 1:
+    p = power_sums(s1, s2, q, 2 * j)
+    p1, p2, big_q = p[j], p[2 * j], q ** j
+    if (p1 * p1 - p2) % 2:
         raise InconsistencyError("non-integral Jacobian order from L-polynomial")
-    n = int(val)
+    n = 1 - p1 + (p1 * p1 - p2) // 2 - big_q * p1 + big_q * big_q
     if n <= 0:
         raise InconsistencyError("non-positive Jacobian order from L-polynomial")
     return n

@@ -5,13 +5,13 @@ infinity, where ord(x) = -2 and ord(y) = -5 (so the two pole orders never
 collide mod 2 and the pole order of a + b y is exact, no cancellation).
 
 Local expansions are truncated series k'[s]/(s^n) held as tuples of
-coefficient masks: at a non-Weierstrass point the uniformizer is x - x0
-and y is lifted by Newton iteration; at an affine Weierstrass point the
-uniformizer is y - y0 and x is lifted.  The lifts, the expansions of
-a + b y and the interpolation rows run on those masks with the memoised
-(h, f) of `Curve.equation_masks`, the `series` kernels and the field's
-exp/log tables, as does the nullspace (`linalg`); Poly is the type at the
-boundary, and the norm and the Mumford pairs wrap (h, f) as Polys.
+coefficient masks: the uniformizer is x - x0, with y solved for one
+coefficient at a time, or y - y0 at an affine Weierstrass point, with x
+solved for.  The solves, the expansions of a + b y and the interpolation
+rows run on those masks with the memoised (h, f) of `Curve.equation_masks`,
+the `series` kernels and the field's exp/log tables, as does the nullspace
+(`linalg`); Poly is the type at the boundary, and the norm and the Mumford
+pairs wrap (h, f) as Polys.
 A polynomial at x = x0 + s, the x of every non-Weierstrass expansion, is
 a Taylor shift on masks with no series product (`_horner`).  A vanishing
 order is read at the lowest precision of the ladder 2, 4, 8, ... that
@@ -28,7 +28,7 @@ exactly those orders, so the norm must account for every zero found.
 from .errors import FieldMismatchError, InconsistencyError, VerificationError
 from .linalg import nullspace
 from .poly import Poly, evaluate_masks, solve_linear, solve_quadratic
-from .series import inverse_masks, mul_masks
+from .series import mul_masks
 
 
 class PolyFunction:
@@ -111,46 +111,39 @@ class PolyFunction:
 
 
 def local_coordinates(curve, point, prec):
-    """(x, y) as truncated series in the local uniformizer at an affine
+    """(x, y) as truncated series in the local uniformizer s at an affine
     point: two tuples of `prec` coefficient masks, lowest order first.
 
-    The Newton lifts run on the coefficient masks of the memoised (h, f):
-    h, f and their derivatives are evaluated at a series by `_horner`.  In
-    characteristic 2 a derivative keeps the odd terms, p'(x) = p1 + p3 x^2
-    + ..., so p' is Horner on p[1::2] at the series x^2.  A lift stops at
-    the first zero residual, since the loop has one more step than
-    quadratic convergence needs; a loop that runs out raises."""
+    s is x - x0 with y unknown, or y - y0 with x unknown at a Weierstrass
+    point.  Adding c s^k to the unknown changes R = y^2 + h(x) y + f(x) by
+    d c s^k plus higher terms, with d = h(x0), or h'(x0) y0 + f'(x0) at a
+    Weierstrass point (p' is p[1::2] at x^2 in characteristic 2): a unit on
+    the smooth curve.  So coefficient k is R[k] / d for k = 1, ..., prec - 1,
+    and R must then vanish."""
     field = _affine(point).field
     h, f = curve.equation_masks(field)
-    if point.is_weierstrass():
-        # uniformizer u = y - y0; solve for x by Newton (dF/dx is a unit here)
-        ys = _linear(point.y.mask, prec)
-        xs = _linear(point.x.mask, prec, 0)
-        for _ in range(max(1, prec).bit_length() + 1):
-            res = _residual(field, _horner(field, h, xs), _horner(field, f, xs), ys)
-            if not any(res):
-                break
-            sq = mul_masks(field, xs, xs)
-            hpys = mul_masks(field, _horner(field, h[1::2], sq), ys)
-            dfdx = _add(_horner(field, f[1::2], sq), hpys)
-            xs = _add(xs, mul_masks(field, res, inverse_masks(field, dfdx)))
-        else:
-            raise InconsistencyError("Newton lift for x failed at a Weierstrass point")
-        return xs, ys
-    # uniformizer t = x - x0; solve for y by Newton (h(x0) is a unit)
-    xs = _linear(point.x.mask, prec)
-    hs = _horner(field, h, xs)
-    fs = _horner(field, f, xs)
-    ys = _linear(point.y.mask, prec, 0)
-    hinv = inverse_masks(field, hs)
-    for _ in range(max(1, prec).bit_length() + 1):
-        res = _residual(field, hs, fs, ys)
-        if not any(res):
-            break
-        ys = _add(ys, mul_masks(field, res, hinv))
+    exp, log = field.tables()
+    x0, y0 = point.x.mask, point.y.mask
+    weierstrass = point.is_weierstrass()
+    if weierstrass:
+        ys, xs = _linear(y0, prec), [x0] + [0] * (prec - 1)
+        hp, fp = (evaluate_masks(exp, log, p[1::2], field.mul_masks(x0, x0)) for p in (h, f))
+        d, unknown = fp ^ field.mul_masks(hp, y0), xs
     else:
-        raise InconsistencyError("Newton lift for y failed")
-    return xs, ys
+        xs, ys = _linear(x0, prec), [y0] + [0] * (prec - 1)
+        hs, fs = _horner(field, h, xs), _horner(field, f, xs)
+        d, unknown = evaluate_masks(exp, log, h, x0), ys
+    l_inv = log[field.inv_mask(d)]
+    for k in range(1, prec + 1):  # the pass with k = prec only checks
+        if weierstrass:
+            hs, fs = _horner(field, h, tuple(xs)), _horner(field, f, tuple(xs))
+        res = _residual(field, hs, fs, ys)
+        if k == prec:
+            if any(res):
+                raise InconsistencyError("local expansion fails the curve equation")
+        elif res[k]:
+            unknown[k] = exp[log[res[k]] + l_inv]
+    return tuple(xs), tuple(ys)
 
 
 def _affine(point):
@@ -182,9 +175,9 @@ def _horner(field, cs, xs):
     For xs = x0 + s, the x of every non-Weierstrass expansion, p(x0 + s) is
     a Taylor shift with no series product: coefficient k is the sum of
     p_i x0^(i - k) over the i with i & k == k, as binomial(i, k) is odd
-    exactly then (Lucas).  At a Weierstrass point x is a Newton lift with
-    no s term, and the derivatives are taken at x^2, so those series take
-    Horner's rule with one truncated product per coefficient."""
+    exactly then (Lucas).  At a Weierstrass point the solved x has no s
+    term, so it takes Horner's rule with one truncated product per
+    coefficient."""
     n = len(xs)
     if xs[1:] == _linear(1, n - 1, 0):  # xs = x0 + s
         return _taylor_shift(field, cs, xs[0], n)

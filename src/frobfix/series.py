@@ -2,15 +2,13 @@
 
 `functions.local_coordinates` expands x and y in a local uniformizer s at
 an affine point of the curve; vanishing orders are then read off the
-expanded coefficients.  The ring needs only addition, multiplication and
-inverses of units (elements with a nonzero constant term).
-
-The arithmetic lives in two module-level kernels on coefficient masks,
-`mul_masks` (the truncated product) and `inverse_masks`, which index the
-field's exp/log tables directly; `local_coordinates` runs its Newton lifts
-on them and returns mask tuples.  SeriesElement, the boxed element over
-the same kernels, is no longer a type at the oracle's boundary: nothing in
-the package builds one, and it stays only as a target of the benchmark's
+expanded coefficients.  The expansions need only addition and
+multiplication: `mul_masks`, the truncated product on coefficient masks,
+indexes the field's exp/log tables directly.  `inverse_masks`, the
+inverse of a unit (a nonzero constant term), has one caller left,
+`SeriesElement.inverse`.  SeriesElement, the boxed element over the same
+kernels, is no longer a type at the oracle's boundary: nothing in the
+package builds one, and it stays only as a target of the benchmark's
 layer spans until they move to the kernels.
 """
 

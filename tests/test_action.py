@@ -19,7 +19,7 @@ from frobfix.action import (
 from frobfix.curve import Curve
 from frobfix.errors import FieldMismatchError, InconsistencyError, SearchExhaustedError
 from frobfix.gf2 import FieldEmbedding, default_field
-from frobfix.jacobian import FormalDivisor, enumerate_classes, random_class
+from frobfix.jacobian import FormalDivisor, JacobianClass, enumerate_classes, random_class
 from frobfix.poly import Poly
 
 
@@ -148,6 +148,22 @@ def test_action_permutes_j_gf4():
         # over GF(4), and the images are all distinct
         images = {g.act_on_class(cl) for cl in classes}
         assert images == set(classes)
+
+
+def test_action_keeps_the_class_field_gf16():
+    # every eighth class over GF(16) under all 12 automorphisms: the identity
+    # has no support and some supports split over GF(2^8), yet every image is
+    # over GF(16), in the Mumford form that enumerate_classes lists
+    c, f16 = laszlo_curve(), default_field(4)
+    elements, _ = automorphism_group(c)
+    classes = enumerate_classes(c, f16)
+    keys = {cl.key() for cl in classes}
+    sample = classes[::8]
+    assert sample[0].is_identity() and any(cl.support()[1] != f16 for cl in sample)
+    for cl in sample:
+        for g in elements:
+            image = g.act_on_class(cl)
+            assert image.field == f16 and image.key() in keys, (cl, g)
 
 
 def test_automorphisms_commute_with_relative_frobenius():
@@ -383,6 +399,22 @@ def _denominator_times_x(monkeypatch, curve):
     return lambda: by_name["identity"].apply(origin)
 
 
+def _image_moved_off_the_class_field(monkeypatch, curve):
+    # the image class plus P - infinity, for a point P over GF(2^8) but not
+    # over GF(16), is not rational over the class's field GF(16)
+    f16, f256 = default_field(4), default_field(8)
+    cls = enumerate_classes(curve, f16)[5]
+    p = next(q for q in curve.points_over(f256)[1:] if q.x ** 16 != q.x)
+    class_of = action_module.class_of
+    monkeypatch.setattr(
+        action_module,
+        "class_of",
+        lambda divisor: class_of(divisor).lift(f256) + JacobianClass.from_point(p),
+    )
+    _, by_name = automorphism_group(curve)
+    return lambda: by_name["identity"].act_on_class(cls)
+
+
 PLANTED_FAULTS = [
     pytest.param("branch permutation table is wrong", _branch_table_wrong, id="branch-table"),
     pytest.param(
@@ -418,6 +450,11 @@ PLANTED_FAULTS = [
     ),
     pytest.param(
         "finite image point hit a pole of the y-transform", _denominator_times_x, id="pole"
+    ),
+    pytest.param(
+        "image class is not rational over the class's field",
+        _image_moved_off_the_class_field,
+        id="image-field",
     ),
 ]
 

@@ -120,6 +120,48 @@ def test_lpolynomial_past_the_field_cap_raises_the_cap_error(call):
     assert str(exc.value) == "quadratic extension of degree 18 exceeds cap"
 
 
+def _det(m):
+    """The determinant of a square integer matrix, by Laplace expansion
+    along the first row."""
+    if len(m) == 1:
+        return m[0][0]
+    return sum((-1) ** i * c * _det([row[:i] + row[i + 1:] for row in m[1:]])
+               for i, c in enumerate(m[0]) if c)
+
+
+def _det_one_minus_power(s1, s2, q, j):
+    """det(I - C^j) for C the integer companion matrix of
+    T^4 - s1 T^3 + s2 T^2 - q s1 T + q^2, whose roots are the reciprocal
+    roots of L: prod (1 - alpha_i^j)."""
+    last = [-q * q, q * s1, -s2, s1]  # minus the low coefficients
+    c = [[int(i == k + 1) for k in range(3)] + [last[i]] for i in range(4)]
+    power = [[int(i == k) for k in range(4)] for i in range(4)]
+    for _ in range(j):
+        power = [[sum(power[i][m] * c[m][k] for m in range(4)) for k in range(4)]
+                 for i in range(4)]
+    return _det([[int(i == k) - power[i][k] for k in range(4)] for i in range(4)])
+
+
+def test_jacobian_order_matches_an_integer_determinant():
+    # squares (1 - a T + q T^2)^2, as on this family, and L-polynomials that
+    # are not squares, L(1) = 0 among them; a determinant <= 0 must raise
+    outcomes = Counter()
+    for q in (2, 4, 8, 16, 64, 256):
+        grid = [(2 * a, a * a + 2 * q) for a in (-3, 0, 1, 2)]
+        grid += [(s1, s2) for s1 in (-5, 0, 1, 4) for s2 in (-(q * q + 1), -3, 0, 2 * q + 1)]
+        for s1, s2 in grid:
+            for j in range(1, 7):
+                det = _det_one_minus_power(s1, s2, q, j)
+                outcomes[det > 0] += 1
+                if det > 0:
+                    assert jacobian_order_from_lpoly(s1, s2, q, j) == det, (s1, s2, q, j)
+                    continue
+                with pytest.raises(InconsistencyError) as exc:
+                    jacobian_order_from_lpoly(s1, s2, q, j)
+                assert str(exc.value) == "non-positive Jacobian order from L-polynomial"
+    assert outcomes[True] and outcomes[False]
+
+
 @pytest.mark.parametrize("j", [0, -1])
 def test_jacobian_order_needs_a_positive_degree(j):
     with pytest.raises(ValueError) as exc:

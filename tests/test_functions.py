@@ -145,18 +145,33 @@ def _reference_local_coordinates(curve, point, prec):
     return [c.mask for c in xs], [c.mask for c in ys]
 
 
-def test_local_coordinates_match_a_boxed_reference_every_t_gf16():
+def _assert_local_coordinates_match_the_reference(c, points):
     # the expansion mod s^prec is unique, so each precision's output is the
     # truncation of the reference computed once at precision 10
+    for p in points:
+        ref_x, ref_y = _reference_local_coordinates(c, p, 10)
+        for prec in range(1, 11):
+            xs, ys = local_coordinates(c, p, prec)
+            assert xs == tuple(ref_x[:prec]), (c, p, prec)
+            assert ys == tuple(ref_y[:prec]), (c, p, prec)
+
+
+def test_local_coordinates_match_a_boxed_reference_every_t_gf16():
     f16 = default_field(4)
     for tm in range(2, 16):
         c = Curve(f16, f16.element(tm))
-        for p in c.points_over(f16)[1:]:
-            ref_x, ref_y = _reference_local_coordinates(c, p, 10)
-            for prec in range(1, 11):
-                xs, ys = local_coordinates(c, p, prec)
-                assert xs == tuple(ref_x[:prec]), (tm, p, prec)
-                assert ys == tuple(ref_y[:prec]), (tm, p, prec)
+        _assert_local_coordinates_match_the_reference(c, c.points_over(f16)[1:])
+
+
+def test_local_coordinates_match_a_boxed_reference_gf256():
+    # every eighth affine point over GF(2^8) and both affine Weierstrass
+    # points, for the reference curve and two t over GF(16)
+    f16, f256 = default_field(4), default_field(8)
+    for c in (laszlo_curve(), Curve(f16, f16.element(2)), Curve(f16, f16.element(11))):
+        points = c.points_over(f256)[1:]
+        sample = [p for i, p in enumerate(points) if i % 8 == 0 or p.is_weierstrass()]
+        assert sum(p.is_weierstrass() for p in sample) == 2
+        _assert_local_coordinates_match_the_reference(c, sample)
 
 
 def test_horner_at_x0_plus_s_matches_the_boxed_series_horner():
@@ -212,39 +227,6 @@ def test_oracle_keys_are_pinned_every_t_gf16():
             oracle = oracle_class_of(a.to_divisor() + b.to_divisor())
             digest.update(repr((oracle.field.degree, oracle.key())).encode())
     assert digest.hexdigest() == "19e9e310593083b00a780ca4d3ea0461f3c975c673b3fb5759d57e1ec10b9d21"
-
-
-def _scaled_inverse(monkeypatch):
-    """Plant a wrong Newton correction: every series inverse the lifts use
-    comes out multiplied by the field's generator."""
-    inverse = functions_module.inverse_masks
-    monkeypatch.setattr(
-        functions_module,
-        "inverse_masks",
-        lambda field, a: tuple(field.mul_masks(2, m) for m in inverse(field, a)),
-    )
-
-
-def test_newton_lift_for_y_catches_a_wrong_correction(monkeypatch):
-    c = laszlo_curve()
-    f16 = default_field(4)
-    p = next(q for q in c.points_over(f16)[1:] if not q.is_weierstrass())
-    _scaled_inverse(monkeypatch)
-    with pytest.raises(InconsistencyError) as exc:
-        local_coordinates(c, p, 6)
-    assert exc.type is InconsistencyError
-    assert str(exc.value) == "Newton lift for y failed"
-
-
-def test_newton_lift_for_x_catches_a_wrong_correction(monkeypatch):
-    c = laszlo_curve()
-    f16 = default_field(4)
-    p = next(q for q in c.points_over(f16)[1:] if q.is_weierstrass())
-    _scaled_inverse(monkeypatch)
-    with pytest.raises(InconsistencyError) as exc:
-        local_coordinates(c, p, 6)
-    assert exc.type is InconsistencyError
-    assert str(exc.value) == "Newton lift for x failed at a Weierstrass point"
 
 
 def test_ord_at_vertical_function():
@@ -366,10 +348,11 @@ def test_oracle_catches_orders_read_at_the_involution_partner(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# One planted fault per cross-check of the divisor verification and the
-# oracle.  Each plant returns the call that must raise.  The witness of
-# P + iota(P) - 2 infinity is the vertical line through P; the oracle sums
-# two random classes over GF(16), whose four points lie over GF(2^8).
+# One planted fault per cross-check of the local expansions, the divisor
+# verification and the oracle.  Each plant returns the call that must
+# raise.  The witness of P + iota(P) - 2 infinity is the vertical line
+# through P; the oracle sums two random classes over GF(16), whose four
+# points lie over GF(2^8).
 
 
 def _vertical_witness(curve):
@@ -443,6 +426,25 @@ def _norm_with_a_spurious_triple_root(monkeypatch, curve):
     return run
 
 
+def _expansion_with_a_wrong_unit(weierstrass):
+    """Plant a wrong d in `local_coordinates`, at a Weierstrass point or
+    not: every value `evaluate_masks` gives it comes out multiplied by the
+    element with mask 2, so each solved coefficient is R[k] / (2 d)."""
+
+    def plant(monkeypatch, curve):
+        f16 = default_field(4)
+        p = next(q for q in curve.points_over(f16)[1:] if q.is_weierstrass() == weierstrass)
+        evaluate = functions_module.evaluate_masks
+        monkeypatch.setattr(
+            functions_module,
+            "evaluate_masks",
+            lambda exp, log, cs, x: f16.mul_masks(2, evaluate(exp, log, cs, x)),
+        )
+        return lambda: local_coordinates(curve, p, 6)
+
+    return plant
+
+
 def _empty_nullspace(monkeypatch, curve):
     _, run = _oracle_sum(curve)
     monkeypatch.setattr(functions_module, "nullspace", lambda field, rows: [])
@@ -486,6 +488,18 @@ PLANTED_FAULTS = [
         "norm order bookkeeping failed",
         _norm_with_one_factor_too_many,
         id="norm-bookkeeping",
+    ),
+    pytest.param(
+        InconsistencyError,
+        "local expansion fails the curve equation",
+        _expansion_with_a_wrong_unit(False),
+        id="expansion-y",
+    ),
+    pytest.param(
+        InconsistencyError,
+        "local expansion fails the curve equation",
+        _expansion_with_a_wrong_unit(True),
+        id="expansion-x",
     ),
     pytest.param(
         InconsistencyError,
