@@ -353,10 +353,12 @@ class FieldEmbedding:
 
     The map sends the source generator to `image_of_generator`, a root of
     the source modulus in the target; on masks it is GF(2)-linear, so it is
-    applied by XOR-ing precomputed images of the source power basis.
+    applied by XOR-ing precomputed images of the source power basis, and
+    inverted on its image subfield by one echelon of those images, built
+    at the first preimage and kept.
     """
 
-    __slots__ = ("source", "target", "image_of_generator", "_basis_images")
+    __slots__ = ("source", "target", "image_of_generator", "_basis_images", "_pivots")
 
     def __init__(self, source, target, image_of_generator):
         self.source = source
@@ -368,6 +370,7 @@ class FieldEmbedding:
             imgs.append(acc)
             acc = target.mul_masks(acc, image_of_generator.mask)
         self._basis_images = imgs
+        self._pivots = None
 
     def __call__(self, elem):
         if elem.field != self.source:
@@ -390,7 +393,9 @@ class FieldEmbedding:
         the image subfield."""
         if elem.field != self.target:
             raise FieldMismatchError("preimage of an element of the wrong field")
-        combo, _ = solve_gf2_linear(list(self._basis_images), elem.mask)
+        if self._pivots is None:
+            self._pivots = _echelon_gf2(self._basis_images)[0]
+        combo = _reduce_gf2(self._pivots, elem.mask)
         if combo is None:
             return None
         return FieldElement(self.source, combo)

@@ -13,7 +13,8 @@ A sum takes the first route that fits its inputs:
                  already reduced when deg U = 2 (the chord and the tangent),
                  else reduced in the same step from the quadratic class's
                  cofactor, after Lange, AAECC 15 (2005), and Lange-Stevens,
-                 SAC 2004 (`_closed_form_sum`)
+                 SAC 2004 (`_closed_form_sum`); straight-line when both
+                 classes are quadratic (the (2, 2) doubling and addition)
     Cantor       everything else, on Polys (`_cantor_compose`), then one
                  reduction step (`_reduce`): a shared root, and a doubling
                  with Res(u, h) = 0 that is not 2-torsion
@@ -28,8 +29,13 @@ the class keeps it, so the closed form's division by w = u2 (add) or
 w = u1 (double) needs no second v^2 + v h + f.  Both reductions, the
 closed form's and `_reduce`'s of a Cantor U of degree 3 or 4, are exact
 synthetic divisions that raise when they leave a remainder.
-v^2 + v h + f has one routine, `_mumford`; every division by a u of
-degree <= 2 is one explicit synthetic division (`_divmod_small`).
+The hot paths are straight-line code on table logs, with no helper call
+per product: the (2, 2) closed form, whose doubling and addition differ
+only in the n, r and w of the slope (`_slope_mod_quadratic`), and the
+Mumford check of `_validate` for deg u = 2.  Everywhere else
+v^2 + v h + f has one routine, `_mumford`, and every division by a u of
+degree <= 2 is one explicit synthetic division (`_divmod_small`); the
+tests hold the straight-line code to those and to the Cantor route.
 Negation is (u, (v + h) mod u).  The independent Riemann-Roch
 interpolation oracle in `functions.reduce_points_oracle` guards all of
 this in the tests.
@@ -113,7 +119,8 @@ class JacobianClass:
     def _validate(self):
         """Check the pair, and return its cofactor (v^2 + v h + f) / u."""
         u, v, field = self.u, self.v, self.field
-        if not all(0 <= m < field.order for m in u + v):
+        masks = u + v
+        if masks and (min(masks) < 0 or max(masks) >= field.order):
             raise ValueError(f"coefficient mask out of range for {field!r}")
         if not u or u[-1] != 1:
             raise ValueError("u must be monic")
@@ -129,10 +136,44 @@ class JacobianClass:
         if len(u) == 1:  # u = 1 divides v^2 + v h + f = f
             return list(f)
         exp, log = field.tables()
-        quo, rem = _divmod_small(exp, log, _mumford(exp, log, h, f, v), u)
-        if any(rem):
+        if len(u) == 2:
+            quo, rem = _divmod_small(exp, log, _mumford(exp, log, h, f, v), u)
+            if any(rem):
+                raise ValueError("Mumford condition u | v^2 + v h + f fails")
+            return quo
+        # deg u = 2, written out: f0..f5 become v^2 + v h + f, then its
+        # quotient by u = x^2 + a1 x + a0 in f2..f5 and the remainder in f0, f1
+        (a0, a1, _), (h0, h1, h2), (f0, f1, f2, f3, f4, f5) = u, h, f
+        c0, c1 = (v + (0, 0))[:2]
+        if c0:
+            lc = log[c0]
+            f0 ^= exp[lc + lc] ^ (exp[lc + log[h0]] if h0 else 0)
+            f1 ^= exp[lc + log[h1]] if h1 else 0
+            f2 ^= exp[lc + log[h2]]  # h2 != 0, as h is trimmed
+        if c1:
+            lc = log[c1]
+            f1 ^= exp[lc + log[h0]] if h0 else 0
+            f2 ^= exp[lc + lc] ^ (exp[lc + log[h1]] if h1 else 0)
+            f3 ^= exp[lc + log[h2]]
+        la0, la1 = log[a0], log[a1]
+        lc = log[f5]  # f5 != 0 on the family
+        f4 ^= exp[lc + la1] if a1 else 0
+        f3 ^= exp[lc + la0] if a0 else 0
+        if f4:
+            lc = log[f4]
+            f3 ^= exp[lc + la1] if a1 else 0
+            f2 ^= exp[lc + la0] if a0 else 0
+        if f3:
+            lc = log[f3]
+            f2 ^= exp[lc + la1] if a1 else 0
+            f1 ^= exp[lc + la0] if a0 else 0
+        if f2:
+            lc = log[f2]
+            f1 ^= exp[lc + la1] if a1 else 0
+            f0 ^= exp[lc + la0] if a0 else 0
+        if f0 or f1:
             raise ValueError("Mumford condition u | v^2 + v h + f fails")
-        return quo
+        return [f2, f3, f4, f5]
 
     # -- constructors ---------------------------------------------------------
     @classmethod
@@ -169,7 +210,11 @@ class JacobianClass:
         r = None
         if u1 == u2:
             exp, log = field.tables()
-            r = _divmod_small(exp, log, h if v1 == v2 else _xor(_xor(v1, v2), h), u1)[1]
+            if v1 == v2 and len(u1) == 3:  # h mod u = h + h2 u, as deg h = 2
+                lh, (a0, a1, _) = log[h[2]], u1
+                r = [h[0] ^ (exp[log[a0] + lh] if a0 else 0), h[1] ^ (exp[log[a1] + lh] if a1 else 0)]
+            else:
+                r = _divmod_small(exp, log, h if v1 == v2 else _xor(_xor(v1, v2), h), u1)[1]
             if not any(r):
                 return JacobianClass.identity(curve, field)  # other = -self
         u, v = (_closed_form_sum(field, h, f, k, r, u1, v1, u2, v2)
@@ -353,19 +398,20 @@ def _closed_form_sum(field, h, f, k, r, u1, v1, u2, v2):
     s = n r^-1 mod w:
         add:    s = (v1 + v2) (u1 mod w)^-1 mod w
         double: s = (k mod u) (h mod u)^-1 mod u
-    a scalar n(b0) / r(b0) for w = x + b0, else from `_quotient_mod_quadratic`.
+    a scalar n(b0) / r(b0) for w = x + b0, else `_slope_mod_quadratic`.
     When deg U = 2 the pair is already reduced: the chord, with slope
     (y1 + y2) / (x1 + x2), and the tangent, with slope k(x1) / h(x1), as
     k(x1) = f'(x1) + h'(x1) y1 is the derivative of v1^2 + v1 h + f at x1.
     Else deg u1 = 2, and as V^2 + V h + f = u1 (k + s h + s^2 u1), one exact
     synthetic division by w reduces it: U' = (k + s h + s^2 u1) / w made
-    monic, V' = (V + h) mod U'.  A remainder raises, as U | V^2 + V h + f
-    fails.  A doubling solves s from k, so its division is exact whatever k
-    holds.  As deg(v1^2 + v1 h) <= 3, the top of u1 k is f's: k[-1] = f5 and
-    k[-2] = f4 + a f5, for a the coefficient of u1 below its leading one, and
-    every sum but the chord reads k and raises first when k breaks this;
-    below them only the Mumford check of the result sees a wrong k in a
-    doubling."""
+    monic, V' = (V + h) mod U'; for deg w = 2 the slope, the division and
+    (U', V') are written out, and U' has degree 1 exactly when s1 = 0.  A
+    remainder raises, as U | V^2 + V h + f fails.  A doubling solves s from
+    k, so its division is exact whatever k holds.  As deg(v1^2 + v1 h) <= 3,
+    the top of u1 k is f's: k[-1] = f5 and k[-2] = f4 + a f5, for a the
+    coefficient of u1 below its leading one, and every sum but the chord
+    reads k and raises first when k breaks this; below them only the
+    Mumford check of the result sees a wrong k in a doubling."""
     exp, log = field.tables()
     a0, b0, a = u1[0], u2[0], u1[-2]
     if (len(u1) == 3 or u1 == u2) and (
@@ -382,56 +428,112 @@ def _closed_form_sum(field, h, f, k, r, u1, v1, u2, v2):
         return ((exp[log[a0] + log[b0]] if a0 and b0 else 0, a0 ^ b0, 1),
                 _trim([y1 ^ (exp[log[s] + log[a0]] if s and a0 else 0), s]))
 
-    def mul(x, y):
-        return exp[log[x] + log[y]] if x and y else 0
-
-    (c0, c1), a1 = (v1 + (0, 0))[:2], u1[1]
+    (c0, c1), a1, p = (v1 + (0, 0))[:2], u1[1], field.order - 1
     if len(u2) == 2:  # add with w = x + b0: s = n(b0) / r(b0) is a scalar
+        def mul(x, y):
+            return exp[log[x] + log[y]] if x and y else 0
+
         n, r = c0 ^ mul(c1, b0) ^ (v2[0] if v2 else 0), a0 ^ mul(b0, a1 ^ b0)
         if not r:
             return None
-        w, s = u2, (exp[log[n] + field.order - 1 - log[r]] if n else 0, 0)
-    elif u1 != u2:  # add: w = u2, n = (v1 + v2) mod w, r = u1 mod w
+        s, (h0, h1, h2) = exp[log[n] + p - log[r]] if n else 0, h
+        q = mul(s, s)
+        quo, rem = _divmod_small(exp, log, [
+            k[0] ^ mul(q, a0) ^ mul(s, h0), k[1] ^ mul(q, a1) ^ mul(s, h1),
+            k[2] ^ q ^ mul(s, h2), k[3]], u2)
+        if any(rem):
+            raise ValueError("division is not exact")
+        return _monic_pair(field, quo, [  # V + h, V = v1 + s u1
+            c0 ^ mul(s, a0) ^ h0, c1 ^ mul(s, a1) ^ h1, s ^ h2])
+    # deg w = 2, written out: each product is one lookup exp[log x + log y].
+    # exp has length 2p and period p = order - 1, so with Python's negative
+    # indices exp[i] = g^i for all -2p <= i < 2p: a product of three is one
+    # lookup at a log sum minus p, and a quotient one at a log difference
+    k0, k1, k2, k3 = k
+    la0, la1 = log[a0], log[a1]
+    if u1 != u2:  # add: w = u2, n = (v1 + v2) mod w, r = u1 mod w
         (d0, d1), b1 = (v2 + (0, 0))[:2], u2[1]
-        n, r = (c0 ^ d0, c1 ^ d1), (a0 ^ b0, a1 ^ b1)
-        w, s = u2, _quotient_mod_quadratic(field, mul, n, r, b0, b1)
-    elif v1 == v2:  # double: w = u1, n = k mod u, r = h mod u
-        n = _divmod_small(exp, log, k, u1)[1]
-        w, s = u1, _quotient_mod_quadratic(field, mul, n, r, a0, a1)
+        s = _slope_mod_quadratic(exp, log, p, c0 ^ d0, c1 ^ d1, a0 ^ b0, a1 ^ b1, b0, b1)
+    elif v1 == v2:  # double: w = u1, n = k mod w, r = h mod w
+        b1, lk = a1, log[k3]  # k3 = f5 != 0
+        t = k2 ^ (exp[lk + la1] if a1 else 0)
+        lt = log[t]
+        s = _slope_mod_quadratic(
+            exp, log, p, k0 ^ (exp[lt + la0] if t and a0 else 0),
+            k1 ^ (exp[lk + la0] if a0 else 0) ^ (exp[lt + la1] if t and a1 else 0),
+            r[0], r[1], a0, a1)
     else:
         return None
     if s is None:
         return None
-    (s0, s1), (h0, h1, h2) = s, h
-    q0, q1 = mul(s0, s0), mul(s1, s1)  # s^2 = q1 x^2 + q0
-    quo, rem = _divmod_small(exp, log, [
-        k[0] ^ mul(q0, a0) ^ mul(s0, h0),
-        k[1] ^ mul(q0, a1) ^ mul(s0, h1) ^ mul(s1, h0),
-        k[2] ^ q0 ^ mul(q1, a0) ^ mul(s0, h2) ^ mul(s1, h1),
-        k[3] ^ mul(q1, a1) ^ mul(s1, h2),
-        q1,
-    ], w)
-    if any(rem):
+    (s0, s1), (h0, h1, h2) = s, h  # h2 != 0, as h is trimmed
+    l0, l1, lb0, lb1 = log[s0], log[s1], log[b0], log[b1]
+    # N = k + s h + s^2 u1, s^2 = s1^2 x^2 + s0^2, then N / w: N4 = s1^2
+    # reduces first, then N3 (k3), then N2 (k2), and the remainder is k1 x + k0
+    if s0:
+        k0 ^= (exp[l0 + l0 + la0 - p] if a0 else 0) ^ (exp[l0 + log[h0]] if h0 else 0)
+        k1 ^= (exp[l0 + l0 + la1 - p] if a1 else 0) ^ (exp[l0 + log[h1]] if h1 else 0)
+        k2 ^= exp[l0 + l0] ^ exp[l0 + log[h2]]
+    if s1:
+        k1 ^= exp[l1 + log[h0]] if h0 else 0
+        k2 ^= ((exp[l1 + l1 + la0 - p] if a0 else 0) ^ (exp[l1 + log[h1]] if h1 else 0)
+               ^ (exp[l1 + l1 + lb0 - p] if b0 else 0))
+        k3 ^= ((exp[l1 + l1 + la1 - p] if a1 else 0) ^ exp[l1 + log[h2]]
+               ^ (exp[l1 + l1 + lb1 - p] if b1 else 0))
+    l3 = log[k3]
+    if k3:
+        k2 ^= exp[l3 + lb1] if b1 else 0
+        k1 ^= exp[l3 + lb0] if b0 else 0
+    if k2:
+        l2 = log[k2]
+        k1 ^= exp[l2 + lb1] if b1 else 0
+        k0 ^= exp[l2 + lb0] if b0 else 0
+    if k0 or k1:
         raise ValueError("division is not exact")
-    return _monic_pair(field, quo, [  # V + h, V = v1 + s u1
-        c0 ^ mul(s0, a0) ^ h0, c1 ^ mul(s1, a0) ^ mul(s0, a1) ^ h1, s0 ^ mul(s1, a1) ^ h2, s1])
+    # the quotient s1^2 x^2 + k3 x + k2, made monic, is U'; V' = (V + h) mod U'
+    # for V + h = s1 x^3 + m2 x^2 + m1 x + m0, V = v1 + s u1
+    m0 = c0 ^ h0 ^ (exp[l0 + la0] if s0 and a0 else 0)
+    m1 = c1 ^ h1 ^ (exp[l1 + la0] if s1 and a0 else 0) ^ (exp[l0 + la1] if s0 and a1 else 0)
+    m2 = s0 ^ h2 ^ (exp[l1 + la1] if s1 and a1 else 0)
+    if not s1:  # k3 = f5 != 0: U' = x + e, V' = (V + h)(e)
+        e = exp[log[k2] - l3] if k2 else 0
+        if e:
+            le = log[e]
+            m1 ^= exp[log[m2] + le] if m2 else 0
+            m0 ^= exp[log[m1] + le] if m1 else 0
+        return (e, 1), (m0,) if m0 else ()
+    e0, e1 = exp[log[k2] - l1 - l1] if k2 else 0, exp[l3 - l1 - l1] if k3 else 0
+    le0, le1 = log[e0], log[e1]
+    m2 ^= exp[l1 + le1] if e1 else 0
+    m1 ^= exp[l1 + le0] if e0 else 0
+    if m2:
+        lm = log[m2]
+        m1 ^= exp[lm + le1] if e1 else 0
+        m0 ^= exp[lm + le0] if e0 else 0
+    return (e0, e1, 1), (m0, m1) if m1 else (m0,) if m0 else ()
 
 
-def _quotient_mod_quadratic(field, mul, k, r, b0, b1):
-    """k / r mod w = x^2 + b1 x + b0, for linear k and r given as mask pairs
-    (k0, k1) and (r0, r1), as a mask pair; None when r and w share a root.
-    `mul` is the caller's table product.  Modulo w, r = r1 x + r0 has the
-    inverse (r1 x + r0 + r1 b1) / rho, where rho = r0^2 + r0 r1 b1 + r1^2 b0
-    is zero exactly when r and w share a root."""
-    (r0, r1), (k0, k1) = r, k
-    e = r0 ^ mul(r1, b1)
-    rho = mul(r0, e) ^ mul(mul(r1, r1), b0)
+def _slope_mod_quadratic(exp, log, p, n0, n1, r0, r1, b0, b1):
+    """n / r mod w = x^2 + b1 x + b0 for n = n1 x + n0 and r = r1 x + r0,
+    coefficient masks over the field with tables (exp, log) and p = order - 1,
+    as a mask pair (s0, s1); None when r and w share a root.  Modulo w, r
+    has the inverse (r1 x + e) / rho, with e = r0 + r1 b1 and rho = r0 e +
+    r1^2 b0, which is zero exactly when r and w share a root; then, with
+    x^2 = b1 x + b0 and t = n1 r1 / rho, s = (n0 r1 + n1 e) / rho + t b1 x
+    + n0 e / rho + t b0.  exp[i] = g^i for -2p <= i < 2p, negative indices
+    included, so a product over a quotient is one lookup."""
+    lr1, lb0, lb1 = log[r1], log[b0], log[b1]
+    e = r0 ^ (exp[lr1 + lb1] if r1 and b1 else 0)
+    le = log[e]
+    rho = (exp[log[r0] + le] if r0 and e else 0) ^ (exp[lr1 + lr1 + lb0 - p] if r1 and b0 else 0)
     if not rho:
         return None
-    i = field.inv_mask(rho)
-    i0, i1 = mul(e, i), mul(r1, i)
-    t = mul(k1, i1)
-    return mul(k0, i0) ^ mul(t, b0), mul(k0, i1) ^ mul(k1, i0) ^ mul(t, b1)
+    lr, ln0, ln1 = log[rho], log[n0], log[n1]
+    t = exp[ln1 + lr1 - lr] if n1 and r1 else 0
+    lt = log[t]
+    return ((exp[ln0 + le - lr] if n0 and e else 0) ^ (exp[lt + lb0] if t and b0 else 0),
+            (exp[ln0 + lr1 - lr] if n0 and r1 else 0) ^ (exp[ln1 + le - lr] if n1 and e else 0)
+            ^ (exp[lt + lb1] if t and b1 else 0))
 
 
 # ---------------------------------------------------------------------------
@@ -587,8 +689,8 @@ def _solvable_by_trace(field, h, f, u0, u1):
     p0, p1 = h[0] ^ mul(h[2], u0), h[1] ^ mul(h[2], u1)  # h mod u
     sq = mul(p1, p1)  # h^2 = p1^2 (u1 x + u0) + p0^2 mod u
     exp, log = field.tables()
-    c = _quotient_mod_quadratic(field, mul, _divmod_small(exp, log, f, (u0, u1, 1))[1],
-                                (mul(sq, u0) ^ mul(p0, p0), mul(sq, u1)), u0, u1)
+    c = _slope_mod_quadratic(exp, log, field.order - 1, *_divmod_small(exp, log, f, (u0, u1, 1))[1],
+                             mul(sq, u0) ^ mul(p0, p0), mul(sq, u1), u0, u1)
     if c is None:
         return None
     c0, c1 = c

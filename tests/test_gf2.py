@@ -26,6 +26,7 @@ from frobfix.gf2 import (
     embed,
     find_factor,
     join_fields,
+    solve_gf2_linear,
     trace_dual_mask,
     trace_mask,
 )
@@ -237,6 +238,24 @@ def test_embedding_composition():
     for a, b, c in chains:
         fa, fb, fc = default_field(a), default_field(b), default_field(c)
         assert embed(fb, fc)(embed(fa, fb)(fa.gen())) == embed(fa, fc)(fa.gen())
+
+
+@pytest.mark.parametrize("pair", [(8, 16), (4, 8)])
+def test_preimage_matches_a_fresh_solve_on_every_element(pair):
+    # the kept echelon against a solve over the basis images on each call,
+    # on every target element: the image subfield and everything outside it
+    src, tgt = default_field(pair[0]), default_field(pair[1])
+    e = embed(src, tgt)
+    hits = 0
+    for m in range(tgt.order):
+        combo, _ = solve_gf2_linear(list(e._basis_images), m)
+        pre = e.preimage(FieldElement(tgt, m))
+        if combo is None:
+            assert pre is None, m
+        else:
+            assert pre == FieldElement(src, combo) and e(pre).mask == m, m
+            hits += 1
+    assert hits == src.order
 
 
 def test_artin_schreier_zero_rhs():

@@ -12,8 +12,10 @@ from frobfix.gf2 import default_field, embed, quadratic_root_masks
 from frobfix.jacobian import (
     FormalDivisor,
     JacobianClass,
+    _cantor_compose,
     _divmod_small,
     _mumford,
+    _reduce,
     _solvable_by_trace,
     _v_solution_space,
     class_of,
@@ -401,6 +403,87 @@ def test_the_cofactor_is_the_mumford_quotient_gf16():
         assert a.cofactor == _divmod_small(exp, log, _mumford(exp, log, h, f, a.v), a.u)[0], a
         u, v, k = (Poly.from_masks(f16, m) for m in (a.u, a.v, a.cofactor))
         assert u * k == v * v + v * hp + fp, a
+
+
+def _cantor_route_key(a, b):
+    """a + b by the general composition on Polys and one reduction step,
+    `_reduce(*_cantor_compose(...))`, as a Mumford key."""
+    field = a.field
+    h, f = a.curve.equation_masks(field)
+    return _reduce(field, h, f, *_cantor_compose(field, h, f, a.u, a.v, b.u, b.v))
+
+
+def _mumford_reference(curve, field, u, v):
+    """(quotient, remainder) of v^2 + v h + f by u, by `_mumford` and
+    `_divmod_small`."""
+    exp, log = field.tables()
+    h, f = curve.equation_masks(field)
+    return _divmod_small(exp, log, _mumford(exp, log, h, f, v), u)
+
+
+def test_straight_line_sums_match_the_cantor_route(monkeypatch):
+    # every degree-2 class of J(GF(16)) doubled and a fixed slice of its
+    # pairs, for every t in GF(16) minus {0, 1}, then 500 seeded pairs and
+    # their doublings over GF(2^12) on the reference curve: each sum is the
+    # Cantor route's, and each class's cofactor is the Mumford quotient
+    import frobfix.jacobian as jacobian_module
+
+    f16, f4096 = default_field(4), default_field(12)
+    cases = []
+    for tm in range(2, 16):
+        quadratic = [a for a in enumerate_classes(Curve(f16, f16.element(tm)), f16) if len(a.u) == 3]
+        cases += [(a, a) for a in quadratic]
+        cases += [(a, b) for a in quadratic[::23] for b in quadratic[5::17]]
+    rng = random.Random(2026)
+    for _ in range(500):
+        a, b = random_class(laszlo_curve(), f4096, rng), random_class(laszlo_curve(), f4096, rng)
+        cases += [(a, b), (a, a)]
+    slopes = []
+    solve = jacobian_module._slope_mod_quadratic
+
+    def spy(*args):
+        s = solve(*args)
+        slopes.append(s is not None)
+        return s
+
+    monkeypatch.setattr(jacobian_module, "_slope_mod_quadratic", spy)
+    for a, b in cases:
+        s = a + b
+        assert s.key() == _cantor_route_key(a, b), (a, b)
+        for c in (a, s):
+            quo, rem = _mumford_reference(c.curve, c.field, c.u, c.v)
+            assert c.cofactor == quo and not any(rem), c
+    # 36 sums are opposite pairs or share u with v1 != v2 and solve no
+    # slope; 681 slopes meet r and w at a common root and fall back to the
+    # Cantor route; the other 6809 sums ran the written-out reduction
+    assert (len(cases), len(slopes), sum(slopes)) == (7526, 7490, 6809)
+
+
+def test_mumford_check_catches_a_flipped_bit_of_v_gf16():
+    # every single-bit change of v in a degree-2 class over GF(16), fed to
+    # the written-out Mumford check: it raises exactly when _mumford and
+    # _divmod_small leave a remainder, and else keeps their quotient
+    c, f16 = laszlo_curve(), default_field(4)
+    caught = 0
+    for a in enumerate_classes(c, f16):
+        if len(a.u) < 3:
+            continue
+        for i in range(2):
+            for bit in range(f16.degree):
+                v = list(a.v + (0, 0))[:2]
+                v[i] ^= 1 << bit
+                while v and not v[-1]:
+                    v.pop()
+                quo, rem = _mumford_reference(c, f16, a.u, tuple(v))
+                if any(rem):
+                    with pytest.raises(ValueError) as exc:
+                        JacobianClass(c, f16, a.u, tuple(v))
+                    assert exc.type is ValueError
+                    assert str(exc.value) == "Mumford condition u | v^2 + v h + f fails"
+                    caught += 1
+                else:
+                    assert JacobianClass(c, f16, a.u, tuple(v)).cofactor == quo
+    assert caught == 4340
 
 
 def test_a_retagged_class_sums_like_its_source():
@@ -867,7 +950,7 @@ def test_mumford_check_catches_a_flipped_bit_in_the_closed_form(monkeypatch):
 def test_reduction_catches_a_flipped_bit_in_the_closed_form(monkeypatch, double, linear):
     import frobfix.jacobian as jacobian_module
 
-    solve, divide = jacobian_module._quotient_mod_quadratic, jacobian_module._divmod_small
+    solve, divide = jacobian_module._slope_mod_quadratic, jacobian_module._divmod_small
     flipped = []
 
     def flip_s(*args):
@@ -880,7 +963,7 @@ def test_reduction_catches_a_flipped_bit_in_the_closed_form(monkeypatch, double,
         return s
 
     def flip_numerator(exp, log, n, u):
-        if len(u) == 2 and len(n) == 5:  # k + s h + s^2 u1, divided by w = x + b0
+        if len(u) == 2 and len(n) == 4:  # k + s h + s^2 u1, divided by w = x + b0
             n = [n[0] ^ 1, *n[1:]]  # leaves the remainder 1
             flipped.append(n)
         return divide(exp, log, n, u)
@@ -893,8 +976,8 @@ def test_reduction_catches_a_flipped_bit_in_the_closed_form(monkeypatch, double,
         b = next(p for p in enumerate_classes(c, f16)
                  if len(p.u) == 2 and u.evaluate(f16.element(p.u[0])).mask)
         monkeypatch.setattr(jacobian_module, "_divmod_small", flip_numerator)
-    else:
-        monkeypatch.setattr(jacobian_module, "_quotient_mod_quadratic", flip_s)
+    else:  # the written-out (2, 2) sums take their slope from _slope_mod_quadratic
+        monkeypatch.setattr(jacobian_module, "_slope_mod_quadratic", flip_s)
     with pytest.raises(ValueError) as exc:
         b + a if linear else a + (a if double else b)
     assert flipped

@@ -157,7 +157,7 @@ def test_group_law_builds_no_poly():
     # _cantor_compose, the general fallback, may build Polys
     guarded = {
         "JacobianClass.__add__", "JacobianClass.neg", "JacobianClass._validate",
-        "_closed_form_sum", "_quotient_mod_quadratic",
+        "_closed_form_sum", "_slope_mod_quadratic",
         "_reduce", "_monic_pair", "_divmod_small", "_mumford",
     }
     path = PACKAGE_DIR / "jacobian.py"
