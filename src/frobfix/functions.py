@@ -343,7 +343,7 @@ class CurveFunction:
 
     __slots__ = ("num", "chi", "rr_pole_bound")
 
-    def __init__(self, num, chi, rr_pole_bound=None):
+    def __init__(self, num, chi, rr_pole_bound):
         self.num = num
         self.chi = chi
         self.rr_pole_bound = rr_pole_bound

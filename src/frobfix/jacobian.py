@@ -15,9 +15,9 @@ A sum takes the first route that fits its inputs:
                  cofactor, after Lange, AAECC 15 (2005), and Lange-Stevens,
                  SAC 2004 (`_closed_form_sum`); straight-line when both
                  classes are quadratic (the (2, 2) doubling and addition)
-    Cantor       everything else, on Polys (`_cantor_compose`), then one
-                 reduction step (`_reduce`): a shared root, and a doubling
-                 with Res(u, h) = 0 that is not 2-torsion
+    Cantor       everything else, compose and reduce on Polys
+                 (`_cantor_compose`): a shared root, and a doubling with
+                 Res(u, h) = 0 that is not 2-torsion
 
     compose: d = gcd(u1, u2, v1 + v2 + h) = s1 u1 + s2 u2 + s3 (v1+v2+h)
              U = u1 u2 / d^2,  V = (s1 u1 v2 + s2 u2 v1 + s3 (v1 v2 + f)) / d mod U
@@ -27,14 +27,14 @@ The cofactor (v^2 + v h + f) / u of a class, f for the identity, is the
 quotient that the Mumford check of `_validate` computes on every class;
 the class keeps it, so the closed form's division by w = u2 (add) or
 w = u1 (double) needs no second v^2 + v h + f.  Both reductions, the
-closed form's and `_reduce`'s of a Cantor U of degree 3 or 4, are exact
-synthetic divisions that raise when they leave a remainder.
+closed form's and Cantor's of a U of degree 3 or 4, are exact divisions
+that raise when they leave a remainder.
 The hot paths are straight-line code on table logs, with no helper call
 per product: the (2, 2) closed form, whose doubling and addition differ
 only in the n, r and w of the slope (`_slope_mod_quadratic`), and the
 Mumford check of `_validate` for deg u = 2.  Everywhere else
 v^2 + v h + f has one routine, `_mumford`, and every division by a u of
-degree <= 2 is one explicit synthetic division (`_divmod_small`); the
+degree <= 2 is the package's synthetic division, `poly.divmod_masks`; the
 tests hold the straight-line code to those and to the Cantor route.
 Negation is (u, (v + h) mod u).  The independent Riemann-Roch
 interpolation oracle in `functions.reduce_points_oracle` guards all of
@@ -52,15 +52,7 @@ from .errors import (
 )
 from .functions import _merge_points, principal_witness_core, reduce_points_oracle
 from .gf2 import _prime_factors, default_field, embed, join_fields, quadratic_root_masks, trace_mask
-from .poly import (
-    Poly,
-    affine_span,
-    divmod_monic,
-    evaluate_masks,
-    monic_logs,
-    solve_additive,
-    solve_quadratic,
-)
+from .poly import Poly, affine_span, divmod_masks, evaluate_masks, solve_additive, solve_quadratic
 
 
 class FormalDivisor:
@@ -137,7 +129,7 @@ class JacobianClass:
             return list(f)
         exp, log = field.tables()
         if len(u) == 2:
-            quo, rem = _divmod_small(exp, log, _mumford(exp, log, h, f, v), u)
+            quo, rem = divmod_masks(field, _mumford(exp, log, h, f, v), u)
             if any(rem):
                 raise ValueError("Mumford condition u | v^2 + v h + f fails")
             return quo
@@ -196,9 +188,7 @@ class JacobianClass:
         if other.curve is not curve and not curve.same_model(other.curve):
             raise FieldMismatchError("classes on different curve models")
         if other.field is not field and other.field != field:
-            # mixed-field addition lifts to the compositum
-            fld, _, _ = join_fields(field, other.field)
-            return self.lift(fld) + other.lift(fld)
+            raise FieldMismatchError("classes over different fields: lift both to one field first")
         u1, v1, u2, v2, k = self.u, self.v, other.u, other.v, self.cofactor
         if len(u1) == 1:
             return other if other.curve is curve else other.retag(curve)
@@ -209,23 +199,22 @@ class JacobianClass:
         h, f = curve.equation_masks(field)
         r = None
         if u1 == u2:
-            exp, log = field.tables()
             if v1 == v2 and len(u1) == 3:  # h mod u = h + h2 u, as deg h = 2
+                exp, log = field.tables()
                 lh, (a0, a1, _) = log[h[2]], u1
                 r = [h[0] ^ (exp[log[a0] + lh] if a0 else 0), h[1] ^ (exp[log[a1] + lh] if a1 else 0)]
             else:
-                r = _divmod_small(exp, log, h if v1 == v2 else _xor(_xor(v1, v2), h), u1)[1]
+                r = divmod_masks(field, h if v1 == v2 else _xor(_xor(v1, v2), h), u1)[1]
             if not any(r):
                 return JacobianClass.identity(curve, field)  # other = -self
         u, v = (_closed_form_sum(field, h, f, k, r, u1, v1, u2, v2)
-                or _reduce(field, h, f, *_cantor_compose(field, h, f, u1, v1, u2, v2)))
+                or _cantor_compose(field, h, f, u1, v1, u2, v2))
         return JacobianClass(curve, field, u, v)
 
     def neg(self):
         field, u = self.field, self.u
-        exp, log = field.tables()
         h = self.curve.equation_masks(field)[0]
-        v = _divmod_small(exp, log, _xor(self.v, h), u)[1]
+        v = divmod_masks(field, _xor(self.v, h), u)[1]
         return JacobianClass(self.curve, field, u, _trim(v))
 
     def __sub__(self, other):
@@ -331,21 +320,6 @@ def _trim(masks):
     return tuple(masks)
 
 
-def _reduce(field, h, f, u, v):
-    """The reduced pair of a Cantor composition (U, V), coefficient-mask
-    sequences with U monic of degree at most 4, deg V < deg U and
-    U | V^2 + V h + f, as trimmed tuples.  For deg U > 2 one step reduces
-    it, as deg f <= 5 gives deg U' <= 2: U' = (V^2 + V h + f) / U by one
-    exact synthetic division, made monic, and V' = (V + h) mod U'."""
-    if len(u) <= 3:
-        return tuple(u), _trim(list(v))
-    exp, log = field.tables()
-    quo, rem = divmod_monic(exp, log, _mumford(exp, log, h, f, v), monic_logs(field, u), len(u) - 1)
-    if any(rem):
-        raise ValueError("division is not exact")
-    return _monic_pair(field, quo, _xor(v, h))
-
-
 def _monic_pair(field, quo, vh):
     """The reduced pair (U', V') of a reduction step's quotient, as trimmed
     tuples: U' = quo made monic, V' = vh mod U' for vh = V + h."""
@@ -353,38 +327,25 @@ def _monic_pair(field, quo, vh):
     quo = _trim(quo)
     li = log[field.inv_mask(quo[-1])]
     u = tuple(exp[log[c] + li] if c else 0 for c in quo)
-    return u, _trim(_divmod_small(exp, log, vh, u)[1])
-
-
-def _divmod_small(exp, log, n, u):
-    """(quotient, remainder) of the coefficient masks n by a monic u of
-    degree at most 2, as lists: synthetic division with u's two low
-    coefficients inline.  The remainder has deg u entries, untrimmed."""
-    d, r = len(u) - 1, list(n)
-    a0, a1 = u[0] if d else 0, u[1] if d == 2 else 0
-    l0, l1 = log[a0], log[a1]
-    for k in range(len(r) - 1, d - 1, -1):
-        c = r[k]
-        if c:
-            lc = log[c]
-            if a1:
-                r[k - 1] ^= exp[lc + l1]
-            if a0:
-                r[k - d] ^= exp[lc + l0]
-    return r[d:], r[:d]
+    return u, _trim(divmod_masks(field, vh, u)[1])
 
 
 def _cantor_compose(field, h, f, u1, v1, u2, v2):
-    """The general composition (U, V) of two mask-tuple pairs, unreduced, as
-    mask tuples (U monic), on Polys over `field`.  It takes the inputs the
-    closed form does not: a shared root, and a doubling with Res(u, h) = 0
-    that is not 2-torsion."""
+    """The reduced pair of (u1, v1) + (u2, v2), mask-tuple pairs like h and
+    f, as trimmed mask tuples, composed and reduced on Polys over `field`.
+    It takes the inputs the closed form does not: a shared root, and a
+    doubling with Res(u, h) = 0 that is not 2-torsion.  For deg U > 2 one
+    step reduces the composition, as deg f <= 5 gives deg U' <= 2; its
+    exact division raises when U does not divide V^2 + V h + f."""
     h, f, u1, v1, u2, v2 = (Poly.from_masks(field, m) for m in (h, f, u1, v1, u2, v2))
     d1, e1, e2 = u1.xgcd(u2)
     d, c1, c2 = d1.xgcd(v1 + v2 + h)
     s1, s2, s3 = c1 * e1, c1 * e2, c2
     u = (u1 * u2).divexact(d * d)
     v = (s1 * u1 * v2 + s2 * u2 * v1 + s3 * (v1 * v2 + f)).divexact(d) % u
+    if u.degree > 2:
+        u = (v * v + v * h + f).divexact(u).monic()
+        v = (v + h) % u
     return u.masks(), v.masks()
 
 
@@ -438,7 +399,7 @@ def _closed_form_sum(field, h, f, k, r, u1, v1, u2, v2):
             return None
         s, (h0, h1, h2) = exp[log[n] + p - log[r]] if n else 0, h
         q = mul(s, s)
-        quo, rem = _divmod_small(exp, log, [
+        quo, rem = divmod_masks(field, [
             k[0] ^ mul(q, a0) ^ mul(s, h0), k[1] ^ mul(q, a1) ^ mul(s, h1),
             k[2] ^ q ^ mul(s, h2), k[3]], u2)
         if any(rem):
@@ -689,7 +650,7 @@ def _solvable_by_trace(field, h, f, u0, u1):
     p0, p1 = h[0] ^ mul(h[2], u0), h[1] ^ mul(h[2], u1)  # h mod u
     sq = mul(p1, p1)  # h^2 = p1^2 (u1 x + u0) + p0^2 mod u
     exp, log = field.tables()
-    c = _slope_mod_quadratic(exp, log, field.order - 1, *_divmod_small(exp, log, f, (u0, u1, 1))[1],
+    c = _slope_mod_quadratic(exp, log, field.order - 1, *divmod_masks(field, f, (u0, u1, 1))[1],
                              mul(sq, u0) ^ mul(p0, p0), mul(sq, u1), u0, u1)
     if c is None:
         return None

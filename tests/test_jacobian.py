@@ -7,15 +7,13 @@ import random
 import pytest
 
 from frobfix.curve import Curve, weil_interval_ok_jacobian
-from frobfix.errors import DegreeCapError, InconsistencyError
+from frobfix.errors import DegreeCapError, FieldMismatchError, InconsistencyError
 from frobfix.gf2 import default_field, embed, quadratic_root_masks
 from frobfix.jacobian import (
     FormalDivisor,
     JacobianClass,
     _cantor_compose,
-    _divmod_small,
     _mumford,
-    _reduce,
     _solvable_by_trace,
     _v_solution_space,
     class_of,
@@ -31,7 +29,7 @@ from frobfix.jacobian import (
     torsion_subgroup,
     two_torsion,
 )
-from frobfix.poly import Poly, affine_span
+from frobfix.poly import Poly, affine_span, divmod_masks
 
 
 def laszlo_curve():
@@ -279,7 +277,7 @@ def _spy_on_routes(monkeypatch):
     import frobfix.jacobian as jacobian_module
 
     taken = []
-    for name in ("_closed_form_sum", "_cantor_compose", "_reduce"):
+    for name in ("_closed_form_sum", "_cantor_compose"):
         def spy(*args, _name=name, _real=getattr(jacobian_module, name)):
             out = _real(*args)
             taken.append((_name, args, out))
@@ -299,7 +297,7 @@ def _route_of(a, b, taken):
         if len(a.u) != len(b.u):
             return {"coprime 2+1", "fused reduction"}
         return {"coprime 2+2" if a.u != b.u else "doubling", "fused reduction"}
-    assert names == ["_closed_form_sum", "_cantor_compose", "_reduce"], names
+    assert names == ["_closed_form_sum", "_cantor_compose"], names
     assert taken[0][2] is None
     return {"general fallback"}
 
@@ -355,7 +353,7 @@ def test_group_law_outputs_are_pinned():
 
 def test_group_law_sums_are_pinned_every_t_gf16():
     # sha256 pinned from the two-stage closed form, which composed a degree-4
-    # U and then reduced it with `_reduce`, before the one-step closed form:
+    # U and then reduced it in a second step, before the one-step closed form:
     # every ordered pair of 20 random_class draws over GF(2^8), for every t
     # in GF(16) minus {0, 1}
     f16, f256 = default_field(4), default_field(8)
@@ -400,25 +398,25 @@ def test_the_cofactor_is_the_mumford_quotient_gf16():
     classes = enumerate_classes(c, f16)
     assert classes[0].cofactor == list(f)
     for a in classes:
-        assert a.cofactor == _divmod_small(exp, log, _mumford(exp, log, h, f, a.v), a.u)[0], a
+        assert a.cofactor == divmod_masks(f16, _mumford(exp, log, h, f, a.v), a.u)[0], a
         u, v, k = (Poly.from_masks(f16, m) for m in (a.u, a.v, a.cofactor))
         assert u * k == v * v + v * hp + fp, a
 
 
 def _cantor_route_key(a, b):
-    """a + b by the general composition on Polys and one reduction step,
-    `_reduce(*_cantor_compose(...))`, as a Mumford key."""
+    """a + b by the general composition and reduction on Polys,
+    `_cantor_compose(...)`, as a Mumford key."""
     field = a.field
     h, f = a.curve.equation_masks(field)
-    return _reduce(field, h, f, *_cantor_compose(field, h, f, a.u, a.v, b.u, b.v))
+    return _cantor_compose(field, h, f, a.u, a.v, b.u, b.v)
 
 
 def _mumford_reference(curve, field, u, v):
     """(quotient, remainder) of v^2 + v h + f by u, by `_mumford` and
-    `_divmod_small`."""
+    `divmod_masks`."""
     exp, log = field.tables()
     h, f = curve.equation_masks(field)
-    return _divmod_small(exp, log, _mumford(exp, log, h, f, v), u)
+    return divmod_masks(field, _mumford(exp, log, h, f, v), u)
 
 
 def test_straight_line_sums_match_the_cantor_route(monkeypatch):
@@ -462,7 +460,7 @@ def test_straight_line_sums_match_the_cantor_route(monkeypatch):
 def test_mumford_check_catches_a_flipped_bit_of_v_gf16():
     # every single-bit change of v in a degree-2 class over GF(16), fed to
     # the written-out Mumford check: it raises exactly when _mumford and
-    # _divmod_small leave a remainder, and else keeps their quotient
+    # divmod_masks leave a remainder, and else keeps their quotient
     c, f16 = laszlo_curve(), default_field(4)
     caught = 0
     for a in enumerate_classes(c, f16):
@@ -496,6 +494,23 @@ def test_a_retagged_class_sums_like_its_source():
         for b in classes:
             assert (twin + b).key() == (a + b).key(), (a, b)
             assert (b + twin).key() == (b + a).key(), (a, b)
+
+
+def test_a_sum_over_two_fields_raises_until_lifted():
+    # no implicit lift to a compositum: a class over GF(16) plus one over
+    # GF(2^8) is refused, both ways, and sums once lifted by hand
+    c, f16, f256 = laszlo_curve(), default_field(4), default_field(8)
+    rng = random.Random(27)
+    for _ in range(5):
+        a, b = random_class(c, f16, rng), random_class(c, f256, rng)
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(FieldMismatchError) as exc:
+                x + y
+            assert exc.type is FieldMismatchError
+            assert str(exc.value) == "classes over different fields: lift both to one field first"
+        s = a.lift(f256) + b
+        assert s.field == f256
+        assert s.equals(oracle_class_of(a.to_divisor() + b.to_divisor()))
 
 
 def test_mul_int_matches_repeated_addition():
@@ -950,7 +965,7 @@ def test_mumford_check_catches_a_flipped_bit_in_the_closed_form(monkeypatch):
 def test_reduction_catches_a_flipped_bit_in_the_closed_form(monkeypatch, double, linear):
     import frobfix.jacobian as jacobian_module
 
-    solve, divide = jacobian_module._slope_mod_quadratic, jacobian_module._divmod_small
+    solve, divide = jacobian_module._slope_mod_quadratic, jacobian_module.divmod_masks
     flipped = []
 
     def flip_s(*args):
@@ -962,11 +977,11 @@ def test_reduction_catches_a_flipped_bit_in_the_closed_form(monkeypatch, double,
             flipped.append(s)
         return s
 
-    def flip_numerator(exp, log, n, u):
+    def flip_numerator(field, n, u):
         if len(u) == 2 and len(n) == 4:  # k + s h + s^2 u1, divided by w = x + b0
             n = [n[0] ^ 1, *n[1:]]  # leaves the remainder 1
             flipped.append(n)
-        return divide(exp, log, n, u)
+        return divide(field, n, u)
 
     c, f16 = laszlo_curve(), default_field(4)
     rng = random.Random(101)
@@ -975,7 +990,7 @@ def test_reduction_catches_a_flipped_bit_in_the_closed_form(monkeypatch, double,
         u = Poly.from_masks(f16, a.u)
         b = next(p for p in enumerate_classes(c, f16)
                  if len(p.u) == 2 and u.evaluate(f16.element(p.u[0])).mask)
-        monkeypatch.setattr(jacobian_module, "_divmod_small", flip_numerator)
+        monkeypatch.setattr(jacobian_module, "divmod_masks", flip_numerator)
     else:  # the written-out (2, 2) sums take their slope from _slope_mod_quadratic
         monkeypatch.setattr(jacobian_module, "_slope_mod_quadratic", flip_s)
     with pytest.raises(ValueError) as exc:
@@ -1018,20 +1033,18 @@ def test_a_flipped_bit_in_the_cached_cofactor_is_caught(double, pair, index, mes
 
 
 def test_reduction_catches_a_flipped_bit_in_the_cantor_composition(monkeypatch):
-    import frobfix.jacobian as jacobian_module
-
     # P + (P + Q) shares the root x(P) without cancelling, so it takes the
     # general composition, whose U of degree 3 the reduction divides into
     # V^2 + V h + f
-    cantor = jacobian_module._cantor_compose
+    xgcd = Poly.xgcd
     flipped = []
 
-    def flip_v(*args):
-        big_u, big_v = cantor(*args)
-        big_v = list(big_v) or [0]
-        big_v[0] ^= 1  # adds 1 + h = x^2 + x + 1, which U of degree 3 cannot divide
-        flipped.append(big_u)
-        return big_u, tuple(big_v)
+    def flip_cofactor(self, other):
+        g, s, t = xgcd(self, other)
+        if g.degree == 0:  # 1 = c1 d1 + c2 (v1 + v2 + h), with d1 = x + x(P)
+            t = t + Poly.one(t.field)  # a wrong c2 adds v1 v2 + f to V
+            flipped.append((self.degree, other.degree))
+        return g, s, t
 
     # x(P), x(Q) outside the roots {0, 1} of h, so h(x(P)) != 0 and
     # gcd(u1, u2, v1 + v2 + h) = 1
@@ -1039,10 +1052,10 @@ def test_reduction_catches_a_flipped_bit_in_the_cantor_composition(monkeypatch):
               if len(p.u) == 2 and p.u[0] > 1]
     a = points[0]
     b = a + next(p for p in points if p.u != a.u)
-    monkeypatch.setattr(jacobian_module, "_cantor_compose", flip_v)
+    monkeypatch.setattr(Poly, "xgcd", flip_cofactor)
     with pytest.raises(ValueError) as exc:
         a + b
-    assert [len(u) for u in flipped] == [4]
+    assert flipped == [(1, 2)]
     assert exc.type is ValueError
     assert str(exc.value) == "division is not exact"
 
