@@ -9,33 +9,30 @@ A sum takes the first route that fits its inputs:
     identity     one side has u = 1: the other side is returned
     opposite     u1 = u2 and u | v1 + v2 + h: the identity
     closed form  a coprime addition (Res(u1, u2) != 0) or a doubling
-                 (Res(u, h) != 0), of any degrees: U = u1 w, V = v1 + s u1,
+                 (Res(u, h) != 0), of any degrees, and a quadratic class
+                 plus a point over one of its roots: U = u1 w, V = v1 + s u1,
                  already reduced when deg U = 2 (the chord and the tangent),
                  else reduced in the same step from the quadratic class's
                  cofactor, after Lange, AAECC 15 (2005), and Lange-Stevens,
                  SAC 2004 (`_closed_form_sum`); straight-line when both
                  classes are quadratic (the (2, 2) doubling and addition)
-    Cantor       everything else, compose and reduce on Polys
-                 (`_cantor_compose`): a shared root, and a doubling with
-                 Res(u, h) = 0 that is not 2-torsion
-
-    compose: d = gcd(u1, u2, v1 + v2 + h) = s1 u1 + s2 u2 + s3 (v1+v2+h)
-             U = u1 u2 / d^2,  V = (s1 u1 v2 + s2 u2 v1 + s3 (v1 v2 + f)) / d mod U
-    reduce:  U' = (V^2 + V h + f) / U made monic,  V' = (V + h) mod U'
+    split        every other (2, 2) sum: u2 shares a root with u1, a
+                 doubling has Res(u, h) = 0, or u1 = u2 with v1 != v2 (else
+                 equal or opposite); each makes u2's roots rational, and the
+                 second class's two points add one at a time by closed forms
 
 The cofactor (v^2 + v h + f) / u of a class, f for the identity, is the
 quotient that the Mumford check of `_validate` computes on every class;
 the class keeps it, so the closed form's division by w = u2 (add) or
-w = u1 (double) needs no second v^2 + v h + f.  Both reductions, the
-closed form's and Cantor's of a U of degree 3 or 4, are exact divisions
-that raise when they leave a remainder.
+w = u1 (double) needs no second v^2 + v h + f.  That reduction is an exact
+division that raises when it leaves a remainder.
 The hot paths are straight-line code on table logs, with no helper call
 per product: the (2, 2) closed form, whose doubling and addition differ
 only in the n, r and w of the slope (`_slope_mod_quadratic`), and the
 Mumford check of `_validate` for deg u = 2.  Everywhere else
 v^2 + v h + f has one routine, `_mumford`, and every division by a u of
 degree <= 2 is the package's synthetic division, `poly.divmod_masks`; the
-tests hold the straight-line code to those and to the Cantor route.
+tests hold the straight-line code to those and to the Poly route.
 Negation is (u, (v + h) mod u).  The independent Riemann-Roch
 interpolation oracle in `functions.reduce_points_oracle` guards all of
 this in the tests.
@@ -207,9 +204,18 @@ class JacobianClass:
                 r = divmod_masks(field, h if v1 == v2 else _xor(_xor(v1, v2), h), u1)[1]
             if not any(r):
                 return JacobianClass.identity(curve, field)  # other = -self
-        u, v = (_closed_form_sum(field, h, f, k, r, u1, v1, u2, v2)
-                or _cantor_compose(field, h, f, u1, v1, u2, v2))
-        return JacobianClass(curve, field, u, v)
+        uv = _closed_form_sum(field, h, f, k, r, u1, v1, u2, v2)
+        if uv is not None:
+            return JacobianClass(curve, field, *uv)
+        # the split: u2 = (x + x1)(x + x1 + b1), and each point is a (2, 1)
+        # or (1, 1) sum with a closed form
+        exp, log = field.tables()
+        x1 = quadratic_root_masks(field, u2[1], u2[0])[0]
+        out = self
+        for x in (x1, x1 ^ u2[1]):
+            y = _trim([evaluate_masks(exp, log, v2, x)])
+            out = out + JacobianClass(curve, field, (x, 1), y)
+        return out
 
     def neg(self):
         field, u = self.field, self.u
@@ -330,29 +336,11 @@ def _monic_pair(field, quo, vh):
     return u, _trim(divmod_masks(field, vh, u)[1])
 
 
-def _cantor_compose(field, h, f, u1, v1, u2, v2):
-    """The reduced pair of (u1, v1) + (u2, v2), mask-tuple pairs like h and
-    f, as trimmed mask tuples, composed and reduced on Polys over `field`.
-    It takes the inputs the closed form does not: a shared root, and a
-    doubling with Res(u, h) = 0 that is not 2-torsion.  For deg U > 2 one
-    step reduces the composition, as deg f <= 5 gives deg U' <= 2; its
-    exact division raises when U does not divide V^2 + V h + f."""
-    h, f, u1, v1, u2, v2 = (Poly.from_masks(field, m) for m in (h, f, u1, v1, u2, v2))
-    d1, e1, e2 = u1.xgcd(u2)
-    d, c1, c2 = d1.xgcd(v1 + v2 + h)
-    s1, s2, s3 = c1 * e1, c1 * e2, c2
-    u = (u1 * u2).divexact(d * d)
-    v = (s1 * u1 * v2 + s2 * u2 * v1 + s3 * (v1 * v2 + f)).divexact(d) % u
-    if u.degree > 2:
-        u = (v * v + v * h + f).divexact(u).monic()
-        v = (v + h) % u
-    return u.masks(), v.masks()
-
-
 def _closed_form_sum(field, h, f, k, r, u1, v1, u2, v2):
     """The reduced pair of (u1, v1) + (u2, v2), coefficient-mask tuples like
-    h and f with deg u1 >= deg u2, as trimmed tuples: for a coprime addition
-    or a doubling with Res(u, h) != 0, else None.  k = (v1^2 + v1 h + f) / u1
+    h and f with deg u1 >= deg u2, as trimmed tuples; None for a (2, 2) sum
+    whose u2 shares a root with u1, a (2, 2) doubling with Res(u, h) = 0,
+    and u1 = u2 with v1 != v2 (not opposite).  k = (v1^2 + v1 h + f) / u1
     is the first class's cofactor, and r = (v1 + v2 + h) mod u1 when u1 = u2
     (the caller's opposite test; h mod u for a doubling).  The composition
     is U = u1 w, V = v1 + s u1, with w = u2 to add and w = u1 to double, and
@@ -360,6 +348,9 @@ def _closed_form_sum(field, h, f, k, r, u1, v1, u2, v2):
         add:    s = (v1 + v2) (u1 mod w)^-1 mod w
         double: s = (k mod u) (h mod u)^-1 mod u
     a scalar n(b0) / r(b0) for w = x + b0, else `_slope_mod_quadratic`.
+    When x + b0 | u1, n(b0) is h(b0) and the points over b0 cancel, leaving
+    (x + e, v1(e)) at u1's other root e = a1 + b0, or 0 and the point
+    repeats: then the slope's n, r = k(b0), h(b0) make V tangent there.
     When deg U = 2 the pair is already reduced: the chord, with slope
     (y1 + y2) / (x1 + x2), and the tangent, with slope k(x1) / h(x1), as
     k(x1) = f'(x1) + h'(x1) y1 is the derivative of v1^2 + v1 h + f at x1.
@@ -367,12 +358,12 @@ def _closed_form_sum(field, h, f, k, r, u1, v1, u2, v2):
     synthetic division by w reduces it: U' = (k + s h + s^2 u1) / w made
     monic, V' = (V + h) mod U'; for deg w = 2 the slope, the division and
     (U', V') are written out, and U' has degree 1 exactly when s1 = 0.  A
-    remainder raises, as U | V^2 + V h + f fails.  A doubling solves s from
-    k, so its division is exact whatever k holds.  As deg(v1^2 + v1 h) <= 3,
-    the top of u1 k is f's: k[-1] = f5 and k[-2] = f4 + a f5, for a the
-    coefficient of u1 below its leading one, and every sum but the chord
-    reads k and raises first when k breaks this; below them only the
-    Mumford check of the result sees a wrong k in a doubling."""
+    remainder raises, as U | V^2 + V h + f fails.  A doubling or a repeated
+    point solves s from k, so its division is exact whatever k holds.  As
+    deg(v1^2 + v1 h) <= 3, the top of u1 k is f's: k[-1] = f5 and k[-2] =
+    f4 + a f5, for a the coefficient of u1 below its leading one, and every
+    sum but the chord reads k and raises first when k breaks this; below
+    them only the Mumford check of the result sees a wrong k in those two."""
     exp, log = field.tables()
     a0, b0, a = u1[0], u2[0], u1[-2]
     if (len(u1) == 3 or u1 == u2) and (
@@ -395,8 +386,12 @@ def _closed_form_sum(field, h, f, k, r, u1, v1, u2, v2):
             return exp[log[x] + log[y]] if x and y else 0
 
         n, r = c0 ^ mul(c1, b0) ^ (v2[0] if v2 else 0), a0 ^ mul(b0, a1 ^ b0)
-        if not r:
-            return None
+        if not r:  # a point of the first class lies over b0
+            hb = evaluate_masks(exp, log, h, b0)
+            if n == hb:  # it cancels the second class's point
+                e = a1 ^ b0
+                return (e, 1), _trim([c0 ^ mul(c1, e)])
+            n, r = evaluate_masks(exp, log, k, b0), hb
         s, (h0, h1, h2) = exp[log[n] + p - log[r]] if n else 0, h
         q = mul(s, s)
         quo, rem = divmod_masks(field, [
@@ -501,7 +496,7 @@ def _slope_mod_quadratic(exp, log, p, n0, n1, r0, r1, b0, b1):
 # Building classes from divisors.
 
 def class_of(divisor):
-    """The reduced Mumford class of a degree-0 formal divisor (Cantor path)."""
+    """The reduced Mumford class of a degree-0 formal divisor (group law)."""
     if divisor.degree() != 0:
         raise ValueError("divisor must have degree 0")
     field, affine, _inf = divisor.lift_to_common_field()

@@ -12,7 +12,6 @@ from frobfix.gf2 import default_field, embed, quadratic_root_masks
 from frobfix.jacobian import (
     FormalDivisor,
     JacobianClass,
-    _cantor_compose,
     _mumford,
     _solvable_by_trace,
     _v_solution_space,
@@ -268,54 +267,78 @@ def _poly_route_sum(a, b):
 
 
 GROUP_LAW_ROUTES = {"identity", "opposite", "chord", "tangent", "coprime 2+1", "coprime 2+2",
-                    "doubling", "fused reduction", "general fallback"}
+                    "doubling", "fused reduction", "shared point 2+1", "split"}
 
 
 def _spy_on_routes(monkeypatch):
-    """Wrap each group-law helper so that a sum leaves the names of the
-    helpers it reached, in call order, in the returned list."""
+    """Wrap `_closed_form_sum` so that a sum leaves the (arguments, result)
+    of each call it made, in call order, in the returned list."""
     import frobfix.jacobian as jacobian_module
 
     taken = []
-    for name in ("_closed_form_sum", "_cantor_compose"):
-        def spy(*args, _name=name, _real=getattr(jacobian_module, name)):
-            out = _real(*args)
-            taken.append((_name, args, out))
-            return out
-        monkeypatch.setattr(jacobian_module, name, spy)
+    closed = jacobian_module._closed_form_sum
+
+    def spy(*args):
+        out = closed(*args)
+        taken.append((args, out))
+        return out
+
+    monkeypatch.setattr(jacobian_module, "_closed_form_sum", spy)
     return taken
 
 
 def _route_of(a, b, taken):
     """The routes of `GROUP_LAW_ROUTES` that the sum a + b took."""
-    names = [name for name, _, _ in taken]
-    if not names:
+    if not taken:
         return {"identity"} if a.is_identity() or b.is_identity() else {"opposite"}
-    if names == ["_closed_form_sum"] and len(a.u) == len(b.u) == 2:  # deg U = 2
+    if taken[0][1] is None:  # then the second class's points, one sum each
+        assert len(a.u) == len(b.u) == 3 and all(out for _, out in taken[1:]), taken
+        return {"split"}
+    assert len(taken) == 1
+    (field, _, _, _, _, u1, _, u2, _), (u, _) = taken[0]
+    if len(a.u) == len(b.u) == 2:  # deg U = 2
         return {"chord" if a.u != b.u else "tangent"}
-    if names == ["_closed_form_sum"]:  # composed and reduced in one step
-        if len(a.u) != len(b.u):
-            return {"coprime 2+1", "fused reduction"}
+    if len(a.u) == len(b.u):  # composed and reduced in one step
         return {"coprime 2+2" if a.u != b.u else "doubling", "fused reduction"}
-    assert names == ["_closed_form_sum", "_cantor_compose"], names
-    assert taken[0][2] is None
-    return {"general fallback"}
+    if Poly.from_masks(field, u1).evaluate(field.element(u2[0])).mask:
+        return {"coprime 2+1", "fused reduction"}
+    # the point over a root of u1 cancels (deg u = 1) or repeats
+    return {"shared point 2+1"} if len(u) == 2 else {"shared point 2+1", "fused reduction"}
+
+
+def _route_cases():
+    """Lists of classes whose ordered pairs reach every group-law route:
+    all of J(GF(4)) for both t, and every 16th class of J(GF(16))."""
+    f4 = default_field(2)
+    cases = [enumerate_classes(Curve(f4, f4.element(tm)), f4) for tm in (2, 3)]
+    return cases + [enumerate_classes(laszlo_curve(), default_field(4))[::16]]
+
+
+def _seeded_pairs_gf4096():
+    """500 seeded pairs of `random_class` draws over GF(2^12) on the
+    reference curve, each followed by its first class doubled."""
+    c, f4096, rng = laszlo_curve(), default_field(12), random.Random(2026)
+    pairs = []
+    for _ in range(500):
+        a, b = random_class(c, f4096, rng), random_class(c, f4096, rng)
+        pairs += [(a, b), (a, a)]
+    return pairs
 
 
 def test_every_group_law_route_matches_the_poly_route(monkeypatch):
     # every pair over GF(4) for both t, and a fixed slice of GF(16) pairs;
     # an identity or opposite sum must reach no helper at all
-    f4, f16 = default_field(2), default_field(4)
-    cases = [enumerate_classes(Curve(f4, f4.element(tm)), f4) for tm in (2, 3)]
-    cases.append(enumerate_classes(laszlo_curve(), f16)[::16])
+    f16, cases = default_field(4), _route_cases()
     taken = _spy_on_routes(monkeypatch)
-    reached = {}
+    reached, cancels = {}, 0
     for classes in cases:
         for i, a in enumerate(classes):
             for j, b in enumerate(classes):
                 taken.clear()
                 s = a + b
-                for route in _route_of(a, b, taken):
+                routes = _route_of(a, b, taken)
+                cancels += routes == {"shared point 2+1"}
+                for route in routes:
                     reached[route] = reached.get(route, 0) + 1
                 assert s.key() == _poly_route_sum(a, b), (a, b)
                 if not taken and not (a.is_identity() or b.is_identity()):
@@ -323,6 +346,24 @@ def test_every_group_law_route_matches_the_poly_route(monkeypatch):
                 if a.field == f16 and (i * len(classes) + j) % 50 == 0:
                     assert s.equals(oracle_class_of(a.to_divisor() + b.to_divisor()))
     assert set(reached) == GROUP_LAW_ROUTES, reached
+    # 10 shared points cancel and 4 repeat; 182 (2, 2) sums split
+    assert (cancels, reached["shared point 2+1"], reached["split"]) == (10, 14, 182), reached
+
+
+def test_group_law_needs_no_xgcd_or_divexact(monkeypatch):
+    # the route test's pairs and the straight-line test's seeded GF(2^12)
+    # pairs and doublings, shared roots and splits included, all sum with
+    # the Poly gcd and exact division disabled
+    pairs = [(a, b) for classes in _route_cases() for a in classes for b in classes]
+    pairs += _seeded_pairs_gf4096()
+
+    def disabled(*args):
+        raise AssertionError("the group law reached a Poly gcd or exact division")
+
+    monkeypatch.setattr(Poly, "xgcd", disabled)
+    monkeypatch.setattr(Poly, "divexact", disabled)
+    for a, b in pairs:
+        a + b
 
 
 def test_group_law_outputs_are_pinned():
@@ -403,14 +444,6 @@ def test_the_cofactor_is_the_mumford_quotient_gf16():
         assert u * k == v * v + v * hp + fp, a
 
 
-def _cantor_route_key(a, b):
-    """a + b by the general composition and reduction on Polys,
-    `_cantor_compose(...)`, as a Mumford key."""
-    field = a.field
-    h, f = a.curve.equation_masks(field)
-    return _cantor_compose(field, h, f, a.u, a.v, b.u, b.v)
-
-
 def _mumford_reference(curve, field, u, v):
     """(quotient, remainder) of v^2 + v h + f by u, by `_mumford` and
     `divmod_masks`."""
@@ -426,16 +459,13 @@ def test_straight_line_sums_match_the_cantor_route(monkeypatch):
     # Cantor route's, and each class's cofactor is the Mumford quotient
     import frobfix.jacobian as jacobian_module
 
-    f16, f4096 = default_field(4), default_field(12)
+    f16 = default_field(4)
     cases = []
     for tm in range(2, 16):
         quadratic = [a for a in enumerate_classes(Curve(f16, f16.element(tm)), f16) if len(a.u) == 3]
         cases += [(a, a) for a in quadratic]
         cases += [(a, b) for a in quadratic[::23] for b in quadratic[5::17]]
-    rng = random.Random(2026)
-    for _ in range(500):
-        a, b = random_class(laszlo_curve(), f4096, rng), random_class(laszlo_curve(), f4096, rng)
-        cases += [(a, b), (a, a)]
+    cases += _seeded_pairs_gf4096()
     slopes = []
     solve = jacobian_module._slope_mod_quadratic
 
@@ -447,13 +477,13 @@ def test_straight_line_sums_match_the_cantor_route(monkeypatch):
     monkeypatch.setattr(jacobian_module, "_slope_mod_quadratic", spy)
     for a, b in cases:
         s = a + b
-        assert s.key() == _cantor_route_key(a, b), (a, b)
+        assert s.key() == _poly_route_sum(a, b), (a, b)
         for c in (a, s):
             quo, rem = _mumford_reference(c.curve, c.field, c.u, c.v)
             assert c.cofactor == quo and not any(rem), c
     # 36 sums are opposite pairs or share u with v1 != v2 and solve no
-    # slope; 681 slopes meet r and w at a common root and fall back to the
-    # Cantor route; the other 6809 sums ran the written-out reduction
+    # slope; 681 slopes meet r and w at a common root and take the split;
+    # the other 6809 sums ran the written-out reduction
     assert (len(cases), len(slopes), sum(slopes)) == (7526, 7490, 6809)
 
 
@@ -1032,32 +1062,62 @@ def test_a_flipped_bit_in_the_cached_cofactor_is_caught(double, pair, index, mes
         assert str(exc.value) == message
 
 
-def test_reduction_catches_a_flipped_bit_in_the_cantor_composition(monkeypatch):
-    # P + (P + Q) shares the root x(P) without cancelling, so it takes the
-    # general composition, whose U of degree 3 the reduction divides into
-    # V^2 + V h + f
-    xgcd = Poly.xgcd
+def test_reduction_catches_a_flipped_bit_in_the_shared_point_tangent(monkeypatch):
+    # P + (P + Q) repeats P over the shared root x(P), so its slope is
+    # k(x(P)) / h(x(P)) for the cofactor k of P + Q; a flipped bit of k(x(P))
+    # leaves k + s h + s^2 u1 a remainder mod x + x(P)
+    import frobfix.jacobian as jacobian_module
+
+    evaluate = jacobian_module.evaluate_masks
     flipped = []
 
-    def flip_cofactor(self, other):
-        g, s, t = xgcd(self, other)
-        if g.degree == 0:  # 1 = c1 d1 + c2 (v1 + v2 + h), with d1 = x + x(P)
-            t = t + Poly.one(t.field)  # a wrong c2 adds v1 v2 + f to V
-            flipped.append((self.degree, other.degree))
-        return g, s, t
+    def flip_cofactor(exp, log, p, x):
+        out = evaluate(exp, log, p, x)
+        if len(p) == 4:  # the quadratic class's cofactor
+            out ^= 1
+            flipped.append(x)
+        return out
 
-    # x(P), x(Q) outside the roots {0, 1} of h, so h(x(P)) != 0 and
-    # gcd(u1, u2, v1 + v2 + h) = 1
+    # x(P), x(Q) outside the roots {0, 1} of h, so h(x(P)) != 0
     points = [p for p in enumerate_classes(laszlo_curve(), default_field(4))
               if len(p.u) == 2 and p.u[0] > 1]
     a = points[0]
     b = a + next(p for p in points if p.u != a.u)
-    monkeypatch.setattr(Poly, "xgcd", flip_cofactor)
+    monkeypatch.setattr(jacobian_module, "evaluate_masks", flip_cofactor)
     with pytest.raises(ValueError) as exc:
         a + b
-    assert flipped == [(1, 2)]
+    assert flipped == [a.u[0]]
     assert exc.type is ValueError
     assert str(exc.value) == "division is not exact"
+
+
+def test_mumford_check_catches_a_wrong_root_in_the_shared_point_cancel(monkeypatch):
+    # (P + Q) - P cancels P over the shared root x(P), and the sum is Q at
+    # u1's other root e = a1 + x(P); planted as a1, with v1 read there
+    import frobfix.jacobian as jacobian_module
+
+    closed = jacobian_module._closed_form_sum
+    planted = []
+
+    def wrong_root(field, h, f, k, r, u1, v1, u2, v2):
+        u, v = closed(field, h, f, k, r, u1, v1, u2, v2)
+        if len(u1) == 3 and len(u2) == 2 and len(u) == 2:  # the cancel: U' = x + e
+            x = u1[1]
+            y = Poly.from_masks(field, v1).evaluate(field.element(x)).mask
+            u, v = (x, 1), (y,) if y else ()
+            planted.append(x)
+        return u, v
+
+    points = [p for p in enumerate_classes(laszlo_curve(), default_field(4))
+              if len(p.u) == 2 and p.u[0] > 1]
+    a = points[0]
+    b = a + next(p for p in points if p.u != a.u)
+    monkeypatch.setattr(jacobian_module, "_closed_form_sum", wrong_root)
+    with pytest.raises(ValueError) as exc:
+        b + a.neg()
+    assert planted
+    assert exc.type is ValueError
+    assert str(exc.value) == "Mumford condition u | v^2 + v h + f fails"
 
 
 @pytest.mark.parametrize("route", ["chord", "tangent"])

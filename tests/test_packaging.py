@@ -153,8 +153,8 @@ def test_only_the_root_walk_walks_h_and_f():
 
 
 def test_group_law_builds_no_poly():
-    # the group law runs on coefficient masks with the memoised (h, f); only
-    # _cantor_compose, the general fallback, may build Polys
+    # the group law runs on coefficient masks with the memoised (h, f), and
+    # nothing in jacobian.py takes a Poly gcd or exact division
     guarded = {
         "JacobianClass.__add__", "JacobianClass.neg", "JacobianClass._validate",
         "_closed_form_sum", "_slope_mod_quadratic",
@@ -174,6 +174,7 @@ def test_group_law_builds_no_poly():
     callers = _callers(path, {"equation_polys", "Poly", "from_masks"})
     found = sorted(c for c in callers if c in guarded or c.rpartition(".")[0] in guarded)
     assert not found, "the group law builds Polys or equation polynomials in:\n" + "\n".join(found)
+    assert not _callers(path, {"xgcd", "divexact"})
 
 
 CROSS_CHECK_ERRORS = {"InconsistencyError", "VerificationError"}
