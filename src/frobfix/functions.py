@@ -430,10 +430,10 @@ def _oracle_step(curve, field, entries):
 
 def _extract_residual_points(curve, field, psi, rest, new_entries):
     if rest.degree == 1:
-        roots = [(solve_linear(rest.monic()), 1)]
+        roots = [(solve_linear(rest), 1)]
         target_field, emb = field, None
     else:
-        rts, target_field, emb = solve_quadratic(rest.monic())
+        rts, target_field, emb = solve_quadratic(rest)
         # solve_quadratic returns its roots ascending, with multiplicity
         roots = [(rts[0], 2)] if rts[0] == rts[1] else [(r, 1) for r in rts]
     if target_field != field:
@@ -462,8 +462,7 @@ def _extract_residual_points(curve, field, psi, rest, new_entries):
 
 
 def _mumford_from_points(curve, field, entries):
-    """Mumford (u, v) for an effective list of total degree <= 2."""
-    entries = _merge_points(entries)
+    """Mumford (u, v) for a merged effective list of total degree <= 2."""
     total = sum(m for _, m in entries)
     one, zero = Poly.one(field), Poly.zero(field)
     h, f = (Poly.from_masks(field, m) for m in curve.equation_masks(field))

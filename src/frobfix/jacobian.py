@@ -39,6 +39,7 @@ this in the tests.
 """
 
 from itertools import zip_longest
+from math import gcd
 
 from .curve import _check_square, _counted_lpolynomial, jacobian_order_from_lpoly
 from .errors import (
@@ -250,13 +251,28 @@ class JacobianClass:
         return JacobianClass(self.curve, field, u, v)
 
     def equals(self, other):
-        """Equality of classes, lifting to a common field as needed."""
+        """Equality of classes over any two fields.  The reduced pair is
+        unique, so equal classes have their coefficients in both fields:
+        when one field contains the other, the smaller key is mapped up;
+        otherwise both keys descend to GF(2^gcd), and a coefficient
+        outside it makes the classes unequal.  No compositum is built."""
         if not self.curve.same_model(other.curve):
             return False
         if self.field == other.field:
             return self.key() == other.key()
-        fld, _, _ = join_fields(self.field, other.field)
-        return self.lift(fld).key() == other.lift(fld).key()
+        small, big = sorted((self, other), key=lambda c: c.field.degree)
+        if big.field.degree % small.field.degree == 0:
+            image = embed(small.field, big.field).image_mask
+            return tuple(map(image, small.u)) == big.u and tuple(map(image, small.v)) == big.v
+        sub = default_field(gcd(self.field.degree, other.field.degree))
+
+        def descend(c):
+            preimage = embed(sub, c.field).preimage
+            elems = [preimage(c.field.element(m)) for m in c.u + c.v]
+            return None if None in elems else (len(c.u), [e.mask for e in elems])
+
+        key = descend(self)
+        return key is not None and key == descend(other)
 
     def __eq__(self, other):
         if not isinstance(other, JacobianClass):
@@ -264,8 +280,12 @@ class JacobianClass:
         return self.equals(other)
 
     def __hash__(self):
-        # equality lifts across fields, so hash only what a lift preserves
-        return hash((self.curve.field, self.curve.effective_t, len(self.u) - 1))
+        # equality holds across fields, so hash only what an embedding
+        # keeps: the multiplicative order of each coefficient, 0 for zero
+        n = self.field.order - 1
+        log = self.field.tables()[1]
+        u, v = (tuple(n // gcd(log[c], n) if c else 0 for c in p) for p in (self.u, self.v))
+        return hash((self.curve.field, self.curve.effective_t, u, v))
 
     def retag(self, curve):
         if not self.curve.same_model(curve):

@@ -1,15 +1,13 @@
-"""Truncated power-series rings k'[s]/(s^n) for local expansions.
+"""Truncated power series k'[s]/(s^n) for local expansions.
 
 `functions.local_coordinates` expands x and y in a local uniformizer s at
 an affine point of the curve; vanishing orders are then read off the
 expanded coefficients.  The expansions need only addition and
 multiplication: `mul_masks`, the truncated product on coefficient masks,
-indexes the field's exp/log tables directly.  `inverse_masks`, the
-inverse of a unit (a nonzero constant term), has one caller left,
-`SeriesElement.inverse`.  SeriesElement, the boxed element over the same
-kernels, is no longer a type at the oracle's boundary: nothing in the
-package builds one, and it stays only as a target of the benchmark's
-layer spans until they move to the kernels.
+indexes the field's exp/log tables directly.  `inverse_masks` inverts a
+unit (a nonzero constant term).  Nothing in the package builds a
+`SeriesElement`: it stays only as a target of the benchmark's layer
+spans, which wrap its three operations, until they move to the kernels.
 """
 
 from .errors import FieldMismatchError
@@ -51,96 +49,31 @@ def inverse_masks(field, a):
     return tuple(out)
 
 
-class TruncatedSeriesRing:
-    """k'[s]/(s^n): elements are coefficient vectors of length n."""
-
-    def __init__(self, field, n):
-        if n < 1:
-            raise ValueError("truncation level must be >= 1")
-        self.field = field
-        self.n = n
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TruncatedSeriesRing)
-            and self.field == other.field
-            and self.n == other.n
-        )
-
-    def __hash__(self):
-        return hash((self.field, self.n))
-
-    def __repr__(self):
-        return f"{self.field!r}[s]/(s^{self.n})"
-
-    def element(self, coeffs):
-        masks = []
-        for c in coeffs:
-            if c.field is not self.field and c.field != self.field:
-                raise FieldMismatchError("coefficient from a different field")
-            masks.append(c.mask)
-        masks = masks[: self.n]
-        return SeriesElement(self, tuple(masks) + (0,) * (self.n - len(masks)))
-
-    def constant(self, elem):
-        return self.element([elem])
-
-    def zero(self):
-        return SeriesElement(self, (0,) * self.n)
-
-    def one(self):
-        return SeriesElement(self, (1,) + (0,) * (self.n - 1))
-
-
 class SeriesElement:
-    """An element of k'[s]/(s^n).  Immutable.
+    """An element of k'[s]/(s^n): a tuple of n coefficient masks of
+    `field`, with the kernels above as its arithmetic."""
 
-    `masks` is a tuple of n coefficient masks of the ring's field; the
-    ring's constructors build it."""
+    __slots__ = ("field", "masks")
 
-    __slots__ = ("ring", "_m")
-
-    def __init__(self, ring, masks):
-        self.ring = ring
-        self._m = masks
+    def __init__(self, field, masks):
+        self.field = field
+        self.masks = masks
 
     def _check(self, other):
         if not isinstance(other, SeriesElement):
             raise TypeError(f"cannot combine SeriesElement with {type(other).__name__}")
-        if self.ring is not other.ring and self.ring != other.ring:
-            raise FieldMismatchError("series elements from different rings")
-
-    def is_unit(self):
-        return self._m[0] != 0
-
-    def is_zero(self):
-        return not any(self._m)
+        if self.field is not other.field and self.field != other.field:
+            raise FieldMismatchError("series elements over different fields")
 
     def __add__(self, other):
         self._check(other)
-        return SeriesElement(self.ring, tuple(a ^ b for a, b in zip(self._m, other._m)))
+        return SeriesElement(self.field, tuple(a ^ b for a, b in zip(self.masks, other.masks)))
 
     def __mul__(self, other):
         self._check(other)
-        return SeriesElement(self.ring, mul_masks(self.ring.field, self._m, other._m))
+        return SeriesElement(self.field, mul_masks(self.field, self.masks, other.masks))
 
     def inverse(self):
-        if not self.is_unit():
+        if not self.masks[0]:
             raise ZeroDivisionError("series element with zero constant term")
-        return SeriesElement(self.ring, inverse_masks(self.ring.field, self._m))
-
-    def masks(self):
-        return self._m
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SeriesElement)
-            and self._m == other._m
-            and self.ring == other.ring
-        )
-
-    def __hash__(self):
-        return hash((self.ring, self._m))
-
-    def __repr__(self):
-        return "Series" + repr(list(self._m))
+        return SeriesElement(self.field, inverse_masks(self.field, self.masks))

@@ -64,6 +64,7 @@ def test_lift_tau01_exists_over_base():
         assert g.compose(g).is_identity()
 
 
+@pytest.mark.pinned
 def test_group_structure_checks():
     checks = verify_group_structure(laszlo_curve())
     assert all(checks.values()), checks
@@ -279,6 +280,7 @@ def test_action_embeds_nothing_over_the_common_field(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.pinned
 def test_reference_coefficient_keys_are_pinned():
     # (Mobius key, a, b, c) for y -> (a y + b) / c, in automorphism_group order
     elements, _ = automorphism_group(laszlo_curve())

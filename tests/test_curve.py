@@ -142,6 +142,7 @@ def _det_one_minus_power(s1, s2, q, j):
     return _det([[int(i == k) - power[i][k] for k in range(4)] for i in range(4)])
 
 
+@pytest.mark.pinned
 def test_jacobian_order_matches_an_integer_determinant():
     # squares (1 - a T + q T^2)^2, as on this family, and L-polynomials that
     # are not squares, L(1) = 0 among them; a determinant <= 0 must raise

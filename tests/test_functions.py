@@ -163,6 +163,7 @@ def test_local_coordinates_match_a_boxed_reference_every_t_gf16():
         _assert_local_coordinates_match_the_reference(c, c.points_over(f16)[1:])
 
 
+@pytest.mark.pinned
 def test_local_coordinates_match_a_boxed_reference_gf256():
     # every eighth affine point over GF(2^8) and both affine Weierstrass
     # points, for the reference curve and two t over GF(16)
@@ -213,6 +214,7 @@ def test_ord_at_matches_the_order_of_a_boxed_expansion_gf16():
                     assert order >= mult
 
 
+@pytest.mark.pinned
 def test_oracle_keys_are_pinned_every_t_gf16():
     # sha256 pinned from the oracle that read orders from precision 4 up and
     # expanded x0 + s by series Horner: ten random pairs over GF(2^8) for

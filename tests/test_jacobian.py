@@ -235,6 +235,7 @@ def test_cantor_vs_oracle_every_pair_gf4(t_mask):
             assert (a + b).equals(oracle_class_of(a.to_divisor() + b.to_divisor()))
 
 
+@pytest.mark.pinned
 def test_degenerate_sums_gf16_are_pinned():
     # pinned from the general Cantor composition, before the closed forms
     c = laszlo_curve()
@@ -325,6 +326,7 @@ def _seeded_pairs_gf4096():
     return pairs
 
 
+@pytest.mark.pinned
 def test_every_group_law_route_matches_the_poly_route(monkeypatch):
     # every pair over GF(4) for both t, and a fixed slice of GF(16) pairs;
     # an identity or opposite sum must reach no helper at all
@@ -350,6 +352,7 @@ def test_every_group_law_route_matches_the_poly_route(monkeypatch):
     assert (cancels, reached["shared point 2+1"], reached["split"]) == (10, 14, 182), reached
 
 
+@pytest.mark.pinned
 def test_group_law_needs_no_xgcd_or_divexact(monkeypatch):
     # the route test's pairs and the straight-line test's seeded GF(2^12)
     # pairs and doublings, shared roots and splits included, all sum with
@@ -366,6 +369,7 @@ def test_group_law_needs_no_xgcd_or_divexact(monkeypatch):
         a + b
 
 
+@pytest.mark.pinned
 def test_group_law_outputs_are_pinned():
     # sha256 pinned from the Poly-route group law before the mask routes:
     # the keys of 200 torsion-style samples over GF(2^12) (a class and its
@@ -392,6 +396,7 @@ def test_group_law_outputs_are_pinned():
     assert digest.hexdigest() == "166bb99fc4648ff97bc5d7fedac03c1ae35d2d754653274db078ad0da88af131"
 
 
+@pytest.mark.pinned
 def test_group_law_sums_are_pinned_every_t_gf16():
     # sha256 pinned from the two-stage closed form, which composed a degree-4
     # U and then reduced it in a second step, before the one-step closed form:
@@ -409,6 +414,7 @@ def test_group_law_sums_are_pinned_every_t_gf16():
     assert digest.hexdigest() == "35bfc67db0703f18800d6d5d814f3eceb439d2cae836df7af6e617115de93dc7"
 
 
+@pytest.mark.pinned
 def test_sums_with_a_point_are_pinned_every_t_gf16():
     # sha256 pinned from the chord and tangent route and the general Cantor
     # composition, before one closed form took every coprime sum and every
@@ -452,6 +458,7 @@ def _mumford_reference(curve, field, u, v):
     return divmod_masks(field, _mumford(exp, log, h, f, v), u)
 
 
+@pytest.mark.pinned
 def test_straight_line_sums_match_the_cantor_route(monkeypatch):
     # every degree-2 class of J(GF(16)) doubled and a fixed slice of its
     # pairs, for every t in GF(16) minus {0, 1}, then 500 seeded pairs and
@@ -637,6 +644,35 @@ def test_hash_agrees_with_cross_field_equality():
     for cl, up in zip(classes, lifted):
         assert cl == up and hash(cl) == hash(up)
     assert len(set(classes) | set(lifted)) == len(classes) == 16
+
+
+def test_hash_spreads_and_survives_a_lift_gf64():
+    # the hash keeps the multiplicative order of each coefficient, which an
+    # embedding preserves; the degree of u alone gave J(GF(64)) 3 hashes
+    c, f64, f4096 = laszlo_curve(), default_field(6), default_field(12)
+    classes = enumerate_classes(c, f64)
+    assert len(classes) == 5776
+    for cl in classes:
+        up = cl.lift(f4096)
+        assert cl == up and hash(cl) == hash(up)
+    assert len({hash(cl) for cl in classes}) > 100
+
+
+def test_equality_across_fields_past_the_compositum_cap():
+    # GF(2^10) and GF(2^12) meet in GF(4), and their compositum GF(2^60) is
+    # above the cap: equal classes have their coefficients in GF(4)
+    c, f1024, f4096 = laszlo_curve(), default_field(10), default_field(12)
+    assert JacobianClass.identity(c, f1024) == JacobianClass.identity(c, f4096)
+    base = enumerate_classes(c, c.field)
+    for cl in base:
+        assert cl.lift(f1024) == cl.lift(f4096) and cl.lift(f4096) == cl.lift(f1024)
+    rng = random.Random(10)
+    outside = random_class(c, f1024, rng)
+    below = embed(c.field, f1024)
+    assert any(below.preimage(f1024.element(m)) is None for m in outside.u + outside.v)
+    others = [cl.lift(f4096) for cl in base] + [random_class(c, f4096, rng) for _ in range(20)]
+    for other in others:
+        assert outside != other and other != outside
 
 
 def test_associativity_commutativity_random():

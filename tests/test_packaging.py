@@ -247,78 +247,169 @@ PIPELINE = (
 # Independent routes the tests compare the pipeline against: the pullback
 # tests check `frobenius_pullback` by square-root points.
 REFERENCES = ("CurvePoint.frobenius_preimage",)
-# series.py keeps its boxed types while the benchmark's spans name them
-REACH_EXEMPT = {"series.py"}
 
 
-def _scopes(tree):
-    """(defs, top) of one module: defs maps each def's qualified name to
-    (the qualified name of its class, or None; the names its body reads as
-    a Name or an Attribute, nested defs apart), and top holds the names
-    that module-level code, class bodies included, reads."""
-    defs, top = {}, set()
+def _scopes(tree, classes):
+    """(defs, bases, top) of one module, given the names of the package's
+    classes.  defs maps each def's qualified name to (the name of its class
+    if it is a method, else None; the reads of its body, nested defs
+    apart); bases maps each class to the names of its bases; top holds the
+    reads of module-level code, class bodies included.  A read is
+    ("name", X) for a name X or an attribute X of an imported frobfix
+    module; ("member", C, X) for self.X or cls.X in class C, and for C.X
+    with C one of `classes`; and ("attr", X) for any other attribute X."""
+    modules = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module in (None, "frobfix")
+        for alias in node.names
+    }
+    defs, bases, top = {}, {}, set()
 
-    def visit(node, scope, cls, reads):
+    def visit(node, scope, cls, owner, reads):
+        # cls owns the defs directly in node; self and cls stand for owner
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 name = scope + (child.name,)
                 defs[".".join(name)] = (cls, own := set())
-                visit(child, name, None, own)
+                visit(child, name, None, owner, own)
                 continue
             if isinstance(child, ast.ClassDef):
-                visit(child, scope + (child.name,), ".".join(scope + (child.name,)), reads)
+                bases[child.name] = [b.id for b in child.bases if isinstance(b, ast.Name)]
+                visit(child, scope + (child.name,), child.name, child.name, reads)
                 continue
             if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
-                reads.add(child.id)
+                reads.add(("name", child.id))
             elif isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load):
-                reads.add(child.attr)
-            visit(child, scope, cls, reads)
+                base = getattr(child.value, "id", None)
+                if base in ("self", "cls") and owner:
+                    reads.add(("member", owner, child.attr))
+                elif base in classes:
+                    reads.add(("member", base, child.attr))
+                elif base in modules:
+                    reads.add(("name", child.attr))
+                else:
+                    reads.add(("attr", child.attr))
+            visit(child, scope, cls, owner, reads)
 
-    visit(tree, (), None, top)
-    return defs, top
+    visit(tree, (), None, None, top)
+    return defs, bases, top
 
 
-def _bench_roots():
-    """Every name bench/units.py and bench/tracing.py read, and every part
-    of each attribute path that tracing.py's SPANS and COUNTS wrap."""
-    roots = set()
-    for name in ("units.py", "tracing.py"):
-        tree = ast.parse((ROOT / "bench" / name).read_text())
-        defs, top = _scopes(tree)
-        roots |= top.union(*(reads for _, reads in defs.values()))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Assign) and [
-                getattr(t, "id", None) for t in node.targets
-            ] in (["SPANS"], ["COUNTS"]):
-                roots |= {part for case in node.value.elts
-                          for part in case.elts[2].value.split(".")}
-    return roots
+def _package_scopes(sources):
+    """{module name: _scopes} for {module name: source}."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    classes = {n.name for t in trees.values() for n in ast.walk(t) if isinstance(n, ast.ClassDef)}
+    return {name: _scopes(tree, classes) for name, tree in trees.items()}
+
+
+def _reached(modules, reads, roots, classes):
+    """The (module, qualified name) of every def in `modules` reached from
+    the root `reads`, the root defs `roots` and the root `classes`.
+
+    Module-level code is reached.  Reached code reaches a function by
+    reading its name, and a method by self.X, cls.X or C.X (the first of C
+    and its bases that defines X) or, once its class is reached, by any
+    other attribute read of its name.  Reached code reaches a class by
+    naming it, and a reached class reaches its dunders."""
+    defs = {(m, q): v for m, (ds, _, _) in modules.items() for q, v in ds.items()}
+    bases = {c: b for _, bs, _ in modules.values() for c, b in bs.items()}
+    methods = {}
+    for (m, q), (cls, _) in defs.items():
+        if cls is not None:
+            methods.setdefault((cls, q.rpartition(".")[2]), set()).add((m, q))
+
+    def resolve(cls, attr):
+        todo = [cls]
+        while todo:
+            c = todo.pop(0)
+            if (c, attr) in methods:
+                return methods[c, attr]
+            todo += bases.get(c, [])
+        return set()
+
+    reached, classes = set(roots), set(classes)
+    reads = set(reads).union(*(top for _, _, top in modules.values()), *(defs[k][1] for k in roots))
+    while True:
+        names = {r[1] for r in reads if r[0] == "name"}
+        attrs = {r[1] for r in reads if r[0] == "attr"}
+        exact = set().union(*(resolve(*r[1:]) for r in reads if r[0] == "member"))
+        classes |= names & bases.keys()
+
+        def is_read(key, cls):
+            name = key[1].rpartition(".")[2]
+            if cls is None:
+                return name in names
+            dunder = name.startswith("__") and name.endswith("__")
+            return key in exact or cls in classes and (dunder or name in attrs)
+
+        new = {k for k, (cls, _) in defs.items() if k not in reached and is_read(k, cls)}
+        if not new:
+            return reached
+        reached |= new
+        reads |= set().union(*(defs[k][1] for k in new))
+
+
+def _span_targets():
+    """(module, qualified name) of each attribute path that
+    bench/tracing.py's SPANS and COUNTS wrap."""
+    tree = ast.parse((ROOT / "bench" / "tracing.py").read_text())
+    return {
+        (case.elts[1].value, case.elts[2].value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign)
+        and [getattr(t, "id", None) for t in node.targets] in (["SPANS"], ["COUNTS"])
+        for case in node.value.elts
+    }
 
 
 def test_every_function_is_reached():
-    # a def is reached when a reached def, or module-level code, reads its
-    # name; the roots are the exports (every method of an exported class
-    # included), the benchmark, the paper-level checks and the test
-    # references; a reached class reaches its dunders
-    modules = {p.name: _scopes(ast.parse(p.read_text())) for p in sorted(PACKAGE_DIR.glob("*.py"))}
-    defs = {(m, q): v for m, (ds, _) in modules.items() for q, v in ds.items()}
-    for root in PIPELINE + REFERENCES:
-        assert any(q == root or q.endswith("." + root) for _, q in defs), f"no def {root}"
+    # the roots are the exports (every method of an exported class
+    # included), the span targets, the code of bench/units.py, the
+    # paper-level checks and the test references; a span target's class
+    # is reached
+    modules = _package_scopes({p.stem: p.read_text() for p in sorted(PACKAGE_DIR.glob("*.py"))})
+    defs = {(m, q): cls for m, (ds, _, _) in modules.items() for q, (cls, _) in ds.items()}
+    spans = _span_targets()
+    assert spans <= defs.keys(), sorted(spans - defs.keys())
+    checks = {r: {k for k in defs if k[1] == r or k[1].endswith("." + r)} for r in PIPELINE + REFERENCES}
+    assert all(checks.values()), [r for r, found in checks.items() if not found]
     exported = {n for n in frobfix.__all__ if isinstance(getattr(frobfix, n), type)}
-    reads = set(frobfix.__all__) | _bench_roots() | {r.rpartition(".")[2] for r in PIPELINE + REFERENCES}
-    reads |= {name for _, top in modules.values() for name in top}
-    reads |= {q.rpartition(".")[2] for (_, q), (cls, _) in defs.items() if cls in exported}
-
-    def is_read(qualname, cls):
-        name = qualname.rpartition(".")[2]
-        dunder = name.startswith("__") and name.endswith("__")
-        return name in reads or (dunder and cls is not None and cls.rpartition(".")[2] in reads)
-
-    reached = set()
-    while new := {k for k, (cls, _) in defs.items() if k not in reached and is_read(k[1], cls)}:
-        reached |= new
-        reads |= {name for k in new for name in defs[k][1]}
-    unreached = [f"{m}:{q}" for m, q in sorted(defs) if (m, q) not in reached and m not in REACH_EXEMPT]
+    roots = spans.union(*checks.values(), {k for k, cls in defs.items() if cls in exported})
+    classes = exported | {defs[k] for k in spans if defs[k]}
+    units = ast.parse((ROOT / "bench" / "units.py").read_text())
+    bench_defs, _, bench_top = _scopes(units, {c for _, bs, _ in modules.values() for c in bs})
+    reads = bench_top.union(*(r for _, r in bench_defs.values()), {("name", n) for n in frobfix.__all__})
+    reached = _reached(modules, reads, roots, classes)
+    unreached = [f"{m}.py:{q}" for m, q in sorted(defs.keys() - reached)]
     assert not unreached, "defs that no export, workload or paper-level check reaches:\n" + (
         "\n".join(unreached)
     )
+
+
+NEVER_BUILT = '''
+class Used:
+    def shared(self):
+        return self._helper()
+
+    def _helper(self):
+        return 1
+
+
+class NeverBuilt:
+    def shared(self):
+        return 2
+
+
+def entry(x):
+    return Used().shared() + x.shared()
+'''
+
+
+def test_reach_resolves_owners():
+    # NeverBuilt.shared shares its name with a reached method, so matching
+    # by bare name would pass it; nothing names NeverBuilt, so nothing
+    # reaches it
+    modules = _package_scopes({"m": NEVER_BUILT})
+    reached = _reached(modules, {("name", "entry")}, set(), set())
+    assert reached == {("m", "entry"), ("m", "Used.shared"), ("m", "Used._helper")}

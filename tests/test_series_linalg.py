@@ -1,19 +1,25 @@
-"""Series-ring and nullspace tests."""
+"""Truncated-series kernel and nullspace tests."""
 
 import random
 from itertools import product
 
+import pytest
+
+from frobfix.errors import FieldMismatchError
 from frobfix.gf2 import default_field
 from frobfix.linalg import nullspace, rref
-from frobfix.series import TruncatedSeriesRing
+from frobfix.series import SeriesElement, inverse_masks, mul_masks
 
 
-def _random_series(ring, rng, unit=False):
-    f = ring.field
-    coeffs = [f.random(rng) for _ in range(ring.n)]
+def _random_series(field, n, rng, unit=False):
+    masks = [field.random(rng).mask for _ in range(n)]
     if unit:
-        coeffs[0] = f.element(rng.randrange(1, f.order))
-    return ring.element(coeffs)
+        masks[0] = rng.randrange(1, field.order)
+    return tuple(masks)
+
+
+def _add(a, b):
+    return tuple(x ^ y for x, y in zip(a, b))
 
 
 # GF(2) and GF(2^16) are where indexing the exp/log tables can go wrong;
@@ -23,37 +29,57 @@ EDGE_DEGREES = (1, 16)
 
 def test_series_ring_axioms_random():
     for degree in (2,) + EDGE_DEGREES:
-        ring = TruncatedSeriesRing(default_field(degree), 4)
+        f = default_field(degree)
         rng = random.Random(11)
         for _ in range(300):
-            a, b, c = (_random_series(ring, rng) for _ in range(3))
-            assert (a + b) + c == a + (b + c)
-            assert (a * b) * c == a * (b * c)
-            assert a * (b + c) == a * b + a * c
-            assert a * b == b * a
+            a, b, c = (_random_series(f, 4, rng) for _ in range(3))
+            assert mul_masks(f, mul_masks(f, a, b), c) == mul_masks(f, a, mul_masks(f, b, c))
+            assert mul_masks(f, a, _add(b, c)) == _add(mul_masks(f, a, b), mul_masks(f, a, c))
+            assert mul_masks(f, a, b) == mul_masks(f, b, a)
 
 
 def test_series_nilpotency_and_units():
     f = default_field(1)
-    ring = TruncatedSeriesRing(f, 3)
-    s = ring.element([f.zero(), f.one()])
-    assert (s * s * s).is_zero()
-    assert not (s * s).is_zero()
-    elements = [ring.element(f.element(m) for m in ms) for ms in product(range(2), repeat=3)]
-    units = [u for u in elements if u.is_unit()]
+    s = (0, 1, 0)
+    assert mul_masks(f, mul_masks(f, s, s), s) == (0, 0, 0)
+    assert mul_masks(f, s, s) == (0, 0, 1)
     # units are exactly the elements with nonzero constant term
+    units = [u for u in product(range(2), repeat=3) if u[0]]
     assert len(units) == 1 * 2 * 2
     for u in units:
-        assert u * u.inverse() == ring.one()
+        assert mul_masks(f, u, inverse_masks(f, u)) == (1, 0, 0)
 
 
 def test_series_inverse_random():
     for degree in (3,) + EDGE_DEGREES:
-        ring = TruncatedSeriesRing(default_field(degree), 5)
+        f = default_field(degree)
         rng = random.Random(12)
         for _ in range(200):
-            u = _random_series(ring, rng, unit=True)
-            assert u * u.inverse() == ring.one()
+            u = _random_series(f, 5, rng, unit=True)
+            assert mul_masks(f, u, inverse_masks(f, u)) == (1,) + (0,) * 4
+
+
+def test_series_element_wraps_the_kernels():
+    # SeriesElement stays as the target of the benchmark's series spans:
+    # its three operations are the kernels, with a field check
+    for degree in (2,) + EDGE_DEGREES:
+        f = default_field(degree)
+        rng = random.Random(13)
+        for _ in range(50):
+            a, u = _random_series(f, 4, rng), _random_series(f, 4, rng, unit=True)
+            sa, su = SeriesElement(f, a), SeriesElement(f, u)
+            assert (sa + su).masks == _add(a, u)
+            assert (sa * su).masks == mul_masks(f, a, u)
+            assert su.inverse().masks == inverse_masks(f, u)
+    f16, f4 = default_field(4), default_field(2)
+    s16, s4 = SeriesElement(f16, (1, 2, 0)), SeriesElement(f4, (1, 2, 0))
+    for call in (lambda: s16 + s4, lambda: s16 * s4):
+        with pytest.raises(FieldMismatchError):
+            call()
+    with pytest.raises(TypeError):
+        s16 * (1, 2, 0)
+    with pytest.raises(ZeroDivisionError):
+        SeriesElement(f16, (0, 1, 0)).inverse()
 
 
 def _random_mask_matrix(field, rng, nr, nc):
