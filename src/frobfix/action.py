@@ -1,37 +1,37 @@
 """The automorphism group Z/2 x S3 of the curve family.
 
-Every automorphism is (x, y) -> (m(x), (a(x) y + b(x)) / c(x)) where
-m = N/D is a Mobius map permuting the branch x-coordinates {0, 1, inf}
-and (a, b, c) are polynomials with gcd 1 and c monic, so the triple is
-unique.  The maps permuting {0, 1, inf} are the six 2x2 bit matrices of
-PGL(2, 2) = S3; a `MobiusMap` holds those four bits, carries no field,
-and acts on a point's x in the point's own field.
+Every automorphism has the normal form (Cardona-Nart-Pujolas, Math. Z. 2005)
 
-Everything is computed on cleared denominators: for a polynomial p and
-k >= deg p, p(N/D) D^k is a polynomial (`_homogenize`).  The map
-satisfies the curve equation when, after y^2 = h y + f and clearing
-c^2 D^6, the y-coefficient (over a) and the constant term vanish.  One
-table of degree 6 gives h(m) D^6, f(m) D^6 and D^6, and the pair
+    (x, y) -> (m(x), (y + H(x)) / D(x)^3),    m = N/D,  deg H <= 3,
 
-    a h D^6 = h(m) D^6 c,    (a^2 f + b^2) D^6 + h(m) D^6 b c = f(m) D^6 c^2
+where m permutes the branch x-coordinates {0, 1, inf} and H is a tuple of
+coefficient masks over the base field.  Those m are the six 2x2 bit
+matrices of PGL(2, 2) = S3; a `MobiusMap` holds the four bits, carries no
+field, and acts on a point's x in the point's own field.
 
-is checked on every automorphism built.  With H = h(m) D^2 and
-F = f(m) D^6, a lift of m is y -> (H D y + B) / (D^3 h) where B solves
+For k >= deg p, p(N/D) D^k is a polynomial (`_homogenize`): the sum of the
+p_i times the GF(2) polynomials N^i D^(k-i), with no field product.  N, D
+and N + D are the three nonzero linear forms over GF(2), so h(m) D^3 =
+N (N + D) D = x (x + 1) = h.  For y -> (e y + H) / D^3, the y-terms of
+y^2 + h y = f, cleared by D^6, then agree only when e = 1, and the
+constant terms when H^2 + h H = f(m) D^6 + f.  That right side has degree
+<= 6, so deg H <= 3.  Every automorphism built is checked against
 
-    B^2 + (H D h) B = F h^2 + H^2 D^2 f.
+    h(m) D^3 = h,    H^2 + h H + f = f(m) D^6    (`jacobian._mumford`).
 
-Squaring is additive in characteristic 2, so this is a GF(2)-linear
-system in the coefficients of B; the solver finds both lifts (they differ
-by the hyperelliptic involution) over the base field, where both exist
-for every t over GF(2^d), d <= 9.  The group checks compose each pair of
-the twelve lifts once, into one Cayley table, and read the relations and
-the element orders from it.
+The equation for H is GF(2)-linear in its coefficients, with kernel
+{0, h}: the two lifts of m differ by the hyperelliptic involution, and
+both exist over the base field for every t over GF(2^d), d <= 9.  g o k
+has H_k + H_g(m_k) D_k^3, g^-1 has H(m^-1) D'^3 with D' the denominator
+of m^-1, and the Frobenius twist squares H coefficient-wise.
 """
 
+from functools import reduce
+
 from .errors import FieldMismatchError, InconsistencyError, SearchExhaustedError
-from .gf2 import FieldElement, embed
-from .jacobian import FormalDivisor, JacobianClass, class_of
-from .poly import Poly, affine_span, solve_additive
+from .gf2 import FieldElement, embed, mask_mul
+from .jacobian import FormalDivisor, JacobianClass, _mumford, _trim, _xor, class_of
+from .poly import Poly, affine_span, evaluate_masks, solve_additive
 
 
 class MobiusMap:
@@ -50,16 +50,14 @@ class MobiusMap:
             raise ValueError("singular Mobius matrix")
         self.a, self.b, self.c, self.d = a, b, c, d
 
-    def numerator_poly(self, field):
-        return Poly.from_masks(field, (self.b, self.a))
-
-    def denominator_poly(self, field):
-        return Poly.from_masks(field, (self.d, self.c))
+    def denominator_at(self, x):
+        """D(x) = c x + d as a mask, for a finite x."""
+        return (x.mask if self.c else 0) ^ self.d
 
     def apply_x(self, x):
         """Image of a finite x, in x's own field; None encodes the point at
         infinity."""
-        den = (x.mask if self.c else 0) ^ self.d
+        den = self.denominator_at(x)
         if den == 0:
             return None
         field = x.field
@@ -102,29 +100,20 @@ class MobiusMap:
         return f"Mobius({hex(self.a)}x+{hex(self.b)})/({hex(self.c)}x+{hex(self.d)})"
 
 
-def _homogenize(mobius, polys, k):
-    """[p(N/D) D^k for p in polys] for the map N/D, each deg p <= k: the
-    sums of p_i N^i D^(k-i), from one table of the products N^i D^(k-i),
-    over the field of the polys."""
-    field = polys[0].field
-    num, den = mobius.numerator_poly(field), mobius.denominator_poly(field)
-    npow, dpow = [Poly.one(field)], [Poly.one(field)]
-    for _ in range(k):
-        npow.append(npow[-1] * num)
-        dpow.append(dpow[-1] * den)
-    basis = [(npow[i] * dpow[k - i]).masks() for i in range(k + 1)]
-    mul = field.mul_masks
-    out = []
-    for p in polys:
-        if p.degree > k:
-            raise ValueError(f"degree {p.degree} exceeds the homogenizing degree {k}")
-        acc = [0] * (k + 1)
-        for c, row in zip(p.masks(), basis):
-            if c:
-                for j, r in enumerate(row):
-                    acc[j] ^= mul(c, r)
-        out.append(Poly.from_masks(field, acc))
-    return out
+def _homogenize(mobius, p, k):
+    """p(N/D) D^k for the map N/D and the coefficient masks p, deg p <= k,
+    as a trimmed tuple: the sum of p_i N^i D^(k-i), where each N^i D^(k-i)
+    is a GF(2) polynomial, a bit mask, so the sum is XORs of the p_i."""
+    if len(p) > k + 1:
+        raise ValueError(f"degree {len(p) - 1} exceeds the homogenizing degree {k}")
+    num, den = mobius.b | mobius.a << 1, mobius.d | mobius.c << 1
+    acc = [0] * (k + 1)
+    for i, c in enumerate(p):
+        row = reduce(mask_mul, [num] * i + [den] * (k - i), 1)
+        for j in range(k + 1):
+            if row >> j & 1:
+                acc[j] ^= c
+    return _trim(acc)
 
 
 def s3_mobius_maps():
@@ -144,64 +133,55 @@ def s3_mobius_maps():
 
 
 class CurveAutomorphism:
-    """(x, y) -> (m(x), (a(x) y + b(x)) / c(x)), normalized to gcd(a, b, c)
-    = 1 with c monic, and validated exactly at construction."""
+    """(x, y) -> (m(x), (y + H(x)) / D(x)^3) for m = N/D and H the masks of
+    a base-field polynomial of degree <= 3, validated exactly at construction."""
 
-    __slots__ = ("curve", "mobius", "a", "b", "c", "_eval_cache")
+    __slots__ = ("curve", "mobius", "H", "_eval_cache")
 
-    def __init__(self, curve, mobius, a, b, c):
-        g = a.gcd(b).gcd(c)
-        if g.degree > 0:
-            a, b, c = a.divexact(g), b.divexact(g), c.divexact(g)
-        inv = c.leading().inverse()
-        self.curve = curve
-        self.mobius = mobius
-        self.a, self.b, self.c = a.scale(inv), b.scale(inv), c.scale(inv)
-        self._eval_cache = {}
+    def __init__(self, curve, mobius, H):
+        H = _trim(list(H))
+        if len(H) > 4:
+            raise ValueError(f"H has degree {len(H) - 1}, more than 3")
+        if not all(0 <= c < curve.field.order for c in H):
+            raise ValueError(f"coefficient mask of H out of range for {curve.field!r}")
+        self.curve, self.mobius, self.H, self._eval_cache = curve, mobius, H, {}
         self._validate()
 
     def _validate(self):
         field = self.curve.field
-        h, f = (Poly.from_masks(field, m) for m in self.curve.equation_masks(field))
-        h6, f6, d6 = _homogenize(self.mobius, (h, f, Poly.one(field)), 6)
-        a, b, c = self.a, self.b, self.c
-        # y-coefficient (over a) and constant term of the transformed equation, times D^6
+        h, f = self.curve.equation_masks(field)
+        exp, log = field.tables()
+        # the y-terms and the constant terms of the transformed equation, times D^6
         if not (
-            a * h * d6 == h6 * c and (a * a * f + b * b) * d6 + h6 * b * c == f6 * c * c
+            _homogenize(self.mobius, h, 3) == h
+            and _trim(_mumford(exp, log, h, f, self.H)) == _homogenize(self.mobius, f, 6)
         ):
             raise InconsistencyError("automorphism data fails the curve identity")
 
-    # -- serialization view ---------------------------------------------------
-    def abc(self):
-        """(a, b, c) with y -> (a(x) y + b(x)) / c(x)."""
-        return self.a, self.b, self.c
-
     def coefficient_key(self):
-        return (self.mobius.key(), self.a.masks(), self.b.masks(), self.c.masks())
+        """(Mobius key, a, b, c) for y -> (a y + b) / c: a = 1, b = H and
+        c = D^3 = c x^3 + c d x^2 + c d x + d, read off the bits c, d."""
+        c, d = self.mobius.c, self.mobius.d
+        return (self.mobius.key(), (1,), self.H, (d, d, d, 1) if c else (1,))
 
     # -- group structure --------------------------------------------------------
     def compose(self, other):
-        """self after other."""
+        """self after other: H = H_other + H_self(m_other) D_other^3."""
         if not self.curve.same_model(other.curve):
             raise FieldMismatchError("automorphisms of different curves")
-        k = max(p.degree for p in self.abc())
-        a1, b1, c1 = _homogenize(other.mobius, self.abc(), k)
         return CurveAutomorphism(
             self.curve,
             self.mobius.compose(other.mobius),
-            a1 * other.a,
-            a1 * other.b + b1 * other.c,
-            c1 * other.c,
+            _xor(other.H, _homogenize(other.mobius, self.H, 3)),
         )
 
     def inverse(self):
-        # y' c = a y + b, so y = (c y' + b) / a at x = m^-1(x')
+        # y = y' D(x)^3 + H(x) at x = m^-1(x'), and D(m^-1) D' = 1
         minv = self.mobius.inverse()
-        k = max(p.degree for p in self.abc())
-        return CurveAutomorphism(self.curve, minv, *_homogenize(minv, (self.c, self.b, self.a), k))
+        return CurveAutomorphism(self.curve, minv, _homogenize(minv, self.H, 3))
 
     def is_identity(self):
-        return self.coefficient_key() == ((1, 0, 0, 1), (1,), (), (1,))
+        return self.mobius.key() == (1, 0, 0, 1) and not self.H
 
     def __eq__(self, other):
         return (
@@ -214,16 +194,14 @@ class CurveAutomorphism:
         return hash(self.coefficient_key())
 
     def __repr__(self):
-        return f"Aut({self.mobius!r}; a={self.a!r}, b={self.b!r}, c={self.c!r})"
+        return f"Aut({self.mobius!r}; H={[hex(c) for c in self.H]})"
 
     # -- action -------------------------------------------------------------------
     def _mapped(self, field):
-        got = self._eval_cache.get(field)
-        if got is None:
-            emb = embed(self.curve.field, field)
-            got = tuple(p.map(emb) for p in self.abc())
-            self._eval_cache[field] = got
-        return got
+        """H's coefficient masks in `field`, kept per field."""
+        if field not in self._eval_cache:
+            self._eval_cache[field] = tuple(map(embed(self.curve.field, field).image_mask, self.H))
+        return self._eval_cache[field]
 
     def apply(self, point):
         """Image of a curve point (any coordinate field over the base).  The
@@ -240,10 +218,11 @@ class CurveAutomorphism:
         xim = self.mobius.apply_x(point.x)
         if xim is None:
             return curve.infinity()
-        a, b, c = (p.evaluate(point.x) for p in self._mapped(point.field))
-        if c.mask == 0:
-            raise InconsistencyError("finite image point hit a pole of the y-transform")
-        return curve.point(xim, (a * point.y + b) / c)
+        # D(x) != 0, as the image is finite
+        field = point.field
+        num = point.y.mask ^ evaluate_masks(*field.tables(), self._mapped(field), point.x.mask)
+        den3 = field.pow_mask(self.mobius.denominator_at(point.x), -3)
+        return curve.point(xim, FieldElement(field, field.mul_masks(num, den3)))
 
     def act_on_class(self, cls):
         """Image class under the induced Jacobian automorphism, over the
@@ -264,46 +243,31 @@ class CurveAutomorphism:
         return JacobianClass(img.curve, cls.field, *(tuple(c.mask for c in p) for p in (u, v)))
 
     def frobenius_twist(self):
-        """The corresponding automorphism of the next twist (coefficients
-        squared, the bits of the Mobius map their own squares); satisfies
-        F o g = g' o F."""
-        return CurveAutomorphism(
-            self.curve.next_twist(), self.mobius, *(p.frobenius_coeffs() for p in self.abc())
-        )
+        """The corresponding automorphism of the next twist (H squared
+        coefficient-wise, the bits of the Mobius map their own squares);
+        satisfies F o g = g' o F."""
+        mul = self.curve.field.mul_masks
+        return CurveAutomorphism(self.curve.next_twist(), self.mobius, [mul(c, c) for c in self.H])
 
 
 def lift_mobius(curve, mobius):
-    """Both lifts of a branch-permuting Mobius map m = N/D to curve
-    automorphisms, over the curve's base field, in deterministic order
-    (smallest coefficient key first).
-
-    A lift is y -> (H D y + B) / (D^3 h) with H = h(m) D^2, F = f(m) D^6
-    and B (deg B <= 7) a solution of B^2 + (H D h) B = F h^2 + H^2 D^2 f,
-    the curve equation times (D^3 h)^2.  Both lifts exist over the base
-    field for all six maps and every t != 0, 1 in GF(2^d), d = 2..9;
-    SearchExhaustedError is raised when the equation for B has no solution
-    there.
-    """
+    """Both lifts y -> (y + H) / D^3 of a branch-permuting Mobius map
+    m = N/D, smallest coefficient key first, for the two solutions H of
+    H^2 + h H = f(m) D^6 + f over the curve's base field; raises
+    SearchExhaustedError when that equation has none there."""
     field = curve.field
-    h, f = (Poly.from_masks(field, m) for m in curve.equation_masks(field))
-    n = mobius.denominator_poly(field)
-    (hm,) = _homogenize(mobius, (h,), 2)
-    (fm,) = _homogenize(mobius, (f,), 6)
-    hn = hm * n
-    sol = solve_additive(8, hn * h, fm * h * h + hn * hn * f)
+    h, f = curve.equation_masks(field)
+    rhs = _xor(_homogenize(mobius, f, 6), f)
+    sol = solve_additive(4, Poly.from_masks(field, h), Poly.from_masks(field, rhs))
     if sol is None:
         raise SearchExhaustedError(f"no lift of {mobius!r} over {field!r}")
-    if len(sol[1]) > 4:
+    if len(sol[1]) > 1:
         raise InconsistencyError("lift solution space is unexpectedly large")
-    lifts = []
-    for b in affine_span(*sol):
-        cand = CurveAutomorphism(curve, mobius, hn, b, n ** 3 * h)
-        if cand not in lifts:
-            lifts.append(cand)
+    # distinct solutions H are distinct lifts: H is part of the key
+    lifts = [CurveAutomorphism(curve, mobius, z.masks()) for z in affine_span(*sol)]
     if len(lifts) != 2:
         raise InconsistencyError(f"expected exactly two lifts, found {len(lifts)}")
-    lifts.sort(key=lambda g: g.coefficient_key())
-    return lifts
+    return sorted(lifts, key=CurveAutomorphism.coefficient_key)
 
 
 # ---------------------------------------------------------------------------
@@ -323,8 +287,6 @@ def automorphism_group(curve):
     iota-composites ("iota*tau01", ...).
     """
     maps = s3_mobius_maps()
-    by_name = {}
-    elements = []
     principal = {}
     for name, m in zip(MOBIUS_NAMES, maps):
         lifts = lift_mobius(curve, m)
@@ -342,17 +304,11 @@ def automorphism_group(curve):
             if not squares_to_id:
                 raise InconsistencyError(f"no lift of {name} is an involution")
             principal[name] = squares_to_id[0]
-    for name in MOBIUS_NAMES:
-        g = principal[name]
-        by_name[name] = g
-        elements.append(g)
-    by_name["iota"] = iota
-    for name in MOBIUS_NAMES:
-        if name == "identity":
-            continue
-        comp = iota.compose(principal[name])
-        by_name[f"iota*{name}"] = comp
-        elements.append(comp)
+    elements = [principal[name] for name in MOBIUS_NAMES]
+    by_name = dict(principal, iota=iota)
+    for name in MOBIUS_NAMES[1:]:
+        by_name[f"iota*{name}"] = iota.compose(principal[name])
+        elements.append(by_name[f"iota*{name}"])
     elements.append(iota)
     if len({g.coefficient_key() for g in elements}) != 12:
         raise InconsistencyError("the twelve lifted automorphisms are not distinct")

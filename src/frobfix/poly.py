@@ -6,11 +6,11 @@ arithmetic indexes directly: each operation checks the field once, adds
 by XOR and multiplies by table lookups.  FieldElement is the type at the
 boundary: `Poly(field, coeffs)` takes FieldElements and checks each one's
 field, and `p[i]`, `leading()` and `evaluate` return FieldElements.
-gcds are monic.  Quadratics in characteristic 2 are solved by the field
-layer's one root kernel, `gf2.quadratic_root_masks` (the Artin-Schreier
-substitution, not any discriminant formula), and the polynomial equation
-z^2 + g z = r (mod w), which gives Mumford's v (g = h, r = f, w = u) and
-the automorphism lifts (no modulus), as a GF(2)-linear system
+Quadratics in characteristic 2 are solved by the field layer's one root
+kernel, `gf2.quadratic_root_masks` (the Artin-Schreier substitution, not
+any discriminant formula), and the polynomial equation z^2 + g z = r
+(mod w), which gives Mumford's v (g = h, r = f, w = u) and the
+automorphism lifts (no modulus), as a GF(2)-linear system
 (`solve_additive`), whose columns are built on coefficient masks: powers
 of x by the recurrence x^(k+1) = x x^k mod w, products by table logs.
 """
@@ -225,22 +225,10 @@ class Poly:
     def __mod__(self, other):
         return divmod(self, other)[1]
 
-    def divexact(self, other):
-        q, r = divmod(self, other)
-        if not r.is_zero():
-            raise ValueError("division is not exact")
-        return q
-
     def monic(self):
         if self.is_zero():
             return self
         return self.scale(self.leading().inverse())
-
-    def gcd(self, other):
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic() if not a.is_zero() else a
 
     def xgcd(self, other):
         """Extended gcd: returns (g, s, t) with s*self + t*other = g, g monic."""
@@ -271,12 +259,6 @@ class Poly:
         if emb.source != self.field:
             raise FieldMismatchError("embedding source does not match polynomial field")
         return _wrap(emb.target, [emb.image_mask(c) for c in self._m])
-
-    def frobenius_coeffs(self):
-        """Coefficient-wise squaring (x stays x)."""
-        mul = self.field.mul_masks
-        return _wrap(self.field, [mul(c, c) for c in self._m])
-
 
 def solve_linear(p):
     """The root of a degree-1 polynomial."""

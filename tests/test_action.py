@@ -17,10 +17,15 @@ from frobfix.action import (
     verify_group_structure,
 )
 from frobfix.curve import Curve
-from frobfix.errors import FieldMismatchError, InconsistencyError, SearchExhaustedError
+from frobfix.errors import (
+    FieldMismatchError,
+    InconsistencyError,
+    NotOnCurveError,
+    SearchExhaustedError,
+)
 from frobfix.gf2 import FieldEmbedding, default_field
-from frobfix.jacobian import FormalDivisor, JacobianClass, enumerate_classes, random_class
-from frobfix.poly import Poly
+from frobfix.jacobian import FormalDivisor, JacobianClass, _xor, enumerate_classes, random_class
+from frobfix.poly import Poly, evaluate_masks
 
 
 def laszlo_curve():
@@ -48,8 +53,8 @@ def test_lift_identity_gives_id_and_iota():
     assert any(g.is_identity() for g in lifts)
     other = next(g for g in lifts if not g.is_identity())
     # the other lift is the hyperelliptic involution: y -> y + h(x)
-    h, _ = c.equation_polys(f4)
-    assert other.abc() == (Poly.one(f4), h, Poly.one(f4))
+    h, _ = c.equation_masks(f4)
+    assert other.mobius == ident_map and other.H == h
     f16 = default_field(4)
     for p in c.points_over(f16):
         assert other.apply(p) == p.hyperelliptic_involution()
@@ -60,8 +65,35 @@ def test_lift_tau01_exists_over_base():
     tau_map = MobiusMap(1, 1, 0, 1)
     lifts = lift_mobius(c, tau_map)
     for g in lifts:
-        assert all(p.field == c.field for p in g.abc())  # rational over the base, no extension
+        # rational over the base, no extension
+        assert g.curve.field == c.field and all(m < c.field.order for m in g.H)
         assert g.compose(g).is_identity()
+
+
+def _curves_up_to_gf64():
+    """Every curve of the family over GF(4), GF(8), GF(16) and GF(64)."""
+    for d in (2, 3, 4, 6):
+        field = default_field(d)
+        for mask in range(2, field.order):
+            yield Curve(field, field.element(mask))
+
+
+def test_tau01_lifts_in_closed_form():
+    # the lifts of x -> x + 1 are y -> y + T(x^2 + x + 1) and its iota-partner
+    # y -> y + T(x^2 + x + 1) + h; both are involutions, so automorphism_group
+    # names the one with the smaller key tau01, which is T(x^2 + x + 1)
+    # exactly when the mask of T is even
+    curves = list(_curves_up_to_gf64())
+    assert len(curves) == 84
+    named = []
+    for c in curves:
+        t = c.effective_t.mask
+        lifts = lift_mobius(c, MobiusMap(1, 1, 0, 1))
+        assert [g.H for g in lifts] == sorted([(t, t, t), (t, t ^ 1, t ^ 1)]), c
+        tau01 = automorphism_group(c)[1]["tau01"]
+        named.append(tau01.H == (t, t, t))
+        assert named[-1] == (t % 2 == 0), c
+    assert (named.count(True), named.count(False)) == (42, 42)
 
 
 @pytest.mark.pinned
@@ -208,23 +240,47 @@ def test_inverse_and_composition_agree_with_the_action_on_points():
 def test_homogenize_matches_pointwise():
     rng = random.Random(6)
     for field in (default_field(4), default_field(8)):
+        exp, log = field.tables()
         for m in s3_mobius_maps():
             for k in range(7):
-                polys = [
-                    Poly(field, [field.random(rng) for _ in range(rng.randrange(k + 2))])
-                    for _ in range(3)
-                ]
-                den = m.denominator_poly(field)
-                for p, got in zip(polys, _homogenize(m, polys, k)):
-                    assert got.degree <= k
+                for _ in range(3):
+                    p = tuple(field.random(rng).mask for _ in range(rng.randrange(k + 2)))
+                    got = _homogenize(m, p, k)
+                    assert len(got) <= k + 1 and (not got or got[-1])
                     for x in field.elements():
-                        dx = den.evaluate(x)
-                        if dx.mask:
-                            assert got.evaluate(x) == p.evaluate(m.apply_x(x)) * dx ** k
+                        dx = m.denominator_at(x)
+                        if dx:
+                            px = evaluate_masks(exp, log, p, m.apply_x(x).mask)
+                            want = field.mul_masks(px, field.pow_mask(dx, k))
+                            assert evaluate_masks(exp, log, got, x.mask) == want
                         else:
                             assert m.apply_x(x) is None
-        with pytest.raises(ValueError):
-            _homogenize(MobiusMap(1, 0, 0, 1), [Poly.x(field) ** 3], 2)
+        with pytest.raises(ValueError, match="exceeds"):
+            _homogenize(MobiusMap(1, 0, 0, 1), (0, 0, 0, 1), 2)
+
+
+def test_constructor_rejects_a_long_or_out_of_range_h():
+    c, ident = laszlo_curve(), MobiusMap(1, 0, 0, 1)
+    with pytest.raises(ValueError, match="degree 4"):
+        CurveAutomorphism(c, ident, (0, 0, 0, 0, 1))
+    for bad in (4, -1):  # GF(4) masks are 0..3
+        with pytest.raises(ValueError, match="out of range"):
+            CurveAutomorphism(c, ident, (bad,))
+    assert CurveAutomorphism(c, ident, (0, 0, 0, 0, 0)).is_identity()  # trailing zeros trim
+
+
+def test_apply_with_a_wrong_mapped_h_leaves_the_curve(monkeypatch):
+    # the y-transform divides by D(x), nonzero whenever apply_x finds the
+    # image finite, so no pole check guards it; curve.point checks the image
+    c = laszlo_curve()
+    _, by_name = automorphism_group(c)
+    real = CurveAutomorphism._mapped
+    monkeypatch.setattr(
+        CurveAutomorphism, "_mapped", lambda self, field: _xor(real(self, field), (1,))
+    )
+    (origin,) = c.points_at(c.field.zero())
+    with pytest.raises(NotOnCurveError):
+        by_name["identity"].apply(origin)
 
 
 def test_mobius_maps_are_the_invertible_bit_matrices():
@@ -333,8 +389,9 @@ def _particular_solution_off_by_one(monkeypatch, curve):
     return lambda: automorphism_group(curve)
 
 
-def _kernel_repeated_five_times(monkeypatch, curve):
-    _plant_solve(monkeypatch, lambda part, kernel: (part, kernel * 5))
+def _kernel_repeated_twice(monkeypatch, curve):
+    # the kernel is {0, h}: a second basis vector is already too many
+    _plant_solve(monkeypatch, lambda part, kernel: (part, kernel * 2))
     return lambda: automorphism_group(curve)
 
 
@@ -388,17 +445,16 @@ def _sigma_named_as_its_order_6_lift(monkeypatch, curve):
     return lambda: verify_group_structure(curve)
 
 
-def _denominator_times_x(monkeypatch, curve):
-    _, by_name = automorphism_group(curve)
-    real = CurveAutomorphism._mapped
+def _h_identity_broken(monkeypatch, curve):
+    # h(m) D^3 reads h + x^3, and only the y-term half of the identity fails
+    h = curve.equation_masks(curve.field)[0]
+    real = action_module._homogenize
 
-    def planted(self, field):
-        a, b, c = real(self, field)
-        return a, b, c * Poly.x(field)
+    def planted(m, p, k):
+        return tuple(_xor(real(m, p, k), (0, 0, 0, 1))) if (p, k) == (h, 3) else real(m, p, k)
 
-    monkeypatch.setattr(CurveAutomorphism, "_mapped", planted)
-    (origin,) = curve.points_at(curve.field.zero())
-    return lambda: by_name["identity"].apply(origin)
+    monkeypatch.setattr(action_module, "_homogenize", planted)
+    return lambda: automorphism_group(curve)
 
 
 def _image_moved_off_the_class_field(monkeypatch, curve):
@@ -425,7 +481,10 @@ PLANTED_FAULTS = [
         id="curve-identity",
     ),
     pytest.param(
-        "lift solution space is unexpectedly large", _kernel_repeated_five_times, id="space"
+        "automorphism data fails the curve identity", _h_identity_broken, id="curve-identity-h"
+    ),
+    pytest.param(
+        "lift solution space is unexpectedly large", _kernel_repeated_twice, id="space"
     ),
     pytest.param("expected exactly two lifts, found 1", _kernel_dropped, id="two-lifts"),
     pytest.param(
@@ -449,9 +508,6 @@ PLANTED_FAULTS = [
         "Z/2 x S3 relation fails: sigma_order_3, braid_relation",
         _sigma_named_as_its_order_6_lift,
         id="relation",
-    ),
-    pytest.param(
-        "finite image point hit a pole of the y-transform", _denominator_times_x, id="pole"
     ),
     pytest.param(
         "image class is not rational over the class's field",

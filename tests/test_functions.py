@@ -409,7 +409,13 @@ def _norm_times_a_line_off_the_support(monkeypatch, curve):
 
 def _norm_short_of_one_factor(monkeypatch, curve):
     line, run = _vertical_witness(curve)
-    _plant_norm(monkeypatch, lambda n: n.divexact(line))
+
+    def short(n):
+        quo, rem = divmod(n, line)
+        assert rem.is_zero()
+        return quo
+
+    _plant_norm(monkeypatch, short)
     return run
 
 

@@ -257,13 +257,24 @@ def _scopes(tree, classes):
     reads of module-level code, class bodies included.  A read is
     ("name", X) for a name X or an attribute X of an imported frobfix
     module; ("member", C, X) for self.X or cls.X in class C, and for C.X
-    with C one of `classes`; and ("attr", X) for any other attribute X."""
-    modules = {
-        alias.asname or alias.name
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom) and node.module in (None, "frobfix")
-        for alias in node.names
-    }
+    with C one of `classes`; and ("attr", X) for any other attribute X,
+    except that an attribute of a name imported from outside frobfix
+    (math.gcd, resources.files) is no read of the package."""
+    def outside(name):
+        return name.partition(".")[0] != "frobfix"
+
+    modules, foreign = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module in (None, "frobfix"):
+            modules.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level and outside(node.module):
+            foreign.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            foreign.update(
+                alias.asname or alias.name.partition(".")[0]
+                for alias in node.names
+                if outside(alias.name)
+            )
     defs, bases, top = {}, {}, set()
 
     def visit(node, scope, cls, owner, reads):
@@ -288,7 +299,7 @@ def _scopes(tree, classes):
                     reads.add(("member", base, child.attr))
                 elif base in modules:
                     reads.add(("name", child.attr))
-                else:
+                elif base not in foreign:
                     reads.add(("attr", child.attr))
             visit(child, scope, cls, owner, reads)
 
@@ -413,3 +424,28 @@ def test_reach_resolves_owners():
     modules = _package_scopes({"m": NEVER_BUILT})
     reached = _reached(modules, {("name", "entry")}, set(), set())
     assert reached == {("m", "entry"), ("m", "Used.shared"), ("m", "Used._helper")}
+
+
+FOREIGN_ATTRIBUTE = '''
+import math
+
+
+class Used:
+    def __init__(self):
+        self.x = 1
+
+    def shared(self):
+        return 2
+
+
+def entry():
+    return Used(), math.shared(3)
+'''
+
+
+def test_reach_ignores_attributes_of_foreign_modules():
+    # math.shared names a function of math, not a method of the package:
+    # Used is built, but nothing reads its shared
+    modules = _package_scopes({"m": FOREIGN_ATTRIBUTE})
+    reached = _reached(modules, {("name", "entry")}, set(), set())
+    assert reached == {("m", "entry"), ("m", "Used.__init__")}
