@@ -9,7 +9,9 @@ roots, which exist uniquely in characteristic 2.
 
 (h, f) has one source, the memo `Curve.equation_masks`: membership, the
 involution and the root walk run on its masks with the field's exp/log
-tables.  The root walk (`_affine_point_masks`) and `points_at` evaluate h
+tables.  On every member and twist h = (0, 1, 1) and f = (0, A, 0, B, 0, A)
+with A = T^2 + T != 0 and B = T^2, and the Jacobian's group-law kernels
+read A and B off that memo and take h = x^2 + x as fixed.  The root walk (`_affine_point_masks`) and `points_at` evaluate h
 and f at each x by Horner on masks and solve for the y above it with the
 field layer's one root kernel, `gf2.quadratic_root_masks`, so this module
 has no field arithmetic of its own beyond table lookups.

@@ -3,8 +3,11 @@
 Classes are reduced Mumford pairs (u, v) of coefficient-mask tuples: u
 monic of degree <= 2, deg v < deg u, and u | v^2 + v h + f, over an
 explicit coordinate field containing the curve base field.  The group law
-runs on masks with the curve's memoised (h, f), `Curve.equation_masks`.
-A sum takes the first route that fits its inputs:
+runs on masks and assumes the family's model: h = x^2 + x, and
+f = A(x^5 + x) + B x^3 = (0, A, 0, B, 0, A) with A = T^2 + T != 0 and
+B = T^2, read off the curve's memo `Curve.equation_masks`.  Its kernels
+keep no term that is zero on the family: h0 = f0 = f2 = f4 = 0 and
+h1 = h2 = 1.  A sum takes the first route that fits its inputs:
 
     identity     one side has u = 1: the other side is returned
     opposite     u1 = u2 and u | v1 + v2 + h: the identity
@@ -41,7 +44,7 @@ this in the tests.
 from itertools import zip_longest
 from math import gcd
 
-from .curve import _check_square, _counted_lpolynomial, jacobian_order_from_lpoly
+from .curve import _H, _check_square, _counted_lpolynomial, jacobian_order_from_lpoly
 from .errors import (
     DegreeCapError,
     FieldMismatchError,
@@ -122,48 +125,41 @@ class JacobianClass:
             raise ValueError("v must be trimmed")
         if field.degree % self.curve.field.degree:
             raise FieldMismatchError("class field does not contain the curve base field")
-        h, f = self.curve.equation_masks(field)
+        f = self.curve.equation_masks(field)[1]
         if len(u) == 1:  # u = 1 divides v^2 + v h + f = f
             return list(f)
         exp, log = field.tables()
         if len(u) == 2:
-            quo, rem = divmod_masks(field, _mumford(exp, log, h, f, v), u)
+            quo, rem = divmod_masks(field, _mumford(exp, log, _H, f, v), u)
             if any(rem):
                 raise ValueError("Mumford condition u | v^2 + v h + f fails")
             return quo
-        # deg u = 2, written out: f0..f5 become v^2 + v h + f, then its
-        # quotient by u = x^2 + a1 x + a0 in f2..f5 and the remainder in f0, f1
-        (a0, a1, _), (h0, h1, h2), (f0, f1, f2, f3, f4, f5) = u, h, f
+        # deg u = 2, written out: for v = c1 x + c0, n0..n4 and A are the
+        # coefficients (c0^2, A + c0, c0 + c1 + c1^2, B + c1, 0, A) of
+        # v^2 + v h + f, then its quotient by u = x^2 + a1 x + a0 in n2, n3,
+        # n4, A and the remainder in n0, n1
+        (a0, a1, _), (_, A, _, B, _, _) = u, f
         c0, c1 = (v + (0, 0))[:2]
-        if c0:
-            lc = log[c0]
-            f0 ^= exp[lc + lc] ^ (exp[lc + log[h0]] if h0 else 0)
-            f1 ^= exp[lc + log[h1]] if h1 else 0
-            f2 ^= exp[lc + log[h2]]  # h2 != 0, as h is trimmed
-        if c1:
-            lc = log[c1]
-            f1 ^= exp[lc + log[h0]] if h0 else 0
-            f2 ^= exp[lc + lc] ^ (exp[lc + log[h1]] if h1 else 0)
-            f3 ^= exp[lc + log[h2]]
-        la0, la1 = log[a0], log[a1]
-        lc = log[f5]  # f5 != 0 on the family
-        f4 ^= exp[lc + la1] if a1 else 0
-        f3 ^= exp[lc + la0] if a0 else 0
-        if f4:
-            lc = log[f4]
-            f3 ^= exp[lc + la1] if a1 else 0
-            f2 ^= exp[lc + la0] if a0 else 0
-        if f3:
-            lc = log[f3]
-            f2 ^= exp[lc + la1] if a1 else 0
-            f1 ^= exp[lc + la0] if a0 else 0
-        if f2:
-            lc = log[f2]
-            f1 ^= exp[lc + la1] if a1 else 0
-            f0 ^= exp[lc + la0] if a0 else 0
-        if f0 or f1:
+        n0, n1 = exp[log[c0] * 2] if c0 else 0, A ^ c0
+        n2, n3 = c0 ^ c1 ^ (exp[log[c1] * 2] if c1 else 0), B ^ c1
+        la0, la1, lc = log[a0], log[a1], log[A]  # A != 0 on the family
+        n4 = exp[lc + la1] if a1 else 0
+        n3 ^= exp[lc + la0] if a0 else 0
+        if n4:
+            lc = log[n4]
+            n3 ^= exp[lc + la1]
+            n2 ^= exp[lc + la0] if a0 else 0
+        if n3:
+            lc = log[n3]
+            n2 ^= exp[lc + la1] if a1 else 0
+            n1 ^= exp[lc + la0] if a0 else 0
+        if n2:
+            lc = log[n2]
+            n1 ^= exp[lc + la1] if a1 else 0
+            n0 ^= exp[lc + la0] if a0 else 0
+        if n0 or n1:
             raise ValueError("Mumford condition u | v^2 + v h + f fails")
-        return [f2, f3, f4, f5]
+        return [n2, n3, n4, A]
 
     # -- constructors ---------------------------------------------------------
     @classmethod
@@ -194,18 +190,15 @@ class JacobianClass:
             return self
         if len(u1) < len(u2):  # the quadratic class first: a sum commutes
             u1, v1, u2, v2, k = u2, v2, u1, v1, other.cofactor
-        h, f = curve.equation_masks(field)
         r = None
         if u1 == u2:
-            if v1 == v2 and len(u1) == 3:  # h mod u = h + h2 u, as deg h = 2
-                exp, log = field.tables()
-                lh, (a0, a1, _) = log[h[2]], u1
-                r = [h[0] ^ (exp[log[a0] + lh] if a0 else 0), h[1] ^ (exp[log[a1] + lh] if a1 else 0)]
+            if v1 == v2 and len(u1) == 3:  # h mod u = h + u, as both are monic quadratics
+                r = [u1[0], u1[1] ^ 1]
             else:
-                r = divmod_masks(field, h if v1 == v2 else _xor(_xor(v1, v2), h), u1)[1]
+                r = divmod_masks(field, _H if v1 == v2 else _xor(_xor(v1, v2), _H), u1)[1]
             if not any(r):
                 return JacobianClass.identity(curve, field)  # other = -self
-        uv = _closed_form_sum(field, h, f, k, r, u1, v1, u2, v2)
+        uv = _closed_form_sum(field, curve.equation_masks(field)[1], k, r, u1, v1, u2, v2)
         if uv is not None:
             return JacobianClass(curve, field, *uv)
         # the split: u2 = (x + x1)(x + x1 + b1), and each point is a (2, 1)
@@ -220,8 +213,7 @@ class JacobianClass:
 
     def neg(self):
         field, u = self.field, self.u
-        h = self.curve.equation_masks(field)[0]
-        v = divmod_masks(field, _xor(self.v, h), u)[1]
+        v = divmod_masks(field, _xor(self.v, _H), u)[1]
         return JacobianClass(self.curve, field, u, _trim(v))
 
     def __sub__(self, other):
@@ -356,38 +348,40 @@ def _monic_pair(field, quo, vh):
     return u, _trim(divmod_masks(field, vh, u)[1])
 
 
-def _closed_form_sum(field, h, f, k, r, u1, v1, u2, v2):
-    """The reduced pair of (u1, v1) + (u2, v2), coefficient-mask tuples like
-    h and f with deg u1 >= deg u2, as trimmed tuples; None for a (2, 2) sum
-    whose u2 shares a root with u1, a (2, 2) doubling with Res(u, h) = 0,
-    and u1 = u2 with v1 != v2 (not opposite).  k = (v1^2 + v1 h + f) / u1
-    is the first class's cofactor, and r = (v1 + v2 + h) mod u1 when u1 = u2
-    (the caller's opposite test; h mod u for a doubling).  The composition
-    is U = u1 w, V = v1 + s u1, with w = u2 to add and w = u1 to double, and
-    s = n r^-1 mod w:
+def _closed_form_sum(field, f, k, r, u1, v1, u2, v2):
+    """The reduced pair of (u1, v1) + (u2, v2), coefficient-mask tuples with
+    deg u1 >= deg u2, as trimmed tuples; None for a (2, 2) sum whose u2
+    shares a root with u1, a (2, 2) doubling with Res(u, h) = 0, and u1 = u2
+    with v1 != v2 (not opposite).  f = (0, A, 0, B, 0, A) is the curve's,
+    k = (v1^2 + v1 h + f) / u1 is the first class's cofactor, and
+    r = (v1 + v2 + h) mod u1 when u1 = u2 (the caller's opposite test;
+    h mod u for a doubling, which is h + u for a quadratic u, as h and u are
+    monic of degree 2).  The composition is U = u1 w, V = v1 + s u1, with
+    w = u2 to add and w = u1 to double, and s = n r^-1 mod w:
         add:    s = (v1 + v2) (u1 mod w)^-1 mod w
         double: s = (k mod u) (h mod u)^-1 mod u
     a scalar n(b0) / r(b0) for w = x + b0, else `_slope_mod_quadratic`.
-    When x + b0 | u1, n(b0) is h(b0) and the points over b0 cancel, leaving
-    (x + e, v1(e)) at u1's other root e = a1 + b0, or 0 and the point
-    repeats: then the slope's n, r = k(b0), h(b0) make V tangent there.
-    When deg U = 2 the pair is already reduced: the chord, with slope
-    (y1 + y2) / (x1 + x2), and the tangent, with slope k(x1) / h(x1), as
-    k(x1) = f'(x1) + h'(x1) y1 is the derivative of v1^2 + v1 h + f at x1.
+    When x + b0 | u1, n(b0) is h(b0) = b0 (b0 + 1) and the points over b0
+    cancel, leaving (x + e, v1(e)) at u1's other root e = a1 + b0, or 0 and
+    the point repeats: then the slope's n, r = k(b0), h(b0) make V tangent
+    there.  When deg U = 2 the pair is already reduced: the chord, with
+    slope (y1 + y2) / (x1 + x2), and the tangent, with slope k(x1) / h(x1),
+    as k(x1) = f'(x1) + h'(x1) y1 is the derivative of v1^2 + v1 h + f at x1.
     Else deg u1 = 2, and as V^2 + V h + f = u1 (k + s h + s^2 u1), one exact
     synthetic division by w reduces it: U' = (k + s h + s^2 u1) / w made
     monic, V' = (V + h) mod U'; for deg w = 2 the slope, the division and
     (U', V') are written out, and U' has degree 1 exactly when s1 = 0.  A
     remainder raises, as U | V^2 + V h + f fails.  A doubling or a repeated
     point solves s from k, so its division is exact whatever k holds.  As
-    deg(v1^2 + v1 h) <= 3, the top of u1 k is f's: k[-1] = f5 and k[-2] =
-    f4 + a f5, for a the coefficient of u1 below its leading one, and every
-    sum but the chord reads k and raises first when k breaks this; below
-    them only the Mumford check of the result sees a wrong k in those two."""
+    deg(v1^2 + v1 h) <= 3, the top of u1 k is f's: k[-1] = A and
+    k[-2] = a A, as f4 = 0, for a the coefficient of u1 below its leading
+    one, and every sum but the chord reads k and raises first when k breaks
+    this; below them only the Mumford check of the result sees a wrong k in
+    those two.  Once it has passed, a doubling's k2 = a1 k3 makes the t =
+    k2 + k3 a1 of k mod u zero, so k mod u = (k1 + k3 a0) x + k0."""
     exp, log = field.tables()
-    a0, b0, a = u1[0], u2[0], u1[-2]
-    if (len(u1) == 3 or u1 == u2) and (
-            k[-1] != f[5] or k[-2] != f[4] ^ (exp[log[a] + log[f[5]]] if a and f[5] else 0)):
+    a0, b0, a, A = u1[0], u2[0], u1[-2], f[5]
+    if (len(u1) == 3 or u1 == u2) and (k[-1] != A or k[-2] != (exp[log[a] + log[A]] if a else 0)):
         raise InconsistencyError("cofactor's top coefficients disagree with u and f")
     if len(u1) == 2:  # deg U = 2, the chord or the tangent: already reduced
         # products inline: building and calling `mul` would slow these short sums
@@ -407,20 +401,19 @@ def _closed_form_sum(field, h, f, k, r, u1, v1, u2, v2):
 
         n, r = c0 ^ mul(c1, b0) ^ (v2[0] if v2 else 0), a0 ^ mul(b0, a1 ^ b0)
         if not r:  # a point of the first class lies over b0
-            hb = evaluate_masks(exp, log, h, b0)
+            hb = mul(b0, b0 ^ 1)
             if n == hb:  # it cancels the second class's point
                 e = a1 ^ b0
                 return (e, 1), _trim([c0 ^ mul(c1, e)])
             n, r = evaluate_masks(exp, log, k, b0), hb
-        s, (h0, h1, h2) = exp[log[n] + p - log[r]] if n else 0, h
+        s = exp[log[n] + p - log[r]] if n else 0
         q = mul(s, s)
-        quo, rem = divmod_masks(field, [
-            k[0] ^ mul(q, a0) ^ mul(s, h0), k[1] ^ mul(q, a1) ^ mul(s, h1),
-            k[2] ^ q ^ mul(s, h2), k[3]], u2)
+        quo, rem = divmod_masks(field, [  # k + s h + s^2 u1, s h = s x^2 + s x
+            k[0] ^ mul(q, a0), k[1] ^ mul(q, a1) ^ s, k[2] ^ q ^ s, k[3]], u2)
         if any(rem):
             raise ValueError("division is not exact")
         return _monic_pair(field, quo, [  # V + h, V = v1 + s u1
-            c0 ^ mul(s, a0) ^ h0, c1 ^ mul(s, a1) ^ h1, s ^ h2])
+            c0 ^ mul(s, a0), c1 ^ mul(s, a1) ^ 1, s ^ 1])
     # deg w = 2, written out: each product is one lookup exp[log x + log y].
     # exp has length 2p and period p = order - 1, so with Python's negative
     # indices exp[i] = g^i for all -2p <= i < 2p: a product of three is one
@@ -430,32 +423,27 @@ def _closed_form_sum(field, h, f, k, r, u1, v1, u2, v2):
     if u1 != u2:  # add: w = u2, n = (v1 + v2) mod w, r = u1 mod w
         (d0, d1), b1 = (v2 + (0, 0))[:2], u2[1]
         s = _slope_mod_quadratic(exp, log, p, c0 ^ d0, c1 ^ d1, a0 ^ b0, a1 ^ b1, b0, b1)
-    elif v1 == v2:  # double: w = u1, n = k mod w, r = h mod w
-        b1, lk = a1, log[k3]  # k3 = f5 != 0
-        t = k2 ^ (exp[lk + la1] if a1 else 0)
-        lt = log[t]
+    elif v1 == v2:  # double: w = u1, n = k mod w = (k1 + k3 a0) x + k0, r = h mod w
+        b1 = a1
         s = _slope_mod_quadratic(
-            exp, log, p, k0 ^ (exp[lt + la0] if t and a0 else 0),
-            k1 ^ (exp[lk + la0] if a0 else 0) ^ (exp[lt + la1] if t and a1 else 0),
-            r[0], r[1], a0, a1)
+            exp, log, p, k0, k1 ^ (exp[log[k3] + la0] if a0 else 0), r[0], r[1], a0, a1)
     else:
         return None
     if s is None:
         return None
-    (s0, s1), (h0, h1, h2) = s, h  # h2 != 0, as h is trimmed
+    s0, s1 = s
     l0, l1, lb0, lb1 = log[s0], log[s1], log[b0], log[b1]
-    # N = k + s h + s^2 u1, s^2 = s1^2 x^2 + s0^2, then N / w: N4 = s1^2
-    # reduces first, then N3 (k3), then N2 (k2), and the remainder is k1 x + k0
+    # N = k + s h + s^2 u1, s h = s1 x^3 + (s0 + s1) x^2 + s0 x and
+    # s^2 = s1^2 x^2 + s0^2, then N / w: N4 = s1^2 reduces first, then N3
+    # (k3), then N2 (k2), and the remainder is k1 x + k0
+    k1, k2, k3 = k1 ^ s0, k2 ^ s0 ^ s1, k3 ^ s1
     if s0:
-        k0 ^= (exp[l0 + l0 + la0 - p] if a0 else 0) ^ (exp[l0 + log[h0]] if h0 else 0)
-        k1 ^= (exp[l0 + l0 + la1 - p] if a1 else 0) ^ (exp[l0 + log[h1]] if h1 else 0)
-        k2 ^= exp[l0 + l0] ^ exp[l0 + log[h2]]
+        k0 ^= exp[l0 + l0 + la0 - p] if a0 else 0
+        k1 ^= exp[l0 + l0 + la1 - p] if a1 else 0
+        k2 ^= exp[l0 + l0]
     if s1:
-        k1 ^= exp[l1 + log[h0]] if h0 else 0
-        k2 ^= ((exp[l1 + l1 + la0 - p] if a0 else 0) ^ (exp[l1 + log[h1]] if h1 else 0)
-               ^ (exp[l1 + l1 + lb0 - p] if b0 else 0))
-        k3 ^= ((exp[l1 + l1 + la1 - p] if a1 else 0) ^ exp[l1 + log[h2]]
-               ^ (exp[l1 + l1 + lb1 - p] if b1 else 0))
+        k2 ^= (exp[l1 + l1 + la0 - p] if a0 else 0) ^ (exp[l1 + l1 + lb0 - p] if b0 else 0)
+        k3 ^= (exp[l1 + l1 + la1 - p] if a1 else 0) ^ (exp[l1 + l1 + lb1 - p] if b1 else 0)
     l3 = log[k3]
     if k3:
         k2 ^= exp[l3 + lb1] if b1 else 0
@@ -468,10 +456,10 @@ def _closed_form_sum(field, h, f, k, r, u1, v1, u2, v2):
         raise ValueError("division is not exact")
     # the quotient s1^2 x^2 + k3 x + k2, made monic, is U'; V' = (V + h) mod U'
     # for V + h = s1 x^3 + m2 x^2 + m1 x + m0, V = v1 + s u1
-    m0 = c0 ^ h0 ^ (exp[l0 + la0] if s0 and a0 else 0)
-    m1 = c1 ^ h1 ^ (exp[l1 + la0] if s1 and a0 else 0) ^ (exp[l0 + la1] if s0 and a1 else 0)
-    m2 = s0 ^ h2 ^ (exp[l1 + la1] if s1 and a1 else 0)
-    if not s1:  # k3 = f5 != 0: U' = x + e, V' = (V + h)(e)
+    m0 = c0 ^ (exp[l0 + la0] if s0 and a0 else 0)
+    m1 = c1 ^ 1 ^ (exp[l1 + la0] if s1 and a0 else 0) ^ (exp[l0 + la1] if s0 and a1 else 0)
+    m2 = s0 ^ 1 ^ (exp[l1 + la1] if s1 and a1 else 0)
+    if not s1:  # k3 = A != 0: U' = x + e, V' = (V + h)(e)
         e = exp[log[k2] - l3] if k2 else 0
         if e:
             le = log[e]
@@ -644,15 +632,18 @@ def enumerate_classes(curve, field):
     return [JacobianClass.identity(curve, field), *degree_one, *_degree_two_classes(curve, field)]
 
 
-def _solvable_by_trace(field, h, f, u0, u1):
-    """Whether v^2 + v h = f has a solution v mod u = x^2 + u1 x + u0 (h, f
-    coefficient masks, deg h = 2), by the trace criterion; None when h is
-    not a unit mod u, which for h = x^2 + x means u0 = 0 or u(1) = 0.
+def _solvable_by_trace(field, f, u0, u1):
+    """Whether v^2 + v h = f has a solution v mod u = x^2 + u1 x + u0 (f the
+    curve's coefficient masks), by the trace criterion; None when h is not
+    a unit mod u, which for h = x^2 + x means u0 = 0 or u(1) = 0.
 
     With v = h z the equation is z^2 + z = c, c = f h^-2 mod u = c1 x + c0,
-    in F[x]/(u).  If u1 = 0, u = (x + s)^2 with s = sqrt(u0), and that is
-    solvable iff Tr(c0 + c1 s) = 0.  Else u has roots r, r + u1 and c(r) +
-    c(r + u1) = c1 u1: irreducible u (Tr(u0 / u1^2) = 1) needs only
+    in F[x]/(u); h mod u = h + u = (u1 + 1) x + u0, as h and u are monic
+    quadratics.  If u1 = 0, u = (x + s)^2 with s = sqrt(u0), and that is
+    solvable iff Tr(c0 + c1 s) = 0; there c0 = 0, as c(s) = f(s) / h(s)^2
+    and c'(s) = f'(s) / h(s)^2 give c0 = c(s) + s c'(s), and x f' = f for
+    the odd f, so the test is Tr(c1 s) = 0.  Else u has roots r, r + u1 and
+    c(r) + c(r + u1) = c1 u1: irreducible u (Tr(u0 / u1^2) = 1) needs only
     Tr(c1 u1) = 0, and split u also Tr(c(r)) = 0 at a root r (either root,
     once Tr(c1 u1) = 0).
     Only `random_class` may call this: the enumeration behind `group_order`
@@ -662,16 +653,15 @@ def _solvable_by_trace(field, h, f, u0, u1):
     def tr(x):
         return (x & tm).bit_count() & 1
 
-    p0, p1 = h[0] ^ mul(h[2], u0), h[1] ^ mul(h[2], u1)  # h mod u
-    sq = mul(p1, p1)  # h^2 = p1^2 (u1 x + u0) + p0^2 mod u
+    sq = mul(u1 ^ 1, u1 ^ 1)  # h^2 = (u1 + 1)^2 (u1 x + u0) + u0^2 mod u
     exp, log = field.tables()
     c = _slope_mod_quadratic(exp, log, field.order - 1, *divmod_masks(field, f, (u0, u1, 1))[1],
-                             mul(sq, u0) ^ mul(p0, p0), mul(sq, u1), u0, u1)
+                             mul(sq, u0) ^ mul(u0, u0), mul(sq, u1), u0, u1)
     if c is None:
         return None
     c0, c1 = c
     if not u1:
-        return not tr(c0 ^ mul(c1, field.pow_mask(u0, field.order >> 1)))
+        return not tr(mul(c1, field.pow_mask(u0, field.order >> 1)))
     if tr(mul(c1, u1)):
         return False
     inv = field.inv_mask(u1)
@@ -689,10 +679,10 @@ def random_class(curve, field, rng):
     drawn.  The trace criterion (`_solvable_by_trace`) rejects most
     unsolvable u before the solve; an accepted u still runs the full solve,
     and a u it accepts that has no solution raises InconsistencyError."""
-    h, f = curve.equation_masks(field)
+    f = curve.equation_masks(field)[1]
     while True:
         u0, u1 = field.random(rng).mask, field.random(rng).mask
-        by_trace = _solvable_by_trace(field, h, f, u0, u1)
+        by_trace = _solvable_by_trace(field, f, u0, u1)
         if by_trace is False:
             continue
         u = (u0, u1, 1)

@@ -405,6 +405,27 @@ def test_equation_masks_memo(monkeypatch):
     assert built == [f16, f16] and len(curve_module._equation_cache) == 2
 
 
+def test_equation_masks_have_the_shape_the_group_law_reads():
+    # the group law's kernels read h = x^2 + x and f = (0, A, 0, B, 0, A),
+    # with A = T^2 + T != 0 and B = T^2 for T = t^(2^n), and nothing else:
+    # every t over GF(4), GF(8), GF(16) and GF(64), each twist n = 0, 1, 2,
+    # over the base field and its quadratic extension
+    cases = 0
+    for d in (2, 3, 4, 6):
+        base = default_field(d)
+        for tm in range(2, base.order):
+            for n in range(3):
+                c = Curve(base, base.element(tm), n)
+                for field in (base, default_field(2 * d)):
+                    t = embed(base, field).image_mask(tm)
+                    for _ in range(n):
+                        t = field.mul_masks(t, t)
+                    a, b = field.mul_masks(t, t) ^ t, field.mul_masks(t, t)
+                    assert a and c.equation_masks(field) == ((0, 1, 1), (0, a, 0, b, 0, a)), (c, field)
+                    cases += 1
+    assert cases == 504
+
+
 @pytest.mark.parametrize(
     "t_degree,tm,degree",
     [(4, tm, 8) for tm in range(2, 16)] + [(2, 2, degree) for degree in range(2, 13, 2)],

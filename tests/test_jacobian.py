@@ -130,21 +130,26 @@ def test_v_solution_space_matches_brute_force_gf4():
 
 
 @pytest.mark.parametrize(
-    "base_degree, t_mask, degree",
-    [(4, tm, 4) for tm in range(2, 16)] + [(2, 2, 6)],
-    ids=[f"t{tm}-gf16" for tm in range(2, 16)] + ["t2-gf4-over-gf64"],
+    "base_degree, t_mask, degree, n",
+    [(4, tm, 4, 0) for tm in range(2, 16)] + [(2, 2, 6, 0)]
+    + [(4, tm, 4, n) for n in (1, 2) for tm in range(2, 16)]
+    + [(d, 3, 6, n) for d in (2, 3) for n in (1, 2)],
+    ids=[f"t{tm}-gf16" for tm in range(2, 16)] + ["t2-gf4-over-gf64"]
+    + [f"t{tm}-n{n}-gf16" for n in (1, 2) for tm in range(2, 16)]
+    + [f"t3-n{n}-gf{1 << d}-over-gf64" for d in (2, 3) for n in (1, 2)],
 )
-def test_trace_pretest_agrees_with_the_solve(base_degree, t_mask, degree):
+def test_trace_pretest_agrees_with_the_solve(base_degree, t_mask, degree, n):
     # every monic quadratic; h = x^2 + x is a unit mod u unless u0 = 0 or u(1) = 0,
-    # and those u are left undecided for the solve
+    # and those u are left undecided for the solve; twisted models (n = 1, 2)
+    # too, as the criterion reads their f
     base = default_field(base_degree)
-    c = Curve(base, base.element(t_mask))
+    c = Curve(base, base.element(t_mask), n)
     field = default_field(degree)
-    h, f = c.equation_masks(field)
+    f = c.equation_masks(field)[1]
     undecided = 0
     for u1 in range(field.order):
         for u0 in range(field.order):
-            by_trace = _solvable_by_trace(field, h, f, u0, u1)
+            by_trace = _solvable_by_trace(field, f, u0, u1)
             if u0 == 0 or u0 ^ u1 == 1:
                 assert by_trace is None
                 undecided += 1
@@ -173,8 +178,8 @@ def test_random_class_solves_every_u_the_trace_does_not_reject(monkeypatch):
 
     c = laszlo_curve()
     f16 = default_field(4)
-    h, f = (p.masks() for p in c.equation_polys(f16))
-    verdicts = {(u0, u1): _solvable_by_trace(f16, h, f, u0, u1) for u1 in range(16) for u0 in range(16)}
+    f = c.equation_polys(f16)[1].masks()
+    verdicts = {(u0, u1): _solvable_by_trace(f16, f, u0, u1) for u1 in range(16) for u0 in range(16)}
     assert set(verdicts.values()) == {None, True, False}
     good = next(u for u, by_trace in verdicts.items() if by_trace)
     solve = jacobian_module._v_solution_space
@@ -302,7 +307,7 @@ def _route_of(a, b, taken):
         assert len(a.u) == len(b.u) == 3 and all(out for _, out in taken[1:]), taken
         return {"split"}
     assert len(taken) == 1
-    (field, _, _, _, _, u1, _, u2, _), (u, _) = taken[0]
+    (field, _, _, _, u1, _, u2, _), (u, _) = taken[0]
     if len(a.u) == len(b.u) == 2:  # deg U = 2
         return {"chord" if a.u != b.u else "tangent"}
     if len(a.u) == len(b.u):  # composed and reduced in one step
@@ -497,6 +502,22 @@ def test_straight_line_sums_match_the_cantor_route(monkeypatch):
     # slope; 681 slopes meet r and w at a common root and take the split;
     # the other 6809 sums ran the written-out reduction
     assert (len(cases), len(slopes), sum(slopes)) == (7526, 7490, 6809)
+    # the twisted models X(1) and X(2) of every third t in GF(16), which the
+    # kernels reach through the same memo: the same doublings and slice of
+    # pairs
+    slopes.clear()
+    twisted = 0
+    for n in (1, 2):
+        for tm in range(2, 16, 3):
+            c = Curve(f16, f16.element(tm), n)
+            quadratic = [a for a in enumerate_classes(c, f16) if len(a.u) == 3]
+            for a, b in [(a, a) for a in quadratic] + [(a, b) for a in quadratic[::23] for b in quadratic[5::17]]:
+                s = a + b
+                assert s.key() == _poly_route_sum(a, b), (n, a, b)
+                quo, rem = _mumford_reference(c, f16, s.u, s.v)
+                assert s.cofactor == quo and not any(rem), (n, s)
+                twisted += 1
+    assert (twisted, len(slopes), sum(slopes)) == (3110, 3091, 2842)
 
 
 def test_mumford_check_catches_a_flipped_bit_of_v_gf16():
@@ -1078,11 +1099,11 @@ def test_reduction_catches_a_flipped_bit_in_the_closed_form(monkeypatch, double,
     (True, None, 0, "Mumford condition u | v^2 + v h + f fails"),
     # with bit 0 of k3 or of k2 flipped, these doublings come out as a valid
     # wrong class (the identity, and x - 0 with v = 0), which no Mumford
-    # check can see; k3 = f5 and k2 = f4 + a1 f5 follow from u and f
+    # check can see; k3 = f5 and k2 = a1 f5 follow from u and f
     (True, ((2, 8, 1), (14, 2)), 3, None),
     (True, ((1, 2, 1), (6, 11)), 2, None),
     # a tangent reads k(x1), so it checks the top k4 and k3 of a point's
-    # cofactor too: k4 = f5 and k3 = f4 + x1 f5
+    # cofactor too: k4 = f5 and k3 = x1 f5
     (True, ((2, 1), (8,)), 4, None),
     (True, ((2, 1), (8,)), 3, None),
 ], ids=["coprime", "doubling", "doubling-k3", "doubling-k2", "tangent-k4", "tangent-k3"])
@@ -1140,8 +1161,8 @@ def test_mumford_check_catches_a_wrong_root_in_the_shared_point_cancel(monkeypat
     closed = jacobian_module._closed_form_sum
     planted = []
 
-    def wrong_root(field, h, f, k, r, u1, v1, u2, v2):
-        u, v = closed(field, h, f, k, r, u1, v1, u2, v2)
+    def wrong_root(field, f, k, r, u1, v1, u2, v2):
+        u, v = closed(field, f, k, r, u1, v1, u2, v2)
         if len(u1) == 3 and len(u2) == 2 and len(u) == 2:  # the cancel: U' = x + e
             x = u1[1]
             y = Poly.from_masks(field, v1).evaluate(field.element(x)).mask
