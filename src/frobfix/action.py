@@ -22,16 +22,25 @@ constant terms when H^2 + h H = f(m) D^6 + f.  That right side has degree
 The equation for H is GF(2)-linear in its coefficients, with kernel
 {0, h}: the two lifts of m differ by the hyperelliptic involution, and
 both exist over the base field for every t over GF(2^d), d <= 9.  g o k
-has H_k + H_g(m_k) D_k^3, g^-1 has H(m^-1) D'^3 with D' the denominator
-of m^-1, and the Frobenius twist squares H coefficient-wise.
+has H_k + H_g(m_k) D_k^3, and the Frobenius twist squares H
+coefficient-wise.
 """
 
 from functools import reduce
 
 from .errors import FieldMismatchError, InconsistencyError, SearchExhaustedError
 from .gf2 import FieldElement, embed, mask_mul
-from .jacobian import FormalDivisor, JacobianClass, _mumford, _trim, _xor, class_of
-from .poly import Poly, affine_span, evaluate_masks, solve_additive
+from .jacobian import (
+    FormalDivisor,
+    JacobianClass,
+    _mumford,
+    _trim,
+    _xor,
+    affine_span,
+    class_of,
+    solve_additive,
+)
+from .poly import evaluate_masks
 
 
 class MobiusMap:
@@ -76,10 +85,6 @@ class MobiusMap:
             self.c & other.a ^ self.d & other.c,
             self.c & other.b ^ self.d & other.d,
         )
-
-    def inverse(self):
-        # adjugate over GF(2): the determinant is 1 and signs are trivial
-        return MobiusMap(self.d, self.b, self.c, self.a)
 
     def permutes_branch_points(self):
         """Whether the images (b : d), (a + b : c + d), (a : c) of 0, 1 and
@@ -175,11 +180,6 @@ class CurveAutomorphism:
             _xor(other.H, _homogenize(other.mobius, self.H, 3)),
         )
 
-    def inverse(self):
-        # y = y' D(x)^3 + H(x) at x = m^-1(x'), and D(m^-1) D' = 1
-        minv = self.mobius.inverse()
-        return CurveAutomorphism(self.curve, minv, _homogenize(minv, self.H, 3))
-
     def is_identity(self):
         return self.mobius.key() == (1, 0, 0, 1) and not self.H
 
@@ -256,15 +256,15 @@ def lift_mobius(curve, mobius):
     H^2 + h H = f(m) D^6 + f over the curve's base field; raises
     SearchExhaustedError when that equation has none there."""
     field = curve.field
-    h, f = curve.equation_masks(field)
+    f = curve.equation_masks(field)[1]
     rhs = _xor(_homogenize(mobius, f, 6), f)
-    sol = solve_additive(4, Poly.from_masks(field, h), Poly.from_masks(field, rhs))
+    sol = solve_additive(field, 4, rhs)
     if sol is None:
         raise SearchExhaustedError(f"no lift of {mobius!r} over {field!r}")
     if len(sol[1]) > 1:
         raise InconsistencyError("lift solution space is unexpectedly large")
     # distinct solutions H are distinct lifts: H is part of the key
-    lifts = [CurveAutomorphism(curve, mobius, z.masks()) for z in affine_span(*sol)]
+    lifts = [CurveAutomorphism(curve, mobius, z) for z in affine_span(*sol)]
     if len(lifts) != 2:
         raise InconsistencyError(f"expected exactly two lifts, found {len(lifts)}")
     return sorted(lifts, key=CurveAutomorphism.coefficient_key)

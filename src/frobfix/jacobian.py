@@ -36,9 +36,11 @@ Mumford check of `_validate` for deg u = 2.  Everywhere else
 v^2 + v h + f has one routine, `_mumford`, and every division by a u of
 degree <= 2 is the package's synthetic division, `poly.divmod_masks`; the
 tests hold the straight-line code to those and to the Poly route.
-Negation is (u, (v + h) mod u).  The independent Riemann-Roch
-interpolation oracle in `functions.reduce_points_oracle` guards all of
-this in the tests.
+Negation is (u, (v + h) mod u).  The only Mumford v-solve,
+`solve_additive`, fixes h and builds one table of powers x^k mod u, and
+`count_classes` still never reads the trace criterion.  The independent
+Riemann-Roch interpolation oracle in `functions.reduce_points_oracle`
+guards all of this in the tests.
 """
 
 from itertools import zip_longest
@@ -52,8 +54,16 @@ from .errors import (
     SearchExhaustedError,
 )
 from .functions import _merge_points, principal_witness_core, reduce_points_oracle
-from .gf2 import _prime_factors, default_field, embed, join_fields, quadratic_root_masks, trace_mask
-from .poly import Poly, affine_span, divmod_masks, evaluate_masks, solve_additive, solve_quadratic
+from .gf2 import (
+    _prime_factors,
+    default_field,
+    embed,
+    join_fields,
+    quadratic_root_masks,
+    solve_gf2_linear,
+    trace_mask,
+)
+from .poly import Poly, divmod_masks, divmod_monic, evaluate_masks, monic_logs, solve_quadratic
 
 
 class FormalDivisor:
@@ -338,6 +348,70 @@ def _trim(masks):
     return tuple(masks)
 
 
+_basis_cache = {}
+
+
+def solve_additive(field, n, rhs, w=None):
+    """Solutions z (deg z < n) over `field` of z^2 + h z = rhs (mod w), for
+    h = x^2 + x and coefficient masks rhs and w, w monic.
+
+    z -> z^2 + h z is additive, so the equation is linearized over GF(2):
+    bit b of coefficient i of z is unknown i*d + b (d = field.degree), and
+    its column is the image of a x^i, a = 2^b: a^2 x^(2i) + a (x^(i+1) +
+    x^(i+2)) mod w, packed as rhs mod w is.  Every x^k mod w comes from one
+    table stepped by x^(k+1) = x x^k mod w (unreduced when w is None), and
+    a product by a or a^2 adds its log, kept per field in `_basis_cache`.
+    Returns None when unsolvable, else (particular, kernel) as trimmed mask
+    tuples, the kernel in the order `solve_gf2_linear` gives."""
+    d = field.degree
+    exp, log = field.tables()
+    a_logs = _basis_cache.get((d, field.modulus))
+    if a_logs is None:  # (log a, log a^2) for each a = 2^b of the mask basis
+        a_logs = [(log[1 << b], log[field.mul_masks(1 << b, 1 << b)]) for b in range(d)]
+        _basis_cache[d, field.modulus] = a_logs
+    if w is None:
+        def reduce(p):
+            return p
+    else:
+        w_logs = monic_logs(field, w)
+
+        def reduce(p):  # coefficient masks p mod w, as a list
+            return divmod_monic(exp, log, p, w_logs, len(w) - 1)[1]
+
+    powers = [reduce([1])]  # powers[k] = x^k mod w
+    for _ in range(max(2 * n - 2, n + 1)):
+        powers.append(reduce([0] + powers[-1]))
+    cols = []
+    for i in range(n):
+        terms = [(j * d, log[c], 1) for j, c in enumerate(powers[2 * i]) if c]
+        terms += [(j * d, log[c], 0) for j, c in enumerate(_xor(powers[i + 1], powers[i + 2])) if c]
+        for la in a_logs:  # (log a, log a^2)
+            col = 0
+            for shift, lc, k in terms:
+                col ^= exp[lc + la[k]] << shift
+            cols.append(col)
+    part, kernel = solve_gf2_linear(cols, sum(c << j * d for j, c in enumerate(reduce(list(rhs)))))
+    if part is None:
+        return None
+    mask = (1 << d) - 1
+
+    def unpack(bits):
+        return _trim([bits >> i * d & mask for i in range(n)])
+
+    return unpack(part), [unpack(k) for k in kernel]
+
+
+def affine_span(part, kernel):
+    """Every part + span(kernel) as a trimmed mask tuple, in combo-bit
+    order: bit i of the combo selects kernel[i]."""
+    for combo in range(1 << len(kernel)):
+        z = part
+        for i, k in enumerate(kernel):
+            if combo >> i & 1:
+                z = _xor(z, k)
+        yield _trim(list(z))
+
+
 def _monic_pair(field, quo, vh):
     """The reduced pair (U', V') of a reduction step's quotient, as trimmed
     tuples: U' = quo made monic, V' = vh mod U' for vh = V + h."""
@@ -575,25 +649,24 @@ def group_order(curve, field):
 
 
 def _v_solution_space(curve, field, u):
-    """Solutions v (deg v < deg u) of u | v^2 + v h + f: None when
-    unsolvable, else (particular, kernel) as Polys (see `solve_additive`)."""
-    # Not the memo: bench/test_bench.py asserts gf2.mul.count > 0 on torsion
-    # units, and the boxed t^2 of equation_polys is the only FieldElement
-    # product left on that path.  Read the memo once that assertion moves.
-    h, f = curve.equation_polys(field)
-    return solve_additive(u.degree, h, f, u)
+    """Solutions v (deg v < deg u) of u | v^2 + v h + f for the monic masks
+    u: None when unsolvable, else (particular, kernel) (see `solve_additive`)."""
+    # f from equation_polys, not the memo: bench/test_bench.py asserts
+    # gf2.mul.count > 0 on torsion units, and the boxed t^2 of equation_polys
+    # is the only FieldElement product left on that path.  Read the memo once
+    # that assertion moves.
+    return solve_additive(field, len(u) - 1, curve.equation_polys(field)[1].masks(), u)
 
 
 def _solvable_quadratics(curve, field):
     """(u, particular, kernel) for every monic quadratic u, in mask order of
     (u1, u0), for which some v has u | v^2 + v h + f over `field`."""
-    h, f = (Poly.from_masks(field, m) for m in curve.equation_masks(field))
-    for u1m in range(field.order):
-        for u0m in range(field.order):
-            u = Poly.from_masks(field, (u0m, u1m, 1))
-            sol = solve_additive(2, h, f, u)
+    f = curve.equation_masks(field)[1]
+    for u1 in range(field.order):
+        for u0 in range(field.order):
+            sol = solve_additive(field, 2, f, (u0, u1, 1))
             if sol is not None:
-                yield u, *sol
+                yield (u0, u1, 1), *sol
 
 
 def _degree_two_classes(curve, field):
@@ -601,7 +674,7 @@ def _degree_two_classes(curve, field):
     `_solvable_quadratics`, then v in the combo-bit order of `affine_span`."""
     for u, part, kernel in _solvable_quadratics(curve, field):
         for v in affine_span(part, kernel):
-            yield JacobianClass(curve, field, u.masks(), v.masks())
+            yield JacobianClass(curve, field, u, v)
 
 
 def count_classes(curve, field):
@@ -686,7 +759,7 @@ def random_class(curve, field, rng):
         if by_trace is False:
             continue
         u = (u0, u1, 1)
-        sol = _v_solution_space(curve, field, Poly.from_masks(field, u))
+        sol = _v_solution_space(curve, field, u)
         if sol is None:
             if by_trace:
                 raise InconsistencyError(
@@ -695,8 +768,8 @@ def random_class(curve, field, rng):
         v, kernel = sol
         for k in kernel:
             if rng.randrange(2):
-                v = v + k
-        return JacobianClass(curve, field, u, v.masks())
+                v = _xor(v, k)
+        return JacobianClass(curve, field, u, _trim(list(v)))
 
 
 # ---------------------------------------------------------------------------
@@ -709,11 +782,11 @@ def two_torsion(curve, field):
     """
     out = [JacobianClass.identity(curve, field)]
     for masks in ((0, 1), (1, 1), (0, 1, 1)):  # x, x + 1, x^2 + x = h
-        sol = _v_solution_space(curve, field, Poly.from_masks(field, masks))
+        sol = _v_solution_space(curve, field, masks)
         if sol is None:
             continue
         for v in affine_span(*sol):
-            c = JacobianClass(curve, field, masks, v.masks())
+            c = JacobianClass(curve, field, masks, v)
             if c.neg().key() == c.key():
                 out.append(c)
     for c in out:

@@ -8,15 +8,11 @@ boundary: `Poly(field, coeffs)` takes FieldElements and checks each one's
 field, and `p[i]`, `leading()` and `evaluate` return FieldElements.
 Quadratics in characteristic 2 are solved by the field layer's one root
 kernel, `gf2.quadratic_root_masks` (the Artin-Schreier substitution, not
-any discriminant formula), and the polynomial equation z^2 + g z = r
-(mod w), which gives Mumford's v (g = h, r = f, w = u) and the
-automorphism lifts (no modulus), as a GF(2)-linear system
-(`solve_additive`), whose columns are built on coefficient masks: powers
-of x by the recurrence x^(k+1) = x x^k mod w, products by table logs.
+any discriminant formula).
 """
 
 from .errors import FieldMismatchError, SearchExhaustedError
-from .gf2 import FieldElement, embed, quadratic_extension, quadratic_root_masks, solve_gf2_linear
+from .gf2 import FieldElement, embed, quadratic_extension, quadratic_root_masks
 
 
 def _wrap(field, masks):
@@ -293,77 +289,3 @@ def solve_quadratic(p):
     if len(ys) == 1:  # b = 0: the double root sqrt(c)
         ys *= 2
     return [FieldElement(field, y) for y in sorted(ys)], field, emb
-
-
-_basis_cache = {}
-
-
-def _basis_logs(field):
-    """Build and cache, under (degree, modulus), the logs of a and a^2 for
-    each a = 2^b of the mask basis."""
-    log = field.tables()[1]
-    logs = [(log[1 << b], log[field.mul_masks(1 << b, 1 << b)]) for b in range(field.degree)]
-    _basis_cache[field.degree, field.modulus] = logs
-    return logs
-
-
-def solve_additive(n, g, rhs, w=None):
-    """Solutions z (deg z < n) over g's field of z^2 + g z = rhs (mod w).
-
-    z -> z^2 + g z is additive, so the equation is linearized over GF(2):
-    bit b of coefficient i of z is unknown i*d + b (d = field.degree), and
-    its column is the image of a x^i, a = 2^b: a^2 (x^(2i) mod w) + a (x^i g
-    mod w), packed as rhs (mod w) is.  On coefficient masks, x^(2i) and x^i g
-    step by x^(k+1) = x x^k mod w (unreduced when w is None), and a product
-    by a or a^2 adds its log (`_basis_logs`).  Returns None when unsolvable,
-    else (particular, kernel) as Polys, the kernel in the order
-    `solve_gf2_linear` gives.
-    """
-    g._check(rhs)
-    field, d = g.field, g.field.degree
-    exp, log = field.tables()
-    a_logs = _basis_cache.get((d, field.modulus)) or _basis_logs(field)
-    if w is None:
-        def reduce(p):
-            return list(p)
-    else:
-        g._check(w)
-        if w.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        w_logs, dw = monic_logs(field, w._m), w.degree  # built once per solve
-
-        def reduce(p):  # coefficient masks p mod w, as a list
-            return divmod_monic(exp, log, p, w_logs, dw)[1]
-
-    r = reduce(rhs.masks())
-    square, linear, cols = [1], g.masks(), []
-    for _ in range(n):
-        square, linear = reduce(square), reduce(linear)
-        terms = [(j * d, log[c], 1) for j, c in enumerate(square) if c]
-        terms += [(j * d, log[c], 0) for j, c in enumerate(linear) if c]
-        for la in a_logs:  # (log a, log a^2)
-            col = 0
-            for shift, lc, k in terms:
-                col ^= exp[lc + la[k]] << shift
-            cols.append(col)
-        square, linear = [0, 0] + square, [0] + linear
-    part, kernel = solve_gf2_linear(cols, sum(c << j * d for j, c in enumerate(r)))
-    if part is None:
-        return None
-
-    def unpack(bits):
-        return _wrap(field, [bits >> (i * d) & ((1 << d) - 1) for i in range(n)])
-
-    return unpack(part), [unpack(k) for k in kernel]
-
-
-def affine_span(part, kernel):
-    """Every part + span(kernel), in combo-bit order: bit i of the combo
-    selects kernel[i]."""
-    for combo in range(1 << len(kernel)):
-        z = part
-        for i, k in enumerate(kernel):
-            if combo >> i & 1:
-                z = z + k
-        yield z
-

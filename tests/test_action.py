@@ -25,7 +25,7 @@ from frobfix.errors import (
 )
 from frobfix.gf2 import FieldEmbedding, default_field
 from frobfix.jacobian import FormalDivisor, JacobianClass, _xor, enumerate_classes, random_class
-from frobfix.poly import Poly, evaluate_masks
+from frobfix.poly import evaluate_masks
 
 
 def laszlo_curve():
@@ -41,8 +41,8 @@ def test_six_mobius_maps_form_s3():
         for m2 in maps:
             table.add(m1.compose(m2))
     assert table == set(maps)
-    for m in maps:
-        assert m.compose(m.inverse()) == maps[0]
+    for m in maps:  # each has an inverse in the group
+        assert any(m.compose(k) == maps[0] for k in maps)
 
 
 def test_lift_identity_gives_id_and_iota():
@@ -116,7 +116,7 @@ def test_group_structure_raises_on_a_failed_relation(monkeypatch):
 
 
 def test_lift_mobius_raises_when_no_lift_exists(monkeypatch):
-    monkeypatch.setattr(action_module, "solve_additive", lambda n, g, rhs, w=None: None)
+    monkeypatch.setattr(action_module, "solve_additive", lambda field, n, rhs, w=None: None)
     c = laszlo_curve()
     tau_map = s3_mobius_maps()[1]
     with pytest.raises(SearchExhaustedError) as exc:
@@ -213,14 +213,6 @@ def test_automorphisms_commute_with_relative_frobenius():
             assert lhs == rhs
 
 
-def test_inverse_automorphism():
-    c = laszlo_curve()
-    elements, _ = automorphism_group(c)
-    for g in elements:
-        assert g.compose(g.inverse()).is_identity()
-        assert g.inverse().compose(g).is_identity()
-
-
 def test_inverse_and_composition_agree_with_the_action_on_points():
     c = laszlo_curve()
     elements, _ = automorphism_group(c)
@@ -228,7 +220,7 @@ def test_inverse_and_composition_agree_with_the_action_on_points():
     pts = c.points_over(f16)
     # the image of infinity is over the base field: compare over GF(16)
     for g in elements:
-        g_inv = g.inverse()
+        (g_inv,) = [k for k in elements if g.compose(k).is_identity()]
         for p in pts:
             assert g_inv.apply(g.apply(p)).lift(f16) == p.lift(f16)
         for k in elements:
@@ -364,7 +356,7 @@ def _plant_solve(monkeypatch, change):
     """solve_additive, as lift_mobius sees it, returns change(particular, kernel)."""
     real = action_module.solve_additive
     monkeypatch.setattr(
-        action_module, "solve_additive", lambda n, g, rhs, w=None: change(*real(n, g, rhs, w))
+        action_module, "solve_additive", lambda field, n, rhs, w=None: change(*real(field, n, rhs, w))
     )
 
 
@@ -385,7 +377,7 @@ def _branch_table_wrong(monkeypatch, curve):
 
 
 def _particular_solution_off_by_one(monkeypatch, curve):
-    _plant_solve(monkeypatch, lambda part, kernel: (part + Poly.one(part.field), kernel))
+    _plant_solve(monkeypatch, lambda part, kernel: (_xor(part, (1,)), kernel))
     return lambda: automorphism_group(curve)
 
 

@@ -152,15 +152,9 @@ def test_only_the_root_walk_walks_h_and_f():
     assert "Curve.count_points" not in _callers(PACKAGE_DIR / "curve.py", walks)
 
 
-def test_group_law_builds_no_poly():
-    # the group law runs on coefficient masks with the memoised (h, f), and
-    # nothing in jacobian.py takes a Poly gcd or exact division
-    guarded = {
-        "JacobianClass.__add__", "JacobianClass.neg", "JacobianClass._validate",
-        "_closed_form_sum", "_slope_mod_quadratic",
-        "_monic_pair", "_mumford",
-    }
-    path = PACKAGE_DIR / "jacobian.py"
+def _guarded_callers(path, guarded, names):
+    """The functions in `path` that call any of `names` and are, or are
+    nested in, a def of `guarded`; every name in `guarded` must be defined."""
     defined = set()
 
     def visit(node, scope):
@@ -171,10 +165,35 @@ def test_group_law_builds_no_poly():
 
     visit(ast.parse(path.read_text()), ())
     assert guarded <= defined, sorted(guarded - defined)
-    callers = _callers(path, {"equation_polys", "Poly", "from_masks"})
-    found = sorted(c for c in callers if c in guarded or c.rpartition(".")[0] in guarded)
+    return sorted(c for c in _callers(path, names)
+                  if any(c == g or c.startswith(g + ".") for g in guarded))
+
+
+def test_group_law_builds_no_poly():
+    # the group law runs on coefficient masks with the memoised (h, f), and
+    # nothing in jacobian.py takes a Poly gcd or exact division
+    guarded = {
+        "JacobianClass.__add__", "JacobianClass.neg", "JacobianClass._validate",
+        "_closed_form_sum", "_slope_mod_quadratic",
+        "_monic_pair", "_mumford",
+    }
+    path = PACKAGE_DIR / "jacobian.py"
+    found = _guarded_callers(path, guarded, {"equation_polys", "Poly", "from_masks"})
     assert not found, "the group law builds Polys or equation polynomials in:\n" + "\n".join(found)
     assert not _callers(path, {"xgcd", "divexact"})
+
+
+def test_the_mumford_solve_builds_no_poly():
+    # every class enumerated, drawn or lifted from an automorphism comes from
+    # solve_additive on coefficient masks, and its callers pass masks too
+    guarded = {
+        "jacobian.py": {"solve_additive", "affine_span", "_solvable_quadratics",
+                        "_degree_two_classes", "random_class", "two_torsion"},
+        "action.py": {"lift_mobius"},
+    }
+    for name, defs in guarded.items():
+        found = _guarded_callers(PACKAGE_DIR / name, defs, {"Poly", "from_masks"})
+        assert not found, f"the Mumford solve builds Polys in {name}:\n" + "\n".join(found)
 
 
 CROSS_CHECK_ERRORS = {"InconsistencyError", "VerificationError"}

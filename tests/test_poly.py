@@ -1,4 +1,5 @@
-"""Polynomial-layer tests: ring axioms, gcd, quadratic solving."""
+"""Polynomial-layer tests: ring axioms, gcd, quadratic solving, and the
+mask-native Mumford solve of `jacobian` against a column solve on Polys."""
 
 import random
 
@@ -8,13 +9,8 @@ import frobfix.poly as poly_module
 from frobfix.curve import Curve
 from frobfix.errors import DegreeCapError, FieldMismatchError, SearchExhaustedError
 from frobfix.gf2 import default_field, embed, solve_gf2_linear, trace_mask
-from frobfix.poly import (
-    Poly,
-    affine_span,
-    solve_additive,
-    solve_linear,
-    solve_quadratic,
-)
+from frobfix.jacobian import affine_span, solve_additive
+from frobfix.poly import Poly, solve_linear, solve_quadratic
 
 
 def _random_poly(field, rng, max_deg):
@@ -186,39 +182,37 @@ def test_solvers_reject_wrong_degree():
 
 
 def test_solve_additive_without_modulus_matches_brute_force_gf4():
-    # z^2 + g z = rhs with deg z < 3 and no modulus: the automorphism-lift shape
+    # z^2 + h z = rhs with deg z < 3 and no modulus: the automorphism-lift shape
     f4 = default_field(2)
+    h = Poly.from_masks(f4, (0, 1, 1))
     every_z = [Poly.from_masks(f4, (z0, z1, z2)) for z2 in range(4) for z1 in range(4) for z0 in range(4)]
-    for g in (Poly.zero(f4), Poly.one(f4), Poly.from_masks(f4, (2, 0, 1)), Poly.from_masks(f4, (1, 3, 0, 2))):
-        preimages = {}
-        for z in every_z:
-            preimages.setdefault((z * z + g * z).masks(), set()).add(z.masks())
-        # every image (solvable) and every rhs of degree < 3 (x alone has no
-        # preimage when g = 0), plus x^6 (degree above every image)
-        rhs_list = [Poly.from_masks(f4, m) for m in preimages]
-        rhs_list += [Poly.from_masks(f4, (r0, r1, r2)) for r2 in range(4) for r1 in range(4) for r0 in range(4)]
-        rhs_list.append(Poly.from_masks(f4, (0,) * 6 + (1,)))
-        unsolvable = 0
-        for rhs in rhs_list:
-            expected = preimages.get(rhs.masks(), set())
-            sol = solve_additive(3, g, rhs)
-            if sol is None:
-                assert not expected
-                unsolvable += 1
-                continue
-            span = [z.masks() for z in affine_span(*sol)]
-            assert len(set(span)) == len(span) == 1 << len(sol[1])  # kernel independent
-            assert set(span) == expected
-        assert unsolvable
-    with pytest.raises(FieldMismatchError):
-        solve_additive(3, Poly.one(f4), Poly.one(default_field(4)))
+    preimages = {}
+    for z in every_z:
+        preimages.setdefault((z * z + h * z).masks(), set()).add(z.masks())
+    # every image (solvable) and every rhs of degree < 3, plus x^6 (degree
+    # above every image)
+    rhs_list = list(preimages)
+    rhs_list += [(r0, r1, r2) for r2 in range(4) for r1 in range(4) for r0 in range(4)]
+    rhs_list.append((0,) * 6 + (1,))
+    unsolvable = 0
+    for rhs in rhs_list:
+        expected = preimages.get(Poly.from_masks(f4, rhs).masks(), set())
+        sol = solve_additive(f4, 3, rhs)
+        if sol is None:
+            assert not expected
+            unsolvable += 1
+            continue
+        span = list(affine_span(*sol))
+        assert len(set(span)) == len(span) == 1 << len(sol[1])  # kernel independent
+        assert set(span) == expected
+    assert unsolvable
 
 
-def _poly_column_solve(n, g, rhs, w=None):
+def _poly_column_solve(n, h, rhs, w=None):
     """solve_additive's GF(2) system built on Polys: the column of bit b of
-    coefficient i is a^2 (x^(2i) mod w) + a (x^i g mod w), a = 2^b, packed
+    coefficient i is a^2 (x^(2i) mod w) + a (x^i h mod w), a = 2^b, packed
     with coefficient j at bit j*d, as rhs (mod w) is."""
-    field, d = g.field, g.field.degree
+    field, d = h.field, h.field.degree
 
     def reduce(p):
         return p if w is None else p % w
@@ -228,7 +222,7 @@ def _poly_column_solve(n, g, rhs, w=None):
 
     cols = []
     for i in range(n):
-        square, linear = reduce(Poly.x(field) ** (2 * i)), reduce(Poly.x(field) ** i * g)
+        square, linear = reduce(Poly.x(field) ** (2 * i)), reduce(Poly.x(field) ** i * h)
         for b in range(d):
             a = field.element(1 << b)
             cols.append(pack(square.scale(a * a) + linear.scale(a)))
@@ -243,7 +237,7 @@ def _padded(sol, n):
     if sol is None:
         return None
     part, kernel = sol
-    return [list(z.masks()) + [0] * (n - len(z.masks())) for z in [part] + kernel]
+    return [list(z) + [0] * (n - len(z)) for z in [part] + kernel]
 
 
 def test_solve_additive_matches_the_poly_column_solve():
@@ -253,27 +247,17 @@ def test_solve_additive_matches_the_poly_column_solve():
     seen = set()
     for t in (f4.gen(), f4.gen() + f4.one()):
         h, f = Curve(f4, t).equation_polys(f16)
-        every_u = [Poly.from_masks(f16, (u0, 1)) for u0 in range(16)]
-        every_u += [Poly.from_masks(f16, (u0, u1, 1)) for u1 in range(16) for u0 in range(16)]
+        every_u = [(u0, 1) for u0 in range(16)]
+        every_u += [(u0, u1, 1) for u1 in range(16) for u0 in range(16)]
         for u in every_u:
-            expected = _poly_column_solve(u.degree, h, f, u)
-            assert _padded(solve_additive(u.degree, h, f, u), u.degree) == expected, u
+            expected = _poly_column_solve(len(u) - 1, h, f, Poly.from_masks(f16, u))
+            assert _padded(solve_additive(f16, len(u) - 1, f.masks(), u), len(u) - 1) == expected, u
             seen.add(expected is None)
     rng = random.Random(8)
     for _ in range(200):
-        g = _random_poly(f16, rng, 8)
         z = Poly.from_masks(f16, [rng.randrange(16) for _ in range(8)])
-        rhs = z * z + g * z if rng.randrange(2) else _random_poly(f16, rng, 16)
-        expected = _poly_column_solve(8, g, rhs)
-        assert _padded(solve_additive(8, g, rhs), 8) == expected
-        seen.add(expected is None)
-    # a modulus with a leading coefficient other than 1, which no Mumford u has
-    for _ in range(100):
-        w = Poly.from_masks(f16, [rng.randrange(16) for _ in range(rng.randrange(1, 4))]
-                            + [rng.randrange(2, 16)])
-        g, rhs = _random_poly(f16, rng, 4), _random_poly(f16, rng, 7)
-        expected = _poly_column_solve(w.degree, g, rhs, w)
-        assert _padded(solve_additive(w.degree, g, rhs, w), w.degree) == expected, w
+        rhs = z * z + h * z if rng.randrange(2) else _random_poly(f16, rng, 16)
+        expected = _poly_column_solve(8, h, rhs)
+        assert _padded(solve_additive(f16, 8, rhs.masks()), 8) == expected
         seen.add(expected is None)
     assert seen == {True, False}
-

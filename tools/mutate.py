@@ -1,4 +1,4 @@
-"""Mutation sweep over the group law's written-out kernels.
+"""Mutation sweep over the group law's written-out kernels and the Mumford solve.
 
 Each mutant drops one operand of one `^` (an `a ^ b` or an `x ^= e`) in one
 def of SCOPE in src/frobfix/jacobian.py.  The tree is copied once to a
@@ -22,7 +22,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 TARGET = Path("src/frobfix/jacobian.py")
 SCOPE = {"JacobianClass._validate", "JacobianClass.__add__", "JacobianClass.neg", "_closed_form_sum",
-         "_slope_mod_quadratic", "_monic_pair", "_solvable_by_trace"}
+         "_slope_mod_quadratic", "_monic_pair", "_solvable_by_trace", "solve_additive", "affine_span"}
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
          "--continue-on-collection-errors"]
 
