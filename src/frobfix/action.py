@@ -34,13 +34,12 @@ from .jacobian import (
     FormalDivisor,
     JacobianClass,
     _mumford,
-    _trim,
     _xor,
     affine_span,
     class_of,
     solve_additive,
 )
-from .poly import evaluate_masks
+from .poly import _trim, evaluate_masks
 
 
 class MobiusMap:

@@ -7,17 +7,23 @@ collide mod 2 and the pole order of a + b y is exact, no cancellation).
 Local expansions are truncated series k'[s]/(s^n) held as tuples of
 coefficient masks: the uniformizer is x - x0, with y solved for one
 coefficient at a time, or y - y0 at an affine Weierstrass point, with x
-solved for.  The solves, the expansions of a + b y and the interpolation
-rows run on those masks with the memoised (h, f) of `Curve.equation_masks`,
-the `series` kernels and the field's exp/log tables, as does the nullspace
-(`linalg`); Poly is the type at the boundary, and the norm and the Mumford
-pairs wrap (h, f) as Polys.
-A polynomial at x = x0 + s, the x of every non-Weierstrass expansion, is
-a Taylor shift on masks with no series product (`_horner`).  A vanishing
-order is read at the lowest precision of the ladder 2, 4, 8, ... that
-shows it (`PolyFunction.ord_at`): precision 2 shows a simple zero, and
-the expansion mod s^2 is the truncation of the one mod s^4, so the order
-read does not depend on where the ladder starts.
+solved for.  One residual per expansion: coefficient k of the unknown is
+the single coefficient k of y^2 + h y + f, a sum of k + 1 products,
+divided by a unit, and the full residual is computed once, to check the
+finished expansion.  Away from the Weierstrass points h(x0 + s) and
+f(x0 + s) are closed forms in the family's shape h = x^2 + x,
+f = (0, A, 0, B, 0, A), the shape the group law reads
+(`_shifted_equation`).  The expansions of a + b y, the interpolation rows,
+the norm, the residual roots and the Mumford pairs run on masks too, with
+the memoised (h, f) of `Curve.equation_masks`, the `poly` and `series`
+kernels and the field's exp/log tables, as does the nullspace (`linalg`).
+Poly is the type at the boundary: a and b of a + b y, and chi of a
+witness.  A polynomial at x = x0 + s, as in `series_at` away from the
+Weierstrass points, is a Taylor shift on masks with no series product
+(`_horner`).  A vanishing order is read at the lowest precision of the
+ladder 2, 4, 8, ... that shows it (`PolyFunction.ord_at`): precision 2
+shows a simple zero, and the expansion mod s^2 is the truncation of the
+one mod s^4, so the order read does not depend on where the ladder starts.
 Every divisor claim, in the oracle's steps and in a witness's
 re-verification, is checked by one routine, `_orders_and_rest`: it reads
 the vanishing order at each point and at its involution partner from the
@@ -26,8 +32,16 @@ exactly those orders, so the norm must account for every zero found.
 """
 
 from .errors import FieldMismatchError, InconsistencyError, VerificationError
+from .gf2 import FieldElement
 from .linalg import nullspace
-from .poly import Poly, evaluate_masks, solve_linear, solve_quadratic
+from .poly import (
+    Poly,
+    _trim,
+    divmod_monic,
+    evaluate_masks,
+    monic_quadratic_roots,
+    mul_poly_masks,
+)
 from .series import mul_masks
 
 
@@ -46,9 +60,18 @@ class PolyFunction:
         return self.a.is_zero() and self.b.is_zero()
 
     def norm(self):
-        """a^2 + a b h + b^2 f: the norm to the x-line, a polynomial in x."""
-        h, f = (Poly.from_masks(self.field, m) for m in self.curve.equation_masks(self.field))
-        return self.a * self.a + self.a * self.b * h + self.b * self.b * f
+        """a^2 + a b h + b^2 f: the norm to the x-line, as the trimmed
+        coefficient masks of a polynomial in x."""
+        exp, log = self.field.tables()
+        h, f = self.curve.equation_masks(self.field)
+        a, b = self.a.masks(), self.b.masks()
+        out = mul_poly_masks(exp, log, a, a)
+        for p, q in ((mul_poly_masks(exp, log, a, b), h), (mul_poly_masks(exp, log, b, b), f)):
+            term = mul_poly_masks(exp, log, p, q)
+            out += [0] * (len(term) - len(out))
+            for i, c in enumerate(term):
+                out[i] ^= c
+        return _trim(out)
 
     def pole_order_at_infinity(self):
         if self.is_zero():
@@ -59,9 +82,6 @@ class PolyFunction:
         if not self.b.is_zero():
             orders.append(2 * self.b.degree + 5)
         return max(orders)
-
-    def evaluate(self, p):
-        return self.field.element(self._value_mask(p))
 
     def _value_mask(self, point):
         """The mask of a(x0) + b(x0) y0 at an affine point (x0, y0) over this
@@ -103,7 +123,7 @@ class PolyFunction:
             # the order is at most deg N, so precision max(2 deg N + 2, 8)
             # finds it; that cap is at least 8, so the norm is needed only
             # beyond precision 8
-            if prec > 8 and prec > max(2 * self.norm().degree + 2, 8):
+            if prec > 8 and prec > max(2 * len(self.norm()), 8):
                 raise InconsistencyError("nonzero function vanishing beyond its norm degree")
 
     def __repr__(self):
@@ -118,8 +138,12 @@ def local_coordinates(curve, point, prec):
     point.  Adding c s^k to the unknown changes R = y^2 + h(x) y + f(x) by
     d c s^k plus higher terms, with d = h(x0), or h'(x0) y0 + f'(x0) at a
     Weierstrass point (p' is p[1::2] at x^2 in characteristic 2): a unit on
-    the smooth curve.  So coefficient k is R[k] / d for k = 1, ..., prec - 1,
-    and R must then vanish."""
+    the smooth curve.  So coefficient k is R_k / d for k = 1, ..., prec - 1,
+    where R_k, coefficient k of R = (y + h) y + f with coefficient k of
+    the unknown still 0, is a sum of k + 1 products.  h(x) and f(x) are
+    the closed forms of `_shifted_equation` at x = x0 + s, and at a
+    Weierstrass point Horner's rule re-evaluates them after each step.  The
+    full R must then vanish."""
     field = _affine(point).field
     h, f = curve.equation_masks(field)
     exp, log = field.tables()
@@ -131,19 +155,46 @@ def local_coordinates(curve, point, prec):
         d, unknown = fp ^ field.mul_masks(hp, y0), xs
     else:
         xs, ys = _linear(x0, prec), [y0] + [0] * (prec - 1)
-        hs, fs = _horner(field, h, xs), _horner(field, f, xs)
-        d, unknown = evaluate_masks(exp, log, h, x0), ys
+        hs, fs = _shifted_equation(field, f, x0, prec)
+        d, unknown = hs[0], ys
     l_inv = log[field.inv_mask(d)]
-    for k in range(1, prec + 1):  # the pass with k = prec only checks
+    for k in range(1, prec):
         if weierstrass:
             hs, fs = _horner(field, h, tuple(xs)), _horner(field, f, tuple(xs))
-        res = _residual(field, hs, fs, ys)
-        if k == prec:
-            if any(res):
-                raise InconsistencyError("local expansion fails the curve equation")
-        elif res[k]:
-            unknown[k] = exp[log[res[k]] + l_inv]
+        r = fs[k]
+        for i in range(k + 1):
+            a, b = ys[i] ^ hs[i], ys[k - i]
+            if a and b:
+                r ^= exp[log[a] + log[b]]
+        if r:
+            unknown[k] = exp[log[r] + l_inv]
+    if weierstrass:
+        hs, fs = _horner(field, h, tuple(xs)), _horner(field, f, tuple(xs))
+    if any(_residual(field, hs, fs, ys)):
+        raise InconsistencyError("local expansion fails the curve equation")
     return tuple(xs), tuple(ys)
+
+
+def _shifted_equation(field, f, x0, n):
+    """h(x0 + s) and f(x0 + s) mod s^n as mask tuples, for a nonzero x0
+    and the family's h = x^2 + x and f = (0, A, 0, B, 0, A), A = f[1] and
+    B = f[3] (x0 = 0 is a root of h, so no expansion shifts by it):
+
+        h(x0 + s) = h(x0) + s + s^2
+        f(x0 + s) = (f(x0), A + B x0^2 + A x0^4, B x0, B, A x0, A)
+
+    with f(x0) = x0 (A + B x0^2 + A x0^4).  Both equal the Taylor shift
+    `_taylor_shift` of the model's masks, and `local_coordinates` checks
+    every expansion built on them against the full residual."""
+    exp, log = field.tables()
+    a, b, pad = f[1], f[3], (0,) * n
+    lx, la, lb = log[x0], log[a], log[b]
+    l2 = 2 * lx % (field.order - 1)
+    c1 = a ^ exp[lb + l2] ^ exp[la + 2 * l2 % (field.order - 1)]
+    c0 = exp[lx + log[c1]] if c1 else 0
+    hs = (exp[l2] ^ x0, 1, 1) + pad
+    fs = (c0, c1, exp[lb + lx], b, exp[la + lx], a) + pad
+    return hs[:n], fs[:n]
 
 
 def _affine(point):
@@ -294,7 +345,8 @@ def _orders_and_rest(fn, points):
     """(orders, rest): the vanishing order of fn at each affine point of
     `points` and then at its involution partner, in that insertion order,
     and N(fn) divided by (x - x0)^e for each x0, e the sum of the orders
-    above x0 (a Weierstrass point is its own partner, counted once).  A
+    above x0 (a Weierstrass point is its own partner, counted once), as
+    trimmed coefficient masks, so its degree is len(rest) - 1.  A
     division that is not exact, or an x0 still a root, raises
     InconsistencyError."""
     orders, by_x = {}, {}
@@ -304,15 +356,17 @@ def _orders_and_rest(fn, points):
                 orders[q] = fn.ord_at(q)
                 by_x[q.x] = by_x.get(q.x, 0) + orders[q]
     field, rest = fn.field, fn.norm()
+    exp, log = field.tables()
     for x0, e in by_x.items():
-        lin = Poly(field, (x0, field.one()))
+        x0 = x0.mask
+        lin = [(0, log[x0])] if x0 else []  # x + x0, as `monic_logs` gives it
         for _ in range(e):
-            rest, r = divmod(rest, lin)
-            if not r.is_zero():
+            rest, r = divmod_monic(exp, log, rest, lin, 1)
+            if any(r):
                 raise InconsistencyError("norm vanishes less than the orders found at its points")
-        if rest.evaluate(x0).mask == 0:
+        if not evaluate_masks(exp, log, rest, x0):
             raise InconsistencyError("norm order bookkeeping failed")
-    return orders, rest
+    return orders, tuple(rest)
 
 
 def verify_polyfunction_divisor(fn, expected):
@@ -333,7 +387,7 @@ def verify_polyfunction_divisor(fn, expected):
     orders, rest = _orders_and_rest(fn, expected)
     if any(o != expected.get(p, 0) for p, o in orders.items()):
         raise VerificationError("vanishing order mismatch at a point")
-    if rest.degree > 0:
+    if len(rest) > 1:
         raise VerificationError("norm has zeros outside the expected support")
 
 
@@ -394,7 +448,8 @@ def reduce_points_oracle(curve, field, entries):
     composition path).
 
     entries: list of (affine point over `field`, positive multiplicity).
-    Returns (u, v, field'), possibly over a quadratic extension of `field`.
+    Returns (u, v, field'), u and v trimmed coefficient-mask tuples over
+    field', `field` or its quadratic extension.
     """
     entries = _merge_points(entries)
     if any(m < 0 for _, m in entries):
@@ -411,7 +466,7 @@ def _oracle_step(curve, field, entries):
         raise InconsistencyError("interpolation space unexpectedly empty")
     exp_ord = dict(entries)
     actual, rest = _orders_and_rest(psi, exp_ord)
-    if rest.degree > 2:
+    if len(rest) > 3:
         raise InconsistencyError("oracle residual has degree > 2")
     # leftover vanishing at known points beyond the input multiplicities
     new_entries = []
@@ -422,27 +477,28 @@ def _oracle_step(curve, field, entries):
         if excess:
             new_entries.append((p.hyperelliptic_involution(), excess))
     # genuinely new zeros from the residual factor of the norm
-    if rest.degree >= 1:
+    if len(rest) > 1:
         entries_new, field = _extract_residual_points(curve, field, psi, rest, new_entries)
         return entries_new, field
     return _merge_points(new_entries), field
 
 
 def _extract_residual_points(curve, field, psi, rest, new_entries):
-    if rest.degree == 1:
-        roots = [(solve_linear(rest), 1)]
-        target_field, emb = field, None
+    if len(rest) == 2:  # r0 + r1 x, with the root r0 / r1
+        roots, emb = [(field.mul_masks(rest[0], field.inv_mask(rest[1])), 1)], None
     else:
-        rts, target_field, emb = solve_quadratic(rest)
-        # solve_quadratic returns its roots ascending, with multiplicity
+        inv = field.inv_mask(rest[2])
+        rts, _, emb = monic_quadratic_roots(
+            field, field.mul_masks(rest[1], inv), field.mul_masks(rest[0], inv)
+        )
         roots = [(rts[0], 2)] if rts[0] == rts[1] else [(r, 1) for r in rts]
-    if target_field != field:
-        new_entries = [(p.lift(target_field), m) for p, m in new_entries]
-        psi = PolyFunction(curve, target_field, psi.a.map(emb), psi.b.map(emb))
-        field = target_field
+    if emb is not None:
+        field = emb.target
+        new_entries = [(p.lift(field), m) for p, m in new_entries]
+        psi = PolyFunction(curve, field, psi.a.map(emb), psi.b.map(emb))
     for x0, mu in roots:
         # x0 is a root of the norm, so the points above it lie over this field
-        above = curve.points_at(x0)
+        above = curve.points_at(FieldElement(field, x0))
         if not above:
             raise InconsistencyError("residual point not defined over the working field")
         p1 = above[0]
@@ -462,28 +518,29 @@ def _extract_residual_points(curve, field, psi, rest, new_entries):
 
 
 def _mumford_from_points(curve, field, entries):
-    """Mumford (u, v) for a merged effective list of total degree <= 2."""
+    """Mumford (u, v), as trimmed coefficient-mask tuples, for a merged
+    effective list of total degree <= 2."""
     total = sum(m for _, m in entries)
-    one, zero = Poly.one(field), Poly.zero(field)
-    h, f = (Poly.from_masks(field, m) for m in curve.equation_masks(field))
     if total == 0:
-        return one, zero, field
+        return (1,), (), field
+    p = entries[0][0]
+    x1, y1, mul = p.x.mask, p.y.mask, field.mul_masks
     if total == 1:
-        p = entries[0][0]
-        return Poly(field, (p.x, field.one())), Poly.constant(p.y), field
+        return (x1, 1), _trim([y1]), field
     if len(entries) == 1:
-        p = entries[0][0]
         if p.is_weierstrass():
-            return one, zero, field  # 2P ~ 2*infinity
-        lam = (f.derivative().evaluate(p.x) + h.derivative().evaluate(p.x) * p.y) / h.evaluate(p.x)
-        u = Poly(field, (p.x, field.one())) ** 2
-        v = Poly(field, (p.y + lam * p.x, lam))
-        return u, v, field
-    (p1, _), (p2, _) = entries
-    if p2 == p1.hyperelliptic_involution():
-        return one, zero, field  # canonical pair
+            return (1,), (), field  # 2P ~ 2*infinity
+        # the tangent's slope (f'(x1) + h'(x1) y1) / h(x1), p' = p[1::2] at x^2
+        exp, log = field.tables()
+        h, f = curve.equation_masks(field)
+        sq = mul(x1, x1)
+        hp, fp = (evaluate_masks(exp, log, c[1::2], sq) for c in (h, f))
+        slope = mul(fp ^ mul(hp, y1), field.inv_mask(evaluate_masks(exp, log, h, x1)))
+        return (sq, 0, 1), _trim([y1 ^ mul(slope, x1), slope]), field
+    q = entries[1][0]
+    if q == p.hyperelliptic_involution():
+        return (1,), (), field  # canonical pair
     # distinct x-coordinates (same x with different y is the involution pair)
-    slope = (p1.y + p2.y) / (p1.x + p2.x)
-    v = Poly(field, (p1.y + slope * p1.x, slope))
-    u = Poly(field, (p1.x, field.one())) * Poly(field, (p2.x, field.one()))
-    return u, v, field
+    x2, y2 = q.x.mask, q.y.mask
+    slope = mul(y1 ^ y2, field.inv_mask(x1 ^ x2))
+    return (mul(x1, x2), x1 ^ x2, 1), _trim([y1 ^ mul(slope, x1), slope]), field

@@ -55,6 +55,7 @@ from .errors import (
 )
 from .functions import _merge_points, principal_witness_core, reduce_points_oracle
 from .gf2 import (
+    FieldElement,
     _prime_factors,
     default_field,
     embed,
@@ -63,7 +64,14 @@ from .gf2 import (
     solve_gf2_linear,
     trace_mask,
 )
-from .poly import Poly, divmod_masks, divmod_monic, evaluate_masks, monic_logs, solve_quadratic
+from .poly import (
+    _trim,
+    divmod_masks,
+    divmod_monic,
+    evaluate_masks,
+    monic_logs,
+    monic_quadratic_roots,
+)
 
 
 class FormalDivisor:
@@ -300,22 +308,24 @@ class JacobianClass:
     # -- support ------------------------------------------------------------------
     def support(self):
         """[(point, mult)] over this field or its quadratic extension,
-        together with the field where the support splits."""
-        curve, fld = self.curve, self.field
-        u, v = (Poly.from_masks(fld, m) for m in (self.u, self.v))
-        if u.degree == 0:
+        together with the field where the support splits.  The x of the
+        points are the roots of u, ascending with multiplicity, from
+        `poly.monic_quadratic_roots` when deg u = 2; each y is v(x), with v
+        carried to the roots' field, and `Curve.point` checks each point."""
+        curve, fld, u, v = self.curve, self.field, self.u, self.v
+        if len(u) == 1:
             return [], fld
-        if u.degree == 1:
-            x0 = u[0]
-            p = curve.point(x0, v.evaluate(x0))
-            return [(p, 1)], fld
-        roots, fld2, emb = solve_quadratic(u)
-        v = v if fld2 == fld else v.map(emb)
-        if roots[0] == roots[1]:
-            p = curve.point(roots[0], v.evaluate(roots[0]))
-            return [(p, 2)], fld2
-        out = [(curve.point(r, v.evaluate(r)), 1) for r in roots]
-        return out, fld2
+        if len(u) == 2:
+            roots, mult = u[:1], 1
+        else:
+            roots, fld, emb = monic_quadratic_roots(fld, u[1], u[0])
+            if emb is not None:
+                v = [emb.image_mask(c) for c in v]
+            roots, mult = (roots[:1], 2) if roots[0] == roots[1] else (roots, 1)
+        exp, log = fld.tables()
+        points = (curve.point(FieldElement(fld, x), FieldElement(fld, evaluate_masks(exp, log, v, x)))
+                  for x in roots)
+        return [(p, mult) for p in points], fld
 
     def to_divisor(self):
         support, _ = self.support()
@@ -340,12 +350,6 @@ def _mumford(exp, log, h, f, v):
 def _xor(a, b):
     """The sum of two coefficient-mask sequences, as a list."""
     return [x ^ y for x, y in zip_longest(a, b, fillvalue=0)]
-
-
-def _trim(masks):
-    while masks and not masks[-1]:
-        masks.pop()
-    return tuple(masks)
 
 
 _basis_cache = {}
@@ -602,7 +606,7 @@ def oracle_class_of(divisor):
     field, affine, _inf = divisor.lift_to_common_field()
     effective = [(p, m) if m >= 0 else (p.hyperelliptic_involution(), -m) for p, m in affine]
     u, v, fld = reduce_points_oracle(divisor.curve, field, effective)
-    return JacobianClass(divisor.curve, fld, u.masks(), v.masks())
+    return JacobianClass(divisor.curve, fld, u, v)
 
 
 def principal_witness(divisor):

@@ -6,23 +6,31 @@ arithmetic indexes directly: each operation checks the field once, adds
 by XOR and multiplies by table lookups.  FieldElement is the type at the
 boundary: `Poly(field, coeffs)` takes FieldElements and checks each one's
 field, and `p[i]`, `leading()` and `evaluate` return FieldElements.
-Quadratics in characteristic 2 are solved by the field layer's one root
-kernel, `gf2.quadratic_root_masks` (the Artin-Schreier substitution, not
-any discriminant formula).
+The boxed operations wrap mask kernels that the mask-native callers use
+directly: the product `mul_poly_masks`, the synthetic division
+`divmod_monic`, Horner's rule `evaluate_masks`, and `monic_quadratic_roots`,
+the roots of a monic quadratic with their field, over the field layer's
+`gf2.quadratic_root_masks` (the Artin-Schreier substitution, not any
+discriminant formula).
 """
 
 from .errors import FieldMismatchError, SearchExhaustedError
 from .gf2 import FieldElement, embed, quadratic_extension, quadratic_root_masks
 
 
+def _trim(masks):
+    """The list of coefficient masks `masks`, which this trims, as a tuple."""
+    while masks and not masks[-1]:
+        masks.pop()
+    return tuple(masks)
+
+
 def _wrap(field, masks):
     """The Poly over `field` with coefficient masks `masks` (a list, which
     this trims), built without the per-coefficient checks of __init__."""
-    while masks and not masks[-1]:
-        masks.pop()
     p = object.__new__(Poly)
     p.field = field
-    p._m = tuple(masks)
+    p._m = _trim(masks)
     return p
 
 
@@ -61,6 +69,39 @@ def evaluate_masks(exp, log, p, x):
     for c in reversed(p):
         acc = (exp[log[acc] + lx] if acc else 0) ^ c
     return acc
+
+
+def mul_poly_masks(exp, log, a, b):
+    """The product of the coefficient masks a and b as a list, untrimmed
+    only where a or b has a trailing zero; [] when either is empty."""
+    if not a or not b:
+        return []
+    logs_b = [(j, log[c]) for j, c in enumerate(b) if c]
+    out = [0] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        if c:
+            lc = log[c]
+            for j, lb in logs_b:
+                out[i + j] ^= exp[lc + lb]
+    return out
+
+
+def monic_quadratic_roots(field, b, c):
+    """(roots, field', emb): the roots of x^2 + b x + c, for masks b and c
+    over `field`, as masks ascending with multiplicity (a double root
+    twice).  They lie in field' = `field`, with emb None, or else in
+    field' = emb.target for emb = `quadratic_extension(field)`; a quadratic
+    with no root there raises SearchExhaustedError."""
+    emb, ys = None, quadratic_root_masks(field, b, c)
+    if not ys:
+        emb = quadratic_extension(field)
+        field = emb.target
+        ys = quadratic_root_masks(field, emb.image_mask(b), emb.image_mask(c))
+        if not ys:
+            raise SearchExhaustedError("quadratic has no root in the quadratic extension")
+    if len(ys) == 1:  # b = 0: the double root sqrt(c)
+        return ys * 2, field, emb
+    return sorted(ys), field, emb
 
 
 def divmod_masks(field, a, b):
@@ -103,10 +144,6 @@ class Poly:
     @classmethod
     def x(cls, field):
         return _wrap(field, [0, 1])
-
-    @classmethod
-    def constant(cls, elem):
-        return cls(elem.field, (elem,))
 
     @classmethod
     def from_masks(cls, field, masks):
@@ -176,18 +213,7 @@ class Poly:
         if not isinstance(other, Poly):
             return self.scale(other)
         self._check(other)
-        a, b = self._m, other._m
-        if not a or not b:
-            return _wrap(self.field, [])
-        exp, log = self.field.tables()
-        logs_b = [(j, log[c]) for j, c in enumerate(b) if c]
-        out = [0] * (len(a) + len(b) - 1)
-        for i, c in enumerate(a):
-            if c:
-                lc = log[c]
-                for j, lb in logs_b:
-                    out[i + j] ^= exp[lc + lb]
-        return _wrap(self.field, out)
+        return _wrap(self.field, mul_poly_masks(*self.field.tables(), self._m, other._m))
 
     def scale(self, elem):
         self._check(elem)
@@ -247,10 +273,6 @@ class Poly:
         exp, log = self.field.tables()
         return FieldElement(self.field, evaluate_masks(exp, log, self._m, x.mask))
 
-    def derivative(self):
-        # formal derivative; in char 2 the even-degree terms vanish
-        return _wrap(self.field, [c if i & 1 else 0 for i, c in enumerate(self._m)][1:])
-
     def map(self, emb):
         if emb.source != self.field:
             raise FieldMismatchError("embedding source does not match polynomial field")
@@ -264,7 +286,8 @@ def solve_linear(p):
 
 
 def solve_quadratic(p):
-    """Roots of a degree-2 polynomial over a binary field.
+    """Roots of a degree-2 polynomial over a binary field: the boxed form
+    of `monic_quadratic_roots` for p made monic.
 
     Returns (roots, field, emb) where roots live in `field` (the input
     field, or its default quadratic extension when the Artin-Schreier
@@ -277,15 +300,5 @@ def solve_quadratic(p):
     field = p.field
     c, b, a = p._m
     inv = field.inv_mask(a)
-    b, c = field.mul_masks(b, inv), field.mul_masks(c, inv)
-    emb = embed(field, field)
-    ys = quadratic_root_masks(field, b, c)
-    if not ys:
-        emb = quadratic_extension(field)
-        field = emb.target
-        ys = quadratic_root_masks(field, emb.image_mask(b), emb.image_mask(c))
-        if not ys:
-            raise SearchExhaustedError("quadratic has no root in the quadratic extension")
-    if len(ys) == 1:  # b = 0: the double root sqrt(c)
-        ys *= 2
-    return [FieldElement(field, y) for y in sorted(ys)], field, emb
+    ys, ext, emb = monic_quadratic_roots(field, field.mul_masks(b, inv), field.mul_masks(c, inv))
+    return [FieldElement(ext, y) for y in ys], ext, embed(field, field) if emb is None else emb

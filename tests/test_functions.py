@@ -44,13 +44,14 @@ def test_riemann_roch_dimensions():
 @pytest.mark.parametrize("call", ["evaluate", "ord_at", "divisor", "local_coordinates"])
 def test_point_at_infinity_raises_a_value_error(call):
     # a function at infinity is described by its pole order; each of these
-    # used to reach for the missing x and raise AttributeError
+    # used to reach for the missing x and raise AttributeError ("evaluate"
+    # is the value a(x0) + b(x0) y0 that ord_at reads first)
     c = laszlo_curve()
     f = c.field
     fn = PolyFunction(c, f, Poly.x(f), Poly.zero(f))
     inf = c.infinity()
     calls = {
-        "evaluate": lambda: fn.evaluate(inf),
+        "evaluate": lambda: fn._value_mask(inf),
         "ord_at": lambda: fn.ord_at(inf),
         "divisor": lambda: verify_polyfunction_divisor(fn, [(inf, 2)]),
         "local_coordinates": lambda: local_coordinates(c, inf, 4),
@@ -115,6 +116,11 @@ def _ref_horner(p, xs):
     return acc
 
 
+def _ref_derivative(p):
+    """The formal derivative: in characteristic 2 the even-degree terms vanish."""
+    return Poly.from_masks(p.field, [c if i & 1 else 0 for i, c in enumerate(p.masks())][1:])
+
+
 def _reference_local_coordinates(curve, point, prec):
     """(x, y) expanded at an affine point by Newton on boxed FieldElement
     series: uniformizer y - y0 at a Weierstrass point, x - x0 elsewhere."""
@@ -130,7 +136,8 @@ def _reference_local_coordinates(curve, point, prec):
         ys, xs = [point.y] + lin, [point.x] + zeros
         for _ in range(prec.bit_length() + 1):
             dfdx = _ref_add(
-                _ref_horner(f.derivative(), xs), _ref_mul(_ref_horner(h.derivative(), xs), ys)
+                _ref_horner(_ref_derivative(f), xs),
+                _ref_mul(_ref_horner(_ref_derivative(h), xs), ys),
             )
             res = residual(_ref_horner(h, xs), _ref_horner(f, xs), ys)
             xs = _ref_add(xs, _ref_mul(res, _ref_inverse(dfdx)))
@@ -175,6 +182,19 @@ def test_local_coordinates_match_a_boxed_reference_gf256():
         _assert_local_coordinates_match_the_reference(c, sample)
 
 
+def test_local_coordinates_match_a_boxed_reference_gf65536():
+    # the oracle expands over GF(2^16), where the supports of classes over
+    # GF(2^8) split: 16 affine points of the reference curve there, and its
+    # two affine Weierstrass points, x = 0 and x = 1
+    c, field = laszlo_curve(), default_field(16)
+    rng = random.Random(65536)
+    points = c.points_at(field.zero()) + c.points_at(field.one())
+    while len(points) < 18:
+        points += c.points_at(field.element(rng.randrange(2, field.order)))[:18 - len(points)]
+    assert sum(p.is_weierstrass() for p in points) == 2
+    _assert_local_coordinates_match_the_reference(c, points)
+
+
 def test_horner_at_x0_plus_s_matches_the_boxed_series_horner():
     # x0 + s takes the Taylor shift and any other series Horner's rule; the
     # reference is Horner's rule on boxed series for both
@@ -193,6 +213,18 @@ def test_horner_at_x0_plus_s_matches_the_boxed_series_horner():
                 for p in polys:
                     got = functions_module._horner(f16, p.masks(), masks)
                     assert got == tuple(c.mask for c in _ref_horner(p, xs)), (x0, prec, xs, p)
+    # the closed forms of h(x0 + s) and f(x0 + s) that the expansions read
+    # are the Taylor shifts of the model's masks, for every t over GF(16)
+    # and every x0 but 0, a root of h that no expansion shifts by; and for
+    # 256 x0 over GF(2^16), where the oracle expands
+    f65536 = default_field(16)
+    cases = [(Curve(f16, f16.element(tm)), f16, x0) for tm in range(2, 16) for x0 in range(1, 16)]
+    cases += [(laszlo_curve(), f65536, x0) for x0 in rng.sample(range(1, f65536.order), 256)]
+    for c, field, x0 in cases:
+        h, f = c.equation_masks(field)
+        for prec in range(1, 9):
+            shifts = tuple(functions_module._taylor_shift(field, p, x0, prec) for p in (h, f))
+            assert functions_module._shifted_equation(field, f, x0, prec) == shifts, (c, x0, prec)
 
 
 def test_ord_at_matches_the_order_of_a_boxed_expansion_gf16():
@@ -375,8 +407,11 @@ def _oracle_sum(curve):
 
 
 def _plant_norm(monkeypatch, change):
+    """Replace the norm's masks N by those of change(N), N boxed as a Poly."""
     norm = PolyFunction.norm
-    monkeypatch.setattr(PolyFunction, "norm", lambda fn: change(norm(fn)))
+    monkeypatch.setattr(
+        PolyFunction, "norm", lambda fn: change(Poly.from_masks(fn.field, norm(fn))).masks()
+    )
 
 
 def _witness_is_zero(monkeypatch, curve):
@@ -436,18 +471,25 @@ def _norm_with_a_spurious_triple_root(monkeypatch, curve):
 
 def _expansion_with_a_wrong_unit(weierstrass):
     """Plant a wrong d in `local_coordinates`, at a Weierstrass point or
-    not: every value `evaluate_masks` gives it comes out multiplied by the
-    element with mask 2, so each solved coefficient is R[k] / (2 d)."""
+    not, so that each solved coefficient is R_k / (2 d), 2 the element with
+    mask 2.  At a Weierstrass point every value `evaluate_masks` gives
+    h'(x0) and f'(x0) comes out multiplied by 2.  Elsewhere d is h(x0),
+    the constant term of the closed form, and the field's inverse of each
+    mask a comes out as 1 / (2 a)."""
 
     def plant(monkeypatch, curve):
         f16 = default_field(4)
         p = next(q for q in curve.points_over(f16)[1:] if q.is_weierstrass() == weierstrass)
-        evaluate = functions_module.evaluate_masks
-        monkeypatch.setattr(
-            functions_module,
-            "evaluate_masks",
-            lambda exp, log, cs, x: f16.mul_masks(2, evaluate(exp, log, cs, x)),
-        )
+        if weierstrass:
+            evaluate = functions_module.evaluate_masks
+            monkeypatch.setattr(
+                functions_module,
+                "evaluate_masks",
+                lambda exp, log, cs, x: f16.mul_masks(2, evaluate(exp, log, cs, x)),
+            )
+        else:
+            inv = f16.inv_mask
+            monkeypatch.setattr(f16, "inv_mask", lambda a: inv(f16.mul_masks(2, a)))
         return lambda: local_coordinates(curve, p, 6)
 
     return plant

@@ -29,7 +29,7 @@ from frobfix.jacobian import (
     torsion_subgroup,
     two_torsion,
 )
-from frobfix.poly import Poly, divmod_masks
+from frobfix.poly import Poly, divmod_masks, solve_quadratic
 
 
 def laszlo_curve():
@@ -745,6 +745,47 @@ def test_support_roundtrip():
         assert class_of(a.to_divisor()).equals(a)
 
 
+def _poly_route_support(cls):
+    """The support by the boxed route: the roots of u from solve_quadratic,
+    each y from Poly.evaluate of v carried to the roots' field."""
+    curve, field = cls.curve, cls.field
+    u, v = Poly.from_masks(field, cls.u), Poly.from_masks(field, cls.v)
+    if u.degree == 0:
+        return [], field
+    if u.degree == 1:
+        return [(curve.point(u[0], v.evaluate(u[0])), 1)], field
+    roots, field, emb = solve_quadratic(u)
+    v = v.map(emb)
+    if roots[0] == roots[1]:
+        return [(curve.point(roots[0], v.evaluate(roots[0])), 2)], field
+    return [(curve.point(r, v.evaluate(r)), 1) for r in roots], field
+
+
+def test_support_matches_the_poly_route():
+    # points, multiplicities, their order and the field, on every class of
+    # J(GF(16)) for t = w and t = 11 over GF(16), on u = (x + r)^2 over
+    # GF(2^8), and on 500 draws over GF(2^8), most of whose supports split
+    # only over GF(2^16)
+    f16, f256 = default_field(4), default_field(8)
+    curves = (laszlo_curve(), Curve(f16, f16.element(11)))
+    classes = [cl for c in curves for cl in enumerate_classes(c, f16)]
+    c, rng = curves[0], random.Random(104)
+    points = [p for p in c.points_over(f256)[1:] if not p.is_weierstrass()]
+    doubles = [JacobianClass.from_point(p).mul_int(2) for p in rng.sample(points, 40)]
+    draws = [random_class(c, f256, rng) for _ in range(500)]
+    for cl in classes + doubles + draws:
+        got, field = cl.support()
+        ref, ref_field = _poly_route_support(cl)
+        assert field == ref_field and field.degree == ref_field.degree, cl
+        assert [(p.x, p.y, p.field.degree, m) for p, m in got] == [
+            (p.x, p.y, p.field.degree, m) for p, m in ref
+        ], cl
+    assert sum(len(cl.u) == 3 and len(cl.support()[0]) == 1 for cl in classes) == 40
+    assert all(cl.support()[0][0][1] == 2 for cl in doubles)
+    lifted = sum(cl.support()[1] == default_field(16) for cl in draws)
+    assert 100 < lifted < 400, lifted  # 360: both fields are well covered
+
+
 def test_principal_witness_iff_identity_class():
     c = laszlo_curve()
     f16 = default_field(4)
@@ -762,7 +803,7 @@ def test_principal_witness_iff_identity_class():
             # wherever chi does not
             for p, m in D.lift_to_common_field()[1]:
                 if m > 0 and witness.chi.evaluate(p.x).mask:
-                    assert witness.num.evaluate(p).mask == 0
+                    assert witness.num._value_mask(p) == 0
 
 
 def test_principal_witness_for_triple_difference():

@@ -196,6 +196,21 @@ def test_the_mumford_solve_builds_no_poly():
         assert not found, f"the Mumford solve builds Polys in {name}:\n" + "\n".join(found)
 
 
+def test_the_oracle_builds_no_poly():
+    # the Riemann-Roch oracle's expansions, norm, order bookkeeping, residual
+    # roots and Mumford pairs, and the supports it starts from, run on
+    # coefficient masks: no Poly is built and no boxed solver is called
+    guarded = {
+        "functions.py": {"local_coordinates", "_shifted_equation", "PolyFunction.norm",
+                         "_orders_and_rest", "_extract_residual_points", "_mumford_from_points"},
+        "jacobian.py": {"JacobianClass.support", "oracle_class_of"},
+    }
+    names = {"Poly", "from_masks", "solve_linear", "solve_quadratic"}
+    for name, defs in guarded.items():
+        found = _guarded_callers(PACKAGE_DIR / name, defs, names)
+        assert not found, f"the oracle builds Polys in {name}:\n" + "\n".join(found)
+
+
 CROSS_CHECK_ERRORS = {"InconsistencyError", "VerificationError"}
 
 

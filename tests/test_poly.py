@@ -122,7 +122,7 @@ def test_evaluate_and_roots():
     f = default_field(4)
     x = Poly.x(f)
     r1, r2 = f.element(3), f.element(7)
-    p = (x + Poly.constant(r1)) * (x + Poly.constant(r2))
+    p = (x + Poly(f, (r1,))) * (x + Poly(f, (r2,)))
     found = [e.mask for e in f.elements() if p.evaluate(e).mask == 0]
     assert found == [3, 7]
 
@@ -167,7 +167,7 @@ def test_solve_quadratic_double_root():
     f = default_field(4)
     a = f.element(9)
     x = Poly.x(f)
-    p = (x + Poly.constant(a)) * (x + Poly.constant(a))
+    p = (x + Poly(f, (a,))) * (x + Poly(f, (a,)))
     roots, fld, _ = solve_quadratic(p)
     assert fld == f and roots == [a, a]
 

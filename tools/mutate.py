@@ -1,12 +1,14 @@
-"""Mutation sweep over the group law's written-out kernels and the Mumford solve.
+"""Mutation sweep over the group law's written-out kernels, the Mumford
+solve and the Riemann-Roch oracle's mask kernels.
 
 Each mutant drops one operand of one `^` (an `a ^ b` or an `x ^= e`) in one
-def of SCOPE in src/frobfix/jacobian.py.  The tree is copied once to a
+def that SCOPE names for its module.  The tree is copied once to a
 temporary directory, each mutant is written there in turn, and Tier-1 runs
 on the copy with -x; the checkout is never touched.  A mutant that passes
-every test survives and is printed as `def:line: expression -> mutant`.
-The exit status is 1 when a survivor is not in tools/equivalent_mutants.txt,
-whose lines read `def: expression -> mutant  # reason`.
+every test survives and is printed as `module.def:line: expression ->
+mutant`.  The exit status is 1 when a survivor is not in
+tools/equivalent_mutants.txt, whose lines read
+`module.def: expression -> mutant  # reason`.
 
     python tools/mutate.py
 """
@@ -20,16 +22,22 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-TARGET = Path("src/frobfix/jacobian.py")
-SCOPE = {"JacobianClass._validate", "JacobianClass.__add__", "JacobianClass.neg", "_closed_form_sum",
-         "_slope_mod_quadratic", "_monic_pair", "_solvable_by_trace", "solve_additive", "affine_span"}
+PACKAGE = Path("src/frobfix")
+SCOPE = {
+    "jacobian": {"JacobianClass._validate", "JacobianClass.__add__", "JacobianClass.neg",
+                 "_closed_form_sum", "_slope_mod_quadratic", "_monic_pair", "_solvable_by_trace",
+                 "solve_additive", "affine_span", "JacobianClass.support"},
+    "functions": {"local_coordinates", "_shifted_equation", "PolyFunction.norm",
+                  "_orders_and_rest", "_mumford_from_points"},
+    "poly": {"mul_poly_masks"},
+}
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
          "--continue-on-collection-errors"]
 
 
-def mutants(source):
-    """(def, line, expression, mutant, mutated source) for each site in
-    SCOPE, each mutated source once."""
+def mutants(source, defs):
+    """(def, line, expression, mutant, mutated source) for each site in the
+    defs named in `defs`, each mutated source once."""
     data = source.encode()  # ast column offsets count UTF-8 bytes
     starts = [0]
     for line in data.splitlines(keepends=True):
@@ -40,7 +48,7 @@ def mutants(source):
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
                 yield from sites(child, scope + (child.name,))
                 continue
-            if ".".join(scope) in SCOPE and isinstance(getattr(child, "op", None), ast.BitXor):
+            if ".".join(scope) in defs and isinstance(getattr(child, "op", None), ast.BitXor):
                 if isinstance(child, ast.BinOp):  # a ^ b: keep a, or keep b
                     for kept in (child.left, child.right):
                         yield scope, child, f"({ast.get_source_segment(source, kept)})"
@@ -69,7 +77,6 @@ def main():
             if not reason.strip():
                 sys.exit(f"equivalent_mutants.txt: no reason given for {line!r}")
             listed.add(entry.strip())
-    source = (ROOT / TARGET).read_text()
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp) / "tree"
         shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
@@ -78,17 +85,24 @@ def main():
         if subprocess.run(TIER1, cwd=copy, env=env, capture_output=True).returncode:
             sys.exit("Tier-1 fails on the unmutated copy")
         total, unlisted = 0, 0
-        for name, lineno, expr, text, mutated in mutants(source):
-            total += 1
-            (copy / TARGET).write_text(mutated)
-            try:  # a mutant that loops counts as killed
-                passed = not subprocess.run(TIER1, cwd=copy, env=env, capture_output=True,
-                                            timeout=900).returncode
-            except subprocess.TimeoutExpired:
-                passed = False
-            if passed:
-                print(f"survivor {name}:{lineno}: {expr} -> {text}", flush=True)
-                unlisted += f"{name}: {expr} -> {text}" not in listed
+        for module, defs in SCOPE.items():
+            target = PACKAGE / f"{module}.py"
+            source = (ROOT / target).read_text()
+            count = 0
+            for name, lineno, expr, text, mutated in mutants(source, defs):
+                count += 1
+                (copy / target).write_text(mutated)
+                try:  # a mutant that loops counts as killed
+                    passed = not subprocess.run(TIER1, cwd=copy, env=env, capture_output=True,
+                                                timeout=900).returncode
+                except subprocess.TimeoutExpired:
+                    passed = False
+                if passed:
+                    print(f"survivor {module}.{name}:{lineno}: {expr} -> {text}", flush=True)
+                    unlisted += f"{module}.{name}: {expr} -> {text}" not in listed
+            (copy / target).write_text(source)
+            print(f"{module}: {count} mutants", flush=True)
+            total += count
     print(f"{total} mutants, {unlisted} unlisted survivors")
     return 1 if unlisted else 0
 
