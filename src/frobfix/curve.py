@@ -310,9 +310,10 @@ class CurvePoint:
 
     def __hash__(self):
         # equal points have equal coordinate masks (or are both infinity)
-        if self.is_infinity():
+        x = self.x
+        if x is None:
             return hash(None)
-        return hash((self.x.mask, self.y.mask))
+        return hash((x.mask, self.y.mask))
 
     def __repr__(self):
         if self.is_infinity():

@@ -18,17 +18,26 @@ the norm, the residual roots and the Mumford pairs run on masks too, with
 the memoised (h, f) of `Curve.equation_masks`, the `poly` and `series`
 kernels and the field's exp/log tables, as does the nullspace (`linalg`).
 Poly is the type at the boundary: a and b of a + b y, and chi of a
-witness.  A polynomial at x = x0 + s, as in `series_at` away from the
+witness.  A polynomial at x = x0 + s, as in an order read away from the
 Weierstrass points, is a Taylor shift on masks with no series product
-(`_horner`).  A vanishing order is read at the lowest precision of the
-ladder 2, 4, 8, ... that shows it (`PolyFunction.ord_at`): precision 2
-shows a simple zero, and the expansion mod s^2 is the truncation of the
-one mod s^4, so the order read does not depend on where the ladder starts.
-Every divisor claim, in the oracle's steps and in a witness's
-re-verification, is checked by one routine, `_orders_and_rest`: it reads
-the vanishing order at each point and at its involution partner from the
-expansions, and divides the norm N(a + b y) = a^2 + a b h + b^2 f by
-exactly those orders, so the norm must account for every zero found.
+(`_horner`).  A simple point's interpolation row is the values
+(x0^i, y0 x0^j) of the basis, with no series product
+(`_constraint_rows`).  A vanishing order is read at the lowest precision
+of the ladder 2, 4, 8, ... that shows it (`PolyFunction.ord_at`):
+precision 2 shows a simple zero, read as coefficient 1 of a + b y directly
+from x and y mod s^2 (`_coefficient_one`), and the expansion mod s^2 is
+the truncation of the one mod s^4, so the order read does not depend on
+where the ladder starts.  An oracle step keeps one table of expansions
+(`_Expansions`): each constraint point is expanded once, at the rung that
+shows the order its multiplicity plans, any other point at the precision
+first asked for, and again only if its order is beyond that; its rows and
+order reads take truncations of that expansion, and the table goes when
+the step ends.  Every divisor claim, in the oracle's steps and in a
+witness's re-verification, is checked by one routine, `_orders_and_rest`:
+it reads the vanishing order at each point and at its involution partner
+from the expansions, and divides the norm N(a + b y) = a^2 + a b h +
+b^2 f by exactly those orders, so the norm must account for every zero
+found.
 """
 
 from .errors import FieldMismatchError, InconsistencyError, VerificationError
@@ -94,37 +103,52 @@ class PolyFunction:
         by = exp[log[b] + log[y0]] if b and y0 else 0
         return evaluate_masks(exp, log, self.a.masks(), x0) ^ by
 
-    def series_at(self, point, prec):
-        """The coefficient masks of the expansion at `point` through s^(prec-1)."""
-        if point.field != self.field:
-            raise FieldMismatchError("point and function over different fields")
-        field, (xs, ys) = self.field, local_coordinates(self.curve, point, prec)
+    def _series(self, xs, ys):
+        """The coefficient masks of a(xs) + b(xs) ys, the expansion at the
+        point whose expansions of x and y are xs and ys."""
+        field = self.field
         bs = mul_masks(field, _horner(field, self.b.masks(), xs), ys)
         return _add(_horner(field, self.a.masks(), xs), bs)
 
-    def ord_at(self, point):
+    def ord_at(self, point, expansions=None):
         """Vanishing order at an affine point (0 when the value is nonzero).
 
         The expansion is read at precision 2, 4, 8, ... until a nonzero
         coefficient shows: a simple zero, almost every zero the oracle
-        meets, needs only precision 2.  Each expansion is the truncation of
-        the next, so the first nonzero coefficient is the same at every
-        precision that reaches it."""
+        meets, needs only precision 2, where coefficient 1 is read directly
+        (`_coefficient_one`).  Each expansion is the truncation of the next,
+        so the first nonzero coefficient is the same at every precision
+        that reaches it.  The expansions come from `expansions`, an oracle
+        step's table, or from a table of this call alone."""
         if self.is_zero():
             raise ValueError("zero function")
         if self._value_mask(point):
             return 0
-        prec = 2
-        while True:
-            for i, c in enumerate(self.series_at(point, prec)):
+        expand = expansions or _Expansions(self.curve)
+        if self._coefficient_one(*expand(point, 2)):
+            return 1
+        prec = 4
+        # the order is at most deg N, so precision max(2 deg N + 2, 8) finds
+        # it; that cap is at least 8, so the norm is needed only beyond 8
+        while prec <= 8 or prec <= max(2 * len(self.norm()), 8):
+            for i, c in enumerate(self._series(*expand(point, prec))):
                 if c:
                     return i
             prec *= 2
-            # the order is at most deg N, so precision max(2 deg N + 2, 8)
-            # finds it; that cap is at least 8, so the norm is needed only
-            # beyond precision 8
-            if prec > 8 and prec > max(2 * len(self.norm()), 8):
-                raise InconsistencyError("nonzero function vanishing beyond its norm degree")
+        raise InconsistencyError("nonzero function vanishing beyond its norm degree")
+
+    def _coefficient_one(self, xs, ys):
+        """The mask of coefficient 1 of the expansion of a + b y, for the
+        expansions xs and ys of x and y (precision at least 2):
+        a'(x0) x1 + (b'(x0) x1 y0 + b(x0) y1), p' = p[1::2] at x0^2 as in
+        `_mumford_from_points`, so an order read that stops at precision 2
+        takes no Taylor shift and no series product."""
+        exp, log = self.field.tables()
+        mul = self.field.mul_masks
+        (x0, x1), (y0, y1), a, b = xs[:2], ys[:2], self.a.masks(), self.b.masks()
+        sq = mul(x0, x0)
+        da, db = (evaluate_masks(exp, log, p[1::2], sq) for p in (a, b))
+        return mul(da ^ mul(db, y0), x1) ^ mul(evaluate_masks(exp, log, b, x0), y1)
 
     def __repr__(self):
         return f"PolyFunction(({self.a!r}) + ({self.b!r})*y)"
@@ -195,6 +219,43 @@ def _shifted_equation(field, f, x0, n):
     hs = (exp[l2] ^ x0, 1, 1) + pad
     fs = (c0, c1, exp[lb + lx], b, exp[la + lx], a) + pad
     return hs[:n], fs[:n]
+
+
+class _Expansions:
+    """Local expansions of points, keyed by (field, x mask, y mask), each
+    built by one `local_coordinates` call and read as truncations.  An
+    oracle step keeps one table, so its interpolation rows and its order
+    reads share each point's expansion, and the table goes when the step
+    ends.  The field in the key keeps a point over a quadratic extension
+    from reading an entry over the base field.  A point is expanded at the
+    precision asked for, or, for a point of `planned` (pairs of a point and
+    its multiplicity), at the rung of the order ladder 2, 4, 8, ... that
+    shows the order of that multiplicity if higher: 2 for a simple point
+    and 4 for multiplicity 2 or 3.  Only a point whose order is beyond
+    what its expansion shows is expanded again, at the precision the
+    order read asks for."""
+
+    __slots__ = ("curve", "rungs", "series")
+
+    def __init__(self, curve, planned=()):
+        self.curve = curve
+        self.rungs = {self._key(p): 1 << mult.bit_length() for p, mult in planned}
+        self.series = {}
+
+    @staticmethod
+    def _key(point):
+        x = _affine(point).x
+        return x.field, x.mask, point.y.mask
+
+    def __call__(self, point, prec):
+        """(xs, ys) at `point` mod s^prec."""
+        key = self._key(point)
+        xs, ys = self.series.get(key, ((), ()))
+        if len(xs) < prec:
+            xs, ys = self.series[key] = local_coordinates(
+                self.curve, point, max(prec, self.rungs.get(key, 0))
+            )
+        return xs[:prec], ys[:prec]
 
 
 def _affine(point):
@@ -270,6 +331,26 @@ def _times_powers(field, start, xs, count):
     return out
 
 
+def _constraint_rows(field, xs, ys, n_x, n_y):
+    """The rows a point of multiplicity m = len(xs) adds: coefficient k < m
+    of the expansion of each basis function x^i (i < n_x), then x^j y
+    (j < n_y), at the point with expansions xs and ys.
+
+    At m = 1, almost every constraint point the oracle meets, the row is
+    the values (x0^i, y0 x0^j), with no product.  Otherwise the columns
+    are the running powers xs^i, then ys xs^j, one product per basis
+    function (`_times_powers`)."""
+    m = len(xs)
+    if m > 1:
+        cols = _times_powers(field, _linear(1, m, 0), xs, n_x)
+        cols += _times_powers(field, ys, xs, n_y)
+        return list(zip(*cols))
+    exp, log = field.tables()
+    x0, y0, step = xs[0], ys[0], field.order - 1
+    pows = [1] + [exp[i * log[x0] % step] if x0 else 0 for i in range(1, n_x)]  # x0^i
+    return [tuple(pows) + tuple(exp[log[y0] + log[c]] if y0 and c else 0 for c in pows[:n_y])]
+
+
 # ---------------------------------------------------------------------------
 # Riemann-Roch spaces L(m * infinity).
 
@@ -291,27 +372,25 @@ def riemann_roch_basis(curve, m, field=None):
             + [PolyFunction(curve, fld, zero, x ** j) for j in range(n_y)])
 
 
-def interpolate_vanishing(curve, field, m, constraints):
+def interpolate_vanishing(curve, field, m, constraints, expansions=None):
     """A nonzero element of L(m*infinity) over `field` vanishing to the
     prescribed order at each constraint point, or None.
 
     constraints: list of (affine CurvePoint over `field`, multiplicity).
     A point of multiplicity k gives k rows: the coefficients of s^0..s^(k-1)
-    in the expansion of each basis function there, taken from the running
-    powers xs^i, then xs^j ys, one product per basis function.  The choice
-    is deterministic: first reduced-echelon nullspace vector, normalized so
-    its first nonzero coordinate is 1.
+    in the expansion of each basis function there (`_constraint_rows`, the
+    values alone at a simple point), read from the expansion of an oracle
+    step's table `expansions` when given.  The choice is deterministic:
+    first reduced-echelon nullspace vector, normalized so its first
+    nonzero coordinate is 1.
     """
     n_x, n_y = _basis_shape(m)  # x^i first, then x^j y
+    expand = expansions or _Expansions(curve)
     rows = []
     for point, mult in constraints:
         if point.field != field:
             raise FieldMismatchError("constraint point over a different field")
-        xs, ys = local_coordinates(curve, point, mult)
-        one = _linear(1, mult, 0)
-        cols = _times_powers(field, one, xs, n_x)
-        cols += _times_powers(field, ys, xs, n_y)
-        rows.extend(zip(*cols))
+        rows += _constraint_rows(field, *expand(point, mult), n_x, n_y)
     vecs = nullspace(field, rows) if rows else [[1] + [0] * (n_x + n_y - 1)]
     if not vecs:
         return None
@@ -330,35 +409,31 @@ def interpolate_vanishing(curve, field, m, constraints):
 # Exact divisor verification for polynomial functions.
 
 def _merge_points(pairs):
+    """The multiplicities of `pairs` summed per point, in the order each
+    point first appears, without the points whose sum is 0."""
     merged = {}
-    order = []
     for p, m in pairs:
-        if p in merged:
-            merged[p] += m
-        else:
-            merged[p] = m
-            order.append(p)
-    return [(p, merged[p]) for p in order if merged[p]]
+        merged[p] = merged.get(p, 0) + m
+    return [(p, m) for p, m in merged.items() if m]
 
 
-def _orders_and_rest(fn, points):
+def _orders_and_rest(fn, points, expansions=None):
     """(orders, rest): the vanishing order of fn at each affine point of
     `points` and then at its involution partner, in that insertion order,
     and N(fn) divided by (x - x0)^e for each x0, e the sum of the orders
     above x0 (a Weierstrass point is its own partner, counted once), as
-    trimmed coefficient masks, so its degree is len(rest) - 1.  A
-    division that is not exact, or an x0 still a root, raises
-    InconsistencyError."""
+    trimmed coefficient masks, so its degree is len(rest) - 1.  The orders
+    read the expansions of `expansions` when given.  A division that is
+    not exact, or an x0 still a root, raises InconsistencyError."""
     orders, by_x = {}, {}
     for p in points:
         for q in (p, p.hyperelliptic_involution()):
             if q not in orders:
-                orders[q] = fn.ord_at(q)
-                by_x[q.x] = by_x.get(q.x, 0) + orders[q]
+                orders[q] = o = fn.ord_at(q, expansions)
+                by_x[q.x.mask] = by_x.get(q.x.mask, 0) + o
     field, rest = fn.field, fn.norm()
     exp, log = field.tables()
     for x0, e in by_x.items():
-        x0 = x0.mask
         lin = [(0, log[x0])] if x0 else []  # x + x0, as `monic_logs` gives it
         for _ in range(e):
             rest, r = divmod_monic(exp, log, rest, lin, 1)
@@ -460,12 +535,25 @@ def reduce_points_oracle(curve, field, entries):
 
 
 def _oracle_step(curve, field, entries):
+    """One reduction step: psi in L((k + 2) infinity) vanishing on the k
+    points of `entries`, whose other zeros, at most two, are read from its
+    orders and the residual of its norm; returns their involution partners
+    and the field they lie over.
+
+    The step keeps one `_Expansions` table, so every point it reads, the
+    constraint points, their partners and the residual points, is expanded
+    once: a constraint point at the first rung of the order ladder that
+    shows the order its multiplicity plans, any other point at the
+    precision its first order read asks for, and again only where its
+    order is beyond what that expansion shows.  The interpolation rows and
+    the order reads take truncations of that expansion."""
     k = sum(m for _, m in entries)
-    psi = interpolate_vanishing(curve, field, k + 2, entries)
+    expansions = _Expansions(curve, entries)
+    psi = interpolate_vanishing(curve, field, k + 2, entries, expansions)
     if psi is None:
         raise InconsistencyError("interpolation space unexpectedly empty")
     exp_ord = dict(entries)
-    actual, rest = _orders_and_rest(psi, exp_ord)
+    actual, rest = _orders_and_rest(psi, exp_ord, expansions)
     if len(rest) > 3:
         raise InconsistencyError("oracle residual has degree > 2")
     # leftover vanishing at known points beyond the input multiplicities
@@ -478,12 +566,11 @@ def _oracle_step(curve, field, entries):
             new_entries.append((p.hyperelliptic_involution(), excess))
     # genuinely new zeros from the residual factor of the norm
     if len(rest) > 1:
-        entries_new, field = _extract_residual_points(curve, field, psi, rest, new_entries)
-        return entries_new, field
+        return _extract_residual_points(curve, field, psi, rest, new_entries, expansions)
     return _merge_points(new_entries), field
 
 
-def _extract_residual_points(curve, field, psi, rest, new_entries):
+def _extract_residual_points(curve, field, psi, rest, new_entries, expansions):
     if len(rest) == 2:  # r0 + r1 x, with the root r0 / r1
         roots, emb = [(field.mul_masks(rest[0], field.inv_mask(rest[1])), 1)], None
     else:
@@ -505,13 +592,13 @@ def _extract_residual_points(curve, field, psi, rest, new_entries):
         if len(above) == 1:  # a Weierstrass point, its own involution partner
             new_entries.append((p1, mu))
             continue
-        o1 = min(psi.ord_at(p1), mu)
+        o1 = min(psi.ord_at(p1, expansions), mu)
         o2 = mu - o1
         if o1:
             new_entries.append((p1.hyperelliptic_involution(), o1))
         if o2:
             p2 = above[1]
-            if psi.ord_at(p2) < o2:
+            if psi.ord_at(p2, expansions) < o2:
                 raise InconsistencyError("residual order split failed")
             new_entries.append((p2.hyperelliptic_involution(), o2))
     return _merge_points(new_entries), field

@@ -246,6 +246,112 @@ def test_ord_at_matches_the_order_of_a_boxed_expansion_gf16():
                     assert order >= mult
 
 
+def _row_points():
+    """Every affine point of the reference curve over GF(16), the
+    Weierstrass points among them, and 64 over GF(2^16), two of them
+    Weierstrass points."""
+    c, f16, f65536 = laszlo_curve(), default_field(4), default_field(16)
+    rng = random.Random(2 ** 16)
+    points = c.points_over(f16)[1:] + c.points_at(f65536.zero()) + c.points_at(f65536.one())
+    while len(points) < 17 + 64:
+        points += c.points_at(f65536.element(rng.randrange(2, f65536.order)))[:1]
+    assert sum(p.is_weierstrass() for p in points) == 4
+    return c, points
+
+
+def test_constraint_rows_match_the_series_product_rows():
+    # the rows of multiplicity 1 to 4 for every basis size of L(m infinity),
+    # m up to 12, against xs^i and xs^j ys from one series product each
+    c, points = _row_points()
+    for p in points:
+        field = p.field
+        for mult in (1, 2, 3, 4):
+            xs, ys = local_coordinates(c, p, mult)
+            for m in range(13):
+                n_x, n_y = functions_module._basis_shape(m)
+                one = (1,) + (0,) * (mult - 1)
+                cols = functions_module._times_powers(field, one, xs, n_x)
+                cols += functions_module._times_powers(field, ys, xs, n_y)
+                got = functions_module._constraint_rows(field, xs, ys, n_x, n_y)
+                assert got == list(zip(*cols)), (p, mult, m)
+
+
+def test_order_read_at_precision_2_matches_the_series():
+    # coefficient 1 read directly equals coefficient 1 of the expansion mod
+    # s^2 that `_series` builds by Taylor shift or Horner's rule, and
+    # ord_at's first nonzero coefficient is that of this expansion
+    # whenever it shows one, read at each point and at
+    # its involution partner, for functions vanishing to order 1 to 3 there,
+    # for (x + x0) y, whose b has b' = 1, and for the sum of the basis of
+    # L(9 infinity), whose b is 1 + x + x^2
+    c, points = _row_points()
+    for p in points:
+        field = p.field
+        fns = [interpolate_vanishing(c, field, mult + 4, [(p, mult)]) for mult in (1, 2, 3)]
+        ones = Poly.from_masks(field, [1] * 5)
+        fns += [PolyFunction(c, field, Poly.zero(field), Poly(field, (p.x, field.one()))),
+                PolyFunction(c, field, ones, Poly.from_masks(field, [1] * 3))]
+        for fn in fns:
+            for q in (p, p.hyperelliptic_involution()):
+                xs, ys = local_coordinates(c, q, 2)
+                series = fn._series(xs, ys)
+                assert fn._coefficient_one(xs, ys) == series[1], (fn, q)
+                if any(series):
+                    assert fn.ord_at(q) == next(i for i, e in enumerate(series) if e), (fn, q)
+                else:
+                    assert fn.ord_at(q) >= 2
+
+
+def test_an_oracle_step_expands_each_point_once(monkeypatch):
+    # within one step every point is expanded once: first at precision 2 or
+    # more, a constraint point at least at the rung of the order ladder that
+    # shows the order of its multiplicity (2 for a simple point, 4 for
+    # multiplicity 2 or 3), and again only at a higher precision when its
+    # order reached the precision of its last expansion, which cannot show
+    # it (a simple point where the step's function vanishes twice, or a
+    # double residual root)
+    expand, ord_at, step = (functions_module.local_coordinates, PolyFunction.ord_at,
+                            functions_module._oracle_step)
+    calls, orders = [], {}
+
+    def key(p):
+        return p.x.field, p.x.mask, p.y.mask
+
+    def spy_expand(curve, point, prec):
+        calls.append((key(point), prec))
+        return expand(curve, point, prec)
+
+    def spy_ord_at(fn, point, *rest):
+        orders[key(point)] = o = ord_at(fn, point, *rest)
+        return o
+
+    def spy_step(curve, field, entries):
+        calls.clear()
+        orders.clear()
+        out = step(curve, field, entries)
+        first, last = {}, {}
+        for k, prec in calls:
+            if k in last:
+                assert prec > last[k] and orders[k] >= last[k], (k, calls)
+            else:
+                assert prec >= 2, (k, calls)
+                first[k] = prec
+            last[k] = prec
+        for p, m in entries:
+            assert first[key(p)] >= 1 << m.bit_length(), (p, m, calls)
+        return out
+
+    monkeypatch.setattr(functions_module, "local_coordinates", spy_expand)
+    monkeypatch.setattr(PolyFunction, "ord_at", spy_ord_at)
+    monkeypatch.setattr(functions_module, "_oracle_step", spy_step)
+    c = laszlo_curve()
+    for field, count in ((default_field(4), 40), (default_field(8), 40)):
+        rng = random.Random(field.degree)
+        for _ in range(count):
+            a, b = random_class(c, field, rng), random_class(c, field, rng)
+            oracle_class_of(a.to_divisor() + b.to_divisor())
+
+
 @pytest.mark.pinned
 def test_oracle_keys_are_pinned_every_t_gf16():
     # sha256 pinned from the oracle that read orders from precision 4 up and
@@ -297,13 +403,12 @@ def test_interpolation_imposes_multiplicity():
 
 
 def test_expansions_reject_a_point_over_another_field():
-    # the rows and series are masks, so the field is checked at the boundary
+    # the rows and order reads are masks, so the field is checked at the
+    # boundary
     c = laszlo_curve()
     f16 = default_field(4)
     p4 = c.point(c.field.zero(), c.field.zero())
     vert = PolyFunction(c, f16, Poly(f16, (f16.zero(), f16.one())), Poly.zero(f16))
-    with pytest.raises(FieldMismatchError):
-        vert.series_at(p4, 4)
     with pytest.raises(FieldMismatchError):
         interpolate_vanishing(c, f16, 6, [(p4, 1)])
     for q in c.points_over(c.field)[1:]:  # vert vanishes at p4, not at the other
@@ -373,7 +478,8 @@ def test_oracle_catches_orders_read_at_the_involution_partner(monkeypatch):
     divisor = a.to_divisor() + b.to_divisor()
     ord_at = PolyFunction.ord_at
     monkeypatch.setattr(
-        PolyFunction, "ord_at", lambda fn, p: ord_at(fn, p.hyperelliptic_involution())
+        PolyFunction, "ord_at",
+        lambda fn, p, *rest: ord_at(fn, p.hyperelliptic_involution(), *rest),
     )
     with pytest.raises(InconsistencyError) as exc:
         oracle_class_of(divisor)
@@ -506,7 +612,7 @@ def _orders_zero_off_the_support(monkeypatch, curve):
     known, run = _oracle_sum(curve)
     ord_at = PolyFunction.ord_at
     monkeypatch.setattr(
-        PolyFunction, "ord_at", lambda fn, p: ord_at(fn, p) if p.x in known else 0
+        PolyFunction, "ord_at", lambda fn, p, *rest: ord_at(fn, p, *rest) if p.x in known else 0
     )
     return run
 

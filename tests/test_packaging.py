@@ -197,11 +197,14 @@ def test_the_mumford_solve_builds_no_poly():
 
 
 def test_the_oracle_builds_no_poly():
-    # the Riemann-Roch oracle's expansions, norm, order bookkeeping, residual
-    # roots and Mumford pairs, and the supports it starts from, run on
-    # coefficient masks: no Poly is built and no boxed solver is called
+    # the Riemann-Roch oracle's expansions, interpolation rows, order reads,
+    # norm, order bookkeeping, residual roots and Mumford pairs, and the
+    # supports it starts from, run on coefficient masks: no Poly is built
+    # and no boxed solver is called
     guarded = {
-        "functions.py": {"local_coordinates", "_shifted_equation", "PolyFunction.norm",
+        "functions.py": {"local_coordinates", "_shifted_equation", "_Expansions",
+                         "_constraint_rows", "PolyFunction.ord_at",
+                         "PolyFunction._coefficient_one", "PolyFunction.norm",
                          "_orders_and_rest", "_extract_residual_points", "_mumford_from_points"},
         "jacobian.py": {"JacobianClass.support", "oracle_class_of"},
     }

@@ -1,5 +1,6 @@
 """Mutation sweep over the group law's written-out kernels, the Mumford
-solve and the Riemann-Roch oracle's mask kernels.
+solve and the Riemann-Roch oracle's mask kernels: its expansions, Taylor
+shifts, interpolation rows, order read, norm and order bookkeeping.
 
 Each mutant drops one operand of one `^` (an `a ^ b` or an `x ^= e`) in one
 def that SCOPE names for its module.  The tree is copied once to a
@@ -27,7 +28,8 @@ SCOPE = {
     "jacobian": {"JacobianClass._validate", "JacobianClass.__add__", "JacobianClass.neg",
                  "_closed_form_sum", "_slope_mod_quadratic", "_monic_pair", "_solvable_by_trace",
                  "solve_additive", "affine_span", "JacobianClass.support"},
-    "functions": {"local_coordinates", "_shifted_equation", "PolyFunction.norm",
+    "functions": {"local_coordinates", "_shifted_equation", "_taylor_shift", "_horner",
+                  "_constraint_rows", "PolyFunction._coefficient_one", "PolyFunction.norm",
                   "_orders_and_rest", "_mumford_from_points"},
     "poly": {"mul_poly_masks"},
 }
