@@ -4,6 +4,15 @@ A polynomial function on the curve is a(x) + b(x) y; it has poles only at
 infinity, where ord(x) = -2 and ord(y) = -5 (so the two pole orders never
 collide mod 2 and the pole order of a + b y is exact, no cancellation).
 
+Inside this module an affine point is the pair (x, y) of its coordinate
+masks over the one field of its function, table of expansions or oracle
+step; at infinity a function is described by its pole order, so that
+point has no pair.  CurvePoints enter at `reduce_points_oracle` and
+`principal_witness_core` alone, unboxed once by `_mask_entries`.  With
+h = x^2 + x fixed, as the group law takes it, the involution partner of
+(x, y) is (x, y + x^2 + x) (`_partner`), and a point is a Weierstrass
+point exactly when x is 0 or 1.
+
 Local expansions are truncated series k'[s]/(s^n) held as tuples of
 coefficient masks: the uniformizer is x - x0, with y solved for one
 coefficient at a time, or y - y0 at an affine Weierstrass point, with x
@@ -13,21 +22,20 @@ divided by a unit, and the full residual is computed once, to check the
 finished expansion.  Away from the Weierstrass points h(x0 + s) and
 f(x0 + s) are closed forms in the family's shape h = x^2 + x,
 f = (0, A, 0, B, 0, A), the shape the group law reads
-(`_shifted_equation`).  The expansions of a + b y, the interpolation rows,
-the norm, the residual roots and the Mumford pairs run on masks too, with
-the memoised (h, f) of `Curve.equation_masks`, the `poly` and `series`
+(`_shifted_equation`); at a Weierstrass point they are series Horner
+(`_horner`).  The expansions of a + b y, the interpolation rows, the
+norm, the residual roots and the Mumford pairs run on masks too, with the
+memoised (h, f) of `Curve.equation_masks`, the `poly` and `series`
 kernels and the field's exp/log tables, as does the nullspace (`linalg`).
 Poly is the type at the boundary: a and b of a + b y, and chi of a
-witness.  A polynomial at x = x0 + s, as in an order read away from the
-Weierstrass points, is a Taylor shift on masks with no series product
-(`_horner`).  A simple point's interpolation row is the values
-(x0^i, y0 x0^j) of the basis, with no series product
-(`_constraint_rows`).  A vanishing order is read at the lowest precision
-of the ladder 2, 4, 8, ... that shows it (`PolyFunction.ord_at`):
-precision 2 shows a simple zero, read as coefficient 1 of a + b y directly
-from x and y mod s^2 (`_coefficient_one`), and the expansion mod s^2 is
-the truncation of the one mod s^4, so the order read does not depend on
-where the ladder starts.  An oracle step keeps one table of expansions
+witness.  A simple point's interpolation row is the values (x0^i, y0 x0^j)
+of the basis, with no series product (`_constraint_rows`).  A vanishing
+order is read at the lowest precision of the ladder 2, 4, 8, ... that
+shows it (`PolyFunction.ord_at`): precision 2 shows a simple zero, read as
+coefficient 1 of a + b y directly from x and y mod s^2 and the b(x0) of
+the value read (`_coefficient_one`), and the expansion mod s^2 is the
+truncation of the one mod s^4, so the order read does not depend on where
+the ladder starts.  An oracle step keeps one table of expansions
 (`_Expansions`): each constraint point is expanded once, at the rung that
 shows the order its multiplicity plans, any other point at the precision
 first asked for, and again only if its order is beyond that; its rows and
@@ -93,15 +101,14 @@ class PolyFunction:
         return max(orders)
 
     def _value_mask(self, point):
-        """The mask of a(x0) + b(x0) y0 at an affine point (x0, y0) over this
-        function's field."""
-        x0, y0 = _affine(point).x.mask, point.y.mask
-        if point.field != self.field:
-            raise FieldMismatchError("point and function over different fields")
+        """(v, b0): the masks v of a(x0) + b(x0) y0 at the affine point
+        (x0, y0) over this function's field and b0 of b(x0), which an order
+        read passes on to `_coefficient_one`."""
+        x0, y0 = point
         exp, log = self.field.tables()
         b = evaluate_masks(exp, log, self.b.masks(), x0)
         by = exp[log[b] + log[y0]] if b and y0 else 0
-        return evaluate_masks(exp, log, self.a.masks(), x0) ^ by
+        return evaluate_masks(exp, log, self.a.masks(), x0) ^ by, b
 
     def _series(self, xs, ys):
         """The coefficient masks of a(xs) + b(xs) ys, the expansion at the
@@ -111,7 +118,8 @@ class PolyFunction:
         return _add(_horner(field, self.a.masks(), xs), bs)
 
     def ord_at(self, point, expansions=None):
-        """Vanishing order at an affine point (0 when the value is nonzero).
+        """Vanishing order at the affine point (x0, y0), a mask pair over
+        this function's field (0 when the value is nonzero).
 
         The expansion is read at precision 2, 4, 8, ... until a nonzero
         coefficient shows: a simple zero, almost every zero the oracle
@@ -119,13 +127,14 @@ class PolyFunction:
         (`_coefficient_one`).  Each expansion is the truncation of the next,
         so the first nonzero coefficient is the same at every precision
         that reaches it.  The expansions come from `expansions`, an oracle
-        step's table, or from a table of this call alone."""
+        step's table over this field, or from a table of this call alone."""
         if self.is_zero():
             raise ValueError("zero function")
-        if self._value_mask(point):
+        value, b0 = self._value_mask(point)
+        if value:
             return 0
-        expand = expansions or _Expansions(self.curve)
-        if self._coefficient_one(*expand(point, 2)):
+        expand = expansions or _Expansions(self.curve, self.field)
+        if self._coefficient_one(*expand(point, 2), b0):
             return 1
         prec = 4
         # the order is at most deg N, so precision max(2 deg N + 2, 8) finds
@@ -137,26 +146,27 @@ class PolyFunction:
             prec *= 2
         raise InconsistencyError("nonzero function vanishing beyond its norm degree")
 
-    def _coefficient_one(self, xs, ys):
+    def _coefficient_one(self, xs, ys, b0):
         """The mask of coefficient 1 of the expansion of a + b y, for the
-        expansions xs and ys of x and y (precision at least 2):
-        a'(x0) x1 + (b'(x0) x1 y0 + b(x0) y1), p' = p[1::2] at x0^2 as in
-        `_mumford_from_points`, so an order read that stops at precision 2
-        takes no Taylor shift and no series product."""
+        expansions xs and ys of x and y (precision at least 2) and the mask
+        b0 of b(x0): a'(x0) x1 + (b'(x0) x1 y0 + b0 y1), p' = p[1::2] at
+        x0^2 as in `_mumford_from_points`, so an order read that stops at
+        precision 2 takes no series product."""
         exp, log = self.field.tables()
         mul = self.field.mul_masks
-        (x0, x1), (y0, y1), a, b = xs[:2], ys[:2], self.a.masks(), self.b.masks()
+        (x0, x1), (y0, y1) = xs[:2], ys[:2]
         sq = mul(x0, x0)
-        da, db = (evaluate_masks(exp, log, p[1::2], sq) for p in (a, b))
-        return mul(da ^ mul(db, y0), x1) ^ mul(evaluate_masks(exp, log, b, x0), y1)
+        da, db = (evaluate_masks(exp, log, p.masks()[1::2], sq) for p in (self.a, self.b))
+        return mul(da ^ mul(db, y0), x1) ^ mul(b0, y1)
 
     def __repr__(self):
         return f"PolyFunction(({self.a!r}) + ({self.b!r})*y)"
 
 
-def local_coordinates(curve, point, prec):
-    """(x, y) as truncated series in the local uniformizer s at an affine
-    point: two tuples of `prec` coefficient masks, lowest order first.
+def local_coordinates(curve, field, point, prec):
+    """(x, y) as truncated series in the local uniformizer s at the affine
+    point (x0, y0), a mask pair over `field`: two tuples of `prec`
+    coefficient masks, lowest order first.
 
     s is x - x0 with y unknown, or y - y0 with x unknown at a Weierstrass
     point.  Adding c s^k to the unknown changes R = y^2 + h(x) y + f(x) by
@@ -168,11 +178,10 @@ def local_coordinates(curve, point, prec):
     the closed forms of `_shifted_equation` at x = x0 + s, and at a
     Weierstrass point Horner's rule re-evaluates them after each step.  The
     full R must then vanish."""
-    field = _affine(point).field
     h, f = curve.equation_masks(field)
     exp, log = field.tables()
-    x0, y0 = point.x.mask, point.y.mask
-    weierstrass = point.is_weierstrass()
+    x0, y0 = point
+    weierstrass = x0 in (0, 1)  # the roots of h = x^2 + x
     if weierstrass:
         ys, xs = _linear(y0, prec), [x0] + [0] * (prec - 1)
         hp, fp = (evaluate_masks(exp, log, p[1::2], field.mul_masks(x0, x0)) for p in (h, f))
@@ -207,9 +216,9 @@ def _shifted_equation(field, f, x0, n):
         h(x0 + s) = h(x0) + s + s^2
         f(x0 + s) = (f(x0), A + B x0^2 + A x0^4, B x0, B, A x0, A)
 
-    with f(x0) = x0 (A + B x0^2 + A x0^4).  Both equal the Taylor shift
-    `_taylor_shift` of the model's masks, and `local_coordinates` checks
-    every expansion built on them against the full residual."""
+    with f(x0) = x0 (A + B x0^2 + A x0^4).  Both equal series Horner
+    (`_horner`) of the model's masks at x0 + s, and `local_coordinates`
+    checks every expansion built on them against the full residual."""
     exp, log = field.tables()
     a, b, pad = f[1], f[3], (0,) * n
     lx, la, lb = log[x0], log[a], log[b]
@@ -222,48 +231,42 @@ def _shifted_equation(field, f, x0, n):
 
 
 class _Expansions:
-    """Local expansions of points, keyed by (field, x mask, y mask), each
-    built by one `local_coordinates` call and read as truncations.  An
-    oracle step keeps one table, so its interpolation rows and its order
-    reads share each point's expansion, and the table goes when the step
-    ends.  The field in the key keeps a point over a quadratic extension
-    from reading an entry over the base field.  A point is expanded at the
-    precision asked for, or, for a point of `planned` (pairs of a point and
-    its multiplicity), at the rung of the order ladder 2, 4, 8, ... that
-    shows the order of that multiplicity if higher: 2 for a simple point
-    and 4 for multiplicity 2 or 3.  Only a point whose order is beyond
-    what its expansion shows is expanded again, at the precision the
-    order read asks for."""
+    """Local expansions of the affine points over one field, keyed by their
+    mask pairs, each built by one `local_coordinates` call and read as
+    truncations.  An oracle step keeps one table, so its interpolation rows
+    and its order reads share each point's expansion, and the table goes
+    when the step ends; a step whose residual points lie over the
+    quadratic extension starts a new table there.  A point is expanded at
+    the precision asked for, or, for a point of `planned` (pairs of a point
+    and its multiplicity), at the rung of the order ladder 2, 4, 8, ...
+    that shows the order of that multiplicity if higher: 2 for a simple
+    point and 4 for multiplicity 2 or 3.  Only a point whose order is
+    beyond what its expansion shows is expanded again, at the precision
+    the order read asks for."""
 
-    __slots__ = ("curve", "rungs", "series")
+    __slots__ = ("curve", "field", "rungs", "series")
 
-    def __init__(self, curve, planned=()):
+    def __init__(self, curve, field, planned=()):
         self.curve = curve
-        self.rungs = {self._key(p): 1 << mult.bit_length() for p, mult in planned}
+        self.field = field
+        self.rungs = {p: 1 << mult.bit_length() for p, mult in planned}
         self.series = {}
-
-    @staticmethod
-    def _key(point):
-        x = _affine(point).x
-        return x.field, x.mask, point.y.mask
 
     def __call__(self, point, prec):
         """(xs, ys) at `point` mod s^prec."""
-        key = self._key(point)
-        xs, ys = self.series.get(key, ((), ()))
+        xs, ys = self.series.get(point, ((), ()))
         if len(xs) < prec:
-            xs, ys = self.series[key] = local_coordinates(
-                self.curve, point, max(prec, self.rungs.get(key, 0))
+            xs, ys = self.series[point] = local_coordinates(
+                self.curve, self.field, point, max(prec, self.rungs.get(point, 0))
             )
         return xs[:prec], ys[:prec]
 
 
-def _affine(point):
-    """`point`, which must be affine: at infinity a function is described by
-    its pole order, not by a value or an expansion."""
-    if point.is_infinity():
-        raise ValueError("values and expansions at infinity are handled by pole orders")
-    return point
+def _partner(field, point):
+    """The involution partner (x, y + h(x)) of the affine point (x, y), with
+    h = x^2 + x; a Weierstrass point, x = 0 or 1, is its own partner."""
+    x, y = point
+    return x, y ^ field.mul_masks(x, x) ^ x
 
 
 def _linear(c, prec, slope=1):
@@ -282,45 +285,15 @@ def _residual(field, hs, fs, ys):
 
 def _horner(field, cs, xs):
     """The masks of p(xs), for p given by its ascending coefficient masks cs
-    and xs a series of the same truncation.
-
-    For xs = x0 + s, the x of every non-Weierstrass expansion, p(x0 + s) is
-    a Taylor shift with no series product: coefficient k is the sum of
-    p_i x0^(i - k) over the i with i & k == k, as binomial(i, k) is odd
-    exactly then (Lucas).  At a Weierstrass point the solved x has no s
-    term, so it takes Horner's rule with one truncated product per
-    coefficient."""
-    n = len(xs)
-    if xs[1:] == _linear(1, n - 1, 0):  # xs = x0 + s
-        return _taylor_shift(field, cs, xs[0], n)
-    acc = ((cs[-1] if cs else 0),) + (0,) * (n - 1)
+    and xs a series of the same truncation: series Horner, one truncated
+    product per coefficient.  It serves `_series` and the expansions at a
+    Weierstrass point, and is the reference for the closed forms of
+    `_shifted_equation`."""
+    acc = ((cs[-1] if cs else 0),) + (0,) * (len(xs) - 1)
     for c in cs[-2::-1]:
         acc = mul_masks(field, acc, xs)
         acc = (acc[0] ^ c,) + acc[1:]
     return acc
-
-
-def _taylor_shift(field, cs, x0, n):
-    """The masks of p(x0 + s) mod s^n, for p given by its ascending
-    coefficient masks cs: see `_horner`."""
-    out = [0] * n
-    exp, log = field.tables()
-    if not x0:
-        out[:len(cs)] = cs[:n]
-        return tuple(out)
-    step, lx = field.order - 1, log[x0]
-    pows = [j * lx % step for j in range(len(cs))]  # logs of x0^j
-    low = (1 << (n - 1).bit_length()) - 1  # every k < n is a submask of low
-    for i, c in enumerate(cs):
-        if c:
-            lc, k = log[c], i & low
-            while True:  # k runs down the submasks of i & low
-                if k < n:
-                    out[k] ^= exp[lc + pows[i - k]]
-                if not k:
-                    break
-                k = (k - 1) & i
-    return tuple(out)
 
 
 def _times_powers(field, start, xs, count):
@@ -376,20 +349,18 @@ def interpolate_vanishing(curve, field, m, constraints, expansions=None):
     """A nonzero element of L(m*infinity) over `field` vanishing to the
     prescribed order at each constraint point, or None.
 
-    constraints: list of (affine CurvePoint over `field`, multiplicity).
-    A point of multiplicity k gives k rows: the coefficients of s^0..s^(k-1)
-    in the expansion of each basis function there (`_constraint_rows`, the
-    values alone at a simple point), read from the expansion of an oracle
-    step's table `expansions` when given.  The choice is deterministic:
-    first reduced-echelon nullspace vector, normalized so its first
-    nonzero coordinate is 1.
+    constraints: list of (affine point over `field` as its mask pair,
+    multiplicity).  A point of multiplicity k gives k rows: the
+    coefficients of s^0..s^(k-1) in the expansion of each basis function
+    there (`_constraint_rows`, the values alone at a simple point), read
+    from the expansion of an oracle step's table `expansions` when given.
+    The choice is deterministic: first reduced-echelon nullspace vector,
+    normalized so its first nonzero coordinate is 1.
     """
     n_x, n_y = _basis_shape(m)  # x^i first, then x^j y
-    expand = expansions or _Expansions(curve)
+    expand = expansions or _Expansions(curve, field)
     rows = []
     for point, mult in constraints:
-        if point.field != field:
-            raise FieldMismatchError("constraint point over a different field")
         rows += _constraint_rows(field, *expand(point, mult), n_x, n_y)
     vecs = nullspace(field, rows) if rows else [[1] + [0] * (n_x + n_y - 1)]
     if not vecs:
@@ -417,21 +388,37 @@ def _merge_points(pairs):
     return [(p, m) for p, m in merged.items() if m]
 
 
+def _mask_entries(field, entries):
+    """`entries`, pairs of an affine CurvePoint over `field` and a
+    multiplicity, merged, each point as its (x, y) mask pair: the one
+    conversion from CurvePoints.  At infinity a function is described by
+    its pole order, not by a value or an expansion."""
+    pairs = []
+    for p, m in entries:
+        if p.is_infinity():
+            raise ValueError("values and expansions at infinity are handled by pole orders")
+        if p.field != field:
+            raise FieldMismatchError("constraint point over a different field")
+        pairs.append(((p.x.mask, p.y.mask), m))
+    return _merge_points(pairs)
+
+
 def _orders_and_rest(fn, points, expansions=None):
-    """(orders, rest): the vanishing order of fn at each affine point of
-    `points` and then at its involution partner, in that insertion order,
-    and N(fn) divided by (x - x0)^e for each x0, e the sum of the orders
-    above x0 (a Weierstrass point is its own partner, counted once), as
-    trimmed coefficient masks, so its degree is len(rest) - 1.  The orders
-    read the expansions of `expansions` when given.  A division that is
-    not exact, or an x0 still a root, raises InconsistencyError."""
-    orders, by_x = {}, {}
+    """(orders, rest): the vanishing order of fn at each affine point (a
+    mask pair over fn.field) of `points` and then at its involution
+    partner, in that insertion order, and N(fn) divided by (x - x0)^e for
+    each x0, e the sum of the orders above x0 (a Weierstrass point is its
+    own partner, counted once), as trimmed coefficient masks, so its degree
+    is len(rest) - 1.  The orders read the expansions of `expansions` when
+    given.  A division that is not exact, or an x0 still a root, raises
+    InconsistencyError."""
+    field, orders, by_x = fn.field, {}, {}
     for p in points:
-        for q in (p, p.hyperelliptic_involution()):
+        for q in (p, _partner(field, p)):
             if q not in orders:
                 orders[q] = o = fn.ord_at(q, expansions)
-                by_x[q.x.mask] = by_x.get(q.x.mask, 0) + o
-    field, rest = fn.field, fn.norm()
+                by_x[q[0]] = by_x.get(q[0], 0) + o
+    rest = fn.norm()
     exp, log = field.tables()
     for x0, e in by_x.items():
         lin = [(0, log[x0])] if x0 else []  # x + x0, as `monic_logs` gives it
@@ -447,14 +434,14 @@ def _orders_and_rest(fn, points, expansions=None):
 def verify_polyfunction_divisor(fn, expected):
     """Check div(fn) = sum expected (affine) - N*infinity exactly.
 
-    expected: list of (affine point over fn.field, positive multiplicity).
-    Verifies the pole order at infinity, the order at each expected point
-    and at its involution partner (0 where none is expected), and that the
-    norm has no zeros beyond them.  Raises VerificationError on a mismatch,
-    InconsistencyError when the norm and the orders disagree, and
-    ValueError on an entry at infinity.
+    expected: list of (affine point over fn.field as its mask pair,
+    positive multiplicity).  Verifies the pole order at infinity, the order
+    at each expected point and at its involution partner (0 where none is
+    expected), and that the norm has no zeros beyond them.  Raises
+    VerificationError on a mismatch and InconsistencyError when the norm
+    and the orders disagree.
     """
-    expected = {_affine(p): m for p, m in _merge_points(expected)}
+    expected = dict(_merge_points(expected))
     if fn.is_zero():
         raise VerificationError("zero function has no divisor")
     if fn.pole_order_at_infinity() != sum(expected.values()):
@@ -484,13 +471,13 @@ class CurveFunction:
 def principal_witness_core(curve, field, affine_entries, inf_mult):
     """Witness phi with div(phi) = sum m_P P + inf_mult * infinity, or None.
 
-    affine_entries: merged list of (affine point over `field`, nonzero int).
-    The search space is psi in L(N*infinity) vanishing on D+ together with
-    the involution of D-, with chi the product of x - x(P) over D-; any
-    nonzero solution has exactly the required divisor, which is then
-    re-verified from scratch.
+    affine_entries: list of (affine CurvePoint over `field`, nonzero int),
+    unboxed once by `_mask_entries`.  The search space is psi in
+    L(N*infinity) vanishing on D+ together with the involution of D-, with
+    chi the product of x - x(P) over D-; any nonzero solution has exactly
+    the required divisor, which is then re-verified from scratch.
     """
-    entries = _merge_points(affine_entries)
+    entries = _mask_entries(field, affine_entries)
     if sum(m for _, m in entries) + inf_mult != 0:
         raise ValueError("divisor has nonzero degree")
     pos = [(p, m) for p, m in entries if m > 0]
@@ -502,11 +489,9 @@ def principal_witness_core(curve, field, affine_entries, inf_mult):
         one = PolyFunction(curve, field, Poly.one(field), Poly.zero(field))
         return CurveFunction(one, Poly.one(field), 0)
     chi = Poly.one(field)
-    for p, m in neg:
-        chi = chi * Poly(field, (p.x, field.one())) ** m
-    constraints = _merge_points(
-        pos + [(p.hyperelliptic_involution(), m) for p, m in neg]
-    )
+    for (x, _), m in neg:
+        chi = chi * Poly.from_masks(field, (x, 1)) ** m
+    constraints = _merge_points(pos + [(_partner(field, p), m) for p, m in neg])
     psi = interpolate_vanishing(curve, field, n_total, constraints)
     if psi is None:
         return None
@@ -522,11 +507,12 @@ def reduce_points_oracle(curve, field, entries):
     interpolation and exact divisor extraction (independent of the Cantor
     composition path).
 
-    entries: list of (affine point over `field`, positive multiplicity).
-    Returns (u, v, field'), u and v trimmed coefficient-mask tuples over
-    field', `field` or its quadratic extension.
+    entries: list of (affine CurvePoint over `field`, positive
+    multiplicity), unboxed once by `_mask_entries`.  Returns (u, v, field'),
+    u and v trimmed coefficient-mask tuples over field', `field` or its
+    quadratic extension.
     """
-    entries = _merge_points(entries)
+    entries = _mask_entries(field, entries)
     if any(m < 0 for _, m in entries):
         raise ValueError("oracle reduction expects an effective list")
     while sum(m for _, m in entries) > 2:
@@ -540,15 +526,17 @@ def _oracle_step(curve, field, entries):
     orders and the residual of its norm; returns their involution partners
     and the field they lie over.
 
-    The step keeps one `_Expansions` table, so every point it reads, the
-    constraint points, their partners and the residual points, is expanded
-    once: a constraint point at the first rung of the order ladder that
-    shows the order its multiplicity plans, any other point at the
-    precision its first order read asks for, and again only where its
-    order is beyond what that expansion shows.  The interpolation rows and
-    the order reads take truncations of that expansion."""
+    The step keeps one `_Expansions` table over its field (and a new one
+    over the quadratic extension, if its residual points lie there), so
+    every point it reads, the constraint points, their partners and the
+    residual points, is expanded once: a constraint point at the first
+    rung of the order ladder that shows the order its multiplicity plans,
+    any other point at the precision its first order read asks for, and
+    again only where its order is beyond what that expansion shows.  The
+    interpolation rows and the order reads take truncations of that
+    expansion."""
     k = sum(m for _, m in entries)
-    expansions = _Expansions(curve, entries)
+    expansions = _Expansions(curve, field, entries)
     psi = interpolate_vanishing(curve, field, k + 2, entries, expansions)
     if psi is None:
         raise InconsistencyError("interpolation space unexpectedly empty")
@@ -563,7 +551,7 @@ def _oracle_step(curve, field, entries):
         if excess < 0:
             raise InconsistencyError("imposed vanishing not attained")
         if excess:
-            new_entries.append((p.hyperelliptic_involution(), excess))
+            new_entries.append((_partner(field, p), excess))
     # genuinely new zeros from the residual factor of the norm
     if len(rest) > 1:
         return _extract_residual_points(curve, field, psi, rest, new_entries, expansions)
@@ -571,6 +559,10 @@ def _oracle_step(curve, field, entries):
 
 
 def _extract_residual_points(curve, field, psi, rest, new_entries, expansions):
+    """The residual zeros of psi, the roots of `rest`, added to `new_entries`
+    as their involution partners, with the field they lie over: `field`, or
+    its quadratic extension, to which the entries and psi are lifted and
+    where a new table of expansions starts."""
     if len(rest) == 2:  # r0 + r1 x, with the root r0 / r1
         roots, emb = [(field.mul_masks(rest[0], field.inv_mask(rest[1])), 1)], None
     else:
@@ -581,11 +573,12 @@ def _extract_residual_points(curve, field, psi, rest, new_entries, expansions):
         roots = [(rts[0], 2)] if rts[0] == rts[1] else [(r, 1) for r in rts]
     if emb is not None:
         field = emb.target
-        new_entries = [(p.lift(field), m) for p, m in new_entries]
+        new_entries = [((emb.image_mask(x), emb.image_mask(y)), m) for (x, y), m in new_entries]
         psi = PolyFunction(curve, field, psi.a.map(emb), psi.b.map(emb))
+        expansions = _Expansions(curve, field)
     for x0, mu in roots:
         # x0 is a root of the norm, so the points above it lie over this field
-        above = curve.points_at(FieldElement(field, x0))
+        above = [(p.x.mask, p.y.mask) for p in curve.points_at(FieldElement(field, x0))]
         if not above:
             raise InconsistencyError("residual point not defined over the working field")
         p1 = above[0]
@@ -595,27 +588,27 @@ def _extract_residual_points(curve, field, psi, rest, new_entries, expansions):
         o1 = min(psi.ord_at(p1, expansions), mu)
         o2 = mu - o1
         if o1:
-            new_entries.append((p1.hyperelliptic_involution(), o1))
+            new_entries.append((_partner(field, p1), o1))
         if o2:
             p2 = above[1]
             if psi.ord_at(p2, expansions) < o2:
                 raise InconsistencyError("residual order split failed")
-            new_entries.append((p2.hyperelliptic_involution(), o2))
+            new_entries.append((_partner(field, p2), o2))
     return _merge_points(new_entries), field
 
 
 def _mumford_from_points(curve, field, entries):
     """Mumford (u, v), as trimmed coefficient-mask tuples, for a merged
-    effective list of total degree <= 2."""
+    effective list of mask pairs of total degree <= 2."""
     total = sum(m for _, m in entries)
     if total == 0:
         return (1,), (), field
     p = entries[0][0]
-    x1, y1, mul = p.x.mask, p.y.mask, field.mul_masks
+    (x1, y1), mul = p, field.mul_masks
     if total == 1:
         return (x1, 1), _trim([y1]), field
     if len(entries) == 1:
-        if p.is_weierstrass():
+        if x1 in (0, 1):  # a Weierstrass point
             return (1,), (), field  # 2P ~ 2*infinity
         # the tangent's slope (f'(x1) + h'(x1) y1) / h(x1), p' = p[1::2] at x^2
         exp, log = field.tables()
@@ -625,9 +618,9 @@ def _mumford_from_points(curve, field, entries):
         slope = mul(fp ^ mul(hp, y1), field.inv_mask(evaluate_masks(exp, log, h, x1)))
         return (sq, 0, 1), _trim([y1 ^ mul(slope, x1), slope]), field
     q = entries[1][0]
-    if q == p.hyperelliptic_involution():
+    if q == _partner(field, p):
         return (1,), (), field  # canonical pair
     # distinct x-coordinates (same x with different y is the involution pair)
-    x2, y2 = q.x.mask, q.y.mask
+    x2, y2 = q
     slope = mul(y1 ^ y2, field.inv_mask(x1 ^ x2))
     return (mul(x1, x2), x1 ^ x2, 1), _trim([y1 ^ mul(slope, x1), slope]), field

@@ -143,7 +143,7 @@ class BinaryField:
 
     # -- identity ----------------------------------------------------------
     def __eq__(self, other):
-        return (
+        return other is self or (
             isinstance(other, BinaryField)
             and self.degree == other.degree
             and self.modulus == other.modulus

@@ -13,6 +13,7 @@ from frobfix.functions import (
     interpolate_vanishing,
     local_coordinates,
     principal_witness_core,
+    reduce_points_oracle,
     riemann_roch_basis,
     verify_polyfunction_divisor,
 )
@@ -24,6 +25,12 @@ from frobfix.poly import Poly
 def laszlo_curve():
     f4 = default_field(2)
     return Curve(f4, f4.gen())
+
+
+def _xy(p):
+    """The (x, y) mask pair of an affine CurvePoint: the point the oracle's
+    kernels take."""
+    return p.x.mask, p.y.mask
 
 
 def test_riemann_roch_dimensions():
@@ -41,23 +48,39 @@ def test_riemann_roch_dimensions():
     assert orders == [0, 2, 4, 5]
 
 
-@pytest.mark.parametrize("call", ["evaluate", "ord_at", "divisor", "local_coordinates"])
+@pytest.mark.parametrize("call", ["divisor", "oracle"])
 def test_point_at_infinity_raises_a_value_error(call):
-    # a function at infinity is described by its pole order; each of these
-    # used to reach for the missing x and raise AttributeError ("evaluate"
-    # is the value a(x0) + b(x0) y0 that ord_at reads first)
+    # a function at infinity is described by its pole order, so the point
+    # there has no mask pair: the two entries that take CurvePoints, the
+    # witness of a divisor and the oracle, refuse it before any value,
+    # expansion or order read
     c = laszlo_curve()
     f = c.field
-    fn = PolyFunction(c, f, Poly.x(f), Poly.zero(f))
     inf = c.infinity()
     calls = {
-        "evaluate": lambda: fn._value_mask(inf),
-        "ord_at": lambda: fn.ord_at(inf),
-        "divisor": lambda: verify_polyfunction_divisor(fn, [(inf, 2)]),
-        "local_coordinates": lambda: local_coordinates(c, inf, 4),
+        "divisor": lambda: principal_witness_core(c, f, [(inf, 2)], -2),
+        "oracle": lambda: reduce_points_oracle(c, f, [(inf, 3)]),
     }
     with pytest.raises(ValueError, match="at infinity are handled by pole orders"):
         calls[call]()
+
+
+def test_mask_partner_and_weierstrass_rule_match_the_curve_points():
+    # with h = x^2 + x the oracle's involution partner is (x, y + x^2 + x)
+    # and its Weierstrass points are those with x = 0 or 1: the same as the
+    # CurvePoint involution and test, over GF(16) for every t and over
+    # GF(2^16) for the reference curve
+    f16, f65536 = default_field(4), default_field(16)
+    rng = random.Random(3)
+    cases = [(Curve(f16, f16.element(tm)), f16, p)
+             for tm in range(2, 16) for p in Curve(f16, f16.element(tm)).points_over(f16)[1:]]
+    c = laszlo_curve()
+    cases += [(c, f65536, p) for x in [0, 1] + rng.sample(range(2, f65536.order), 64)
+              for p in c.points_at(f65536.element(x))]
+    assert sum(p.x.mask in (0, 1) for _, _, p in cases) == 2 * 14 + 2
+    for c, field, p in cases:
+        assert functions_module._partner(field, _xy(p)) == _xy(p.hyperelliptic_involution()), p
+        assert (p.x.mask in (0, 1)) == p.is_weierstrass(), p
 
 
 def test_local_coordinates_satisfy_equation():
@@ -67,7 +90,7 @@ def test_local_coordinates_satisfy_equation():
     for p in c.points_over(f16):
         if p.is_infinity():
             continue
-        xs, ys = local_coordinates(c, p, 6)
+        xs, ys = local_coordinates(c, f16, _xy(p), 6)
         assert len(xs) == len(ys) == 6
         # the expansions satisfy the curve equation through s^5, on boxed
         # FieldElement series
@@ -158,7 +181,7 @@ def _assert_local_coordinates_match_the_reference(c, points):
     for p in points:
         ref_x, ref_y = _reference_local_coordinates(c, p, 10)
         for prec in range(1, 11):
-            xs, ys = local_coordinates(c, p, prec)
+            xs, ys = local_coordinates(c, p.field, _xy(p), prec)
             assert xs == tuple(ref_x[:prec]), (c, p, prec)
             assert ys == tuple(ref_y[:prec]), (c, p, prec)
 
@@ -196,8 +219,8 @@ def test_local_coordinates_match_a_boxed_reference_gf65536():
 
 
 def test_horner_at_x0_plus_s_matches_the_boxed_series_horner():
-    # x0 + s takes the Taylor shift and any other series Horner's rule; the
-    # reference is Horner's rule on boxed series for both
+    # series Horner on masks, at x0 + s and at another series, against
+    # Horner's rule on boxed series
     f16 = default_field(4)
     rng = random.Random(22)
     polys = [p for tm in range(2, 16) for p in Curve(f16, f16.element(tm)).equation_polys(f16)]
@@ -214,16 +237,19 @@ def test_horner_at_x0_plus_s_matches_the_boxed_series_horner():
                     got = functions_module._horner(f16, p.masks(), masks)
                     assert got == tuple(c.mask for c in _ref_horner(p, xs)), (x0, prec, xs, p)
     # the closed forms of h(x0 + s) and f(x0 + s) that the expansions read
-    # are the Taylor shifts of the model's masks, for every t over GF(16)
-    # and every x0 but 0, a root of h that no expansion shifts by; and for
-    # 256 x0 over GF(2^16), where the oracle expands
+    # are boxed series Horner of the model at x0 + s, for every t over
+    # GF(16) and every x0 but 0, a root of h that no expansion shifts by;
+    # and for 256 x0 over GF(2^16), where the oracle expands.  The shift
+    # mod s^prec is the truncation of the one mod s^8
     f65536 = default_field(16)
     cases = [(Curve(f16, f16.element(tm)), f16, x0) for tm in range(2, 16) for x0 in range(1, 16)]
     cases += [(laszlo_curve(), f65536, x0) for x0 in rng.sample(range(1, f65536.order), 256)]
     for c, field, x0 in cases:
-        h, f = c.equation_masks(field)
+        xs = [field.element(x0), field.one()] + [field.zero()] * 6
+        ref = [tuple(e.mask for e in _ref_horner(p, xs)) for p in c.equation_polys(field)]
+        f = c.equation_masks(field)[1]
         for prec in range(1, 9):
-            shifts = tuple(functions_module._taylor_shift(field, p, x0, prec) for p in (h, f))
+            shifts = tuple(r[:prec] for r in ref)
             assert functions_module._shifted_equation(field, f, x0, prec) == shifts, (c, x0, prec)
 
 
@@ -235,13 +261,13 @@ def test_ord_at_matches_the_order_of_a_boxed_expansion_gf16():
     assert any(p.is_weierstrass() for p in points)
     for p in points:
         for mult in (1, 2, 3):
-            fn = interpolate_vanishing(c, f16, mult + 2, [(p, mult)])
+            fn = interpolate_vanishing(c, f16, mult + 2, [(_xy(p), mult)])
             for q in (p, p.hyperelliptic_involution()):
                 xs, ys = ([f16.element(m) for m in ms]
                           for ms in _reference_local_coordinates(c, q, 10))
                 series = _ref_add(_ref_horner(fn.a, xs), _ref_mul(_ref_horner(fn.b, xs), ys))
                 order = next(i for i, e in enumerate(series) if e.mask)
-                assert fn.ord_at(q) == order, (p, mult, q)
+                assert fn.ord_at(_xy(q)) == order, (p, mult, q)
                 if q == p:
                     assert order >= mult
 
@@ -266,7 +292,7 @@ def test_constraint_rows_match_the_series_product_rows():
     for p in points:
         field = p.field
         for mult in (1, 2, 3, 4):
-            xs, ys = local_coordinates(c, p, mult)
+            xs, ys = local_coordinates(c, field, _xy(p), mult)
             for m in range(13):
                 n_x, n_y = functions_module._basis_shape(m)
                 one = (1,) + (0,) * (mult - 1)
@@ -277,8 +303,8 @@ def test_constraint_rows_match_the_series_product_rows():
 
 
 def test_order_read_at_precision_2_matches_the_series():
-    # coefficient 1 read directly equals coefficient 1 of the expansion mod
-    # s^2 that `_series` builds by Taylor shift or Horner's rule, and
+    # coefficient 1 read directly, with the b(x0) of the value read, equals
+    # coefficient 1 of the expansion mod s^2 that `_series` builds, and
     # ord_at's first nonzero coefficient is that of this expansion
     # whenever it shows one, read at each point and at
     # its involution partner, for functions vanishing to order 1 to 3 there,
@@ -287,15 +313,16 @@ def test_order_read_at_precision_2_matches_the_series():
     c, points = _row_points()
     for p in points:
         field = p.field
-        fns = [interpolate_vanishing(c, field, mult + 4, [(p, mult)]) for mult in (1, 2, 3)]
+        fns = [interpolate_vanishing(c, field, mult + 4, [(_xy(p), mult)]) for mult in (1, 2, 3)]
         ones = Poly.from_masks(field, [1] * 5)
         fns += [PolyFunction(c, field, Poly.zero(field), Poly(field, (p.x, field.one()))),
                 PolyFunction(c, field, ones, Poly.from_masks(field, [1] * 3))]
         for fn in fns:
-            for q in (p, p.hyperelliptic_involution()):
-                xs, ys = local_coordinates(c, q, 2)
+            for q in map(_xy, (p, p.hyperelliptic_involution())):
+                xs, ys = local_coordinates(c, field, q, 2)
                 series = fn._series(xs, ys)
-                assert fn._coefficient_one(xs, ys) == series[1], (fn, q)
+                b0 = fn._value_mask(q)[1]
+                assert fn._coefficient_one(xs, ys, b0) == series[1], (fn, q)
                 if any(series):
                     assert fn.ord_at(q) == next(i for i, e in enumerate(series) if e), (fn, q)
                 else:
@@ -309,26 +336,28 @@ def test_an_oracle_step_expands_each_point_once(monkeypatch):
     # multiplicity 2 or 3), and again only at a higher precision when its
     # order reached the precision of its last expansion, which cannot show
     # it (a simple point where the step's function vanishes twice, or a
-    # double residual root)
+    # double residual root).  A point is its field's degree and its mask
+    # pair; once the residual roots lift the step to the quadratic
+    # extension, every later expansion is over the extension
     expand, ord_at, step = (functions_module.local_coordinates, PolyFunction.ord_at,
                             functions_module._oracle_step)
     calls, orders = [], {}
 
-    def key(p):
-        return p.x.field, p.x.mask, p.y.mask
-
-    def spy_expand(curve, point, prec):
-        calls.append((key(point), prec))
-        return expand(curve, point, prec)
+    def spy_expand(curve, field, point, prec):
+        calls.append(((field.degree, point), prec))
+        return expand(curve, field, point, prec)
 
     def spy_ord_at(fn, point, *rest):
-        orders[key(point)] = o = ord_at(fn, point, *rest)
+        orders[fn.field.degree, point] = o = ord_at(fn, point, *rest)
         return o
 
     def spy_step(curve, field, entries):
         calls.clear()
         orders.clear()
         out = step(curve, field, entries)
+        degrees = [k[0] for k, _ in calls]
+        assert degrees == sorted(degrees), calls
+        assert set(degrees) <= {field.degree, out[1].degree}, (field, out[1], calls)
         first, last = {}, {}
         for k, prec in calls:
             if k in last:
@@ -338,7 +367,7 @@ def test_an_oracle_step_expands_each_point_once(monkeypatch):
                 first[k] = prec
             last[k] = prec
         for p, m in entries:
-            assert first[key(p)] >= 1 << m.bit_length(), (p, m, calls)
+            assert first[field.degree, p] >= 1 << m.bit_length(), (p, m, calls)
         return out
 
     monkeypatch.setattr(functions_module, "local_coordinates", spy_expand)
@@ -376,7 +405,7 @@ def test_ord_at_vertical_function():
     for p in pts:
         vert = PolyFunction(c, f16, Poly(f16, (p.x, f16.one())), Poly.zero(f16))
         expected = 2 if p.is_weierstrass() else 1
-        assert vert.ord_at(p) == expected
+        assert vert.ord_at(_xy(p)) == expected
         assert vert.pole_order_at_infinity() == 2
 
 
@@ -385,9 +414,9 @@ def test_verify_polyfunction_divisor_vertical():
     f16 = default_field(4)
     p = next(q for q in c.points_over(f16) if not q.is_infinity() and not q.is_weierstrass())
     vert = PolyFunction(c, f16, Poly(f16, (p.x, f16.one())), Poly.zero(f16))
-    verify_polyfunction_divisor(vert, [(p, 1), (p.hyperelliptic_involution(), 1)])
+    verify_polyfunction_divisor(vert, [(_xy(p), 1), (_xy(p.hyperelliptic_involution()), 1)])
     with pytest.raises(VerificationError) as exc:
-        verify_polyfunction_divisor(vert, [(p, 2)])
+        verify_polyfunction_divisor(vert, [(_xy(p), 2)])
     assert exc.type is VerificationError
     assert str(exc.value) == "vanishing order mismatch at a point"
 
@@ -396,24 +425,26 @@ def test_interpolation_imposes_multiplicity():
     c = laszlo_curve()
     f16 = default_field(4)
     p = next(q for q in c.points_over(f16) if not q.is_infinity() and not q.is_weierstrass())
-    found = interpolate_vanishing(c, f16, 6, [(p, 2)])
+    found = interpolate_vanishing(c, f16, 6, [(_xy(p), 2)])
     assert found is not None
     fn = found
-    assert fn.ord_at(p) >= 2
+    assert fn.ord_at(_xy(p)) >= 2
 
 
 def test_expansions_reject_a_point_over_another_field():
-    # the rows and order reads are masks, so the field is checked at the
-    # boundary
+    # the expansions, rows and order reads take mask pairs, so the field is
+    # checked where CurvePoints enter: the oracle and the witness, each
+    # given a point over GF(4) to work over GF(16)
     c = laszlo_curve()
     f16 = default_field(4)
     p4 = c.point(c.field.zero(), c.field.zero())
-    vert = PolyFunction(c, f16, Poly(f16, (f16.zero(), f16.one())), Poly.zero(f16))
-    with pytest.raises(FieldMismatchError):
-        interpolate_vanishing(c, f16, 6, [(p4, 1)])
-    for q in c.points_over(c.field)[1:]:  # vert vanishes at p4, not at the other
-        with pytest.raises(FieldMismatchError):
-            vert.ord_at(q)
+    q16 = next(q for q in c.points_over(f16)[1:] if q.x.mask > 1)
+    with pytest.raises(FieldMismatchError) as exc:
+        reduce_points_oracle(c, f16, [(q16, 2), (p4, 1)])
+    assert str(exc.value) == "constraint point over a different field"
+    with pytest.raises(FieldMismatchError) as exc:
+        principal_witness_core(c, f16, [(q16, 1), (p4, -1)], 0)
+    assert str(exc.value) == "constraint point over a different field"
 
 
 def test_principal_witness_zero_divisor():
@@ -437,22 +468,22 @@ def test_ord_at_norm_cap_ends_the_loop_on_a_flat_expansion(monkeypatch):
     norms = []
     norm = PolyFunction.norm
     monkeypatch.setattr(PolyFunction, "norm", lambda fn: norms.append(1) or norm(fn))
-    assert vert.ord_at(p) == 1 and not norms  # found at precision 2: no norm
+    assert vert.ord_at(_xy(p)) == 1 and not norms  # found at precision 2: no norm
     expand = functions_module.local_coordinates
     precs = []
 
-    def flat(curve, point, prec):
+    def flat(curve, field, point, prec):
         # planted fault: expansions that lose every term beyond the constant;
         # past precision 64 the cap has failed, so fail rather than loop
         if prec > 64:
             raise AssertionError(f"ord_at asked for precision {prec}: its cap did not stop it")
         precs.append(prec)
-        xs, ys = expand(curve, point, prec)
+        xs, ys = expand(curve, field, point, prec)
         return (xs[0],) + (0,) * (prec - 1), (ys[0],) + (0,) * (prec - 1)
 
     monkeypatch.setattr(functions_module, "local_coordinates", flat)
     with pytest.raises(InconsistencyError) as exc:
-        vert.ord_at(p)
+        vert.ord_at(_xy(p))
     assert exc.type is InconsistencyError
     assert str(exc.value) == "nonzero function vanishing beyond its norm degree"
     # deg N = 2 gives the cap 8: one norm, and no expansion beyond precision 8
@@ -465,7 +496,7 @@ def test_interpolation_catches_a_zero_nullspace_vector(monkeypatch):
     p = next(q for q in c.points_over(f16)[1:] if not q.is_weierstrass())
     monkeypatch.setattr(functions_module, "nullspace", lambda field, rows: [[0] * len(rows[0])])
     with pytest.raises(InconsistencyError) as exc:
-        interpolate_vanishing(c, f16, 6, [(p, 2)])
+        interpolate_vanishing(c, f16, 6, [(_xy(p), 2)])
     assert exc.type is InconsistencyError
     assert str(exc.value) == "nullspace produced the zero function"
 
@@ -479,7 +510,7 @@ def test_oracle_catches_orders_read_at_the_involution_partner(monkeypatch):
     ord_at = PolyFunction.ord_at
     monkeypatch.setattr(
         PolyFunction, "ord_at",
-        lambda fn, p, *rest: ord_at(fn, p.hyperelliptic_involution(), *rest),
+        lambda fn, p, *rest: ord_at(fn, functions_module._partner(fn.field, p), *rest),
     )
     with pytest.raises(InconsistencyError) as exc:
         oracle_class_of(divisor)
@@ -596,7 +627,7 @@ def _expansion_with_a_wrong_unit(weierstrass):
         else:
             inv = f16.inv_mask
             monkeypatch.setattr(f16, "inv_mask", lambda a: inv(f16.mul_masks(2, a)))
-        return lambda: local_coordinates(curve, p, 6)
+        return lambda: local_coordinates(curve, f16, _xy(p), 6)
 
     return plant
 
@@ -611,9 +642,11 @@ def _orders_zero_off_the_support(monkeypatch, curve):
     # the residual points' orders read 0, so the norm's new roots have no zeros above them
     known, run = _oracle_sum(curve)
     ord_at = PolyFunction.ord_at
-    monkeypatch.setattr(
-        PolyFunction, "ord_at", lambda fn, p, *rest: ord_at(fn, p, *rest) if p.x in known else 0
-    )
+
+    def zero_off_the_support(fn, p, *rest):
+        return ord_at(fn, p, *rest) if fn.field.element(p[0]) in known else 0
+
+    monkeypatch.setattr(PolyFunction, "ord_at", zero_off_the_support)
     return run
 
 

@@ -214,6 +214,19 @@ def test_the_oracle_builds_no_poly():
         assert not found, f"the oracle builds Polys in {name}:\n" + "\n".join(found)
 
 
+def test_the_oracle_takes_mask_pairs():
+    # past its two entries, reduce_points_oracle and principal_witness_core,
+    # the oracle's points are (x, y) mask pairs over one field, with
+    # h = x^2 + x fixed: the partner is `_partner` and a Weierstrass point
+    # has x = 0 or 1, so no CurvePoint is asked for either, nor lifted
+    guarded = {"local_coordinates", "PolyFunction.ord_at", "PolyFunction._value_mask",
+               "interpolate_vanishing", "verify_polyfunction_divisor", "_orders_and_rest",
+               "_oracle_step", "_extract_residual_points", "_mumford_from_points", "_Expansions"}
+    names = {"hyperelliptic_involution", "lift", "is_weierstrass", "_affine"}
+    found = _guarded_callers(PACKAGE_DIR / "functions.py", guarded, names)
+    assert not found, "the oracle reads CurvePoints in:\n" + "\n".join(found)
+
+
 CROSS_CHECK_ERRORS = {"InconsistencyError", "VerificationError"}
 
 

@@ -1,6 +1,7 @@
 """Mutation sweep over the group law's written-out kernels, the Mumford
-solve and the Riemann-Roch oracle's mask kernels: its expansions, Taylor
-shifts, interpolation rows, order read, norm and order bookkeeping.
+solve and the Riemann-Roch oracle's mask kernels: its expansions, series
+Horner, interpolation rows, order read, involution partner, norm and order
+bookkeeping.
 
 Each mutant drops one operand of one `^` (an `a ^ b` or an `x ^= e`) in one
 def that SCOPE names for its module.  The tree is copied once to a
@@ -28,7 +29,7 @@ SCOPE = {
     "jacobian": {"JacobianClass._validate", "JacobianClass.__add__", "JacobianClass.neg",
                  "_closed_form_sum", "_slope_mod_quadratic", "_monic_pair", "_solvable_by_trace",
                  "solve_additive", "affine_span", "JacobianClass.support"},
-    "functions": {"local_coordinates", "_shifted_equation", "_taylor_shift", "_horner",
+    "functions": {"local_coordinates", "_shifted_equation", "_horner", "_partner",
                   "_constraint_rows", "PolyFunction._coefficient_one", "PolyFunction.norm",
                   "_orders_and_rest", "_mumford_from_points"},
     "poly": {"mul_poly_masks"},
