@@ -11,10 +11,12 @@ roots, which exist uniquely in characteristic 2.
 involution and the root walk run on its masks with the field's exp/log
 tables.  On every member and twist h = (0, 1, 1) and f = (0, A, 0, B, 0, A)
 with A = T^2 + T != 0 and B = T^2, and the Jacobian's group-law kernels
-read A and B off that memo and take h = x^2 + x as fixed.  The root walk (`_affine_point_masks`) and `points_at` evaluate h
-and f at each x by Horner on masks and solve for the y above it with the
-field layer's one root kernel, `gf2.quadratic_root_masks`, so this module
-has no field arithmetic of its own beyond table lookups.
+read A and B off that memo and take h = x^2 + x as fixed.  The root walk
+(`_affine_point_masks`) and `_ys_at`, which serves `points_at` and the
+oracle's residual points, evaluate h and f at each x by Horner on masks
+and solve for the y above it with the field layer's one root kernel,
+`gf2.quadratic_root_masks`, so this module has no field arithmetic of its
+own beyond table lookups.
 
 `count_points` neither walks (h, f) nor solves for y.  Above a root of
 h = x^2 + x there is one point; above any other x there are two when
@@ -147,10 +149,9 @@ class Curve:
                 "coordinate field does not contain the curve base field"
             )
         field, x, y = p.x.field, p.x.mask, p.y.mask
-        h, f = self.equation_masks(field)
         exp, log = field.tables()
-        s = y ^ evaluate_masks(exp, log, h, x)  # (y + h(x)) y = f(x)
-        return (exp[log[s] + log[y]] if s and y else 0) == evaluate_masks(exp, log, f, x)
+        h, f = (evaluate_masks(exp, log, c, x) for c in self.equation_masks(field))
+        return _on_curve(exp, log, h, f, y)
 
     def _affine_point_masks(self, field):
         """The affine points over `field` as (x, y) masks, x ascending: the
@@ -198,13 +199,21 @@ class Curve:
 
     def points_at(self, x):
         """The affine points above x (in any field containing the base field),
-        y ascending: one above a root of h, else two or none.  Each point is
-        checked against the equation by `point`."""
+        y ascending, from `_ys_at`."""
         field = x.field
+        return [CurvePoint(self, x, FieldElement(field, y)) for y in self._ys_at(field, x.mask)]
+
+    def _ys_at(self, field, x):
+        """The masks y of the affine points above the mask x over `field`,
+        ascending: one above a root of h, else two or none.  Each y is
+        checked against the equation, as `contains` checks a point."""
         exp, log = field.tables()
-        h, f = (evaluate_masks(exp, log, p, x.mask) for p in self.equation_masks(field))
+        h, f = (evaluate_masks(exp, log, c, x) for c in self.equation_masks(field))
         ys = sorted(quadratic_root_masks(field, h, f))
-        return [self.point(x, FieldElement(field, y)) for y in ys]
+        for y in ys:
+            if not _on_curve(exp, log, h, f, y):
+                raise NotOnCurveError(f"({x:#x}, {y:#x}) over {field!r} does not satisfy the equation")
+        return ys
 
 
 # h = x^2 + x as ascending coefficient masks: the same for every member of
@@ -212,6 +221,13 @@ class Curve:
 _H = (0, 1, 1)
 _equation_cache = {}
 _g_cache = {}
+
+
+def _on_curve(exp, log, hx, fx, y):
+    """Whether the mask y solves (y + h(x)) y = f(x), for the masks hx and
+    fx of h(x) and f(x) over the field with tables (exp, log)."""
+    s = y ^ hx
+    return (exp[log[s] + log[y]] if s and y else 0) == fx
 
 
 def _g_table(field):

@@ -49,7 +49,6 @@ found.
 """
 
 from .errors import FieldMismatchError, InconsistencyError, VerificationError
-from .gf2 import FieldElement
 from .linalg import nullspace
 from .poly import (
     Poly,
@@ -578,7 +577,7 @@ def _extract_residual_points(curve, field, psi, rest, new_entries, expansions):
         expansions = _Expansions(curve, field)
     for x0, mu in roots:
         # x0 is a root of the norm, so the points above it lie over this field
-        above = [(p.x.mask, p.y.mask) for p in curve.points_at(FieldElement(field, x0))]
+        above = [(x0, y) for y in curve._ys_at(field, x0)]
         if not above:
             raise InconsistencyError("residual point not defined over the working field")
         p1 = above[0]

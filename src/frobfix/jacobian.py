@@ -37,8 +37,10 @@ v^2 + v h + f has one routine, `_mumford`, and every division by a u of
 degree <= 2 is the package's synthetic division, `poly.divmod_masks`; the
 tests hold the straight-line code to those and to the Poly route.
 Negation is (u, (v + h) mod u).  The only Mumford v-solve,
-`solve_additive`, fixes h and builds one table of powers x^k mod u, and
-`count_classes` still never reads the trace criterion.  The independent
+`solve_additive`, fixes h and writes the columns of its GF(2) system in
+closed form for deg u <= 2, and `count_classes` still never reads the
+trace criterion; `random_class` screens each u by it first, in
+straight-line code on table logs (`_solvable_by_trace`).  The independent
 Riemann-Roch interpolation oracle in `functions.reduce_points_oracle`
 guards all of this in the tests.
 """
@@ -67,9 +69,7 @@ from .gf2 import (
 from .poly import (
     _trim,
     divmod_masks,
-    divmod_monic,
     evaluate_masks,
-    monic_logs,
     monic_quadratic_roots,
 )
 
@@ -357,44 +357,54 @@ _basis_cache = {}
 
 def solve_additive(field, n, rhs, w=None):
     """Solutions z (deg z < n) over `field` of z^2 + h z = rhs (mod w), for
-    h = x^2 + x and coefficient masks rhs and w, w monic.
+    h = x^2 + x, coefficient masks rhs, and w None or monic of degree n <= 2.
 
     z -> z^2 + h z is additive, so the equation is linearized over GF(2):
     bit b of coefficient i of z is unknown i*d + b (d = field.degree), and
     its column is the image of a x^i, a = 2^b: a^2 x^(2i) + a (x^(i+1) +
-    x^(i+2)) mod w, packed as rhs mod w is.  Every x^k mod w comes from one
-    table stepped by x^(k+1) = x x^k mod w (unreduced when w is None), and
-    a product by a or a^2 adds its log, kept per field in `_basis_cache`.
-    Returns None when unsolvable, else (particular, kernel) as trimmed mask
-    tuples, the kernel in the order `solve_gf2_linear` gives."""
+    x^(i+2)) mod w, packed as rhs mod w is (coefficient j at bit j*d).  The
+    columns are closed forms in a, a^2 and w, with (a, a^2, log a) kept per
+    field in `_basis_cache`:
+        w None:         a^2 x^(2i) + a x^(i+1) + a x^(i+2), unreduced
+        w = x + w0:     a^2 + a h(w0)
+        w = x^2 + w1 x + w0, by x^2 = w1 x + w0 and x^3 = (w1^2 + w0) x + w1 w0,
+        with g = w1 + 1 and t = a^2 + a g:
+            i = 0:      (a^2 + a w0) + a g x
+            i = 1:      w0 t + (w1 t + a w0) x
+    It is a full GF(2) solve, whatever the trace criterion says.  Returns
+    None when unsolvable, else (particular, kernel) as trimmed mask tuples,
+    the kernel in the order `solve_gf2_linear` gives."""
     d = field.degree
     exp, log = field.tables()
-    a_logs = _basis_cache.get((d, field.modulus))
-    if a_logs is None:  # (log a, log a^2) for each a = 2^b of the mask basis
-        a_logs = [(log[1 << b], log[field.mul_masks(1 << b, 1 << b)]) for b in range(d)]
-        _basis_cache[d, field.modulus] = a_logs
+    basis = _basis_cache.get((d, field.modulus))
+    if basis is None:
+        basis = [(1 << b, exp[2 * log[1 << b]], log[1 << b]) for b in range(d)]
+        _basis_cache[d, field.modulus] = basis
     if w is None:
-        def reduce(p):
-            return p
+        cols = [(a2 << 2 * i * d) ^ (a << (i + 1) * d) ^ (a << (i + 2) * d)
+                for i in range(n) for a, a2, _ in basis]
+    elif not 0 < len(w) - 1 == n <= 2:
+        raise ValueError(f"solve_additive needs n = deg w <= 2, got n = {n} and deg w = {len(w) - 1}")
     else:
-        w_logs = monic_logs(field, w)
-
-        def reduce(p):  # coefficient masks p mod w, as a list
-            return divmod_monic(exp, log, p, w_logs, len(w) - 1)[1]
-
-    powers = [reduce([1])]  # powers[k] = x^k mod w
-    for _ in range(max(2 * n - 2, n + 1)):
-        powers.append(reduce([0] + powers[-1]))
-    cols = []
-    for i in range(n):
-        terms = [(j * d, log[c], 1) for j, c in enumerate(powers[2 * i]) if c]
-        terms += [(j * d, log[c], 0) for j, c in enumerate(_xor(powers[i + 1], powers[i + 2])) if c]
-        for la in a_logs:  # (log a, log a^2)
-            col = 0
-            for shift, lc, k in terms:
-                col ^= exp[lc + la[k]] << shift
-            cols.append(col)
-    part, kernel = solve_gf2_linear(cols, sum(c << j * d for j, c in enumerate(reduce(list(rhs)))))
+        rhs = divmod_masks(field, rhs, w)[1]
+        w0, lw = w[0], log[w[0]]
+        if n == 1:
+            k = w0 ^ (exp[2 * lw] if w0 else 0)  # h(w0) = w0^2 + w0
+            lk = log[k]
+            cols = [a2 ^ (exp[la + lk] if k else 0) for _, a2, la in basis]
+        else:
+            w1 = w[1]
+            l1, lg, cols, ones = log[w1], log[w1 ^ 1], [], []
+            for _, a2, la in basis:
+                aw = exp[la + lw] if w0 else 0
+                ag = exp[la + lg] if w1 != 1 else 0
+                t = a2 ^ ag
+                lt = log[t]
+                cols.append(a2 ^ aw | ag << d)
+                ones.append((exp[lt + lw] if w0 and t else 0)
+                            | ((exp[lt + l1] if w1 and t else 0) ^ aw) << d)
+            cols += ones
+    part, kernel = solve_gf2_linear(cols, sum(c << j * d for j, c in enumerate(rhs)))
     if part is None:
         return None
     mask = (1 << d) - 1
@@ -710,9 +720,10 @@ def enumerate_classes(curve, field):
 
 
 def _solvable_by_trace(field, f, u0, u1):
-    """Whether v^2 + v h = f has a solution v mod u = x^2 + u1 x + u0 (f the
-    curve's coefficient masks), by the trace criterion; None when h is not
-    a unit mod u, which for h = x^2 + x means u0 = 0 or u(1) = 0.
+    """Whether v^2 + v h = f has a solution v mod u = x^2 + u1 x + u0, for
+    the family's f = (0, A, 0, B, 0, A) (A and B nonzero), by the trace
+    criterion; None when h is not a unit mod u, which for h = x^2 + x means
+    u0 = 0 or u(1) = 0.
 
     With v = h z the equation is z^2 + z = c, c = f h^-2 mod u = c1 x + c0,
     in F[x]/(u); h mod u = h + u = (u1 + 1) x + u0, as h and u are monic
@@ -723,42 +734,51 @@ def _solvable_by_trace(field, f, u0, u1):
     c(r) + c(r + u1) = c1 u1: irreducible u (Tr(u0 / u1^2) = 1) needs only
     Tr(c1 u1) = 0, and split u also Tr(c(r)) = 0 at a root r (either root,
     once Tr(c1 u1) = 0).
-    Only `random_class` may call this: the enumeration behind `group_order`
-    checks the zeta side, which rests on the same trace criterion."""
-    mul, tm = field.mul_masks, trace_mask(field)
-
-    def tr(x):
-        return (x & tm).bit_count() & 1
-
-    sq = mul(u1 ^ 1, u1 ^ 1)  # h^2 = (u1 + 1)^2 (u1 x + u0) + u0^2 mod u
-    exp, log = field.tables()
-    c = _slope_mod_quadratic(exp, log, field.order - 1, *divmod_masks(field, f, (u0, u1, 1))[1],
-                             mul(sq, u0) ^ mul(u0, u0), mul(sq, u1), u0, u1)
-    if c is None:
+    Straight-line on table logs: f mod u = n1 x + n0 from x^2 = u1 x + u0,
+    x^3 = e x + u1 u0 and x^5 = (e^2 + u1^2 u0) x + u1^3 u0, e = u1^2 + u0,
+    and h^2 mod u = g^2 u1 x + g^2 u0 + u0^2, g = u1 + 1; only a split u
+    solves for its root.  Only `random_class` may call this: the
+    enumeration behind `group_order` checks the zeta side, which rests on
+    the same trace criterion."""
+    if not u0 or u0 ^ u1 == 1:
         return None
-    c0, c1 = c
-    if not u1:
-        return not tr(mul(c1, field.pow_mask(u0, field.order >> 1)))
-    if tr(mul(c1, u1)):
+    exp, log = field.tables()
+    p, tm = field.order - 1, trace_mask(field)
+    la, lb, l0, l1, lg = log[f[1]], log[f[3]], log[u0], log[u1], log[u1 ^ 1]
+    e = u0 ^ (exp[l1 + l1] if u1 else 0)
+    le = log[e]
+    m = 1 ^ (exp[le + le] if e else 0) ^ (exp[l1 + l1 + l0 - p] if u1 else 0)
+    n1 = (exp[la + log[m]] if m else 0) ^ (exp[lb + le] if e else 0)
+    m = f[3] ^ (exp[la + l1 + l1 - p] if u1 else 0)  # n0 = u1 u0 (B + A u1^2)
+    n0 = exp[l1 + l0 + log[m] - p] if u1 and m else 0
+    r0 = exp[l0 + l0] ^ (exp[lg + lg + l0 - p] if u1 != 1 else 0)
+    r1 = exp[lg + lg + l1 - p] if u1 and u1 != 1 else 0
+    c0, c1 = _slope_mod_quadratic(exp, log, p, n0, n1, r0, r1, u0, u1)
+    lc = log[c1]
+    if not u1:  # s = sqrt(u0) has log l0 / 2 mod p, p odd
+        return not c1 or not (exp[lc + (l0 + (l0 & 1) * p) // 2] & tm).bit_count() & 1
+    if c1 and (exp[lc + l1] & tm).bit_count() & 1:
         return False
-    inv = field.inv_mask(u1)
-    if tr(mul(u0, mul(inv, inv))):  # u irreducible
+    if (exp[l0 - l1 - l1] & tm).bit_count() & 1:  # u irreducible
         return True
-    return not tr(c0 ^ mul(c1, quadratic_root_masks(field, u1, u0)[0]))
+    r = quadratic_root_masks(field, u1, u0)[0]
+    return not ((c0 ^ (exp[lc + log[r]] if c1 and r else 0)) & tm).bit_count() & 1
 
 
 def random_class(curve, field, rng):
     """A random class with deg u = 2: u = x^2 + u1 x + u0 is drawn, u0 then
-    u1 by two field.random(rng) calls, until its Mumford equation for v is
-    solvable (every monic u is reachable, split or not), then v is the
-    particular solution plus each kernel vector for which one
-    rng.randrange(2), drawn in kernel order, is 1.  No other rng value is
-    drawn.  The trace criterion (`_solvable_by_trace`) rejects most
-    unsolvable u before the solve; an accepted u still runs the full solve,
-    and a u it accepts that has no solution raises InconsistencyError."""
+    u1 by two rng.randrange(field.order) calls (the draws of field.random),
+    until its Mumford equation for v is solvable (every monic u is
+    reachable, split or not), then v is the particular solution plus each
+    kernel vector for which one rng.randrange(2), drawn in kernel order, is
+    1.  No other rng value is drawn.  The trace criterion
+    (`_solvable_by_trace`) rejects most unsolvable u before the solve; an
+    accepted u still runs the full solve (`solve_additive`, closed-form
+    columns), and a u it accepts that has no solution raises
+    InconsistencyError."""
     f = curve.equation_masks(field)[1]
     while True:
-        u0, u1 = field.random(rng).mask, field.random(rng).mask
+        u0, u1 = rng.randrange(field.order), rng.randrange(field.order)
         by_trace = _solvable_by_trace(field, f, u0, u1)
         if by_trace is False:
             continue

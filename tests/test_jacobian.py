@@ -7,7 +7,7 @@ import random
 import pytest
 
 from frobfix.curve import Curve, weil_interval_ok_jacobian
-from frobfix.errors import DegreeCapError, FieldMismatchError, InconsistencyError
+from frobfix.errors import DegreeCapError, FieldMismatchError, InconsistencyError, NotOnCurveError
 from frobfix.gf2 import default_field, embed, quadratic_root_masks
 from frobfix.jacobian import (
     FormalDivisor,
@@ -227,6 +227,22 @@ def test_random_class_stream_is_pinned():
         ((12, 9, 1), (15, 14)),
         ((6, 4, 1), (12, 4)),
     ]
+
+
+@pytest.mark.pinned
+def test_random_class_stream_is_pinned_gf4096():
+    # pinned from the sampler that reduced f and every power of x by synthetic
+    # division, over the field and seed of bench/units.py's torsion unit; the
+    # value drawn after the fourth class pins how many the sampler took
+    c = laszlo_curve()
+    rng = random.Random(1)
+    assert [random_class(c, default_field(12), rng).key() for _ in range(4)] == [
+        ((1100, 516, 1), (3347, 2998)),
+        ((3682, 3868, 1), (1808, 3735)),
+        ((250, 182, 1), (1995, 1297)),
+        ((3122, 1774, 1), (2304, 3149)),
+    ]
+    assert rng.randrange(1 << 30) == 62364611
 
 
 def test_cantor_vs_oracle_random_gf16():
@@ -787,14 +803,22 @@ def test_support_matches_the_poly_route():
 
 
 def test_principal_witness_iff_identity_class():
+    # 30 random divisors, then supp(A) + supp(-A) for 6 random classes A,
+    # principal by construction with every point positive, so chi = 1 and
+    # the vanishing of psi is read at each of them
     c = laszlo_curve()
     f16 = default_field(4)
     rng = random.Random(104)
     pts = [p for p in c.points_over(f16) if not p.is_infinity()]
+    divisors = []
     for _ in range(30):
         support = [(rng.choice(pts), rng.choice([1, -1])) for _ in range(rng.choice([2, 3]))]
         deg = sum(m for _, m in support)
-        D = FormalDivisor(c, support + [(c.infinity(), -deg)])
+        divisors.append(FormalDivisor(c, support + [(c.infinity(), -deg)]))
+    classes = [random_class(c, f16, rng) for _ in range(6)]
+    divisors += [a.to_divisor() + a.neg().to_divisor() for a in classes]
+    reads = 0
+    for D in divisors:
         witness = principal_witness(D)
         is_prin = class_of(D).is_identity()
         assert (witness is not None) == is_prin
@@ -804,6 +828,8 @@ def test_principal_witness_iff_identity_class():
             for p, m in D.lift_to_common_field()[1]:
                 if m > 0 and witness.chi.evaluate(p.x).mask:
                     assert witness.num._value_mask((p.x.mask, p.y.mask))[0] == 0
+                    reads += 1
+    assert reads >= sum(len(D.lift_to_common_field()[1]) for D in divisors[30:]) > 0
 
 
 def test_principal_witness_for_triple_difference():
@@ -1052,6 +1078,27 @@ def test_oracle_catches_a_residual_point_off_the_field(monkeypatch):
         oracle_class_of(divisor)
     assert exc.type is InconsistencyError
     assert str(exc.value) == "residual point not defined over the working field"
+
+
+def test_oracle_catches_a_residual_point_off_the_curve(monkeypatch):
+    # each root y of y^2 + b y = c moved off the curve: y + 1, or y + 2 when
+    # b = 1, as y + b is the other root
+    import frobfix.curve as curve_module
+
+    c = laszlo_curve()
+    rng = random.Random(101)
+    f16 = default_field(4)
+    a, b = (random_class(c, f16, rng) for _ in range(2))
+    divisor = a.to_divisor() + b.to_divisor()
+    real = curve_module.quadratic_root_masks
+    monkeypatch.setattr(curve_module, "quadratic_root_masks",
+                        lambda field, b, c: [y ^ (2 if b == 1 else 1) for y in real(field, b, c)])
+    with pytest.raises(NotOnCurveError) as exc:
+        oracle_class_of(divisor)
+    assert exc.type is NotOnCurveError
+    x, y = (int(m, 16) for m in str(exc.value)[1:].split(")")[0].split(", "))
+    # this pair's residual roots lie over the quadratic extension
+    assert str(exc.value) == f"({x:#x}, {y:#x}) over {default_field(8)!r} does not satisfy the equation"
 
 
 def test_ordinarity_check_all_t_gf4():

@@ -242,7 +242,9 @@ def _padded(sol, n):
 
 def test_solve_additive_matches_the_poly_column_solve():
     # the Mumford shape: every monic u of degree 1 and 2 over GF(16), for
-    # t = w and w + 1; and the automorphism-lift shape, n = 8 with no modulus
+    # t = w and w + 1, and random quadratic u over GF(2^8) and GF(2^12), the
+    # fields the sampler draws over, u1 = 0 and 1 among them; and the
+    # automorphism-lift shape, n = 8 with no modulus
     f4, f16 = default_field(2), default_field(4)
     seen = set()
     for t in (f4.gen(), f4.gen() + f4.one()):
@@ -253,6 +255,15 @@ def test_solve_additive_matches_the_poly_column_solve():
             expected = _poly_column_solve(len(u) - 1, h, f, Poly.from_masks(f16, u))
             assert _padded(solve_additive(f16, len(u) - 1, f.masks(), u), len(u) - 1) == expected, u
             seen.add(expected is None)
+    for field in (default_field(8), default_field(12)):
+        big_h, big_f = Curve(f4, f4.gen()).equation_polys(field)
+        rng = random.Random(field.degree)
+        some_u = [(rng.randrange(field.order), u1, 1) for u1 in (0, 1)]
+        some_u += [(rng.randrange(field.order), rng.randrange(field.order), 1) for _ in range(30)]
+        for u in some_u:
+            expected = _poly_column_solve(2, big_h, big_f, Poly.from_masks(field, u))
+            assert _padded(solve_additive(field, 2, big_f.masks(), u), 2) == expected, u
+            seen.add(expected is None)
     rng = random.Random(8)
     for _ in range(200):
         z = Poly.from_masks(f16, [rng.randrange(16) for _ in range(8)])
@@ -261,3 +272,11 @@ def test_solve_additive_matches_the_poly_column_solve():
         assert _padded(solve_additive(f16, 8, rhs.masks()), 8) == expected
         seen.add(expected is None)
     assert seen == {True, False}
+
+
+def test_solve_additive_takes_a_modulus_of_degree_n_at_most_two():
+    f16 = default_field(4)
+    for n, w in ((3, (1, 0, 0, 1)), (2, (1, 0, 0, 1)), (1, (3, 0, 1)), (0, (1,))):
+        with pytest.raises(ValueError) as exc:
+            solve_additive(f16, n, (1,), w)
+        assert str(exc.value) == f"solve_additive needs n = deg w <= 2, got n = {n} and deg w = {len(w) - 1}"

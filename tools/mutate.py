@@ -1,6 +1,7 @@
 """Mutation sweep over the group law's written-out kernels, the Mumford
-solve and the Riemann-Roch oracle's mask kernels: its expansions, series
-Horner, interpolation rows, order read, involution partner, norm and order
+solve and its trace screen, the curve's mask equation check and the
+Riemann-Roch oracle's mask kernels: its expansions, series Horner,
+interpolation rows, order read, involution partner, norm and order
 bookkeeping.
 
 Each mutant drops one operand of one `^` (an `a ^ b` or an `x ^= e`) in one
@@ -33,6 +34,7 @@ SCOPE = {
                   "_constraint_rows", "PolyFunction._coefficient_one", "PolyFunction.norm",
                   "_orders_and_rest", "_mumford_from_points"},
     "poly": {"mul_poly_masks"},
+    "curve": {"_on_curve"},
 }
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
          "--continue-on-collection-errors"]
