@@ -28,7 +28,8 @@ The cofactor (v^2 + v h + f) / u of a class, f for the identity, is the
 quotient that the Mumford check of `_validate` computes on every class;
 the class keeps it, so the closed form's division by w = u2 (add) or
 w = u1 (double) needs no second v^2 + v h + f.  That reduction is an exact
-division that raises when it leaves a remainder.
+division that raises when it leaves a remainder.  A sum validates its
+result on the f it has already read (`JacobianClass._new`).
 The hot paths are straight-line code on table logs, with no helper call
 per product: the (2, 2) closed form, whose doubling and addition differ
 only in the n, r and w of the slope (`_slope_mod_quadratic`), and the
@@ -43,12 +44,40 @@ trace criterion; `random_class` screens each u by it first, in
 straight-line code on table logs (`_solvable_by_trace`).  The independent
 Riemann-Roch interpolation oracle in `functions.reduce_points_oracle`
 guards all of this in the tests.
+
+Scalar multiples.  The curve is defined over GF(q), q = #curve.field, and
+its L-polynomial is (1 - a T + q T^2)^2 (`curve._check_square`), so the
+q-power Frobenius pi, the coefficient-wise q-th power of (u, v)
+(`frobenius`), satisfies pi^2 - a pi + q = 0 on J, and pi^m = 1 on
+J(GF(q^m)).  `mul_int` reads a from `lpolynomial` and reduces k modulo
+pi^m - 1 in Z[pi] = Z[x] / (x^2 - a x + q), by rounded division under the
+norm x^2 + a x y + q y^2; it writes the remainder in pi-adic digits
+d = r0 mod q in (-q/2, q/2], taking -q/2 at a tie when that quotient has
+the smaller norm (every expansion the tests try, q in {4, 16, 64, 256},
+|a| < 2 sqrt(q) and m <= 12, ends within m + 2 digits), and evaluates them
+by Horner, acc = pi(acc) + d P.  First it checks pi^2 P + q P = a pi P
+on the input P, and raises InconsistencyError when that fails.  The result
+is exact even if a were wrong: pi^m - 1 kills every class over GF(q^m), and
+once the check passes pi^2 - a pi + q kills P and so every pi^i P, and
+k - sum d_i pi^i lies in the ideal of those two.  This route runs when its
+count of sums (d = log2 q doublings to q P, |a| pi P and one sum for the
+check, the further set bits of each distinct |digit|, one per nonzero
+digit after the top one) is below double-and-add's, both counts read from
+integers only.  Double-and-add serves small k, |a| pi P, and curves whose
+L-polynomial is past the degree cap; q P and each |d| P share one chain of
+doublings.
 """
 
 from itertools import zip_longest
 from math import gcd
 
-from .curve import _H, _check_square, _counted_lpolynomial, jacobian_order_from_lpoly
+from .curve import (
+    _H,
+    _check_square,
+    _counted_lpolynomial,
+    jacobian_order_from_lpoly,
+    lpolynomial,
+)
 from .errors import (
     DegreeCapError,
     FieldMismatchError,
@@ -127,8 +156,19 @@ class JacobianClass:
         self.v = v
         self.cofactor = self._validate()
 
-    def _validate(self):
-        """Check the pair, and return its cofactor (v^2 + v h + f) / u."""
+    @classmethod
+    def _new(cls, curve, field, u, v, f):
+        """The validated constructor for a caller that already holds f, the
+        curve's f over `field` from `Curve.equation_masks`: `_validate`
+        runs in full on it, without a second look-up of the memo."""
+        self = cls.__new__(cls)
+        self.curve, self.field, self.u, self.v = curve, field, u, v
+        self.cofactor = self._validate(f)
+        return self
+
+    def _validate(self, f=None):
+        """Check the pair, and return its cofactor (v^2 + v h + f) / u; f is
+        read from `Curve.equation_masks` unless the caller gives it."""
         u, v, field = self.u, self.v, self.field
         masks = u + v
         if masks and (min(masks) < 0 or max(masks) >= field.order):
@@ -143,7 +183,8 @@ class JacobianClass:
             raise ValueError("v must be trimmed")
         if field.degree % self.curve.field.degree:
             raise FieldMismatchError("class field does not contain the curve base field")
-        f = self.curve.equation_masks(field)[1]
+        if f is None:
+            f = self.curve.equation_masks(field)[1]
         if len(u) == 1:  # u = 1 divides v^2 + v h + f = f
             return list(f)
         exp, log = field.tables()
@@ -208,17 +249,17 @@ class JacobianClass:
             return self
         if len(u1) < len(u2):  # the quadratic class first: a sum commutes
             u1, v1, u2, v2, k = u2, v2, u1, v1, other.cofactor
-        r = None
+        r, f = None, curve.equation_masks(field)[1]
         if u1 == u2:
             if v1 == v2 and len(u1) == 3:  # h mod u = h + u, as both are monic quadratics
                 r = [u1[0], u1[1] ^ 1]
             else:
                 r = divmod_masks(field, _H if v1 == v2 else _xor(_xor(v1, v2), _H), u1)[1]
             if not any(r):
-                return JacobianClass.identity(curve, field)  # other = -self
-        uv = _closed_form_sum(field, curve.equation_masks(field)[1], k, r, u1, v1, u2, v2)
+                return JacobianClass._new(curve, field, (1,), (), f)  # other = -self
+        uv = _closed_form_sum(field, f, k, r, u1, v1, u2, v2)
         if uv is not None:
-            return JacobianClass(curve, field, *uv)
+            return JacobianClass._new(curve, field, *uv, f)
         # the split: u2 = (x + x1)(x + x1 + b1), and each point is a (2, 1)
         # or (1, 1) sum with a closed form
         exp, log = field.tables()
@@ -226,7 +267,7 @@ class JacobianClass:
         out = self
         for x in (x1, x1 ^ u2[1]):
             y = _trim([evaluate_masks(exp, log, v2, x)])
-            out = out + JacobianClass(curve, field, (x, 1), y)
+            out = out + JacobianClass._new(curve, field, (x, 1), y, f)
         return out
 
     def neg(self):
@@ -238,15 +279,50 @@ class JacobianClass:
         return self + other.neg()
 
     def mul_int(self, k):
-        if k < 0:
-            return self.neg().mul_int(-k)
-        acc, base = None, self
-        while k:
-            if k & 1:
-                acc = base if acc is None else acc + base
-            k >>= 1
-            if k:
-                base = base + base
+        """k times the class, by the route with fewer sums: double-and-add,
+        or Horner in the Frobenius pi on the pi-adic digits of k (see the
+        module docstring).  The counts are read from k, a and q alone."""
+        curve, n = self.curve, abs(k)
+        binary = _binary_sums(n)
+        d = curve.field.degree
+        if binary > d + 1:  # the pi route's relation check alone makes d + 1 sums
+            a = _frobenius_trace(curve)
+            if a is not None:
+                digits = _pi_adic_digits(k, a, curve.field.order, self.field.degree // d)
+                if _pi_route_sums(a, d, digits) < binary:
+                    return self._mul_by_digits(a, digits)
+        return _double_and_add(self.neg() if k < 0 else self, n)
+
+    def _mul_by_digits(self, a, digits):
+        """sum d_i pi^i of the class, by Horner from the top digit, once
+        pi^2 P + q P = a pi P holds on this class P; q P comes from d
+        doublings, and each |d_i| P (|d_i| <= q/2) sums those doublings."""
+        doubles = [self]
+        for _ in range(self.curve.field.degree):
+            doubles.append(doubles[-1] + doubles[-1])
+        pi1 = frobenius(self)
+        a_pi = _double_and_add(pi1.neg() if a < 0 else pi1, abs(a))
+        if (frobenius(pi1) + doubles[-1]).key() != a_pi.key():
+            raise InconsistencyError("class fails the Frobenius relation pi^2 - a pi + q = 0")
+        multiples = {}
+
+        def multiple(x):  # x P for a digit x, once per distinct x
+            if x not in multiples:
+                if x < 0:
+                    multiples[x] = multiple(-x).neg()
+                else:
+                    terms = [c for i, c in enumerate(doubles) if x >> i & 1]
+                    for c in terms[1:]:
+                        terms[0] = terms[0] + c
+                    multiples[x] = terms[0]
+            return multiples[x]
+
+        acc = None
+        for x in reversed(digits):
+            if acc is not None:
+                acc = frobenius(acc)
+            if x:
+                acc = multiple(x) if acc is None else acc + multiple(x)
         return JacobianClass.identity(self.curve, self.field) if acc is None else acc
 
     # -- comparisons / transport -------------------------------------------------
@@ -331,6 +407,102 @@ class JacobianClass:
         support, _ = self.support()
         deg = sum(m for _, m in support)
         return FormalDivisor(self.curve, support + [(self.curve.infinity(), -deg)])
+
+
+def frobenius(cls):
+    """The q-power Frobenius pi of a class, q = #curve.field: the
+    coefficient-wise q-th power of (u, v).  It fixes the curve's equation,
+    whose coefficients lie in the base field, so it maps reduced pairs to
+    reduced pairs; the result goes through the validated constructor."""
+    field = cls.field
+    exp, log = field.tables()
+    p, q = field.order - 1, cls.curve.field.order
+    u, v = (tuple([exp[log[c] * q % p] if c else 0 for c in m]) for m in (cls.u, cls.v))
+    return JacobianClass(cls.curve, field, u, v)
+
+
+def _double_and_add(cls, n):
+    """n cls for n >= 0, by doublings from the lowest bit up: no sum with
+    the identity at the first set bit, no doubling after the top bit."""
+    acc, base = None, cls
+    while n:
+        if n & 1:
+            acc = base if acc is None else acc + base
+        n >>= 1
+        if n:
+            base = base + base
+    return JacobianClass.identity(cls.curve, cls.field) if acc is None else acc
+
+
+def _binary_sums(n):
+    """The sums `_double_and_add` makes for n >= 0."""
+    return n.bit_length() + n.bit_count() - 2 if n else 0
+
+
+def _pi_route_sums(a, d, digits):
+    """The sums `JacobianClass._mul_by_digits` makes for q = 2^d: d
+    doublings to q P, |a| pi P and one sum for the relation check, one sum
+    per further set bit of each distinct |digit|, one per nonzero digit
+    after the top one."""
+    nonzero = [x for x in digits if x]
+    return (d + _binary_sums(abs(a)) + 1 + sum(x.bit_count() - 1 for x in {abs(x) for x in nonzero})
+            + max(len(nonzero) - 1, 0))
+
+
+def _pi_power(a, q, m):
+    """(A, B) with pi^m = A + B pi in Z[pi] = Z[x] / (x^2 - a x + q)."""
+    A, B = 1, 0
+    for _ in range(m):
+        A, B = -q * B, A + a * B
+    return A, B
+
+
+def _norm(r0, r1, a, q):
+    """The norm of r0 + r1 pi: (r0 + r1 pi)(r0 + r1 (a - pi))."""
+    return r0 * r0 + a * r0 * r1 + q * r1 * r1
+
+
+def _pi_adic_digits(k, a, q, m):
+    """Digits d_i, lowest first, with sum d_i pi^i = k mod pi^m - 1 in
+    Z[pi], pi^2 = a pi - q, and each d_i in [-q/2, q/2].  k is reduced by
+    rounded division: lambda = k / (pi^m - 1), computed as k times the
+    conjugate over the norm, rounded coordinate-wise, and r = k - lambda
+    (pi^m - 1).  Then d = r0 mod q in (-q/2, q/2], and r = (r - d) / pi,
+    which is (r1 + a c) - c pi for r - d = q c + r1 pi, as 1 / pi =
+    (a - pi) / q.  At d = q/2 the digit is -q/2 when that quotient has the
+    smaller norm; without that rule q = 4, a = 3 has a cycle."""
+    A, B = _pi_power(a, q, m)
+    b0 = A - 1
+    n = _norm(b0, B, a, q)  # > 0, as a^2 < 4q
+    l0 = (2 * k * (b0 + a * B) + n) // (2 * n)
+    l1 = (n - 2 * k * B) // (2 * n)
+    r0 = k - l0 * b0 + q * l1 * B
+    r1 = -(l0 * B + l1 * b0 + a * l1 * B)
+    half, digits = q // 2, []
+    while r0 or r1:
+        d = (r0 + half - 1) % q - half + 1
+        c = (r0 - d) // q
+        if d == half and _norm(r1 + a * c + a, -c - 1, a, q) < _norm(r1 + a * c, -c, a, q):
+            d, c = -half, c + 1
+        digits.append(d)
+        r0, r1 = r1 + a * c, -c
+    return digits
+
+
+_trace_cache = {}
+
+
+def _frobenius_trace(curve):
+    """a = s1 / 2 of L = (1 - a T + q T^2)^2, from `lpolynomial`, memoised
+    per curve model in `_trace_cache`; None for a curve whose L-polynomial
+    is past the degree cap."""
+    key = (curve.field, curve.effective_t)
+    if key not in _trace_cache:
+        try:
+            _trace_cache[key] = lpolynomial(curve)[0] // 2
+        except DegreeCapError:
+            _trace_cache[key] = None
+    return _trace_cache[key]
 
 
 def _mumford(exp, log, h, f, v):

@@ -2,23 +2,26 @@
 principality, and Frobenius pullback."""
 
 import hashlib
+import math
 import random
 
 import pytest
 
-from frobfix.curve import Curve, weil_interval_ok_jacobian
+from frobfix.curve import Curve, lpolynomial, weil_interval_ok_jacobian
 from frobfix.errors import DegreeCapError, FieldMismatchError, InconsistencyError, NotOnCurveError
 from frobfix.gf2 import default_field, embed, quadratic_root_masks
 from frobfix.jacobian import (
     FormalDivisor,
     JacobianClass,
     _mumford,
+    _pi_adic_digits,
     _solvable_by_trace,
     _v_solution_space,
     affine_span,
     class_of,
     count_classes,
     enumerate_classes,
+    frobenius,
     frobenius_pullback,
     group_order,
     oracle_class_of,
@@ -29,7 +32,7 @@ from frobfix.jacobian import (
     torsion_subgroup,
     two_torsion,
 )
-from frobfix.poly import Poly, divmod_masks, solve_quadratic
+from frobfix.poly import Poly, _trim, divmod_masks, solve_quadratic
 
 
 def laszlo_curve():
@@ -608,18 +611,152 @@ def test_mul_int_matches_repeated_addition():
             assert a.mul_int(k).key() == multiples[k].key(), k
 
 
+def _binary_sums(n):
+    return n.bit_length() + bin(n).count("1") - 2 if n else 0
+
+
+def _double_and_add(a, k):
+    """The tests' reference for k a: double-and-add on a or on -a."""
+    acc, base = JacobianClass.identity(a.curve, a.field), a.neg() if k < 0 else a
+    for bit in bin(abs(k))[:1:-1]:
+        if bit == "1":
+            acc = acc + base
+        base = base + base
+    return acc
+
+
+def _curve_over_gf16():
+    f16 = default_field(4)
+    return Curve(f16, f16.element(6))  # a = -7: L = (1 + 7 T + 16 T^2)^2
+
+
 def test_mul_int_makes_no_wasted_sum(monkeypatch):
-    # no sum with the identity at the first set bit, no doubling after the top bit
-    c = laszlo_curve()
-    a = random_class(c, default_field(4), random.Random(7))
+    # double-and-add: no sum with the identity at the first set bit, no
+    # doubling after the top bit; the pi route: the relation check's d
+    # doublings to q P, the sums of |a| pi P and one more, one sum per further
+    # set bit of each distinct |digit|, one per nonzero digit after the top
+    # one; the route taken never makes more sums than double-and-add
     add = JacobianClass.__add__
     sums = []
     monkeypatch.setattr(JacobianClass, "__add__", lambda x, y: sums.append(1) or add(x, y))
-    for k in (0, 1, 2, 3, 5, 12, 23104, -3):
-        sums.clear()
-        a.mul_int(k)
-        n = abs(k)
-        assert len(sums) == (n.bit_length() + bin(n).count("1") - 2 if n else 0), k
+    routes = set()
+    for c, field in ((laszlo_curve(), default_field(4)), (_curve_over_gf16(), default_field(8))):
+        a = random_class(c, field, random.Random(7))
+        d, trace = c.field.degree, lpolynomial(c)[0] // 2
+        for k in (0, 1, 2, 3, 5, 12, 23104, -3, -23104, 3 ** 40, (1 << 64) + 1):
+            sums.clear()
+            a.mul_int(k)
+            binary = _binary_sums(abs(k))
+            digits = _pi_adic_digits(k, trace, c.field.order, field.degree // d)
+            nonzero = [x for x in digits if x]
+            multiples = sum(bin(x).count("1") - 1 for x in {abs(x) for x in nonzero})
+            pi = d + _binary_sums(abs(trace)) + 1 + multiples + max(len(nonzero) - 1, 0)
+            route = "pi" if binary > d + 1 and pi < binary else "binary"
+            routes.add((c.field.degree, route))
+            assert len(sums) == (pi if route == "pi" else binary), k
+            assert len(sums) <= binary, k
+    assert routes == {(2, "binary"), (2, "pi"), (4, "binary"), (4, "pi")}
+
+
+def _mul_int_case(name):
+    """(classes, #J) of one case of the pi-route cross-check."""
+    if name == "gf256-over-gf16":
+        c, field, rng = _curve_over_gf16(), default_field(8), random.Random(5)
+        return [random_class(c, field, rng) for _ in range(12)], group_order(c, field)
+    c, field = laszlo_curve(), default_field(4 if name == "gf16-every-class" else 2)
+    return enumerate_classes(c, field), group_order(c, field)
+
+
+@pytest.mark.parametrize("name", ["gf16-every-class", "base-field", "gf256-over-gf16"])
+def test_mul_int_pi_route_matches_double_and_add(monkeypatch, name):
+    classes, order = _mul_int_case(name)
+    curve, field = classes[0].curve, classes[0].field
+    q, m = curve.field.order, field.degree // curve.field.degree
+    ks = [0, 1, -1, 2, -2, 3, -3, q * q, order - 1, order, order + 1,
+          (1 << 64) - 1, -(1 << 63) - 12345, 0xDEADBEEFCAFEF00D]
+    trace = lpolynomial(curve)[0] // 2
+    top = max(abs(x) for k in ks for x in _pi_adic_digits(k, trace, q, m))
+    assert top == q // 2  # the digits reach +-q/2: +-2, or +-8 over GF(16)
+    taken = []
+    by_digits = JacobianClass._mul_by_digits
+    monkeypatch.setattr(JacobianClass, "_mul_by_digits", lambda *args: taken.append(1) or by_digits(*args))
+    for a in classes:
+        for k in ks:
+            # the reference reads a k past #J modulo #J, which kills every class
+            reference = _double_and_add(a, k if abs(k) <= order else k % order)
+            assert a.mul_int(k).key() == reference.key(), (a, k)
+    assert taken
+
+
+def test_pi_adic_digits_sum_back_to_k():
+    # pure integers: for every q, |a| < 2 sqrt(q) and m, the digits lie in
+    # [-q/2, q/2], number at most m + 2, and k - sum d_i pi^i is a multiple
+    # of pi^m - 1 in Z[pi], pi^2 = a pi - q
+    rng = random.Random(11)
+    ks = list(range(-20, 21)) + [rng.getrandbits(64) - (1 << 63) for _ in range(12)]
+    for q in (4, 16, 64, 256):
+        bound = math.isqrt(4 * q - 1)  # |a| < 2 sqrt(q)
+        for a in range(-bound, bound + 1):
+            for m in range(1, 13):
+                p0, p1 = 1, 0  # pi^m = p0 + p1 pi
+                for _ in range(m):
+                    p0, p1 = -q * p1, p0 + a * p1
+                b0, b1 = p0 - 1, p1  # pi^m - 1
+                n = b0 * b0 + a * b0 * b1 + q * b1 * b1
+                c0, c1 = b0 + a * b1, -b1  # the conjugate of pi^m - 1
+                for k in ks + [n - 1, n, n + 1]:
+                    digits = _pi_adic_digits(k, a, q, m)
+                    assert len(digits) <= m + 2 and all(abs(x) <= q // 2 for x in digits), (q, a, m, k)
+                    x0, x1 = k, 0
+                    for i, x in enumerate(digits):
+                        e0, e1 = 1, 0
+                        for _ in range(i):
+                            e0, e1 = -q * e1, e0 + a * e1
+                        x0, x1 = x0 - x * e0, x1 - x * e1
+                    # (x0 + x1 pi) / (pi^m - 1) = (x0 + x1 pi) conj / n
+                    assert (x0 * c0 - q * x1 * c1) % n == 0 and (x0 * c1 + x1 * c0 + a * x1 * c1) % n == 0
+
+
+def test_frobenius_is_an_endomorphism_with_the_relation():
+    # pi is additive, pi^m fixes J(GF(q^m)), and pi^2 - a pi + q = 0 on every class
+    c, f16 = laszlo_curve(), default_field(4)
+    classes = enumerate_classes(c, f16)
+    trace = lpolynomial(c)[0] // 2
+    rng = random.Random(3)
+    for a in classes:
+        b = rng.choice(classes)
+        assert frobenius(a + b).key() == (frobenius(a) + frobenius(b)).key()
+        assert frobenius(frobenius(a)).key() == a.key()
+        lhs = frobenius(frobenius(a)) + _double_and_add(a, 4)
+        assert lhs.key() == _double_and_add(frobenius(a), trace).key()
+    points = [p for p in c.points_over(f16) if not p.is_infinity()]
+    for p in points:
+        image = JacobianClass(c, f16, (f16.pow_mask(p.x.mask, 4), 1), _trim([f16.pow_mask(p.y.mask, 4)]))
+        assert frobenius(JacobianClass.from_point(p)).key() == image.key()
+
+
+def test_mul_int_past_the_degree_cap_takes_double_and_add():
+    import frobfix.jacobian as jacobian_module
+
+    f512 = default_field(9)
+    c = Curve(f512, f512.gen())
+    a = random_class(c, f512, random.Random(1))
+    k = (1 << 64) + 3
+    assert a.mul_int(k).key() == _double_and_add(a, k).key()
+    assert jacobian_module._trace_cache[(c.field, c.effective_t)] is None
+
+
+def test_mul_int_catches_a_frobenius_trace_off_by_two(monkeypatch):
+    import frobfix.jacobian as jacobian_module
+
+    c = laszlo_curve()
+    a = random_class(c, default_field(8), random.Random(3))
+    key, off_by_two = (c.field, c.effective_t), lpolynomial(c)[0] // 2 + 2
+    monkeypatch.setitem(jacobian_module._trace_cache, key, off_by_two)
+    with pytest.raises(InconsistencyError) as exc:
+        a.mul_int((1 << 64) + 1)
+    assert exc.type is InconsistencyError
+    assert str(exc.value) == "class fails the Frobenius relation pi^2 - a pi + q = 0"
 
 
 def test_identity_with_a_nonzero_v_is_rejected():
