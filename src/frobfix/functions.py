@@ -27,11 +27,12 @@ f = (0, A, 0, B, 0, A), the shape the group law reads
 norm, the residual roots and the Mumford pairs run on masks too, with the
 memoised (h, f) of `Curve.equation_masks`, the `poly` and `series`
 kernels and the field's exp/log tables, as does the nullspace (`linalg`).
-Poly is the type at the boundary: a and b of a + b y, and chi of a
-witness.  A simple point's interpolation row is the values (x0^i, y0 x0^j)
-of the basis, with no series product (`_constraint_rows`).  A vanishing
-order is read at the lowest precision of the ladder 2, 4, 8, ... that
-shows it (`PolyFunction.ord_at`): precision 2 shows a simple zero, read as
+The a and b of a + b y, and the chi of a witness, are trimmed
+coefficient-mask tuples, so no boxed polynomial is built here.  A simple
+point's interpolation row is the values (x0^i, y0 x0^j) of the basis,
+with no series product (`_constraint_rows`).  A vanishing order is read
+at the lowest precision of the ladder 2, 4, 8, ... that shows it
+(`PolyFunction.ord_at`): precision 2 shows a simple zero, read as
 coefficient 1 of a + b y directly from x and y mod s^2 and the b(x0) of
 the value read (`_coefficient_one`), and the expansion mod s^2 is the
 truncation of the one mod s^4, so the order read does not depend on where
@@ -51,7 +52,6 @@ found.
 from .errors import FieldMismatchError, InconsistencyError, VerificationError
 from .linalg import nullspace
 from .poly import (
-    Poly,
     _trim,
     divmod_monic,
     evaluate_masks,
@@ -62,7 +62,8 @@ from .series import mul_masks
 
 
 class PolyFunction:
-    """a(x) + b(x) y over a coordinate field of the curve."""
+    """a(x) + b(x) y over a coordinate field of the curve, a and b the
+    trimmed coefficient masks of two polynomials in x."""
 
     __slots__ = ("curve", "field", "a", "b")
 
@@ -73,14 +74,14 @@ class PolyFunction:
         self.b = b
 
     def is_zero(self):
-        return self.a.is_zero() and self.b.is_zero()
+        return not (self.a or self.b)
 
     def norm(self):
         """a^2 + a b h + b^2 f: the norm to the x-line, as the trimmed
         coefficient masks of a polynomial in x."""
         exp, log = self.field.tables()
         h, f = self.curve.equation_masks(self.field)
-        a, b = self.a.masks(), self.b.masks()
+        a, b = self.a, self.b
         out = mul_poly_masks(exp, log, a, a)
         for p, q in ((mul_poly_masks(exp, log, a, b), h), (mul_poly_masks(exp, log, b, b), f)):
             term = mul_poly_masks(exp, log, p, q)
@@ -92,12 +93,7 @@ class PolyFunction:
     def pole_order_at_infinity(self):
         if self.is_zero():
             raise ValueError("zero function")
-        orders = []
-        if not self.a.is_zero():
-            orders.append(2 * self.a.degree)
-        if not self.b.is_zero():
-            orders.append(2 * self.b.degree + 5)
-        return max(orders)
+        return max(2 * len(p) + shift for p, shift in ((self.a, -2), (self.b, 3)) if p)
 
     def _value_mask(self, point):
         """(v, b0): the masks v of a(x0) + b(x0) y0 at the affine point
@@ -105,16 +101,16 @@ class PolyFunction:
         read passes on to `_coefficient_one`."""
         x0, y0 = point
         exp, log = self.field.tables()
-        b = evaluate_masks(exp, log, self.b.masks(), x0)
+        b = evaluate_masks(exp, log, self.b, x0)
         by = exp[log[b] + log[y0]] if b and y0 else 0
-        return evaluate_masks(exp, log, self.a.masks(), x0) ^ by, b
+        return evaluate_masks(exp, log, self.a, x0) ^ by, b
 
     def _series(self, xs, ys):
         """The coefficient masks of a(xs) + b(xs) ys, the expansion at the
         point whose expansions of x and y are xs and ys."""
         field = self.field
-        bs = mul_masks(field, _horner(field, self.b.masks(), xs), ys)
-        return _add(_horner(field, self.a.masks(), xs), bs)
+        bs = mul_masks(field, _horner(field, self.b, xs), ys)
+        return _add(_horner(field, self.a, xs), bs)
 
     def ord_at(self, point, expansions=None):
         """Vanishing order at the affine point (x0, y0), a mask pair over
@@ -155,11 +151,11 @@ class PolyFunction:
         mul = self.field.mul_masks
         (x0, x1), (y0, y1) = xs[:2], ys[:2]
         sq = mul(x0, x0)
-        da, db = (evaluate_masks(exp, log, p.masks()[1::2], sq) for p in (self.a, self.b))
+        da, db = (evaluate_masks(exp, log, p[1::2], sq) for p in (self.a, self.b))
         return mul(da ^ mul(db, y0), x1) ^ mul(b0, y1)
 
     def __repr__(self):
-        return f"PolyFunction(({self.a!r}) + ({self.b!r})*y)"
+        return f"PolyFunction({self.a!r} + {self.b!r} y)"
 
 
 def local_coordinates(curve, field, point, prec):
@@ -339,9 +335,8 @@ def riemann_roch_basis(curve, m, field=None):
     """Basis of L(m*infinity) as PolyFunctions, in the order of `_basis_shape`."""
     n_x, n_y = _basis_shape(m)
     fld = field or curve.field
-    x, zero = Poly.x(fld), Poly.zero(fld)
-    return ([PolyFunction(curve, fld, x ** i, zero) for i in range(n_x)]
-            + [PolyFunction(curve, fld, zero, x ** j) for j in range(n_y)])
+    return ([PolyFunction(curve, fld, (0,) * i + (1,), ()) for i in range(n_x)]
+            + [PolyFunction(curve, fld, (), (0,) * j + (1,)) for j in range(n_y)])
 
 
 def interpolate_vanishing(curve, field, m, constraints, expansions=None):
@@ -370,9 +365,7 @@ def interpolate_vanishing(curve, field, m, constraints, expansions=None):
     exp, log = field.tables()
     l_inv = log[field.inv_mask(next(c for c in vec if c))]
     vec = [exp[log[c] + l_inv] if c else 0 for c in vec]
-    return PolyFunction(
-        curve, field, Poly.from_masks(field, vec[:n_x]), Poly.from_masks(field, vec[n_x:])
-    )
+    return PolyFunction(curve, field, _trim(vec[:n_x]), _trim(vec[n_x:]))
 
 
 # ---------------------------------------------------------------------------
@@ -453,8 +446,9 @@ def verify_polyfunction_divisor(fn, expected):
 
 
 class CurveFunction:
-    """A function psi / chi with psi = a + b y and chi a polynomial in x;
-    `rr_pole_bound` is the N of the space L(N*infinity) psi was found in."""
+    """A function psi / chi with psi = a + b y and chi a polynomial in x,
+    as trimmed coefficient masks; `rr_pole_bound` is the N of the space
+    L(N*infinity) psi was found in."""
 
     __slots__ = ("num", "chi", "rr_pole_bound")
 
@@ -464,7 +458,7 @@ class CurveFunction:
         self.rr_pole_bound = rr_pole_bound
 
     def __repr__(self):
-        return f"CurveFunction(({self.num.a!r} + ({self.num.b!r})y) / ({self.chi!r}))"
+        return f"CurveFunction(({self.num.a!r} + {self.num.b!r} y) / {self.chi!r})"
 
 
 def principal_witness_core(curve, field, affine_entries, inf_mult):
@@ -485,17 +479,18 @@ def principal_witness_core(curve, field, affine_entries, inf_mult):
     deg_neg = sum(m for _, m in neg)
     n_total = deg_pos + deg_neg
     if n_total == 0:
-        one = PolyFunction(curve, field, Poly.one(field), Poly.zero(field))
-        return CurveFunction(one, Poly.one(field), 0)
-    chi = Poly.one(field)
+        return CurveFunction(PolyFunction(curve, field, (1,), ()), (1,), 0)
+    exp, log = field.tables()
+    chi = [1]
     for (x, _), m in neg:
-        chi = chi * Poly.from_masks(field, (x, 1)) ** m
+        for _ in range(m):
+            chi = mul_poly_masks(exp, log, chi, (x, 1))
     constraints = _merge_points(pos + [(_partner(field, p), m) for p, m in neg])
     psi = interpolate_vanishing(curve, field, n_total, constraints)
     if psi is None:
         return None
     verify_polyfunction_divisor(psi, constraints)
-    return CurveFunction(psi, chi, n_total)
+    return CurveFunction(psi, tuple(chi), n_total)
 
 
 # ---------------------------------------------------------------------------
@@ -573,7 +568,7 @@ def _extract_residual_points(curve, field, psi, rest, new_entries, expansions):
     if emb is not None:
         field = emb.target
         new_entries = [((emb.image_mask(x), emb.image_mask(y)), m) for (x, y), m in new_entries]
-        psi = PolyFunction(curve, field, psi.a.map(emb), psi.b.map(emb))
+        psi = PolyFunction(curve, field, *(tuple(map(emb.image_mask, p)) for p in (psi.a, psi.b)))
         expansions = _Expansions(curve, field)
     for x0, mu in roots:
         # x0 is a root of the norm, so the points above it lie over this field

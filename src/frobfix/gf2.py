@@ -307,10 +307,10 @@ class FieldElement:
         return self ** (1 << (self.field.degree - 1))
 
     def trace(self, subdegree=1):
-        """Trace to the subfield GF(2^subdegree); subdegree must divide d."""
+        """Trace to the subfield GF(2^subdegree), for a positive subdegree dividing d."""
         d = self.field.degree
-        if d % subdegree:
-            raise ValueError(f"subdegree {subdegree} does not divide {d}")
+        if subdegree < 1 or d % subdegree:
+            raise ValueError(f"subdegree {subdegree} is not a positive divisor of {d}")
         q = 1 << subdegree
         acc = term = self.mask
         for _ in range(d // subdegree - 1):

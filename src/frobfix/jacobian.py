@@ -70,6 +70,7 @@ doublings.
 
 from itertools import zip_longest
 from math import gcd
+from operator import index
 
 from .curve import (
     _H,
@@ -279,9 +280,11 @@ class JacobianClass:
         return self + other.neg()
 
     def mul_int(self, k):
-        """k times the class, by the route with fewer sums: double-and-add,
-        or Horner in the Frobenius pi on the pi-adic digits of k (see the
-        module docstring).  The counts are read from k, a and q alone."""
+        """k times the class, for an integer k (TypeError otherwise), by the
+        route with fewer sums: double-and-add, or Horner in the Frobenius pi
+        on the pi-adic digits of k (see the module docstring).  The counts
+        are read from k, a and q alone."""
+        k = index(k)
         curve, n = self.curve, abs(k)
         binary = _binary_sums(n)
         d = curve.field.degree

@@ -19,7 +19,7 @@ from frobfix.functions import (
 )
 from frobfix.gf2 import default_field
 from frobfix.jacobian import oracle_class_of, random_class
-from frobfix.poly import Poly
+from frobfix.poly import _trim, divmod_masks, mul_poly_masks
 
 
 def laszlo_curve():
@@ -86,7 +86,7 @@ def test_mask_partner_and_weierstrass_rule_match_the_curve_points():
 def test_local_coordinates_satisfy_equation():
     c = laszlo_curve()
     f16 = default_field(4)
-    h, f = c.equation_polys(f16)
+    h, f = c.equation_masks(f16)
     for p in c.points_over(f16):
         if p.is_infinity():
             continue
@@ -131,24 +131,25 @@ def _ref_inverse(a):
 
 
 def _ref_horner(p, xs):
-    zero = xs[0].field.zero()
-    acc = [zero] * len(xs)
-    for i in range(p.degree, -1, -1):
+    """p(xs), for p given by its coefficient masks, on boxed FieldElement series."""
+    field = xs[0].field
+    acc = [field.zero()] * len(xs)
+    for c in reversed(p):
         acc = _ref_mul(acc, xs)
-        acc[0] = acc[0] + p[i]
+        acc[0] = acc[0] + field.element(c)
     return acc
 
 
 def _ref_derivative(p):
     """The formal derivative: in characteristic 2 the even-degree terms vanish."""
-    return Poly.from_masks(p.field, [c if i & 1 else 0 for i, c in enumerate(p.masks())][1:])
+    return tuple(c if i & 1 else 0 for i, c in enumerate(p))[1:]
 
 
 def _reference_local_coordinates(curve, point, prec):
     """(x, y) expanded at an affine point by Newton on boxed FieldElement
     series: uniformizer y - y0 at a Weierstrass point, x - x0 elsewhere."""
     field = point.field
-    h, f = curve.equation_polys(field)
+    h, f = curve.equation_masks(field)
     zeros = [field.zero()] * (prec - 1)
     lin = [field.one()] + zeros[1:]
 
@@ -223,9 +224,8 @@ def test_horner_at_x0_plus_s_matches_the_boxed_series_horner():
     # Horner's rule on boxed series
     f16 = default_field(4)
     rng = random.Random(22)
-    polys = [p for tm in range(2, 16) for p in Curve(f16, f16.element(tm)).equation_polys(f16)]
-    polys += [Poly.from_masks(f16, [rng.randrange(16) for _ in range(rng.randint(0, 8))])
-              for _ in range(12)]
+    polys = [p for tm in range(2, 16) for p in Curve(f16, f16.element(tm)).equation_masks(f16)]
+    polys += [_trim([rng.randrange(16) for _ in range(rng.randint(0, 8))]) for _ in range(12)]
     one, zero = f16.one(), f16.zero()
     for x0 in f16.elements():
         for prec in range(1, 9):
@@ -234,7 +234,7 @@ def test_horner_at_x0_plus_s_matches_the_boxed_series_horner():
             for xs in (shift, other) if prec > 2 else (shift,):
                 masks = tuple(c.mask for c in xs)
                 for p in polys:
-                    got = functions_module._horner(f16, p.masks(), masks)
+                    got = functions_module._horner(f16, p, masks)
                     assert got == tuple(c.mask for c in _ref_horner(p, xs)), (x0, prec, xs, p)
     # the closed forms of h(x0 + s) and f(x0 + s) that the expansions read
     # are boxed series Horner of the model at x0 + s, for every t over
@@ -246,7 +246,7 @@ def test_horner_at_x0_plus_s_matches_the_boxed_series_horner():
     cases += [(laszlo_curve(), f65536, x0) for x0 in rng.sample(range(1, f65536.order), 256)]
     for c, field, x0 in cases:
         xs = [field.element(x0), field.one()] + [field.zero()] * 6
-        ref = [tuple(e.mask for e in _ref_horner(p, xs)) for p in c.equation_polys(field)]
+        ref = [tuple(e.mask for e in _ref_horner(p, xs)) for p in c.equation_masks(field)]
         f = c.equation_masks(field)[1]
         for prec in range(1, 9):
             shifts = tuple(r[:prec] for r in ref)
@@ -314,9 +314,8 @@ def test_order_read_at_precision_2_matches_the_series():
     for p in points:
         field = p.field
         fns = [interpolate_vanishing(c, field, mult + 4, [(_xy(p), mult)]) for mult in (1, 2, 3)]
-        ones = Poly.from_masks(field, [1] * 5)
-        fns += [PolyFunction(c, field, Poly.zero(field), Poly(field, (p.x, field.one()))),
-                PolyFunction(c, field, ones, Poly.from_masks(field, [1] * 3))]
+        fns += [PolyFunction(c, field, (), (p.x.mask, 1)),
+                PolyFunction(c, field, (1,) * 5, (1,) * 3)]
         for fn in fns:
             for q in map(_xy, (p, p.hyperelliptic_involution())):
                 xs, ys = local_coordinates(c, field, q, 2)
@@ -403,7 +402,7 @@ def test_ord_at_vertical_function():
     f16 = default_field(4)
     pts = [p for p in c.points_over(f16) if not p.is_infinity()]
     for p in pts:
-        vert = PolyFunction(c, f16, Poly(f16, (p.x, f16.one())), Poly.zero(f16))
+        vert = PolyFunction(c, f16, (p.x.mask, 1), ())
         expected = 2 if p.is_weierstrass() else 1
         assert vert.ord_at(_xy(p)) == expected
         assert vert.pole_order_at_infinity() == 2
@@ -413,7 +412,7 @@ def test_verify_polyfunction_divisor_vertical():
     c = laszlo_curve()
     f16 = default_field(4)
     p = next(q for q in c.points_over(f16) if not q.is_infinity() and not q.is_weierstrass())
-    vert = PolyFunction(c, f16, Poly(f16, (p.x, f16.one())), Poly.zero(f16))
+    vert = PolyFunction(c, f16, (p.x.mask, 1), ())
     verify_polyfunction_divisor(vert, [(_xy(p), 1), (_xy(p.hyperelliptic_involution()), 1)])
     with pytest.raises(VerificationError) as exc:
         verify_polyfunction_divisor(vert, [(_xy(p), 2)])
@@ -450,7 +449,43 @@ def test_expansions_reject_a_point_over_another_field():
 def test_principal_witness_zero_divisor():
     c = laszlo_curve()
     w = principal_witness_core(c, c.field, [], 0)
-    assert w is not None and w.num.a == Poly.one(c.field) and w.chi == Poly.one(c.field)
+    assert w is not None and (w.num.a, w.num.b, w.chi) == ((1,), (), (1,))
+
+
+def _ref_lines_product(field, xs):
+    """prod (x + x0) over the masks xs, schoolbook on FieldElements, as masks."""
+    out = [field.one()]
+    for x0 in map(field.element, xs):
+        shifted = [field.zero()] + out  # x times the product so far
+        out = [a + x0 * b for a, b in zip(shifted, out + [field.zero()])]
+    return tuple(c.mask for c in out)
+
+
+def test_witness_chi_is_the_product_of_the_lines_under_the_negative_part():
+    # chi = prod (x + x_P)^m over D-, which no re-verification reads (it
+    # checks psi alone): for quotients of vertical lines over GF(16), whose
+    # D- entries have multiplicity 1 and 2, one of them at a Weierstrass point
+    c, f16 = laszlo_curve(), default_field(4)
+    points = c.points_over(f16)[1:]
+    w = next(pt for pt in points if pt.is_weierstrass())
+    by_x = {pt.x: pt for pt in points if not pt.is_weierstrass()}
+    p, q, r = list(by_x.values())[:3]
+
+    def pair(pt, m):  # m (P + iota P), the zeros of (x + x_P)^m
+        return [(pt, m), (pt.hyperelliptic_involution(), m)]
+
+    cases = [
+        ([(w, -2)] + pair(p, 1), 0),
+        (pair(p, 2) + pair(q, -1) + pair(r, -1), 0),
+        (pair(p, 2) + pair(q, -2), 0),
+        (pair(q, -2), 4),
+        ([(w, -2)] + pair(q, -1) + pair(p, 2), 0),
+    ]
+    for entries, inf in cases:
+        witness = principal_witness_core(c, f16, entries, inf)
+        assert witness is not None, entries
+        lines = [pt.x.mask for pt, m in entries for _ in range(-m)]
+        assert witness.chi == _ref_lines_product(f16, lines), entries
 
 
 def test_principal_witness_core_not_principal():
@@ -464,7 +499,7 @@ def test_ord_at_norm_cap_ends_the_loop_on_a_flat_expansion(monkeypatch):
     c = laszlo_curve()
     f16 = default_field(4)
     p = next(q for q in c.points_over(f16)[1:] if not q.is_weierstrass())
-    vert = PolyFunction(c, f16, Poly(f16, (p.x, f16.one())), Poly.zero(f16))
+    vert = PolyFunction(c, f16, (p.x.mask, 1), ())
     norms = []
     norm = PolyFunction.norm
     monkeypatch.setattr(PolyFunction, "norm", lambda fn: norms.append(1) or norm(fn))
@@ -530,7 +565,7 @@ def _vertical_witness(curve):
     f16 = default_field(4)
     p = next(q for q in curve.points_over(f16)[1:] if not q.is_weierstrass())
     entries = [(p, 1), (p.hyperelliptic_involution(), 1)]
-    return Poly(f16, (p.x, f16.one())), lambda: principal_witness_core(curve, f16, entries, -2)
+    return (p.x.mask, 1), lambda: principal_witness_core(curve, f16, entries, -2)
 
 
 def _oracle_sum(curve):
@@ -544,11 +579,20 @@ def _oracle_sum(curve):
 
 
 def _plant_norm(monkeypatch, change):
-    """Replace the norm's masks N by those of change(N), N boxed as a Poly."""
+    """Replace the norm's masks N by the trimmed masks of change(field, N)."""
     norm = PolyFunction.norm
-    monkeypatch.setattr(
-        PolyFunction, "norm", lambda fn: change(Poly.from_masks(fn.field, norm(fn))).masks()
-    )
+    monkeypatch.setattr(PolyFunction, "norm", lambda fn: _trim(change(fn.field, norm(fn))))
+
+
+def _times(factor, power=1):
+    """The change N -> N factor^power for `_plant_norm`, factor as masks."""
+
+    def change(field, n):
+        for _ in range(power):
+            n = mul_poly_masks(*field.tables(), n, factor)
+        return n
+
+    return change
 
 
 def _witness_is_zero(monkeypatch, curve):
@@ -556,7 +600,7 @@ def _witness_is_zero(monkeypatch, curve):
     monkeypatch.setattr(
         functions_module,
         "interpolate_vanishing",
-        lambda c, field, m, constraints: PolyFunction(c, field, Poly.zero(field), Poly.zero(field)),
+        lambda c, field, m, constraints: PolyFunction(c, field, (), ()),
     )
     return run
 
@@ -567,24 +611,24 @@ def _witness_times_x(monkeypatch, curve):
 
     def times_x(c, field, m, constraints):
         psi = interpolate(c, field, m, constraints)
-        return PolyFunction(c, field, psi.a * Poly.x(field), psi.b * Poly.x(field))
+        return PolyFunction(c, field, (0,) + psi.a, (0,) + psi.b)
 
     monkeypatch.setattr(functions_module, "interpolate_vanishing", times_x)
     return run
 
 
 def _norm_times_a_line_off_the_support(monkeypatch, curve):
-    line, run = _vertical_witness(curve)
-    _plant_norm(monkeypatch, lambda n: n * (line + Poly.one(line.field)))
+    (x0, _), run = _vertical_witness(curve)
+    _plant_norm(monkeypatch, _times((x0 ^ 1, 1)))
     return run
 
 
 def _norm_short_of_one_factor(monkeypatch, curve):
     line, run = _vertical_witness(curve)
 
-    def short(n):
-        quo, rem = divmod(n, line)
-        assert rem.is_zero()
+    def short(field, n):
+        quo, rem = divmod_masks(field, n, line)
+        assert not any(rem)
         return quo
 
     _plant_norm(monkeypatch, short)
@@ -594,7 +638,7 @@ def _norm_short_of_one_factor(monkeypatch, curve):
 def _norm_with_one_factor_too_many(monkeypatch, curve):
     known, run = _oracle_sum(curve)
     x0 = min(known, key=lambda x: x.mask)
-    _plant_norm(monkeypatch, lambda n: n * Poly(n.field, (x0, n.field.one())))
+    _plant_norm(monkeypatch, _times((x0.mask, 1)))
     return run
 
 
@@ -602,7 +646,7 @@ def _norm_with_a_spurious_triple_root(monkeypatch, curve):
     known, run = _oracle_sum(curve)
     field = next(iter(known)).field
     r = next(x for x in map(field.element, range(field.order)) if x not in known)
-    _plant_norm(monkeypatch, lambda n: n * Poly(field, (r, field.one())) ** 3)
+    _plant_norm(monkeypatch, _times((r.mask, 1), 3))
     return run
 
 

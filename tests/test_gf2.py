@@ -351,6 +351,12 @@ def test_trace_to_subfield():
         assert a.trace(2).mask in image
 
 
+@pytest.mark.parametrize("subdegree", [0, -1, -4, 3, 5])
+def test_trace_to_a_subdegree_that_is_no_positive_divisor_raises(subdegree):
+    with pytest.raises(ValueError, match=f"subdegree {subdegree} is not a positive divisor of 4"):
+        default_field(4).gen().trace(subdegree)
+
+
 @pytest.mark.parametrize("d", range(1, 17))
 def test_tables_equal_a_reference_walk(d):
     # reference: the smallest primitive element by `_pow_raw`, then its

@@ -1,8 +1,8 @@
 """Mutation sweep over the group law's written-out kernels, the Frobenius
 map and the scalar multiple, the Mumford solve and its trace screen, the
 curve's mask equation check and the Riemann-Roch oracle's mask kernels:
-its expansions, series Horner, interpolation rows, order read, involution
-partner, norm and order bookkeeping.
+its expansions, series Horner, interpolation rows, value and order reads,
+involution partner, norm and order bookkeeping.
 
 Each mutant drops one operand of one `^` (an `a ^ b` or an `x ^= e`) in one
 def that SCOPE names for its module.  The tree is copied once to a
@@ -33,7 +33,7 @@ SCOPE = {
                  "JacobianClass.mul_int", "JacobianClass._mul_by_digits", "_pi_adic_digits"},
     "functions": {"local_coordinates", "_shifted_equation", "_horner", "_partner",
                   "_constraint_rows", "PolyFunction._coefficient_one", "PolyFunction.norm",
-                  "_orders_and_rest", "_mumford_from_points"},
+                  "PolyFunction._value_mask", "_orders_and_rest", "_mumford_from_points"},
     "poly": {"mul_poly_masks"},
     "curve": {"_on_curve"},
 }
