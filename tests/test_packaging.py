@@ -169,6 +169,51 @@ def _guarded_callers(path, guarded, names):
                   if any(c == g or c.startswith(g + ".") for g in guarded))
 
 
+def test_group_law_builds_no_poly():
+    # the group law runs on coefficient masks with the memoised (h, f), and
+    # nothing in jacobian.py takes a Poly gcd or exact division
+    guarded = {
+        "JacobianClass.__add__", "JacobianClass.neg", "JacobianClass._validate",
+        "_closed_form_sum", "_slope_mod_quadratic",
+        "_monic_pair", "_mumford",
+    }
+    path = PACKAGE_DIR / "jacobian.py"
+    found = _guarded_callers(path, guarded, {"equation_polys", "Poly", "from_masks"})
+    assert not found, "the group law builds Polys or equation polynomials in:\n" + "\n".join(found)
+    assert not _callers(path, {"xgcd", "divexact"})
+
+
+def test_the_mumford_solve_builds_no_poly():
+    # every class enumerated, drawn or lifted from an automorphism comes from
+    # solve_additive on coefficient masks, and its callers pass masks too
+    guarded = {
+        "jacobian.py": {"solve_additive", "affine_span", "_solvable_quadratics",
+                        "_degree_two_classes", "random_class", "two_torsion"},
+        "action.py": {"lift_mobius"},
+    }
+    for name, defs in guarded.items():
+        found = _guarded_callers(PACKAGE_DIR / name, defs, {"Poly", "from_masks"})
+        assert not found, f"the Mumford solve builds Polys in {name}:\n" + "\n".join(found)
+
+
+def test_the_oracle_builds_no_poly():
+    # the Riemann-Roch oracle's expansions, interpolation rows, order reads,
+    # norm, order bookkeeping, residual roots and Mumford pairs, and the
+    # supports it starts from, run on coefficient masks: no Poly is built
+    # and no boxed solver is called
+    guarded = {
+        "functions.py": {"local_coordinates", "_shifted_equation", "_Expansions",
+                         "_constraint_rows", "PolyFunction.ord_at",
+                         "PolyFunction._coefficient_one", "PolyFunction.norm",
+                         "_orders_and_rest", "_extract_residual_points", "_mumford_from_points"},
+        "jacobian.py": {"JacobianClass.support", "oracle_class_of"},
+    }
+    names = {"Poly", "from_masks", "solve_linear", "solve_quadratic"}
+    for name, defs in guarded.items():
+        found = _guarded_callers(PACKAGE_DIR / name, defs, names)
+        assert not found, f"the oracle builds Polys in {name}:\n" + "\n".join(found)
+
+
 def test_only_poly_and_curve_import_the_boxed_polynomial():
     # every kernel runs on coefficient masks: Poly and its boxed solvers stay
     # for Curve.equation_polys and the benchmark's layer spans, and
