@@ -33,6 +33,7 @@ from .gf2 import FieldElement, embed, mask_mul
 from .jacobian import (
     FormalDivisor,
     JacobianClass,
+    _descend,
     _mumford,
     _xor,
     affine_span,
@@ -235,11 +236,10 @@ class CurveAutomorphism:
         img = class_of(FormalDivisor(cls.curve, [(self.apply(p), m) for p, m in support]))
         if cls.field.degree % img.field.degree == 0:
             return img.lift(cls.field)
-        pre = embed(cls.field, img.field).preimage
-        u, v = ([pre(FieldElement(img.field, m)) for m in p] for p in (img.u, img.v))
-        if None in u or None in v:
+        uv = _descend(img, cls.field)
+        if uv is None:
             raise InconsistencyError("image class is not rational over the class's field")
-        return JacobianClass(img.curve, cls.field, *(tuple(c.mask for c in p) for p in (u, v)))
+        return JacobianClass(img.curve, cls.field, *uv)
 
     def frobenius_twist(self):
         """The corresponding automorphism of the next twist (H squared

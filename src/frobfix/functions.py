@@ -4,11 +4,11 @@ A polynomial function on the curve is a(x) + b(x) y; it has poles only at
 infinity, where ord(x) = -2 and ord(y) = -5 (so the two pole orders never
 collide mod 2 and the pole order of a + b y is exact, no cancellation).
 
-Inside this module an affine point is the pair (x, y) of its coordinate
-masks over the one field of its function, table of expansions or oracle
-step; at infinity a function is described by its pole order, so that
-point has no pair.  CurvePoints enter at `reduce_points_oracle` and
-`principal_witness_core` alone, unboxed once by `_mask_entries`.  With
+An affine point is the pair (x, y) of its coordinate masks over the one
+field of its function, table of expansions or oracle step, as a
+`jacobian.FormalDivisor` holds it; at infinity a function is described by
+its pole order, so that point has no pair.  No CurvePoint enters this
+module: a divisor converts its points once, where it is built.  With
 h = x^2 + x fixed, as the group law takes it, the involution partner of
 (x, y) is (x, y + x^2 + x) (`_partner`), and a point is a Weierstrass
 point exactly when x is 0 or 1.
@@ -49,7 +49,7 @@ b^2 f by exactly those orders, so the norm must account for every zero
 found.
 """
 
-from .errors import FieldMismatchError, InconsistencyError, VerificationError
+from .errors import InconsistencyError, VerificationError
 from .linalg import nullspace
 from .poly import (
     _trim,
@@ -380,21 +380,6 @@ def _merge_points(pairs):
     return [(p, m) for p, m in merged.items() if m]
 
 
-def _mask_entries(field, entries):
-    """`entries`, pairs of an affine CurvePoint over `field` and a
-    multiplicity, merged, each point as its (x, y) mask pair: the one
-    conversion from CurvePoints.  At infinity a function is described by
-    its pole order, not by a value or an expansion."""
-    pairs = []
-    for p, m in entries:
-        if p.is_infinity():
-            raise ValueError("values and expansions at infinity are handled by pole orders")
-        if p.field != field:
-            raise FieldMismatchError("constraint point over a different field")
-        pairs.append(((p.x.mask, p.y.mask), m))
-    return _merge_points(pairs)
-
-
 def _orders_and_rest(fn, points, expansions=None):
     """(orders, rest): the vanishing order of fn at each affine point (a
     mask pair over fn.field) of `points` and then at its involution
@@ -464,13 +449,13 @@ class CurveFunction:
 def principal_witness_core(curve, field, affine_entries, inf_mult):
     """Witness phi with div(phi) = sum m_P P + inf_mult * infinity, or None.
 
-    affine_entries: list of (affine CurvePoint over `field`, nonzero int),
-    unboxed once by `_mask_entries`.  The search space is psi in
+    affine_entries: list of (affine point over `field` as its mask pair,
+    nonzero int), merged per point.  The search space is psi in
     L(N*infinity) vanishing on D+ together with the involution of D-, with
     chi the product of x - x(P) over D-; any nonzero solution has exactly
     the required divisor, which is then re-verified from scratch.
     """
-    entries = _mask_entries(field, affine_entries)
+    entries = _merge_points(affine_entries)
     if sum(m for _, m in entries) + inf_mult != 0:
         raise ValueError("divisor has nonzero degree")
     pos = [(p, m) for p, m in entries if m > 0]
@@ -501,12 +486,12 @@ def reduce_points_oracle(curve, field, entries):
     interpolation and exact divisor extraction (independent of the Cantor
     composition path).
 
-    entries: list of (affine CurvePoint over `field`, positive
-    multiplicity), unboxed once by `_mask_entries`.  Returns (u, v, field'),
+    entries: list of (affine point over `field` as its mask pair, positive
+    multiplicity), merged per point.  Returns (u, v, field'),
     u and v trimmed coefficient-mask tuples over field', `field` or its
     quadratic extension.
     """
-    entries = _mask_entries(field, entries)
+    entries = _merge_points(entries)
     if any(m < 0 for _, m in entries):
         raise ValueError("oracle reduction expects an effective list")
     while sum(m for _, m in entries) > 2:

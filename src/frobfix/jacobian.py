@@ -85,7 +85,7 @@ from .errors import (
     InconsistencyError,
     SearchExhaustedError,
 )
-from .functions import _merge_points, principal_witness_core, reduce_points_oracle
+from .functions import _merge_points, _partner, principal_witness_core, reduce_points_oracle
 from .gf2 import (
     FieldElement,
     _prime_factors,
@@ -105,39 +105,52 @@ from .poly import (
 
 
 class FormalDivisor:
-    """A formal sum of curve points with integer multiplicities.
+    """A formal sum of curve points with integer multiplicities over one
+    field, which contains the curve base field and every point's field:
+    `entries` are the affine points as ((x, y), m) mask pairs over it,
+    merged, in order of first appearance and without multiplicity 0, and
+    `inf` is the multiplicity at infinity.  CurvePoints convert once, here."""
 
-    Entries are merged by point and dropped at multiplicity 0; the point at
-    infinity is kept as an ordinary entry.  Degree bookkeeping is exact.
-    """
+    __slots__ = ("curve", "field", "entries", "inf")
 
-    __slots__ = ("curve", "entries")
-
-    def __init__(self, curve, entries):
-        entries = list(entries)
-        for p, _ in entries:
+    def __init__(self, curve, points):
+        points = list(points)
+        field, affine, inf = curve.field, [], 0
+        for p, _ in points:
             if not curve.same_model(p.curve):
                 raise FieldMismatchError("divisor point on a different curve model")
-        self.curve = curve
-        self.entries = tuple(_merge_points(entries))
+            field = join_fields(field, p.field)[0]
+        for p, m in points:
+            if p.is_infinity():
+                inf += m
+            else:
+                image = embed(p.field, field).image_mask
+                affine.append(((image(p.x.mask), image(p.y.mask)), m))
+        self.curve, self.field, self.inf = curve, field, inf
+        self.entries = tuple(_merge_points(affine))
+
+    @classmethod
+    def _of_masks(cls, curve, field, affine, inf):
+        """The divisor of the ((x, y), m) mask pairs `affine` over `field`
+        and the multiplicity inf at infinity."""
+        self = cls.__new__(cls)
+        self.curve, self.field, self.inf = curve, field, inf
+        self.entries = tuple(_merge_points(affine))
+        return self
 
     def degree(self):
-        return sum(m for _, m in self.entries)
+        return sum(m for _, m in self.entries) + self.inf
 
     def __add__(self, other):
-        return FormalDivisor(self.curve, list(self.entries) + list(other.entries))
-
-    def lift_to_common_field(self):
-        """(field, affine entries lifted, infinity multiplicity)."""
-        affine = [(p, m) for p, m in self.entries if not p.is_infinity()]
-        field = self.curve.field
-        for p, _ in affine:
-            field, _, _ = join_fields(field, p.field)
-        inf = sum(m for p, m in self.entries if p.is_infinity())
-        return field, [(p.lift(field), m) for p, m in affine], inf
+        if not self.curve.same_model(other.curve):
+            raise FieldMismatchError("divisor point on a different curve model")
+        field, *embs = join_fields(self.field, other.field)
+        affine = [((emb.image_mask(x), emb.image_mask(y)), m)
+                  for emb, d in zip(embs, (self, other)) for (x, y), m in d.entries]
+        return FormalDivisor._of_masks(self.curve, field, affine, self.inf + other.inf)
 
     def __repr__(self):
-        return "Div(" + " + ".join(f"{m}*{p!r}" for p, m in self.entries) + ")"
+        return f"Div({self.entries!r}, inf={self.inf}; GF(2^{self.field.degree}))"
 
 
 class JacobianClass:
@@ -225,13 +238,6 @@ class JacobianClass:
     @classmethod
     def identity(cls, curve, field):
         return cls(curve, field, (1,), ())
-
-    @classmethod
-    def from_point(cls, p):
-        """The class of P - infinity."""
-        if p.is_infinity():
-            return cls.identity(p.curve, p.curve.field)
-        return cls(p.curve, p.field, (p.x.mask, 1), (p.y.mask,) if p.y.mask else ())
 
     def is_identity(self):
         return len(self.u) == 1
@@ -354,14 +360,8 @@ class JacobianClass:
             image = embed(small.field, big.field).image_mask
             return tuple(map(image, small.u)) == big.u and tuple(map(image, small.v)) == big.v
         sub = default_field(gcd(self.field.degree, other.field.degree))
-
-        def descend(c):
-            preimage = embed(sub, c.field).preimage
-            elems = [preimage(c.field.element(m)) for m in c.u + c.v]
-            return None if None in elems else (len(c.u), [e.mask for e in elems])
-
-        key = descend(self)
-        return key is not None and key == descend(other)
+        key = _descend(self, sub)
+        return key is not None and key == _descend(other, sub)
 
     def __eq__(self, other):
         if not isinstance(other, JacobianClass):
@@ -385,13 +385,12 @@ class JacobianClass:
         return f"Jac(u={self.u!r}, v={self.v!r})"
 
     # -- support ------------------------------------------------------------------
-    def support(self):
-        """[(point, mult)] over this field or its quadratic extension,
-        together with the field where the support splits.  The x of the
-        points are the roots of u, ascending with multiplicity, from
-        `poly.monic_quadratic_roots` when deg u = 2; each y is v(x), with v
-        carried to the roots' field, and `Curve.point` checks each point."""
-        curve, fld, u, v = self.curve, self.field, self.u, self.v
+    def _support_masks(self):
+        """[((x, y), mult)] as mask pairs over this field or its quadratic
+        extension, with the field where the support splits.  The x are the
+        roots of u, ascending with multiplicity, from
+        `poly.monic_quadratic_roots` when deg u = 2; each y is v(x)."""
+        fld, u, v = self.field, self.u, self.v
         if len(u) == 1:
             return [], fld
         if len(u) == 2:
@@ -402,14 +401,29 @@ class JacobianClass:
                 v = [emb.image_mask(c) for c in v]
             roots, mult = (roots[:1], 2) if roots[0] == roots[1] else (roots, 1)
         exp, log = fld.tables()
-        points = (curve.point(FieldElement(fld, x), FieldElement(fld, evaluate_masks(exp, log, v, x)))
-                  for x in roots)
-        return [(p, mult) for p in points], fld
+        return [((x, evaluate_masks(exp, log, v, x)), mult) for x in roots], fld
+
+    def support(self):
+        """[(point, mult)] of `_support_masks` as CurvePoints, together with
+        the field where the support splits; `Curve.point` checks each point."""
+        pairs, fld = self._support_masks()
+        point = self.curve.point
+        return [(point(FieldElement(fld, x), FieldElement(fld, y)), m) for (x, y), m in pairs], fld
 
     def to_divisor(self):
-        support, _ = self.support()
-        deg = sum(m for _, m in support)
-        return FormalDivisor(self.curve, support + [(self.curve.infinity(), -deg)])
+        """The support minus its degree times infinity, over the field where
+        it splits; the identity's is over the curve base field."""
+        pairs, fld = self._support_masks()
+        fld = fld if pairs else self.curve.field
+        return FormalDivisor._of_masks(self.curve, fld, pairs, -sum(m for _, m in pairs))
+
+
+def _descend(cls, sub):
+    """The (u, v) of a class as mask tuples over `sub`, a subfield of its
+    field, by `FieldEmbedding.preimage`; None when one lies outside `sub`."""
+    preimage, element = embed(sub, cls.field).preimage, cls.field.element
+    u, v = ([preimage(element(m)) for m in p] for p in (cls.u, cls.v))
+    return None if None in u + v else (tuple(e.mask for e in u), tuple(e.mask for e in v))
 
 
 def frobenius(cls):
@@ -492,20 +506,20 @@ def _pi_adic_digits(k, a, q, m):
     return digits
 
 
-_trace_cache = {}
+_frobenius_trace_cache = {}
 
 
 def _frobenius_trace(curve):
     """a = s1 / 2 of L = (1 - a T + q T^2)^2, from `lpolynomial`, memoised
-    per curve model in `_trace_cache`; None for a curve whose L-polynomial
-    is past the degree cap."""
+    per curve model in `_frobenius_trace_cache`; None for a curve whose
+    L-polynomial is past the degree cap."""
     key = (curve.field, curve.effective_t)
-    if key not in _trace_cache:
+    if key not in _frobenius_trace_cache:
         try:
-            _trace_cache[key] = lpolynomial(curve)[0] // 2
+            _frobenius_trace_cache[key] = lpolynomial(curve)[0] // 2
         except DegreeCapError:
-            _trace_cache[key] = None
-    return _trace_cache[key]
+            _frobenius_trace_cache[key] = None
+    return _frobenius_trace_cache[key]
 
 
 def _mumford(exp, log, h, f, v):
@@ -767,29 +781,28 @@ def _slope_mod_quadratic(exp, log, p, n0, n1, r0, r1, b0, b1):
 # Building classes from divisors.
 
 def class_of(divisor):
-    """The reduced Mumford class of a degree-0 formal divisor (group law)."""
+    """The reduced Mumford class of a degree-0 formal divisor (group law),
+    from the classes P - infinity, each checked by `_validate`."""
     if divisor.degree() != 0:
         raise ValueError("divisor must have degree 0")
-    field, affine, _inf = divisor.lift_to_common_field()
+    curve, field = divisor.curve, divisor.field
     acc = None  # as in mul_int: no sum with the identity
-    for p, m in affine:
-        term = JacobianClass.from_point(p).mul_int(m)
+    for (x, y), m in divisor.entries:
+        term = JacobianClass(curve, field, (x, 1), (y,) if y else ()).mul_int(m)
         acc = term if acc is None else acc + term
-    if acc is None:
-        return JacobianClass.identity(divisor.curve, field)
-    return acc if acc.curve is divisor.curve else acc.retag(divisor.curve)
+    return JacobianClass.identity(curve, field) if acc is None else acc
 
 
 def oracle_class_of(divisor):
     """The same class via the interpolation oracle (independent of Cantor).
 
     Negative multiplicities are folded through the involution first:
-    -(P - inf) ~ (iota P - inf).
+    -(P - inf) ~ (iota P - inf), iota P from `functions._partner`.
     """
     if divisor.degree() != 0:
         raise ValueError("divisor must have degree 0")
-    field, affine, _inf = divisor.lift_to_common_field()
-    effective = [(p, m) if m >= 0 else (p.hyperelliptic_involution(), -m) for p, m in affine]
+    field = divisor.field
+    effective = [(p, m) if m >= 0 else (_partner(field, p), -m) for p, m in divisor.entries]
     u, v, fld = reduce_points_oracle(divisor.curve, field, effective)
     return JacobianClass(divisor.curve, fld, u, v)
 
@@ -803,8 +816,7 @@ def principal_witness(divisor):
     """
     if divisor.degree() != 0:
         raise ValueError("divisor must have degree 0")
-    field, affine, inf = divisor.lift_to_common_field()
-    return principal_witness_core(divisor.curve, field, affine, inf)
+    return principal_witness_core(divisor.curve, divisor.field, divisor.entries, divisor.inf)
 
 
 # ---------------------------------------------------------------------------

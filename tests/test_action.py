@@ -24,7 +24,7 @@ from frobfix.errors import (
     SearchExhaustedError,
 )
 from frobfix.gf2 import FieldEmbedding, default_field
-from frobfix.jacobian import FormalDivisor, JacobianClass, _xor, enumerate_classes, random_class
+from frobfix.jacobian import FormalDivisor, _xor, enumerate_classes, random_class
 from frobfix.poly import evaluate_masks
 
 
@@ -323,8 +323,8 @@ def test_action_embeds_nothing_over_the_common_field(monkeypatch):
         for p in pts:
             if not p.is_infinity():
                 g.mobius.apply_x(p.x)
-    field, lifted, _ = FormalDivisor(c, [(p, 1) for p in pts]).lift_to_common_field()
-    assert field == f16 and len(lifted) == len(pts) - 1
+    divisor = FormalDivisor(c, [(p, 1) for p in pts])
+    assert divisor.field == f16 and len(divisor.entries) == len(pts) - 1 and divisor.inf == 1
     assert calls == []
 
 
@@ -459,7 +459,8 @@ def _image_moved_off_the_class_field(monkeypatch, curve):
     monkeypatch.setattr(
         action_module,
         "class_of",
-        lambda divisor: class_of(divisor).lift(f256) + JacobianClass.from_point(p),
+        lambda divisor: class_of(divisor).lift(f256)
+        + class_of(FormalDivisor(curve, [(p, 1), (curve.infinity(), -1)])),
     )
     _, by_name = automorphism_group(curve)
     return lambda: by_name["identity"].act_on_class(cls)

@@ -7,13 +7,12 @@ import pytest
 
 import frobfix.functions as functions_module
 from frobfix.curve import Curve
-from frobfix.errors import FieldMismatchError, InconsistencyError, VerificationError
+from frobfix.errors import InconsistencyError, VerificationError
 from frobfix.functions import (
     PolyFunction,
     interpolate_vanishing,
     local_coordinates,
     principal_witness_core,
-    reduce_points_oracle,
     riemann_roch_basis,
     verify_polyfunction_divisor,
 )
@@ -46,23 +45,6 @@ def test_riemann_roch_dimensions():
     basis5 = riemann_roch_basis(c, 5)
     orders = sorted(fn.pole_order_at_infinity() for fn in basis5 if not fn.is_zero())
     assert orders == [0, 2, 4, 5]
-
-
-@pytest.mark.parametrize("call", ["divisor", "oracle"])
-def test_point_at_infinity_raises_a_value_error(call):
-    # a function at infinity is described by its pole order, so the point
-    # there has no mask pair: the two entries that take CurvePoints, the
-    # witness of a divisor and the oracle, refuse it before any value,
-    # expansion or order read
-    c = laszlo_curve()
-    f = c.field
-    inf = c.infinity()
-    calls = {
-        "divisor": lambda: principal_witness_core(c, f, [(inf, 2)], -2),
-        "oracle": lambda: reduce_points_oracle(c, f, [(inf, 3)]),
-    }
-    with pytest.raises(ValueError, match="at infinity are handled by pole orders"):
-        calls[call]()
 
 
 def test_mask_partner_and_weierstrass_rule_match_the_curve_points():
@@ -430,22 +412,6 @@ def test_interpolation_imposes_multiplicity():
     assert fn.ord_at(_xy(p)) >= 2
 
 
-def test_expansions_reject_a_point_over_another_field():
-    # the expansions, rows and order reads take mask pairs, so the field is
-    # checked where CurvePoints enter: the oracle and the witness, each
-    # given a point over GF(4) to work over GF(16)
-    c = laszlo_curve()
-    f16 = default_field(4)
-    p4 = c.point(c.field.zero(), c.field.zero())
-    q16 = next(q for q in c.points_over(f16)[1:] if q.x.mask > 1)
-    with pytest.raises(FieldMismatchError) as exc:
-        reduce_points_oracle(c, f16, [(q16, 2), (p4, 1)])
-    assert str(exc.value) == "constraint point over a different field"
-    with pytest.raises(FieldMismatchError) as exc:
-        principal_witness_core(c, f16, [(q16, 1), (p4, -1)], 0)
-    assert str(exc.value) == "constraint point over a different field"
-
-
 def test_principal_witness_zero_divisor():
     c = laszlo_curve()
     w = principal_witness_core(c, c.field, [], 0)
@@ -482,9 +448,10 @@ def test_witness_chi_is_the_product_of_the_lines_under_the_negative_part():
         ([(w, -2)] + pair(q, -1) + pair(p, 2), 0),
     ]
     for entries, inf in cases:
+        entries = [(_xy(pt), m) for pt, m in entries]
         witness = principal_witness_core(c, f16, entries, inf)
         assert witness is not None, entries
-        lines = [pt.x.mask for pt, m in entries for _ in range(-m)]
+        lines = [x for (x, _), m in entries for _ in range(-m)]
         assert witness.chi == _ref_lines_product(f16, lines), entries
 
 
@@ -492,7 +459,7 @@ def test_principal_witness_core_not_principal():
     c = laszlo_curve()
     f16 = default_field(4)
     p = next(q for q in c.points_over(f16) if not q.is_infinity())
-    assert principal_witness_core(c, f16, [(p, 1)], -1) is None
+    assert principal_witness_core(c, f16, [(_xy(p), 1)], -1) is None
 
 
 def test_ord_at_norm_cap_ends_the_loop_on_a_flat_expansion(monkeypatch):
@@ -564,18 +531,17 @@ def test_oracle_catches_orders_read_at_the_involution_partner(monkeypatch):
 def _vertical_witness(curve):
     f16 = default_field(4)
     p = next(q for q in curve.points_over(f16)[1:] if not q.is_weierstrass())
-    entries = [(p, 1), (p.hyperelliptic_involution(), 1)]
+    entries = [(_xy(p), 1), (_xy(p.hyperelliptic_involution()), 1)]
     return (p.x.mask, 1), lambda: principal_witness_core(curve, f16, entries, -2)
 
 
 def _oracle_sum(curve):
-    """The x-coordinates of the support, in the field the oracle starts
-    over, and the oracle call on a + b."""
+    """The field the oracle starts over, the x-coordinate masks of the
+    support there, and the oracle call on a + b."""
     rng = random.Random(101)
     a, b = (random_class(curve, default_field(4), rng) for _ in range(2))
     divisor = a.to_divisor() + b.to_divisor()
-    known = {p.x for p, _ in divisor.lift_to_common_field()[1]}
-    return known, lambda: oracle_class_of(divisor)
+    return divisor.field, {x for (x, _), _ in divisor.entries}, lambda: oracle_class_of(divisor)
 
 
 def _plant_norm(monkeypatch, change):
@@ -636,17 +602,15 @@ def _norm_short_of_one_factor(monkeypatch, curve):
 
 
 def _norm_with_one_factor_too_many(monkeypatch, curve):
-    known, run = _oracle_sum(curve)
-    x0 = min(known, key=lambda x: x.mask)
-    _plant_norm(monkeypatch, _times((x0.mask, 1)))
+    _, known, run = _oracle_sum(curve)
+    _plant_norm(monkeypatch, _times((min(known), 1)))
     return run
 
 
 def _norm_with_a_spurious_triple_root(monkeypatch, curve):
-    known, run = _oracle_sum(curve)
-    field = next(iter(known)).field
-    r = next(x for x in map(field.element, range(field.order)) if x not in known)
-    _plant_norm(monkeypatch, _times((r.mask, 1), 3))
+    field, known, run = _oracle_sum(curve)
+    r = next(x for x in range(field.order) if x not in known)
+    _plant_norm(monkeypatch, _times((r, 1), 3))
     return run
 
 
@@ -677,18 +641,18 @@ def _expansion_with_a_wrong_unit(weierstrass):
 
 
 def _empty_nullspace(monkeypatch, curve):
-    _, run = _oracle_sum(curve)
+    _, _, run = _oracle_sum(curve)
     monkeypatch.setattr(functions_module, "nullspace", lambda field, rows: [])
     return run
 
 
 def _orders_zero_off_the_support(monkeypatch, curve):
     # the residual points' orders read 0, so the norm's new roots have no zeros above them
-    known, run = _oracle_sum(curve)
+    field, known, run = _oracle_sum(curve)
     ord_at = PolyFunction.ord_at
 
     def zero_off_the_support(fn, p, *rest):
-        return ord_at(fn, p, *rest) if fn.field.element(p[0]) in known else 0
+        return ord_at(fn, p, *rest) if fn.field == field and p[0] in known else 0
 
     monkeypatch.setattr(PolyFunction, "ord_at", zero_off_the_support)
     return run

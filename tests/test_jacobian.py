@@ -40,6 +40,11 @@ def laszlo_curve():
     return Curve(f4, f4.gen())
 
 
+def _point_class(p):
+    """The class of P - infinity, built from its divisor."""
+    return class_of(FormalDivisor(p.curve, [(p, 1), (p.curve.infinity(), -1)]))
+
+
 def sigma_fixed_points(curve, field):
     """The four fixed points of the order-3 automorphism: x^2 + x + 1 = 0."""
     out = []
@@ -465,7 +470,7 @@ def test_sums_with_a_point_are_pinned_every_t_gf16():
     digest = hashlib.sha256()
     for tm in range(2, 16):
         c = Curve(f16, f16.element(tm))
-        points = [JacobianClass.from_point(p) for p in c.points_over(f256)[1::9][:20]]
+        points = [_point_class(p) for p in c.points_over(f256)[1::9][:20]]
         rng = random.Random(tm)
         classes = [random_class(c, f256, rng) for _ in range(20)]
         for a in points:
@@ -742,7 +747,7 @@ def test_frobenius_is_an_endomorphism_with_the_relation():
     points = [p for p in c.points_over(f16) if not p.is_infinity()]
     for p in points:
         image = JacobianClass(c, f16, (f16.pow_mask(p.x.mask, 4), 1), _trim([f16.pow_mask(p.y.mask, 4)]))
-        assert frobenius(JacobianClass.from_point(p)).key() == image.key()
+        assert frobenius(_point_class(p)).key() == image.key()
 
 
 def test_mul_int_past_the_degree_cap_takes_double_and_add():
@@ -753,7 +758,7 @@ def test_mul_int_past_the_degree_cap_takes_double_and_add():
     a = random_class(c, f512, random.Random(1))
     k = (1 << 64) + 3
     assert a.mul_int(k).key() == _double_and_add(a, k).key()
-    assert jacobian_module._trace_cache[(c.field, c.effective_t)] is None
+    assert jacobian_module._frobenius_trace_cache[(c.field, c.effective_t)] is None
 
 
 def test_mul_int_catches_a_frobenius_trace_off_by_two(monkeypatch):
@@ -762,7 +767,7 @@ def test_mul_int_catches_a_frobenius_trace_off_by_two(monkeypatch):
     c = laszlo_curve()
     a = random_class(c, default_field(8), random.Random(3))
     key, off_by_two = (c.field, c.effective_t), lpolynomial(c)[0] // 2 + 2
-    monkeypatch.setitem(jacobian_module._trace_cache, key, off_by_two)
+    monkeypatch.setitem(jacobian_module._frobenius_trace_cache, key, off_by_two)
     with pytest.raises(InconsistencyError) as exc:
         a.mul_int((1 << 64) + 1)
     assert exc.type is InconsistencyError
@@ -899,6 +904,60 @@ def test_sigma_fixed_difference_has_order_three():
         assert cl.mul_int(3).is_identity()
 
 
+def test_formal_divisor_holds_mask_pairs_over_one_field():
+    # points over GF(4) and GF(16), one of them given over both: the divisor
+    # lands over GF(16), with that point merged and its masks those of its
+    # lift, and infinity kept apart
+    c, f16 = laszlo_curve(), default_field(4)
+    p = next(q for q in c.points_over(c.field)[1:] if q.y.mask > 1)
+    lifted = p.lift(f16)
+    assert (lifted.x.mask, lifted.y.mask) != (p.x.mask, p.y.mask)
+    q = next(q for q in c.points_over(f16)[1:] if q.x.mask > 3)
+    D = FormalDivisor(c, [(p, 1), (q, 2), (c.infinity(), -4), (lifted, 1)])
+    assert D.field == f16 and D.inf == -4 and D.degree() == 0
+    assert D.entries == (((lifted.x.mask, lifted.y.mask), 2), ((q.x.mask, q.y.mask), 2))
+    same = FormalDivisor(c, [(lifted, 2), (q, 2), (c.infinity(), -4)])
+    assert class_of(D).key() == class_of(same).key()
+    assert FormalDivisor(c, [(p, 1), (lifted, -1)]).entries == ()
+
+
+def test_to_divisor_is_the_divisor_of_the_support():
+    # the divisor built from the support's masks is the one the public
+    # constructor builds from its CurvePoints: same field, affine entries
+    # and multiplicity at infinity, on every class of J(GF(16)) and on 50
+    # draws over GF(2^8), some of whose supports split only over GF(2^16)
+    f16, f256 = default_field(4), default_field(8)
+    c, rng = laszlo_curve(), random.Random(107)
+    classes = enumerate_classes(c, f16) + [random_class(c, f256, rng) for _ in range(50)]
+    fields = []
+    for a in classes:
+        support, _ = a.support()
+        ref = FormalDivisor(c, support + [(c.infinity(), -sum(m for _, m in support))])
+        got = a.to_divisor()
+        assert (got.field, got.entries, got.inf) == (ref.field, ref.entries, ref.inf), a
+        fields.append(got.field.degree)
+    assert fields.count(16) > 5 and fields.count(8) > 5, fields
+
+
+def test_divisor_sums_join_their_fields():
+    # a divisor over GF(2^8) plus one over GF(2^16) lies over GF(2^16), with
+    # the first one's masks carried by the embedding; a divisor on another
+    # curve model does not add
+    f256, f65536 = default_field(8), default_field(16)
+    c, rng = laszlo_curve(), random.Random(108)
+    draws = [random_class(c, f256, rng) for _ in range(20)]
+    a = next(d for d in draws if d.to_divisor().field == f256)
+    b = next(d for d in draws if d.to_divisor().field == f65536)
+    total = a.to_divisor() + b.to_divisor()
+    points = a.support()[0] + b.support()[0]
+    ref = FormalDivisor(c, points + [(c.infinity(), -sum(m for _, m in points))])
+    assert total.field == f65536 and (total.entries, total.inf) == (ref.entries, ref.inf)
+    other = Curve(c.field, c.field.element(3))
+    with pytest.raises(FieldMismatchError) as exc:
+        total + random_class(other, f256, rng).to_divisor()
+    assert str(exc.value) == "divisor point on a different curve model"
+
+
 def test_support_roundtrip():
     c = laszlo_curve()
     f16 = default_field(4)
@@ -934,7 +993,7 @@ def test_support_matches_the_poly_route():
     classes = [cl for c in curves for cl in enumerate_classes(c, f16)]
     c, rng = curves[0], random.Random(104)
     points = [p for p in c.points_over(f256)[1:] if not p.is_weierstrass()]
-    doubles = [JacobianClass.from_point(p).mul_int(2) for p in rng.sample(points, 40)]
+    doubles = [_point_class(p).mul_int(2) for p in rng.sample(points, 40)]
     draws = [random_class(c, f256, rng) for _ in range(500)]
     for cl in classes + doubles + draws:
         got, field = cl.support()
@@ -972,11 +1031,11 @@ def test_principal_witness_iff_identity_class():
         if witness is not None:
             # the witness psi/chi vanishes on the positive affine part,
             # wherever chi does not
-            for p, m in D.lift_to_common_field()[1]:
-                if m > 0 and evaluate_masks(*p.field.tables(), witness.chi, p.x.mask):
-                    assert witness.num._value_mask((p.x.mask, p.y.mask))[0] == 0
+            for (x, y), m in D.entries:
+                if m > 0 and evaluate_masks(*D.field.tables(), witness.chi, x):
+                    assert witness.num._value_mask((x, y))[0] == 0
                     reads += 1
-    assert reads >= sum(len(D.lift_to_common_field()[1]) for D in divisors[30:]) > 0
+    assert reads >= sum(len(D.entries) for D in divisors[30:]) > 0
 
 
 def test_principal_witness_for_triple_difference():

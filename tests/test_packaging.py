@@ -2,7 +2,7 @@
 modules; and no module imports a name it never reads."""
 
 import ast
-import importlib
+import importlib.util
 import pkgutil
 import re
 from pathlib import Path
@@ -152,9 +152,9 @@ def test_only_the_root_walk_walks_h_and_f():
     assert "Curve.count_points" not in _callers(PACKAGE_DIR / "curve.py", walks)
 
 
-def _guarded_callers(path, guarded, names):
-    """The functions in `path` that call any of `names` and are, or are
-    nested in, a def of `guarded`; every name in `guarded` must be defined."""
+def _defined(path):
+    """The qualified names of the defs and classes in `path`, nested ones
+    joined by dots, as `_callers` and tools/mutate.py name them."""
     defined = set()
 
     def visit(node, scope):
@@ -164,6 +164,13 @@ def _guarded_callers(path, guarded, names):
                 visit(child, scope + (child.name,))
 
     visit(ast.parse(path.read_text()), ())
+    return defined
+
+
+def _guarded_callers(path, guarded, names):
+    """The functions in `path` that call any of `names` and are, or are
+    nested in, a def of `guarded`; every name in `guarded` must be defined."""
+    defined = _defined(path)
     assert guarded <= defined, sorted(guarded - defined)
     return sorted(c for c in _callers(path, names)
                   if any(c == g or c.startswith(g + ".") for g in guarded))
@@ -206,7 +213,7 @@ def test_the_oracle_builds_no_poly():
                          "_constraint_rows", "PolyFunction.ord_at",
                          "PolyFunction._coefficient_one", "PolyFunction.norm",
                          "_orders_and_rest", "_extract_residual_points", "_mumford_from_points"},
-        "jacobian.py": {"JacobianClass.support", "oracle_class_of"},
+        "jacobian.py": {"JacobianClass._support_masks", "JacobianClass.support", "oracle_class_of"},
     }
     names = {"Poly", "from_masks", "solve_linear", "solve_quadratic"}
     for name, defs in guarded.items():
@@ -233,16 +240,26 @@ def test_only_poly_and_curve_import_the_boxed_polynomial():
 
 
 def test_the_oracle_takes_mask_pairs():
-    # past its two entries, reduce_points_oracle and principal_witness_core,
-    # the oracle's points are (x, y) mask pairs over one field, with
-    # h = x^2 + x fixed: the partner is `_partner` and a Weierstrass point
-    # has x = 0 or 1, so no CurvePoint is asked for either, nor lifted
-    guarded = {"local_coordinates", "PolyFunction.ord_at", "PolyFunction._value_mask",
-               "interpolate_vanishing", "verify_polyfunction_divisor", "_orders_and_rest",
-               "_oracle_step", "_extract_residual_points", "_mumford_from_points", "_Expansions"}
-    names = {"hyperelliptic_involution", "lift", "is_weierstrass", "_affine"}
-    found = _guarded_callers(PACKAGE_DIR / "functions.py", guarded, names)
-    assert not found, "the oracle reads CurvePoints in:\n" + "\n".join(found)
+    # a FormalDivisor converts its CurvePoints once, where it is built, so
+    # every def in functions.py takes points as (x, y) mask pairs over one
+    # field, with h = x^2 + x fixed: the partner is `_partner` and a
+    # Weierstrass point has x = 0 or 1, so none asks a CurvePoint for
+    # either, nor lifts or builds one
+    names = {"is_infinity", "lift", "hyperelliptic_involution", "is_weierstrass", "points_at",
+             "point"}
+    found = sorted(_callers(PACKAGE_DIR / "functions.py", names))
+    assert not found, "functions.py reads CurvePoints in:\n" + "\n".join(found)
+
+
+def test_the_mutation_sweep_names_existing_defs():
+    # tools/mutate.py mutates only the defs its SCOPE names, so a def that
+    # is renamed or deleted would drop out of the sweep unseen
+    spec = importlib.util.spec_from_file_location("mutate", ROOT / "tools" / "mutate.py")
+    mutate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutate)
+    missing = [f"{module}.{name}" for module, defs in sorted(mutate.SCOPE.items())
+               for name in sorted(defs - _defined(ROOT / mutate.PACKAGE / f"{module}.py"))]
+    assert not missing, "tools/mutate.py SCOPE names no such def:\n" + "\n".join(missing)
 
 
 CROSS_CHECK_ERRORS = {"InconsistencyError", "VerificationError"}

@@ -29,7 +29,7 @@ PACKAGE = Path("src/frobfix")
 SCOPE = {
     "jacobian": {"JacobianClass._validate", "JacobianClass.__add__", "JacobianClass.neg",
                  "_closed_form_sum", "_slope_mod_quadratic", "_monic_pair", "_solvable_by_trace",
-                 "solve_additive", "affine_span", "JacobianClass.support", "frobenius",
+                 "solve_additive", "affine_span", "JacobianClass._support_masks", "frobenius",
                  "JacobianClass.mul_int", "JacobianClass._mul_by_digits", "_pi_adic_digits"},
     "functions": {"local_coordinates", "_shifted_equation", "_horner", "_partner",
                   "_constraint_rows", "PolyFunction._coefficient_one", "PolyFunction.norm",
