@@ -35,12 +35,11 @@ from .jacobian import (
     JacobianClass,
     _descend,
     _mumford,
-    _xor,
     affine_span,
     class_of,
     solve_additive,
 )
-from .poly import _trim, evaluate_masks
+from .poly import _trim, _xor, evaluate_masks
 
 
 class MobiusMap:

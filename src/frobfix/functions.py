@@ -53,6 +53,7 @@ from .errors import InconsistencyError, VerificationError
 from .linalg import nullspace
 from .poly import (
     _trim,
+    _xor,
     divmod_monic,
     evaluate_masks,
     monic_quadratic_roots,
@@ -84,10 +85,7 @@ class PolyFunction:
         a, b = self.a, self.b
         out = mul_poly_masks(exp, log, a, a)
         for p, q in ((mul_poly_masks(exp, log, a, b), h), (mul_poly_masks(exp, log, b, b), f)):
-            term = mul_poly_masks(exp, log, p, q)
-            out += [0] * (len(term) - len(out))
-            for i, c in enumerate(term):
-                out[i] ^= c
+            out = _xor(out, mul_poly_masks(exp, log, p, q))
         return _trim(out)
 
     def pole_order_at_infinity(self):
@@ -110,7 +108,7 @@ class PolyFunction:
         point whose expansions of x and y are xs and ys."""
         field = self.field
         bs = mul_masks(field, _horner(field, self.b, xs), ys)
-        return _add(_horner(field, self.a, xs), bs)
+        return _xor(_horner(field, self.a, xs), bs)
 
     def ord_at(self, point, expansions=None):
         """Vanishing order at the affine point (x0, y0), a mask pair over
@@ -269,13 +267,9 @@ def _linear(c, prec, slope=1):
     return ((c, slope) + (0,) * prec)[:prec]
 
 
-def _add(a, b):
-    return tuple(x ^ y for x, y in zip(a, b))
-
-
 def _residual(field, hs, fs, ys):
     """The masks of ys^2 + hs ys + fs = (ys + hs) ys + fs."""
-    return _add(mul_masks(field, _add(ys, hs), ys), fs)
+    return _xor(mul_masks(field, _xor(ys, hs), ys), fs)
 
 
 def _horner(field, cs, xs):

@@ -4,7 +4,10 @@ Elements are integer bit-masks: bit i is the coefficient of x^i in the
 polynomial-basis representation modulo the irreducible modulus of
 degree d in the shipped table.  There is one field per degree: the table
 is verified entry by entry (degree and exhaustive factor search) when it
-loads, so no shipped constant is taken on faith.
+loads, so no shipped constant is taken on faith, and `BinaryField(d)`
+builds GF(2^d) with its exp/log tables at the first request and returns
+that same object at every later one, so fields compare by identity and
+the caches below are keyed by degree.
 
 Towers are explicit: an element belongs to exactly one field, and moving
 between fields requires a FieldEmbedding.  Mixing elements of different
@@ -20,8 +23,8 @@ the primitive-element search that builds those tables.
 
 Nothing is rebuilt per call: a default embedding is found among the 2^a
 elements of the target's order-2^a subfield, and x -> x^q + x gets one
-cached solving map per (field, q) that solves Artin-Schreier equations
-on masks.  `trace_mask` caches the absolute trace as one bit-mask per
+cached echelon per (field, q), whose particular solution of x^q + x = r
+is already the smallest root.  `trace_mask` caches the absolute trace as one bit-mask per
 field, so z^2 + z = r is decided solvable by the parity of r & mask,
 with no root found; `trace_dual_mask` gives a -> Tr(c a) the same way.
 `quadratic_root_masks` is the one root kernel for y^2 + b y = c: curve
@@ -125,30 +128,32 @@ def _prime_factors(n):
 # ---------------------------------------------------------------------------
 # Fields and elements.
 
+_fields = {}
+
+
 class BinaryField:
     """The field GF(2^degree), modulo the table's modulus of that degree.
 
-    Multiplication uses lazily built exp/log tables (the order is at most
-    2^16, so full tables are always affordable).
+    There is one field per degree: `BinaryField(d)` returns the field built
+    at the first request for d, so field equality is identity.  Its exp/log
+    tables are built with it (the order is at most 2^16, so full tables are
+    always affordable).
     """
 
-    def __init__(self, degree):
-        if not 1 <= degree <= DEGREE_CAP:
-            raise FieldConstructionError(f"degree must be in 1..{DEGREE_CAP}, got {degree}")
-        self.degree = degree
-        self.modulus = default_modulus_table()[degree]
-        self.order = 1 << degree
-        self._exp = None
-        self._log = None
+    def __new__(cls, degree):
+        field = _fields.get(degree)
+        if field is None:
+            if not 1 <= degree <= DEGREE_CAP:
+                raise FieldConstructionError(f"degree must be in 1..{DEGREE_CAP}, got {degree}")
+            field = super().__new__(cls)
+            field.degree = degree
+            field.modulus = default_modulus_table()[degree]
+            field.order = 1 << degree
+            field._ensure_tables()
+            _fields[degree] = field
+        return field
 
     # -- identity ----------------------------------------------------------
-    def __eq__(self, other):
-        return other is self or (
-            isinstance(other, BinaryField)
-            and self.degree == other.degree
-            and self.modulus == other.modulus
-        )
-
     def __hash__(self):
         return hash((self.degree, self.modulus))
 
@@ -194,8 +199,6 @@ class BinaryField:
         """Walk the powers of the smallest primitive element g.  g is small
         (3 for d = 16), so each step is a few shifted XORs by g's set bits
         and a reduction of the few bits above degree d - 1."""
-        if self._exp is not None:
-            return
         n, top, modulus = self.order - 1, self.order, self.modulus
         primes = _prime_factors(n) if n > 1 else []
         g = next(
@@ -220,8 +223,6 @@ class BinaryField:
     def tables(self):
         """(exp, log): exp[i] = g^i for 0 <= i < 2(order - 1), so the sum of
         two logs indexes it directly; log[m] is the log of a nonzero m."""
-        if self._exp is None:
-            self._ensure_tables()
         return self._exp, self._log
 
     def mul_masks(self, a, b):
@@ -231,7 +232,6 @@ class BinaryField:
             return b
         if b == 1:
             return a
-        self._ensure_tables()
         return self._exp[self._log[a] + self._log[b]]
 
     def inv_mask(self, a):
@@ -239,7 +239,6 @@ class BinaryField:
             raise ZeroDivisionError("inverse of zero field element")
         if a == 1 or self.order == 2:
             return 1
-        self._ensure_tables()
         return self._exp[self.order - 1 - self._log[a]]
 
     def pow_mask(self, a, e):
@@ -249,7 +248,6 @@ class BinaryField:
             if e < 0:
                 raise ZeroDivisionError("negative power of zero")
             return 0 if e else 1
-        self._ensure_tables()
         return self._exp[self._log[a] * e % (self.order - 1)]
 
 
@@ -265,7 +263,7 @@ class FieldElement:
     def _check(self, other):
         if not isinstance(other, FieldElement):
             raise TypeError(f"cannot combine FieldElement with {type(other).__name__}")
-        if self.field is not other.field and self.field != other.field:
+        if self.field is not other.field:
             raise FieldMismatchError(
                 f"elements of {self.field!r} and {other.field!r} mixed without embedding"
             )
@@ -332,7 +330,7 @@ class FieldElement:
         return (
             isinstance(other, FieldElement)
             and self.mask == other.mask
-            and self.field == other.field
+            and self.field is other.field
         )
 
     def __hash__(self):
@@ -407,10 +405,7 @@ class FieldEmbedding:
         return f"GF(2^{self.source.degree})->GF(2^{self.target.degree})"
 
 
-@lru_cache(maxsize=None)
-def default_field(degree):
-    """The shared GF(2^degree) built from the shipped modulus table."""
-    return BinaryField(degree)
+default_field = BinaryField  # the same constructor, under the name most callers use
 
 
 _embed_cache = {}
@@ -560,34 +555,26 @@ _as_cache = {}
 
 
 def _as_solving_map(field, q):
-    """Build and cache, under (degree, modulus, q), the solving map of
-    x -> x^q + x on `field`: the operator's echelon (its columns are the
-    images of the mask basis, so a combination mask is a preimage) and the
-    reduced echelon of its kernel GF(q)."""
+    """Build and cache, under (degree, q), the solving map of x -> x^q + x
+    on `field`: the operator's echelon (its columns are the images of the
+    mask basis, so a combination mask is a preimage)."""
     k = q.bit_length() - 1
     if q != 1 << k or k < 1 or field.degree % k:
         raise ValueError(f"q={q} is not a power of 2 dividing the field order")
     bits = [1 << i for i in range(field.degree)]
-    pivots, kernel = _echelon_gf2([field.pow_mask(b, q) ^ b for b in bits])
-    ech = []
-    for v in kernel:
-        for e in ech:
-            v = min(v, v ^ e)
-        ech = [min(e, e ^ v) for e in ech] + [v]
-    _as_cache[field.degree, field.modulus, q] = pivots, ech
-    return pivots, ech
+    pivots = _echelon_gf2([field.pow_mask(b, q) ^ b for b in bits])[0]
+    _as_cache[field.degree, q] = pivots
+    return pivots
 
 
 def artin_schreier_root_mask(field, q, rhs):
     """Mask of the smallest root of x^q + x = rhs (a mask) in `field`, or
-    None when the GF(q)-trace of rhs obstructs.  Each kernel vector's
-    leading bit is set in no other, so clearing them all gives the minimum."""
-    pivots, kernel = _as_cache.get((field.degree, field.modulus, q)) or _as_solving_map(field, q)
-    z = _reduce_gf2(pivots, rhs)
-    if z is not None:
-        for e in kernel:
-            z = min(z, z ^ e)
-    return z
+    None when the GF(q)-trace of rhs obstructs.  The root read off the
+    echelon combines pivot columns only, while each vector of the kernel
+    GF(q) has its top bit at a column that is no pivot, so the root plus
+    any nonzero kernel vector is larger."""
+    pivots = _as_cache.get((field.degree, q))
+    return _reduce_gf2(_as_solving_map(field, q) if pivots is None else pivots, rhs)
 
 
 def quadratic_root_masks(field, b, c):
@@ -609,12 +596,11 @@ _trace_cache = {}
 def trace_mask(field):
     """The absolute trace GF(2^d) -> GF(2) as a bit-mask: bit i is Tr(x^i),
     so by linearity Tr(r) is the parity of r & trace_mask(field).  Cached
-    per (degree, modulus), as `_as_cache` caches the solving maps."""
-    key = field.degree, field.modulus
-    tm = _trace_cache.get(key)
+    per degree, as `_as_cache` caches the solving maps."""
+    tm = _trace_cache.get(field.degree)
     if tm is None:
         tm = sum(FieldElement(field, 1 << i).trace().mask << i for i in range(field.degree))
-        _trace_cache[key] = tm
+        _trace_cache[field.degree] = tm
     return tm
 
 

@@ -68,7 +68,6 @@ L-polynomial is past the degree cap; q P and each |d| P share one chain of
 doublings.
 """
 
-from itertools import zip_longest
 from math import gcd
 from operator import index
 
@@ -98,6 +97,7 @@ from .gf2 import (
 )
 from .poly import (
     _trim,
+    _xor,
     divmod_masks,
     evaluate_masks,
     monic_quadratic_roots,
@@ -247,7 +247,7 @@ class JacobianClass:
         curve, field = self.curve, self.field
         if other.curve is not curve and not curve.same_model(other.curve):
             raise FieldMismatchError("classes on different curve models")
-        if other.field is not field and other.field != field:
+        if other.field is not field:
             raise FieldMismatchError("classes over different fields: lift both to one field first")
         u1, v1, u2, v2, k = self.u, self.v, other.u, other.v, self.cofactor
         if len(u1) == 1:
@@ -536,11 +536,6 @@ def _mumford(exp, log, h, f, v):
     return out
 
 
-def _xor(a, b):
-    """The sum of two coefficient-mask sequences, as a list."""
-    return [x ^ y for x, y in zip_longest(a, b, fillvalue=0)]
-
-
 _basis_cache = {}
 
 
@@ -565,10 +560,9 @@ def solve_additive(field, n, rhs, w=None):
     the kernel in the order `solve_gf2_linear` gives."""
     d = field.degree
     exp, log = field.tables()
-    basis = _basis_cache.get((d, field.modulus))
+    basis = _basis_cache.get(d)
     if basis is None:
-        basis = [(1 << b, exp[2 * log[1 << b]], log[1 << b]) for b in range(d)]
-        _basis_cache[d, field.modulus] = basis
+        basis = _basis_cache[d] = [(1 << b, exp[2 * log[1 << b]], log[1 << b]) for b in range(d)]
     if w is None:
         cols = [(a2 << 2 * i * d) ^ (a << (i + 1) * d) ^ (a << (i + 2) * d)
                 for i in range(n) for a, a2, _ in basis]

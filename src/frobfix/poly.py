@@ -14,6 +14,8 @@ the roots of a monic quadratic with their field, over the field layer's
 discriminant formula).
 """
 
+from itertools import zip_longest
+
 from .errors import FieldMismatchError, SearchExhaustedError
 from .gf2 import FieldElement, embed, quadratic_extension, quadratic_root_masks
 
@@ -23,6 +25,11 @@ def _trim(masks):
     while masks and not masks[-1]:
         masks.pop()
     return tuple(masks)
+
+
+def _xor(a, b):
+    """The sum of two coefficient-mask sequences, as a list."""
+    return [x ^ y for x, y in zip_longest(a, b, fillvalue=0)]
 
 
 def _wrap(field, masks):
@@ -124,7 +131,7 @@ class Poly:
     def __init__(self, field, coeffs=()):
         masks = []
         for c in coeffs:
-            if c.field is not field and c.field != field:
+            if c.field is not field:
                 raise FieldMismatchError("coefficient from a different field")
             masks.append(c.mask)
         while masks and not masks[-1]:
@@ -176,7 +183,7 @@ class Poly:
         return (
             isinstance(other, Poly)
             and self._m == other._m
-            and self.field == other.field
+            and self.field is other.field
         )
 
     def __hash__(self):
@@ -191,18 +198,12 @@ class Poly:
     # -- arithmetic ----------------------------------------------------------
     def _check(self, other):
         """`other`, a Poly or a FieldElement, must be over this field."""
-        if self.field is not other.field and self.field != other.field:
+        if self.field is not other.field:
             raise FieldMismatchError("operands over different fields")
 
     def __add__(self, other):
         self._check(other)
-        a, b = self._m, other._m
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] ^= c
-        return _wrap(self.field, out)
+        return _wrap(self.field, _xor(self._m, other._m))
 
     __sub__ = __add__
 

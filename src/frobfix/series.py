@@ -62,7 +62,7 @@ class SeriesElement:
     def _check(self, other):
         if not isinstance(other, SeriesElement):
             raise TypeError(f"cannot combine SeriesElement with {type(other).__name__}")
-        if self.field is not other.field and self.field != other.field:
+        if self.field is not other.field:
             raise FieldMismatchError("series elements over different fields")
 
     def __add__(self, other):

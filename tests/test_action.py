@@ -24,8 +24,8 @@ from frobfix.errors import (
     SearchExhaustedError,
 )
 from frobfix.gf2 import FieldEmbedding, default_field
-from frobfix.jacobian import FormalDivisor, _xor, enumerate_classes, random_class
-from frobfix.poly import evaluate_masks
+from frobfix.jacobian import FormalDivisor, enumerate_classes, random_class
+from frobfix.poly import _xor, evaluate_masks
 
 
 def laszlo_curve():

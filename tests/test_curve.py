@@ -326,6 +326,12 @@ def test_point_hash_agrees_with_equality_across_retag():
         if not p.is_weierstrass():
             assert p.hyperelliptic_involution() != p
     assert len(set(pts) | {p.retag(same) for p in pts}) == len(pts)
+    # X(1) is another model: (0, 0) and infinity lie on both, and differ
+    other = c.twist(1)
+    assert not other.same_model(c)
+    for p in (c.point(c.field.zero(), c.field.zero()), c.infinity()):
+        q = CurvePoint(other, p.x, p.y)
+        assert other.contains(q) and p != q and q != p
 
 
 def test_random_extension_points_on_curve():

@@ -13,11 +13,12 @@ from frobfix.functions import (
     interpolate_vanishing,
     local_coordinates,
     principal_witness_core,
+    reduce_points_oracle,
     riemann_roch_basis,
     verify_polyfunction_divisor,
 )
 from frobfix.gf2 import default_field
-from frobfix.jacobian import oracle_class_of, random_class
+from frobfix.jacobian import FormalDivisor, class_of, oracle_class_of, random_class
 from frobfix.poly import _trim, divmod_masks, mul_poly_masks
 
 
@@ -63,6 +64,22 @@ def test_mask_partner_and_weierstrass_rule_match_the_curve_points():
     for c, field, p in cases:
         assert functions_module._partner(field, _xy(p)) == _xy(p.hyperelliptic_involution()), p
         assert (p.x.mask in (0, 1)) == p.is_weierstrass(), p
+
+
+def test_the_oracle_reduces_an_involution_pair_to_the_identity():
+    # P + iota P - 2 infinity is the divisor of x - x(P): the oracle's
+    # canonical-pair branch, which random sums almost never reach
+    c = laszlo_curve()
+    for field in (default_field(4), default_field(8)):
+        pts = [p for p in c.points_over(field) if not p.is_infinity() and not p.is_weierstrass()]
+        assert pts, field
+        for p in pts[::max(1, len(pts) // 8)]:
+            q = p.hyperelliptic_involution()
+            assert reduce_points_oracle(c, field, [(_xy(p), 1), (_xy(q), 1)]) == ((1,), (), field)
+            divisor = FormalDivisor(c, [(p, 1), (q, 1), (c.infinity(), -2)])
+            oracle = oracle_class_of(divisor)
+            assert oracle.is_identity() and oracle.field is field
+            assert oracle.key() == class_of(divisor).key()
 
 
 def test_local_coordinates_satisfy_equation():

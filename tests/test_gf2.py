@@ -41,15 +41,33 @@ def test_default_table_covers_1_to_16_and_is_irreducible():
 
 
 def test_build_field_examples():
-    # one field per degree: its modulus is the table's, whichever way it is built
+    # one field per degree: its modulus is the table's, and every request
+    # for the degree returns the same object, so equality is identity
     table = default_modulus_table()
     for d in range(1, 17):
         f = BinaryField(d)
         assert (f.order, f.modulus) == (1 << d, table[d])
-        assert f == default_field(d)
+        assert f is BinaryField(d) is default_field(d)
+        assert f != BinaryField(d % 16 + 1)
+    assert "__eq__" not in vars(BinaryField)
     assert (table[2], table[4]) == (0b111, 0b10011)
-    with pytest.raises(FieldConstructionError, match=r"^degree must be in 1\.\.16, got 17$"):
-        BinaryField(17)
+    for d in (0, 17):
+        with pytest.raises(FieldConstructionError, match=rf"^degree must be in 1\.\.16, got {d}$"):
+            BinaryField(d)
+
+
+def test_a_field_builds_its_tables_once_with_itself(monkeypatch):
+    # a first request builds the field and its tables; later requests and
+    # table reads build nothing
+    builds = []
+    build = BinaryField._ensure_tables
+    monkeypatch.setattr(gf2, "_fields", {})
+    monkeypatch.setattr(BinaryField, "_ensure_tables", lambda f: builds.append(f) or build(f))
+    f = BinaryField(5)
+    assert builds == [f] and f.tables()[0][:3] == [1, 2, 4]
+    assert BinaryField(5) is default_field(5) is f
+    assert f.mul_masks(3, 5) == f._mul_raw(3, 5) and f.inv_mask(7) == f._pow_raw(7, 30)
+    assert f.pow_mask(6, -2) == f.inv_mask(f.mul_masks(6, 6)) and builds == [f]
 
 
 def test_irreducibility_oracle_gf4():

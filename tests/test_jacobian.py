@@ -93,10 +93,14 @@ def test_identity_and_inverse_exhaustive_gf4():
     classes = enumerate_classes(c, c.field)
     assert len(classes) == group_order(c, c.field) == 16
     ident = JacobianClass.identity(c, c.field)
+    # X(1) is another model (t^2 != t), so no class on it equals one on X(0),
+    # not even the identity, whose key is the same
+    other = JacobianClass.identity(c.twist(1), c.field)
     for cl in classes:
         assert (cl + ident).equals(cl)
         assert (cl + cl.neg()).is_identity()
         assert cl.neg().neg().equals(cl)
+        assert not cl.equals(other) and not other.equals(cl) and cl != other
 
 
 def test_lagrange_gf4():
@@ -873,6 +877,7 @@ def test_associativity_commutativity_random():
         a, b, d = (random_class(c, f16, rng) for _ in range(3))
         assert ((a + b) + d).equals(a + (b + d))
         assert (a + b).equals(b + a)
+        assert (a - b).key() == (a + b.neg()).key() and (a - a).is_identity()
 
 
 def test_class_of_examples():
@@ -1193,6 +1198,19 @@ def test_torsion_subgroup_two():
     c = laszlo_curve()
     classes, j, counts = torsion_subgroup(c, 2, 3)
     assert j == 1 and counts[0] == 4 and len(classes) == 4
+
+
+def test_torsion_search_that_does_not_stabilize_returns_the_last_field():
+    # over GF(64), GF(2^12) is the last field under the degree cap: the
+    # search stops there; the reference curve at k = 5 stops short of 81
+    f64 = default_field(6)
+    classes, j, counts = torsion_subgroup(Curve(f64, f64.element(2)), 3, 6)
+    assert (len(classes), j, counts) == (27, None, [27, 27])
+    assert {c.field for c in classes} == {default_field(12)}
+    assert len({c.key() for c in classes}) == 27 and all(c.mul_int(3).is_identity() for c in classes)
+    classes, j, counts = torsion_subgroup(laszlo_curve(), 3, 5)
+    assert (j, counts) == (None, [1, 9, 1, 9, 1])
+    assert len(classes) == 1 and classes[0].is_identity() and classes[0].field is default_field(10)
 
 
 def test_torsion_search_above_the_cap_raises():

@@ -87,6 +87,19 @@ def test_no_assert_in_package():
     assert not found, "assert statements in the package:\n" + "\n".join(found)
 
 
+def test_field_checks_compare_by_identity():
+    # BinaryField(d) is one object per degree, so a field check is one
+    # `is not`: a value comparison after it could never run
+    pattern = re.compile(r"\bis not ([\w.]+) and [\w.]+ != \1\b")
+    found = [
+        f"{p.relative_to(ROOT)}:{i}"
+        for p in sorted(PACKAGE_DIR.rglob("*.py"))
+        for i, line in enumerate(p.read_text().splitlines(), 1)
+        if pattern.search(line)
+    ]
+    assert not found, "field checks with a value comparison:\n" + "\n".join(found)
+
+
 def _callers(path, names):
     """Qualified names of the functions in `path` that call any of `names`."""
     callers = set()

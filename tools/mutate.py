@@ -1,8 +1,15 @@
-"""Mutation sweep over the group law's written-out kernels, the Frobenius
-map and the scalar multiple, the Mumford solve and its trace screen, the
-curve's mask equation check and the Riemann-Roch oracle's mask kernels:
-its expansions, series Horner, interpolation rows, value and order reads,
+"""Mutation sweep over the field layer's kernels (quadratic roots, the
+Artin-Schreier solving map, embedding images), the group law's
+written-out kernels, the Frobenius map and the scalar multiple, the
+Mumford solve and its trace screen, the curve's mask equation check and
+g-table, the mask add, and the Riemann-Roch oracle's mask kernels: its
+expansions, series Horner, interpolation rows, value and order reads,
 involution partner, norm and order bookkeeping.
+
+The field layer's echelon and reduction (`_echelon_gf2`, `_reduce_gf2`)
+and the table walk (`BinaryField._ensure_tables`) stay out: dropping a
+`^=` there leaves a `while` loop that never ends, so each such mutant
+would only wait out the timeout.
 
 Each mutant drops one operand of one `^` (an `a ^ b` or an `x ^= e`) in one
 def that SCOPE names for its module.  The tree is copied once to a
@@ -27,6 +34,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = Path("src/frobfix")
 SCOPE = {
+    "gf2": {"quadratic_root_masks", "_as_solving_map", "FieldEmbedding.image_mask"},
     "jacobian": {"JacobianClass._validate", "JacobianClass.__add__", "JacobianClass.neg",
                  "_closed_form_sum", "_slope_mod_quadratic", "_monic_pair", "_solvable_by_trace",
                  "solve_additive", "affine_span", "JacobianClass._support_masks", "frobenius",
@@ -34,8 +42,8 @@ SCOPE = {
     "functions": {"local_coordinates", "_shifted_equation", "_horner", "_partner",
                   "_constraint_rows", "PolyFunction._coefficient_one", "PolyFunction.norm",
                   "PolyFunction._value_mask", "_orders_and_rest", "_mumford_from_points"},
-    "poly": {"mul_poly_masks"},
-    "curve": {"_on_curve"},
+    "poly": {"mul_poly_masks", "_xor"},
+    "curve": {"_on_curve", "_g_table"},
 }
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
          "--continue-on-collection-errors"]
