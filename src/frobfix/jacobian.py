@@ -37,13 +37,17 @@ Mumford check of `_validate` for deg u = 2.  Everywhere else
 v^2 + v h + f has one routine, `_mumford`, and every division by a u of
 degree <= 2 is the package's synthetic division, `poly.divmod_masks`; the
 tests hold the straight-line code to those and to the Poly route.
-Negation is (u, (v + h) mod u).  The only Mumford v-solve,
-`solve_additive`, fixes h and writes the columns of its GF(2) system in
-closed form for deg u <= 2, and `count_classes` still never reads the
-trace criterion; `random_class` screens each u by it first, in
-straight-line code on table logs (`_solvable_by_trace`).  The independent
-Riemann-Roch interpolation oracle in `functions.reduce_points_oracle`
-guards all of this in the tests.
+Negation is (u, (v + h) mod u).  The Mumford v-solve has two routes.
+`solve_additive` fixes h and writes the columns of its GF(2) system in
+closed form for deg u <= 2; it serves `count_classes`, which never reads
+the trace criterion, `two_torsion`, `action.lift_mobius`, and the u that
+the criterion leaves undecided.  `random_class` screens each u by the
+criterion first, in straight-line code on table logs
+(`_solvable_by_trace`), and solves a u it accepts from the criterion's
+c = f h^-2 mod u by Artin-Schreier roots over the field
+(`_solve_by_roots`), in the echelon form that `solve_additive` gives.
+The independent Riemann-Roch interpolation oracle in
+`functions.reduce_points_oracle` guards all of this in the tests.
 
 Scalar multiples.  The curve is defined over GF(q), q = #curve.field, and
 its L-polynomial is (1 - a T + q T^2)^2 (`curve._check_square`), so the
@@ -88,6 +92,7 @@ from .functions import _merge_points, _partner, principal_witness_core, reduce_p
 from .gf2 import (
     FieldElement,
     _prime_factors,
+    artin_schreier_root_mask,
     default_field,
     embed,
     join_fields,
@@ -145,8 +150,13 @@ class FormalDivisor:
         if not self.curve.same_model(other.curve):
             raise FieldMismatchError("divisor point on a different curve model")
         field, *embs = join_fields(self.field, other.field)
-        affine = [((emb.image_mask(x), emb.image_mask(y)), m)
-                  for emb, d in zip(embs, (self, other)) for (x, y), m in d.entries]
+        affine = []
+        for emb, d in zip(embs, (self, other)):
+            if emb.source is emb.target:  # one field per degree: the identity map
+                affine += d.entries
+            else:
+                image = emb.image_mask
+                affine += [((image(x), image(y)), m) for (x, y), m in d.entries]
         return FormalDivisor._of_masks(self.curve, field, affine, self.inf + other.inf)
 
     def __repr__(self):
@@ -555,9 +565,12 @@ def solve_additive(field, n, rhs, w=None):
         with g = w1 + 1 and t = a^2 + a g:
             i = 0:      (a^2 + a w0) + a g x
             i = 1:      w0 t + (w1 t + a w0) x
-    It is a full GF(2) solve, whatever the trace criterion says.  Returns
-    None when unsolvable, else (particular, kernel) as trimmed mask tuples,
-    the kernel in the order `solve_gf2_linear` gives."""
+    It is a full GF(2) solve, whatever the trace criterion says.  It serves
+    every caller but one: `random_class` solves a u that
+    `_solvable_by_trace` accepts by `_solve_by_roots`, and comes here only
+    for the u it leaves undecided.  Returns None when unsolvable, else
+    (particular, kernel) as trimmed mask tuples, the kernel in the order
+    `solve_gf2_linear` gives."""
     d = field.degree
     exp, log = field.tables()
     basis = _basis_cache.get(d)
@@ -843,14 +856,19 @@ def group_order(curve, field):
     return n
 
 
-def _v_solution_space(curve, field, u):
+def _v_solution_space(curve, field, u, c=None):
     """Solutions v (deg v < deg u) of u | v^2 + v h + f for the monic masks
-    u: None when unsolvable, else (particular, kernel) (see `solve_additive`)."""
-    # f from equation_polys, not the memo: bench/test_bench.py asserts
-    # gf2.mul.count > 0 on torsion units, and the boxed t^2 of equation_polys
-    # is the only FieldElement product left on that path.  Read the memo once
-    # that assertion moves.
-    return solve_additive(field, len(u) - 1, curve.equation_polys(field)[1].masks(), u)
+    u: None when unsolvable, else (particular, kernel) (see `solve_additive`).
+    Given the c = f h^-2 mod u of a quadratic u that `_solvable_by_trace`
+    accepts, they come from `_solve_by_roots`, else from `solve_additive`."""
+    # f from equation_polys, not the memo, and on both routes: bench/test_bench.py
+    # asserts gf2.mul.count > 0 on torsion units, and the boxed t^2 of
+    # equation_polys is the only FieldElement product left on that path.  Read
+    # the memo, and only for solve_additive, once that assertion moves.
+    f = curve.equation_polys(field)[1].masks()
+    if c is not None:
+        return _solve_by_roots(field, u, c)
+    return solve_additive(field, len(u) - 1, f, u)
 
 
 def _solvable_quadratics(curve, field):
@@ -903,8 +921,9 @@ def enumerate_classes(curve, field):
 def _solvable_by_trace(field, f, u0, u1):
     """Whether v^2 + v h = f has a solution v mod u = x^2 + u1 x + u0, for
     the family's f = (0, A, 0, B, 0, A) (A and B nonzero), by the trace
-    criterion; None when h is not a unit mod u, which for h = x^2 + x means
-    u0 = 0 or u(1) = 0.
+    criterion: False when it has none, else c = (c0, c1) below, which
+    `_solve_by_roots` solves; None when h is not a unit mod u, which for
+    h = x^2 + x means u0 = 0 or u(1) = 0, and `solve_additive` solves.
 
     With v = h z the equation is z^2 + z = c, c = f h^-2 mod u = c1 x + c0,
     in F[x]/(u); h mod u = h + u = (u1 + 1) x + u0, as h and u are monic
@@ -934,16 +953,78 @@ def _solvable_by_trace(field, f, u0, u1):
     n0 = exp[l1 + l0 + log[m] - p] if u1 and m else 0
     r0 = exp[l0 + l0] ^ (exp[lg + lg + l0 - p] if u1 != 1 else 0)
     r1 = exp[lg + lg + l1 - p] if u1 and u1 != 1 else 0
-    c0, c1 = _slope_mod_quadratic(exp, log, p, n0, n1, r0, r1, u0, u1)
+    c = c0, c1 = _slope_mod_quadratic(exp, log, p, n0, n1, r0, r1, u0, u1)
     lc = log[c1]
     if not u1:  # s = sqrt(u0) has log l0 / 2 mod p, p odd
-        return not c1 or not (exp[lc + (l0 + (l0 & 1) * p) // 2] & tm).bit_count() & 1
-    if c1 and (exp[lc + l1] & tm).bit_count() & 1:
+        odd = c1 and (exp[lc + (l0 + (l0 & 1) * p) // 2] & tm).bit_count() & 1
+    elif c1 and (exp[lc + l1] & tm).bit_count() & 1:
         return False
-    if (exp[l0 - l1 - l1] & tm).bit_count() & 1:  # u irreducible
-        return True
-    r = quadratic_root_masks(field, u1, u0)[0]
-    return not ((c0 ^ (exp[lc + log[r]] if c1 and r else 0)) & tm).bit_count() & 1
+    elif (exp[l0 - l1 - l1] & tm).bit_count() & 1:  # u irreducible
+        return c
+    else:
+        r = quadratic_root_masks(field, u1, u0)[0]
+        odd = ((c0 ^ (exp[lc + log[r]] if c1 and r else 0)) & tm).bit_count() & 1
+    return False if odd else c
+
+
+def _solve_by_roots(field, u, c):
+    """(particular, kernel) of v^2 + v h = f mod u = x^2 + u1 x + u0 for a u
+    that `_solvable_by_trace` accepts, from its c = f h^-2 mod u = c1 x + c0,
+    by Artin-Schreier roots over the field; the same masks in the same order
+    as `solve_additive`, or None when no v exists.
+
+    With v = h y the equation is y^2 + y = c in F[x]/(u), and by x^2 = u1 x +
+    u0, y = y1 x + y0 solves it iff u1 y1^2 + y1 = c1 and y0^2 + y0 = c0 +
+    u0 y1^2.  For u1 != 0 the first is z^2 + z = u1 c1 in z = u1 y1; of its
+    roots z, z + 1 the second is taken when the y0 equation has no root for
+    the first (u irreducible).  For u1 = 0, y1 = c1.  v = (h mod u) y, with
+    h mod u = g x + u0, g = u1 + 1.  The kernel is the v of the idempotents
+    y: h mod u for y = 1, and for split u also h (x / u1 + s) for a root s of
+    s^2 + s = u0 / u1^2.  On solve_additive's columns, v packed with bit b
+    of coefficient i at i d + b, `solve_gf2_linear` gives the particular
+    solution that is 0 at every free column, and for each free column,
+    ascending, the kernel vector that is 1 there and 0 at the others.  The
+    free columns are the distinct top bits of a kernel basis: two vectors
+    with one top bit are replaced by their sum and the higher, the higher
+    is cleared at the lower's top bit, and the particular solution at both."""
+    (u0, u1, _), (c0, c1) = u, c
+    exp, log = field.tables()
+    d, g = field.degree, u1 ^ 1
+
+    def mul(x, y):
+        return exp[log[x] + log[y]] if x and y else 0
+
+    def root(rhs):
+        return artin_schreier_root_mask(field, 2, rhs)
+
+    if u1:
+        z, inv = root(mul(u1, c1)), exp[field.order - 1 - log[u1]]
+        if z is None:
+            return None
+        choices = mul(z, inv), mul(z ^ 1, inv)
+    else:
+        choices = c1,
+    for y1 in choices:
+        y0 = root(c0 ^ mul(u0, mul(y1, y1)))
+        if y0 is not None:
+            break
+    else:
+        return None
+    part = mul(u0, mul(g, y1) ^ y0) | (mul(g, mul(y1, u1) ^ y0) ^ mul(u0, y1)) << d
+    kernel = [u0 | g << d]
+    s = root(mul(u0, mul(inv, inv))) if u1 else None
+    if s is not None:  # u splits: y = x / u1 + s
+        lo, hi = sorted((kernel[0], mul(u0, mul(g, inv) ^ s) | (mul(g, 1 ^ s) ^ mul(u0, inv)) << d))
+        if lo.bit_length() == hi.bit_length():
+            lo ^= hi
+        if hi >> lo.bit_length() - 1 & 1:
+            hi ^= lo
+        kernel = [lo, hi]
+    for k in reversed(kernel):
+        if part >> k.bit_length() - 1 & 1:
+            part ^= k
+    mask = (1 << d) - 1
+    return _trim([part & mask, part >> d]), [_trim([k & mask, k >> d]) for k in kernel]
 
 
 def random_class(curve, field, rng):
@@ -953,20 +1034,22 @@ def random_class(curve, field, rng):
     reachable, split or not), then v is the particular solution plus each
     kernel vector for which one rng.randrange(2), drawn in kernel order, is
     1.  No other rng value is drawn.  The trace criterion
-    (`_solvable_by_trace`) rejects most unsolvable u before the solve; an
-    accepted u still runs the full solve (`solve_additive`, closed-form
-    columns), and a u it accepts that has no solution raises
-    InconsistencyError."""
+    (`_solvable_by_trace`) rejects most unsolvable u before any solve; a u
+    it accepts is solved from its c by Artin-Schreier roots
+    (`_solve_by_roots`), and one without a solution there raises
+    InconsistencyError; a u it leaves undecided (u0 = 0 or u(1) = 0) runs
+    the GF(2) solve (`solve_additive`).  Each class passes the full Mumford
+    check of `JacobianClass`."""
     f = curve.equation_masks(field)[1]
     while True:
         u0, u1 = rng.randrange(field.order), rng.randrange(field.order)
-        by_trace = _solvable_by_trace(field, f, u0, u1)
-        if by_trace is False:
+        c = _solvable_by_trace(field, f, u0, u1)
+        if c is False:
             continue
         u = (u0, u1, 1)
-        sol = _v_solution_space(curve, field, u)
+        sol = _v_solution_space(curve, field, u, c)
         if sol is None:
-            if by_trace:
+            if c is not None:
                 raise InconsistencyError(
                     "trace criterion accepted u, but v^2 + v h = f has no solution mod u")
             continue

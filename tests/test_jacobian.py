@@ -8,7 +8,13 @@ import random
 import pytest
 
 from frobfix.curve import Curve, lpolynomial, weil_interval_ok_jacobian
-from frobfix.errors import DegreeCapError, FieldMismatchError, InconsistencyError, NotOnCurveError
+from frobfix.errors import (
+    DegreeCapError,
+    FieldMismatchError,
+    InconsistencyError,
+    NotOnCurveError,
+    SearchExhaustedError,
+)
 from frobfix.gf2 import default_field, embed, quadratic_root_masks
 from frobfix.jacobian import (
     FormalDivisor,
@@ -16,6 +22,7 @@ from frobfix.jacobian import (
     _mumford,
     _pi_adic_digits,
     _solvable_by_trace,
+    _solve_by_roots,
     _v_solution_space,
     affine_span,
     class_of,
@@ -28,6 +35,7 @@ from frobfix.jacobian import (
     ordinarity_check,
     principal_witness,
     random_class,
+    solve_additive,
     sylow_subgroup,
     torsion_subgroup,
     two_torsion,
@@ -178,7 +186,7 @@ def test_trace_pretest_agrees_with_the_solve(base_degree, t_mask, degree, n):
                 undecided += 1
                 continue
             sol = _v_solution_space(c, field, (u0, u1, 1))
-            assert by_trace is (sol is not None), (u0, u1)
+            assert (by_trace is not False) is (sol is not None), (u0, u1)
     assert undecided == 2 * field.order - 1
 
 
@@ -195,38 +203,100 @@ class ScriptedRng:
 
 
 def test_random_class_solves_every_u_the_trace_does_not_reject(monkeypatch):
-    # two draws per u and one per kernel vector; a rejected u never reaches
-    # the solve, an undecided or accepted one does
+    # two draws per u and one per kernel vector; a rejected u reaches no
+    # solve, an undecided one solve_additive, and an accepted one
+    # _solve_by_roots with the c that the trace test returned
     import frobfix.jacobian as jacobian_module
 
     c = laszlo_curve()
     f16 = default_field(4)
     f = c.equation_masks(f16)[1]
     verdicts = {(u0, u1): _solvable_by_trace(f16, f, u0, u1) for u1 in range(16) for u0 in range(16)}
-    assert set(verdicts.values()) == {None, True, False}
+    assert {type(v) for v in verdicts.values()} == {type(None), bool, tuple}
+    assert True not in verdicts.values()
+    solutions = {u: solve_additive(f16, 2, f, (*u, 1)) for u in verdicts}
     good = next(u for u, by_trace in verdicts.items() if by_trace)
-    solve = jacobian_module._v_solution_space
     solved = []
-    monkeypatch.setattr(jacobian_module, "_v_solution_space",
-                        lambda *args: solved.append(args[2][:2]) or solve(*args))
+    for name in ("solve_additive", "_solve_by_roots"):
+        real = getattr(jacobian_module, name)
+        monkeypatch.setattr(jacobian_module, name,
+                            lambda *args, name=name, real=real: solved.append((name, args)) or real(*args))
+
+    def routed(u):  # the one solve an undecided or accepted u reaches
+        if verdicts[u] is None:
+            return "solve_additive", (f16, 2, f, (*u, 1))
+        return "_solve_by_roots", (f16, (*u, 1), verdicts[u])
+
     for u, by_trace in verdicts.items():
         solved.clear()
-        kept = solve(c, f16, (*u, 1)) is not None
+        kept = solutions[u] is not None
         rng = ScriptedRng([*u] + ([] if kept else [*good]) + [1] * 4)
         cls = random_class(c, f16, rng)
         assert cls.u[:2] == (u if kept else good)
-        assert solved == ([] if by_trace is False else [u]) + ([] if kept else [good])
-        assert len(rng.draws) == 4 - len(solve(c, f16, cls.u)[1])
+        assert solved == ([] if by_trace is False else [routed(u)]) + ([] if kept else [routed(good)])
+        assert len(rng.draws) == 4 - len(solutions[cls.u[:2]][1])
 
 
 def test_random_class_catches_a_u_the_trace_accepts_without_a_solution(monkeypatch):
     import frobfix.jacobian as jacobian_module
 
-    monkeypatch.setattr(jacobian_module, "_v_solution_space", lambda *args: None)
+    c, f16 = laszlo_curve(), default_field(4)
+    f = c.equation_masks(f16)[1]
+    good = next((u0, u1) for u1 in range(16) for u0 in range(16) if _solvable_by_trace(f16, f, u0, u1))
+    monkeypatch.setattr(jacobian_module, "_solve_by_roots", lambda *args: None)
     with pytest.raises(InconsistencyError) as exc:
-        random_class(laszlo_curve(), default_field(4), random.Random(0))
+        random_class(c, f16, ScriptedRng(good))
     assert exc.type is InconsistencyError
     assert str(exc.value) == "trace criterion accepted u, but v^2 + v h = f has no solution mod u"
+
+
+def test_random_class_catches_a_flipped_bit_of_c(monkeypatch):
+    # every accepted u over GF(16), each bit of (c0, c1) flipped on its way
+    # to the solve: y^2 + y = c' has no root, or its v fails the Mumford
+    # check, as v^2 + v h = h^2 c' != f mod u; a class is never returned
+    import frobfix.jacobian as jacobian_module
+
+    c, f16 = laszlo_curve(), default_field(4)
+    f = c.equation_masks(f16)[1]
+    accepted = [(u0, u1) for u1 in range(16) for u0 in range(16) if _solvable_by_trace(f16, f, u0, u1)]
+    real, caught = jacobian_module._solve_by_roots, set()
+    for bit in range(2 * f16.degree):
+        flip = (1 << bit) & 15, (1 << bit) >> 4  # one bit of c0, or of c1
+        monkeypatch.setattr(jacobian_module, "_solve_by_roots", lambda field, u, cm, flip=flip: real(
+            field, u, (cm[0] ^ flip[0], cm[1] ^ flip[1])))
+        for u in accepted:
+            with pytest.raises((InconsistencyError, ValueError)) as exc:
+                random_class(c, f16, ScriptedRng([*u, 1, 1]))
+            caught.add((exc.type, str(exc.value)))
+    assert caught == {
+        (InconsistencyError, "trace criterion accepted u, but v^2 + v h = f has no solution mod u"),
+        (ValueError, "Mumford condition u | v^2 + v h + f fails"),
+    }
+
+
+@pytest.mark.parametrize("base_degree, degree, draws", [(2, 4, None), (4, 4, None), (2, 6, None),
+                                                        (2, 12, 3000), (2, 16, 3000)])
+def test_solve_by_roots_matches_solve_additive(base_degree, degree, draws):
+    # every accepted u, for every t of the base field, or `draws` seeded u
+    # on the reference curve: the same particular solution and kernel, in
+    # the same order, as the GF(2) echelon of solve_additive
+    base, field = default_field(base_degree), default_field(degree)
+    if draws is None:
+        curves = [Curve(base, base.element(tm)) for tm in range(2, base.order)]
+        us = [(u0, u1) for u1 in range(field.order) for u0 in range(field.order)]
+    else:
+        curves, rng = [laszlo_curve()], random.Random(degree)
+        us = [(rng.randrange(field.order), rng.randrange(field.order)) for _ in range(draws)]
+    kernels = set()
+    for c in curves:
+        f = c.equation_masks(field)[1]
+        for u0, u1 in us:
+            by_trace = _solvable_by_trace(field, f, u0, u1)
+            if by_trace:
+                sol = _solve_by_roots(field, (u0, u1, 1), by_trace)
+                assert sol == solve_additive(field, 2, f, (u0, u1, 1)), (u0, u1)
+                kernels.add(len(sol[1]))
+    assert kernels == {1, 2}
 
 
 def test_random_class_stream_is_pinned():
@@ -805,6 +875,39 @@ def test_jacobian_class_rejects_a_malformed_pair(u, v, message):
     assert str(exc.value) == message
 
 
+def _degree_one_divisor(c):
+    return FormalDivisor(c, [(c.infinity(), 1)])
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda c: JacobianClass(c, default_field(3), (1,), ()), FieldMismatchError,
+                 "class field does not contain the curve base field", id="class-field"),
+    pytest.param(lambda c: JacobianClass.identity(c, c.field).retag(Curve(c.field, c.field.element(3))),
+                 ValueError, "retag requires an identical curve model", id="retag"),
+    pytest.param(lambda c: JacobianClass.identity(c, c.field) + JacobianClass.identity(
+                     Curve(c.field, c.field.element(3)), c.field),
+                 FieldMismatchError, "classes on different curve models", id="sum-models"),
+    pytest.param(lambda c: class_of(_degree_one_divisor(c)), ValueError,
+                 "divisor must have degree 0", id="class_of"),
+    pytest.param(lambda c: oracle_class_of(_degree_one_divisor(c)), ValueError,
+                 "divisor must have degree 0", id="oracle_class_of"),
+    pytest.param(lambda c: principal_witness(_degree_one_divisor(c)), ValueError,
+                 "divisor must have degree 0", id="principal_witness"),
+    pytest.param(lambda c: group_order(c, default_field(3)), FieldMismatchError,
+                 "field is not an extension of the curve base field", id="group_order"),
+    pytest.param(lambda c: frobenius_pullback(JacobianClass.identity(c, c.field)), ValueError,
+                 "pullback target needs twist index >= 1; retag first", id="pullback"),
+])
+def test_jacobian_entry_points_reject_a_bad_argument(call, error, message):
+    # a class over GF(8) does not contain the reference curve's GF(4), a
+    # retag or a sum needs one model, a class needs a divisor of degree 0,
+    # and X(0) has no Frobenius preimage
+    with pytest.raises(error) as exc:
+        call(laszlo_curve())
+    assert exc.type is error
+    assert str(exc.value) == message
+
+
 # (degree of the curve's base field, mask of t, degree of the class field,
 # pairs): the reference curve t = w over GF(2^6) and GF(2^8), and every t in
 # GF(16) minus {0, 1} over GF(16) and over GF(2^8)
@@ -961,6 +1064,31 @@ def test_divisor_sums_join_their_fields():
     with pytest.raises(FieldMismatchError) as exc:
         total + random_class(other, f256, rng).to_divisor()
     assert str(exc.value) == "divisor point on a different curve model"
+
+
+def test_a_divisor_sum_maps_only_the_masks_of_a_smaller_field(monkeypatch):
+    # one field per degree, so a divisor joined with its own field is not
+    # mapped: a same-field sum makes no image_mask call, a mixed one maps
+    # the x and y of each entry of the divisor over GF(2^8) once, and either
+    # has the entries and infinity of the public constructor's divisor
+    from frobfix.gf2 import FieldEmbedding
+
+    f256 = default_field(8)
+    c, rng = laszlo_curve(), random.Random(108)
+    draws = [random_class(c, f256, rng) for _ in range(20)]
+    real, mapped = FieldEmbedding.image_mask, []
+    monkeypatch.setattr(FieldEmbedding, "image_mask", lambda self, m: mapped.append(m) or real(self, m))
+    same = 0
+    for a, b in zip(draws, draws[1:]):
+        x, y = a.to_divisor(), b.to_divisor()
+        points = a.support()[0] + b.support()[0]
+        ref = FormalDivisor(c, points + [(c.infinity(), -sum(m for _, m in points))])
+        mapped.clear()
+        total = x + y
+        assert (total.field, total.entries, total.inf) == (ref.field, ref.entries, ref.inf)
+        assert len(mapped) == sum(2 * len(d.entries) for d in (x, y) if d.field is not total.field)
+        same += x.field is y.field
+    assert 5 < same < 19
 
 
 def test_support_roundtrip():
@@ -1151,7 +1279,10 @@ def test_sylow_subgroup_is_brute_force_three_part_gf16():
     [pytest.param("sylow", r, f"Sylow subgroup needs a prime r, got {r}", id=f"r={r}")
      for r in (-3, 0, 1, 4, 6)]
     + [pytest.param("torsion", k, f"torsion search bound needs k >= 1, got {k}", id=f"k={k}")
-       for k in (0, -1)],
+       for k in (0, -1)]
+    + [pytest.param("torsion", k, "torsion search bound capped at k <= 6", id=f"k={k}") for k in (7, 12)]
+    + [pytest.param("torsion-r", r, "torsion search supports r in {2, 3}", id=f"torsion-r={r}")
+       for r in (1, 5)],
 )
 def test_torsion_searches_reject_a_bad_argument(monkeypatch, search, arg, message):
     # unchecked, r = 1 never reaches its target order, r = 0 divides by zero,
@@ -1167,10 +1298,35 @@ def test_torsion_searches_reject_a_bad_argument(monkeypatch, search, arg, messag
     with pytest.raises(ValueError) as exc:
         if search == "sylow":
             sylow_subgroup(c, default_field(4), arg)
-        else:
+        elif search == "torsion":
             torsion_subgroup(c, 3, arg)
+        else:
+            torsion_subgroup(c, arg, 1)
     assert exc.type is ValueError
     assert str(exc.value) == message
+
+
+def test_sylow_subgroup_refuses_an_order_past_its_enumeration_bound():
+    # #J(GF(2^10)) of the reference curve is 964^2 = 2^4 241^2: its
+    # Sylow-241 subgroup has 241^2 = 58081 > 3^9 classes
+    with pytest.raises(SearchExhaustedError) as exc:
+        sylow_subgroup(laszlo_curve(), default_field(10), 241)
+    assert exc.type is SearchExhaustedError
+    assert str(exc.value) == "Sylow-241 subgroup too large to enumerate (58081)"
+
+
+def test_sylow_subgroup_catches_a_walk_that_runs_out(monkeypatch):
+    # the degree-2 classes generate J, so no curve runs the walk dry: a walk
+    # cut after its first class stands in for one that would, its multiple
+    # generating 3 of the 9 classes of the Sylow-3 subgroup over GF(16)
+    import frobfix.jacobian as jacobian_module
+
+    walk = jacobian_module._degree_two_classes
+    monkeypatch.setattr(jacobian_module, "_degree_two_classes", lambda *args: iter(list(walk(*args))[:1]))
+    with pytest.raises(SearchExhaustedError) as exc:
+        sylow_subgroup(laszlo_curve(), default_field(4), 3)
+    assert exc.type is SearchExhaustedError
+    assert str(exc.value) == "Sylow-3 generation incomplete: 3 of 9"
 
 
 def test_enumeration_lists_every_counted_class(monkeypatch):

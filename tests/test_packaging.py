@@ -205,9 +205,10 @@ def test_group_law_builds_no_poly():
 
 def test_the_mumford_solve_builds_no_poly():
     # every class enumerated, drawn or lifted from an automorphism comes from
-    # solve_additive on coefficient masks, and its callers pass masks too
+    # solve_additive or _solve_by_roots on coefficient masks, and their
+    # callers pass masks too
     guarded = {
-        "jacobian.py": {"solve_additive", "affine_span", "_solvable_quadratics",
+        "jacobian.py": {"solve_additive", "_solve_by_roots", "affine_span", "_solvable_quadratics",
                         "_degree_two_classes", "random_class", "two_torsion"},
         "action.py": {"lift_mobius"},
     }

@@ -1,7 +1,8 @@
 """Mutation sweep over the field layer's kernels (quadratic roots, the
 Artin-Schreier solving map, embedding images), the group law's
 written-out kernels, the Frobenius map and the scalar multiple, the
-Mumford solve and its trace screen, the curve's mask equation check and
+Mumford solves (the GF(2) system's columns and the Artin-Schreier roots)
+and their trace screen, the curve's mask equation check and
 g-table, the mask add, and the Riemann-Roch oracle's mask kernels: its
 expansions, series Horner, interpolation rows, value and order reads,
 involution partner, norm and order bookkeeping.
@@ -37,8 +38,9 @@ SCOPE = {
     "gf2": {"quadratic_root_masks", "_as_solving_map", "FieldEmbedding.image_mask"},
     "jacobian": {"JacobianClass._validate", "JacobianClass.__add__", "JacobianClass.neg",
                  "_closed_form_sum", "_slope_mod_quadratic", "_monic_pair", "_solvable_by_trace",
-                 "solve_additive", "affine_span", "JacobianClass._support_masks", "frobenius",
-                 "JacobianClass.mul_int", "JacobianClass._mul_by_digits", "_pi_adic_digits"},
+                 "_solve_by_roots", "solve_additive", "affine_span", "JacobianClass._support_masks",
+                 "frobenius", "JacobianClass.mul_int", "JacobianClass._mul_by_digits",
+                 "_pi_adic_digits"},
     "functions": {"local_coordinates", "_shifted_equation", "_horner", "_partner",
                   "_constraint_rows", "PolyFunction._coefficient_one", "PolyFunction.norm",
                   "PolyFunction._value_mask", "_orders_and_rest", "_mumford_from_points"},
